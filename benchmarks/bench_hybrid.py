@@ -12,8 +12,7 @@ both, side by side, in ``BENCH_hybrid.json``:
   call-outcome counts within 2%.  Arrival counts are RNG-exact
   (``attempted_exact``), so they get an equality flag, not a band.
 
-The report lands in ``benchmarks/results/BENCH_hybrid.json`` and is
-mirrored to the repo root ``BENCH_hybrid.json``.
+The report lands in the repo root ``BENCH_hybrid.json``.
 """
 
 import pathlib
@@ -34,7 +33,6 @@ def test_hybrid_bench(quality):
     report = run_hybrid_bench(quick=quick)
 
     RESULTS_DIR.mkdir(exist_ok=True)
-    write_report(report, str(RESULTS_DIR / "BENCH_hybrid.json"))
     write_report(report, str(REPO_ROOT / "BENCH_hybrid.json"))
     text = render_hybrid_report(report)
     (RESULTS_DIR / "hybrid.txt").write_text(text + "\n")

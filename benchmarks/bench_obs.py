@@ -1,13 +1,13 @@
 """Observability overhead gate.
 
 The ``repro.obs`` contract has two halves and this bench measures both
-on the fast engine (the regime the contract is written for):
+on the turbo engine (the regime the contract is written for):
 
 1. **Dormant hooks are free (<= 2%).**  With ``observe=None`` every
    instrumentation point is a single ``is not None`` attribute test.
    Against ``--baseline BENCH_engine.json`` (regenerated on the *same
    host* in the same CI job), the observe-off min-of-N CPU time must be
-   within ``--tolerance`` (default 0.02) of the baseline's fast-engine
+   within ``--tolerance`` (default 0.02) of the baseline's turbo-engine
    ``two_series`` cell.  Without a baseline the timings are reported
    but not gated.
 2. **Recorders never feed back.**  The observe-on run's metric
@@ -22,8 +22,7 @@ message trace for spans; trace capture is a pre-existing
 :class:`~repro.sim.trace.MessageTrace` cost, so it is reported but
 not gated).
 
-Report lands in ``benchmarks/results/BENCH_obs.json`` and the repo
-root ``BENCH_obs.json``.  Runnable standalone::
+Report lands in the repo root ``BENCH_obs.json``.  Runnable standalone::
 
     python benchmarks/bench_obs.py [--full] [--repeats N]
         [--baseline BENCH_engine.json] [--tolerance 0.02]
@@ -47,7 +46,6 @@ from repro.harness.figures import QUICK
 from repro.harness.runner import run_scenario
 from repro.workloads.scenarios import ScenarioConfig, two_series
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 
 OBSERVE_ON_CEILING = 1.25
@@ -61,7 +59,7 @@ def _cell(observe: Optional[str], quick: bool, repeats: int) -> dict:
     identity: Dict[str, object] = {}
     calls = 0
     for _ in range(repeats):
-        config = ScenarioConfig(seed=1, engine="fast", observe=observe)
+        config = ScenarioConfig(seed=1, engine="turbo", observe=observe)
         scenario = two_series(BENCH_RATE, policy="servartuka", config=config)
         gc.collect()
         wall_start = time.perf_counter()
@@ -111,7 +109,7 @@ def run_obs_bench(
     report: Dict[str, object] = {
         "benchmark": "obs",
         "quick": quick,
-        "scenario": "two_series servartuka @ fast engine",
+        "scenario": "two_series servartuka @ turbo engine",
         "rate_cps": BENCH_RATE,
         "host": {
             "cpu_count": os.cpu_count(),
@@ -138,17 +136,17 @@ def run_obs_bench(
             "metric registries and run observables match observe-off bit "
             "for bit.  The dormant-hook gate compares observe_off "
             "cpu_s_min against a same-host BENCH_engine.json "
-            "fast/two_series cell."
+            "turbo/two_series cell."
         ),
     }
 
     if baseline_path:
         baseline = json.loads(pathlib.Path(baseline_path).read_text())
-        cell = baseline["scenarios"]["two_series"]["per_engine"]["fast"]
+        cell = baseline["scenarios"]["two_series"]["per_engine"]["turbo"]
         ratio = off_cpu / cell["cpu_s"] if cell["cpu_s"] else 0.0
         report["baseline"] = {
             "path": str(baseline_path),
-            "fast_two_series_cpu_s": cell["cpu_s"],
+            "turbo_two_series_cpu_s": cell["cpu_s"],
             "observe_off_vs_baseline": round(ratio, 4),
             "tolerance": tolerance,
             "within_tolerance": ratio <= 1.0 + tolerance,
@@ -157,9 +155,7 @@ def run_obs_bench(
 
 
 def write_obs_report(report: dict) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
     text = json.dumps(report, indent=2) + "\n"
-    (RESULTS_DIR / "BENCH_obs.json").write_text(text)
     (REPO_ROOT / "BENCH_obs.json").write_text(text)
 
 

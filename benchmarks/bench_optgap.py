@@ -14,8 +14,7 @@ metadata, with hard criteria:
 - every comparison row stays inside its soft budget
   (``measured/budget <= 1``).
 
-Report lands in ``benchmarks/results/BENCH_optgap.json`` and is
-mirrored to the repo root ``BENCH_optgap.json``.  Runnable both as a
+Report lands in the repo root ``BENCH_optgap.json``.  Runnable both as a
 pytest bench (``pytest benchmarks/bench_optgap.py``) and standalone
 (``python benchmarks/bench_optgap.py [--full] [--jobs N]``).
 """
@@ -31,7 +30,6 @@ from repro.harness.figures import FULL, QUICK
 from repro.harness.optgap import optgap_figure, optgap_grid, optgap_payload
 from repro.harness.parallel import execution
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 
 #: The turbo engine is bit-identical to the reference engine (see
@@ -70,9 +68,7 @@ def run_optgap_bench(quick: bool = True, jobs: int = 2) -> dict:
 
 
 def write_optgap_report(report: dict) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
     text = json.dumps(report, indent=2) + "\n"
-    (RESULTS_DIR / "BENCH_optgap.json").write_text(text)
     (REPO_ROOT / "BENCH_optgap.json").write_text(text)
 
 

@@ -17,8 +17,7 @@ the report, and on a single-core box the pool ladder *loses* to serial
 speedup criterion only becomes meaningful where ``cpu_count >= jobs``.
 The warm-cache criterion (<10% of cold serial) is host-independent.
 
-Report lands in ``benchmarks/results/BENCH_parallel.json`` and is
-mirrored to the repo root ``BENCH_parallel.json``.  Runnable both as a
+Report lands in the repo root ``BENCH_parallel.json``.  Runnable both as a
 pytest bench (``pytest benchmarks/bench_parallel.py``) and standalone
 (``python benchmarks/bench_parallel.py [--quick]``).
 """
@@ -35,7 +34,6 @@ from repro.harness.parallel import ExecutionContext, SpecTemplate, run_specs
 from repro.harness.figures import QUICK
 from repro.workloads.scenarios import ScenarioConfig
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 
 JOB_LADDER = (1, 2, 4, 8)
@@ -152,9 +150,7 @@ def run_parallel_bench(quick: bool = True) -> dict:
 
 
 def write_parallel_report(report: dict) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
     text = json.dumps(report, indent=2) + "\n"
-    (RESULTS_DIR / "BENCH_parallel.json").write_text(text)
     (REPO_ROOT / "BENCH_parallel.json").write_text(text)
 
 

@@ -24,8 +24,7 @@ protocol's serialization overhead, never a parallel speedup claim the
 host cannot support.  Each rung stamps the driver and cpu_count it
 ran with.
 
-Report lands in ``benchmarks/results/BENCH_sharded.json`` and is
-mirrored to the repo root ``BENCH_sharded.json``.  Runnable both as a
+Report lands in the repo root ``BENCH_sharded.json``.  Runnable both as a
 pytest bench (``pytest benchmarks/bench_sharded.py``) and standalone
 (``python benchmarks/bench_sharded.py [--full]``).
 """
@@ -41,7 +40,6 @@ from repro.harness.figures import QUICK
 from repro.harness.parallel import _job_scenario
 from repro.sim.shard import run_sharded_scenario
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 
 SHARD_LADDER = (1, 2, 4)
@@ -179,9 +177,7 @@ def run_sharded_bench(quick: bool = True) -> dict:
 
 
 def write_sharded_report(report: dict) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
     text = json.dumps(report, indent=2) + "\n"
-    (RESULTS_DIR / "BENCH_sharded.json").write_text(text)
     (REPO_ROOT / "BENCH_sharded.json").write_text(text)
 
 

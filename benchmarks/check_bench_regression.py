@@ -2,18 +2,18 @@
 """Gate engine-bench performance against the checked-in report.
 
 CI runs ``python -m repro bench --quick ... --json BENCH_new.json`` and
-then this script, which fails (exit 1) when any engine rung regressed
+then this script, which fails (exit 1) when either engine regressed
 by more than ``--tolerance`` (default 15%) relative to the checked-in
 ``BENCH_engine.json``.
 
 Absolute calls/sec are not comparable across machines (the checked-in
 report and the CI runner have different CPUs), so the comparison is
-**within-run normalized**: each rung's calls/sec is divided by the same
-run's ``copy`` rung (and ``copy`` itself by ``reference``), and only
-those machine-independent speedup ratios are compared across reports.
-A 20% slowdown injected into a single rung still shifts its own ratio
-by 20%, so real regressions are caught; a uniformly slower CI box
-shifts nothing.
+**within-run normalized**: turbo's calls/sec is divided by the same
+run's ``reference`` calls/sec, and only that machine-independent
+speedup ratio is compared across reports, in both directions.  A 20%
+slowdown injected into turbo drops the ratio by 20% and one injected
+into the reference oracle raises it by 25%, so real regressions in
+either are caught; a uniformly slower CI box shifts nothing.
 
 Only the long-window steady-state scenarios are gated by default: the
 resilience campaign's sub-second cells swing well past any usable
@@ -42,33 +42,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List
+from typing import List, Optional
 
 #: Scenarios stable enough to gate (6s+ measurement windows).
 DEFAULT_SCENARIOS = ("two_series", "parallel_fig8")
 
-#: The within-run normalization: rung -> denominator rung.
-NORMALIZERS = {
-    "reference": "copy",
-    "fast": "copy",
-    "turbo": "copy",
-    "copy": "reference",
-}
 
-
-def normalized_ratios(report: dict, scenario: str) -> Dict[str, float]:
-    """Each rung's calls/sec relative to its same-run normalizer."""
+def turbo_ratio(report: dict, scenario: str) -> Optional[float]:
+    """Turbo's calls/sec over the same run's reference calls/sec (None
+    when the report lacks either engine)."""
     per_engine = report["scenarios"][scenario]["per_engine"]
-    ratios = {}
-    for engine, m in per_engine.items():
-        base = NORMALIZERS.get(engine)
-        if base is None or base not in per_engine:
-            continue
-        denominator = float(per_engine[base]["calls_per_sec"])
-        if denominator <= 0:
-            continue
-        ratios[engine] = float(m["calls_per_sec"]) / denominator
-    return ratios
+    if "turbo" not in per_engine or "reference" not in per_engine:
+        return None
+    denominator = float(per_engine["reference"]["calls_per_sec"])
+    if denominator <= 0:
+        return None
+    return float(per_engine["turbo"]["calls_per_sec"]) / denominator
 
 
 def compare(
@@ -85,23 +74,27 @@ def compare(
         if scenario not in candidate.get("scenarios", {}):
             failures.append(f"{scenario}: missing from candidate report")
             continue
-        base_ratios = normalized_ratios(baseline, scenario)
-        cand_ratios = normalized_ratios(candidate, scenario)
-        for engine, base_ratio in sorted(base_ratios.items()):
-            cand_ratio = cand_ratios.get(engine)
-            if cand_ratio is None:
-                failures.append(f"{scenario}/{engine}: rung missing from "
-                                f"candidate report")
-                continue
-            floor = base_ratio * (1.0 - tolerance)
-            if cand_ratio < floor:
-                drop = 1.0 - cand_ratio / base_ratio
-                failures.append(
-                    f"{scenario}/{engine}: speedup ratio vs "
-                    f"{NORMALIZERS[engine]} dropped {drop:.1%} "
-                    f"({base_ratio:.3f} -> {cand_ratio:.3f}, "
-                    f"tolerance {tolerance:.0%})"
-                )
+        base_ratio = turbo_ratio(baseline, scenario)
+        if base_ratio is None:
+            continue  # baseline measured one engine only: no ratio to hold
+        cand_ratio = turbo_ratio(candidate, scenario)
+        if cand_ratio is None:
+            failures.append(f"{scenario}: turbo or reference missing from "
+                            f"candidate report")
+        elif cand_ratio < base_ratio * (1.0 - tolerance):
+            failures.append(
+                f"{scenario}/turbo: speedup vs reference dropped "
+                f"{1.0 - cand_ratio / base_ratio:.1%} "
+                f"({base_ratio:.3f} -> {cand_ratio:.3f}, "
+                f"tolerance {tolerance:.0%})"
+            )
+        elif base_ratio < cand_ratio * (1.0 - tolerance):
+            failures.append(
+                f"{scenario}/reference: slowed "
+                f"{1.0 - base_ratio / cand_ratio:.1%} relative to turbo "
+                f"({base_ratio:.3f} -> {cand_ratio:.3f}, "
+                f"tolerance {tolerance:.0%})"
+            )
     return failures
 
 
@@ -191,7 +184,7 @@ def main(argv=None) -> int:
     parser.add_argument("--candidate", required=True,
                         help="freshly measured report to gate")
     parser.add_argument("--tolerance", type=float, default=0.15,
-                        help="max allowed normalized-ratio drop "
+                        help="max allowed turbo/reference ratio drift "
                              "(default: 0.15)")
     parser.add_argument("--scenarios", nargs="*",
                         default=list(DEFAULT_SCENARIOS),
@@ -219,14 +212,14 @@ def main(argv=None) -> int:
 
     for scenario in args.scenarios:
         if scenario in candidate.get("scenarios", {}):
-            ratios = normalized_ratios(candidate, scenario)
-            base = (normalized_ratios(baseline, scenario)
-                    if scenario in baseline.get("scenarios", {}) else {})
-            for engine, ratio in sorted(ratios.items()):
-                ref = base.get(engine)
-                ref_text = f" (baseline {ref:.3f})" if ref else ""
-                print(f"{scenario}/{engine}: ratio vs "
-                      f"{NORMALIZERS[engine]} = {ratio:.3f}{ref_text}")
+            ratio = turbo_ratio(candidate, scenario)
+            if ratio is None:
+                continue
+            ref = (turbo_ratio(baseline, scenario)
+                   if scenario in baseline.get("scenarios", {}) else None)
+            ref_text = f" (baseline {ref:.3f})" if ref else ""
+            print(f"{scenario}: turbo vs reference = "
+                  f"{ratio:.3f}{ref_text}")
 
     failures = compare(baseline, candidate, args.tolerance, args.scenarios)
     if args.hybrid:
@@ -249,7 +242,7 @@ def main(argv=None) -> int:
         for failure in failures:
             print(f"  {failure}", file=sys.stderr)
         return 1
-    print("\nno bench regression (all normalized ratios within tolerance)")
+    print("\nno bench regression (turbo/reference ratio within tolerance)")
     return 0
 
 

@@ -8,10 +8,11 @@ by ``tests/api_surface.txt`` and CI fails when the surface drifts.
 
 Everything composes in one place:
 
-- ``engine=`` picks the simulation engine rung (``"reference"``,
-  ``"copy"``, ``"fast"``, ``"turbo"`` -- all bit-identical, only
-  wall-clock differs -- or ``"hybrid"``, which fast-forwards detected
-  steady state analytically and is tolerance-contracted against turbo),
+- ``engine=`` picks the simulation engine: ``"turbo"`` (the default)
+  or the wire-faithful ``"reference"`` oracle -- bit-identical, only
+  wall-clock differs -- or, layered on turbo, ``"hybrid"`` (fast-forwards
+  detected steady state analytically; tolerance-contracted against
+  turbo) and ``"sharded"`` (one run across ``shards=`` event loops),
 - ``observe=`` attaches the :mod:`repro.obs` observability layer
   (``"cpu,telemetry,spans"`` or an :class:`ObserveConfig`),
 - ``jobs=`` / ``cache=`` fan independent runs across worker processes
@@ -135,6 +136,7 @@ def _config(
     if not overrides:
         return config
     payload = config.to_payload()
+    del payload["lean_metrics"]  # derived from the (overridable) engine
     payload.update(overrides)
     return ScenarioConfig.from_payload(payload)
 

@@ -18,7 +18,7 @@ Commands:
   and report the per-functionality CPU profile, control-loop telemetry
   and (optionally) per-call spans; exportable as JSON/CSV,
 - ``bench`` -- wall-clock benchmark of the simulation engines
-  (reference vs copy vs fast), with a built-in differential check,
+  (turbo vs reference), with a built-in differential check,
 - ``cache`` -- inspect or clear the on-disk run cache.
 
 The simulation-heavy commands (``figures``, ``experiments``, ``sweep``,
@@ -26,7 +26,7 @@ The simulation-heavy commands (``figures``, ``experiments``, ``sweep``,
 across worker processes and use a content-addressed run cache under
 ``.repro-cache/`` (disable with ``--no-cache``); neither changes a
 single reported metric.  Scenario-building commands accept
-``--engine`` (simulation engine rung), ``--observe`` (attach the
+``--engine`` (simulation engine), ``--observe`` (attach the
 :mod:`repro.obs` recorders; changes no metric) and ``--control``
 (attach an overload-control policy from :mod:`repro.core.control` to
 every proxy).  ``run`` and ``sweep`` additionally accept ``--spec
@@ -58,6 +58,7 @@ from repro.harness.runcache import RunCache
 from repro.harness.runner import run_scenario
 from repro.harness.saturation import staircase, sweep_loads
 from repro.sim.trace import render_ladder
+from repro.sip.message import BIT_IDENTICAL_ENGINES, ENGINES, check_engine
 from repro.workloads.scenarios import (
     ScenarioConfig,
     internal_external,
@@ -92,7 +93,7 @@ def _scenario_config(args, **overrides) -> ScenarioConfig:
     kwargs = dict(
         scale=args.scale if args.scale is not None else 25.0,
         seed=args.seed if args.seed is not None else 1,
-        engine=getattr(args, "engine", None) or "copy",
+        engine=getattr(args, "engine", None) or "turbo",
         observe=getattr(args, "observe", None),
         control=getattr(args, "control", None),
         shards=getattr(args, "shards", None),
@@ -173,15 +174,24 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None)
 
 
+def _engine_name(value: str) -> str:
+    """``--engine`` values fail with the library's own one-line message
+    (it names turbo as the replacement of the removed rungs)."""
+    try:
+        return check_engine(value)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+
+
 def _engine_parent() -> argparse.ArgumentParser:
     """Shared ``--engine``/``--observe``/``--control`` flags: one
     definition inherited by every scenario-building command."""
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--engine", default=None,
-                        choices=["reference", "copy", "fast", "turbo",
-                                 "hybrid", "sharded"],
-                        help="simulation engine rung (default: copy; "
-                             "reference..turbo are bit-identical, hybrid "
+    parent.add_argument("--engine", default=None, type=_engine_name,
+                        choices=ENGINES,
+                        help="simulation engine (default: turbo; "
+                             "reference is its wire-faithful, "
+                             "bit-identical oracle, hybrid "
                              "fast-forwards steady state within "
                              "tolerance, sharded partitions one run "
                              "across worker processes)")
@@ -577,7 +587,6 @@ def cmd_obs(args) -> int:
 
 def cmd_bench(args) -> int:
     from repro.harness.bench import (
-        ENGINES,
         SCENARIOS,
         render_report,
         run_engine_bench,
@@ -593,7 +602,7 @@ def cmd_bench(args) -> int:
     report = run_engine_bench(
         quick=args.quick,
         scenarios=args.scenarios or None,
-        engines=tuple(args.engines) if args.engines else ENGINES,
+        engines=args.engines or BIT_IDENTICAL_ENGINES,
         jobs=max(1, jobs),
         profile=args.profile,
     )
@@ -745,24 +754,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--calls", type=int, default=2)
     p_trace.set_defaults(func=cmd_trace)
 
-    # bench keeps its own --engines/--engine (an append alias over the
-    # four bit-identical rungs), so it inherits only the parallel parent.
+    # bench keeps its own repeatable --engine (over the bit-identical
+    # pair only), so it inherits only the parallel parent.
     p_bench = sub.add_parser(
         "bench", parents=[parallel],
-        help="benchmark the simulation engines (ref/copy/fast/turbo)",
+        help="benchmark the simulation engines (turbo vs reference)",
     )
     p_bench.add_argument("scenarios", nargs="*",
                          help="bench scenarios (default: all)")
     p_bench.add_argument("--quick", action="store_true",
                          help="short measurement windows (CI smoke)")
     p_bench.add_argument("--json", help="write the machine-readable report here")
-    p_bench.add_argument("--engines", nargs="*",
-                         choices=["reference", "copy", "fast", "turbo"],
-                         help="engine subset (default: all four)")
     p_bench.add_argument("--engine", action="append", dest="engines",
-                         choices=["reference", "copy", "fast", "turbo"],
-                         help="add one engine (repeatable alias of "
-                              "--engines)")
+                         type=_engine_name, choices=BIT_IDENTICAL_ENGINES,
+                         help="bench only this engine (repeatable; "
+                              "default: both)")
     p_bench.add_argument("--profile", action="store_true",
                          help="attach the repro.obs CPU profiler and "
                               "report per-functionality shares (timing "

@@ -243,9 +243,10 @@ class CostModel:
         over (the six call messages of the SIPp scenario).
     memoize:
         Cache :meth:`message_cost` results keyed on the full argument
-        tuple (fast-path engine).  The charge is a pure function of its
-        arguments and callers only read the returned breakdown, so the
-        cached values are exactly the ones a fresh computation yields.
+        tuple (every engine but reference).  The charge is a pure
+        function of its arguments and callers only read the returned
+        breakdown, so the cached values are exactly the ones a fresh
+        computation yields.
     """
 
     def __init__(

@@ -1,10 +1,9 @@
 """Wall-clock benchmark of the simulation engines.
 
 Every simulated *result* in this repository is engine-independent: the
-``reference`` (wire-faithful per-hop serialization), ``copy`` (light
-object copies, the default), ``fast`` (timer wheel + copy-on-write
-messages + parse interning) and ``turbo`` (``fast`` plus object
-pooling, fused forwarding and relaxed GC) engines are required to
+``reference`` (wire-faithful per-hop serialization) and ``turbo``
+(timer wheel, copy-on-write messages, parse interning, object pooling,
+fused forwarding and relaxed GC; the default) engines are required to
 produce bit-identical metrics (see
 ``tests/engine/test_differential.py``).  What differs is how much host
 CPU a run burns, and that is what this module measures:
@@ -15,10 +14,8 @@ CPU a run burns, and that is what this module measures:
 - **peak RSS** -- the process high-water mark after the run
   (``ru_maxrss``; note this is monotone across a process, so within one
   bench invocation later runs can only report an equal or larger value),
-- **speedups** -- each optimized rung vs the wire-faithful reference
-  baseline and vs the light-copy engine, plus turbo vs fast (the
-  incremental win of the pooled rung), all reported so nothing hides
-  in the choice of baseline.
+- **speedup** -- turbo's wall-clock vs the wire-faithful reference
+  baseline of the same run.
 
 Every bench run re-verifies the differential contract on its own
 output: the per-node metric registries, run observables and event
@@ -45,6 +42,7 @@ from repro.harness.resilience import (
     build_resilience_scenario,
 )
 from repro.harness.runner import run_scenario
+from repro.sip.message import BIT_IDENTICAL_ENGINES
 from repro.sip.timers import TimerPolicy
 from repro.workloads.scenarios import (
     Scenario,
@@ -53,9 +51,6 @@ from repro.workloads.scenarios import (
     parallel_fork,
     two_series,
 )
-
-#: Engine modes in report order; "reference" is the speedup baseline.
-ENGINES = ("reference", "copy", "fast", "turbo")
 
 #: Offered load for the steady-state scenarios, paper-equivalent cps.
 BENCH_RATE = 10_000.0
@@ -198,15 +193,15 @@ def bench_one(
 def run_engine_bench(
     quick: bool = False,
     scenarios: Optional[Sequence[str]] = None,
-    engines: Sequence[str] = ENGINES,
+    engines: Sequence[str] = BIT_IDENTICAL_ENGINES,
     jobs: int = 1,
     profile: bool = False,
 ) -> Dict[str, object]:
     """Benchmark every (scenario, engine) pair; returns the report dict.
 
     The report is what ``python -m repro bench --json`` serializes:
-    per-engine measurements, fast-vs-reference and fast-vs-copy
-    speedups, and the per-scenario ``identical`` verdict of the
+    per-engine measurements, the turbo-vs-reference speedup, and the
+    per-scenario ``identical`` verdict of the
     differential cross-check.
 
     ``jobs > 1`` fans the (scenario, engine) cells across worker
@@ -228,12 +223,11 @@ def run_engine_bench(
         "baseline": "reference",
         "notes": (
             "reference = wire-faithful per-hop serialization (what a real "
-            "SIP stack pays); copy = light object copies (repo default); "
-            "fast = timer wheel + copy-on-write + parse interning; turbo = "
-            "fast + message/packet/job pooling, fused forwarding and "
-            "relaxed GC.  All engines produce bit-identical simulated "
-            "results; peak_rss_kb is the process high-water mark at the "
-            "end of the run."
+            "SIP stack pays); turbo = timer wheel + copy-on-write + parse "
+            "interning + message/packet/job pooling, fused forwarding and "
+            "relaxed GC (repo default).  Both produce bit-identical "
+            "simulated results; peak_rss_kb is the process high-water "
+            "mark at the end of the run."
         ),
         "scenarios": {},
     }
@@ -253,14 +247,10 @@ def run_engine_bench(
             "per_engine": per_engine,
             "identical": identical,
         }
-        for fast_engine, baseline in (
-            ("fast", "reference"), ("fast", "copy"),
-            ("turbo", "reference"), ("turbo", "copy"), ("turbo", "fast"),
-        ):
-            if fast_engine in per_engine and baseline in per_engine:
-                entry[f"speedup_{fast_engine}_vs_{baseline}"] = _speedup(
-                    per_engine[baseline], per_engine[fast_engine]
-                )
+        if "turbo" in per_engine and "reference" in per_engine:
+            entry["speedup_turbo_vs_reference"] = _speedup(
+                per_engine["reference"], per_engine["turbo"]
+            )
         report["scenarios"][name] = entry
     report["identical"] = all_identical
     return report
@@ -323,11 +313,9 @@ def render_report(report: Dict[str, object]) -> str:
                 m["events_per_sec"], m["peak_rss_kb"],
             ])
         title = f"{name}: identical={entry['identical']}"
-        for key in ("speedup_fast_vs_reference", "speedup_turbo_vs_reference",
-                    "speedup_turbo_vs_fast"):
-            if key in entry:
-                label = key[len("speedup_"):].replace("_vs_", " vs ")
-                title += f", {label} {entry[key]:.2f}x"
+        if "speedup_turbo_vs_reference" in entry:
+            title += (", turbo vs reference "
+                      f"{entry['speedup_turbo_vs_reference']:.2f}x")
         blocks.append(format_table(
             ["engine", "wall_s", "calls", "calls/s", "events/s", "rss_kb"],
             rows,

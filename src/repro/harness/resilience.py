@@ -81,7 +81,7 @@ class ResilienceParams:
         noise_sigma: float = 0.30,
         reject_queue_delay: float = 0.3,
         max_queue_delay: float = 1.0,
-        engine: str = "copy",
+        engine: str = "turbo",
     ):
         if not 0.0 < headroom <= 1.0:
             raise ValueError("headroom must be in (0, 1]")

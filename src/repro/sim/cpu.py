@@ -47,10 +47,6 @@ def set_job_pooling(enabled: bool) -> None:
         del _JOB_POOL[:]
 
 
-def job_pooling_active() -> bool:
-    return _JOB_POOLING
-
-
 class CpuJob:
     """A unit of CPU work: service time plus a completion callback."""
 

@@ -15,7 +15,7 @@ stretch of simulated time in one :meth:`~repro.sim.events.EventLoop.jump`:
 - *in-flight protocol state* (transactions, calls, policy baselines)
   shifts with the clock and resumes exactly where it paused.
 
-Unlike ``fast``/``turbo``, hybrid is contracted by **tolerance**, not
+Unlike ``turbo``, hybrid is contracted by **tolerance**, not
 bit-identity: goodput within 1% of turbo, per-node myshare within 2
 points, call-outcome counts within a pinned band (see
 ``tests/engine/test_hybrid_differential.py``).  Deliberately excluded

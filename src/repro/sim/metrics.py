@@ -25,8 +25,8 @@ from typing import Dict, List, Optional, Tuple
 # write into pre-sized reservoirs instead of growing a list sample by
 # sample.  Observed values, ordering and every derived statistic are
 # bit-identical to the reference histogram (the differential battery
-# asserts this); only the allocation pattern changes.  Toggled per
-# scenario by repro.workloads.scenarios.
+# asserts this); only the allocation pattern changes.  Toggled by
+# repro.sip.message.set_engine_mode.
 
 _LEAN_METRICS = False
 LEAN_RESERVOIR = 4096
@@ -35,10 +35,6 @@ LEAN_RESERVOIR = 4096
 def set_lean_metrics(enabled: bool) -> None:
     global _LEAN_METRICS
     _LEAN_METRICS = bool(enabled)
-
-
-def lean_metrics_enabled() -> bool:
-    return _LEAN_METRICS
 
 
 class Counter:

@@ -45,10 +45,6 @@ def set_packet_pooling(enabled: bool) -> None:
         del _PACKET_POOL[:]
 
 
-def packet_pooling_active() -> bool:
-    return _PACKET_POOLING
-
-
 class Packet:
     """An addressed payload in flight.
 

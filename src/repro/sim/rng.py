@@ -26,7 +26,7 @@ _TWOPI = 2.0 * math.pi
 # Turbo-engine dispatch reduction: inline the pure-Python wrappers of
 # random.Random (expovariate, gauss) with the exact same arithmetic on
 # the exact same underlying uniforms, so every draw stays bit-identical
-# to the other engine rungs.  Flipped by repro.sip.message.set_engine_mode.
+# to the reference engine.  Flipped by repro.sip.message.set_engine_mode.
 _RNG_FAST = False
 
 # 256-entry hex table so token() formats bytes by lookup, not f-string.

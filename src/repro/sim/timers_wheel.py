@@ -262,7 +262,7 @@ class WheelEventLoop(EventLoop):
     # ------------------------------------------------------------------
     # ``schedule`` is overridden (rather than delegating to the
     # inherited delay->schedule_at wrapper) because these two calls are
-    # the hottest functions in a fast-engine run; the near/far routing
+    # the hottest functions in a turbo-engine run; the near/far routing
     # check is ordered cheapest-first (most events are near-term
     # deliveries and CPU completions that belong in the heap).
 

@@ -20,9 +20,9 @@ class SipHeaderError(ValueError):
     """Raised when a header value cannot be parsed."""
 
 
-# Fast-path parse caching (toggled by repro.sip.message.set_fast_path).
+# Turbo parse caching (toggled by repro.sip.message.set_engine_mode).
 # Parsed CSeq values come from a tiny vocabulary ("1 INVITE", "1 ACK",
-# "2 BYE", ...), so in fast mode successful parses are interned and the
+# "2 BYE", ...), so in turbo mode successful parses are interned and the
 # shared instances handed out; they are treated as immutable everywhere.
 # Via values carry a unique branch per transaction, but each raw string
 # is parsed at several hops within the transaction's short life (request
@@ -39,7 +39,7 @@ _VIA_CACHE_MAX = 8192
 
 
 def set_parse_caching(enabled: bool) -> None:
-    """Enable/disable fast-path parse interning (clears the caches)."""
+    """Enable/disable turbo parse interning (clears the caches)."""
     global _PARSE_CACHING, _VIA_CACHE, _VIA_CACHE_OLD
     _PARSE_CACHING = bool(enabled)
     _CSEQ_CACHE.clear()
@@ -49,10 +49,6 @@ def set_parse_caching(enabled: bool) -> None:
     set_sdp_caching(enabled)
 
 
-def parse_caching_enabled() -> bool:
-    return _PARSE_CACHING
-
-
 def seed_via_cache(raw: str, via: "Via") -> None:
     """Pre-intern a locally-built Via under its wire form.
 
@@ -60,7 +56,7 @@ def seed_via_cache(raw: str, via: "Via") -> None:
     freshly-built, never-mutated :class:`Via` (see ``push_via``), so the
     builder's object and ``Via.parse(raw)`` are interchangeable; seeding
     turns the otherwise-compulsory first parse at the next hop into a
-    cache hit.  No-op outside fast mode.
+    cache hit.  No-op outside turbo mode.
     """
     if _PARSE_CACHING:
         global _VIA_CACHE, _VIA_CACHE_OLD

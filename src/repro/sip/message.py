@@ -35,50 +35,60 @@ _MISSING = object()
 # Engine modes (the simulator's "serialization" layer)
 # ---------------------------------------------------------------------------
 # In the simulator a hop hands over ``message.copy()`` where a real stack
-# would put the message on the wire.  Three rungs, all observationally
+# would put the message on the wire.  Two message paths, observationally
 # identical (tests/engine/test_differential.py proves it):
 #
 # - ``"reference"`` -- wire-faithful: every copy serializes with
 #   :meth:`SipMessage.to_wire` and re-parses with
 #   ``repro.sip.parser.parse_message``, paying exactly what a real
-#   stack pays per hop.  The baseline the bench compares against.
-# - ``"copy"`` -- the seed's light copy: duplicate the header list and
-#   drop parsed views (a cheap stand-in for serialization).  Default.
-# - ``"fast"`` -- copy-on-write: share the header list, carry parsed
+#   stack pays per hop.  The oracle the bench compares against, and the
+#   import-time state (no pooling, interning or GC side effects until a
+#   scenario asks for them).
+# - ``"turbo"`` -- copy-on-write: share the header list, carry parsed
 #   views across the copy, parse only the top Via when the full stack
-#   is not needed, and intern small parse vocabularies (URIs, CSeq,
-#   Via, SDP).
-# - ``"turbo"`` -- everything ``fast`` does, plus free-list pooling of
-#   message shells and header containers (with generation counters so
-#   stale references are detectable), pooled network packets and CPU
-#   jobs, proxy action-plan caching, reduced ``random.Random``
-#   dispatch, and a relaxed cyclic-GC cadence (pools bound the live
-#   set, so frequent gen-0 scans only walk survivors).
+#   is not needed, intern small parse vocabularies (URIs, CSeq, Via,
+#   SDP); plus free-list pooling of message shells and header
+#   containers (with generation counters so stale references are
+#   detectable), pooled network packets and CPU jobs, proxy action-plan
+#   caching, reduced ``random.Random`` dispatch, lean metrics and a
+#   relaxed cyclic-GC cadence (pools bound the live set, so frequent
+#   gen-0 scans only walk survivors).  The default.
 #
-# The mode is process-global and set per scenario construction.
-_FAST_PATH = False
-_WIRE_COPY = False
-_TURBO = False
-_MODE = "copy"
-_SAVED_GC_THRESHOLD: Optional[Tuple[int, int, int]] = None
 # "hybrid" shares every message-layer fast path with "turbo"; what
 # distinguishes it (steady-state fast-forward) lives in repro.sim.hybrid.
 # "sharded" likewise runs turbo's message layer per shard; the window
 # synchronization lives in repro.sim.shard.
-_ENGINE_MODES = ("reference", "copy", "fast", "turbo", "hybrid", "sharded")
+#: The engine names -- defined here once, imported everywhere else.
+BIT_IDENTICAL_ENGINES = ("reference", "turbo")
+ENGINES = BIT_IDENTICAL_ENGINES + ("hybrid", "sharded")
+
+# The one engine flag: process-global, set per scenario construction.
+_TURBO = False
+_SAVED_GC_THRESHOLD: Optional[Tuple[int, int, int]] = None
+
+
+def check_engine(name: str) -> str:
+    """``name`` if it is a known engine, else a one-line ValueError."""
+    if name not in ENGINES:
+        raise ValueError(
+            f"unknown engine {name!r}; one of {', '.join(ENGINES)} "
+            "('copy' and 'fast' were removed: 'turbo' is their "
+            "bit-identical replacement)"
+        )
+    return name
 
 
 def set_engine_mode(mode: str) -> None:
-    """Select how ``copy()`` models the wire (see module comment)."""
-    if mode not in _ENGINE_MODES:
-        raise ValueError(f"unknown engine mode {mode!r}; one of {_ENGINE_MODES}")
-    global _FAST_PATH, _WIRE_COPY, _TURBO, _MODE, _SAVED_GC_THRESHOLD
+    """Select how ``copy()`` models the wire (see module comment).
+
+    The single writer of every engine switch: fans out to the parse
+    caches, the job/packet pools, the RNG dispatch and the metrics
+    allocation mode.
+    """
+    global _TURBO, _SAVED_GC_THRESHOLD
     was_turbo = _TURBO
-    _FAST_PATH = mode in ("fast", "turbo", "hybrid", "sharded")
-    _WIRE_COPY = mode == "reference"
-    _TURBO = mode in ("turbo", "hybrid", "sharded")
-    _MODE = mode
-    set_parse_caching(_FAST_PATH)
+    _TURBO = check_engine(mode) != "reference"
+    set_parse_caching(_TURBO)
     if not _TURBO:
         _clear_message_pools()
     # Turbo relaxes the cyclic-GC cadence: the free lists keep hot
@@ -94,32 +104,21 @@ def set_engine_mode(mode: str) -> None:
     elif was_turbo and not _TURBO and _SAVED_GC_THRESHOLD is not None:
         gc.set_threshold(*_SAVED_GC_THRESHOLD)
         _SAVED_GC_THRESHOLD = None
-    # The turbo allocation fast paths live in the substrate layers;
-    # imported lazily so plain "copy" users never pay the imports.
+    # The allocation fast paths live in the substrate layers; imported
+    # lazily because repro.sim (via repro.sim.trace) imports this module.
     from repro.sim.cpu import set_job_pooling
+    from repro.sim.metrics import set_lean_metrics
     from repro.sim.network import set_packet_pooling
     from repro.sim.rng import set_rng_fast_path
 
     set_job_pooling(_TURBO)
     set_packet_pooling(_TURBO)
     set_rng_fast_path(_TURBO)
-
-
-def set_fast_path(enabled: bool) -> None:
-    """Toggle copy-on-write message passing + parse interning."""
-    set_engine_mode("fast" if enabled else "copy")
-
-
-def fast_path_enabled() -> bool:
-    return _FAST_PATH
+    set_lean_metrics(_TURBO)
 
 
 def turbo_enabled() -> bool:
     return _TURBO
-
-
-def engine_mode() -> str:
-    return _MODE
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +160,6 @@ def suspend_message_pooling() -> None:
 def resume_message_pooling() -> None:
     global _POOL_SUSPENDED
     _POOL_SUSPENDED = max(0, _POOL_SUSPENDED - 1)
-
-
-def message_pooling_active() -> bool:
-    return _TURBO and not _POOL_SUSPENDED
 
 
 def release_message(message: "SipMessage") -> bool:
@@ -363,7 +358,7 @@ class SipMessage:
 
     @property
     def top_via(self) -> Optional[Via]:
-        if _FAST_PATH:
+        if _TURBO:
             # Parse only the topmost Via; transaction matching and
             # response routing never need the rest of the stack.  Falls
             # back to the full-stack cache when it already exists.
@@ -383,18 +378,19 @@ class SipMessage:
         return vias[0] if vias else None
 
     def push_via(self, via: Via) -> None:
-        params = via.params
-        if (_TURBO and via.port is None and via.transport == "UDP"
-                and len(params) == 1 and "branch" in params):
-            # Direct render for the dominant shape; byte-identical to
-            # str(via) (sent_by is just the host, one branch param).
-            raw = f"SIP/2.0/UDP {via.host};branch={params['branch']}"
+        if _TURBO:
+            params = via.params
+            if (via.port is None and via.transport == "UDP"
+                    and len(params) == 1 and "branch" in params):
+                # Direct render for the dominant shape; byte-identical
+                # to str(via) (sent_by is just the host, one branch
+                # param).
+                raw = f"SIP/2.0/UDP {via.host};branch={params['branch']}"
+            else:
+                raw = str(via)
             seed_via_cache(raw, via)
-            self.add("Via", raw, at_top=True)
-            return
-        raw = str(via)
-        if _FAST_PATH:
-            seed_via_cache(raw, via)
+        else:
+            raw = str(via)
         self.add("Via", raw, at_top=True)
 
     def pop_via(self) -> Optional[Via]:
@@ -476,7 +472,7 @@ class SipMessage:
         ACK and CANCEL match the INVITE transaction they refer to, so
         their method component maps to INVITE.
         """
-        if _FAST_PATH:
+        if _TURBO:
             key = self._cache.get("_txn_key")
             if key is not None:
                 return key
@@ -487,7 +483,7 @@ class SipMessage:
         if method in ("ACK", "CANCEL"):
             method = "INVITE"
         key = (via.branch, via.sent_by, method)
-        if _FAST_PATH:
+        if _TURBO:
             self._cache["_txn_key"] = key
         return key
 
@@ -545,16 +541,16 @@ class SipRequest(SipMessage):
         return f"{self.method} {self.uri} {SIP_VERSION}"
 
     def copy(self) -> "SipRequest":
-        """Independent copy (headers list is duplicated; URIs are shared
-        since they are treated as immutable).
+        """Independent copy: what the next hop receives.
 
-        Fast path: the header list is shared copy-on-write (mutators
-        materialize a private list before touching it) and the parsed
-        header views ride along, since both sides treat views as
-        immutable.  Protocol-visible behavior is identical.
+        Reference: a wire round trip (serialize, re-parse).  Turbo: the
+        header list is shared copy-on-write (mutators materialize a
+        private list before touching it) and the parsed header views
+        ride along, since both sides treat views as immutable.
+        Protocol-visible behavior is identical.
         """
-        if _FAST_PATH:
-            if _TURBO and _REQUEST_POOL and not _POOL_SUSPENDED:
+        if _TURBO:
+            if _REQUEST_POOL and not _POOL_SUSPENDED:
                 clone = _REQUEST_POOL.pop()
                 clone._free = False
             else:
@@ -570,10 +566,7 @@ class SipRequest(SipMessage):
             clone._cow = True
             self._cow = True
             return clone
-        if _WIRE_COPY:
-            return _wire_copy(self)
-        clone = SipRequest(self.method, self.uri, list(self.headers), self.body)
-        return clone
+        return _wire_copy(self)
 
     def decrement_max_forwards(self) -> int:
         """Decrement Max-Forwards in place; returns the new value.
@@ -784,8 +777,8 @@ class SipResponse(SipMessage):
         return 200 <= self.status < 300
 
     def copy(self) -> "SipResponse":
-        if _FAST_PATH:
-            if _TURBO and _RESPONSE_POOL and not _POOL_SUSPENDED:
+        if _TURBO:
+            if _RESPONSE_POOL and not _POOL_SUSPENDED:
                 clone = _RESPONSE_POOL.pop()
                 clone._free = False
             else:
@@ -801,9 +794,7 @@ class SipResponse(SipMessage):
             clone._cow = True
             self._cow = True
             return clone
-        if _WIRE_COPY:
-            return _wire_copy(self)
-        return SipResponse(self.status, self.reason, list(self.headers), self.body)
+        return _wire_copy(self)
 
     @classmethod
     def for_request(

@@ -20,8 +20,8 @@ class SipUriError(ValueError):
     """Raised when a string cannot be parsed as a SIP URI."""
 
 
-# Fast-path interning (toggled via repro.sip.message.set_fast_path).
-# Request URIs and destination AORs come from a small pool, so in fast
+# Turbo interning (toggled via repro.sip.message.set_engine_mode).
+# Request URIs and destination AORs come from a small pool, so in turbo
 # mode successful parses are cached and the shared SipUri handed out.
 # Everything downstream treats parsed URIs as immutable (mutating
 # accessors like with_params return copies), so sharing is safe.  The

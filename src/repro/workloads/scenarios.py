@@ -24,7 +24,6 @@ costs by the same factor), so results read back in paper units.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.control import ControlConfig
@@ -48,12 +47,11 @@ from repro.servers.registrar_client import RegistrarClient
 from repro.servers.uac import CallGenerator, CallGeneratorConfig
 from repro.servers.uas import AnsweringServer
 from repro.sim.events import EventLoop
-from repro.sim.metrics import set_lean_metrics
 from repro.sim.network import Network
 from repro.sim.hybrid import HybridConfig
 from repro.sim.rng import RngStream
 from repro.sip.digest import CredentialStore
-from repro.sip.message import set_engine_mode
+from repro.sip.message import check_engine, set_engine_mode
 from repro.sip.timers import DEFAULT_TIMERS, TimerPolicy
 
 # Shared digest-auth material for scenarios with authentication: the
@@ -87,8 +85,7 @@ class ScenarioConfig:
         hold_time: float = 0.0,
         timers: Optional[TimerPolicy] = None,
         servartuka: Optional[ServartukaConfig] = None,
-        engine: str = "copy",
-        lean_metrics: Optional[bool] = None,
+        engine: str = "turbo",
         observe=None,
         control=None,
         hybrid=None,
@@ -96,12 +93,7 @@ class ScenarioConfig:
     ):
         if scale <= 0:
             raise ValueError("scale must be positive")
-        if engine not in ("reference", "copy", "fast", "turbo", "hybrid",
-                          "sharded"):
-            raise ValueError(
-                f"unknown engine {engine!r}; "
-                "'reference', 'copy', 'fast', 'turbo', 'hybrid' or 'sharded'"
-            )
+        check_engine(engine)
         if shards is not None and engine != "sharded":
             raise ValueError(
                 "shards= only applies to engine='sharded' "
@@ -130,13 +122,11 @@ class ScenarioConfig:
         self.servartuka = servartuka or ServartukaConfig(period=monitor_period)
         #: ``"reference"`` runs the plain heap loop and wire-faithful
         #: message passing (every hop serializes with ``to_wire`` and
-        #: re-parses, exactly what a real SIP stack pays); ``"copy"``
-        #: (the default) keeps the heap loop but hands over light object
-        #: copies; ``"fast"`` runs the timer-wheel loop, copy-on-write
-        #: messages and parse/cost memoization; ``"turbo"`` adds object
-        #: pooling (messages, packets, CPU jobs), header indexing,
-        #: proxy action-plan caching and reduced RNG dispatch on top of
-        #: ``"fast"``.  The first four engines are required to produce
+        #: re-parses, exactly what a real SIP stack pays); ``"turbo"``
+        #: (the default) runs the timer-wheel loop, copy-on-write
+        #: messages, parse/cost memoization, object pooling (messages,
+        #: packets, CPU jobs), proxy action-plan caching, lean metrics
+        #: and reduced RNG dispatch.  The two are required to produce
         #: bit-identical results (enforced by
         #: tests/engine/test_differential.py) -- only wall-clock differs.
         #: ``"hybrid"`` runs turbo's per-message path but fast-forwards
@@ -157,13 +147,6 @@ class ScenarioConfig:
         )
         if self.shards is not None and self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        #: Zero-allocation metrics mode (pre-sized histogram reservoirs).
-        #: Defaults to on for the fast/turbo/hybrid/sharded engines, off
-        #: for reference.
-        self.lean_metrics = (
-            engine in ("fast", "turbo", "hybrid", "sharded")
-            if lean_metrics is None else lean_metrics
-        )
         #: Observability: None (default, fully off), True/"all", a
         #: comma list ("cpu,telemetry,spans"), or an ObserveConfig.
         #: Off changes no code path beyond per-site ``is not None``
@@ -212,7 +195,9 @@ class ScenarioConfig:
                 "dialog_state": self.servartuka.dialog_state,
             },
             "engine": self.engine,
-            "lean_metrics": self.lean_metrics,
+            # Derived, not a knob; still emitted so cache keys stay
+            # byte-identical to builds where it was one.
+            "lean_metrics": self.optimized,
             "observe": (
                 self.observe.to_payload() if self.observe is not None else None
             ),
@@ -243,6 +228,7 @@ class ScenarioConfig:
         ``from_payload({"seed": 3})`` both work.
         """
         kwargs = dict(payload)
+        lean_metrics = kwargs.pop("lean_metrics", None)
         if isinstance(kwargs.get("timers"), dict):
             kwargs["timers"] = TimerPolicy(**kwargs["timers"])
         if isinstance(kwargs.get("servartuka"), dict):
@@ -259,7 +245,14 @@ class ScenarioConfig:
             kwargs["control"] = ControlConfig.coerce(kwargs["control"])
         if "hybrid" in kwargs:
             kwargs["hybrid"] = HybridConfig.coerce(kwargs["hybrid"])
-        return cls(**kwargs)
+        config = cls(**kwargs)
+        if lean_metrics is not None and lean_metrics != config.optimized:
+            raise ValueError(
+                f"lean_metrics={lean_metrics!r} contradicts "
+                f"engine={config.engine!r}: it is derived from the engine "
+                "(off for 'reference', on otherwise) and cannot be set"
+            )
+        return config
 
     @classmethod
     def coerce(cls, value) -> "ScenarioConfig":
@@ -285,8 +278,14 @@ class ScenarioConfig:
             f"payload dict, not {type(value).__name__}"
         )
 
+    @property
+    def optimized(self) -> bool:
+        """Everything but the wire-faithful oracle: timer-wheel loop,
+        cost memoization and lean metrics all key off this."""
+        return self.engine != "reference"
+
     def make_event_loop(self) -> EventLoop:
-        if self.engine in ("fast", "turbo", "hybrid", "sharded"):
+        if self.optimized:
             from repro.sim.timers_wheel import WheelEventLoop
 
             # Level-0 buckets sized to T1 so retransmission timers (T1,
@@ -301,7 +300,7 @@ class ScenarioConfig:
             t_sl=self.t_sl,
             scale=self.scale,
             via_overhead=self.via_overhead,
-            memoize=self.engine in ("fast", "turbo", "hybrid", "sharded"),
+            memoize=self.optimized,
         )
 
     def make_policy(self, spec: str) -> StatePolicy:
@@ -336,11 +335,11 @@ class Scenario:
     def __init__(self, name: str, config: ScenarioConfig):
         self.name = name
         self.config = config
-        # Engine toggles are process-global (parser caches, metrics
-        # allocation mode); constructing a scenario flips them in BOTH
-        # directions so interleaved reference/fast runs stay honest.
+        # Engine toggles are process-global (parser caches, pools,
+        # metrics allocation mode); constructing a scenario flips them
+        # in BOTH directions so interleaved reference/turbo runs stay
+        # honest.
         set_engine_mode(config.engine)
-        set_lean_metrics(config.lean_metrics)
         self.loop = config.make_event_loop()
         self.rng = RngStream(config.seed, name)
         self.network = Network(self.loop, self.rng.spawn("net"))
@@ -393,7 +392,7 @@ class Scenario:
 
         Returns the :class:`repro.sim.trace.MessageTrace`.  Costs one
         object per recorded message; ``sample_every=N`` keeps only every
-        N-th packet (zero-allocation mode for long fast-path runs);
+        N-th packet (zero-allocation mode for long runs);
         leave off entirely for capacity sweeps.
         """
         from repro.sim.trace import MessageTrace
@@ -621,48 +620,6 @@ class Scenario:
 # ----------------------------------------------------------------------
 # Builders
 # ----------------------------------------------------------------------
-#: ScenarioConfig knobs historically accepted as direct builder kwargs.
-_CONFIG_FIELDS = (
-    "scale", "seed", "noise_sigma", "arrival", "monitor_period",
-    "via_overhead", "reject_queue_delay", "max_queue_delay", "t_sf",
-    "t_sl", "hold_time", "timers", "servartuka", "engine",
-    "lean_metrics", "observe", "control", "hybrid", "shards",
-)
-
-
-def _resolve_config(config, kwargs: Dict[str, object],
-                    builder: str) -> ScenarioConfig:
-    """Coerce ``config`` and absorb deprecated config-field kwargs.
-
-    Builders historically grew ad-hoc kwargs shadowing ScenarioConfig
-    knobs (``seed=``, ``engine=``, ...).  Those still work -- folded
-    into the config here -- but raise a :class:`DeprecationWarning`;
-    the one idiom going forward is ``config=`` (anything
-    :meth:`ScenarioConfig.coerce` takes).  Unknown kwargs stay a
-    ``TypeError``, exactly as a plain signature would make them.
-    """
-    config = ScenarioConfig.coerce(config)
-    drifted = [key for key in kwargs if key in _CONFIG_FIELDS]
-    if drifted:
-        warnings.warn(
-            f"passing {', '.join(sorted(drifted))} directly to {builder}() "
-            "is deprecated; put scenario knobs on ScenarioConfig "
-            "(config=... accepts a ScenarioConfig, dict, or engine name)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        fields = {name: getattr(config, name) for name in _CONFIG_FIELDS}
-        for key in drifted:
-            fields[key] = kwargs.pop(key)
-        config = ScenarioConfig(**fields)
-    if kwargs:
-        unexpected = ", ".join(sorted(kwargs))
-        raise TypeError(
-            f"{builder}() got unexpected keyword arguments: {unexpected}"
-        )
-    return config
-
-
 def _series_policy_specs(
     policy: str, names: Sequence[str], static_stateful: Optional[str]
 ) -> Dict[str, str]:
@@ -696,7 +653,6 @@ def single_proxy(
     rate: float,
     mode: str = "transaction_stateful",
     config=None,
-    **kwargs,
 ) -> Scenario:
     """Section 3's setup: SIPp clients -> one proxy -> SIPp servers.
 
@@ -708,7 +664,7 @@ def single_proxy(
     if mode not in SINGLE_PROXY_MODES:
         raise ValueError(f"unknown mode {mode!r}; one of {sorted(SINGLE_PROXY_MODES)}")
     policy_spec, lookup, auth = SINGLE_PROXY_MODES[mode]
-    config = _resolve_config(config, kwargs, "single_proxy")
+    config = ScenarioConfig.coerce(config)
     scenario = Scenario(f"single_proxy[{mode}]", config)
     aor = "sip:burdell@edge.example.net"
     route = RouteTable()
@@ -730,7 +686,6 @@ def n_series(
     static_stateful: Optional[str] = None,
     config=None,
     auth: str = "none",
-    **kwargs,
 ) -> Scenario:
     """N proxies in series: UAC -> P1 -> ... -> PN -> UAS.
 
@@ -756,7 +711,7 @@ def n_series(
         raise ValueError("need at least one proxy")
     if auth not in ("none", "entry", "distributed"):
         raise ValueError(f"unknown auth placement {auth!r}")
-    config = _resolve_config(config, kwargs, "n_series")
+    config = ScenarioConfig.coerce(config)
     scenario = Scenario(f"{n}_series", config)
     names = [f"P{i + 1}" for i in range(n)]
     domain = "edge.example.net"
@@ -788,10 +743,10 @@ def two_series(
     policy: str = "servartuka",
     static_stateful: Optional[str] = None,
     config=None,
-    **kwargs,
+    auth: str = "none",
 ) -> Scenario:
     """The paper's canonical two-servers-in-series configuration."""
-    return n_series(2, rate, policy, static_stateful, config, **kwargs)
+    return n_series(2, rate, policy, static_stateful, config, auth)
 
 
 def internal_external(
@@ -800,7 +755,6 @@ def internal_external(
     policy: str = "servartuka",
     static_stateful: Optional[str] = None,
     config=None,
-    **kwargs,
 ) -> Scenario:
     """Figure 7: external calls traverse S1 -> S2, internal ones stop at S1.
 
@@ -809,7 +763,7 @@ def internal_external(
     """
     if not 0.0 <= external_fraction <= 1.0:
         raise ValueError("external_fraction must be within [0, 1]")
-    config = _resolve_config(config, kwargs, "internal_external")
+    config = ScenarioConfig.coerce(config)
     scenario = Scenario("internal_external", config)
     ext_domain = "far.example.net"
     int_domain = "near.example.net"
@@ -841,7 +795,6 @@ def parallel_fork(
     config=None,
     static_front_stateful: bool = False,
     failover: bool = False,
-    **kwargs,
 ) -> Scenario:
     """Figure 8: a front proxy load-balances across two parallel paths.
 
@@ -858,7 +811,7 @@ def parallel_fork(
     """
     if not 0.0 < upper_share < 1.0:
         raise ValueError("upper_share must be strictly inside (0, 1)")
-    config = _resolve_config(config, kwargs, "parallel_fork")
+    config = ScenarioConfig.coerce(config)
     scenario = Scenario("parallel_fork", config)
     up_domain = "upper.example.net"
     low_domain = "lower.example.net"
@@ -926,9 +879,8 @@ def generated(
     """
     from repro.core import topogen
 
-    # No deprecation bridge here: **params belongs to the topology
-    # generator (its own ``seed`` is the *topology* seed), so config
-    # knobs must come through config=.
+    # **params belongs to the topology generator (its own ``seed`` is
+    # the *topology* seed); config knobs come through config=.
     config = ScenarioConfig.coerce(config)
     # Anchor the generated capacities to this config's calibration so
     # the LP oracle and the simulator charge identical economics.
@@ -969,7 +921,6 @@ def generated(
         routes[flow.exit].add(domain, DELIVER_ACTION)
         uas_aors.setdefault(f"uas_{flow.exit}", []).append(aor)
 
-    memoize = config.engine in ("fast", "turbo", "hybrid", "sharded")
     for name in names:
         node = gen.nodes[name]
         node_model = CostModel(
@@ -977,7 +928,7 @@ def generated(
             t_sl=config.t_sl * node.speed,
             scale=config.scale,
             via_overhead=config.via_overhead,
-            memoize=memoize,
+            memoize=config.optimized,
         )
         scenario.add_proxy(name, routes[name], specs[name],
                            cost_model=node_model)
@@ -1006,7 +957,6 @@ def register_churn(
     auth: str = "none",
     policy: str = "servartuka",
     config=None,
-    **kwargs,
 ) -> Scenario:
     """A subscriber population churning REGISTERs behind call load.
 
@@ -1030,7 +980,7 @@ def register_churn(
         raise ValueError(f"unknown auth variant {auth!r}")
     if subscribers < 1:
         raise ValueError("need at least one subscriber")
-    config = _resolve_config(config, kwargs, "register_churn")
+    config = ScenarioConfig.coerce(config)
     scenario = Scenario(f"register_churn[{auth}]", config)
     digest = auth == "digest"
     domain = "edge.example.net"
@@ -1063,7 +1013,6 @@ def b2bua_chain(
     policy: str = "servartuka",
     static_stateful: Optional[str] = None,
     config=None,
-    **kwargs,
 ) -> Scenario:
     """Two proxy segments bridged by a B2BUA: UAC -> P1 -> B -> P2 -> UAS.
 
@@ -1075,7 +1024,7 @@ def b2bua_chain(
     dynamic state placement behaves when an unavoidable stateful
     element sits mid-path.
     """
-    config = _resolve_config(config, kwargs, "b2bua_chain")
+    config = ScenarioConfig.coerce(config)
     scenario = Scenario("b2bua_chain", config)
     b2b_domain = "b2b.example.net"
     east_domain = "east.example.net"
@@ -1106,7 +1055,6 @@ def flash_crowd(
     n: int = 2,
     policy: str = "servartuka",
     config=None,
-    **kwargs,
 ) -> Scenario:
     """An n-series chain under a time-varying (flash-crowd) load.
 
@@ -1133,7 +1081,7 @@ def flash_crowd(
         raise ValueError("peak_factor must be positive")
     if period <= 0:
         raise ValueError("period must be positive")
-    config = _resolve_config(config, kwargs, "flash_crowd")
+    config = ScenarioConfig.coerce(config)
     scenario = n_series(n, rate, policy=policy, config=config)
     scenario.name = f"flash_crowd[{shape if profile is None else 'custom'}]"
 
@@ -1181,7 +1129,6 @@ def heavy_tail(
     n: int = 2,
     policy: str = "servartuka",
     config=None,
-    **kwargs,
 ) -> Scenario:
     """An n-series chain with heavy-tailed call durations.
 
@@ -1204,7 +1151,7 @@ def heavy_tail(
     """
     if n < 1:
         raise ValueError("need at least one proxy")
-    config = _resolve_config(config, kwargs, "heavy_tail")
+    config = ScenarioConfig.coerce(config)
     scenario = Scenario(f"heavy_tail[{hold_dist}]", config)
     names = [f"P{i + 1}" for i in range(n)]
     domain = "edge.example.net"

@@ -17,7 +17,6 @@ identically inside parallel workers::
     [config]
     scale = 200.0
     seed = 3
-    engine = "fast"
 
     [load]
     rate = 2000.0

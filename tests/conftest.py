@@ -14,6 +14,7 @@ from repro.core.costmodel import CostModel
 from repro.sim.events import EventLoop
 from repro.sim.network import Network
 from repro.sim.rng import RngStream
+from repro.sip.message import set_engine_mode
 from repro.sip.timers import TimerPolicy
 from repro.workloads.scenarios import ScenarioConfig
 
@@ -30,6 +31,18 @@ def _isolated_run_cache(tmp_path_factory):
         os.environ.pop("REPRO_CACHE_DIR", None)
     else:
         os.environ["REPRO_CACHE_DIR"] = old
+
+
+@pytest.fixture(autouse=True)
+def _import_time_engine_mode():
+    """Engine switches are process-global and set by whichever scenario
+    was built last; restore the import-time mode (reference: no pooling
+    or interning, pools emptied) after every test so none depends on
+    what ran before it.  Regression check:
+    ``pytest "tests/engine/test_hybrid_differential.py::test_hybrid_within_tolerance[two_series]" tests/sim/test_network.py``
+    """
+    yield
+    set_engine_mode("reference")
 
 
 @pytest.fixture

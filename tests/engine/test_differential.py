@@ -1,19 +1,17 @@
-"""Differential battery: all engine rungs must be observationally equal.
+"""Differential battery: turbo must be observationally equal to reference.
 
-The simulator has four engine modes (``repro.workloads.scenarios``):
+The simulator has two message paths (``repro.sip.message``):
 
 - ``reference`` -- wire-faithful: every hop serializes the message and
   re-parses the octets,
-- ``copy`` -- light object copies (the repo default),
-- ``fast`` -- timer-wheel loop, copy-on-write messages, parse interning
-  and lean metrics,
-- ``turbo`` -- everything ``fast`` does, plus message/packet/CPU-job
-  pooling, fused forwarding, proxy action-plan caching, reduced RNG
-  dispatch and a relaxed GC cadence.
+- ``turbo`` (the default) -- timer-wheel loop, copy-on-write messages,
+  parse interning, lean metrics, message/packet/CPU-job pooling, fused
+  forwarding, proxy action-plan caching, reduced RNG dispatch and a
+  relaxed GC cadence.
 
 The contract the fast paths are allowed to exploit is *only wall-clock
 changes*: same RNG draw order, same event ordering, same costs, same
-counters.  This battery runs every experiment scenario family on all
+counters.  This battery runs every experiment scenario family on both
 engines across five seeds and asserts the full observable
 fingerprint is bit-identical (no tolerances anywhere):
 
@@ -50,7 +48,6 @@ from repro.workloads.scenarios import (
     two_series,
 )
 
-ENGINES = ("reference", "copy", "fast", "turbo")
 SEEDS = (1, 2, 3, 4, 5)
 
 # Short timers + aggressive scale keep each run well under a second
@@ -203,16 +200,14 @@ def _first_divergence(reference: dict, other: dict) -> str:
 def test_engines_bit_identical(name):
     builder = SCENARIOS[name]
     for seed in SEEDS:
-        fingerprints = {
-            engine: _fingerprint(builder(_config(engine, seed)))
-            for engine in ENGINES
-        }
-        reference = fingerprints["reference"]
-        for engine in ("copy", "fast", "turbo"):
-            assert fingerprints[engine] == reference, (
-                f"{name} seed={seed}: {engine} diverges from reference -- "
-                + _first_divergence(reference, fingerprints[engine])
-            )
+        reference, turbo = (
+            _fingerprint(builder(_config(engine, seed)))
+            for engine in ("reference", "turbo")
+        )
+        assert turbo == reference, (
+            f"{name} seed={seed}: turbo diverges from reference -- "
+            + _first_divergence(reference, turbo)
+        )
 
 
 # Generated cluster topologies (repro.core.topogen): a heterogeneous
@@ -244,8 +239,8 @@ def test_generated_topologies_bit_identical(name):
     case = GENERATED_CASES[name]
     for seed in GENERATED_SEEDS:
         rate = _generated_rate(case, seed, _config("reference", seed))
-        fingerprints = {
-            engine: _fingerprint(generated(
+        reference, turbo = (
+            _fingerprint(generated(
                 rate,
                 family=case["family"],
                 size=case["size"],
@@ -254,22 +249,20 @@ def test_generated_topologies_bit_identical(name):
                 policy="servartuka",
                 config=_config(engine, seed),
             ))
-            for engine in ENGINES
-        }
-        reference = fingerprints["reference"]
-        for engine in ("copy", "fast", "turbo"):
-            assert fingerprints[engine] == reference, (
-                f"{name} seed={seed}: {engine} diverges from reference -- "
-                + _first_divergence(reference, fingerprints[engine])
-            )
+            for engine in ("reference", "turbo")
+        )
+        assert turbo == reference, (
+            f"{name} seed={seed}: turbo diverges from reference -- "
+            + _first_divergence(reference, turbo)
+        )
 
 
 def test_resilience_bit_identical():
     """The fault campaign (crashes, loss, retransmission storms) is the
     harshest ordering test: recovery hinges on exact timer interleaving."""
     for seed in SEEDS:
-        fingerprints = {}
-        for engine in ENGINES:
+        fingerprints = []
+        for engine in ("reference", "turbo"):
             params = ResilienceParams(
                 seed=seed,
                 scale=50.0,
@@ -279,22 +272,21 @@ def test_resilience_bit_identical():
                 engine=engine,
             )
             scenario = build_resilience_scenario("servartuka", params)
-            fingerprints[engine] = _fingerprint(
+            fingerprints.append(_fingerprint(
                 scenario, run_for=params.run_for, drain=params.drain
-            )
-        reference = fingerprints["reference"]
-        for engine in ("copy", "fast", "turbo"):
-            assert fingerprints[engine] == reference, (
-                f"resilience seed={seed}: {engine} diverges -- "
-                + _first_divergence(reference, fingerprints[engine])
-            )
+            ))
+        reference, turbo = fingerprints
+        assert turbo == reference, (
+            f"resilience seed={seed}: turbo diverges from reference -- "
+            + _first_divergence(reference, turbo)
+        )
 
 
 def test_myshare_trajectory_not_degenerate():
     """Guard the battery itself: the sampled trajectories must contain
     real planning activity (finite myshare after the knee), otherwise
     the trajectory comparison above would be vacuous."""
-    config = _config("copy", 1)
+    config = _config("turbo", 1)
     fingerprint = _fingerprint(two_series(11_000, policy="servartuka",
                                           config=config))
     finite_seen = any(

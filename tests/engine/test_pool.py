@@ -9,9 +9,10 @@ Two contracts keep shell recycling safe (see the pool comment block in
    the previous holder stuffed into it.  Only ``pool_gen`` (the
    stale-reference generation counter) is allowed to differ.
 2. **Transparency**: runs with pooling active are bit-identical to
-   runs without it, across randomly drawn scenario configurations (the
-   fixed-seed differential battery in ``test_differential.py`` covers
-   the curated scenarios; this battery explores the config space).
+   the unpooled reference engine, across randomly drawn scenario
+   configurations (the fixed-seed differential battery in
+   ``test_differential.py`` covers the curated scenarios; this battery
+   explores the config space).
 """
 
 from contextlib import contextmanager
@@ -22,7 +23,6 @@ from repro.sip.headers import Via
 from repro.sip.message import (
     SipRequest,
     SipResponse,
-    engine_mode,
     message_pool_stats,
     release_message,
     resume_message_pooling,
@@ -35,12 +35,11 @@ from repro.workloads.scenarios import ScenarioConfig, single_proxy, two_series
 
 @contextmanager
 def turbo():
-    previous = engine_mode()
     set_engine_mode("turbo")
     try:
         yield
     finally:
-        set_engine_mode(previous)
+        set_engine_mode("reference")
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +174,7 @@ class TestPoolReset:
             assert holder[1] != message.pool_gen
 
     def test_release_is_noop_outside_turbo(self):
-        set_engine_mode("copy")
+        set_engine_mode("reference")
         message = _build("alice", "noop", "")
         assert not release_message(message)
         assert message_pool_stats() == {
@@ -220,7 +219,8 @@ class TestPoolTransparency:
         seed=st.integers(min_value=0, max_value=2 ** 16),
     )
     @settings(max_examples=8, deadline=None, derandomize=True)
-    def test_turbo_matches_fast_on_random_configs(self, topology, rate, seed):
+    def test_turbo_matches_reference_on_random_configs(self, topology, rate,
+                                                       seed):
         pooled = _outcome(topology, rate, seed, "turbo")
-        plain = _outcome(topology, rate, seed, "fast")
+        plain = _outcome(topology, rate, seed, "reference")
         assert pooled == plain

@@ -1,9 +1,9 @@
 """The CI bench-regression gate (benchmarks/check_bench_regression.py).
 
-The gate compares within-run speedup ratios, never absolute calls/sec,
-so it must (a) catch a slowdown injected into any single rung, (b) stay
-quiet when the whole machine is uniformly slower, and (c) stay quiet on
-ordinary run-to-run noise within tolerance.
+The gate compares the within-run turbo/reference ratio, never absolute
+calls/sec, so it must (a) catch a slowdown injected into either engine,
+(b) stay quiet when the whole machine is uniformly slower, and (c) stay
+quiet on ordinary run-to-run noise within tolerance.
 """
 
 import importlib.util
@@ -28,8 +28,7 @@ def _report(scale: float = 1.0, slow_engine: str = None,
     ``slow_engine`` gets an extra ``slow_by`` fractional slowdown (the
     injected regression).
     """
-    base = {"reference": 400.0, "copy": 600.0, "fast": 900.0,
-            "turbo": 1400.0}
+    base = {"reference": 400.0, "turbo": 1400.0}
     scenarios = {}
     for name in ("two_series", "parallel_fig8"):
         per_engine = {}
@@ -51,7 +50,7 @@ class TestCompare:
         # Half-speed CI box: every ratio is unchanged, so no failure.
         assert check.compare(_report(), _report(scale=0.5)) == []
 
-    @pytest.mark.parametrize("engine", ["reference", "copy", "fast", "turbo"])
+    @pytest.mark.parametrize("engine", ["reference", "turbo"])
     def test_20pct_single_rung_slowdown_fails(self, engine):
         failures = check.compare(_report(), _report(slow_engine=engine))
         assert failures, f"20% slowdown in {engine!r} was not caught"

@@ -2,8 +2,8 @@
 
 The ``"hybrid"`` key enters the scenario payload ONLY when
 ``engine="hybrid"`` (same dormancy pattern as ``"control"``), so every
-pre-hybrid run-cache entry for the four bit-identical engines keeps
-its exact spec hash -- pinned here as literals.
+run-cache entry for the bit-identical engines keeps its exact spec
+hash (pinned in test_spec_cache_keys.py).
 """
 
 from repro.harness.parallel import SpecTemplate
@@ -13,7 +13,7 @@ from repro.workloads.scenarios import ScenarioConfig
 
 
 def test_payload_has_no_hybrid_key_for_other_engines():
-    for engine in ("reference", "copy", "fast", "turbo"):
+    for engine in ("reference", "turbo"):
         payload = ScenarioConfig(engine=engine).to_payload()
         assert "hybrid" not in payload, engine
     clone = ScenarioConfig.from_payload(ScenarioConfig().to_payload())
@@ -52,24 +52,3 @@ def test_hybrid_config_distinguishes_cache_keys():
     ).at(9000.0, 4.0, 2.0)
     keys = {turbo.key(), hybrid.key(), tuned.key()}
     assert len(keys) == 3
-
-
-def test_pre_hybrid_cache_keys_unchanged():
-    """Hard-coded pre-PR spec hashes (same literals test_overload.py
-    pins): adding the hybrid rung must not orphan any existing
-    run-cache entry for the bit-identical engines."""
-    series = SpecTemplate(
-        "n_series",
-        ScenarioConfig(scale=50.0, seed=7, monitor_period=0.5,
-                       timers=TimerPolicy(t1=0.05, t2=0.2, t4=0.2)),
-        n=2, policy="servartuka",
-    ).at(9000.0, 4.0, 2.0)
-    assert series.key() == (
-        "0c86c1effb61e817ac88a117b6257b311be6f1ec75dc881aff32812e9775a08d"
-    )
-    single = SpecTemplate(
-        "single_proxy", ScenarioConfig(), mode="stateless",
-    ).at(8000.0, 8.0, 3.0)
-    assert single.key() == (
-        "0b2d80b0cfa2c199c2c79f54dc5a4004500dcf36648e7b94d186f27d438895e0"
-    )

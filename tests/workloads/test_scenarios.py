@@ -206,40 +206,31 @@ class TestConfigCoerce:
             ScenarioConfig.coerce(3.14)
 
     def test_builders_accept_every_coercible_form(self):
-        for form in (None, "fast", {"scale": 80.0}):
+        for form in (None, "reference", {"scale": 80.0}):
             scenario = two_series(100, config=form)
             assert scenario.proxies
 
+    def test_builders_take_knobs_through_config_only(self):
+        # seed=/engine= belong on ScenarioConfig; on a builder they are,
+        # like any unknown keyword, a plain TypeError.
+        for kwargs in ({"nonsense": True}, {"seed": 9}, {"engine": "turbo"}):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                two_series(100, **kwargs)
 
-class TestConfigKwargDeprecation:
-    """Per-builder config-field kwargs still work but warn; the one
-    idiom going forward is ``config=``."""
+    @pytest.mark.parametrize("removed", ["copy", "fast"])
+    def test_removed_engines_name_their_replacement(self, removed):
+        with pytest.raises(ValueError, match="'turbo' is their bit-identical"):
+            ScenarioConfig(engine=removed)
 
-    def test_seed_kwarg_warns_and_applies(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            scenario = n_series(2, 100, seed=33)
-        assert scenario.config.seed == 33
-
-    def test_engine_and_scale_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning):
-            scenario = single_proxy(100, engine="turbo", scale=80.0)
-        assert scenario.config.engine == "turbo"
-        assert scenario.config.scale == 80.0
-
-    def test_kwarg_overrides_config_field(self):
-        with pytest.warns(DeprecationWarning):
-            scenario = two_series(
-                100, config=ScenarioConfig(seed=1), seed=9
+    def test_lean_metrics_is_derived_not_settable(self):
+        with pytest.raises(TypeError, match="lean_metrics"):
+            ScenarioConfig(lean_metrics=False)
+        for engine, lean in (("reference", False), ("turbo", True),
+                             ("hybrid", True), ("sharded", True)):
+            payload = ScenarioConfig(engine=engine).to_payload()
+            assert payload["lean_metrics"] is lean
+            assert ScenarioConfig.from_payload(payload).engine == engine
+        with pytest.raises(ValueError, match="derived from the engine"):
+            ScenarioConfig.from_payload(
+                {"engine": "turbo", "lean_metrics": False}
             )
-        assert scenario.config.seed == 9
-
-    def test_config_idiom_does_not_warn(self):
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error", DeprecationWarning)
-            two_series(100, config=ScenarioConfig(seed=5))
-
-    def test_unknown_kwargs_still_type_error(self):
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            two_series(100, nonsense=True)
