@@ -279,8 +279,13 @@ def cmd_figures(args) -> int:
 
 
 def cmd_experiments(args) -> int:
-    from repro.harness.experiments import ExperimentSuite
+    from repro.harness.experiments import EXPERIMENTS, ExperimentSuite
 
+    unknown = [name for name in args.ids if name not in EXPERIMENTS]
+    if unknown:
+        print(f"unknown experiment ids: {unknown}; "
+              f"choose from {sorted(EXPERIMENTS)}", file=sys.stderr)
+        return 2
     suite = ExperimentSuite(QUALITIES[args.quality].with_overrides(
         engine=args.engine, observe=args.observe, control=args.control
     ))

@@ -285,8 +285,8 @@ def _run_cells(
     ]
     # Dedicated uncached context: the ambient one may have a cache, and
     # timing cells must never be served from (or written to) it.
-    context = ExecutionContext(jobs=jobs)
-    payloads = run_specs(specs, context=context)
+    with ExecutionContext(jobs=jobs) as context:
+        payloads = run_specs(specs, context=context)
     return {
         cell: (payload["measurements"], payload["identity"])
         for cell, payload in zip(grid, payloads)

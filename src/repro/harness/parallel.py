@@ -23,29 +23,37 @@ The pieces:
 - :class:`ExecutionContext` / :func:`execution` -- the ambient settings
   (worker count, cache, progress streaming) consulted by every
   harness entry point; the CLI's ``--jobs/--no-cache`` flags map to it.
+  The context also owns the worker pool: made on the first batch that
+  needs one, reused by every later batch, shut down when
+  ``execution()`` exits or the context is closed or collected.
 - :func:`run_specs` -- execute a batch: resolve cache hits, dedupe
   identical specs within the batch, chunk the misses across spawn-safe
-  shared-nothing workers, retry a crashed worker's chunk once, and
-  merge results back **in spec order** so the output is bit-identical
-  to a serial run.
+  shared-nothing workers, retry a crashed worker's chunks once on a
+  fresh pool, and merge results back **in spec order** so the output is
+  bit-identical to a serial run.
 
 Workers are spawned (not forked) by default, so they share no state
 with the parent beyond the pickled chunk; every run builds its own
-scenario whose RNG streams derive purely from the spec's seed.  Result
-payloads are normalized through a JSON round-trip before they are
-returned *or* cached, so a warm-cache result is byte-identical to the
-cold run that produced it.
+scenario whose RNG streams derive purely from the spec's seed, and the
+worker collects that scenario's reference cycles before it starts the
+next run, so a worker that serves a whole sweep stays as small as one
+that served a single run.  Result payloads are normalized through a
+JSON round-trip before they are returned *or* cached, so a warm-cache
+result is byte-identical to the cold run that produced it.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
 import os
 import sys
 import time
+import weakref
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -386,6 +394,11 @@ def _execute_chunk(tasks: List[Tuple[int, str, dict]]) -> List[Tuple[int, dict]]
     out = []
     for slot, kind, payload in tasks:
         out.append((slot, _normalize(JOBS[kind](payload))))
+        # A finished scenario is one big reference cycle (loop <-> nodes
+        # <-> timers) and turbo's relaxed GC thresholds never get round
+        # to it, so a process running jobs back to back would grow by a
+        # scenario per job.  Reclaim it before the next one is built.
+        gc.collect()
     return out
 
 
@@ -443,6 +456,12 @@ class ExecutionContext:
     serial paths bit-identical by construction.  The in-memory ``memo``
     deduplicates repeated specs across batches within one invocation
     even when the disk cache is off.
+
+    With ``jobs > 1`` the context owns one worker pool, made by the
+    first batch that needs it and reused by every later one.
+    :meth:`close` (or leaving a ``with context:`` / ``execution()``
+    block) stops the workers and waits for them; a context that is
+    never closed stops them when it is garbage-collected.
     """
 
     def __init__(
@@ -464,6 +483,32 @@ class ExecutionContext:
         self.chunk_size = chunk_size
         self.memo: Dict[str, dict] = {}
         self.stats = ExecutionStats()
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool_finalizer: Optional[weakref.finalize] = None
+
+    def _worker_pool(self) -> ProcessPoolExecutor:
+        """The context's pool, started on first use."""
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.jobs,
+                mp_context=multiprocessing.get_context(self.start_method),
+            )
+            self._pool_finalizer = weakref.finalize(
+                self, self._pool.shutdown, wait=True)
+        return self._pool
+
+    def close(self) -> None:
+        """Stop the workers and wait for them to exit.  Idempotent; a
+        later batch on this context starts a fresh pool."""
+        if self._pool is not None:
+            self._pool = None
+            self._pool_finalizer()
+
+    def __enter__(self) -> "ExecutionContext":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def summary(self) -> str:
         parts = [f"[repro] {self.stats.summary()}", f"jobs={self.jobs}"]
@@ -490,7 +535,8 @@ def execution(
     chunk_size: Optional[int] = None,
     force: bool = False,
 ):
-    """Install an :class:`ExecutionContext` for the enclosed harness calls."""
+    """Install an :class:`ExecutionContext` for the enclosed harness
+    calls; its worker pool (if one was started) is shut down on exit."""
     context = ExecutionContext(
         jobs=jobs,
         use_cache=use_cache,
@@ -505,6 +551,7 @@ def execution(
         yield context
     finally:
         _CONTEXT_STACK.pop()
+        context.close()
 
 
 # ---------------------------------------------------------------------------
@@ -556,50 +603,48 @@ def _run_pool(
     labels: Dict[int, str],
     progress: _Progress,
 ) -> Dict[int, dict]:
-    """Fan tasks across workers; retry failed chunks once in a new pool."""
+    """Fan tasks across the context's workers; chunks that fail get
+    exactly one retry, on a fresh pool."""
     jobs = min(context.jobs, len(tasks))
     size = context.chunk_size or max(1, math.ceil(len(tasks) / (jobs * 4)))
     chunks = _chunks(tasks, size)
-    mp_context = multiprocessing.get_context(context.start_method)
     done: Dict[int, dict] = {}
-    failed: List[List[Tuple[int, str, dict]]] = []
 
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=mp_context) as pool:
-        futures = {pool.submit(_execute_chunk, chunk): chunk for chunk in chunks}
+    for last_attempt in (False, True):
+        pool = context._worker_pool()
+        futures = {}
+        error: Optional[BaseException] = None
+        try:
+            for chunk in chunks:
+                futures[pool.submit(_execute_chunk, chunk)] = chunk
+        except BrokenProcessPool as exc:
+            # A worker died before everything was queued (or while the
+            # pool sat idle between batches): the rest fails unsent.
+            error = exc
+        failed = chunks[len(futures):]
         for future in as_completed(futures):
+            chunk = futures[future]
             try:
-                results = future.result()
-            except Exception:
-                # A crashed worker poisons the whole pool; every not-yet-
-                # finished chunk lands here and gets exactly one retry.
-                failed.append(futures[future])
-                continue
-            for slot, payload in results:
-                done[slot] = payload
-            progress.advance(len(futures[future]))
-
-    if failed:
-        context.stats.retried_chunks += len(failed)
-        retry_jobs = min(jobs, len(failed))
-        with ProcessPoolExecutor(
-            max_workers=retry_jobs,
-            mp_context=multiprocessing.get_context(context.start_method),
-        ) as pool:
-            futures = {
-                pool.submit(_execute_chunk, chunk): chunk for chunk in failed
-            }
-            for future in as_completed(futures):
-                chunk = futures[future]
-                try:
-                    results = future.result()
-                except Exception as exc:
-                    names = ", ".join(labels[slot] for slot, _, _ in chunk)
-                    raise RuntimeError(
-                        f"run chunk failed after one retry: [{names}]"
-                    ) from exc
-                for slot, payload in results:
-                    done[slot] = payload
+                done.update(future.result())
+            except Exception as exc:
+                # A dead worker poisons its whole pool: every chunk not
+                # yet finished lands here along with the culprit.
+                failed.append(chunk)
+                error = exc
+            else:
                 progress.advance(len(chunk))
+        if not failed:
+            break
+        # Never hand a pool that failed to the retry or to a later batch.
+        context.close()
+        if last_attempt:
+            names = ", ".join(
+                labels[slot] for chunk in failed for slot, _, _ in chunk)
+            raise RuntimeError(
+                f"run chunk failed after one retry: [{names}]"
+            ) from error
+        context.stats.retried_chunks += len(failed)
+        chunks = failed
     return done
 
 
@@ -647,17 +692,17 @@ def run_specs(
     keys = [spec.key() for spec in specs]
     results: List[Optional[dict]] = [None] * len(specs)
 
-    # Resolve memo + disk-cache hits; collect unique misses.
+    # Resolve memo + disk-cache hits; collect unique misses.  A miss's
+    # slot is its position in both ``pending`` and ``pending_specs``.
     pending: List[Tuple[int, str, dict]] = []     # (slot, kind, payload)
-    slot_of_key: Dict[str, int] = {}
+    pending_specs: Dict[str, RunSpec] = {}        # key -> spec
     labels: Dict[int, str] = {}
-    pending_specs: List[RunSpec] = []
     hits = 0
     for spec, key in zip(specs, keys):
         if key in context.memo:
             hits += 1
             continue
-        if key in slot_of_key:
+        if key in pending_specs:
             stats.deduped += 1
             continue
         cached = None
@@ -668,10 +713,9 @@ def run_specs(
             hits += 1
             continue
         slot = len(pending)
-        slot_of_key[key] = slot
         labels[slot] = spec.describe()
         pending.append((slot, spec.kind, dict(spec.payload)))
-        pending_specs.append(spec)
+        pending_specs[key] = spec
     stats.cache_hits += hits
 
     progress = _Progress(context.progress, len(specs), hits)
@@ -681,9 +725,8 @@ def run_specs(
         else:
             done = _run_inline(context, pending, labels, progress)
         stats.executed += len(pending)
-        for spec in pending_specs:
-            key = spec.key()
-            payload = done[slot_of_key[key]]
+        for slot, (key, spec) in enumerate(pending_specs.items()):
+            payload = done[slot]
             context.memo[key] = payload
             if context.cache is not None and spec.kind in CACHEABLE_KINDS:
                 context.cache.put(key, spec.kind, _normalize(spec.payload),

@@ -1,8 +1,9 @@
 """Parallel executor unit tests: spec hashing, dedupe, caching, retry.
 
 The pool itself (spawned workers) is exercised end-to-end by
-``tests/engine/test_parallel_differential.py``; here everything runs
-inline so the semantics are cheap to pin down.
+``tests/engine/test_parallel_differential.py`` and its lifecycle by
+``tests/harness/test_pool_lifecycle.py``; here everything runs inline
+so the semantics are cheap to pin down.
 """
 
 import pytest

@@ -225,6 +225,13 @@ class TestExperiments:
         assert rc == 0
         assert out.read_text().startswith("# Experiments")
 
+    def test_unknown_experiment_id(self, capsys):
+        rc = main(["experiments", "lp", "nope"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "unknown experiment ids: ['nope']; choose from" in captured.err
+        assert captured.out == ""  # nothing ran, not even the valid id
+
     def test_experiments_stdout_default(self, capsys):
         rc = main(["experiments", "lp"])
         assert rc == 0
