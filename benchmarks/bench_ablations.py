@@ -13,20 +13,20 @@ Not paper figures -- these probe the knobs of the reproduction itself:
 import pytest
 
 from repro.harness.figures import FigureData, chain_node_thresholds
+from repro.harness.parallel import SpecTemplate
 from repro.harness.runner import run_scenario
 from repro.harness.saturation import find_capacity
 from repro.workloads.scenarios import (
     ScenarioConfig,
     ServartukaConfig,
     n_series,
-    parallel_fork,
     two_series,
 )
 
 
-def _capacity(factory, hint, quality):
+def _capacity(template, hint, quality):
     sweep = find_capacity(
-        factory, hint=hint, duration=quality.duration, warmup=quality.warmup,
+        template, hint=hint, duration=quality.duration, warmup=quality.warmup,
         points=max(3, quality.sweep_points - 1), span=0.3,
     )
     return sweep.max_throughput
@@ -42,9 +42,10 @@ class TestStaticPlacement:
                 ("entry stateful", dict(policy="static-one", static_stateful="P1")),
                 ("servartuka", dict(policy="servartuka")),
             ):
-                def factory(load, kw=kwargs):
-                    return two_series(load, config=quality.scenario_config(), **kw)
-                capacity = _capacity(factory, hint=9500, quality=quality)
+                template = SpecTemplate(
+                    "n_series", quality.scenario_config(), n=2, **kwargs
+                )
+                capacity = _capacity(template, hint=9500, quality=quality)
                 rows.append([label, round(capacity)])
             return FigureData(
                 "Ablation: static placement",
@@ -150,11 +151,11 @@ class TestViaOverhead:
                 config = quality.scenario_config(via_overhead=overhead)
                 thresholds = chain_node_thresholds(config.make_cost_model(), 2)
 
-                def factory(load, c=config):
-                    return two_series(load, policy="static", config=c)
-
+                template = SpecTemplate("n_series", config, n=2,
+                                        policy="static")
                 capacity = _capacity(
-                    factory, hint=min(t for t, _ in thresholds), quality=quality
+                    template, hint=min(t for t, _ in thresholds),
+                    quality=quality,
                 )
                 rows.append([
                     overhead,
@@ -199,11 +200,10 @@ class TestNonHomogeneousFork:
                       static_front_stateful=True)),
                 ("servartuka, 85/15", dict(policy="servartuka", upper_share=0.85)),
             ):
-                def factory(load, kw=kwargs):
-                    return parallel_fork(
-                        load, config=quality.scenario_config(), **kw
-                    )
-                capacity = _capacity(factory, hint=10500, quality=quality)
+                template = SpecTemplate(
+                    "parallel_fork", quality.scenario_config(), **kwargs
+                )
+                capacity = _capacity(template, hint=10500, quality=quality)
                 rows.append([label, round(capacity)])
             return FigureData(
                 "Ablation: uneven parallel fork",

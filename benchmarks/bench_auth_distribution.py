@@ -20,6 +20,7 @@ testbed where the authenticating node was the bottleneck.
 """
 
 from repro.harness.figures import FigureData
+from repro.harness.parallel import SpecTemplate
 from repro.harness.runner import run_scenario
 from repro.harness.saturation import find_capacity
 from repro.workloads.scenarios import n_series
@@ -38,18 +39,18 @@ def test_auth_distribution(benchmark, quality, save_figure):
         capacities = {}
         past_knee = {}
         for label, kwargs in CONFIGS:
-            def factory(load, kw=kwargs):
-                return n_series(2, load, config=quality.scenario_config(), **kw)
-
+            config = quality.scenario_config()
             sweep = find_capacity(
-                factory, hint=9200, duration=quality.duration,
+                SpecTemplate("n_series", config, n=2, **kwargs),
+                hint=9200, duration=quality.duration,
                 warmup=quality.warmup, points=max(3, quality.sweep_points - 1),
                 span=0.3,
             )
             capacities[label] = sweep.max_throughput
             # Probe robustness 15% beyond the measured capacity.
             beyond = run_scenario(
-                factory(1.15 * sweep.max_throughput),
+                n_series(2, 1.15 * sweep.max_throughput, config=config,
+                         **kwargs),
                 duration=quality.duration, warmup=quality.warmup,
             )
             past_knee[label] = beyond.throughput_cps

@@ -1,31 +1,27 @@
 """Observability overhead gate.
 
-The ``repro.obs`` contract has two halves and this bench measures both
-on the turbo engine (the regime the contract is written for):
+Both gates compare different code within one run, on the turbo engine
+(the regime the ``repro.obs`` contract is written for):
 
-1. **Dormant hooks are free (<= 2%).**  With ``observe=None`` every
-   instrumentation point is a single ``is not None`` attribute test.
-   Against ``--baseline BENCH_engine.json`` (regenerated on the *same
-   host* in the same CI job), the observe-off min-of-N CPU time must be
-   within ``--tolerance`` (default 0.02) of the baseline's turbo-engine
-   ``two_series`` cell.  Without a baseline the timings are reported
-   but not gated.
-2. **Recorders never feed back.**  The observe-on run's metric
+1. **Recorders never feed back.**  The observe-on run's metric
    registries and run observables must be bit-identical to observe-off
    (the same invariant tests/obs/test_observe_differential.py proves on
    small runs, re-checked here at bench load).
+2. **Recorders are cheap.**  The observe-on overhead over observe-off
+   is measured at two levels: ``cpu,telemetry`` (the repro.obs
+   recorders proper -- dict work per job, gated at <= 25%) and ``all``
+   (which additionally installs the message trace for spans; trace
+   capture is a pre-existing :class:`~repro.sim.trace.MessageTrace`
+   cost, so it is reported but not gated).
 
-The observe-on overhead is also measured at two levels:
-``cpu,telemetry`` (the repro.obs recorders proper -- dict work per
-job, gated at <= 25%) and ``all`` (which additionally installs the
-message trace for spans; trace capture is a pre-existing
-:class:`~repro.sim.trace.MessageTrace` cost, so it is reported but
-not gated).
+With ``observe=None`` every instrumentation point is a single
+``is not None`` attribute test; what those dormant hooks cost shows up
+as a parent/change difference of ``benchmarks/e2e``, not here, because
+one run cannot time itself against code that has no hooks.
 
 Report lands in the repo root ``BENCH_obs.json``.  Runnable standalone::
 
     python benchmarks/bench_obs.py [--full] [--repeats N]
-        [--baseline BENCH_engine.json] [--tolerance 0.02]
 
 or as a pytest bench (``pytest benchmarks/bench_obs.py``).
 """
@@ -41,14 +37,26 @@ import platform
 import time
 from typing import Dict, Optional
 
-from repro.harness.bench import BENCH_RATE, _registry_snapshots
 from repro.harness.figures import QUICK
 from repro.harness.runner import run_scenario
 from repro.workloads.scenarios import ScenarioConfig, two_series
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 
+#: Offered load, paper-equivalent cps.
+BENCH_RATE = 10_000.0
+
 OBSERVE_ON_CEILING = 1.25
+
+
+def _registry_snapshots(scenario) -> Dict[str, object]:
+    """Deep snapshots of every node's metrics, for run-to-run equality."""
+    nodes = {
+        **scenario.proxies,
+        **{f"uac:{g.name}": g for g in scenario.generators},
+        **{f"uas:{s.name}": s for s in scenario.servers},
+    }
+    return {name: node.metrics.snapshot() for name, node in nodes.items()}
 
 
 def _cell(observe: Optional[str], quick: bool, repeats: int) -> dict:
@@ -93,12 +101,7 @@ def _cell(observe: Optional[str], quick: bool, repeats: int) -> dict:
     }
 
 
-def run_obs_bench(
-    quick: bool = True,
-    repeats: int = 3,
-    baseline_path: Optional[str] = None,
-    tolerance: float = 0.02,
-) -> dict:
+def run_obs_bench(quick: bool = True, repeats: int = 3) -> dict:
     off = _cell(None, quick, repeats)
     on = _cell("cpu,telemetry", quick, repeats)
     on_all = _cell("all", quick, repeats)
@@ -134,23 +137,9 @@ def run_obs_bench(
             "message trace for spans (pre-existing MessageTrace cost, "
             "reported ungated).  identical asserts every observed run's "
             "metric registries and run observables match observe-off bit "
-            "for bit.  The dormant-hook gate compares observe_off "
-            "cpu_s_min against a same-host BENCH_engine.json "
-            "turbo/two_series cell."
+            "for bit."
         ),
     }
-
-    if baseline_path:
-        baseline = json.loads(pathlib.Path(baseline_path).read_text())
-        cell = baseline["scenarios"]["two_series"]["per_engine"]["turbo"]
-        ratio = off_cpu / cell["cpu_s"] if cell["cpu_s"] else 0.0
-        report["baseline"] = {
-            "path": str(baseline_path),
-            "turbo_two_series_cpu_s": cell["cpu_s"],
-            "observe_off_vs_baseline": round(ratio, 4),
-            "tolerance": tolerance,
-            "within_tolerance": ratio <= 1.0 + tolerance,
-        }
     return report
 
 
@@ -167,12 +156,6 @@ def _check(report: dict) -> None:
         f"observe-on overhead {report['observe_on_overhead']:.3f}x exceeds "
         f"{OBSERVE_ON_CEILING}x"
     )
-    baseline = report.get("baseline")
-    if baseline is not None:
-        assert baseline["within_tolerance"], (
-            f"dormant-hook cost {baseline['observe_off_vs_baseline']:.3f}x "
-            f"of baseline exceeds 1+{baseline['tolerance']}"
-        )
 
 
 def test_obs_bench(quality):
@@ -189,19 +172,8 @@ def main(argv=None) -> int:
                         help="full-length windows (default: quick)")
     parser.add_argument("--repeats", type=int, default=3,
                         help="min-of-N repeats per cell (default 3)")
-    parser.add_argument("--baseline", default=None, metavar="PATH",
-                        help="BENCH_engine.json from the same host to gate "
-                             "the dormant-hook cost against")
-    parser.add_argument("--tolerance", type=float, default=0.02,
-                        help="allowed dormant-hook slowdown vs the baseline "
-                             "(default 0.02 = 2%%)")
     args = parser.parse_args(argv)
-    report = run_obs_bench(
-        quick=not args.full,
-        repeats=args.repeats,
-        baseline_path=args.baseline,
-        tolerance=args.tolerance,
-    )
+    report = run_obs_bench(quick=not args.full, repeats=args.repeats)
     write_obs_report(report)
     print(json.dumps(report, indent=2))
     _check(report)

@@ -17,12 +17,10 @@ Commands:
 - ``obs`` -- run one load point with the observability layer attached
   and report the per-functionality CPU profile, control-loop telemetry
   and (optionally) per-call spans; exportable as JSON/CSV,
-- ``bench`` -- wall-clock benchmark of the simulation engines
-  (turbo vs reference), with a built-in differential check,
 - ``cache`` -- inspect or clear the on-disk run cache.
 
 The simulation-heavy commands (``figures``, ``experiments``, ``sweep``,
-``run``, ``bench``) accept ``--jobs/-j N`` to fan independent runs
+``run``) accept ``--jobs/-j N`` to fan independent runs
 across worker processes and use a content-addressed run cache under
 ``.repro-cache/`` (disable with ``--no-cache``); neither changes a
 single reported metric.  Scenario-building commands accept
@@ -50,15 +48,14 @@ from repro.core import topogen
 from repro.core.lp import solve_fixed_routing, solve_free_routing
 from repro.core.topology import Topology
 from repro.harness import figures as figure_mod
-from repro.harness.optgap import optgap_figure
+from repro.harness.experiments import EXPERIMENTS, ExperimentSuite
 from repro.harness.parallel import SpecTemplate, execution
 from repro.harness.report import format_table, render_figure
-from repro.harness.resilience import resilience_figure
 from repro.harness.runcache import RunCache
 from repro.harness.runner import run_scenario
 from repro.harness.saturation import staircase, sweep_loads
 from repro.sim.trace import render_ladder
-from repro.sip.message import BIT_IDENTICAL_ENGINES, ENGINES, check_engine
+from repro.sip.message import ENGINES, check_engine
 from repro.workloads.scenarios import (
     ScenarioConfig,
     internal_external,
@@ -68,18 +65,7 @@ from repro.workloads.scenarios import (
 )
 
 FIGURE_COMMANDS: Dict[str, Callable] = {
-    "fig3": figure_mod.figure3_profile,
-    "fig3-breakdown": figure_mod.figure3_breakdown,
-    "fig4": figure_mod.figure4_utilization,
-    "lp": figure_mod.lp_optima,
-    "fig5": figure_mod.figure5_two_series,
-    "fig6": figure_mod.figure6_response_times,
-    "fig7": figure_mod.figure7_changing_load,
-    "fig8": figure_mod.figure8_parallel,
-    "three-series": figure_mod.three_series_text,
-    "resilience": resilience_figure,
-    "overload": figure_mod.overload_comparative,
-    "optgap": optgap_figure,
+    name: function for name, (function, _description) in EXPERIMENTS.items()
 }
 
 QUALITIES = {
@@ -279,8 +265,6 @@ def cmd_figures(args) -> int:
 
 
 def cmd_experiments(args) -> int:
-    from repro.harness.experiments import EXPERIMENTS, ExperimentSuite
-
     unknown = [name for name in args.ids if name not in EXPERIMENTS]
     if unknown:
         print(f"unknown experiment ids: {unknown}; "
@@ -590,38 +574,6 @@ def cmd_obs(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from repro.harness.bench import (
-        SCENARIOS,
-        render_report,
-        run_engine_bench,
-        write_report,
-    )
-
-    unknown = [name for name in args.scenarios if name not in SCENARIOS]
-    if unknown:
-        print(f"unknown bench scenarios: {unknown}; "
-              f"choose from {sorted(SCENARIOS)}", file=sys.stderr)
-        return 2
-    jobs = args.jobs if args.jobs is not None else 1
-    report = run_engine_bench(
-        quick=args.quick,
-        scenarios=args.scenarios or None,
-        engines=args.engines or BIT_IDENTICAL_ENGINES,
-        jobs=max(1, jobs),
-        profile=args.profile,
-    )
-    if args.json:
-        write_report(report, args.json)
-        print(f"wrote {args.json}", file=sys.stderr)
-    print(render_report(report))
-    if not report["identical"]:
-        print("ENGINE DIVERGENCE: engines disagree on simulated results",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_cache(args) -> int:
     cache = RunCache(args.dir)
     if args.action == "stats":
@@ -758,27 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--rate", type=float, default=100)
     p_trace.add_argument("--calls", type=int, default=2)
     p_trace.set_defaults(func=cmd_trace)
-
-    # bench keeps its own repeatable --engine (over the bit-identical
-    # pair only), so it inherits only the parallel parent.
-    p_bench = sub.add_parser(
-        "bench", parents=[parallel],
-        help="benchmark the simulation engines (turbo vs reference)",
-    )
-    p_bench.add_argument("scenarios", nargs="*",
-                         help="bench scenarios (default: all)")
-    p_bench.add_argument("--quick", action="store_true",
-                         help="short measurement windows (CI smoke)")
-    p_bench.add_argument("--json", help="write the machine-readable report here")
-    p_bench.add_argument("--engine", action="append", dest="engines",
-                         type=_engine_name, choices=BIT_IDENTICAL_ENGINES,
-                         help="bench only this engine (repeatable; "
-                              "default: both)")
-    p_bench.add_argument("--profile", action="store_true",
-                         help="attach the repro.obs CPU profiler and "
-                              "report per-functionality shares (timing "
-                              "cells then measure instrumented runs)")
-    p_bench.set_defaults(func=cmd_bench)
 
     p_cache = sub.add_parser("cache", help="inspect or clear the run cache")
     p_cache.add_argument("action", choices=["stats", "clear"])

@@ -1,11 +1,12 @@
 """Parallel sweep executor with deterministic merging and run caching.
 
 Every artifact this repository produces -- the figure load sweeps, the
-ablation and resilience campaigns, the engine bench -- is a grid of
-fully independent ``(scenario, offered load, seed, engine)`` simulation
-runs.  This module executes such grids across ``multiprocessing``
-workers and memoizes each point in the content-addressed
-:class:`~repro.harness.runcache.RunCache`, under one contract:
+ablation and resilience campaigns -- is a grid of fully independent
+``(scenario, offered load, seed, engine)`` simulation runs, each a
+deterministic function of its spec.  This module executes such grids
+across ``multiprocessing`` workers and memoizes each point in the
+content-addressed :class:`~repro.harness.runcache.RunCache`, under one
+contract:
 
     **parallelism and caching may only change wall-clock time, never a
     single metric.**
@@ -74,10 +75,6 @@ from repro.workloads.scenarios import (
     register_churn,
     single_proxy,
 )
-
-#: Job kinds whose results are deterministic functions of the spec and
-#: therefore cacheable.  ``bench`` measures wall-clock, so it is not.
-CACHEABLE_KINDS = frozenset({"scenario", "fingerprint", "resilience"})
 
 #: Default multiprocessing start method.  ``spawn`` guarantees workers
 #: share nothing with the parent (no inherited parser caches, metric
@@ -366,21 +363,10 @@ def _job_resilience(payload: dict) -> dict:
     return {"outcome": _measure(scenario, placement, params).to_payload()}
 
 
-def _job_bench(payload: dict) -> dict:
-    from repro.harness.bench import bench_one
-
-    measurements, identity = bench_one(
-        payload["scenario"], payload["engine"], payload["quick"],
-        payload.get("profile", False),
-    )
-    return {"measurements": measurements, "identity": identity}
-
-
 JOBS: Dict[str, Callable[[dict], dict]] = {
     "scenario": _job_scenario,
     "fingerprint": _job_fingerprint,
     "resilience": _job_resilience,
-    "bench": _job_bench,
 }
 
 
@@ -706,7 +692,7 @@ def run_specs(
             stats.deduped += 1
             continue
         cached = None
-        if context.cache is not None and spec.kind in CACHEABLE_KINDS:
+        if context.cache is not None:
             cached = context.cache.get(key)
         if cached is not None:
             context.memo[key] = cached
@@ -728,7 +714,7 @@ def run_specs(
         for slot, (key, spec) in enumerate(pending_specs.items()):
             payload = done[slot]
             context.memo[key] = payload
-            if context.cache is not None and spec.kind in CACHEABLE_KINDS:
+            if context.cache is not None:
                 context.cache.put(key, spec.kind, _normalize(spec.payload),
                                   payload)
 

@@ -11,19 +11,10 @@ so figure generation does not need a wide, dense sweep.
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable, List, Optional, Sequence, Union
+from typing import List, Sequence
 
 from repro.harness.parallel import SpecTemplate, run_scenario_specs
-from repro.harness.runner import RunResult, run_scenario
-from repro.workloads.scenarios import Scenario
-
-ScenarioFactory = Callable[[float], Scenario]
-
-#: A sweep source: either a closure building a live scenario per load
-#: (legacy serial path) or a declarative :class:`SpecTemplate`, which
-#: routes through the parallel executor and its run cache.
-SweepSource = Union[ScenarioFactory, SpecTemplate]
+from repro.harness.runner import RunResult
 
 
 class SweepPoint:
@@ -90,7 +81,7 @@ class SweepResult:
 
 
 def sweep_loads(
-    factory: SweepSource,
+    template: SpecTemplate,
     loads: Sequence[float],
     duration: float = 15.0,
     warmup: float = 5.0,
@@ -98,40 +89,23 @@ def sweep_loads(
 ) -> SweepResult:
     """Run one fresh scenario per offered load (paper-equivalent cps).
 
-    With a :class:`SpecTemplate` the whole load batch is handed to the
-    parallel executor: points run across the ambient context's workers,
-    previously-seen points come out of the run cache, and results merge
-    back in load order -- bit-identical to the closure path, which runs
-    each point inline.
-
-    .. deprecated::
-        Passing a bare ``Callable[[float], Scenario]`` closure is
-        deprecated: closures cannot be serialised, so they forfeit
-        parallel execution and the run cache.  Build a
-        :class:`~repro.harness.parallel.SpecTemplate` (or use
-        :func:`repro.api.sweep`) instead.
+    The whole load batch is handed to the parallel executor: points run
+    across the ambient context's workers, previously-seen points come
+    out of the run cache, and results merge back in load order.
     """
     if not loads:
         raise ValueError("need at least one load point")
-    if isinstance(factory, SpecTemplate):
-        specs = [factory.at(load, duration, warmup) for load in loads]
-        results = run_scenario_specs(specs)
-        points = [
-            SweepPoint(load, result) for load, result in zip(loads, results)
-        ]
-        return SweepResult(label or "sweep", points)
-    warnings.warn(
-        "passing a scenario-factory closure to sweep_loads/find_capacity "
-        "is deprecated; pass a repro.harness.parallel.SpecTemplate (or "
-        "use repro.api.sweep) to get parallel execution and caching",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    points = []
-    for load in loads:
-        scenario = factory(load)
-        result = run_scenario(scenario, duration=duration, warmup=warmup)
-        points.append(SweepPoint(load, result))
+    if not isinstance(template, SpecTemplate):
+        raise TypeError(
+            "sweep_loads/find_capacity/refine_peak take a "
+            "repro.harness.parallel.SpecTemplate (or use repro.api.sweep), "
+            f"not {type(template).__name__}"
+        )
+    specs = [template.at(load, duration, warmup) for load in loads]
+    results = run_scenario_specs(specs)
+    points = [
+        SweepPoint(load, result) for load, result in zip(loads, results)
+    ]
     return SweepResult(label or "sweep", points)
 
 
@@ -157,7 +131,7 @@ def _peak_index(result: SweepResult) -> int:
 
 
 def _probe_peak(
-    factory: SweepSource,
+    template: SpecTemplate,
     base: SweepResult,
     probes: Sequence[float],
     duration: float,
@@ -166,13 +140,13 @@ def _probe_peak(
 ) -> SweepResult:
     """Sweep extra probe loads and merge them into ``base``'s points."""
     fine = sweep_loads(
-        factory, probes, duration=duration, warmup=warmup, label=label
+        template, probes, duration=duration, warmup=warmup, label=label
     )
     return SweepResult(label, list(base.points) + list(fine.points))
 
 
 def refine_peak(
-    factory: SweepSource,
+    template: SpecTemplate,
     coarse: SweepResult,
     duration: float = 10.0,
     warmup: float = 4.0,
@@ -197,12 +171,12 @@ def refine_peak(
         for frac in (0.33, 0.66)
     ]
     return _probe_peak(
-        factory, coarse, probes, duration, warmup, coarse.label
+        template, coarse, probes, duration, warmup, coarse.label
     )
 
 
 def find_capacity(
-    factory: SweepSource,
+    template: SpecTemplate,
     hint: float,
     duration: float = 10.0,
     warmup: float = 4.0,
@@ -240,10 +214,10 @@ def find_capacity(
     spacing = (hi - lo) / (points - 1)
     if adaptive:
         return _find_capacity_adaptive(
-            factory, hint, spacing, duration, warmup, label, refine
+            template, hint, spacing, duration, warmup, label, refine
         )
     loads = [lo + spacing * i for i in range(points)]
-    coarse = sweep_loads(factory, loads, duration=duration, warmup=warmup, label=label)
+    coarse = sweep_loads(template, loads, duration=duration, warmup=warmup, label=label)
     if not refine:
         return coarse
     best = coarse.points[_peak_index(coarse)]
@@ -255,12 +229,12 @@ def find_capacity(
         if load > 0
     ]
     return _probe_peak(
-        factory, coarse, fine_loads, duration, warmup, label or "capacity"
+        template, coarse, fine_loads, duration, warmup, label or "capacity"
     )
 
 
 def _find_capacity_adaptive(
-    factory: SweepSource,
+    template: SpecTemplate,
     hint: float,
     spacing: float,
     duration: float,
@@ -282,7 +256,7 @@ def _find_capacity_adaptive(
     seeds = [load for load in (hint - spacing, hint, hint + spacing)
              if load > 0]
     result = sweep_loads(
-        factory, seeds, duration=duration, warmup=warmup, label=label
+        template, seeds, duration=duration, warmup=warmup, label=label
     )
     for _ in range(64):  # bound the walk against pathological hints
         best = result.points[_peak_index(result)]
@@ -296,7 +270,7 @@ def _find_capacity_adaptive(
         else:
             break  # peak is interior: it moved less than one spacing
         result = _probe_peak(
-            factory, result, [probe], duration, warmup, label
+            template, result, [probe], duration, warmup, label
         )
     if not refine:
         return result
@@ -309,4 +283,4 @@ def _find_capacity_adaptive(
         for load in (center - 0.5 * spacing, center + 0.33 * spacing)
         if load > 0
     ]
-    return _probe_peak(factory, result, fine_loads, duration, warmup, label)
+    return _probe_peak(template, result, fine_loads, duration, warmup, label)

@@ -59,8 +59,7 @@ _MISSING = object()
 # "sharded" likewise runs turbo's message layer per shard; the window
 # synchronization lives in repro.sim.shard.
 #: The engine names -- defined here once, imported everywhere else.
-BIT_IDENTICAL_ENGINES = ("reference", "turbo")
-ENGINES = BIT_IDENTICAL_ENGINES + ("hybrid", "sharded")
+ENGINES = ("reference", "turbo", "hybrid", "sharded")
 
 # The one engine flag: process-global, set per scenario construction.
 _TURBO = False

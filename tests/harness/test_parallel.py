@@ -214,17 +214,21 @@ def test_inline_persistent_failure_surfaces_label(monkeypatch):
                   context=ExecutionContext(jobs=1))
 
 
-def test_bench_kind_never_cached(tmp_path, monkeypatch):
+def test_registered_kind_served_from_cache_by_second_context(
+        tmp_path, monkeypatch):
     calls = {"n": 0}
 
-    def fake_bench(payload):
+    def fake_job(payload):
         calls["n"] += 1
-        return {"wall_s": calls["n"]}
+        return {"value": payload["x"] * 2}
 
-    monkeypatch.setitem(parallel.JOBS, "bench", fake_bench)
-    spec = RunSpec("bench", {"scenario": "two_series"}, label="bench")
+    monkeypatch.setitem(parallel.JOBS, "doubling", fake_job)
+    spec = RunSpec("doubling", {"x": 21}, label="doubling")
+    payloads = []
     for _ in range(2):
         context = ExecutionContext(jobs=1, use_cache=True,
                                    cache_dir=str(tmp_path))
-        run_specs([spec], context=context)
-    assert calls["n"] == 2  # second context re-executed: nothing cached
+        payloads.append(run_specs([spec], context=context))
+    assert payloads[0] == payloads[1] == [{"value": 42}]
+    assert calls["n"] == 1  # every kind in JOBS is cacheable
+    assert context.stats.cache_hits == 1 and context.stats.executed == 0

@@ -73,17 +73,15 @@ class TestStaircase:
         assert all(load == 20 * (i + 1) for i, load in enumerate(loads))
 
 
-# The closure path still works but is deprecated (SpecTemplate is the
-# supported source); tests/harness/test_deprecation.py asserts the
-# warning fires, these just exercise the behaviour.
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def _stateful_template(fast_config):
+    return SpecTemplate("single_proxy", fast_config,
+                        mode="transaction_stateful")
+
+
 class TestSweepLoads:
     def test_runs_each_load_fresh(self, fast_config):
-        def factory(load):
-            return single_proxy(load, mode="transaction_stateful",
-                                config=fast_config)
-
-        sweep = sweep_loads(factory, [2000, 4000], duration=1.5, warmup=0.5)
+        sweep = sweep_loads(_stateful_template(fast_config), [2000, 4000],
+                            duration=1.5, warmup=0.5)
         assert len(sweep) == 2
         # Below saturation throughput tracks offered load.
         assert sweep.points[0].result.throughput_cps == pytest.approx(2000, rel=0.3)
@@ -91,102 +89,101 @@ class TestSweepLoads:
 
     def test_empty_loads_rejected(self, fast_config):
         with pytest.raises(ValueError):
-            sweep_loads(lambda load: None, [], duration=1, warmup=0)
+            sweep_loads(_stateful_template(fast_config), [],
+                        duration=1, warmup=0)
 
-
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
-class TestFindCapacity:
-    def test_brackets_the_hint(self, fast_config):
-        calls = []
-
+    def test_closure_source_rejected(self, fast_config):
         def factory(load):
-            calls.append(load)
             return single_proxy(load, mode="transaction_stateful",
                                 config=fast_config)
 
-        sweep = find_capacity(factory, hint=10000, duration=1.0, warmup=0.5,
+        with pytest.raises(TypeError, match="SpecTemplate.*repro.api.sweep"):
+            sweep_loads(factory, [2000], duration=1.5, warmup=0.5)
+        with pytest.raises(TypeError, match="SpecTemplate"):
+            find_capacity(factory, hint=10000)
+
+
+class TestFindCapacity:
+    def test_brackets_the_hint(self, fast_config):
+        sweep = find_capacity(_stateful_template(fast_config), hint=10000,
+                              duration=1.0, warmup=0.5,
                               points=3, span=0.3, refine=False)
-        assert min(calls) == pytest.approx(7000)
-        assert max(calls) == pytest.approx(13000)
+        loads = [point.offered_cps for point in sweep.points]
+        assert min(loads) == pytest.approx(7000)
+        assert max(loads) == pytest.approx(13000)
         assert len(sweep) == 3
 
     def test_refinement_adds_points_near_peak(self, fast_config):
-        def factory(load):
-            return single_proxy(load, mode="transaction_stateful",
-                                config=fast_config)
-
-        coarse = find_capacity(factory, hint=10000, duration=1.0, warmup=0.5,
+        template = _stateful_template(fast_config)
+        coarse = find_capacity(template, hint=10000, duration=1.0, warmup=0.5,
                                points=3, refine=False)
-        refined = find_capacity(factory, hint=10000, duration=1.0, warmup=0.5,
+        refined = find_capacity(template, hint=10000, duration=1.0, warmup=0.5,
                                 points=3, refine=True)
         assert len(refined) > len(coarse)
         assert refined.max_throughput >= coarse.max_throughput - 1e-9
 
-    def test_validation(self):
+    def test_validation(self, fast_config):
+        template = _stateful_template(fast_config)
         with pytest.raises(ValueError):
-            find_capacity(lambda l: None, hint=0)
+            find_capacity(template, hint=0)
         with pytest.raises(ValueError):
-            find_capacity(lambda l: None, hint=10, points=1)
+            find_capacity(template, hint=10, points=1)
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 class TestRefinePeak:
-    def test_short_sweeps_returned_unchanged(self):
+    def test_short_sweeps_returned_unchanged(self, fast_config):
         sweep = SweepResult("s", [fake_point(100, 90)])
-        assert refine_peak(lambda l: None, sweep) is sweep
+        assert refine_peak(_stateful_template(fast_config), sweep) is sweep
 
     def test_probes_straddle_peak(self, fast_config):
-        probed = []
-
-        def factory(load):
-            probed.append(load)
-            return single_proxy(load, mode="transaction_stateful",
-                                config=fast_config)
-
         coarse = SweepResult("s", [
             fake_point(8000, 7900), fake_point(10000, 9500),
             fake_point(12000, 7000),
         ])
-        refined = refine_peak(factory, coarse, duration=1.0, warmup=0.5)
+        refined = refine_peak(_stateful_template(fast_config), coarse,
+                              duration=1.0, warmup=0.5)
         assert len(refined) == 7
-        assert all(8000 <= load <= 12000 for load in probed)
+        assert all(8000 <= point.offered_cps <= 12000
+                   for point in refined.points)
 
 
 PEAK = 10000.0  # synthetic knee for the adaptive-search unit tests
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 class TestAdaptiveFindCapacity:
     """Model-guided search semantics against a synthetic goodput curve.
 
-    ``run_scenario`` is stubbed out with a deterministic tent curve
-    (throughput == offered up to ``PEAK``, then a fluid-model-style
-    linear collapse), so the probe count and the probe positions are
-    exact -- no simulation noise.
+    ``run_scenario_specs`` is stubbed out with a deterministic tent
+    curve (throughput == offered up to ``PEAK``, then a
+    fluid-model-style linear collapse), so the probe count and the
+    probe positions are exact -- no simulation noise.
     """
 
     def _install_curve(self, monkeypatch, calls):
-        def fake_run(scenario, duration=10.0, warmup=4.0):
-            load = scenario  # the factory below passes the load through
-            calls.append(load)
-            result = RunResult("fake", load, 1.0)
-            if load <= PEAK:
-                result.throughput_cps = load
-            else:
-                result.throughput_cps = max(0.0, PEAK - 0.8 * (load - PEAK))
-            return result
+        def fake_run_specs(specs):
+            results = []
+            for spec in specs:
+                load = spec.payload["kwargs"]["rate"]
+                calls.append(load)
+                result = RunResult("fake", load, 1.0)
+                if load <= PEAK:
+                    result.throughput_cps = load
+                else:
+                    result.throughput_cps = max(0.0, PEAK - 0.8 * (load - PEAK))
+                results.append(result)
+            return results
 
         monkeypatch.setattr(
-            "repro.harness.saturation.run_scenario", fake_run
+            "repro.harness.saturation.run_scenario_specs", fake_run_specs
         )
-        return lambda load: load
+        return SpecTemplate("single_proxy", {})
 
     def test_good_hint_beats_fixed_grid_budget(self, monkeypatch):
         fixed_calls, adaptive_calls = [], []
-        factory = self._install_curve(monkeypatch, fixed_calls)
-        fixed = find_capacity(factory, hint=PEAK)
-        factory = self._install_curve(monkeypatch, adaptive_calls)
-        adaptive = find_capacity(factory, hint=PEAK, adaptive=True)
+        template = self._install_curve(monkeypatch, fixed_calls)
+        fixed = find_capacity(template, hint=PEAK)
+        template = self._install_curve(monkeypatch, adaptive_calls)
+        adaptive = find_capacity(template, hint=PEAK, adaptive=True)
 
         # 6 coarse + 3 refine for the grid; 3 seeds + 2 refine adaptive.
         assert len(fixed_calls) == 9
@@ -203,8 +200,8 @@ class TestAdaptiveFindCapacity:
 
     def test_bad_hint_walks_to_the_peak(self, monkeypatch):
         calls = []
-        factory = self._install_curve(monkeypatch, calls)
-        result = find_capacity(factory, hint=6000, adaptive=True)
+        template = self._install_curve(monkeypatch, calls)
+        result = find_capacity(template, hint=6000, adaptive=True)
         spacing = 6000 * 2 * 0.35 / 5
         best = max(result.points, key=lambda p: p.result.throughput_cps)
         # The walk climbed from 6000 all the way to the real knee.
@@ -214,16 +211,16 @@ class TestAdaptiveFindCapacity:
 
     def test_adaptive_without_refine_probes_bracket_only(self, monkeypatch):
         calls = []
-        factory = self._install_curve(monkeypatch, calls)
-        find_capacity(factory, hint=PEAK, adaptive=True, refine=False)
+        template = self._install_curve(monkeypatch, calls)
+        find_capacity(template, hint=PEAK, adaptive=True, refine=False)
         spacing = PEAK * 2 * 0.35 / 5
         assert calls == [PEAK - spacing, PEAK, PEAK + spacing]
 
     def test_seed_bracket_clips_nonpositive_loads(self, monkeypatch):
         calls = []
-        factory = self._install_curve(monkeypatch, calls)
+        template = self._install_curve(monkeypatch, calls)
         # spacing > hint: the low seed would be negative and is dropped.
-        find_capacity(factory, hint=10, span=2.0, points=3,
+        find_capacity(template, hint=10, span=2.0, points=3,
                       adaptive=True, refine=False)
         assert all(load > 0 for load in calls)
 

@@ -21,6 +21,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figures", "--quality", "turbo"])
 
+    def test_bench_command_is_gone(self, capsys):
+        # benchmarks/e2e/run.py replaced it; argparse rejects it in one
+        # line, and the help no longer offers it.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench"])
+        assert exit_info.value.code == 2
+        last_line = capsys.readouterr().err.splitlines()[-1]
+        assert "invalid choice: 'bench'" in last_line
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "bench" not in capsys.readouterr().out
+
 
 class TestRun:
     def test_run_json_output(self, capsys):
