@@ -16,7 +16,7 @@ Everything composes in one place:
 - ``observe=`` attaches the :mod:`repro.obs` observability layer
   (``"cpu,telemetry,spans"`` or an :class:`ObserveConfig`),
 - ``jobs=`` / ``cache=`` fan independent runs across worker processes
-  and memoize them in the content-addressed run cache,
+  and keep them in the content-addressed run cache,
 - ``faults=`` injects a :class:`FaultSchedule` into a single run,
 - ``control=`` attaches an overload-control policy
   (``"rate"``/``"window"``/``"occupancy"``/``"signal"`` or a
@@ -305,7 +305,7 @@ def sweep(
     """Run one fresh scenario per offered load (the paper's methodology).
 
     ``jobs=`` fans the load points across worker processes and
-    ``cache=`` memoizes each point on disk; neither changes a metric.
+    ``cache=`` stores each point on disk; neither changes a metric.
     """
     resolved = _config(config, scale=scale, seed=seed,
                        engine=engine, observe=observe, control=control,

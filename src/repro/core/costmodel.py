@@ -241,12 +241,6 @@ class CostModel:
     base_messages_per_call:
         How many messages the per-call baseline cost C_BASE is spread
         over (the six call messages of the SIPp scenario).
-    memoize:
-        Cache :meth:`message_cost` results keyed on the full argument
-        tuple (every engine but reference).  The charge is a pure
-        function of its arguments and callers only read the returned
-        breakdown, so the cached values are exactly the ones a fresh
-        computation yields.
     """
 
     def __init__(
@@ -256,7 +250,6 @@ class CostModel:
         scale: float = 1.0,
         via_overhead: float = 0.20,
         base_messages_per_call: int = len(CALL_MESSAGE_KINDS),
-        memoize: bool = False,
     ):
         if t_sf <= 0 or t_sl <= 0:
             raise ValueError("capacities must be positive")
@@ -271,7 +264,7 @@ class CostModel:
         self.scale = scale
         self.via_overhead = via_overhead
         self.base_messages_per_call = base_messages_per_call
-        self.memoize = memoize
+        # message_cost() results by argument tuple (see there).
         self._memo: Dict[Tuple, Tuple[float, Dict[str, float]]] = {}
         self.k_seconds_per_event = 0.0
         self.base_seconds_per_call = 0.0
@@ -358,18 +351,21 @@ class CostModel:
         ``extra_vias`` is the number of Via headers beyond the first on
         the message being processed (fractional values are allowed for
         averaged/planning computations).
+
+        The charge is a pure function of its arguments and the
+        constructor's constants, so it is computed once per argument
+        tuple; callers share the returned breakdown and must only read
+        it.
         """
-        if self.memoize:
-            key = (kind, features, extra_vias)
-            hit = self._memo.get(key)
-            if hit is not None:
-                return hit
-            result = self._message_cost_uncached(kind, features, extra_vias)
-            # Fractional planning extra_vias are unbounded; cap the memo.
-            if len(self._memo) < 2048:
-                self._memo[key] = result
-            return result
-        return self._message_cost_uncached(kind, features, extra_vias)
+        key = (kind, features, extra_vias)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        result = self._message_cost_uncached(kind, features, extra_vias)
+        # Fractional planning extra_vias are unbounded; cap the memo.
+        if len(self._memo) < 2048:
+            self._memo[key] = result
+        return result
 
     def _message_cost_uncached(
         self,

@@ -15,7 +15,7 @@ heterogeneous?  For every grid cell (family x size x heterogeneity):
 4. report ``gap = clamp(1 - goodput / T*, 0, 1)``.
 
 The simulation points are plain scenario specs, so ``--jobs`` fans
-them across workers and the run cache memoizes them like every other
+them across workers and the run cache stores them like every other
 experiment.
 """
 

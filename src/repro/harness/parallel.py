@@ -4,7 +4,7 @@ Every artifact this repository produces -- the figure load sweeps, the
 ablation and resilience campaigns -- is a grid of fully independent
 ``(scenario, offered load, seed, engine)`` simulation runs, each a
 deterministic function of its spec.  This module executes such grids
-across ``multiprocessing`` workers and memoizes each point in the
+across ``multiprocessing`` workers and stores each point in the
 content-addressed :class:`~repro.harness.runcache.RunCache`, under one
 contract:
 

@@ -5,7 +5,7 @@ Every run the harness executes is fully determined by its
 arguments, every :class:`~repro.workloads.scenarios.ScenarioConfig`
 knob (seed, scale, engine, timers, cost-model parameters), and the
 measurement window.  The executor hashes the spec's canonical JSON and
-memoizes the run's result payload here, so regenerating a figure or
+stores the run's result payload here, so regenerating a figure or
 re-probing a load point that has not changed never re-simulates.
 
 Layout::

@@ -269,8 +269,8 @@ class ProxyServer(Node):
         # Turbo planner caches.  Route tables are static once the
         # topology is built (only the down-peer overlay changes at run
         # time, and that is applied per message below), so the
-        # candidate list per request-URI host is memoizable.  Feature
-        # sets are memoized by their deciding booleans, and retired
+        # candidate list per request-URI host is cacheable.  Feature
+        # sets are cached by their deciding booleans, and retired
         # _Plan shells are recycled instead of reallocated.
         self._turbo = turbo_enabled()
         self._route_cache: Dict[str, List[str]] = {}
@@ -299,7 +299,7 @@ class ProxyServer(Node):
         if not self.alive:
             self.metrics.counter("activity_while_dead").increment()
             return
-        # Lazily memoized on first use (never pre-created: registry
+        # Lazily cached on first use (never pre-created: registry
         # snapshots are compared exactly across engines, so an eager
         # zero-valued counter would diverge).
         counter = self._packets_counter

@@ -128,7 +128,7 @@ class CpuModel:
         self.profiler = None
         self._pending: "set[CpuJob]" = set()
         self._component_seconds: Dict[str, float] = {}
-        # Deferred component accounting (turbo): the memoized cost model
+        # Deferred component accounting (turbo): the cost table
         # hands over a small set of long-lived breakdown dicts, so the
         # hot path just counts occurrences per dict identity and the
         # property below materializes seconds on read.  Holding the dict

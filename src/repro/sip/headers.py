@@ -120,7 +120,7 @@ def _canonicalize(name: str) -> str:
 
 # canonical_name is the single hottest function in the simulator (every
 # header get/set goes through it) and is a pure str -> str map, so it is
-# memoized unconditionally.  The cap only guards against pathological
+# cached unconditionally.  The cap only guards against pathological
 # header-name churn; real traffic uses a few dozen names.
 _CANON_CACHE: Dict[str, str] = {}
 _CANON_CACHE_MAX = 4096
@@ -161,6 +161,11 @@ def _format_params(params: Dict[str, Optional[str]]) -> str:
     for key, value in params.items():
         out.append(f";{key}" if value is None else f";{key}={value}")
     return "".join(out)
+
+
+_VIA_GRAMMAR = re.compile(
+    r"SIP\s*/\s*2\.0\s*/\s*(\w+)\s+([^;\s]+)(.*)", re.IGNORECASE
+)
 
 
 class Via(object):
@@ -220,7 +225,7 @@ class Via(object):
     @classmethod
     def _parse_uncached(cls, raw: str) -> "Via":
         raw = raw.strip()
-        match = re.match(r"SIP\s*/\s*2\.0\s*/\s*(\w+)\s+([^;\s]+)(.*)", raw, re.IGNORECASE)
+        match = _VIA_GRAMMAR.match(raw)
         if not match:
             raise SipHeaderError(f"bad Via: {raw!r}")
         transport, sent_by, tail = match.groups()
@@ -367,6 +372,10 @@ def parse_comma_separated(raw: str) -> List[str]:
     Used for Via / Route / Record-Route values that carry several
     entries on one line.
     """
+    if "," not in raw:
+        # Nothing to split -- the case for every value on our own wire.
+        raw = raw.strip()
+        return [raw] if raw else []
     values: List[str] = []
     depth = 0
     quoted = False

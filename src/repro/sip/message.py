@@ -45,14 +45,17 @@ _MISSING = object()
 #   import-time state (no pooling, interning or GC side effects until a
 #   scenario asks for them).
 # - ``"turbo"`` -- copy-on-write: share the header list, carry parsed
-#   views across the copy, parse only the top Via when the full stack
-#   is not needed, intern small parse vocabularies (URIs, CSeq, Via,
-#   SDP); plus free-list pooling of message shells and header
+#   views across the copy, intern small parse vocabularies (URIs, CSeq,
+#   Via, SDP); plus free-list pooling of message shells and header
 #   containers (with generation counters so stale references are
 #   detectable), pooled network packets and CPU jobs, proxy action-plan
 #   caching, reduced ``random.Random`` dispatch, lean metrics and a
 #   relaxed cyclic-GC cadence (pools bound the live set, so frequent
 #   gen-0 scans only walk survivors).  The default.
+#
+# The flag gates state shared *between* messages.  What one message
+# caches about itself (the lazy views below, the top Via, the
+# transaction key) is the same code on both rungs.
 #
 # "hybrid" shares every message-layer fast path with "turbo"; what
 # distinguishes it (steady-state fast-forward) lives in repro.sim.hybrid.
@@ -357,24 +360,21 @@ class SipMessage:
 
     @property
     def top_via(self) -> Optional[Via]:
-        if _TURBO:
-            # Parse only the topmost Via; transaction matching and
-            # response routing never need the rest of the stack.  Falls
-            # back to the full-stack cache when it already exists.
-            cache = self._cache
-            top = cache.get("_top_via", _MISSING)
-            if top is not _MISSING:
-                return top
-            stack = cache.get("Via")
-            if stack is not None:
-                return stack[0] if stack else None
-            raw = self.get("Via")
-            top = Via.parse(raw) if raw is not None else None
-            self.parse_touches += 1
-            self._cache["_top_via"] = top
+        # Parse only the topmost Via; transaction matching and response
+        # routing never need the rest of the stack.  Falls back to the
+        # full-stack cache when it already exists.
+        cache = self._cache
+        top = cache.get("_top_via", _MISSING)
+        if top is not _MISSING:
             return top
-        vias = self.vias
-        return vias[0] if vias else None
+        stack = cache.get("Via")
+        if stack is not None:
+            return stack[0] if stack else None
+        raw = self.get("Via")
+        top = Via.parse(raw) if raw is not None else None
+        self.parse_touches += 1
+        cache["_top_via"] = top
+        return top
 
     def push_via(self, via: Via) -> None:
         if _TURBO:
@@ -471,19 +471,16 @@ class SipMessage:
         ACK and CANCEL match the INVITE transaction they refer to, so
         their method component maps to INVITE.
         """
-        if _TURBO:
-            key = self._cache.get("_txn_key")
-            if key is not None:
-                return key
+        key = self._cache.get("_txn_key")
+        if key is not None:
+            return key
         via = self.top_via
         if via is None or not via.branch:
             raise SipHeaderError("cannot compute transaction key without a Via branch")
         method = self.cseq.method
         if method in ("ACK", "CANCEL"):
             method = "INVITE"
-        key = (via.branch, via.sent_by, method)
-        if _TURBO:
-            self._cache["_txn_key"] = key
+        key = self._cache["_txn_key"] = (via.branch, via.sent_by, method)
         return key
 
     def dialog_key(self) -> Tuple[str, Optional[str], Optional[str]]:

@@ -18,15 +18,21 @@ every message type the evaluation produces.
 from __future__ import annotations
 
 import re
-from typing import List, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
-from repro.sip.headers import canonical_name, parse_comma_separated
+from repro.sip.headers import _CANON_CACHE, canonical_name, parse_comma_separated
 from repro.sip.message import SIP_VERSION, SipMessage, SipRequest, SipResponse
 from repro.sip.uri import parse_uri
 
 # Headers whose values may carry several comma-separated entries that we
 # normalize into one entry per header line.
 _MULTI_VALUE = {"Via", "Route", "Record-Route", "Contact"}
+
+# The blank line that ends the head, from its first LF on: the literal
+# prefix lets the regex engine skip to each LF instead of trying
+# an optional CR at every character.
+_BLANK_LINE = re.compile(r"\n\r?\n")
+_LWS = (" ", "\t")
 
 
 class SipParseError(ValueError):
@@ -38,9 +44,12 @@ def _split_head_body(raw: str) -> Tuple[List[str], str]:
     # Content-Length-governed octet string (RFC 3261 7.4) and must pass
     # through byte-exact -- normalizing CRLF inside an SDP body would
     # shrink it below its declared length.
-    match = re.search(r"\r?\n\r?\n", raw)
+    match = _BLANK_LINE.search(raw)
     if match:
-        head, body = raw[: match.start()], raw[match.end():]
+        end = match.start()
+        if end and raw[end - 1] == "\r":
+            end -= 1
+        head, body = raw[:end], raw[match.end():]
     else:
         # Headers with no body section; tolerate a missing blank line.
         head, body = raw.rstrip("\r\n"), ""
@@ -51,7 +60,7 @@ def _unfold(lines: List[str]) -> List[str]:
     """Merge continuation lines into their parent header line."""
     unfolded: List[str] = []
     for line in lines:
-        if line[:1] in (" ", "\t"):
+        if line[:1] in _LWS:
             if not unfolded:
                 raise SipParseError("continuation line with no preceding header")
             unfolded[-1] += " " + line.strip()
@@ -62,21 +71,43 @@ def _unfold(lines: List[str]) -> List[str]:
 
 def parse_headers(lines: List[str]) -> List[Tuple[str, str]]:
     """Parse header lines into ordered (canonical-name, value) pairs."""
+    # Folding and comma lists are rare on the wire: unfold only a block
+    # that has a continuation line, split only a value that has a comma.
+    for line in lines:
+        if line[:1] in _LWS:
+            lines = _unfold(lines)
+            break
     headers: List[Tuple[str, str]] = []
-    for line in _unfold(lines):
-        if not line.strip():
-            continue
+    for line in lines:
         name, sep, value = line.partition(":")
         if not sep:
+            if not line.strip():
+                continue
             raise SipParseError(f"header line without colon: {line!r}")
-        cname = canonical_name(name)
+        cname = _CANON_CACHE.get(name) or canonical_name(name)
         value = value.strip()
-        if cname in _MULTI_VALUE:
+        if cname not in _MULTI_VALUE:
+            headers.append((cname, value))
+        elif "," in value:
             for item in parse_comma_separated(value):
                 headers.append((cname, item))
-        else:
+        elif value:
             headers.append((cname, value))
     return headers
+
+
+def _decimal(text: str) -> Optional[int]:
+    """``text`` as an integer if it is ASCII ``1*DIGIT``, else None.
+
+    Stricter than ``int()``, which also takes a sign, underscores,
+    surrounding whitespace and non-ASCII digits.
+    """
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # longer than int()'s digit limit
+            pass
+    return None
 
 
 def parse_message(raw: Union[str, bytes]) -> SipMessage:
@@ -115,12 +146,14 @@ def parse_message(raw: Union[str, bytes]) -> SipMessage:
         parts = start.split(" ", 2)
         if len(parts) < 2:
             raise SipParseError(f"bad status line: {start!r}")
-        try:
-            status = int(parts[1])
-        except ValueError:
-            raise SipParseError(f"bad status code: {start!r}") from None
+        status = _decimal(parts[1])
+        if status is None:
+            raise SipParseError(f"bad status code: {start!r}")
         reason = parts[2] if len(parts) == 3 else None
-        message = SipResponse(status, reason, headers)
+        try:
+            message = SipResponse(status, reason, headers)
+        except ValueError as exc:
+            raise SipParseError(f"bad status line: {exc}") from None
     else:
         # Request line: INVITE sip:x SIP/2.0
         parts = start.split()
@@ -135,23 +168,30 @@ def parse_message(raw: Union[str, bytes]) -> SipMessage:
 
     declared = message.get("Content-Length")
     if declared is not None:
+        length = _decimal(declared)
+        if length is None:
+            # Name the classic attack on its own: a signed length that a
+            # lenient parser would slice off the *end* of the body with.
+            if declared[:1] == "-" and _decimal(declared[1:]) is not None:
+                raise SipParseError(f"negative Content-Length: {declared}")
+            raise SipParseError(f"bad Content-Length: {declared!r}")
+        # Content-Length counts octets: an ASCII body (one octet per
+        # character) is sliced as it is, anything else as UTF-8.
         try:
-            length = int(declared)
-        except ValueError:
-            raise SipParseError(f"bad Content-Length: {declared!r}") from None
-        if length < 0:
-            # A negative value would silently slice octets off the *end*
-            # of the body (Python's negative indexing); reject it.
-            raise SipParseError(f"negative Content-Length: {length}")
-        encoded = body.encode("utf-8")
-        if len(encoded) < length:
+            octets = body if body.isascii() else body.encode("utf-8")
+        except UnicodeEncodeError as exc:  # a str with a lone surrogate
+            raise SipParseError(f"unencodable body: {exc}") from None
+        if len(octets) < length:
             raise SipParseError(
-                f"truncated body: declared {length}, received {len(encoded)}"
+                f"truncated body: declared {length}, received {len(octets)}"
             )
-        try:
-            body = encoded[:length].decode("utf-8", errors="strict")
-        except UnicodeDecodeError as exc:
-            # Content-Length cut through a multi-byte sequence.
-            raise SipParseError(f"body truncation splits a character: {exc}") from None
+        if octets is body:
+            body = body[:length]
+        else:
+            try:
+                body = octets[:length].decode("utf-8", errors="strict")
+            except UnicodeDecodeError as exc:
+                # Content-Length cut through a multi-byte sequence.
+                raise SipParseError(f"body truncation splits a character: {exc}") from None
     message.body = body
     return message

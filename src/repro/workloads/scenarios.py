@@ -124,7 +124,7 @@ class ScenarioConfig:
         #: message passing (every hop serializes with ``to_wire`` and
         #: re-parses, exactly what a real SIP stack pays); ``"turbo"``
         #: (the default) runs the timer-wheel loop, copy-on-write
-        #: messages, parse/cost memoization, object pooling (messages,
+        #: messages, parse interning, object pooling (messages,
         #: packets, CPU jobs), proxy action-plan caching, lean metrics
         #: and reduced RNG dispatch.  The two are required to produce
         #: bit-identical results (enforced by
@@ -280,8 +280,8 @@ class ScenarioConfig:
 
     @property
     def optimized(self) -> bool:
-        """Everything but the wire-faithful oracle: timer-wheel loop,
-        cost memoization and lean metrics all key off this."""
+        """Everything but the wire-faithful oracle: the timer-wheel loop
+        and lean metrics key off this."""
         return self.engine != "reference"
 
     def make_event_loop(self) -> EventLoop:
@@ -300,7 +300,6 @@ class ScenarioConfig:
             t_sl=self.t_sl,
             scale=self.scale,
             via_overhead=self.via_overhead,
-            memoize=self.optimized,
         )
 
     def make_policy(self, spec: str) -> StatePolicy:
@@ -928,7 +927,6 @@ def generated(
             t_sl=config.t_sl * node.speed,
             scale=config.scale,
             via_overhead=config.via_overhead,
-            memoize=config.optimized,
         )
         scenario.add_proxy(name, routes[name], specs[name],
                            cost_model=node_model)

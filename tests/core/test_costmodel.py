@@ -246,3 +246,70 @@ class TestProperties:
         negative kernel baseline; the model must refuse to calibrate."""
         with pytest.raises(ValueError):
             CostModel(t_sf=5000, t_sl=10000)
+
+
+#: Every feature set repro.servers.proxy can pass: its _FS_* constants
+#: and everything _features_for builds.
+PROXY_FEATURE_SETS = [frozenset(), frozenset({Feature.AUTH})] + [
+    frozenset({Feature.BASE, *lookup, *auth, *state})
+    for lookup in ((), (Feature.LOOKUP,))
+    for auth in ((), (Feature.AUTH,))
+    for state in ((), (Feature.TXN_STATE,),
+                  (Feature.TXN_STATE, Feature.DIALOG_STATE))
+]
+COST_GRID = [
+    (kind, features, extra_vias)
+    for kind in MessageKind
+    for features in PROXY_FEATURE_SETS
+    for extra_vias in (0, 1, 2, 4, 0.5)
+]
+
+
+class TestCostTable:
+    """message_cost() is computed once per argument tuple, on every rung."""
+
+    ARGS = dict(t_sf=9000.0, t_sl=11000.0, scale=7.0, via_overhead=0.3)
+
+    def test_table_entry_equals_a_fresh_computation(self):
+        table, fresh = CostModel(**self.ARGS), CostModel(**self.ARGS)
+        for key in COST_GRID:
+            first = table.message_cost(*key)
+            again = table.message_cost(*key)
+            assert again[0] == first[0] and again[1] is first[1]  # one entry
+            assert fresh.message_cost(*key) == first  # a miss: computed anew
+
+    def test_reference_run_leaves_the_shared_breakdowns_untouched(self):
+        from repro.workloads.scenarios import ScenarioConfig, two_series
+
+        config = ScenarioConfig(scale=100.0, seed=3, engine="reference")
+        scenario = two_series(11_000, policy="servartuka", config=config)
+        scenario.start()
+        scenario.loop.run_until(1.5)
+        models = {id(p.cost_model): p.cost_model for p in scenario.proxies.values()}
+        used = 0
+        for model in models.values():
+            fresh = config.make_cost_model()
+            for key, entry in model._memo.items():
+                assert entry == fresh.message_cost(*key), key
+                used += 1
+        assert used >= len(CALL_MESSAGE_KINDS)
+
+    def test_table_is_capped_under_fractional_extra_vias(self):
+        model = CostModel()
+        features = scenario_features("transaction_stateful")
+        for step in range(3000):
+            extra = step / 1000.0
+            cost, _ = model.message_cost(MessageKind.INVITE, features, extra)
+            assert cost == CostModel().message_cost(
+                MessageKind.INVITE, features, extra)[0]
+        assert len(model._memo) == 2048
+
+    def test_negative_extra_vias_still_rejected_every_time(self):
+        model = CostModel()
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                model.message_cost(MessageKind.INVITE, frozenset(), -1)
+
+    def test_memoize_knob_is_gone(self):
+        with pytest.raises(TypeError):
+            CostModel(memoize=True)

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.sip.headers import SipHeaderError, Via
-from repro.sip.message import SipRequest, SipResponse
+from repro.sip.message import SipRequest, SipResponse, set_engine_mode
+from repro.sip.parser import parse_message
 from repro.sip.uri import parse_uri
 
 
@@ -105,6 +106,38 @@ class TestViaStack:
         req.push_via(Via("a", branch="z9hG4bKa"))
         req.push_via(Via("b", branch="z9hG4bKb"))
         assert [v.host for v in req.vias] == ["b", "a"]
+
+
+    @pytest.mark.parametrize("engine", ["reference", "turbo"])
+    def test_top_via_parses_only_the_top_on_both_rungs(self, engine):
+        """A malformed Via lower in the stack is the full-stack view's
+        problem; the rungs used to disagree (reference parsed it all)."""
+        set_engine_mode(engine)
+        msg = parse_message(
+            "INVITE sip:burdell@cc.gatech.edu SIP/2.0\r\n"
+            "Via: SIP/2.0/UDP a;branch=z9hG4bKx, !!garbage!!\r\n"
+            "CSeq: 1 INVITE\r\n\r\n"
+        )
+        assert str(msg.top_via) == "SIP/2.0/UDP a;branch=z9hG4bKx"
+        assert msg.transaction_key() == ("z9hG4bKx", "a", "INVITE")
+        with pytest.raises(SipHeaderError):
+            msg.vias
+        assert msg.copy().top_via == msg.top_via
+
+    @pytest.mark.parametrize("engine", ["reference", "turbo"])
+    def test_cached_key_follows_via_and_cseq_edits(self, engine):
+        set_engine_mode(engine)
+        req = make_invite()
+        req.push_via(Via("uac", branch="z9hG4bK1"))
+        assert req.transaction_key() == ("z9hG4bK1", "uac", "INVITE")
+        req.push_via(Via("p1", branch="z9hG4bK2"))
+        assert req.transaction_key() == ("z9hG4bK2", "p1", "INVITE")
+        req.set("CSeq", "1 CANCEL")
+        assert req.transaction_key() == ("z9hG4bK2", "p1", "INVITE")
+        req.set("CSeq", "2 BYE")
+        assert req.transaction_key() == ("z9hG4bK2", "p1", "BYE")
+        req.pop_via()
+        assert req.transaction_key() == ("z9hG4bK1", "uac", "BYE")
 
 
 class TestTransactionKey:

@@ -124,6 +124,40 @@ class TestErrors:
             parse_message(raw)
 
 
+    @pytest.mark.parametrize(
+        "start",
+        [
+            "SIP/2.0 999 Nope",     # outside 100-699
+            "SIP/2.0 99 Low",
+            "SIP/2.0 700 High",
+            "SIP/2.0 2_00 OK",      # int() would read these three as 200
+            "SIP/2.0 +200 OK",
+            "SIP/2.0 \u0662\u0660\u0660 OK",
+            "SIP/2.0 -200 OK",
+        ],
+    )
+    def test_status_code_is_three_ascii_digits_in_range(self, start):
+        with pytest.raises(SipParseError, match="status"):
+            parse_message(start + "\r\nContent-Length: 0\r\n\r\n")
+
+    @pytest.mark.parametrize(
+        "declared",
+        ["1_0", "+3", "\u0663", "3 0", "0x3", "3.0", "", "-0",
+         pytest.param("9" * 5000, id="5000-digits")],
+    )
+    def test_content_length_is_ascii_digits(self, declared):
+        raw = f"SIP/2.0 200 OK\r\nContent-Length: {declared}\r\n\r\n0123456789"
+        with pytest.raises(SipParseError, match="Content-Length"):
+            parse_message(raw)
+
+    def test_every_error_is_one_line(self):
+        for raw in ("SIP/2.0 999 Nope\r\n\r\n",
+                    "SIP/2.0 200 OK\r\nContent-Length: 1_0\r\n\r\n0123456789"):
+            with pytest.raises(SipParseError) as caught:
+                parse_message(raw)
+            assert "\n" not in str(caught.value)
+
+
 class TestRobustness:
     """Hostile input must fail *cleanly*: SipParseError or a message,
     never an unrelated exception -- a proxy parses whatever the network
