@@ -48,9 +48,9 @@ from repro.harness.figures import FULL, QUICK, STANDARD, FigureData, Quality
 from repro.harness.parallel import (
     SCENARIO_BUILDERS,
     SpecTemplate,
-    control_snapshot,
     execution,
     run_specs,
+    scenario_job,
     scenario_spec,
 )
 from repro.core.control import ControlConfig
@@ -60,7 +60,6 @@ from repro.core.topogen import GeneratedTopology
 from repro.core.topogen import generate as _generate_topology
 from repro.core.topology import Topology
 from repro.harness.runner import RunResult
-from repro.harness.runner import run_scenario as _run_live
 from repro.harness.saturation import SweepResult
 from repro.harness.saturation import find_capacity as _find_capacity
 from repro.harness.saturation import sweep_loads as _sweep_loads
@@ -261,26 +260,13 @@ def run_scenario(
         scenario = make_scenario(topology, rate=rate, config=resolved,
                                  **kwargs)
         scenario.install_faults(faults)
-        result = _run_live(scenario, duration=duration, warmup=warmup,
-                           drain=drain)
-        result.obs = (scenario.observer.snapshot()
-                      if scenario.observer is not None else None)
-        result.control = control_snapshot(scenario)
-        result.hybrid = (scenario.hybrid_runtime.summary()
-                         if scenario.hybrid_runtime is not None else None)
-        result.sharded = None
-        return result
+        return RunResult.from_job(scenario_job(
+            scenario, duration=duration, warmup=warmup, drain=drain))
     spec = scenario_spec(topology, rate=rate, config=resolved,
                          duration=duration, warmup=warmup, drain=drain,
                          label=f"{topology}@{rate:.0f}", **kwargs)
     with _maybe_execution(None, cache, cache_dir):
-        payload = run_specs([spec])[0]
-    result = RunResult.from_payload(payload["result"])
-    result.obs = payload["extras"].get("obs")
-    result.control = payload["extras"].get("control")
-    result.hybrid = payload["extras"].get("hybrid")
-    result.sharded = payload["extras"].get("sharded")
-    return result
+        return RunResult.from_job(run_specs([spec])[0])
 
 
 def sweep(

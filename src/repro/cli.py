@@ -354,11 +354,8 @@ def cmd_run(args) -> int:
         warmup = 3.0 if args.warmup is None else args.warmup
         spec = _sweep_template(args).at(rate, duration, warmup)
     with _execution(args):
-        payload = run_specs([spec])[0]
-    result = RunResult.from_payload(payload["result"])
-    obs = payload["extras"].get("obs")
-    hybrid = payload["extras"].get("hybrid")
-    sharded = payload["extras"].get("sharded")
+        result = RunResult.from_job(run_specs([spec])[0])
+    obs, hybrid, sharded = result.obs, result.hybrid, result.sharded
     if args.json:
         out = result.as_dict()
         if obs is not None:

@@ -31,7 +31,6 @@ from repro.harness.saturation import (
 )
 from repro.harness.report import format_table, render_figure
 from repro.harness.experiments import ExperimentSuite
-from repro.harness.regression import RegressionReport, compare, compare_files
 from repro.harness.resilience import (
     PlacementOutcome,
     ResilienceParams,
@@ -74,9 +73,6 @@ __all__ = [
     "format_table",
     "render_figure",
     "ExperimentSuite",
-    "RegressionReport",
-    "compare",
-    "compare_files",
     "FigureData",
     "Quality",
     "QUICK",

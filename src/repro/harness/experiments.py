@@ -3,8 +3,7 @@
 This is the programmatic face of the benchmark suite: run any subset of
 the paper's experiments at a chosen quality, get structured
 :class:`~repro.harness.figures.FigureData` back, and export them as
-JSON (for dashboards / regression tracking) or Markdown (the
-EXPERIMENTS.md format).
+JSON (for dashboards) or Markdown (the EXPERIMENTS.md format).
 
     from repro.harness.experiments import ExperimentSuite
 

@@ -62,7 +62,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import multiprocessing
 
 from repro.harness.runcache import RunCache
-from repro.harness.runner import RunResult, run_scenario
+from repro.harness.runner import RunResult, fingerprint_scenario, measure
 from repro.workloads.scenarios import (
     ScenarioConfig,
     b2bua_chain,
@@ -198,16 +198,13 @@ def build_scenario(payload: dict):
     return builder(config=config, **payload["kwargs"])
 
 
-def _scenario_extras(scenario) -> dict:
-    """Cheap per-run observables beyond the RunResult (figure inputs)."""
-    extras = {
-        "events": scenario.loop.events_processed,
-        "uas_calls_completed": [s.calls_completed for s in scenario.servers],
-        "proxy_cpu_components": {
-            name: dict(proxy.cpu.component_seconds)
-            for name, proxy in sorted(scenario.proxies.items())
-        },
-    }
+def scenario_job(
+    scenario, duration: float, warmup: float, drain: float = 0.0
+) -> dict:
+    """Measure a live scenario into a ``scenario`` job's output:
+    :func:`~repro.harness.runner.measure` plus the feature snapshots."""
+    output = measure(scenario, duration=duration, warmup=warmup, drain=drain)
+    extras = output["extras"]
     # Key is only present under observe=, so observe-off extras (and
     # their cache entries) are byte-for-byte what they were before.
     observer = getattr(scenario, "observer", None)
@@ -224,7 +221,7 @@ def _scenario_extras(scenario) -> dict:
     hybrid = getattr(scenario, "hybrid_runtime", None)
     if hybrid is not None:
         extras["hybrid"] = hybrid.summary()
-    return extras
+    return output
 
 
 def control_snapshot(scenario) -> Optional[dict]:
@@ -265,85 +262,31 @@ def control_snapshot(scenario) -> Optional[dict]:
 
 def _job_scenario(payload: dict) -> dict:
     if payload["config"].get("engine") == "sharded":
-        # The sharded engine owns the whole start/measure/merge cycle
+        # The sharded engine owns the whole start/measure cycle
         # (repro.sim.shard); it returns the same result/extras shape.
         from repro.sim.shard import run_sharded_scenario
 
         return run_sharded_scenario(payload)
-    scenario = build_scenario(payload)
-    result = run_scenario(
-        scenario,
+    return scenario_job(
+        build_scenario(payload),
         duration=payload["duration"],
         warmup=payload["warmup"],
         drain=payload.get("drain", 0.0),
     )
-    return {"result": result.to_payload(), "extras": _scenario_extras(scenario)}
-
-
-def _myshare_sample(scenario) -> dict:
-    from repro.core.servartuka import ServartukaPolicy
-
-    sample = {}
-    for name, proxy in sorted(scenario.proxies.items()):
-        policy = proxy.policy
-        if isinstance(policy, ServartukaPolicy):
-            sample[name] = {
-                key: stats.myshare
-                for key, stats in sorted(policy.paths.items())
-            }
-    return sample
 
 
 def _job_fingerprint(payload: dict) -> dict:
-    """Full observable fingerprint of a run (differential batteries).
-
-    Mirrors ``tests/engine/test_differential.py``: drive the scenario in
-    slices sampling every SERvartuka proxy's ``myshare`` at each
-    boundary, then snapshot registries, call outcomes and packet/event
-    accounting.
-    """
+    """Full observable fingerprint of a run (differential batteries)."""
     if payload["config"].get("engine") == "sharded":
         from repro.sim.shard import run_sharded_fingerprint
 
         return run_sharded_fingerprint(payload)
-    scenario = build_scenario(payload)
-    run_for = payload["run_for"]
-    slices = int(payload.get("slices", 6))
-    scenario.start()
-    trajectory = []
-    for i in range(1, slices + 1):
-        scenario.loop.run_until(run_for * i / slices)
-        trajectory.append(_myshare_sample(scenario))
-    scenario.stop_load()
-    scenario.loop.run_until(run_for + payload.get("drain", 0.0))
-
-    registries = {}
-    for name, proxy in sorted(scenario.proxies.items()):
-        registries[name] = proxy.metrics.snapshot()
-    for generator in scenario.generators:
-        registries[f"uac:{generator.name}"] = generator.metrics.snapshot()
-    for server in scenario.servers:
-        registries[f"uas:{server.name}"] = server.metrics.snapshot()
-
-    return {
-        "myshare_trajectory": trajectory,
-        "call_outcomes": {
-            "uac": {
-                g.name: [g.calls_attempted, g.calls_completed, g.calls_failed]
-                for g in scenario.generators
-            },
-            "uas": {
-                s.name: [s.calls_received, s.calls_completed]
-                for s in scenario.servers
-            },
-        },
-        "registries": registries,
-        "events": scenario.loop.events_processed,
-        "packets": [
-            scenario.network.packets_sent,
-            scenario.network.packets_dropped,
-        ],
-    }
+    return fingerprint_scenario(
+        build_scenario(payload),
+        payload["run_for"],
+        slices=int(payload.get("slices", 6)),
+        drain=payload.get("drain", 0.0),
+    )
 
 
 def _job_resilience(payload: dict) -> dict:

@@ -1,16 +1,17 @@
-"""Run one scenario at one offered load and collect measurements.
+"""Run one scenario at one offered load and measure it the paper's way.
 
-Methodology mirrors the paper's:
-
-- throughput is measured at the SIPp *server* side (completed calls per
-  second at the :class:`~repro.servers.uas.AnsweringServer`),
-- response times are collected at the client,
-- CPU utilization comes from the per-node utilization windows (their
-  ``top`` logs),
-- statefulness is checked via "#calls sent == #100 Trying received"
-  (:attr:`RunResult.trying_ratio` should be ~1.0 whenever the system
-  claims to be stateful for all calls),
-- a warmup interval is discarded before the measurement window opens.
+Section 6's method -- throughput counted at the SIPp *server* side
+(calls completed at the :class:`~repro.servers.uas.AnsweringServer`),
+response times collected at the client, CPU utilization from the
+per-node busy time (their ``top`` logs), "#calls sent == #100 Trying
+received" as the statefulness check (:attr:`RunResult.trying_ratio` is
+~1.0 whenever the system claims to be stateful for all calls), a warmup
+interval discarded before the window opens -- is written once, here:
+:func:`read_counters` reads the window counters, :func:`window_partial`
+differences two readings, :func:`assemble` folds partials into a
+:class:`RunResult` payload plus extras.  A serial run assembles one
+partial; the sharded engine (:mod:`repro.sim.shard`) one per shard.
+docs/ARCHITECTURE.md ("What a window measures") defines every field.
 
 All rates in the result are *paper-equivalent* cps (measured rate times
 the scenario's scale factor).
@@ -18,9 +19,10 @@ the scenario's scale factor).
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List, Tuple
 
 from repro.core.servartuka import ServartukaPolicy
+from repro.sim.metrics import summarize
 from repro.workloads.scenarios import Scenario
 
 
@@ -47,6 +49,10 @@ class RunResult:
         self.proxy_stateful_cps: Dict[str, float] = {}
         self.proxy_stateless_cps: Dict[str, float] = {}
         self.proxy_overloaded: Dict[str, bool] = {}
+        # Snapshots a job output's extras carry only when the feature
+        # ran (observe=, control=, engine="hybrid"/"sharded"); see
+        # from_job().  Not part of the payload.
+        self.obs = self.control = self.hybrid = self.sharded = None
 
     @property
     def goodput_ratio(self) -> float:
@@ -116,6 +122,16 @@ class RunResult:
             setattr(result, name, payload[name])
         return result
 
+    @classmethod
+    def from_job(cls, output: Dict[str, object]) -> "RunResult":
+        """The result of a ``scenario`` job's ``{"result", "extras"}``
+        output, with the feature snapshots its extras hold attached."""
+        result = cls.from_payload(output["result"])
+        extras = output["extras"]
+        for name in ("obs", "control", "hybrid", "sharded"):
+            setattr(result, name, extras.get(name))
+        return result
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<RunResult {self.scenario_name} offered={self.offered_cps:.0f} "
@@ -123,82 +139,187 @@ class RunResult:
         )
 
 
-class _Snapshot:
-    """Counter values at a point in time (start of measurement window)."""
-
-    def __init__(self, scenario: Scenario):
-        self.time = scenario.loop.now
-        self.uas_completed = sum(s.calls_completed for s in scenario.servers)
-        self.uas_received = sum(s.calls_received for s in scenario.servers)
-        self.uac_attempted = sum(g.calls_attempted for g in scenario.generators)
-        self.uac_completed = sum(g.calls_completed for g in scenario.generators)
-        self.uac_failed = sum(g.calls_failed for g in scenario.generators)
-        self.uac_with_100 = sum(g.calls_with_100 for g in scenario.generators)
-        self.retransmissions = sum(g.retransmissions() for g in scenario.generators)
-        self.invite_rt_counts = [
-            g.metrics.histogram("invite_response_time").count
-            for g in scenario.generators
-        ]
-        self.bye_rt_counts = [
-            g.metrics.histogram("bye_response_time").count
-            for g in scenario.generators
-        ]
-        self.proxy_busy = {
-            name: proxy.cpu.busy_seconds for name, proxy in scenario.proxies.items()
-        }
-        self.proxy_500 = {
-            name: proxy.metrics.counter("rejected_500").value
-            for name, proxy in scenario.proxies.items()
-        }
-        self.proxy_dropped = {
-            name: proxy.metrics.counter("messages_dropped_overload").value
-            for name, proxy in scenario.proxies.items()
-        }
-        self.proxy_sf = {
-            name: proxy.metrics.counter("invites_stateful").value
-            for name, proxy in scenario.proxies.items()
-        }
-        self.proxy_sl = {
-            name: proxy.metrics.counter("invites_stateless").value
-            for name, proxy in scenario.proxies.items()
-        }
+# ---------------------------------------------------------------------------
+# What a window measures: read, difference, assemble
+# ---------------------------------------------------------------------------
+# A caller that owns only part of the node space (one shard of
+# repro.sim.shard) passes the node names it owns; ``owned=None`` owns
+# everything.  Generators and servers are keyed by their index in the
+# scenario's lists and proxies by name, so assemble() can put partials
+# back in the scenario's own iteration order.
+def _owned(nodes, owned):
+    return [
+        (i, node) for i, node in enumerate(nodes)
+        if owned is None or node.name in owned
+    ]
 
 
-def _merged_rt_stats(scenario: Scenario, name: str, start_counts) -> Dict[str, float]:
-    samples = []
-    for generator, start in zip(scenario.generators, start_counts):
-        samples.extend(generator.metrics.histogram(name).samples[start:])
-    if not samples:
-        return {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "max": 0.0}
-    ordered = sorted(samples)
-    n = len(ordered)
-
-    def pct(p: float) -> float:
-        import math
-        rank = max(1, math.ceil(p / 100.0 * n))
-        return ordered[rank - 1]
-
+def read_counters(scenario: Scenario, owned=None) -> dict:
+    """The window counters of the owned nodes, as of ``loop.now``."""
     return {
-        "count": n,
-        "mean": sum(samples) / n,
-        "p50": pct(50),
-        "p95": pct(95),
-        "max": ordered[-1],
+        "time": scenario.loop.now,
+        "gen": {
+            i: (
+                g.calls_attempted,
+                g.calls_completed,
+                g.calls_failed,
+                g.calls_with_100,
+                g.retransmissions(),
+                g.metrics.histogram("invite_response_time").count,
+                g.metrics.histogram("bye_response_time").count,
+            )
+            for i, g in _owned(scenario.generators, owned)
+        },
+        "uas": {
+            i: (s.calls_received, s.calls_completed)
+            for i, s in _owned(scenario.servers, owned)
+        },
+        "proxy": {
+            name: (
+                p.cpu.busy_seconds,
+                p.metrics.counter("rejected_500").value,
+                p.metrics.counter("messages_dropped_overload").value,
+                p.metrics.counter("invites_stateful").value,
+                p.metrics.counter("invites_stateless").value,
+            )
+            for name, p in scenario.proxies.items()
+            if owned is None or name in owned
+        },
     }
 
 
-def run_scenario(
-    scenario: Scenario,
-    duration: float = 20.0,
-    warmup: float = 5.0,
-    drain: float = 0.0,
-) -> RunResult:
-    """Run a scenario and measure over [warmup, warmup + duration].
+def window_partial(
+    scenario: Scenario, before: dict, after: dict, owned=None
+) -> dict:
+    """What the owned nodes contribute to the window ``before..after``.
 
-    ``drain`` optionally lets in-flight calls settle after the window
-    closes (it does not change the measured rates, which come from the
-    counter deltas inside the window).
+    Taken once the run is over: counter deltas between the two readings,
+    every response-time sample past the warm-up count (calls answered
+    during the drain still belong to the window that launched them),
+    and the end-of-run values the extras report.  Plain picklable data:
+    the sharded process driver sends it through a pipe.
     """
+    gens = {}
+    for i, g in _owned(scenario.generators, owned):
+        b, a = before["gen"][i], after["gen"][i]
+        gens[i] = {
+            # attempted, completed, failed, with_100, retransmissions
+            "deltas": [a[k] - b[k] for k in range(5)],
+            "invite_samples": list(
+                g.metrics.histogram("invite_response_time").samples[b[5]:]
+            ),
+            "bye_samples": list(
+                g.metrics.histogram("bye_response_time").samples[b[6]:]
+            ),
+        }
+    proxies = {}
+    for name, p in scenario.proxies.items():
+        if owned is not None and name not in owned:
+            continue
+        b, a = before["proxy"][name], after["proxy"][name]
+        proxies[name] = {
+            "busy": a[0] - b[0],
+            "r500": a[1] - b[1],
+            "dropped": a[2] - b[2],
+            "sf": a[3] - b[3],
+            "sl": a[4] - b[4],
+            "overloaded": (
+                p.policy.is_overloaded
+                if isinstance(p.policy, ServartukaPolicy) else None
+            ),
+            "cpu_components": dict(p.cpu.component_seconds),
+        }
+    return {
+        "gens": gens,
+        # received and completed in the window, completed over the run
+        "uas": {
+            i: [
+                after["uas"][i][0] - before["uas"][i][0],
+                after["uas"][i][1] - before["uas"][i][1],
+                s.calls_completed,
+            ]
+            for i, s in _owned(scenario.servers, owned)
+        },
+        "proxies": proxies,
+        "events": scenario.loop.events_processed,
+        # Run metadata every owner agrees on; assemble() reads the
+        # first partial's copy.
+        "elapsed": after["time"] - before["time"],
+        "scenario_name": scenario.name,
+        "offered_cps": scenario.offered_paper_cps,
+        "scale": scenario.config.scale,
+        "proxy_order": list(scenario.proxies),
+    }
+
+
+def assemble(partials: List[dict]) -> dict:
+    """Fold window partials into ``{"result", "extras"}``.
+
+    The one place a run's measurements are computed; a serial run is
+    the one-partial case.  Integer deltas sum order-free, response-time
+    samples concatenate in generator order before one sort, and every
+    proxy has a single owner, so the output does not depend on how the
+    nodes were split.
+    """
+    meta = partials[0]
+    elapsed = meta["elapsed"]
+    scale = meta["scale"]
+    gens: Dict[int, dict] = {}
+    uas: Dict[int, list] = {}
+    proxies: Dict[str, dict] = {}
+    for partial in partials:
+        gens.update(partial["gens"])
+        uas.update(partial["uas"])
+        proxies.update(partial["proxies"])
+    attempted, completed, failed, got_100, retransmissions = (
+        sum(gen["deltas"][k] for gen in gens.values()) for k in range(5)
+    )
+
+    result = RunResult(meta["scenario_name"], meta["offered_cps"], elapsed)
+    result.throughput_cps = sum(v[1] for v in uas.values()) / elapsed * scale
+    result.delivered_cps = sum(v[0] for v in uas.values()) / elapsed * scale
+    result.attempted_cps = attempted / elapsed * scale
+    result.completed_uac_cps = completed / elapsed * scale
+    result.failed_calls = failed
+    result.retransmissions = retransmissions
+    result.trying_ratio = (got_100 / attempted) if attempted else 0.0
+    # Paper's statefulness check restricted to *admitted* calls: ones the
+    # overloaded system shed with a 500 never saw a dialog at all.
+    admitted = attempted - failed
+    result.stateful_coverage = (got_100 / admitted) if admitted > 0 else 0.0
+
+    invite_samples: List[float] = []
+    bye_samples: List[float] = []
+    for i in sorted(gens):
+        invite_samples.extend(gens[i]["invite_samples"])
+        bye_samples.extend(gens[i]["bye_samples"])
+    result.invite_rt = summarize(invite_samples)
+    result.bye_rt = summarize(bye_samples)
+
+    for name in meta["proxy_order"]:
+        entry = proxies[name]
+        result.proxy_utilization[name] = min(1.0, entry["busy"] / elapsed)
+        result.server_busy_500 += entry["r500"]
+        result.dropped_messages += entry["dropped"]
+        result.proxy_stateful_cps[name] = entry["sf"] / elapsed * scale
+        result.proxy_stateless_cps[name] = entry["sl"] / elapsed * scale
+        if entry["overloaded"] is not None:
+            result.proxy_overloaded[name] = entry["overloaded"]
+
+    extras = {
+        "events": sum(partial["events"] for partial in partials),
+        "uas_calls_completed": [uas[i][2] for i in sorted(uas)],
+        "proxy_cpu_components": {
+            name: proxies[name]["cpu_components"] for name in sorted(proxies)
+        },
+    }
+    return {"result": result.to_payload(), "extras": extras}
+
+
+def _drive(
+    scenario: Scenario, duration: float, warmup: float, drain: float
+) -> Tuple[dict, dict]:
+    """Run warm-up, window and drain; return the window's two readings."""
     if duration <= 0 or warmup < 0:
         raise ValueError("need duration > 0, warmup >= 0")
     config = getattr(scenario, "config", None)
@@ -218,60 +339,147 @@ def run_scenario(
     hybrid = getattr(scenario, "hybrid_runtime", None)
     # The hybrid engine only fast-forwards while armed: the barrier is
     # the current drive deadline, so a jump can never overshoot the
-    # segment boundary the measurement snapshots are taken at.
+    # segment boundary the readings are taken at.
     if hybrid is not None:
         hybrid.arm(loop.now + warmup)
     loop.run_until(loop.now + warmup)
-    before = _Snapshot(scenario)
+    before = read_counters(scenario)
     if hybrid is not None:
         hybrid.arm(loop.now + duration)
     loop.run_until(loop.now + duration)
     if hybrid is not None:
         hybrid.disarm()
-    after = _Snapshot(scenario)
+    after = read_counters(scenario)
     scenario.stop_load()
     if drain > 0:
         loop.run_until(loop.now + drain)
+    return before, after
 
-    scale = scenario.config.scale
-    elapsed = after.time - before.time
-    result = RunResult(scenario.name, scenario.offered_paper_cps, elapsed)
-    result.throughput_cps = (after.uas_completed - before.uas_completed) / elapsed * scale
-    result.delivered_cps = (after.uas_received - before.uas_received) / elapsed * scale
-    result.attempted_cps = (after.uac_attempted - before.uac_attempted) / elapsed * scale
-    result.completed_uac_cps = (
-        (after.uac_completed - before.uac_completed) / elapsed * scale
-    )
-    result.failed_calls = after.uac_failed - before.uac_failed
-    result.retransmissions = after.retransmissions - before.retransmissions
-    attempted = after.uac_attempted - before.uac_attempted
-    got_100 = after.uac_with_100 - before.uac_with_100
-    result.trying_ratio = (got_100 / attempted) if attempted else 0.0
-    # Paper's statefulness check restricted to *admitted* calls: ones the
-    # overloaded system shed with a 500 never saw a dialog at all.
-    admitted = attempted - result.failed_calls
-    result.stateful_coverage = (got_100 / admitted) if admitted > 0 else 0.0
 
-    result.invite_rt = _merged_rt_stats(
-        scenario, "invite_response_time", before.invite_rt_counts
-    )
-    result.bye_rt = _merged_rt_stats(
-        scenario, "bye_response_time", before.bye_rt_counts
+def measure(
+    scenario: Scenario,
+    duration: float = 20.0,
+    warmup: float = 5.0,
+    drain: float = 0.0,
+) -> dict:
+    """:func:`run_scenario` as a ``{"result", "extras"}`` job output."""
+    before, after = _drive(scenario, duration, warmup, drain)
+    return assemble([window_partial(scenario, before, after)])
+
+
+def run_scenario(
+    scenario: Scenario,
+    duration: float = 20.0,
+    warmup: float = 5.0,
+    drain: float = 0.0,
+) -> RunResult:
+    """Run a scenario and measure over [warmup, warmup + duration].
+
+    ``drain`` optionally lets in-flight calls settle after the window
+    closes (it does not change the measured rates, which come from the
+    counter deltas inside the window).
+    """
+    return RunResult.from_payload(
+        measure(scenario, duration, warmup, drain)["result"]
     )
 
-    for name, proxy in scenario.proxies.items():
-        busy = after.proxy_busy[name] - before.proxy_busy[name]
-        result.proxy_utilization[name] = min(1.0, busy / elapsed)
-        result.server_busy_500 += after.proxy_500[name] - before.proxy_500[name]
-        result.dropped_messages += (
-            after.proxy_dropped[name] - before.proxy_dropped[name]
-        )
-        result.proxy_stateful_cps[name] = (
-            (after.proxy_sf[name] - before.proxy_sf[name]) / elapsed * scale
-        )
-        result.proxy_stateless_cps[name] = (
-            (after.proxy_sl[name] - before.proxy_sl[name]) / elapsed * scale
-        )
-        if isinstance(proxy.policy, ServartukaPolicy):
-            result.proxy_overloaded[name] = proxy.policy.is_overloaded
-    return result
+# ---------------------------------------------------------------------------
+# The run fingerprint (differential batteries): sample, collect, assemble
+# ---------------------------------------------------------------------------
+def myshare_sample(scenario: Scenario, owned=None) -> dict:
+    """Current myshare per (owned SERvartuka proxy, downstream path)."""
+    sample = {}
+    for name, proxy in sorted(scenario.proxies.items()):
+        if owned is not None and name not in owned:
+            continue
+        policy = proxy.policy
+        if isinstance(policy, ServartukaPolicy):
+            sample[name] = {
+                key: stats.myshare
+                for key, stats in sorted(policy.paths.items())
+            }
+    return sample
+
+
+def fingerprint_partial(
+    scenario: Scenario, trajectory: List[dict], owned=None
+) -> dict:
+    """Everything the owned nodes of a finished run observed:
+    ``trajectory`` (the caller's mid-run :func:`myshare_sample` list),
+    every node's deep metrics snapshot, call outcomes, and the loop's
+    event and packet totals."""
+    registries = {
+        name: proxy.metrics.snapshot()
+        for name, proxy in sorted(scenario.proxies.items())
+        if owned is None or name in owned
+    }
+    # Registrars and B2BUAs add keys only where a scenario has them.
+    for prefix, nodes in (
+        ("uac", scenario.generators), ("uas", scenario.servers),
+        ("reg", scenario.registrars), ("b2b", scenario.b2buas),
+    ):
+        for _i, node in _owned(nodes, owned):
+            registries[f"{prefix}:{node.name}"] = node.metrics.snapshot()
+    return {
+        "myshare": trajectory,
+        "registries": registries,
+        "uac": {
+            i: [g.name, g.calls_attempted, g.calls_completed, g.calls_failed]
+            for i, g in _owned(scenario.generators, owned)
+        },
+        "uas": {
+            i: [s.name, s.calls_received, s.calls_completed]
+            for i, s in _owned(scenario.servers, owned)
+        },
+        "events": scenario.loop.events_processed,
+        "packets": [
+            scenario.network.packets_sent,
+            scenario.network.packets_dropped,
+        ],
+    }
+
+
+def assemble_fingerprint(partials: List[dict]) -> dict:
+    """Fold fingerprint partials into the ``fingerprint`` job's output."""
+    trajectory = []
+    for samples in zip(*(partial["myshare"] for partial in partials)):
+        merged: Dict[str, dict] = {}
+        for sample in samples:
+            merged.update(sample)
+        trajectory.append(dict(sorted(merged.items())))
+    registries: Dict[str, dict] = {}
+    uac: Dict[int, list] = {}
+    uas: Dict[int, list] = {}
+    for partial in partials:
+        registries.update(partial["registries"])
+        uac.update(partial["uac"])
+        uas.update(partial["uas"])
+    return {
+        "myshare_trajectory": trajectory,
+        "call_outcomes": {
+            "uac": {uac[i][0]: uac[i][1:] for i in sorted(uac)},
+            "uas": {uas[i][0]: uas[i][1:] for i in sorted(uas)},
+        },
+        "registries": registries,
+        "events": sum(partial["events"] for partial in partials),
+        "packets": [
+            sum(partial["packets"][k] for partial in partials)
+            for k in range(2)
+        ],
+    }
+
+
+def fingerprint_scenario(
+    scenario: Scenario, run_for: float, slices: int = 6, drain: float = 0.0
+) -> dict:
+    """Drive ``scenario`` in ``slices`` equal slices of ``run_for``,
+    sampling myshare at every boundary (so transient planning states
+    are compared, not just the final one), drain, and fingerprint it."""
+    scenario.start()
+    trajectory = []
+    for i in range(1, slices + 1):
+        scenario.loop.run_until(run_for * i / slices)
+        trajectory.append(myshare_sample(scenario))
+    scenario.stop_load()
+    scenario.loop.run_until(run_for + drain)
+    return assemble_fingerprint([fingerprint_partial(scenario, trajectory)])

@@ -25,7 +25,6 @@ from repro.sim.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    RateMeter,
     TimeSeries,
 )
 from repro.sim.faults import FaultEvent, FaultInjector, FaultSchedule
@@ -50,7 +49,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "RateMeter",
     "TimeSeries",
     "RngStream",
 ]

@@ -8,7 +8,6 @@ module.  The types are intentionally simple:
 - :class:`Histogram` -- reservoir-free exact histogram over float samples
   with percentile queries (response times),
 - :class:`TimeSeries` -- ``(t, value)`` pairs (utilization over time),
-- :class:`RateMeter` -- events-per-second over a sliding tumbling window,
 - :class:`MetricsRegistry` -- a per-node namespace for all of the above.
 """
 
@@ -75,30 +74,28 @@ class Counter:
             return 0
         return self._marks[idx][1]
 
-    def merge(self, other: "Counter") -> "Counter":
-        """Absorb ``other`` as if both had counted parts of one stream.
-
-        The merged value is the sum of both values.  Marks are
-        reconciled on the union of both mark timelines: each merged mark
-        records the sum of what the two counters had counted by that
-        time (per :meth:`_value_at`, so a mark-less counter contributes
-        its current value throughout).  Exact for counters fed disjoint
-        partitions of a single event stream -- the shard merge path.
-        """
-        if other is self:
-            raise ValueError("cannot merge a counter with itself")
-        times = sorted(
-            {t for t, _ in self._marks} | {t for t, _ in other._marks}
-        )
-        merged = [
-            (t, self._value_at(t) + other._value_at(t)) for t in times
-        ]
-        self.value += other.value
-        self._marks = merged
-        return self
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Counter {self.name}={self.value}>"
+
+
+def summarize(samples: List[float]) -> Dict[str, float]:
+    """Count, mean and nearest-rank p50/p95/max of a sample window."""
+    if not samples:
+        return {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "max": 0.0}
+    ordered = sorted(samples)
+    n = len(ordered)
+
+    def pct(p: float) -> float:
+        rank = max(1, math.ceil(p / 100.0 * n))
+        return ordered[rank - 1]
+
+    return {
+        "count": n,
+        "mean": sum(samples) / n,
+        "p50": pct(50),
+        "p95": pct(95),
+        "max": ordered[-1],
+    }
 
 
 class Histogram:
@@ -172,38 +169,9 @@ class Histogram:
         mean = self.mean
         return math.sqrt(sum((x - mean) ** 2 for x in samples) / (n - 1))
 
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Append ``other``'s samples, preserving its insertion order.
-
-        Because these histograms are exact (every sample retained),
-        bucket-wise addition *is* sample concatenation: count is the sum
-        of counts, min/max/percentiles afterwards are exactly those of
-        the combined multiset.  The property tests in
-        tests/sim/test_metrics_merge.py pin this reconciliation.
-        """
-        self._samples.extend(other.samples)
-        self._sorted_cache = None
-        return self
-
     def stats_since(self, start_index: int) -> Dict[str, float]:
         """Summary stats over samples appended at/after ``start_index``."""
-        window = self.samples[start_index:]
-        if not window:
-            return {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "max": 0.0}
-        ordered = sorted(window)
-        n = len(ordered)
-
-        def pct(p: float) -> float:
-            rank = max(1, math.ceil(p / 100.0 * n))
-            return ordered[rank - 1]
-
-        return {
-            "count": n,
-            "mean": sum(window) / n,
-            "p50": pct(50),
-            "p95": pct(95),
-            "max": ordered[-1],
-        }
+        return summarize(self.samples[start_index:])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Histogram {self.name} n={self.count} mean={self.mean:.4g}>"
@@ -241,23 +209,6 @@ class LeanHistogram(Histogram):
     def count(self) -> int:
         return self._n
 
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Bulk-append ``other``'s samples into the reservoir.
-
-        Same reconciliation as :meth:`Histogram.merge`, but written
-        through the pre-sized buffer (doubling it as needed) so lean
-        mode keeps its allocation pattern even on the merge path.
-        """
-        values = other.samples
-        need = self._n + len(values)
-        buf = self._buf
-        while len(buf) < need:
-            buf.extend([0.0] * len(buf))
-        buf[self._n : need] = values
-        self._n = need
-        self._sorted_cache = None
-        return self
-
 
 class TimeSeries:
     """Append-only (time, value) series."""
@@ -291,23 +242,6 @@ class TimeSeries:
     def max_value(self) -> float:
         return max(self.values) if self.values else 0.0
 
-    def merge(self, other: "TimeSeries") -> "TimeSeries":
-        """Interleave ``other``'s samples in time order.
-
-        The sort is stable, so on equal timestamps this series' samples
-        stay ahead of ``other``'s -- merging the same pair twice in the
-        same order is deterministic.
-        """
-        if other.times:
-            merged = sorted(
-                list(zip(self.times, self.values))
-                + list(zip(other.times, other.values)),
-                key=lambda tv: tv[0],
-            )
-            self.times = [t for t, _ in merged]
-            self.values = [v for _, v in merged]
-        return self
-
 
 class Gauge:
     """A value that can move both ways, with an optional history.
@@ -336,49 +270,8 @@ class Gauge:
     def decrement(self, amount: float = 1.0) -> None:
         self.value -= amount
 
-    def merge(self, other: "Gauge") -> "Gauge":
-        """Combine two gauges that watched disjoint partitions.
-
-        With history, the merged level is the value at the latest
-        recorded time (levels don't add across a timeline); without
-        history the values sum, which is right for partitioned
-        occupancy gauges like transactions held per shard.
-        """
-        self.series.merge(other.series)
-        if self.series.times:
-            self.value = self.series.values[-1]
-        else:
-            self.value += other.value
-        return self
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Gauge {self.name}={self.value}>"
-
-
-class RateMeter:
-    """Tumbling-window events-per-second meter.
-
-    ``tick(now)`` is called once per window boundary by the owner; the
-    per-window rates accumulate into a :class:`TimeSeries`.
-    """
-
-    def __init__(self, name: str = "", window: float = 1.0):
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.name = name
-        self.window = window
-        self.series = TimeSeries(name)
-        self._count_in_window = 0
-
-    def record(self, amount: int = 1) -> None:
-        self._count_in_window += amount
-
-    def tick(self, now: float) -> float:
-        """Close the current window; returns the window's rate."""
-        rate = self._count_in_window / self.window
-        self.series.append(now, rate)
-        self._count_in_window = 0
-        return rate
 
 
 class MetricsRegistry:
@@ -422,24 +315,6 @@ class MetricsRegistry:
 
     def get_counter(self, name: str) -> Optional[Counter]:
         return self._counters.get(name)
-
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Absorb ``other`` metric-by-metric (see each type's merge).
-
-        Metrics present only in ``other`` are created empty first and
-        then merged, so they come out as faithful copies living under
-        this registry's namespace.  Used by the sharded engine to fold
-        per-shard registries of the same logical node into one.
-        """
-        for name, counter in other._counters.items():
-            self.counter(name).merge(counter)
-        for name, hist in other._histograms.items():
-            self.histogram(name).merge(hist)
-        for name, series in other._series.items():
-            self.series(name).merge(series)
-        for name, gauge in other._gauges.items():
-            self.gauge(name).merge(gauge)
-        return self
 
     def snapshot(self) -> Dict[str, object]:
         """Deep, order-stable snapshot of every metric in the registry.

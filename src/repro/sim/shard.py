@@ -49,6 +49,18 @@ import pickle
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
+# The shard runtime is a driver: what a run measured is computed by the
+# harness from per-owner partials, exactly as for a serial run.
+from repro.harness.parallel import build_scenario
+from repro.harness.runner import (
+    assemble,
+    assemble_fingerprint,
+    fingerprint_partial,
+    myshare_sample,
+    read_counters,
+    window_partial,
+)
+
 #: Environment knob selecting the execution driver: ``auto`` (default),
 #: ``inline`` or ``process``.  Never part of the run-cache key -- both
 #: drivers are bit-identical, so the choice is pure mechanics.
@@ -282,46 +294,6 @@ def _decode_payload(kind: str, data) -> Any:
     return pickle.loads(data)
 
 
-class _WorldSnapshot:
-    """Per-shard counter snapshot over the nodes this shard owns.
-
-    Mirrors ``repro.harness.runner._Snapshot`` but keyed by global
-    generator/server index so the merge can reassemble totals in the
-    serial runner's iteration order.
-    """
-
-    __slots__ = ("time", "gen", "uas", "proxy")
-
-    def __init__(self, world: "_ShardWorld"):
-        self.time = world.loop.now
-        self.gen = {
-            i: (
-                g.calls_attempted,
-                g.calls_completed,
-                g.calls_failed,
-                g.calls_with_100,
-                g.retransmissions(),
-                g.metrics.histogram("invite_response_time").count,
-                g.metrics.histogram("bye_response_time").count,
-            )
-            for i, g in world.generators
-        }
-        self.uas = {
-            i: (s.calls_received, s.calls_completed)
-            for i, s in world.servers
-        }
-        self.proxy = {
-            name: (
-                p.cpu.busy_seconds,
-                p.metrics.counter("rejected_500").value,
-                p.metrics.counter("messages_dropped_overload").value,
-                p.metrics.counter("invites_stateful").value,
-                p.metrics.counter("invites_stateless").value,
-            )
-            for name, p in world.proxies.items()
-        }
-
-
 class _ShardWorld:
     """One shard: a full scenario replica plus ownership bookkeeping."""
 
@@ -334,29 +306,16 @@ class _ShardWorld:
         self.owned = {
             name for name, s in plan.owner.items() if s == shard_id
         }
-        # Global indices let the merge rebuild serial iteration order.
         self.generators = [
-            (i, g)
-            for i, g in enumerate(scenario.generators)
-            if g.name in self.owned
-        ]
-        self.servers = [
-            (i, s)
-            for i, s in enumerate(scenario.servers)
-            if s.name in self.owned
+            g for g in scenario.generators if g.name in self.owned
         ]
         self.registrars = [
             r for r in scenario.registrars if r.name in self.owned
         ]
-        self.proxies = {
-            name: p
-            for name, p in scenario.proxies.items()
-            if name in self.owned
-        }
         self.outbox: List[Tuple[int, Tuple]] = []
         self._serial = 0
         self.cross_sent = 0
-        self.snapshots: List[_WorldSnapshot] = []
+        self.readings: List[dict] = []
         self.myshare: List[dict] = []
         # Silence non-owned replicas: the proxy monitor is the only
         # constructor-scheduled timer in the tree; everything else only
@@ -416,134 +375,32 @@ class _ShardWorld:
             # generators so the t=0 REGISTERs stay ahead of first calls.
             for registrar in self.registrars:
                 registrar.start()
-            for _i, generator in self.generators:
+            for generator in self.generators:
                 generator.start()
         elif tag == "stop":
             for registrar in self.registrars:
                 registrar.stop()
-            for _i, generator in self.generators:
+            for generator in self.generators:
                 generator.stop()
         elif tag == "snapshot":
-            self.snapshots.append(_WorldSnapshot(self))
+            self.readings.append(read_counters(self.scenario, self.owned))
         elif tag == "myshare":
-            self.myshare.append(self._myshare_sample())
+            self.myshare.append(myshare_sample(self.scenario, self.owned))
         else:  # pragma: no cover - programs are module-internal
             raise ValueError(f"unknown program mark: {tag}")
 
-    def _myshare_sample(self) -> dict:
-        from repro.core.servartuka import ServartukaPolicy
-
-        sample = {}
-        for name, proxy in sorted(self.proxies.items()):
-            policy = proxy.policy
-            if isinstance(policy, ServartukaPolicy):
-                sample[name] = {
-                    key: stats.myshare
-                    for key, stats in sorted(policy.paths.items())
-                }
-        return sample
-
     # -- partial extraction -------------------------------------------
     def collect(self, kind: str) -> dict:
-        from repro.core.servartuka import ServartukaPolicy
-
-        scenario = self.scenario
-        partial = {
-            "shard": self.shard_id,
-            "events": scenario.loop.events_processed,
-            "packets_sent": scenario.network.packets_sent,
-            "packets_dropped": scenario.network.packets_dropped,
-            "cross_sent": self.cross_sent,
-        }
+        """This shard's partial (repro.harness.runner's, for the owned
+        nodes) plus its cross-shard send count."""
         if kind == "fingerprint":
-            registries = {}
-            for name, proxy in sorted(self.proxies.items()):
-                registries[name] = proxy.metrics.snapshot()
-            for _i, generator in self.generators:
-                registries[f"uac:{generator.name}"] = (
-                    generator.metrics.snapshot()
-                )
-            for _i, server in self.servers:
-                registries[f"uas:{server.name}"] = server.metrics.snapshot()
-            partial.update(
-                {
-                    "myshare": self.myshare,
-                    "registries": registries,
-                    "uac_outcomes": {
-                        i: [
-                            g.name,
-                            g.calls_attempted,
-                            g.calls_completed,
-                            g.calls_failed,
-                        ]
-                        for i, g in self.generators
-                    },
-                    "uas_outcomes": {
-                        i: [s.name, s.calls_received, s.calls_completed]
-                        for i, s in self.servers
-                    },
-                }
+            partial = fingerprint_partial(
+                self.scenario, self.myshare, self.owned
             )
-            return partial
-
-        before, after = self.snapshots
-        gens = {}
-        for i, g in self.generators:
-            b, a = before.gen[i], after.gen[i]
-            gens[i] = {
-                # attempted, completed, failed, with_100, retrans deltas
-                "deltas": [a[k] - b[k] for k in range(5)],
-                # Response-time windows run from the warmup snapshot to
-                # the end of the run (the serial runner slices after the
-                # drain), so take everything past the before-count.
-                "invite_samples": list(
-                    g.metrics.histogram("invite_response_time").samples[b[5]:]
-                ),
-                "bye_samples": list(
-                    g.metrics.histogram("bye_response_time").samples[b[6]:]
-                ),
-            }
-        proxies = {}
-        for name, p in self.proxies.items():
-            b, a = before.proxy[name], after.proxy[name]
-            proxies[name] = {
-                "busy": a[0] - b[0],
-                "r500": a[1] - b[1],
-                "dropped": a[2] - b[2],
-                "sf": a[3] - b[3],
-                "sl": a[4] - b[4],
-                "overloaded": (
-                    p.policy.is_overloaded
-                    if isinstance(p.policy, ServartukaPolicy)
-                    else None
-                ),
-                "cpu_components": dict(p.cpu.component_seconds),
-            }
-        partial.update(
-            {
-                "elapsed": after.time - before.time,
-                "gens": gens,
-                "uas": {
-                    i: [
-                        after.uas[i][0] - before.uas[i][0],
-                        after.uas[i][1] - before.uas[i][1],
-                    ]
-                    for i, _s in self.servers
-                },
-                "uas_completed_total": {
-                    i: s.calls_completed for i, s in self.servers
-                },
-                "proxies": proxies,
-                # Run metadata every shard agrees on; the merge reads
-                # shard 0's copy.
-                "scenario_name": scenario.name,
-                "offered_cps": scenario.offered_paper_cps,
-                "scale": scenario.config.scale,
-                "proxy_order": list(scenario.proxies),
-                "gen_count": len(scenario.generators),
-                "uas_count": len(scenario.servers),
-            }
-        )
+        else:
+            before, after = self.readings
+            partial = window_partial(self.scenario, before, after, self.owned)
+        partial["cross_sent"] = self.cross_sent
         return partial
 
 
@@ -567,14 +424,6 @@ def _select_driver(shards: int) -> str:
     return choice if choice == "process" else "process"
 
 
-def _build_scenario(payload: dict):
-    # Lazy import: harness.parallel imports the workloads package; this
-    # module must stay importable from anywhere in repro.sim.
-    from repro.harness.parallel import build_scenario
-
-    return build_scenario(payload)
-
-
 def _route_mails(
     shards: int, mails: List[List[Tuple[int, Tuple]]]
 ) -> List[List[Tuple]]:
@@ -593,12 +442,12 @@ def _drive_inline(
     timing: Optional[dict],
 ) -> Tuple[List[dict], ShardPlan, int]:
     t0 = perf_counter()
-    scenario0 = _build_scenario(payload)
+    scenario0 = build_scenario(payload)
     plan = partition_scenario(scenario0, shards)
     _check_supported(scenario0, shards)
     worlds = [_ShardWorld(scenario0, 0, plan)]
     for k in range(1, shards):
-        worlds.append(_ShardWorld(_build_scenario(payload), k, plan))
+        worlds.append(_ShardWorld(build_scenario(payload), k, plan))
     windows = 0
     for op in _expand_program(program, plan.lookahead):
         if op[0] == "window":
@@ -632,7 +481,7 @@ def _shard_worker_main(
     try:
         t0 = perf_counter()
         wait = 0.0
-        world = _ShardWorld(_build_scenario(payload), shard_id, plan)
+        world = _ShardWorld(build_scenario(payload), shard_id, plan)
         for op in _expand_program(program, plan.lookahead):
             if op[0] == "window":
                 world.loop.run_until(op[1])
@@ -734,28 +583,8 @@ def _drive_process(
 
 
 # ---------------------------------------------------------------------------
-# Merges
+# Shard accounting
 # ---------------------------------------------------------------------------
-def _rt_stats(samples: List[float]) -> Dict[str, float]:
-    """Exactly ``repro.harness.runner._merged_rt_stats`` on merged samples."""
-    if not samples:
-        return {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "max": 0.0}
-    ordered = sorted(samples)
-    n = len(ordered)
-
-    def pct(p: float) -> float:
-        rank = max(1, math.ceil(p / 100.0 * n))
-        return ordered[rank - 1]
-
-    return {
-        "count": n,
-        "mean": sum(samples) / n,
-        "p50": pct(50),
-        "p95": pct(95),
-        "max": ordered[-1],
-    }
-
-
 def _sharded_summary(
     plan: ShardPlan, windows: int, partials: List[dict]
 ) -> dict:
@@ -771,131 +600,6 @@ def _sharded_summary(
     }
 
 
-def _merge_scenario(
-    partials: List[dict], plan: ShardPlan, windows: int
-) -> dict:
-    """Fold shard partials into the serial runner's exact output shape.
-
-    Every arithmetic step mirrors ``run_scenario``: integer counter
-    deltas sum order-free; response-time samples concatenate in global
-    generator-index order (the serial extension order) before the same
-    sort/mean/percentile float operations; per-proxy entries are
-    single-owner so they merge by union, accumulated in the serial
-    proxy iteration order.
-    """
-    from repro.harness.runner import RunResult
-
-    partials = sorted(partials, key=lambda p: p["shard"])
-    meta = partials[0]
-    elapsed = meta["elapsed"]
-    scale = meta["scale"]
-
-    gens: Dict[int, dict] = {}
-    uas: Dict[int, list] = {}
-    uas_total: Dict[int, int] = {}
-    proxy_map: Dict[str, dict] = {}
-    for partial in partials:
-        gens.update(partial["gens"])
-        uas.update(partial["uas"])
-        uas_total.update(partial["uas_completed_total"])
-        proxy_map.update(partial["proxies"])
-
-    def gen_sum(k: int) -> int:
-        return sum(gens[i]["deltas"][k] for i in gens)
-
-    attempted = gen_sum(0)
-    completed = gen_sum(1)
-    failed = gen_sum(2)
-    got_100 = gen_sum(3)
-    retrans = gen_sum(4)
-    uas_received = sum(v[0] for v in uas.values())
-    uas_completed = sum(v[1] for v in uas.values())
-
-    result = RunResult(meta["scenario_name"], meta["offered_cps"], elapsed)
-    result.throughput_cps = uas_completed / elapsed * scale
-    result.delivered_cps = uas_received / elapsed * scale
-    result.attempted_cps = attempted / elapsed * scale
-    result.completed_uac_cps = completed / elapsed * scale
-    result.failed_calls = failed
-    result.retransmissions = retrans
-    result.trying_ratio = (got_100 / attempted) if attempted else 0.0
-    admitted = attempted - failed
-    result.stateful_coverage = (got_100 / admitted) if admitted > 0 else 0.0
-
-    invite_samples: List[float] = []
-    bye_samples: List[float] = []
-    for i in sorted(gens):
-        invite_samples.extend(gens[i]["invite_samples"])
-        bye_samples.extend(gens[i]["bye_samples"])
-    result.invite_rt = _rt_stats(invite_samples)
-    result.bye_rt = _rt_stats(bye_samples)
-
-    for name in meta["proxy_order"]:
-        entry = proxy_map[name]
-        result.proxy_utilization[name] = min(1.0, entry["busy"] / elapsed)
-        result.server_busy_500 += entry["r500"]
-        result.dropped_messages += entry["dropped"]
-        result.proxy_stateful_cps[name] = entry["sf"] / elapsed * scale
-        result.proxy_stateless_cps[name] = entry["sl"] / elapsed * scale
-        if entry["overloaded"] is not None:
-            result.proxy_overloaded[name] = entry["overloaded"]
-
-    extras = {
-        "events": sum(p["events"] for p in partials),
-        "uas_calls_completed": [
-            uas_total[i] for i in range(meta["uas_count"])
-        ],
-        "proxy_cpu_components": {
-            name: proxy_map[name]["cpu_components"]
-            for name in sorted(proxy_map)
-        },
-        # Present only under engine="sharded", mirroring the obs/
-        # control/hybrid dormancy contract in _scenario_extras.
-        "sharded": _sharded_summary(plan, windows, partials),
-    }
-    return {"result": result.to_payload(), "extras": extras}
-
-
-def _merge_fingerprint(
-    partials: List[dict], plan: ShardPlan, windows: int
-) -> dict:
-    """Fold shard partials into ``_job_fingerprint``'s exact shape."""
-    partials = sorted(partials, key=lambda p: p["shard"])
-
-    slices = len(partials[0]["myshare"])
-    trajectory = []
-    for i in range(slices):
-        merged: Dict[str, dict] = {}
-        for partial in partials:
-            merged.update(partial["myshare"][i])
-        trajectory.append(dict(sorted(merged.items())))
-
-    registries: Dict[str, dict] = {}
-    for partial in partials:
-        registries.update(partial["registries"])
-
-    uac: Dict[int, list] = {}
-    uas: Dict[int, list] = {}
-    for partial in partials:
-        uac.update(partial["uac_outcomes"])
-        uas.update(partial["uas_outcomes"])
-
-    return {
-        "myshare_trajectory": trajectory,
-        "call_outcomes": {
-            "uac": {uac[i][0]: uac[i][1:] for i in sorted(uac)},
-            "uas": {uas[i][0]: uas[i][1:] for i in sorted(uas)},
-        },
-        "registries": registries,
-        "events": sum(p["events"] for p in partials),
-        "packets": [
-            sum(p["packets_sent"] for p in partials),
-            sum(p["packets_dropped"] for p in partials),
-        ],
-        "sharded": _sharded_summary(plan, windows, partials),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Entry points (the harness merge path)
 # ---------------------------------------------------------------------------
@@ -905,7 +609,7 @@ def _run(payload: dict, kind: str, program: List[Tuple],
     driver = _select_driver(shards)
     if driver == "inline":
         return _drive_inline(payload, kind, shards, program, timing)
-    probe = _build_scenario(payload)
+    probe = build_scenario(payload)
     plan = partition_scenario(probe, shards)
     _check_supported(probe, shards)
     partials, windows = _drive_process(
@@ -929,7 +633,11 @@ def run_sharded_scenario(
         payload["duration"], payload["warmup"], payload.get("drain", 0.0)
     )
     partials, plan, windows = _run(payload, "scenario", program, timing)
-    return _merge_scenario(partials, plan, windows)
+    output = assemble(partials)
+    # Present only under engine="sharded", like the obs/control/hybrid
+    # keys of repro.harness.parallel.scenario_job.
+    output["extras"]["sharded"] = _sharded_summary(plan, windows, partials)
+    return output
 
 
 def run_sharded_fingerprint(
@@ -942,4 +650,6 @@ def run_sharded_fingerprint(
         payload.get("drain", 0.0),
     )
     partials, plan, windows = _run(payload, "fingerprint", program, timing)
-    return _merge_fingerprint(partials, plan, windows)
+    output = assemble_fingerprint(partials)
+    output["sharded"] = _sharded_summary(plan, windows, partials)
+    return output

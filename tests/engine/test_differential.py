@@ -31,8 +31,8 @@ import pytest
 
 from repro.core import topogen
 from repro.core.costmodel import CostModel
-from repro.core.servartuka import ServartukaPolicy
 from repro.harness.resilience import ResilienceParams, build_resilience_scenario
+from repro.harness.runner import fingerprint_scenario
 from repro.sip.timers import TimerPolicy
 from repro.workloads.scenarios import (
     ScenarioConfig,
@@ -111,66 +111,9 @@ SCENARIOS = {
 }
 
 
-def _myshare_sample(scenario) -> dict:
-    """Current myshare per (proxy, downstream path); inf is comparable."""
-    sample = {}
-    for name, proxy in sorted(scenario.proxies.items()):
-        policy = proxy.policy
-        if isinstance(policy, ServartukaPolicy):
-            sample[name] = {
-                key: stats.myshare
-                for key, stats in sorted(policy.paths.items())
-            }
-    return sample
-
-
-def _call_outcomes(scenario) -> dict:
-    return {
-        "uac": {
-            g.name: (g.calls_attempted, g.calls_completed, g.calls_failed)
-            for g in scenario.generators
-        },
-        "uas": {
-            s.name: (s.calls_received, s.calls_completed)
-            for s in scenario.servers
-        },
-    }
-
-
-def _registries(scenario) -> dict:
-    snaps = {}
-    for name, proxy in sorted(scenario.proxies.items()):
-        snaps[name] = proxy.metrics.snapshot()
-    for generator in scenario.generators:
-        snaps[f"uac:{generator.name}"] = generator.metrics.snapshot()
-    for server in scenario.servers:
-        snaps[f"uas:{server.name}"] = server.metrics.snapshot()
-    for registrar in getattr(scenario, "registrars", ()):
-        snaps[f"reg:{registrar.name}"] = registrar.metrics.snapshot()
-    for b2bua in getattr(scenario, "b2buas", ()):
-        snaps[f"b2b:{b2bua.name}"] = b2bua.metrics.snapshot()
-    return snaps
-
-
 def _fingerprint(scenario, run_for: float = RUN_FOR, drain: float = DRAIN):
-    """Drive the scenario in slices, sampling myshare at each boundary."""
-    scenario.start()
-    trajectory = []
-    for i in range(1, SLICES + 1):
-        scenario.loop.run_until(run_for * i / SLICES)
-        trajectory.append(_myshare_sample(scenario))
-    scenario.stop_load()
-    scenario.loop.run_until(run_for + drain)
-    return {
-        "myshare_trajectory": trajectory,
-        "call_outcomes": _call_outcomes(scenario),
-        "registries": _registries(scenario),
-        "events": scenario.loop.events_processed,
-        "packets": (
-            scenario.network.packets_sent,
-            scenario.network.packets_dropped,
-        ),
-    }
+    """The ``fingerprint`` job's drive and collector, on a live scenario."""
+    return fingerprint_scenario(scenario, run_for, slices=SLICES, drain=drain)
 
 
 def _first_divergence(reference: dict, other: dict) -> str:

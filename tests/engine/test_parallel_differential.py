@@ -6,7 +6,7 @@ serving them from the on-disk run cache, may only change wall-clock
 time -- never a single observable.  This battery executes the full
 ``fingerprint`` job (per-node metric registries, call outcomes, the
 mid-run myshare trajectory, packet/event accounting) for three scenario
-families across three seeds, three ways:
+families across three seeds (and a B2BUA chain at one), three ways:
 
 - serial: ``jobs=1``, no cache (the inline path),
 - cold parallel: ``jobs=4`` spawned workers filling a fresh cache,
@@ -40,7 +40,13 @@ FAMILIES = {
                            "policy": "servartuka", "rate": 11_000.0}),
     "parallel_fork": ("parallel_fork", {"policy": "servartuka",
                                         "rate": 12_000.0}),
+    # A node that is neither proxy nor endpoint: its registry must
+    # travel through the pool and the cache like the others.
+    "b2bua_chain": ("b2bua_chain", {"policy": "servartuka",
+                                    "rate": 9_000.0}),
 }
+#: Families run at fewer than all SEEDS.
+FAMILY_SEEDS = {"b2bua_chain": SEEDS[:1]}
 
 FINGERPRINT_PARTS = (
     "registries", "call_outcomes", "myshare_trajectory", "events", "packets",
@@ -50,7 +56,7 @@ FINGERPRINT_PARTS = (
 def _specs():
     specs = []
     for family, (builder, kwargs) in sorted(FAMILIES.items()):
-        for seed in SEEDS:
+        for seed in FAMILY_SEEDS.get(family, SEEDS):
             config = ScenarioConfig(
                 scale=100.0, seed=seed, monitor_period=0.5, timers=TIMERS
             )
@@ -130,3 +136,19 @@ def test_battery_not_degenerate(battery):
         assert payload["registries"]
         uas_counts = payload["call_outcomes"]["uas"]
         assert sum(done for _received, done in uas_counts.values()) > 0
+
+
+def test_b2bua_registry_is_fingerprinted(battery):
+    """The fingerprint sees every node kind, not only proxies, UACs
+    and UASes: a B2BUA's counters are part of what must not change."""
+    (payload,) = [
+        payload
+        for spec, payload in zip(battery["specs"], battery["serial"])
+        if spec.label.startswith("b2bua_chain/")
+    ]
+    b2b = {
+        name: snapshot for name, snapshot in payload["registries"].items()
+        if name.startswith("b2b:")
+    }
+    assert b2b
+    assert any(sum(snap["counters"].values()) > 0 for snap in b2b.values())

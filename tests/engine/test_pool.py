@@ -19,6 +19,7 @@ from contextlib import contextmanager
 
 from hypothesis import given, settings, strategies as st
 
+from repro.harness.runner import fingerprint_scenario
 from repro.sip.headers import Via
 from repro.sip.message import (
     SipRequest,
@@ -194,22 +195,7 @@ def _outcome(topology, rate, seed, engine):
                                 config=config)
     else:
         scenario = two_series(rate, policy="servartuka", config=config)
-    scenario.start()
-    scenario.loop.run_until(1.5)
-    scenario.stop_load()
-    scenario.loop.run_until(2.0)
-    return {
-        "events": scenario.loop.events_processed,
-        "packets": (scenario.network.packets_sent,
-                    scenario.network.packets_dropped),
-        "uac": {g.name: (g.calls_attempted, g.calls_completed,
-                         g.calls_failed)
-                for g in scenario.generators},
-        "uas": {s.name: (s.calls_received, s.calls_completed)
-                for s in scenario.servers},
-        "registries": {name: proxy.metrics.snapshot()
-                       for name, proxy in sorted(scenario.proxies.items())},
-    }
+    return fingerprint_scenario(scenario, 1.5, slices=1, drain=0.5)
 
 
 class TestPoolTransparency:

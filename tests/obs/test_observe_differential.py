@@ -8,7 +8,7 @@ This battery proves it across three scenario families and three seeds.
 
 import pytest
 
-from repro.harness.runner import run_scenario
+from repro.harness.runner import fingerprint_partial, run_scenario
 from repro.sip.timers import TimerPolicy
 from repro.workloads.scenarios import (
     ScenarioConfig,
@@ -43,9 +43,7 @@ def _config(seed, observe):
 def _fingerprint(builder, seed, observe):
     scenario = builder(_config(seed, observe))
     result = run_scenario(scenario, duration=3.0, warmup=1.0)
-    nodes = (list(scenario.proxies.values()) + scenario.servers
-             + scenario.generators)
-    registries = {node.name: node.metrics.snapshot() for node in nodes}
+    registries = fingerprint_partial(scenario, [])["registries"]
     return registries, result.to_payload(), scenario
 
 

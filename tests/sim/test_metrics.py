@@ -1,4 +1,4 @@
-"""Tests for counters, histograms, time series and rate meters."""
+"""Tests for counters, histograms, gauges and time series."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.sim.metrics import (
     Histogram,
     LeanHistogram,
     MetricsRegistry,
-    RateMeter,
     TimeSeries,
     set_lean_metrics,
 )
@@ -140,20 +139,6 @@ class TestTimeSeries:
             TimeSeries().last()
 
 
-class TestRateMeter:
-    def test_tumbling_windows(self):
-        meter = RateMeter(window=2.0)
-        meter.record(10)
-        assert meter.tick(2.0) == pytest.approx(5.0)
-        meter.record(4)
-        assert meter.tick(4.0) == pytest.approx(2.0)
-        assert meter.series.values == [5.0, 2.0]
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            RateMeter(window=0.0)
-
-
 class TestRegistry:
     def test_same_name_same_object(self):
         registry = MetricsRegistry("node")
@@ -198,17 +183,6 @@ class TestEdgeCases:
         stats = hist.stats_since(5)
         assert stats == {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0,
                          "max": 0.0}
-
-    def test_rate_meter_rejects_zero_width_window(self):
-        with pytest.raises(ValueError):
-            RateMeter(window=0.0)
-        with pytest.raises(ValueError):
-            RateMeter(window=-1.0)
-
-    def test_rate_meter_tick_without_records_is_zero(self):
-        meter = RateMeter(window=0.5)
-        assert meter.tick(1.0) == 0.0
-        assert meter.series.last() == (1.0, 0.0)
 
     def test_counter_rate_with_no_marks_is_zero(self):
         """Without any mark() there is no time reference: both window
