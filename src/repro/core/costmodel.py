@@ -43,7 +43,7 @@ The harness reports loads in *paper-equivalent* cps (measured x scale).
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, Iterable, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 # Saturation anchors from the paper, Figure 4 (calls per second).
 PAPER_T_SF = 10360.0
@@ -211,10 +211,22 @@ def scenario_features(name: str) -> FrozenSet[Feature]:
     return frozenset(chains[name])
 
 
+def _in_definition_order(features: Iterable[Feature]) -> List[Feature]:
+    """``features`` in :class:`Feature` definition order.
+
+    Feature sets travel as frozensets of enum members, and an Enum
+    hashes by its name string, so iterating one follows PYTHONHASHSEED.
+    Every loop below sums floats or fills a breakdown dict, and neither
+    the last digit nor the key order may depend on the process's seed.
+    """
+    members = frozenset(features)
+    return [feature for feature in Feature if feature in members]
+
+
 def component_events(features: Iterable[Feature]) -> Dict[str, int]:
     """Per-call CPU events by component for a feature set."""
     totals: Dict[str, int] = {}
-    for feature in features:
+    for feature in _in_definition_order(features):
         for component, events in FIG3_FEATURE_EVENTS[feature].items():
             totals[component] = totals.get(component, 0) + events
     return totals
@@ -321,11 +333,12 @@ class CostModel:
         self, base: float, k: float, features: FrozenSet[Feature], depth: float
     ) -> float:
         """Per-call cost under hypothetical (base, k); used by calibration."""
+        ordered = _in_definition_order(features)
         total = 0.0
         for kind in CALL_MESSAGE_KINDS:
             extra = self._message_extra_vias(kind, depth)
             size_factor = 1.0 + self.via_overhead * extra
-            for feature in features:
+            for feature in ordered:
                 weight = _FEATURE_MESSAGE_WEIGHTS[feature].get(kind, 0.0)
                 if weight == 0.0:
                     continue
@@ -386,7 +399,7 @@ class CostModel:
                 components[component] = components.get(component, 0.0) + seconds
             base_share = 0.5 if kind != MessageKind.CONTROL else 0.1
         else:
-            for feature in features:
+            for feature in _in_definition_order(features):
                 weight = _FEATURE_MESSAGE_WEIGHTS[feature].get(kind, 0.0)
                 if weight == 0.0:
                     continue

@@ -1,6 +1,10 @@
 """Tests for the Figure-3-calibrated cost model."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -313,3 +317,62 @@ class TestCostTable:
     def test_memoize_knob_is_gone(self):
         with pytest.raises(TypeError):
             CostModel(memoize=True)
+
+
+# What a process reports under one hash seed: the SHA-256 of the whole
+# cost table (every kind x feature subset x 0-3 extra Vias, breakdown
+# key order included) and one run's payload + extras.  The run is the
+# smallest found that diverged before the loops below were ordered: a
+# single authenticating proxy, all five features on every INVITE.
+_HASH_SEED_PROBE = """
+import hashlib, itertools, json
+from repro.core.costmodel import CostModel, Feature, MessageKind
+from repro.harness.parallel import _job_scenario, scenario_spec
+
+model = CostModel()
+table = [
+    [kind.value, [f.value for f in subset], vias,
+     list(model.message_cost(kind, frozenset(subset), float(vias)))]
+    for kind in MessageKind
+    for size in range(len(Feature) + 1)
+    for subset in itertools.combinations(Feature, size)
+    for vias in range(4)
+]
+run = _job_scenario(scenario_spec(
+    "single_proxy", rate=6000.0, mode="authentication",
+    config={"scale": 100.0, "seed": 1},
+    duration=1.0, warmup=0.25).payload)
+print(json.dumps({
+    "cost_table": hashlib.sha256(json.dumps(table).encode()).hexdigest(),
+    "run": run,
+}))
+"""
+
+
+class TestHashSeedIndependence:
+    """A frozenset of ``Feature`` members iterates in an order that
+    follows PYTHONHASHSEED (an Enum hashes by its name string), and a
+    parent, its spawned workers and two hosts sharing a run cache do not
+    share a seed: no float may depend on that order."""
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        reports = []
+        for seed in ("0", "11", "14"):
+            done = subprocess.run(
+                [sys.executable, "-c", _HASH_SEED_PROBE],
+                env=dict(os.environ, PYTHONHASHSEED=seed,
+                         PYTHONPATH=os.path.abspath(src)),
+                stdout=subprocess.PIPE, text=True, check=True, timeout=120,
+            )
+            reports.append(json.loads(done.stdout))
+        return reports
+
+    def test_cost_table_is_one_table(self, reports):
+        assert len({report["cost_table"] for report in reports}) == 1
+
+    def test_run_payload_and_extras_are_one_run(self, reports):
+        first = json.dumps(reports[0]["run"])
+        assert reports[0]["run"]["result"]["throughput_cps"] > 0
+        assert all(json.dumps(r["run"]) == first for r in reports[1:])
