@@ -199,11 +199,11 @@ def build_scenario(payload: dict):
 
 
 def scenario_job(
-    scenario, duration: float, warmup: float, drain: float = 0.0
+    scenario, duration: float, warmup: float, drain: float
 ) -> dict:
     """Measure a live scenario into a ``scenario`` job's output:
     :func:`~repro.harness.runner.measure` plus the feature snapshots."""
-    output = measure(scenario, duration=duration, warmup=warmup, drain=drain)
+    output = measure(scenario, duration, warmup, drain)
     extras = output["extras"]
     # Key is only present under observe=, so observe-off extras (and
     # their cache entries) are byte-for-byte what they were before.

@@ -154,6 +154,13 @@ def _owned(nodes, owned):
     ]
 
 
+def _owned_proxies(scenario: Scenario, owned):
+    return [
+        (name, proxy) for name, proxy in scenario.proxies.items()
+        if owned is None or name in owned
+    ]
+
+
 def read_counters(scenario: Scenario, owned=None) -> dict:
     """The window counters of the owned nodes, as of ``loop.now``."""
     return {
@@ -182,8 +189,7 @@ def read_counters(scenario: Scenario, owned=None) -> dict:
                 p.metrics.counter("invites_stateful").value,
                 p.metrics.counter("invites_stateless").value,
             )
-            for name, p in scenario.proxies.items()
-            if owned is None or name in owned
+            for name, p in _owned_proxies(scenario, owned)
         },
     }
 
@@ -205,17 +211,13 @@ def window_partial(
         gens[i] = {
             # attempted, completed, failed, with_100, retransmissions
             "deltas": [a[k] - b[k] for k in range(5)],
-            "invite_samples": list(
-                g.metrics.histogram("invite_response_time").samples[b[5]:]
-            ),
-            "bye_samples": list(
-                g.metrics.histogram("bye_response_time").samples[b[6]:]
-            ),
+            "invite_samples":
+                g.metrics.histogram("invite_response_time").samples[b[5]:],
+            "bye_samples":
+                g.metrics.histogram("bye_response_time").samples[b[6]:],
         }
     proxies = {}
-    for name, p in scenario.proxies.items():
-        if owned is not None and name not in owned:
-            continue
+    for name, p in _owned_proxies(scenario, owned):
         b, a = before["proxy"][name], after["proxy"][name]
         proxies[name] = {
             "busy": a[0] - b[0],
@@ -357,10 +359,7 @@ def _drive(
 
 
 def measure(
-    scenario: Scenario,
-    duration: float = 20.0,
-    warmup: float = 5.0,
-    drain: float = 0.0,
+    scenario: Scenario, duration: float, warmup: float, drain: float
 ) -> dict:
     """:func:`run_scenario` as a ``{"result", "extras"}`` job output."""
     before, after = _drive(scenario, duration, warmup, drain)
@@ -389,9 +388,7 @@ def run_scenario(
 def myshare_sample(scenario: Scenario, owned=None) -> dict:
     """Current myshare per (owned SERvartuka proxy, downstream path)."""
     sample = {}
-    for name, proxy in sorted(scenario.proxies.items()):
-        if owned is not None and name not in owned:
-            continue
+    for name, proxy in sorted(_owned_proxies(scenario, owned)):
         policy = proxy.policy
         if isinstance(policy, ServartukaPolicy):
             sample[name] = {
@@ -410,8 +407,7 @@ def fingerprint_partial(
     event and packet totals."""
     registries = {
         name: proxy.metrics.snapshot()
-        for name, proxy in sorted(scenario.proxies.items())
-        if owned is None or name in owned
+        for name, proxy in sorted(_owned_proxies(scenario, owned))
     }
     # Registrars and B2BUAs add keys only where a scenario has them.
     for prefix, nodes in (

@@ -265,7 +265,7 @@ def _scenario_program(
 def _fingerprint_program(
     run_for: float, slices: int, drain: float
 ) -> List[Tuple]:
-    """The slicing schedule of ``repro.harness.parallel._job_fingerprint``."""
+    """The slicing schedule of ``runner.fingerprint_scenario``."""
     ops: List[Tuple] = [("call", "start")]
     for i in range(1, slices + 1):
         ops.append(("advance", run_for * i / slices))
@@ -601,7 +601,7 @@ def _sharded_summary(
 
 
 # ---------------------------------------------------------------------------
-# Entry points (the harness merge path)
+# Entry points
 # ---------------------------------------------------------------------------
 def _run(payload: dict, kind: str, program: List[Tuple],
          timing: Optional[dict]) -> Tuple[List[dict], ShardPlan, int]:
