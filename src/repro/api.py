@@ -41,10 +41,9 @@ Quickstart::
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Union
 
-from repro.harness.experiments import EXPERIMENTS, ExperimentSuite
-from repro.harness.figures import FULL, QUICK, STANDARD, FigureData, Quality
+from repro import _lazy_exports
 from repro.harness.parallel import (
     SCENARIO_BUILDERS,
     SpecTemplate,
@@ -53,20 +52,42 @@ from repro.harness.parallel import (
     scenario_job,
     scenario_spec,
 )
-from repro.core.control import ControlConfig
-from repro.core.fluid import capacity_hint
-from repro.core.lp import LPSolution, solve_fixed_routing, solve_free_routing
-from repro.core.topogen import GeneratedTopology
-from repro.core.topogen import generate as _generate_topology
-from repro.core.topology import Topology
 from repro.harness.runner import RunResult
-from repro.harness.saturation import SweepResult
-from repro.harness.saturation import find_capacity as _find_capacity
-from repro.harness.saturation import sweep_loads as _sweep_loads
-from repro.obs import ObserveConfig
-from repro.sim.faults import FaultSchedule
 from repro.workloads.scenarios import Scenario, ScenarioConfig
-from repro.workloads.spec import ScenarioSpec
+
+if TYPE_CHECKING:
+    from repro.core.control import ControlConfig
+    from repro.core.fluid import capacity_hint
+    from repro.core.lp import LPSolution
+    from repro.core.topogen import GeneratedTopology
+    from repro.core.topology import Topology
+    from repro.harness.figures import FULL, QUICK, STANDARD, FigureData, Quality
+    from repro.harness.saturation import SweepResult
+    from repro.obs.observe import ObserveConfig
+    from repro.sim.faults import FaultSchedule
+    from repro.workloads.spec import ScenarioSpec
+
+#: Names of the pinned surface that live in modules a plain run does not
+#: need (the figure pipeline, the LP, the topology generator, overload
+#: control, observability, faults, the spec DSL): name -> defining
+#: module, imported on first access.  The functions below import the
+#: same modules where they use them.
+_EXPORTS = {
+    "FULL": "repro.harness.figures",
+    "QUICK": "repro.harness.figures",
+    "STANDARD": "repro.harness.figures",
+    "ControlConfig": "repro.core.control",
+    "FaultSchedule": "repro.sim.faults",
+    "FigureData": "repro.harness.figures",
+    "GeneratedTopology": "repro.core.topogen",
+    "LPSolution": "repro.core.lp",
+    "ObserveConfig": "repro.obs.observe",
+    "Quality": "repro.harness.figures",
+    "ScenarioSpec": "repro.workloads.spec",
+    "SweepResult": "repro.harness.saturation",
+    "capacity_hint": "repro.core.fluid",
+}
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "FULL",
@@ -100,8 +121,6 @@ __all__ = [
 #: :func:`find_capacity`; extra keyword arguments are forwarded to the
 #: matching builder in :mod:`repro.workloads.scenarios`.
 TOPOLOGIES = tuple(sorted(SCENARIO_BUILDERS))
-
-_QUALITIES = {"quick": QUICK, "standard": STANDARD, "full": FULL}
 
 
 def _config(
@@ -237,6 +256,8 @@ def run_scenario(
     ``cache_dir=`` requests); a run with ``faults=`` executes inline.
     """
     if spec is not None:
+        from repro.workloads.spec import ScenarioSpec
+
         spec = ScenarioSpec.coerce(spec)
         topology = topology or spec.builder
         rate = spec.rate if rate is None else rate
@@ -293,13 +314,15 @@ def sweep(
     ``jobs=`` fans the load points across worker processes and
     ``cache=`` stores each point on disk; neither changes a metric.
     """
+    from repro.harness import saturation
+
     resolved = _config(config, scale=scale, seed=seed,
                        engine=engine, observe=observe, control=control,
                        shards=shards)
     template = _template(topology, resolved, kwargs)
     with _maybe_execution(jobs, cache, cache_dir):
-        return _sweep_loads(template, loads, duration=duration,
-                            warmup=warmup, label=label or topology)
+        return saturation.sweep_loads(template, loads, duration=duration,
+                                      warmup=warmup, label=label or topology)
 
 
 def find_capacity(
@@ -333,15 +356,17 @@ def find_capacity(
     keeps moving by a grid spacing, and refines once it stops --
     typically about half the simulations for the same answer.
     """
+    from repro.harness import saturation
+
     resolved = _config(config, scale=scale, seed=seed,
                        engine=engine, observe=observe, control=control,
                        shards=shards)
     template = _template(topology, resolved, kwargs)
     with _maybe_execution(jobs, cache, cache_dir):
-        return _find_capacity(template, hint, duration=duration,
-                              warmup=warmup, span=span, points=points,
-                              label=label or topology, refine=refine,
-                              adaptive=adaptive)
+        return saturation.find_capacity(
+            template, hint, duration=duration, warmup=warmup, span=span,
+            points=points, label=label or topology, refine=refine,
+            adaptive=adaptive)
 
 
 def generate_topology(
@@ -366,7 +391,9 @@ def generate_topology(
         bound = gen.oracle().throughput
         result = api.run_scenario("generated", rate=bound, **gen.spec())
     """
-    return _generate_topology(
+    from repro.core.topogen import generate
+
+    return generate(
         family, size, seed=seed, heterogeneity=heterogeneity, **params
     )
 
@@ -385,6 +412,9 @@ def solve_topology(
     or ``None`` for auto (scipy when installed, else the pure-python
     simplex -- the ``repro[lp]`` optional extra).
     """
+    from repro.core.lp import solve_fixed_routing, solve_free_routing
+    from repro.core.topogen import GeneratedTopology
+
     if isinstance(topology, GeneratedTopology):
         if free_routing:
             return solve_free_routing(topology.topology, backend=backend)
@@ -398,6 +428,8 @@ def solve_topology(
 
 def experiments() -> Dict[str, str]:
     """Available experiment ids mapped to one-line descriptions."""
+    from repro.harness.experiments import EXPERIMENTS
+
     return {name: description for name, (_fn, description) in EXPERIMENTS.items()}
 
 
@@ -413,12 +445,15 @@ def run_experiment(
     cache_dir: Optional[str] = None,
 ) -> FigureData:
     """Reproduce one paper figure/table (see :func:`experiments`)."""
+    from repro.harness.experiments import ExperimentSuite
+    from repro.harness.figures import QUALITIES
+
     if isinstance(quality, str):
-        if quality not in _QUALITIES:
+        if quality not in QUALITIES:
             raise ValueError(
-                f"unknown quality {quality!r}; one of {sorted(_QUALITIES)}"
+                f"unknown quality {quality!r}; one of {sorted(QUALITIES)}"
             )
-        quality = _QUALITIES[quality]
+        quality = QUALITIES[quality]
     quality = quality.with_overrides(engine=engine, observe=observe,
                                      control=control)
     suite = ExperimentSuite(quality)

@@ -42,40 +42,27 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.core import topogen
-from repro.core.lp import solve_fixed_routing, solve_free_routing
-from repro.core.topology import Topology
-from repro.harness import figures as figure_mod
-from repro.harness.experiments import EXPERIMENTS, ExperimentSuite
-from repro.harness.parallel import SpecTemplate, execution
 from repro.harness.report import format_table, render_figure
-from repro.harness.runcache import RunCache
-from repro.harness.runner import run_scenario
-from repro.harness.saturation import staircase, sweep_loads
-from repro.sim.trace import render_ladder
 from repro.sip.message import ENGINES, check_engine
-from repro.workloads.scenarios import (
-    ScenarioConfig,
-    internal_external,
-    n_series,
-    parallel_fork,
-    single_proxy,
-)
 
-FIGURE_COMMANDS: Dict[str, Callable] = {
-    name: function for name, (function, _description) in EXPERIMENTS.items()
-}
+# Each command imports what it runs inside its handler: ``repro --help``
+# and ``repro cache`` build no simulator, and a spawned pool worker
+# (which re-imports this module as ``__main__``) loads only the run
+# path, not the figure pipeline, the LP or the topology generator.
+if TYPE_CHECKING:
+    from repro.core.topology import Topology
+    from repro.harness.parallel import SpecTemplate
+    from repro.workloads.scenarios import ScenarioConfig
 
-QUALITIES = {
-    "quick": figure_mod.QUICK,
-    "standard": figure_mod.STANDARD,
-    "full": figure_mod.FULL,
-}
+#: ``--quality`` choices: the keys of ``harness.figures.QUALITIES``.
+QUALITY_NAMES = ("full", "quick", "standard")
 
 
 def _scenario_config(args, **overrides) -> ScenarioConfig:
+    from repro.workloads.scenarios import ScenarioConfig
+
     kwargs = dict(
         scale=args.scale if args.scale is not None else 25.0,
         seed=args.seed if args.seed is not None else 1,
@@ -89,6 +76,13 @@ def _scenario_config(args, **overrides) -> ScenarioConfig:
 
 
 def _build_scenario(args) -> object:
+    from repro.workloads.scenarios import (
+        internal_external,
+        n_series,
+        parallel_fork,
+        single_proxy,
+    )
+
     config = _scenario_config(args)
     if args.topology == "single":
         return single_proxy(args.rate, mode=args.mode, config=config)
@@ -130,6 +124,8 @@ def _parallel_parent() -> argparse.ArgumentParser:
 
 def _execution(args):
     """The ``execution()`` context the parallel flags describe."""
+    from repro.harness.parallel import execution
+
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     return execution(
         jobs=max(1, jobs),
@@ -212,6 +208,8 @@ def _spec_parent() -> argparse.ArgumentParser:
 def _spec_template(args):
     """Template + (rate, duration, warmup, drain) from ``--spec``,
     with explicit CLI flags overriding the file's values."""
+    from repro.harness.parallel import SpecTemplate
+    from repro.workloads.scenarios import ScenarioConfig
     from repro.workloads.spec import ScenarioSpec
 
     spec = ScenarioSpec.coerce(args.spec)
@@ -242,22 +240,32 @@ def _spec_template(args):
     )
 
 
-def cmd_figures(args) -> int:
-    wanted = args.ids or ["all"]
-    if "all" in wanted:
-        wanted = list(FIGURE_COMMANDS)
-    unknown = [name for name in wanted if name not in FIGURE_COMMANDS]
-    if unknown:
-        print(f"unknown figure ids: {unknown}; "
-              f"choose from {sorted(FIGURE_COMMANDS)} or 'all'",
-              file=sys.stderr)
-        return 2
-    quality = QUALITIES[args.quality].with_overrides(
+def _quality(args):
+    """The ``--quality`` preset with the engine flags applied."""
+    from repro.harness.figures import QUALITIES
+
+    return QUALITIES[args.quality].with_overrides(
         engine=args.engine, observe=args.observe, control=args.control
     )
+
+
+def cmd_figures(args) -> int:
+    from repro.harness.experiments import EXPERIMENTS
+
+    wanted = args.ids or ["all"]
+    if "all" in wanted:
+        wanted = list(EXPERIMENTS)
+    unknown = [name for name in wanted if name not in EXPERIMENTS]
+    if unknown:
+        print(f"unknown figure ids: {unknown}; "
+              f"choose from {sorted(EXPERIMENTS)} or 'all'",
+              file=sys.stderr)
+        return 2
+    quality = _quality(args)
     with _execution(args) as ctx:
         for name in wanted:
-            figure = FIGURE_COMMANDS[name](quality)
+            function, _description = EXPERIMENTS[name]
+            figure = function(quality)
             print(render_figure(figure))
             print()
         print(ctx.summary(), file=sys.stderr)
@@ -265,14 +273,14 @@ def cmd_figures(args) -> int:
 
 
 def cmd_experiments(args) -> int:
+    from repro.harness.experiments import EXPERIMENTS, ExperimentSuite
+
     unknown = [name for name in args.ids if name not in EXPERIMENTS]
     if unknown:
         print(f"unknown experiment ids: {unknown}; "
               f"choose from {sorted(EXPERIMENTS)}", file=sys.stderr)
         return 2
-    suite = ExperimentSuite(QUALITIES[args.quality].with_overrides(
-        engine=args.engine, observe=args.observe, control=args.control
-    ))
+    suite = ExperimentSuite(_quality(args))
     ids = args.ids or None
     with _execution(args) as ctx:
         results = suite.run(
@@ -293,6 +301,8 @@ def cmd_experiments(args) -> int:
 
 def _sweep_template(args) -> SpecTemplate:
     """The declarative twin of :func:`_build_scenario` (load left open)."""
+    from repro.harness.parallel import SpecTemplate
+
     config = _scenario_config(args)
     if args.topology == "single":
         return SpecTemplate("single_proxy", config,
@@ -313,6 +323,8 @@ def _sweep_template(args) -> SpecTemplate:
 
 
 def cmd_sweep(args) -> int:
+    from repro.harness.saturation import staircase, sweep_loads
+
     loads = staircase(args.start, args.stop, args.step)
     if args.spec:
         template, _rate, duration, warmup, _drain = _spec_template(args)
@@ -390,6 +402,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_lp(args) -> int:
+    from repro.core.lp import solve_fixed_routing, solve_free_routing
+
     with open(args.topology_file) as handle:
         spec = json.load(handle)
     topology = topology_from_json(spec)
@@ -414,6 +428,8 @@ def cmd_lp(args) -> int:
 
 def cmd_topogen(args) -> int:
     """Generate a cluster topology; report its LP oracle, dump JSON."""
+    from repro.core import topogen
+
     gen = topogen.generate(
         args.family, args.size, seed=args.seed,
         heterogeneity=args.heterogeneity,
@@ -469,6 +485,8 @@ def topology_from_json(spec: dict) -> Topology:
          "edges": [["S1", "S2"], ...],
          "flows": [{"name": "main", "path": ["S1", "S2"], "share": 1.0}]}
     """
+    from repro.core.topology import Topology
+
     topology = Topology()
     for name, (t_sf, t_sl) in spec["nodes"].items():
         topology.add_node(name, t_sf, t_sl)
@@ -496,6 +514,8 @@ def _observe_with_spans(spec: Optional[str]):
 
 
 def cmd_trace(args) -> int:
+    from repro.sim.trace import render_ladder
+
     factory_args = argparse.Namespace(**vars(args))
     factory_args.rate = args.rate
     factory_args.observe = _observe_with_spans(args.observe)
@@ -523,6 +543,7 @@ def cmd_obs(args) -> int:
         render_spans,
         spans_by_call,
     )
+    from repro.harness.runner import run_scenario
 
     spec = args.observe or ("all" if args.spans else "cpu,telemetry")
     observe = ObserveConfig.coerce(spec)
@@ -572,6 +593,8 @@ def cmd_obs(args) -> int:
 
 
 def cmd_cache(args) -> int:
+    from repro.harness.runcache import RunCache
+
     cache = RunCache(args.dir)
     if args.action == "stats":
         stats = cache.stats()
@@ -619,8 +642,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig = sub.add_parser("figures", parents=[engine, parallel],
                            help="regenerate paper figures")
     p_fig.add_argument("ids", nargs="*",
-                       help=f"figure ids ({', '.join(FIGURE_COMMANDS)}) or 'all'")
-    p_fig.add_argument("--quality", default="quick", choices=sorted(QUALITIES))
+                       help="figure ids or 'all' (the default); an unknown "
+                            "id prints the list")
+    p_fig.add_argument("--quality", default="quick", choices=QUALITY_NAMES)
     p_fig.set_defaults(func=cmd_figures)
 
     p_exp = sub.add_parser(
@@ -629,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_exp.add_argument("ids", nargs="*",
                        help="experiment ids (default: all)")
-    p_exp.add_argument("--quality", default="quick", choices=sorted(QUALITIES))
+    p_exp.add_argument("--quality", default="quick", choices=QUALITY_NAMES)
     p_exp.add_argument("--json", help="write machine-readable results here")
     p_exp.add_argument("--markdown", help="write a Markdown report here")
     p_exp.set_defaults(func=cmd_experiments)
@@ -690,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
         "topogen",
         help="generate a cluster topology and solve its LP oracle",
     )
-    p_topogen.add_argument("--family", choices=list(topogen.FAMILIES),
+    p_topogen.add_argument("--family", choices=["chain", "tree", "mesh"],
                            default="mesh")
     p_topogen.add_argument("--size", type=int, default=12,
                            help="number of proxies (a floor for mesh)")
@@ -725,7 +749,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, TypeError, NotImplementedError) as error:
+        # A run that cannot work as configured (what the executor's
+        # CONFIG_ERRORS lets through unretried): one line, like argparse.
+        print(f"repro {args.command}: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

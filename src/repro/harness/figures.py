@@ -118,6 +118,8 @@ STANDARD = Quality("standard", scale=10.0, duration=12.0, warmup=4.0, sweep_poin
                    fig7_fractions=[0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
 FULL = Quality("full", scale=5.0, duration=20.0, warmup=6.0, sweep_points=8,
                fig7_fractions=[i / 10 for i in range(11)])
+#: The presets by name (``--quality`` / ``run_experiment(quality=)``).
+QUALITIES = {preset.name: preset for preset in (QUICK, STANDARD, FULL)}
 
 
 class FigureData:

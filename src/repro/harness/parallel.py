@@ -30,7 +30,9 @@ The pieces:
 - :func:`run_specs` -- execute a batch: resolve cache hits, dedupe
   identical specs within the batch, chunk the misses across spawn-safe
   shared-nothing workers, retry a crashed worker's chunks once on a
-  fresh pool, and merge results back **in spec order** so the output is
+  fresh pool (a job's own ``ValueError``/``TypeError``/
+  ``NotImplementedError`` is a configuration error and propagates
+  unretried), and merge results back **in spec order** so the output is
   bit-identical to a serial run.
 
 Workers are spawned (not forked) by default, so they share no state
@@ -53,13 +55,9 @@ import os
 import sys
 import time
 import weakref
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import multiprocessing
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.harness.runcache import RunCache
 from repro.harness.runner import RunResult, fingerprint_scenario, measure
@@ -75,6 +73,12 @@ from repro.workloads.scenarios import (
     register_churn,
     single_proxy,
 )
+
+# The pool's machinery (concurrent.futures, multiprocessing) is imported
+# by the first batch that starts a pool, not by every process that
+# imports this module: an inline run and a pool worker never need it.
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: Default multiprocessing start method.  ``spawn`` guarantees workers
 #: share nothing with the parent (no inherited parser caches, metric
@@ -418,6 +422,9 @@ class ExecutionContext:
     def _worker_pool(self) -> ProcessPoolExecutor:
         """The context's pool, started on first use."""
         if self._pool is None:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 mp_context=multiprocessing.get_context(self.start_method),
@@ -522,6 +529,13 @@ class _Progress:
         print(line, file=sys.stderr, flush=True)
 
 
+#: What a job raises for a run that cannot work as configured (a zero
+#: window, a feature the engine refuses).  Running it again would raise
+#: again, so these leave the executor at once, unwrapped and unretried;
+#: the one retry is for what a second attempt can cure (a dead worker).
+CONFIG_ERRORS = (ValueError, TypeError, NotImplementedError)
+
+
 def _chunks(tasks: List[tuple], size: int) -> List[List[tuple]]:
     return [tasks[i:i + size] for i in range(0, len(tasks), size)]
 
@@ -534,6 +548,9 @@ def _run_pool(
 ) -> Dict[int, dict]:
     """Fan tasks across the context's workers; chunks that fail get
     exactly one retry, on a fresh pool."""
+    from concurrent.futures import as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
     jobs = min(context.jobs, len(tasks))
     size = context.chunk_size or max(1, math.ceil(len(tasks) / (jobs * 4)))
     chunks = _chunks(tasks, size)
@@ -555,6 +572,12 @@ def _run_pool(
             chunk = futures[future]
             try:
                 done.update(future.result())
+            except CONFIG_ERRORS:
+                # The pool is healthy; only what it has not started is
+                # pointless now.
+                for unfinished in futures:
+                    unfinished.cancel()
+                raise
             except Exception as exc:
                 # A dead worker poisons its whole pool: every chunk not
                 # yet finished lands here along with the culprit.
@@ -588,6 +611,8 @@ def _run_inline(
         slot, _kind, _payload = task
         try:
             results = _execute_chunk([task])
+        except CONFIG_ERRORS:
+            raise
         except Exception as exc:
             context.stats.retried_chunks += 1
             try:

@@ -29,9 +29,8 @@ Key behaviours reproduced:
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.core.control import ControlPolicy, format_retry_after
 from repro.core.costmodel import CostModel, Feature, MessageKind
 from repro.core.overload import OverloadReport
 from repro.core.stateacct import StateAccount
@@ -52,6 +51,9 @@ from repro.sip.message import (
     turbo_enabled,
 )
 from repro.sip.timers import DEFAULT_TIMERS, TimerPolicy
+
+if TYPE_CHECKING:
+    from repro.core.control import ControlPolicy
 
 #: Route-table action meaning "this proxy delivers to the end point".
 DELIVER_ACTION = "__deliver__"
@@ -782,6 +784,9 @@ class ProxyServer(Node):
             )
         elif plan.status == 503 and self.control is not None:
             # RFC 3261 21.5.4: tell the upstream when to come back.
+            # (A controller exists, so its module is already loaded.)
+            from repro.core.control import format_retry_after
+
             response.set(
                 "Retry-After",
                 format_retry_after(self.control.retry_after_value()),

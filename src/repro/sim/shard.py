@@ -51,7 +51,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 # The shard runtime is a driver: what a run measured is computed by the
 # harness from per-owner partials, exactly as for a serial run.
-from repro.harness.parallel import build_scenario
+from repro.harness.parallel import build_scenario, default_start_method
 from repro.harness.runner import (
     assemble,
     assemble_fingerprint,
@@ -421,7 +421,7 @@ def _select_driver(shards: int) -> str:
         # Daemonic pool workers cannot spawn children; the inline
         # driver is bit-identical, so fall back silently.
         return "inline"
-    return choice if choice == "process" else "process"
+    return "process"
 
 
 def _route_mails(
@@ -518,8 +518,7 @@ def _drive_process(
 ) -> Tuple[List[dict], int]:
     import multiprocessing
 
-    start_method = os.environ.get("REPRO_MP_START", "spawn")
-    ctx = multiprocessing.get_context(start_method)
+    ctx = multiprocessing.get_context(default_start_method())
     t0 = perf_counter()
     conns = []
     procs = []

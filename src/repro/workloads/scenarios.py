@@ -24,12 +24,10 @@ costs by the same factor), so results read back in paper units.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro.core.control import ControlConfig
 from repro.core.costmodel import CostModel, PAPER_T_SF, PAPER_T_SL
 from repro.core.servartuka import ServartukaConfig, ServartukaPolicy
-from repro.obs import ObserveConfig, Observer
 from repro.core.static_policy import (
     StatePolicy,
     stateful_policy,
@@ -42,17 +40,23 @@ from repro.servers.proxy import (
     ProxyServer,
     RouteTable,
 )
-from repro.servers.b2bua import B2buaServer
-from repro.servers.registrar_client import RegistrarClient
 from repro.servers.uac import CallGenerator, CallGeneratorConfig
 from repro.servers.uas import AnsweringServer
 from repro.sim.events import EventLoop
 from repro.sim.network import Network
-from repro.sim.hybrid import HybridConfig
 from repro.sim.rng import RngStream
 from repro.sip.digest import CredentialStore
 from repro.sip.message import check_engine, set_engine_mode
 from repro.sip.timers import DEFAULT_TIMERS, TimerPolicy
+
+# What only some scenarios use -- observability, overload control, the
+# hybrid engine, registrars, B2BUAs, the topology generator, faults,
+# traces -- is imported where it is used, so a process loads what it
+# runs (docs/ARCHITECTURE.md, "Import layering").
+if TYPE_CHECKING:
+    from repro.obs.observe import Observer
+    from repro.servers.b2bua import B2buaServer
+    from repro.servers.registrar_client import RegistrarClient
 
 # Shared digest-auth material for scenarios with authentication: the
 # clients pre-authorize (SIPp-style) against this realm/nonce.
@@ -152,15 +156,27 @@ class ScenarioConfig:
         #: Off changes no code path beyond per-site ``is not None``
         #: tests; on changes no *metric* either (recorders are pure
         #: sinks) -- see repro.obs.
-        self.observe = ObserveConfig.coerce(observe)
+        self.observe = None
+        if observe is not None:
+            from repro.obs.observe import ObserveConfig
+
+            self.observe = ObserveConfig.coerce(observe)
         #: Overload control: None (default, fully off), a policy name
         #: ("rate", "window", "occupancy", "signal") or a ControlConfig.
         #: Every proxy gets its own fresh policy instance -- see
         #: repro.core.control.
-        self.control = ControlConfig.coerce(control)
+        self.control = None
+        if control is not None:
+            from repro.core.control import ControlConfig
+
+            self.control = ControlConfig.coerce(control)
         #: Hybrid-engine tuning: None (engine defaults), a HybridConfig,
         #: or its payload dict.  Only consulted when engine == "hybrid".
-        self.hybrid = HybridConfig.coerce(hybrid)
+        self.hybrid = None
+        if hybrid is not None:
+            from repro.sim.hybrid import HybridConfig
+
+            self.hybrid = HybridConfig.coerce(hybrid)
 
     def to_payload(self) -> Dict[str, object]:
         """Every knob as a JSON-able dict (the parallel executor's spec
@@ -239,12 +255,6 @@ class ScenarioConfig:
             kwargs["seed"] = int(kwargs["seed"])
         if kwargs.get("shards") is not None:
             kwargs["shards"] = int(kwargs["shards"])
-        if "observe" in kwargs:
-            kwargs["observe"] = ObserveConfig.coerce(kwargs["observe"])
-        if "control" in kwargs:
-            kwargs["control"] = ControlConfig.coerce(kwargs["control"])
-        if "hybrid" in kwargs:
-            kwargs["hybrid"] = HybridConfig.coerce(kwargs["hybrid"])
         config = cls(**kwargs)
         if lean_metrics is not None and lean_metrics != config.optimized:
             raise ValueError(
@@ -367,6 +377,8 @@ class Scenario:
             self.hybrid_runtime = HybridRuntime(self, config.hybrid)
         self.observer: Optional[Observer] = None
         if config.observe is not None:
+            from repro.obs.observe import Observer
+
             self.observer = Observer(config.observe)
             if config.observe.spans:
                 self.observer.trace = self.enable_trace(
@@ -541,6 +553,8 @@ class Scenario:
         with_auth: bool = False,
     ) -> RegistrarClient:
         """A population of devices refreshing their bindings via REGISTER."""
+        from repro.servers.registrar_client import RegistrarClient
+
         client = RegistrarClient(
             name,
             self.loop,
@@ -563,6 +577,8 @@ class Scenario:
     def add_b2bua(self, name: str, first_hop: str,
                   dest_domain: str) -> B2buaServer:
         """A dialog-bridging B2BUA between two proxy segments."""
+        from repro.servers.b2bua import B2buaServer
+
         b2bua = B2buaServer(
             name,
             self.loop,

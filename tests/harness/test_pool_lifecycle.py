@@ -130,6 +130,33 @@ def test_dead_worker_costs_one_retry_on_a_fresh_pool(
     assert new_workers() == []
 
 
+def _refusing_chunk(tasks):
+    """A chunk whose job refuses its configuration: tallies the attempt
+    in the file the payload names, then raises what a job would."""
+    for _slot, _kind, payload in tasks:
+        if "tally" in payload:
+            with open(payload["tally"], "a") as tally:
+                tally.write("attempt\n")
+            raise ValueError("need duration > 0")
+    return [(slot, {"n": payload["n"]}) for slot, _kind, payload in tasks]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_configuration_error_runs_once_and_is_not_wrapped(
+        monkeypatch, tmp_path, jobs):
+    """A job's own ValueError is not a dead worker: no retry, no
+    'failed after one retry' wrapper, and the pool stays usable."""
+    monkeypatch.setattr(parallel, "_execute_chunk", _refusing_chunk)
+    tally = tmp_path / "tally"
+    refused = RunSpec("probe", {"tally": str(tally)}, label="refused")
+    with execution(jobs=jobs, force=True, chunk_size=1) as context:
+        with pytest.raises(ValueError, match="^need duration > 0$"):
+            run_specs([refused] + _probes(range(jobs - 1)))
+        assert tally.read_text().splitlines() == ["attempt"]
+        assert context.stats.retried_chunks == 0
+        assert [r["n"] for r in run_specs(_probes(range(4, 6)))] == [4, 5]
+
+
 _BACK_TO_BACK = """
 import os
 from repro.harness.parallel import _execute_chunk, scenario_spec

@@ -66,6 +66,34 @@ class TestRun:
         assert json.loads(capsys.readouterr().out)["throughput_cps"] > 1500
 
 
+class TestConfigurationErrors:
+    """A run that cannot work as configured: one line, exit 2, run once
+    (it used to be run twice and end in a wrapped traceback)."""
+
+    @pytest.mark.parametrize("flags, cause", [
+        (["--duration", "0"], "need duration > 0"),
+        (["--engine", "sharded", "--shards", "2", "--control", "rate"],
+         "does not support overload control"),
+    ])
+    def test_one_line_cause_exit_2_one_execution(
+            self, monkeypatch, capsys, flags, cause):
+        from repro.harness import parallel
+
+        executions = []
+        job = parallel.JOBS["scenario"]
+        monkeypatch.setitem(
+            parallel.JOBS, "scenario",
+            lambda payload: executions.append(1) or job(payload))
+        rc = main(["run", "--topology", "series", "--rate", "2000",
+                   "--no-cache", *flags])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro run: error: ") and cause in line
+        assert len(executions) == 1
+
+
 class TestSweep:
     SWEEP = [
         "sweep", "--topology", "series", "--policy", "static",
