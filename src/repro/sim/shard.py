@@ -31,14 +31,20 @@ Correctness argument (why results are *bit-identical* to serial turbo):
 - **Deterministic exchange.**  Envelopes are sorted by ``(arrival,
   sent_at, source shard, per-shard serial)`` before ingestion, so the
   order cross-shard deliveries enter a loop never depends on OS
-  scheduling.  SIP payloads cross via ``to_wire()``/``parse_message``
-  (wire round-tripping is structurally lossless by the parser's
-  contract); control payloads (overload reports) are pickled.
+  scheduling.  An envelope carries fields, not text: a SIP message
+  crosses as ``(method | status, URI text | reason, tuple(headers),
+  body)`` and is rebuilt with the ordinary constructors, so the receiver
+  holds the header list serial turbo's ``copy()`` would have handed it;
+  control payloads (overload reports) are pickled.
 
-Two drivers produce bit-identical results: *inline* (all shards
-round-robin in one process -- used for ``shards=1``, inside daemonic
-pool workers, and under ``REPRO_SHARD_DRIVER=inline``) and *process*
-(one worker process per shard, batches exchanged over pipes).
+Two drivers run the same window step and produce bit-identical results.
+*Inline* holds every shard in one process and hands batches over by
+reference (``shards=1``, daemonic pool workers,
+``REPRO_SHARD_DRIVER=inline``).  *Process* runs one worker per shard and
+no coordinator: the parent starts the workers, builds its own probe
+while they import, then only waits for their partials; each pair of
+shards swaps batches over its own duplex link (an empty message is the
+barrier token), polling and yielding the core instead of sleeping.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ import math
 import os
 import pickle
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 # The shard runtime is a driver: what a run measured is computed by the
 # harness from per-owner partials, exactly as for a serial run.
@@ -60,6 +66,9 @@ from repro.harness.runner import (
     read_counters,
     window_partial,
 )
+from repro.sim.network import Packet
+from repro.sip.message import SipRequest, SipResponse
+from repro.sip.uri import parse_uri
 
 #: Environment knob selecting the execution driver: ``auto`` (default),
 #: ``inline`` or ``process``.  Never part of the run-cache key -- both
@@ -205,44 +214,36 @@ def _check_supported(scenario, shards: int) -> None:
 # ---------------------------------------------------------------------------
 def _expand_program(
     program: List[Tuple], lookahead: float
-) -> List[Tuple]:
-    """Expand advance/call ops into explicit window boundaries.
+) -> Iterator[Tuple]:
+    """Expand advance/call ops into window boundaries, one at a time.
 
     Every ``("advance", target)`` becomes one ``("window", t)`` op per
     conservative window of width ``lookahead`` (clipped at the target,
     which is always a measurement phase boundary).  An advance that is
     already at its target still emits one no-op window so events
     scheduled exactly at the current time execute before the next mark,
-    matching the serial runner's ``run_until(now)`` semantics.
-
-    Both drivers expand the same program with the same lookahead, so
-    the coordinator and every worker agree on the number of exchanges.
+    matching the serial runner's ``run_until(now)`` semantics.  Every
+    shard expands the same program with the same lookahead, so all of
+    them count the same exchanges.
     """
-    ops: List[Tuple] = []
     now = 0.0
     for op in program:
         if op[0] != "advance":
-            ops.append(op)
+            yield op
             continue
         target = op[1]
         if target < now:
             raise ValueError("program must advance monotonically")
-        emitted = False
-        while now < target:
-            if lookahead == math.inf:
+        while True:
+            # Clipped at the phase boundary; no progress means a
+            # zero-length advance (or a lookahead below float resolution).
+            step = min(target, now + lookahead)
+            if step <= now:
                 step = target
-            else:
-                step = now + lookahead
-                # Clip at the phase boundary; the <= now guard only
-                # fires if lookahead vanishes below float resolution.
-                if step > target or step <= now:
-                    step = target
-            ops.append(("window", step))
+            yield ("window", step)
             now = step
-            emitted = True
-        if not emitted:
-            ops.append(("window", target))
-    return ops
+            if now >= target:
+                break
 
 
 def _scenario_program(
@@ -279,18 +280,24 @@ def _fingerprint_program(
 # Per-shard world
 # ---------------------------------------------------------------------------
 def _encode_payload(payload) -> Tuple[str, Any]:
-    from repro.sip.message import SipMessage
-
-    if isinstance(payload, SipMessage):
-        return ("sip", payload.to_wire())
+    """A SIP message as its fields (the header list as an immutable
+    snapshot), anything else pickled."""
+    if isinstance(payload, SipRequest):
+        return ("request", (payload.method, str(payload.uri),
+                            tuple(payload.headers), payload.body))
+    if isinstance(payload, SipResponse):
+        return ("response", (payload.status, payload.reason,
+                             tuple(payload.headers), payload.body))
     return ("pickle", pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 def _decode_payload(kind: str, data) -> Any:
-    if kind == "sip":
-        from repro.sip.parser import parse_message
-
-        return parse_message(data)
+    """The ordinary constructors give the receiver a private header list."""
+    if kind == "request":
+        method, uri, headers, body = data
+        return SipRequest(method, parse_uri(uri), headers, body)
+    if kind == "response":
+        return SipResponse(*data)
     return pickle.loads(data)
 
 
@@ -312,9 +319,12 @@ class _ShardWorld:
         self.registrars = [
             r for r in scenario.registrars if r.name in self.owned
         ]
-        self.outbox: List[Tuple[int, Tuple]] = []
-        self._serial = 0
+        #: What this window sent, one box per destination shard, and
+        #: what the peers handed over at the last boundary.
+        self.outboxes: List[List[Tuple]] = [[] for _ in range(plan.shards)]
+        self.inbox: List[Tuple] = []
         self.cross_sent = 0
+        self.barrier_wait_s = 0.0
         self.readings: List[dict] = []
         self.myshare: List[dict] = []
         # Silence non-owned replicas: the proxy monitor is the only
@@ -333,40 +343,27 @@ class _ShardWorld:
         if target is None or target == self.shard_id:
             return False
         now = self.loop.now
-        self._serial += 1
-        self.cross_sent += 1
-        kind, data = _encode_payload(payload)
-        self.outbox.append(
-            (
-                target,
-                (now + delay, now, self.shard_id, self._serial,
-                 src, dst, kind, data),
-            )
+        self.cross_sent += 1  # doubles as this shard's envelope serial
+        self.outboxes[target].append(
+            (now + delay, now, self.shard_id, self.cross_sent, src, dst)
+            + _encode_payload(payload)
         )
         return True
 
-    def take_outbox(self) -> List[Tuple[int, Tuple]]:
-        out = self.outbox
-        self.outbox = []
-        return out
+    def ingest(self) -> None:
+        """Schedule the inbox for delivery and empty it.
 
-    def ingest(self, envelopes: List[Tuple]) -> None:
-        """Schedule a window's incoming envelopes for delivery.
-
-        Sorting by (arrival, sent_at, source shard, serial) makes the
-        heap insertion order independent of shard count and transport;
-        ``schedule_at`` raises on any arrival at or before the current
-        window boundary, so a lookahead violation fails loudly instead
-        of silently reordering.
+        Envelopes lead with (arrival, sent_at, source shard, serial) and
+        no two share a (shard, serial), so plain tuple order is that key:
+        heap insertion never depends on shard count or transport.  An
+        arrival at or before the current boundary (a lookahead
+        violation) makes ``schedule_at`` raise.
         """
-        from repro.sim.network import Packet
-
-        loop = self.loop
-        deliver = self.network._deliver
-        for env in sorted(envelopes, key=lambda e: e[:4]):
-            arrival, sent_at, _shard, _serial, src, dst, kind, data = env
+        self.inbox.sort()
+        for arrival, sent_at, _, _, src, dst, kind, data in self.inbox:
             packet = Packet(src, dst, _decode_payload(kind, data), sent_at)
-            loop.schedule_at(arrival, deliver, packet)
+            self.loop.schedule_at(arrival, self.network._deliver, packet)
+        self.inbox.clear()
 
     # -- program marks -------------------------------------------------
     def do(self, tag: str) -> None:
@@ -424,197 +421,200 @@ def _select_driver(shards: int) -> str:
     return "process"
 
 
-def _route_mails(
-    shards: int, mails: List[List[Tuple[int, Tuple]]]
-) -> List[List[Tuple]]:
-    inboxes: List[List[Tuple]] = [[] for _ in range(shards)]
-    for mail in mails:
-        for target, env in mail:
-            inboxes[target].append(env)
-    return inboxes
+def _run_program(
+    worlds: List[_ShardWorld], program: List[Tuple], lookahead: float,
+    hand_over: Callable[[_ShardWorld], None],
+) -> int:
+    """Drive the shards this process holds (all of them inline, one in
+    a process-driver worker) through ``program``; the window count.
+
+    The window step: every shard runs to the boundary, ``hand_over``
+    empties each one's outboxes into their owners' inboxes (which then
+    hold the whole window), and a shard that was sent something ingests.
+    """
+    windows = 0
+    for tag, arg in _expand_program(program, lookahead):
+        if tag == "window":
+            windows += 1
+            for world in worlds:
+                world.loop.run_until(arg)
+            for world in worlds:
+                hand_over(world)
+            for world in worlds:
+                if world.inbox:
+                    world.ingest()
+        else:
+            for world in worlds:
+                world.do(arg)
+    return windows
 
 
 def _drive_inline(
-    payload: dict,
-    kind: str,
-    shards: int,
-    program: List[Tuple],
-    timing: Optional[dict],
-) -> Tuple[List[dict], ShardPlan, int]:
-    t0 = perf_counter()
+    payload: dict, kind: str, shards: int, program: List[Tuple]
+) -> Tuple[List[dict], ShardPlan, int, float, float]:
     scenario0 = build_scenario(payload)
     plan = partition_scenario(scenario0, shards)
     _check_supported(scenario0, shards)
     worlds = [_ShardWorld(scenario0, 0, plan)]
     for k in range(1, shards):
         worlds.append(_ShardWorld(build_scenario(payload), k, plan))
-    windows = 0
-    for op in _expand_program(program, plan.lookahead):
-        if op[0] == "window":
-            windows += 1
-            target = op[1]
-            mails = []
-            for world in worlds:
-                world.loop.run_until(target)
-                mails.append(world.take_outbox())
-            for world, inbox in zip(worlds, _route_mails(shards, mails)):
-                world.ingest(inbox)
-        else:
-            for world in worlds:
-                world.do(op[1])
-    partials = [world.collect(kind) for world in worlds]
-    if timing is not None:
-        timing.update(
-            driver="inline",
-            wall_s=perf_counter() - t0,
-            barrier_wait_s=0.0,
-            windows=windows,
-        )
-    return partials, plan, windows
+
+    def hand_over(world: _ShardWorld) -> None:
+        for box, owner in zip(world.outboxes, worlds):
+            if box:
+                owner.inbox.extend(box)
+                box.clear()
+
+    windows = _run_program(worlds, program, plan.lookahead, hand_over)
+    return [w.collect(kind) for w in worlds], plan, windows, 0.0, 0.0
+
+
+def _link_hand_over(links: Dict[int, Any]) -> Callable[[_ShardWorld], None]:
+    """The process driver's hand-over: swap batches with every peer.
+
+    ``links`` maps a peer's shard id to this shard's end of their link.
+    Peers are served in id order and on each link the lower id sends
+    first while the higher receives first, so a batch larger than the
+    link's buffer is always written to a peer that is reading.  Waiting
+    polls and gives up the core: a peer without one runs instead of this
+    loop, one with a core is answered within a poll, not a wake-up, and
+    one that is gone raises ``EOFError`` (or a ``ConnectionError``) here.
+    """
+    peers = sorted(links.items())
+
+    def hand_over(world: _ShardWorld) -> None:
+        for peer, link in peers:
+            box = world.outboxes[peer]
+            batch = pickle.dumps(box, pickle.HIGHEST_PROTOCOL) if box else b""
+            box.clear()
+            if world.shard_id < peer:
+                link.send_bytes(batch)
+            w0 = perf_counter()
+            while not link.poll(0):
+                os.sched_yield()
+            theirs = link.recv_bytes()
+            world.barrier_wait_s += perf_counter() - w0
+            if world.shard_id > peer:
+                link.send_bytes(batch)
+            if theirs:
+                world.inbox.extend(pickle.loads(theirs))
+
+    return hand_over
 
 
 def _shard_worker_main(
-    conn, payload: dict, kind: str, shard_id: int, plan: ShardPlan,
-    program: List[Tuple],
+    report, links: Dict[int, Any], payload: dict, kind: str,
+    shard_id: int, program: List[Tuple],
 ) -> None:
-    """Entry point of one spawned shard process."""
+    """Entry point of one shard process: build, run, report."""
     try:
         t0 = perf_counter()
-        wait = 0.0
-        world = _ShardWorld(build_scenario(payload), shard_id, plan)
-        for op in _expand_program(program, plan.lookahead):
-            if op[0] == "window":
-                world.loop.run_until(op[1])
-                conn.send(("mail", world.take_outbox()))
-                w0 = perf_counter()
-                inbox = conn.recv()
-                wait += perf_counter() - w0
-                world.ingest(inbox)
-            else:
-                world.do(op[1])
-        partial = world.collect(kind)
-        conn.send(
-            ("done", partial,
-             {"barrier_wait_s": wait, "wall_s": perf_counter() - t0})
+        scenario = build_scenario(payload)
+        plan = partition_scenario(scenario, len(links) + 1)
+        world = _ShardWorld(scenario, shard_id, plan)
+        windows = _run_program(
+            [world], program, plan.lookahead, _link_hand_over(links)
         )
+        report.send(("done", world.collect(kind), windows,
+                     world.barrier_wait_s, perf_counter() - t0))
+    except (EOFError, ConnectionError):
+        report.send(("lost",))  # a peer is gone; its own end says why
     except Exception:
         import traceback
 
-        try:
-            conn.send(("error", traceback.format_exc()))
-        except Exception:  # pragma: no cover - pipe already gone
-            pass
-    finally:
-        conn.close()
+        report.send(("error", traceback.format_exc()))
 
 
 def _drive_process(
-    payload: dict,
-    kind: str,
-    shards: int,
-    plan: ShardPlan,
-    program: List[Tuple],
-    timing: Optional[dict],
-) -> Tuple[List[dict], int]:
+    payload: dict, kind: str, shards: int, program: List[Tuple]
+) -> Tuple[List[dict], ShardPlan, int, float, float]:
     import multiprocessing
+    from multiprocessing.connection import wait
 
     ctx = multiprocessing.get_context(default_start_method())
-    t0 = perf_counter()
-    conns = []
-    procs = []
-    windows = 0
+    links: List[Dict[int, Any]] = [{} for _ in range(shards)]
+    for low in range(shards):
+        for high in range(low + 1, shards):
+            links[low][high], links[high][low] = ctx.Pipe()
+    procs: list = []
+    reports: Dict[Any, int] = {}  # the parent's end -> shard id
+    done: Dict[int, list] = {}
     try:
         for shard_id in range(shards):
-            parent_conn, child_conn = ctx.Pipe()
+            report, child_end = ctx.Pipe(duplex=False)
+            mine = links[shard_id]
             proc = ctx.Process(
                 target=_shard_worker_main,
-                args=(child_conn, payload, kind, shard_id, plan, program),
+                args=(child_end, mine, payload, kind, shard_id, program),
                 daemon=True,
             )
             proc.start()
-            child_conn.close()
-            conns.append(parent_conn)
             procs.append(proc)
-
-        for op in _expand_program(program, plan.lookahead):
-            if op[0] != "window":
-                continue
-            windows += 1
-            mails = []
-            for conn in conns:
-                msg = conn.recv()
-                if msg[0] == "error":
-                    raise RuntimeError(f"shard worker failed:\n{msg[1]}")
-                mails.append(msg[1])
-            for conn, inbox in zip(conns, _route_mails(shards, mails)):
-                conn.send(inbox)
-
-        partials = []
-        waits = []
-        walls = []
-        for conn in conns:
-            msg = conn.recv()
-            if msg[0] == "error":
-                raise RuntimeError(f"shard worker failed:\n{msg[1]}")
-            partials.append(msg[1])
-            waits.append(msg[2]["barrier_wait_s"])
-            walls.append(msg[2]["wall_s"])
+            for end in (child_end, *mine.values()):
+                end.close()  # the worker's now, so that its death is EOF
+            reports[report] = shard_id
+        # The workers are importing; build the probe meanwhile.
+        probe = build_scenario(payload)
+        plan = partition_scenario(probe, shards)
+        _check_supported(probe, shards)
+        waiting = dict(reports)
+        while waiting:
+            for report in wait(list(waiting)):
+                shard_id = waiting.pop(report)
+                try:
+                    tag, *rest = report.recv()
+                except EOFError:  # killed, out of memory, failed to start
+                    procs[shard_id].join(timeout=10)
+                    tag, rest = "error", [
+                        f"exited with code {procs[shard_id].exitcode} "
+                        "before it reported"
+                    ]
+                if tag == "error":
+                    raise RuntimeError(
+                        f"shard {shard_id} worker failed: {rest[0]}"
+                    )
+                if tag == "done":
+                    done[shard_id] = rest
     finally:
-        for conn in conns:
-            conn.close()
+        for report in reports:
+            report.close()
         for proc in procs:
-            proc.join(timeout=60)
-            if proc.is_alive():  # pragma: no cover - hung worker
+            if len(done) < shards:  # failed: nobody is left spinning
                 proc.terminate()
-                proc.join()
-    if timing is not None:
-        busy = sum(walls)
-        timing.update(
-            driver="process",
-            wall_s=perf_counter() - t0,
-            barrier_wait_s=sum(waits),
-            # Fraction of total worker time spent blocked on a window
-            # barrier: the honest parallelism tax.
-            barrier_stall_fraction=(sum(waits) / busy) if busy > 0 else 0.0,
-            windows=windows,
-        )
-    return partials, windows
-
-
-# ---------------------------------------------------------------------------
-# Shard accounting
-# ---------------------------------------------------------------------------
-def _sharded_summary(
-    plan: ShardPlan, windows: int, partials: List[dict]
-) -> dict:
-    """Deterministic per-run shard accounting (cache-safe: no wall time)."""
-    return {
-        "shards": plan.shards,
-        "lookahead": (
-            None if math.isinf(plan.lookahead) else plan.lookahead
-        ),
-        "windows": windows,
-        "cross_messages": sum(p["cross_sent"] for p in partials),
-        "events_per_shard": [p["events"] for p in partials],
-    }
+            proc.join()
+    partials, windows, waits, walls = zip(*(done[k] for k in range(shards)))
+    return list(partials), plan, windows[0], sum(waits), sum(walls)
 
 
 # ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
 def _run(payload: dict, kind: str, program: List[Tuple],
-         timing: Optional[dict]) -> Tuple[List[dict], ShardPlan, int]:
+         timing: Optional[dict]) -> Tuple[List[dict], dict]:
+    """The shards' partials and the run's shard accounting (cache-safe:
+    wall time only ever goes to ``timing``)."""
     shards = int(payload["config"].get("shards") or 1)
     driver = _select_driver(shards)
-    if driver == "inline":
-        return _drive_inline(payload, kind, shards, program, timing)
-    probe = build_scenario(payload)
-    plan = partition_scenario(probe, shards)
-    _check_supported(probe, shards)
-    partials, windows = _drive_process(
-        payload, kind, shards, plan, program, timing
+    drive = _drive_inline if driver == "inline" else _drive_process
+    t0 = perf_counter()
+    partials, plan, windows, waited, busy = drive(
+        payload, kind, shards, program
     )
-    return partials, plan, windows
+    if timing is not None:
+        timing.update(
+            driver=driver, wall_s=perf_counter() - t0, windows=windows,
+            barrier_wait_s=waited,
+            # Share of worker time spent waiting at a window barrier:
+            # the honest parallelism tax (none inline).
+            barrier_stall_fraction=(waited / busy) if busy > 0 else 0.0,
+        )
+    return partials, {
+        "shards": plan.shards,
+        "lookahead": None if math.isinf(plan.lookahead) else plan.lookahead,
+        "windows": windows,
+        "cross_messages": sum(p["cross_sent"] for p in partials),
+        "events_per_shard": [p["events"] for p in partials],
+    }
 
 
 def run_sharded_scenario(
@@ -631,11 +631,11 @@ def run_sharded_scenario(
     program = _scenario_program(
         payload["duration"], payload["warmup"], payload.get("drain", 0.0)
     )
-    partials, plan, windows = _run(payload, "scenario", program, timing)
+    partials, summary = _run(payload, "scenario", program, timing)
     output = assemble(partials)
     # Present only under engine="sharded", like the obs/control/hybrid
     # keys of repro.harness.parallel.scenario_job.
-    output["extras"]["sharded"] = _sharded_summary(plan, windows, partials)
+    output["extras"]["sharded"] = summary
     return output
 
 
@@ -648,7 +648,7 @@ def run_sharded_fingerprint(
         int(payload.get("slices", 6)),
         payload.get("drain", 0.0),
     )
-    partials, plan, windows = _run(payload, "fingerprint", program, timing)
+    partials, summary = _run(payload, "fingerprint", program, timing)
     output = assemble_fingerprint(partials)
-    output["sharded"] = _sharded_summary(plan, windows, partials)
+    output["sharded"] = summary
     return output

@@ -99,16 +99,16 @@ class TestPartition:
 
 class TestWindowSchedule:
     def test_infinite_lookahead_one_window_per_phase(self):
-        ops = _expand_program(
+        ops = list(_expand_program(
             [("call", "start"), ("advance", 1.0), ("advance", 3.0)],
             math.inf,
-        )
+        ))
         assert ops == [
             ("call", "start"), ("window", 1.0), ("window", 3.0),
         ]
 
     def test_windows_never_exceed_lookahead(self):
-        ops = _expand_program([("advance", 1.0)], 0.3)
+        ops = list(_expand_program([("advance", 1.0)], 0.3))
         times = [t for kind, t in ops if kind == "window"]
         previous = 0.0
         for t in times:
@@ -119,17 +119,19 @@ class TestWindowSchedule:
     def test_zero_length_advance_still_emits_one_window(self):
         """Matches the serial runner's run_until(now) semantics: events
         scheduled exactly at the current time execute before the mark."""
-        ops = _expand_program(
+        ops = list(_expand_program(
             [("advance", 0.0), ("call", "snapshot")], math.inf
-        )
+        ))
         assert ops == [("window", 0.0), ("call", "snapshot")]
 
     def test_non_monotone_program_raises(self):
         with pytest.raises(ValueError, match="monotonically"):
-            _expand_program([("advance", 2.0), ("advance", 1.0)], math.inf)
+            list(_expand_program(
+                [("advance", 2.0), ("advance", 1.0)], math.inf
+            ))
 
     def test_marks_interleave_with_windows_in_program_order(self):
-        ops = _expand_program(
+        ops = list(_expand_program(
             [
                 ("call", "start"),
                 ("advance", 0.5),
@@ -138,6 +140,6 @@ class TestWindowSchedule:
                 ("call", "stop"),
             ],
             0.5,
-        )
+        ))
         kinds = [op[0] for op in ops]
         assert kinds == ["call", "window", "call", "window", "call"]

@@ -187,6 +187,8 @@ def test_pool_and_shard_workers_match_inline_runs(hash_seed):
         assert outputs["process"] == outputs["inline"]
     """, hash_seed)
     assert {"concurrent.futures", "multiprocessing"} <= loaded
+    # Cross-shard messages travel as fields: no wire text, no parser.
+    assert "repro.sip.parser" not in loaded
 
 
 # ---------------------------------------------------------------------------
