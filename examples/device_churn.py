@@ -14,16 +14,11 @@ Run:
 from repro.core.costmodel import CostModel
 from repro.core.static_policy import stateful_policy
 from repro.harness.report import format_table
-from repro.servers import (
-    AnsweringServer,
-    CallGenerator,
-    CallGeneratorConfig,
-    ProxyServer,
-    RegistrarClient,
-    RouteTable,
-)
 from repro.servers.location import LocationService
-from repro.servers.proxy import DELIVER_ACTION
+from repro.servers.proxy import DELIVER_ACTION, ProxyServer, RouteTable
+from repro.servers.registrar_client import RegistrarClient
+from repro.servers.uac import CallGenerator, CallGeneratorConfig
+from repro.servers.uas import AnsweringServer
 from repro.sim.events import EventLoop
 from repro.sim.network import Network
 from repro.sim.rng import RngStream

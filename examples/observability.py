@@ -21,7 +21,7 @@ Run:
 """
 
 from repro.api import run_scenario
-from repro.obs import render_profile_table
+from repro.obs.export import render_profile_table
 
 
 def main() -> None:

@@ -22,8 +22,14 @@ Everything composes in one place:
   (``"rate"``/``"window"``/``"occupancy"``/``"signal"`` or a
   :class:`ControlConfig`) to every proxy,
 - ``spec=`` runs a declarative scenario spec (a
-  :class:`ScenarioSpec`, its dict, or a ``.toml``/``.json`` path);
-  explicit arguments override the spec's values.
+  :class:`ScenarioSpec`, its dict, or a ``.toml``/``.json`` path).
+
+Which run a call denotes is resolved in one place,
+:func:`repro.workloads.spec.resolve`, under one rule -- explicit
+argument > spec document > default, ``None`` meaning "not given" -- so
+``api.run_scenario(spec=f)``, ``repro run --spec f`` and
+``ScenarioSpec.from_path(f).run_spec()`` are the same run (docs/API.md
+has the defaults of each door).
 
 Quickstart::
 
@@ -46,14 +52,13 @@ from typing import TYPE_CHECKING, Dict, Optional, Sequence, Union
 from repro import _lazy_exports
 from repro.harness.parallel import (
     SCENARIO_BUILDERS,
-    SpecTemplate,
     execution,
     run_specs,
     scenario_job,
-    scenario_spec,
 )
 from repro.harness.runner import RunResult
 from repro.workloads.scenarios import Scenario, ScenarioConfig
+from repro.workloads.spec import ScenarioSpec, resolve
 
 if TYPE_CHECKING:
     from repro.core.control import ControlConfig
@@ -65,11 +70,10 @@ if TYPE_CHECKING:
     from repro.harness.saturation import SweepResult
     from repro.obs.observe import ObserveConfig
     from repro.sim.faults import FaultSchedule
-    from repro.workloads.spec import ScenarioSpec
 
 #: Names of the pinned surface that live in modules a plain run does not
 #: need (the figure pipeline, the LP, the topology generator, overload
-#: control, observability, faults, the spec DSL): name -> defining
+#: control, observability, faults): name -> defining
 #: module, imported on first access.  The functions below import the
 #: same modules where they use them.
 _EXPORTS = {
@@ -83,7 +87,6 @@ _EXPORTS = {
     "LPSolution": "repro.core.lp",
     "ObserveConfig": "repro.obs.observe",
     "Quality": "repro.harness.figures",
-    "ScenarioSpec": "repro.workloads.spec",
     "SweepResult": "repro.harness.saturation",
     "capacity_hint": "repro.core.fluid",
 }
@@ -123,42 +126,6 @@ __all__ = [
 TOPOLOGIES = tuple(sorted(SCENARIO_BUILDERS))
 
 
-def _config(
-    config,
-    *,
-    scale: Optional[float],
-    seed: Optional[int],
-    engine: Optional[str],
-    observe,
-    control=None,
-    shards: Optional[int] = None,
-) -> ScenarioConfig:
-    """Resolve the per-call config: overrides > explicit config > defaults.
-
-    ``config`` takes everything :meth:`ScenarioConfig.coerce` does -- an
-    instance, an engine name, or a (possibly partial) payload dict.
-    """
-    if config is not None:
-        config = ScenarioConfig.coerce(config)
-    overrides = {
-        key: value
-        for key, value in (
-            ("scale", scale), ("seed", seed),
-            ("engine", engine), ("observe", observe),
-            ("control", control), ("shards", shards),
-        )
-        if value is not None
-    }
-    if config is None:
-        return ScenarioConfig(**overrides)
-    if not overrides:
-        return config
-    payload = config.to_payload()
-    del payload["lean_metrics"]  # derived from the (overridable) engine
-    payload.update(overrides)
-    return ScenarioConfig.from_payload(payload)
-
-
 @contextmanager
 def _maybe_execution(jobs, cache, cache_dir):
     """Install an execution context when any knob is given; otherwise
@@ -174,19 +141,11 @@ def _maybe_execution(jobs, cache, cache_dir):
         yield context
 
 
-def _template(topology: str, config: ScenarioConfig, kwargs) -> SpecTemplate:
-    if topology not in SCENARIO_BUILDERS:
-        raise ValueError(
-            f"unknown topology {topology!r}; one of {list(TOPOLOGIES)}"
-        )
-    return SpecTemplate(topology, config, label=topology, **kwargs)
-
-
 def make_scenario(
-    topology: str = "single_proxy",
+    topology: Optional[str] = None,
     *,
     rate: float,
-    config: Optional[ScenarioConfig] = None,
+    config: Union[None, ScenarioConfig, str, dict] = None,
     scale: Optional[float] = None,
     seed: Optional[int] = None,
     engine: Optional[str] = None,
@@ -200,16 +159,11 @@ def make_scenario(
     For custom drives (time-varying load, mid-run inspection).  Most
     callers want :func:`run_scenario` instead.
     """
-    if topology not in SCENARIO_BUILDERS:
-        raise ValueError(
-            f"unknown topology {topology!r}; one of {list(TOPOLOGIES)}"
-        )
-    resolved = _config(config, scale=scale, seed=seed,
-                       engine=engine, observe=observe, control=control,
-                       shards=shards)
-    # All-keyword call, matching the parallel executor's build_scenario:
-    # some builders (n_series) take a topology argument before rate.
-    return SCENARIO_BUILDERS[topology](rate=rate, config=resolved, **kwargs)
+    return resolve(
+        topology, rate=rate, config=config, scale=scale, seed=seed,
+        engine=engine, observe=observe, control=control, shards=shards,
+        params=kwargs,
+    ).build()
 
 
 def run_scenario(
@@ -236,8 +190,8 @@ def run_scenario(
 
     Returns a :class:`RunResult`; when ``observe=`` is set the result
     additionally carries the observability snapshot as ``result.obs``
-    (the JSON-able dict of :meth:`repro.obs.Observer.snapshot`), when
-    ``control=`` is set the overload-control snapshot (per-proxy
+    (the JSON-able dict of :meth:`repro.obs.observe.Observer.snapshot`),
+    when ``control=`` is set the overload-control snapshot (per-proxy
     stats + decision traces) as ``result.control``, when
     ``engine="hybrid"`` the jump ledger (count, skipped seconds/calls,
     per-jump records) as ``result.hybrid``, and when
@@ -246,58 +200,43 @@ def run_scenario(
 
     ``spec=`` takes a :class:`ScenarioSpec`, its document dict, or a
     ``.toml``/``.json`` file path; it supplies the topology, builder
-    parameters, config, rate and run window, and every explicit
+    parameters, config, label, rate and run window, and every explicit
     argument overrides the spec's value.  ``api.run_scenario(spec=f)``
     is equivalent to ``repro run --spec f`` and to spelling the same
-    run out programmatically -- all three hash to one cache key.
+    run out programmatically -- all three hand the executor one
+    ``RunSpec``: one cache key, one label.
 
     Fault-free runs route through the parallel executor's job path, so
     they participate in the ambient run cache (or the one ``cache=`` /
     ``cache_dir=`` requests); a run with ``faults=`` executes inline.
     """
-    if spec is not None:
-        from repro.workloads.spec import ScenarioSpec
-
-        spec = ScenarioSpec.coerce(spec)
-        topology = topology or spec.builder
-        rate = spec.rate if rate is None else rate
-        duration = spec.duration if duration is None else duration
-        warmup = spec.warmup if warmup is None else warmup
-        drain = spec.drain if drain is None else drain
-        if config is None and spec.config is not None:
-            config = spec.config
-        kwargs = dict(spec.params, **kwargs)
-    if rate is None:
+    run = resolve(
+        topology, spec=spec, rate=rate, duration=duration, warmup=warmup,
+        drain=drain, config=config, scale=scale, seed=seed, engine=engine,
+        observe=observe, control=control, shards=shards, params=kwargs,
+    )
+    if run.rate is None:
         raise TypeError("run_scenario() needs rate= (or a spec= with "
                         "a [load] section)")
-    topology = topology or "single_proxy"
-    duration = 10.0 if duration is None else duration
-    warmup = 4.0 if warmup is None else warmup
-    drain = 0.0 if drain is None else drain
-    resolved = _config(config, scale=scale, seed=seed,
-                       engine=engine, observe=observe, control=control,
-                       shards=shards)
     if faults is not None:
-        scenario = make_scenario(topology, rate=rate, config=resolved,
-                                 **kwargs)
+        scenario = run.build()
         scenario.install_faults(faults)
         return RunResult.from_job(scenario_job(
-            scenario, duration=duration, warmup=warmup, drain=drain))
-    spec = scenario_spec(topology, rate=rate, config=resolved,
-                         duration=duration, warmup=warmup, drain=drain,
-                         label=f"{topology}@{rate:.0f}", **kwargs)
+            scenario, duration=run.duration, warmup=run.warmup,
+            drain=run.drain))
     with _maybe_execution(None, cache, cache_dir):
-        return RunResult.from_job(run_specs([spec])[0])
+        return RunResult.from_job(run_specs([run.run_spec()])[0])
 
 
 def sweep(
-    topology: str = "single_proxy",
+    topology: Optional[str] = None,
     *,
     loads: Sequence[float],
-    duration: float = 10.0,
-    warmup: float = 4.0,
-    label: str = "",
-    config: Optional[ScenarioConfig] = None,
+    spec: Union[None, str, dict, ScenarioSpec] = None,
+    duration: Optional[float] = None,
+    warmup: Optional[float] = None,
+    label: Optional[str] = None,
+    config: Union[None, ScenarioConfig, str, dict] = None,
     scale: Optional[float] = None,
     seed: Optional[int] = None,
     engine: Optional[str] = None,
@@ -311,32 +250,37 @@ def sweep(
 ) -> SweepResult:
     """Run one fresh scenario per offered load (the paper's methodology).
 
+    ``spec=`` and the explicit arguments resolve as they do for
+    :func:`run_scenario` (``loads`` takes the place of the rate).
     ``jobs=`` fans the load points across worker processes and
     ``cache=`` stores each point on disk; neither changes a metric.
     """
     from repro.harness import saturation
 
-    resolved = _config(config, scale=scale, seed=seed,
-                       engine=engine, observe=observe, control=control,
-                       shards=shards)
-    template = _template(topology, resolved, kwargs)
+    run = resolve(
+        topology, spec=spec, duration=duration, warmup=warmup, label=label,
+        config=config, scale=scale, seed=seed, engine=engine,
+        observe=observe, control=control, shards=shards, params=kwargs,
+    )
     with _maybe_execution(jobs, cache, cache_dir):
-        return saturation.sweep_loads(template, loads, duration=duration,
-                                      warmup=warmup, label=label or topology)
+        return saturation.sweep_loads(
+            run.template(), loads, duration=run.duration,
+            warmup=run.warmup, label=run.label)
 
 
 def find_capacity(
-    topology: str = "single_proxy",
+    topology: Optional[str] = None,
     *,
     hint: float,
-    duration: float = 10.0,
-    warmup: float = 4.0,
+    spec: Union[None, str, dict, ScenarioSpec] = None,
+    duration: Optional[float] = None,
+    warmup: Optional[float] = None,
     span: float = 0.35,
     points: int = 6,
     refine: bool = True,
     adaptive: bool = False,
-    label: str = "",
-    config: Optional[ScenarioConfig] = None,
+    label: Optional[str] = None,
+    config: Union[None, ScenarioConfig, str, dict] = None,
     scale: Optional[float] = None,
     seed: Optional[int] = None,
     engine: Optional[str] = None,
@@ -358,14 +302,15 @@ def find_capacity(
     """
     from repro.harness import saturation
 
-    resolved = _config(config, scale=scale, seed=seed,
-                       engine=engine, observe=observe, control=control,
-                       shards=shards)
-    template = _template(topology, resolved, kwargs)
+    run = resolve(
+        topology, spec=spec, duration=duration, warmup=warmup, label=label,
+        config=config, scale=scale, seed=seed, engine=engine,
+        observe=observe, control=control, shards=shards, params=kwargs,
+    )
     with _maybe_execution(jobs, cache, cache_dir):
         return saturation.find_capacity(
-            template, hint, duration=duration, warmup=warmup, span=span,
-            points=points, label=label or topology, refine=refine,
+            run.template(), hint, duration=run.duration, warmup=run.warmup,
+            span=span, points=points, label=run.label, refine=refine,
             adaptive=adaptive)
 
 

@@ -1,10 +1,14 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands:
+argparse over :mod:`repro.api`: a handler turns its flags into the
+keywords of one ``api`` call (:func:`_api_kwargs`) and prints what comes
+back, so a command and the call it spells denote the same run -- the
+door-by-door table, with the defaults of each, is in docs/API.md.
 
-- ``figures [ids...]`` -- regenerate paper tables/figures
-  (``fig3 fig4 lp fig5 fig6 fig7 fig8 three-series resilience overload
-  optgap`` or ``all``),
+- ``figures [ids...]`` / ``experiments [ids...]`` -- one command under
+  two names: regenerate paper tables/figures (``fig3 fig4 lp fig5 fig6
+  fig7 fig8 three-series resilience overload optgap`` or ``all``),
+  to the terminal or as ``--json`` / ``--markdown``,
 - ``sweep`` -- throughput sweep of one topology/policy,
 - ``run`` -- a single load point with full measurement detail,
 - ``lp`` -- solve the state-distribution LP for a topology described
@@ -19,20 +23,6 @@ Commands:
   and (optionally) per-call spans; exportable as JSON/CSV,
 - ``cache`` -- inspect or clear the on-disk run cache.
 
-The simulation-heavy commands (``figures``, ``experiments``, ``sweep``,
-``run``) accept ``--jobs/-j N`` to fan independent runs
-across worker processes and use a content-addressed run cache under
-``.repro-cache/`` (disable with ``--no-cache``); neither changes a
-single reported metric.  Scenario-building commands accept
-``--engine`` (simulation engine), ``--observe`` (attach the
-:mod:`repro.obs` recorders; changes no metric) and ``--control``
-(attach an overload-control policy from :mod:`repro.core.control` to
-every proxy).  ``run`` and ``sweep`` additionally accept ``--spec
-FILE``: a declarative TOML/JSON scenario spec
-(:mod:`repro.workloads.spec`) supplying the topology, builder
-parameters, config, load and run window; explicit flags override the
-file's values.
-
 All loads are paper-equivalent calls/second.
 """
 
@@ -44,7 +34,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.harness.report import format_table, render_figure
+from repro.harness.report import format_table
 from repro.sip.message import ENGINES, check_engine
 
 # Each command imports what it runs inside its handler: ``repro --help``
@@ -53,48 +43,55 @@ from repro.sip.message import ENGINES, check_engine
 # path, not the figure pipeline, the LP or the topology generator.
 if TYPE_CHECKING:
     from repro.core.topology import Topology
-    from repro.harness.parallel import SpecTemplate
-    from repro.workloads.scenarios import ScenarioConfig
 
 #: ``--quality`` choices: the keys of ``harness.figures.QUALITIES``.
 QUALITY_NAMES = ("full", "quick", "standard")
 
+#: ``--topology`` value -> (scenario builder, {builder parameter: the
+#: flag that sets it}).
+TOPOLOGIES = {
+    "single": ("single_proxy", {"mode": "mode"}),
+    "series": ("n_series",
+               {"n": "nodes", "policy": "policy", "auth": "auth"}),
+    "mix": ("internal_external",
+            {"external_fraction": "external_fraction", "policy": "policy"}),
+    "fork": ("parallel_fork", {"policy": "policy"}),
+}
 
-def _scenario_config(args, **overrides) -> ScenarioConfig:
-    from repro.workloads.scenarios import ScenarioConfig
+#: What a scenario command assumes where neither a flag nor a ``--spec``
+#: file says otherwise (``repro.api`` called directly assumes scale 10,
+#: a 10 s + 4 s window and no rate).
+DEFAULTS = {"scale": 25.0, "rate": 8000.0, "duration": 8.0, "warmup": 3.0}
 
-    kwargs = dict(
-        scale=args.scale if args.scale is not None else 25.0,
-        seed=args.seed if args.seed is not None else 1,
-        engine=getattr(args, "engine", None) or "turbo",
-        observe=getattr(args, "observe", None),
-        control=getattr(args, "control", None),
-        shards=getattr(args, "shards", None),
+_LOAD_FLAGS = {
+    "rate": "offered load, paper cps",
+    "duration": "measurement window seconds",
+    "warmup": "warmup seconds",
+}
+
+
+def _api_kwargs(args, *load_flags) -> dict:
+    """The ``repro.api`` keywords the scenario flags denote: the given
+    ``load_flags`` and the config knobs as typed (``None`` = not given),
+    plus either ``spec=`` or the topology, its builder parameters and
+    the CLI's :data:`DEFAULTS`."""
+    given = {
+        name: getattr(args, name)
+        for name in (*load_flags, "scale", "seed", "engine", "observe",
+                     "control", "shards")
+    }
+    if getattr(args, "spec", None):
+        from repro.api import ScenarioSpec
+
+        return dict(given, spec=ScenarioSpec.coerce(args.spec))
+    builder, params = TOPOLOGIES[args.topology]
+    for name, default in DEFAULTS.items():
+        if name in given and given[name] is None:
+            given[name] = default
+    return dict(
+        given, topology=builder,
+        **{param: getattr(args, flag) for param, flag in params.items()},
     )
-    kwargs.update(overrides)
-    return ScenarioConfig(**kwargs)
-
-
-def _build_scenario(args) -> object:
-    from repro.workloads.scenarios import (
-        internal_external,
-        n_series,
-        parallel_fork,
-        single_proxy,
-    )
-
-    config = _scenario_config(args)
-    if args.topology == "single":
-        return single_proxy(args.rate, mode=args.mode, config=config)
-    if args.topology == "series":
-        return n_series(args.nodes, args.rate, policy=args.policy,
-                        config=config, auth=args.auth)
-    if args.topology == "mix":
-        return internal_external(args.rate, args.external_fraction,
-                                 policy=args.policy, config=config)
-    if args.topology == "fork":
-        return parallel_fork(args.rate, policy=args.policy, config=config)
-    raise ValueError(f"unknown topology {args.topology!r}")
 
 
 def _parallel_parent() -> argparse.ArgumentParser:
@@ -136,9 +133,9 @@ def _execution(args):
     )
 
 
-def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
+def _add_scenario_args(parser: argparse.ArgumentParser, *load_flags) -> None:
     parser.add_argument("--topology", default="series",
-                        choices=["single", "series", "mix", "fork"])
+                        choices=list(TOPOLOGIES))
     parser.add_argument("--nodes", type=int, default=2,
                         help="chain length for --topology series")
     parser.add_argument("--policy", default="servartuka",
@@ -152,8 +149,12 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
                         help="external share for --topology mix")
     parser.add_argument("--scale", type=float, default=None,
                         help="cost scale factor (capacity divisor; "
-                             "default 25)")
+                             f"default {DEFAULTS['scale']:g})")
     parser.add_argument("--seed", type=int, default=None)
+    for name in load_flags:
+        parser.add_argument(
+            f"--{name}", type=float, default=None,
+            help=f"{_LOAD_FLAGS[name]} (default {DEFAULTS[name]:g})")
 
 
 def _engine_name(value: str) -> str:
@@ -205,83 +206,22 @@ def _spec_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _spec_template(args):
-    """Template + (rate, duration, warmup, drain) from ``--spec``,
-    with explicit CLI flags overriding the file's values."""
-    from repro.harness.parallel import SpecTemplate
-    from repro.workloads.scenarios import ScenarioConfig
-    from repro.workloads.spec import ScenarioSpec
-
-    spec = ScenarioSpec.coerce(args.spec)
-    config = dict(spec.config or {})
-    if args.scale is not None:
-        config["scale"] = args.scale
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if getattr(args, "engine", None):
-        config["engine"] = args.engine
-    if getattr(args, "observe", None):
-        config["observe"] = args.observe
-    if getattr(args, "control", None):
-        config["control"] = args.control
-    if getattr(args, "shards", None) is not None:
-        config["shards"] = args.shards
-    template = SpecTemplate(
-        spec.builder, ScenarioConfig.from_payload(config),
-        label=spec.label, **spec.params,
-    )
-    rate = getattr(args, "rate", None)
-    return (
-        template,
-        spec.rate if rate is None else rate,
-        spec.duration if args.duration is None else args.duration,
-        spec.warmup if args.warmup is None else args.warmup,
-        spec.drain,
-    )
-
-
-def _quality(args):
-    """The ``--quality`` preset with the engine flags applied."""
+def cmd_experiments(args) -> int:
+    """``figures`` and ``experiments``: one handler under both names."""
+    from repro.harness.experiments import EXPERIMENTS, ExperimentSuite
     from repro.harness.figures import QUALITIES
 
-    return QUALITIES[args.quality].with_overrides(
-        engine=args.engine, observe=args.observe, control=args.control
-    )
-
-
-def cmd_figures(args) -> int:
-    from repro.harness.experiments import EXPERIMENTS
-
-    wanted = args.ids or ["all"]
-    if "all" in wanted:
-        wanted = list(EXPERIMENTS)
-    unknown = [name for name in wanted if name not in EXPERIMENTS]
+    ids = args.ids
+    if not ids or "all" in ids:
+        ids = list(EXPERIMENTS)
+    unknown = [name for name in ids if name not in EXPERIMENTS]
     if unknown:
-        print(f"unknown figure ids: {unknown}; "
+        print(f"unknown {args.command[:-1]} ids: {unknown}; "
               f"choose from {sorted(EXPERIMENTS)} or 'all'",
               file=sys.stderr)
         return 2
-    quality = _quality(args)
-    with _execution(args) as ctx:
-        for name in wanted:
-            function, _description = EXPERIMENTS[name]
-            figure = function(quality)
-            print(render_figure(figure))
-            print()
-        print(ctx.summary(), file=sys.stderr)
-    return 0
-
-
-def cmd_experiments(args) -> int:
-    from repro.harness.experiments import EXPERIMENTS, ExperimentSuite
-
-    unknown = [name for name in args.ids if name not in EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiment ids: {unknown}; "
-              f"choose from {sorted(EXPERIMENTS)}", file=sys.stderr)
-        return 2
-    suite = ExperimentSuite(_quality(args))
-    ids = args.ids or None
+    suite = ExperimentSuite(QUALITIES[args.quality].with_overrides(
+        engine=args.engine, observe=args.observe, control=args.control))
     with _execution(args) as ctx:
         results = suite.run(
             ids, progress=lambda name: print(f"running {name}...",
@@ -299,44 +239,15 @@ def cmd_experiments(args) -> int:
     return 0
 
 
-def _sweep_template(args) -> SpecTemplate:
-    """The declarative twin of :func:`_build_scenario` (load left open)."""
-    from repro.harness.parallel import SpecTemplate
-
-    config = _scenario_config(args)
-    if args.topology == "single":
-        return SpecTemplate("single_proxy", config,
-                            label=f"single/{args.mode}", mode=args.mode)
-    if args.topology == "series":
-        return SpecTemplate("n_series", config,
-                            label=f"series/{args.policy}",
-                            n=args.nodes, policy=args.policy, auth=args.auth)
-    if args.topology == "mix":
-        return SpecTemplate("internal_external", config,
-                            label=f"mix/{args.policy}",
-                            external_fraction=args.external_fraction,
-                            policy=args.policy)
-    if args.topology == "fork":
-        return SpecTemplate("parallel_fork", config,
-                            label=f"fork/{args.policy}", policy=args.policy)
-    raise ValueError(f"unknown topology {args.topology!r}")
-
-
 def cmd_sweep(args) -> int:
-    from repro.harness.saturation import staircase, sweep_loads
+    from repro import api
+    from repro.harness.saturation import staircase
 
     loads = staircase(args.start, args.stop, args.step)
-    if args.spec:
-        template, _rate, duration, warmup, _drain = _spec_template(args)
-        label = template.label
-    else:
-        template = _sweep_template(args)
-        duration = 8.0 if args.duration is None else args.duration
-        warmup = 3.0 if args.warmup is None else args.warmup
-        label = f"{args.topology}/{args.policy}"
+    label = None if args.spec else f"{args.topology}/{args.policy}"
     with _execution(args) as ctx:
-        sweep = sweep_loads(template, loads,
-                            duration=duration, warmup=warmup)
+        sweep = api.sweep(loads=loads, label=label,
+                          **_api_kwargs(args, "duration", "warmup"))
         print(ctx.summary(), file=sys.stderr)
     rows = [
         [round(p.offered_cps), round(p.result.throughput_cps),
@@ -348,36 +259,27 @@ def cmd_sweep(args) -> int:
     print(format_table(
         ["offered_cps", "throughput_cps", "goodput", "rt_p95_ms", "500s"],
         rows,
-        title=f"{label}: saturation ~{sweep.max_throughput:.0f} cps",
+        title=f"{sweep.label}: saturation ~{sweep.max_throughput:.0f} cps",
     ))
     return 0
 
 
 def cmd_run(args) -> int:
-    from repro.harness.parallel import run_specs
-    from repro.harness.runner import RunResult
+    from repro import api
 
-    if args.spec:
-        template, rate, duration, warmup, drain = _spec_template(args)
-        spec = template.at(rate, duration, warmup, drain=drain)
-    else:
-        rate = 8000.0 if args.rate is None else args.rate
-        duration = 8.0 if args.duration is None else args.duration
-        warmup = 3.0 if args.warmup is None else args.warmup
-        spec = _sweep_template(args).at(rate, duration, warmup)
+    kwargs = _api_kwargs(args, "rate", "duration", "warmup")
     with _execution(args):
-        result = RunResult.from_job(run_specs([spec])[0])
-    obs, hybrid, sharded = result.obs, result.hybrid, result.sharded
+        result = api.run_scenario(**kwargs)
+    snapshots = {
+        name: getattr(result, name) for name in result.SNAPSHOTS
+        if getattr(result, name) is not None
+    }
     if args.json:
-        out = result.as_dict()
-        if obs is not None:
-            out["obs"] = obs
-        if hybrid is not None:
-            out["hybrid"] = hybrid
-        if sharded is not None:
-            out["sharded"] = sharded
-        print(json.dumps(out, indent=2))
+        print(json.dumps(dict(result.as_dict(), **snapshots), indent=2))
         return 0
+    rate = kwargs["rate"]
+    if rate is None:  # not typed, so the spec document's
+        rate = kwargs["spec"].rate
     print(format_table(
         ["metric", "value"],
         sorted(
@@ -386,15 +288,17 @@ def cmd_run(args) -> int:
         ),
         title=f"{result.scenario_name} at {rate:.0f} cps",
     ))
-    if obs is not None:
-        from repro.obs import render_profile_table
+    if "obs" in snapshots:
+        from repro.obs.export import render_profile_table
 
         print()
-        print(render_profile_table(obs))
-    if hybrid is not None:
+        print(render_profile_table(snapshots["obs"]))
+    if "hybrid" in snapshots:
+        hybrid = snapshots["hybrid"]
         print(f"hybrid: {hybrid['jump_count']} jumps, "
               f"{hybrid['skipped_seconds']:.1f} sim seconds fast-forwarded")
-    if sharded is not None:
+    if "sharded" in snapshots:
+        sharded = snapshots["sharded"]
         print(f"sharded: {sharded['shards']} shards, "
               f"{sharded['windows']} windows, "
               f"{sharded['cross_messages']} cross-shard messages")
@@ -499,7 +403,7 @@ def topology_from_json(spec: dict) -> Topology:
 
 def _observe_with_spans(spec: Optional[str]):
     """Coerce an ``--observe`` spec, forcing span tracing on."""
-    from repro.obs import ObserveConfig
+    from repro.obs.observe import ObserveConfig
 
     config = ObserveConfig.coerce(spec)
     if config is None:
@@ -514,16 +418,16 @@ def _observe_with_spans(spec: Optional[str]):
 
 
 def cmd_trace(args) -> int:
+    from repro import api
     from repro.sim.trace import render_ladder
 
-    factory_args = argparse.Namespace(**vars(args))
-    factory_args.rate = args.rate
-    factory_args.observe = _observe_with_spans(args.observe)
-    scenario = _build_scenario(factory_args)
+    scenario = api.make_scenario(**dict(
+        _api_kwargs(args, "rate"),
+        observe=_observe_with_spans(args.observe)))
     trace = scenario.observer.trace
     scenario.start()
-    scale = args.scale if args.scale is not None else 25.0
-    scenario.loop.run_until(args.calls / (args.rate / scale) + 1.0)
+    scenario.loop.run_until(
+        args.calls / (args.rate / scenario.config.scale) + 1.0)
     scenario.stop_load()
     scenario.loop.run_until(scenario.loop.now + 2.0)
     for call_id in trace.call_ids()[: args.calls]:
@@ -535,27 +439,22 @@ def cmd_trace(args) -> int:
 
 def cmd_obs(args) -> int:
     """Run one observed load point and report/export what was recorded."""
-    from repro.obs import (
-        ObserveConfig,
-        export_csv,
-        export_json,
-        render_profile_table,
-        render_spans,
-        spans_by_call,
-    )
+    from repro import api
     from repro.harness.runner import run_scenario
+    from repro.obs.export import export_csv, export_json, render_profile_table
+    from repro.obs.observe import ObserveConfig
+    from repro.obs.spans import render_spans, spans_by_call
 
     spec = args.observe or ("all" if args.spans else "cpu,telemetry")
     observe = ObserveConfig.coerce(spec)
     if args.spans and not observe.spans:
         observe = _observe_with_spans(spec)
-    factory_args = argparse.Namespace(**vars(args))
-    factory_args.observe = observe
-    scenario = _build_scenario(factory_args)
-    result = run_scenario(scenario, duration=args.duration,
-                          warmup=args.warmup)
+    kwargs = _api_kwargs(args, "rate", "duration", "warmup")
+    duration, warmup = kwargs.pop("duration"), kwargs.pop("warmup")
+    scenario = api.make_scenario(**dict(kwargs, observe=observe))
+    result = run_scenario(scenario, duration=duration, warmup=warmup)
     snapshot = scenario.observer.snapshot()
-    print(f"{scenario.name} at {args.rate:.0f} cps: "
+    print(f"{scenario.name} at {kwargs['rate']:.0f} cps: "
           f"throughput {result.throughput_cps:.0f} cps, "
           f"goodput {result.goodput_ratio:.3f}")
     print()
@@ -639,20 +538,14 @@ def build_parser() -> argparse.ArgumentParser:
     parallel = _parallel_parent()
     spec = _spec_parent()
 
-    p_fig = sub.add_parser("figures", parents=[engine, parallel],
-                           help="regenerate paper figures")
-    p_fig.add_argument("ids", nargs="*",
-                       help="figure ids or 'all' (the default); an unknown "
-                            "id prints the list")
-    p_fig.add_argument("--quality", default="quick", choices=QUALITY_NAMES)
-    p_fig.set_defaults(func=cmd_figures)
-
     p_exp = sub.add_parser(
-        "experiments", parents=[engine, parallel],
-        help="run the reproduction suite, export JSON/Markdown",
+        "figures", aliases=["experiments"], parents=[engine, parallel],
+        help="regenerate paper figures; print them or export "
+             "JSON/Markdown",
     )
     p_exp.add_argument("ids", nargs="*",
-                       help="experiment ids (default: all)")
+                       help="figure/experiment ids or 'all' (the default); "
+                            "an unknown id prints the list")
     p_exp.add_argument("--quality", default="quick", choices=QUALITY_NAMES)
     p_exp.add_argument("--json", help="write machine-readable results here")
     p_exp.add_argument("--markdown", help="write a Markdown report here")
@@ -660,25 +553,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", parents=[engine, parallel, spec],
                              help="throughput sweep to saturation")
-    _add_scenario_args(p_sweep)
+    _add_scenario_args(p_sweep, "duration", "warmup")
     p_sweep.add_argument("--start", type=float, default=6000)
     p_sweep.add_argument("--stop", type=float, default=12000)
     p_sweep.add_argument("--step", type=float, default=1000)
-    p_sweep.add_argument("--duration", type=float, default=None,
-                         help="measurement window seconds (default 8)")
-    p_sweep.add_argument("--warmup", type=float, default=None,
-                         help="warmup seconds (default 3)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_run = sub.add_parser("run", parents=[engine, parallel, spec],
                            help="measure one load point")
-    _add_scenario_args(p_run)
-    p_run.add_argument("--rate", type=float, default=None,
-                       help="offered load, paper cps (default 8000)")
-    p_run.add_argument("--duration", type=float, default=None,
-                       help="measurement window seconds (default 8)")
-    p_run.add_argument("--warmup", type=float, default=None,
-                       help="warmup seconds (default 3)")
+    _add_scenario_args(p_run, "rate", "duration", "warmup")
     p_run.add_argument("--json", action="store_true")
     p_run.set_defaults(func=cmd_run)
 
@@ -686,10 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
         "obs", parents=[engine],
         help="observe one load point: CPU profile, telemetry, spans",
     )
-    _add_scenario_args(p_obs)
-    p_obs.add_argument("--rate", type=float, default=8000)
-    p_obs.add_argument("--duration", type=float, default=8.0)
-    p_obs.add_argument("--warmup", type=float, default=3.0)
+    _add_scenario_args(p_obs, "rate", "duration", "warmup")
     p_obs.add_argument("--spans", action="store_true",
                        help="also record per-call spans and print the "
                             "first --calls of them")

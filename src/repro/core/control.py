@@ -72,7 +72,7 @@ def parse_retry_after(text: Optional[str]) -> Optional[float]:
 class ControlConfig:
     """JSON-able spec for one overload-control policy.
 
-    Accepts the same coercions as :class:`repro.obs.ObserveConfig`:
+    Accepts the same coercions as :class:`repro.obs.observe.ObserveConfig`:
     ``None`` (off), a policy name string, a payload dict, or an
     existing config.  ``build()`` makes a fresh per-proxy policy
     instance, so proxies never share mutable controller state.

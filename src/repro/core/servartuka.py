@@ -120,8 +120,8 @@ class ServartukaPolicy(StatePolicy):
         self.last_msg_rate = 0.0
         self.last_feasible_sf = math.inf
         self.periods_run = 0
-        # Optional repro.obs.ControlTelemetry recorder; None keeps the
-        # control loop free of any observability work.
+        # Optional repro.obs.telemetry.ControlTelemetry recorder; None keeps
+        # the control loop free of any observability work.
         self.telemetry = None
 
     # ------------------------------------------------------------------

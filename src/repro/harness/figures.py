@@ -263,7 +263,7 @@ def figure3_breakdown(quality: Quality = QUICK) -> FigureData:
     stateful-vs-stateless cost gap is transaction-state operations, not
     parsing or forwarding.
     """
-    from repro.obs import STATE_FUNCTIONALITIES
+    from repro.obs.profile import STATE_FUNCTIONALITIES
 
     config = quality.scenario_config(observe="cpu")
     cost_model = config.make_cost_model()

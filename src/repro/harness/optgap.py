@@ -204,15 +204,3 @@ def render_summary(figure: FigureData) -> str:
             f"{round(achieved):>8d}  {gap:.3f}"
         )
     return "\n".join(lines) + "\n"
-
-
-def optgap_payload(figure: FigureData) -> Dict[str, object]:
-    """BENCH-style JSON payload for ``benchmarks/bench_optgap.py``."""
-    return {
-        "benchmark": "optgap",
-        "description": figure.description,
-        "columns": figure.columns,
-        "rows": figure.rows,
-        "comparisons": figure.comparisons,
-        "series": {name: points for name, points in figure.series.items()},
-    }

@@ -29,6 +29,12 @@ from repro.workloads.scenarios import Scenario
 class RunResult:
     """Measurements from one (scenario, offered-load) run."""
 
+    #: Feature snapshots a job output's extras carry only when the
+    #: feature ran (observe=, control=, engine="hybrid"/"sharded");
+    #: from_job() attaches each (``None`` when absent).  Not part of
+    #: the payload.
+    SNAPSHOTS = ("obs", "control", "hybrid", "sharded")
+
     def __init__(self, scenario_name: str, offered_cps: float, duration: float):
         self.scenario_name = scenario_name
         self.offered_cps = offered_cps
@@ -49,9 +55,6 @@ class RunResult:
         self.proxy_stateful_cps: Dict[str, float] = {}
         self.proxy_stateless_cps: Dict[str, float] = {}
         self.proxy_overloaded: Dict[str, bool] = {}
-        # Snapshots a job output's extras carry only when the feature
-        # ran (observe=, control=, engine="hybrid"/"sharded"); see
-        # from_job().  Not part of the payload.
         self.obs = self.control = self.hybrid = self.sharded = None
 
     @property
@@ -128,7 +131,7 @@ class RunResult:
         output, with the feature snapshots its extras hold attached."""
         result = cls.from_payload(output["result"])
         extras = output["extras"]
-        for name in ("obs", "control", "hybrid", "sharded"):
+        for name in cls.SNAPSHOTS:
             setattr(result, name, extras.get(name))
         return result
 

@@ -16,48 +16,3 @@ hosts, SIPp load generators, a Gigabit LAN).  It provides:
 Everything is deterministic given a seed, which makes the experiment
 harness and the property-based tests reproducible.
 """
-
-from typing import TYPE_CHECKING
-
-from repro import _lazy_exports
-
-if TYPE_CHECKING:
-    from repro.sim.events import EventLoop, EventHandle
-    from repro.sim.cpu import CpuModel, CpuJob
-    from repro.sim.network import Network, Link, Packet
-    from repro.sim.metrics import (
-        Counter,
-        Gauge,
-        Histogram,
-        MetricsRegistry,
-        TimeSeries,
-    )
-    from repro.sim.faults import FaultEvent, FaultInjector, FaultSchedule
-    from repro.sim.rng import RngStream
-    from repro.sim.trace import MessageTrace, TraceEntry, render_ladder
-
-#: Re-exported name -> defining module (resolved on first access).
-_EXPORTS = {
-    "MessageTrace": "repro.sim.trace",
-    "TraceEntry": "repro.sim.trace",
-    "render_ladder": "repro.sim.trace",
-    "EventLoop": "repro.sim.events",
-    "EventHandle": "repro.sim.events",
-    "CpuModel": "repro.sim.cpu",
-    "CpuJob": "repro.sim.cpu",
-    "FaultEvent": "repro.sim.faults",
-    "FaultInjector": "repro.sim.faults",
-    "FaultSchedule": "repro.sim.faults",
-    "Network": "repro.sim.network",
-    "Link": "repro.sim.network",
-    "Packet": "repro.sim.network",
-    "Counter": "repro.sim.metrics",
-    "Gauge": "repro.sim.metrics",
-    "Histogram": "repro.sim.metrics",
-    "MetricsRegistry": "repro.sim.metrics",
-    "TimeSeries": "repro.sim.metrics",
-    "RngStream": "repro.sim.rng",
-}
-__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)
-
-__all__ = list(_EXPORTS)

@@ -123,8 +123,8 @@ class CpuModel:
         self.jobs_rejected = 0
         self.jobs_aborted = 0
         self.halted = False
-        # Optional repro.obs.CpuProfiler; None keeps the hot path free
-        # of any observability work beyond this one attribute test.
+        # Optional repro.obs.profile.CpuProfiler; None keeps the hot path
+        # free of any observability work beyond this one attribute test.
         self.profiler = None
         self._pending: "set[CpuJob]" = set()
         self._component_seconds: Dict[str, float] = {}

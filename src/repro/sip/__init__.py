@@ -15,42 +15,3 @@ The subset covers everything the paper's evaluation exercises: INVITE
 dialogs with provisional responses, ACK, BYE, retransmission timers,
 hop-by-hop Via processing, Record-Route/Route, and digest challenges.
 """
-
-from typing import TYPE_CHECKING
-
-from repro import _lazy_exports
-
-if TYPE_CHECKING:
-    from repro.sip.uri import SipUri, parse_uri
-    from repro.sip.message import SipMessage, SipRequest, SipResponse
-    from repro.sip.parser import parse_message, SipParseError
-    from repro.sip.headers import Via, NameAddr, CSeq
-    from repro.sip.dialog import Dialog, DialogId, DialogStore
-    from repro.sip.transaction import (
-        ClientTransaction,
-        ServerTransaction,
-        TransactionState,
-    )
-
-#: Re-exported name -> defining module (resolved on first access).
-_EXPORTS = {
-    "SipUri": "repro.sip.uri",
-    "parse_uri": "repro.sip.uri",
-    "SipMessage": "repro.sip.message",
-    "SipRequest": "repro.sip.message",
-    "SipResponse": "repro.sip.message",
-    "parse_message": "repro.sip.parser",
-    "SipParseError": "repro.sip.parser",
-    "Via": "repro.sip.headers",
-    "NameAddr": "repro.sip.headers",
-    "CSeq": "repro.sip.headers",
-    "Dialog": "repro.sip.dialog",
-    "DialogId": "repro.sip.dialog",
-    "DialogStore": "repro.sip.dialog",
-    "ClientTransaction": "repro.sip.transaction",
-    "ServerTransaction": "repro.sip.transaction",
-    "TransactionState": "repro.sip.transaction",
-}
-__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)
-
-__all__ = list(_EXPORTS)

@@ -288,6 +288,19 @@ class ScenarioConfig:
             f"payload dict, not {type(value).__name__}"
         )
 
+    def replace(self, **given) -> "ScenarioConfig":
+        """This config with the given knobs changed; a ``None`` value
+        means "not given" and keeps the knob as it is.
+
+        Every attribute ``__init__`` sets is one of its parameters, so
+        the instance's own ``vars()`` are the arguments that rebuild it.
+        """
+        given = {name: value for name, value in given.items()
+                 if value is not None}
+        if not given:
+            return self
+        return ScenarioConfig(**dict(vars(self), **given))
+
     @property
     def optimized(self) -> bool:
         """Everything but the wire-faithful oracle: the timer-wheel loop
@@ -694,6 +707,47 @@ def single_proxy(
     return scenario
 
 
+def _series_chain(
+    scenario_name: str,
+    n: int,
+    rate: float,
+    policy: str,
+    static_stateful: Optional[str],
+    config,
+    auth: str = "none",
+    **uac_kwargs,
+) -> Scenario:
+    """UAC -> P1 -> ... -> PN -> UAS, wired once for every builder that
+    is a chain; ``uac_kwargs`` go to the call generator."""
+    if n < 1:
+        raise ValueError("need at least one proxy")
+    scenario = Scenario(scenario_name, ScenarioConfig.coerce(config))
+    names = [f"P{i + 1}" for i in range(n)]
+    domain = "edge.example.net"
+    aor = f"sip:burdell@{domain}"
+
+    specs = _series_policy_specs(policy, names, static_stateful)
+
+    for index, name in enumerate(names):
+        route = RouteTable()
+        if index == n - 1:
+            route.add(domain, DELIVER_ACTION)
+        else:
+            route.add(domain, names[index + 1])
+        auth_here = (auth == "entry" and index == 0) or auth == "distributed"
+        scenario.add_proxy(
+            name, route, specs[name],
+            auth_enabled=auth_here,
+            distribute_auth=auth == "distributed",
+        )
+
+    scenario.add_uas("uas1", [aor])
+    scenario.add_uac("uac1", rate, names[0], [aor],
+                     with_auth=auth != "none", **uac_kwargs)
+    scenario.partition_hints.append(["uac1", *names, "uas1"])
+    return scenario
+
+
 def n_series(
     n: int,
     rate: float,
@@ -722,35 +776,10 @@ def n_series(
     - ``"distributed"`` -- every proxy can authenticate and a
       SERvartuka policy (resource="auth") decides where, per call.
     """
-    if n < 1:
-        raise ValueError("need at least one proxy")
     if auth not in ("none", "entry", "distributed"):
         raise ValueError(f"unknown auth placement {auth!r}")
-    config = ScenarioConfig.coerce(config)
-    scenario = Scenario(f"{n}_series", config)
-    names = [f"P{i + 1}" for i in range(n)]
-    domain = "edge.example.net"
-    aor = f"sip:burdell@{domain}"
-
-    specs = _series_policy_specs(policy, names, static_stateful)
-
-    for index, name in enumerate(names):
-        route = RouteTable()
-        if index == n - 1:
-            route.add(domain, DELIVER_ACTION)
-        else:
-            route.add(domain, names[index + 1])
-        auth_here = (auth == "entry" and index == 0) or auth == "distributed"
-        scenario.add_proxy(
-            name, route, specs[name],
-            auth_enabled=auth_here,
-            distribute_auth=auth == "distributed",
-        )
-
-    scenario.add_uas("uas1", [aor])
-    scenario.add_uac("uac1", rate, names[0], [aor], with_auth=auth != "none")
-    scenario.partition_hints.append(["uac1", *names, "uas1"])
-    return scenario
+    return _series_chain(f"{n}_series", n, rate, policy, static_stateful,
+                         config, auth)
 
 
 def two_series(
@@ -1163,31 +1192,11 @@ def heavy_tail(
     call that lasts longer -- in-dialog traffic the stateless fast path
     cannot absorb.
     """
-    if n < 1:
-        raise ValueError("need at least one proxy")
-    config = ScenarioConfig.coerce(config)
-    scenario = Scenario(f"heavy_tail[{hold_dist}]", config)
-    names = [f"P{i + 1}" for i in range(n)]
-    domain = "edge.example.net"
-    aor = f"sip:burdell@{domain}"
-
-    specs = _series_policy_specs(policy, names, None)
-    for index, name in enumerate(names):
-        route = RouteTable()
-        if index == n - 1:
-            route.add(domain, DELIVER_ACTION)
-        else:
-            route.add(domain, names[index + 1])
-        scenario.add_proxy(name, route, specs[name])
-
-    scenario.add_uas("uas1", [aor])
-    scenario.add_uac(
-        "uac1", rate, names[0], [aor],
+    return _series_chain(
+        f"heavy_tail[{hold_dist}]", n, rate, policy, None, config,
         hold_time=hold_time,
         hold_dist=hold_dist,
         hold_sigma=hold_sigma,
         hold_alpha=hold_alpha,
         reinvite_after=reinvite_after,
     )
-    scenario.partition_hints.append(["uac1", *names, "uas1"])
-    return scenario

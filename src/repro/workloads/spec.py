@@ -36,19 +36,25 @@ Four sections:
 - ``[load]`` -- ``rate`` in paper-equivalent calls/second;
 - ``[run]`` -- ``duration`` / ``warmup`` / ``drain`` seconds.
 
-``ScenarioSpec.from_toml`` / ``from_json`` / ``from_path`` parse one;
-:meth:`ScenarioSpec.run_spec` turns it into the parallel executor's
-:class:`~repro.harness.parallel.RunSpec` (so a spec-file run and the
-equivalent programmatic ``api.run_scenario(...)`` call share one cache
-key); :meth:`ScenarioSpec.build` wires the live scenario.
+``ScenarioSpec.from_toml`` / ``from_json`` / ``from_path`` parse one.
+
+:func:`resolve` is the one place a run is resolved, for every door --
+``repro run --spec f``, ``api.run_scenario(spec=f)`` and
+``ScenarioSpec.from_path(f).run_spec()`` -- under one rule: **explicit
+argument > spec document > default, and ``None`` means not given**.  It
+returns a :class:`ResolvedRun`, whose :meth:`~ResolvedRun.run_spec` is
+the parallel executor's :class:`~repro.harness.parallel.RunSpec` (one
+cache key and one label whichever door was used) and whose
+:meth:`~ResolvedRun.build` wires the live scenario.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
-from repro.workloads.scenarios import ScenarioConfig
+from repro.harness.parallel import SCENARIO_BUILDERS, RunSpec, SpecTemplate
+from repro.workloads.scenarios import Scenario, ScenarioConfig
 
 _SECTIONS = ("scenario", "config", "load", "run")
 _SCENARIO_KEYS = ("builder", "label", "params")
@@ -58,14 +64,6 @@ _RUN_KEYS = ("duration", "warmup", "drain")
 #: Builder parameters the spec manages itself; a params table naming
 #: one of these is a mistake (the value would be silently shadowed).
 _RESERVED_PARAMS = ("rate", "config")
-
-
-def _known_builders():
-    # Imported lazily: repro.harness.parallel imports this package, so a
-    # module-level import here would be circular.
-    from repro.harness.parallel import SCENARIO_BUILDERS
-
-    return SCENARIO_BUILDERS
 
 
 def _reject_unknown(section: str, payload: Dict[str, object], allowed) -> None:
@@ -91,11 +89,10 @@ class ScenarioSpec:
         warmup: float = 4.0,
         drain: float = 0.0,
     ):
-        builders = _known_builders()
-        if builder not in builders:
+        if builder not in SCENARIO_BUILDERS:
             raise ValueError(
                 f"unknown scenario builder {builder!r}; "
-                f"one of {sorted(builders)}"
+                f"one of {sorted(SCENARIO_BUILDERS)}"
             )
         if rate <= 0:
             raise ValueError("load rate must be positive")
@@ -229,38 +226,16 @@ class ScenarioSpec:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     # ------------------------------------------------------------------
-    # Execution plumbing
+    # Execution plumbing: all of it through resolve()
     # ------------------------------------------------------------------
-    def scenario_config(self) -> ScenarioConfig:
-        """The resolved :class:`ScenarioConfig` (defaults filled in)."""
-        return ScenarioConfig.from_payload(self.config or {})
+    def run_spec(self, **given) -> RunSpec:
+        """The executor :class:`~repro.harness.parallel.RunSpec` of this
+        document with the ``given`` arguments of :func:`resolve` applied."""
+        return resolve(spec=self, **given).run_spec()
 
-    def template(self):
-        """The load-open :class:`~repro.harness.parallel.SpecTemplate`."""
-        from repro.harness.parallel import SpecTemplate
-
-        return SpecTemplate(
-            self.builder, self.scenario_config(), label=self.label,
-            **self.params,
-        )
-
-    def run_spec(self):
-        """The executor :class:`~repro.harness.parallel.RunSpec`.
-
-        Built through the same :class:`SpecTemplate` path programmatic
-        runs take, so a spec file and the equivalent
-        ``api.run_scenario(...)`` call hash to the same cache key.
-        """
-        return self.template().at(
-            self.rate, duration=self.duration, warmup=self.warmup,
-            drain=self.drain,
-        )
-
-    def build(self):
+    def build(self, **given) -> Scenario:
         """Wire the live :class:`~repro.workloads.scenarios.Scenario`."""
-        from repro.harness.parallel import build_scenario
-
-        return build_scenario(self.run_spec().payload)
+        return resolve(spec=self, **given).build()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScenarioSpec):
@@ -281,3 +256,82 @@ class ScenarioSpec:
             f"ScenarioSpec({self.builder!r}, rate={self.rate:.0f}, "
             f"params={self.params!r})"
         )
+
+
+class ResolvedRun(NamedTuple):
+    """What :func:`resolve` returns: one run with nothing left open
+    (but ``rate``, which a sweep supplies per point)."""
+
+    builder: str
+    params: Dict[str, object]
+    config: ScenarioConfig
+    label: str
+    rate: Optional[float]
+    duration: float
+    warmup: float
+    drain: float
+
+    def template(self) -> SpecTemplate:
+        """The load-open template a sweep closes once per point."""
+        return SpecTemplate(
+            self.builder, self.config, label=self.label, **self.params
+        )
+
+    def run_spec(self) -> RunSpec:
+        return self.template().at(
+            self.rate, self.duration, self.warmup, self.drain
+        )
+
+    def build(self) -> Scenario:
+        # All-keyword call, as the executor's build_scenario makes it:
+        # some builders (n_series) take an argument before rate.
+        return SCENARIO_BUILDERS[self.builder](
+            rate=self.rate, config=self.config, **self.params
+        )
+
+
+def _first(*values):
+    """The first value that was given (is not ``None``), else ``None``."""
+    return next((value for value in values if value is not None), None)
+
+
+def resolve(
+    topology: Optional[str] = None,
+    *,
+    spec=None,
+    rate: Optional[float] = None,
+    duration: Optional[float] = None,
+    warmup: Optional[float] = None,
+    drain: Optional[float] = None,
+    label: Optional[str] = None,
+    config=None,
+    params: Optional[Dict[str, object]] = None,
+    **knobs,
+) -> ResolvedRun:
+    """Resolve one run: explicit argument > spec document > default.
+
+    ``spec`` is anything :meth:`ScenarioSpec.coerce` takes, ``config``
+    anything :meth:`ScenarioConfig.coerce` takes, ``params`` the
+    builder's keyword arguments (merged over the document's) and
+    ``knobs`` single :class:`ScenarioConfig` fields (``seed=5``) applied
+    on top of whichever config won.  ``None`` means "not given"
+    everywhere.
+    """
+    # No spec is a document that says nothing.
+    said = ({} if spec is None else vars(ScenarioSpec.coerce(spec))).get
+    builder = _first(topology, said("builder"), "single_proxy")
+    if builder not in SCENARIO_BUILDERS:
+        raise ValueError(
+            f"unknown topology {builder!r}; one of {sorted(SCENARIO_BUILDERS)}"
+        )
+    return ResolvedRun(
+        builder=builder,
+        params=dict(said("params") or {}, **(params or {})),
+        config=ScenarioConfig.coerce(
+            _first(config, said("config"))).replace(**knobs),
+        label=_first(label or None, said("label"), builder),
+        rate=_first(rate, said("rate")),
+        duration=_first(duration, said("duration"), 10.0),
+        warmup=_first(warmup, said("warmup"), 4.0),
+        drain=_first(drain, said("drain"), 0.0),
+    )

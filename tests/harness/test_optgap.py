@@ -20,7 +20,6 @@ from repro.harness.optgap import (
     OPTGAP_MONITOR_PERIOD,
     optgap_config,
     optgap_grid,
-    optgap_payload,
     optgap_rows,
     render_summary,
 )
@@ -84,13 +83,6 @@ def test_rows_deterministic(rows):
     oracle is pure; identical specs replay from the executor's
     in-memory memo, so this also asserts memo transparency)."""
     assert optgap_rows(TEST_QUALITY, cells=CELLS) == rows
-
-
-def test_payload_shape(rows):
-    payload = optgap_payload(_figure(rows))
-    assert payload["benchmark"] == "optgap"
-    assert payload["rows"] == rows
-    assert payload["columns"][-1] == "gap"
 
 
 class TestGrid:

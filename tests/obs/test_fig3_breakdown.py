@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.costmodel import FIG3_TOTALS
 from repro.harness.figures import FigureData, Quality, figure3_breakdown
-from repro.obs import STATE_FUNCTIONALITIES
+from repro.obs.profile import STATE_FUNCTIONALITIES
 
 CHEAP = Quality("test", scale=50.0, duration=2.5, warmup=1.0,
                 sweep_points=2, fig7_fractions=[0.5])

@@ -2,7 +2,7 @@
 
 The facade's import surface is pinned by ``tests/api_surface.txt``;
 changing it is an API-stability event that must show up as a diff of
-that file (CI enforces the same check).
+that file (this test runs in every cell of the CI ``tests`` matrix).
 """
 
 import pathlib

@@ -65,6 +65,20 @@ class TestRun:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["throughput_cps"] > 1500
 
+    def test_run_json_carries_every_feature_snapshot(self, capsys):
+        # --control used to be the one snapshot --json dropped.
+        rc = main([
+            "run", "--topology", "series", "--rate", "4000",
+            "--scale", "50", "--duration", "2", "--warmup", "1",
+            "--json", "--no-cache", "--control", "occupancy",
+            "--observe", "cpu",
+        ])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["control"]["proxies"]["P1"]["policy"] == "occupancy"
+        assert payload["obs"]["profiles"]["P1"]["jobs"] > 0
+        assert "hybrid" not in payload and "sharded" not in payload
+
 
 class TestConfigurationErrors:
     """A run that cannot work as configured: one line, exit 2, run once
@@ -183,6 +197,18 @@ class TestFigures:
         rc = main(["figures", "lp"])
         assert rc == 0
         assert "11,247" in capsys.readouterr().out.replace("11247", "11,247")
+
+    def test_figures_is_experiments_under_another_name(self, tmp_path, capsys):
+        # EXPERIMENTS.md documents ``figures <id> --json``; it used to
+        # exit "unrecognized arguments".
+        out = tmp_path / "res.json"
+        assert main(["figures", "lp", "--json", str(out)]) == 0
+        assert "lp" in json.loads(out.read_text())["experiments"]
+        assert capsys.readouterr().out == ""
+        assert main(["figures", "lp"]) == 0
+        printed = capsys.readouterr().out
+        assert main(["experiments", "lp"]) == 0
+        assert capsys.readouterr().out == printed
 
 
 class TestLp:

@@ -44,12 +44,16 @@ class TestAllExports:
     def test_module_imports(self, module):
         importlib.import_module(module)
 
-    def test_subpackage_alls_resolve(self):
+    def test_only_the_two_surfaces_advertise_names(self):
         for package_name in ("repro.sip", "repro.sim", "repro.servers",
-                             "repro.core", "repro.workloads", "repro.harness"):
+                             "repro.core", "repro.workloads", "repro.harness",
+                             "repro.obs"):
             package = importlib.import_module(package_name)
-            for name in getattr(package, "__all__", []):
-                assert hasattr(package, name), (package_name, name)
+            assert not hasattr(package, "__all__"), package_name
+        for surface_name in ("repro", "repro.api"):
+            surface = importlib.import_module(surface_name)
+            for name in surface.__all__:
+                assert hasattr(surface, name), (surface_name, name)
 
 
 class TestDocstrings:

@@ -6,6 +6,9 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.api as api
+from repro.cli import main
+from repro.harness import parallel
 from repro.harness.parallel import SCENARIO_BUILDERS
 from repro.workloads.scenarios import Scenario
 from repro.workloads.spec import ScenarioSpec
@@ -225,3 +228,53 @@ class TestExecution:
 
     def test_examples_exist(self):
         assert len(list(EXAMPLES.glob("*.toml"))) >= 4
+
+
+class _Submitted(Exception):
+    """Carries the specs a door handed the executor, and stops the run."""
+
+
+class TestThreeDoors:
+    """The CLI, the API and the spec itself denote one run: the
+    executor is handed the same ``RunSpec`` -- cache key *and* label --
+    whichever door a spec file (plus the same overrides) comes in by."""
+
+    OVERRIDES = {
+        "none": ({}, []),
+        "load-and-config": (
+            dict(seed=5, engine="reference", rate=1234),
+            ["--seed", "5", "--engine", "reference", "--rate", "1234"],
+        ),
+        "features": (
+            dict(control="rate", observe="cpu"),
+            ["--control", "rate", "--observe", "cpu"],
+        ),
+    }
+
+    @staticmethod
+    def submitted(door):
+        with pytest.raises(_Submitted) as caught:
+            door()
+        (spec,) = caught.value.args[0]
+        return spec
+
+    @pytest.mark.parametrize("overrides", sorted(OVERRIDES))
+    @pytest.mark.parametrize(
+        "path", sorted(EXAMPLES.glob("*.toml")), ids=lambda p: p.stem
+    )
+    def test_same_key_and_label(self, monkeypatch, path, overrides):
+        def capture(specs, context=None):
+            raise _Submitted(list(specs))
+
+        # Wherever a door reaches the executor from.
+        monkeypatch.setattr(parallel, "run_specs", capture)
+        monkeypatch.setattr(api, "run_specs", capture)
+        given, flags = self.OVERRIDES[overrides]
+        own = ScenarioSpec.from_path(path).run_spec(**given)
+        for door in (
+            lambda: main(["run", "--spec", str(path), "--no-cache", *flags]),
+            lambda: api.run_scenario(spec=str(path), **given),
+        ):
+            spec = self.submitted(door)
+            assert spec.key() == own.key()
+            assert spec.label == own.label
