@@ -25,7 +25,7 @@ from repro.servers.node import Node
 from repro.sim.events import EventHandle, EventLoop
 from repro.sim.network import Network
 from repro.sip.headers import Via
-from repro.sip.message import SipMessage, SipRequest, SipResponse, turbo_enabled
+from repro.sip.message import SipMessage, SipRequest, SipResponse
 from repro.sip.timers import DEFAULT_TIMERS, TimerPolicy
 from repro.sip.transaction import ClientTransaction
 
@@ -170,11 +170,8 @@ class B2buaServer(Node):
 
         self.metrics.counter("calls_received").increment()
         self._call_counter += 1
-        # Turbo recycles received shells once the upstream transaction
-        # retires; the bridged call outlives that, so keep a private copy.
-        held = request.copy() if turbo_enabled() else request
         call = _B2buaCall(
-            call_id, f"{self.name}-b2b-{self._call_counter}", held, src
+            call_id, f"{self.name}-b2b-{self._call_counter}", request, src
         )
         call.to_tag = f"b2b-{self.name}-{self._call_counter}"
         call.b_destination = f"sip:{request.uri.user}@{self.dest_domain}"

@@ -47,7 +47,6 @@ from repro.sip.message import (
     SipRequest,
     SipResponse,
     forward_clone,
-    release_message,
     turbo_enabled,
 )
 from repro.sip.timers import DEFAULT_TIMERS, TimerPolicy
@@ -1041,21 +1040,6 @@ class ProxyServer(Node):
             del self._transactions[key]
             transaction.stop_retransmitting()
             self.state_account.destroyed("transaction")
-            if self._turbo:
-                # The transaction exclusively owns these shells by now:
-                # upstream replays always sent .copy(), and downstream
-                # processing of the un-copied first send finished well
-                # inside the Timer-B / linger horizon (the UAS keeps a
-                # private copy while ringing; nothing else retains
-                # received messages).
-                response = transaction.last_upstream_response
-                if response is not None:
-                    transaction.last_upstream_response = None
-                    release_message(response)
-                forwarded = transaction.forwarded_message
-                if forwarded is not None:
-                    transaction.forwarded_message = None
-                    release_message(forwarded)
         self._by_forwarded_branch.pop(branch, None)
 
     # ------------------------------------------------------------------
@@ -1093,12 +1077,6 @@ class ProxyServer(Node):
             self._control_note_response(response, plan.src)
 
         if transaction is not None and response.is_final:
-            if self._turbo:
-                # A retransmitted final replaces the stored one; the
-                # displaced shell was ours alone (upstream got copies).
-                previous = transaction.last_upstream_response
-                if previous is not None and previous is not forwarded:
-                    release_message(previous)
             transaction.last_upstream_response = forwarded
             if not transaction.completed:
                 transaction.completed = True

@@ -133,11 +133,7 @@ class AnsweringServer(Node):
             handle = self.loop.schedule(
                 self.ring_delay, self._send_ok, call_id, ok, next_hop
             )
-            # Turbo: hold a private copy -- the received shell belongs to
-            # the upstream proxy's transaction and may be recycled while
-            # the call is still ringing.
-            held = request.copy() if turbo_enabled() else request
-            self._ringing[call_id] = (handle, held, next_hop)
+            self._ringing[call_id] = (handle, request, next_hop)
         else:
             self.send(next_hop, ringing)
             self._send_ok(call_id, ok, next_hop)

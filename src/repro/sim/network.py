@@ -30,9 +30,9 @@ from repro.sim.rng import RngStream
 DEFAULT_ONE_WAY_LATENCY = 0.00025  # 0.25 ms, see module docstring
 
 # Turbo-engine packet free list.  A packet lives exactly from send() to
-# _deliver(), so the fabric can recycle the shells; the generation
-# counter is bumped on release so any holder of a delivered packet can
-# detect recycling.  Flipped by repro.sip.message.set_engine_mode.
+# _deliver(), so the fabric can recycle the shells: a receiver must not
+# keep the packet past receive(), only its payload.  Flipped by
+# repro.sip.message.set_engine_mode.
 _PACKET_POOLING = False
 _PACKET_POOL: List["Packet"] = []
 _PACKET_POOL_LIMIT = 4096
@@ -52,14 +52,13 @@ class Packet:
     small control object (e.g. a SERvartuka overload report).
     """
 
-    __slots__ = ("src", "dst", "payload", "sent_at", "pool_gen")
+    __slots__ = ("src", "dst", "payload", "sent_at")
 
     def __init__(self, src: str, dst: str, payload: Any, sent_at: float):
         self.src = src
         self.dst = dst
         self.payload = payload
         self.sent_at = sent_at
-        self.pool_gen = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Packet {self.src}->{self.dst} {type(self.payload).__name__}>"
@@ -252,7 +251,6 @@ class Network:
         if _PACKET_POOLING and len(_PACKET_POOL) < _PACKET_POOL_LIMIT:
             # A packet's life ends at delivery; recycle the shell.
             packet.payload = None
-            packet.pool_gen += 1
             _PACKET_POOL.append(packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -21,13 +21,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.network import Network
-from repro.sip.message import (
-    SipMessage,
-    SipRequest,
-    SipResponse,
-    resume_message_pooling,
-    suspend_message_pooling,
-)
+from repro.sip.message import SipMessage, SipRequest, SipResponse
 
 
 class TraceEntry:
@@ -103,10 +97,6 @@ class MessageTrace:
     def attach(self) -> None:
         if self._original_send is not None:
             return
-        # Trace entries retain message payloads indefinitely, which is
-        # incompatible with the turbo engine's shell recycling; park the
-        # message pools while any trace is attached.
-        suspend_message_pooling()
         original = self.network.send
         self._original_send = original
 
@@ -116,6 +106,12 @@ class MessageTrace:
             if self.sample_every > 1 and self._seen % self.sample_every:
                 self.skipped += 1
                 return packet
+            # Receivers mutate what they were handed (a proxy decrements
+            # Max-Forwards in place), so an entry keeps its own copy of
+            # what was on the wire.  Under turbo that is a copy-on-write
+            # clone: the receiver's first edit materializes its own list.
+            if isinstance(payload, SipMessage):
+                payload = payload.copy()
             entry = TraceEntry(
                 self.network.loop.now, src, dst, payload, dropped=packet is None
             )
@@ -132,7 +128,6 @@ class MessageTrace:
         if self._original_send is not None:
             self.network.send = self._original_send
             self._original_send = None
-            resume_message_pooling()
 
     # ------------------------------------------------------------------
     # Queries

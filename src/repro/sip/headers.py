@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional, Tuple
 
-from repro.sip.sdp import set_sdp_caching
 from repro.sip.uri import SipUri, parse_uri, set_uri_interning
 
 
@@ -46,7 +45,6 @@ def set_parse_caching(enabled: bool) -> None:
     _VIA_CACHE = {}
     _VIA_CACHE_OLD = {}
     set_uri_interning(enabled)
-    set_sdp_caching(enabled)
 
 
 def seed_via_cache(raw: str, via: "Via") -> None:

@@ -46,16 +46,14 @@ _MISSING = object()
 #   scenario asks for them).
 # - ``"turbo"`` -- copy-on-write: share the header list, carry parsed
 #   views across the copy, intern small parse vocabularies (URIs, CSeq,
-#   Via, SDP); plus free-list pooling of message shells and header
-#   containers (with generation counters so stale references are
-#   detectable), pooled network packets and CPU jobs, proxy action-plan
+#   Via); plus pooled network packets and CPU jobs, proxy action-plan
 #   caching, reduced ``random.Random`` dispatch, lean metrics and a
-#   relaxed cyclic-GC cadence (pools bound the live set, so frequent
-#   gen-0 scans only walk survivors).  The default.
+#   relaxed cyclic-GC cadence.  The default.
 #
 # The flag gates state shared *between* messages.  What one message
 # caches about itself (the lazy views below, the top Via, the
-# transaction key) is the same code on both rungs.
+# transaction key) is the same code on both rungs.  Messages are plain
+# allocations on both rungs, so any node may keep what it received.
 #
 # "hybrid" shares every message-layer fast path with "turbo"; what
 # distinguishes it (steady-state fast-forward) lives in repro.sim.hybrid.
@@ -84,20 +82,18 @@ def set_engine_mode(mode: str) -> None:
     """Select how ``copy()`` models the wire (see module comment).
 
     The single writer of every engine switch: fans out to the parse
-    caches, the job/packet pools, the RNG dispatch and the metrics
-    allocation mode.
+    caches (Via/CSeq/URI), the job/packet pools, the RNG dispatch and
+    the metrics allocation mode.
     """
     global _TURBO, _SAVED_GC_THRESHOLD
     was_turbo = _TURBO
     _TURBO = check_engine(mode) != "reference"
     set_parse_caching(_TURBO)
-    if not _TURBO:
-        _clear_message_pools()
-    # Turbo relaxes the cyclic-GC cadence: the free lists keep hot
-    # objects alive across what would otherwise be gen-0 churn, so the
-    # default collection thresholds mostly scan survivors.  Measured
-    # ~13% wall-clock on the bench scenarios with no RSS growth (the
-    # pools bound live-object count).  Restored on leaving turbo.
+    # Turbo relaxes the cyclic-GC cadence: a run allocates millions of
+    # short-lived acyclic objects, so the default gen-0 threshold mostly
+    # rescans survivors.  The switch-off measurements are in
+    # docs/ARCHITECTURE.md ("Turbo optimization inventory").  Restored
+    # on leaving turbo.
     import gc
 
     if _TURBO and not was_turbo:
@@ -122,94 +118,6 @@ def set_engine_mode(mode: str) -> None:
 def turbo_enabled() -> bool:
     return _TURBO
 
-
-# ---------------------------------------------------------------------------
-# Message / header-container free lists (turbo engine)
-# ---------------------------------------------------------------------------
-# The turbo rung recycles message *shells* (the slotted objects) and the
-# private header lists they owned.  A released shell bumps its
-# ``pool_gen`` generation counter, so any stale reference is detectable:
-# holders that captured ``(message, message.pool_gen)`` can tell the
-# shell has been recycled.  Pooling never changes content: an acquired
-# shell is fully field-reset before use (tests/engine/test_pool.py
-# proves both properties).
-#
-# Release discipline: only a proxy transaction being destroyed releases
-# messages (see ProxyServer._expire_transaction), and only messages the
-# transaction exclusively owns by construction.  Attaching a
-# MessageTrace suspends pooling entirely, because traces retain payload
-# references indefinitely.
-_POOL_LIMIT = 4096
-_REQUEST_POOL: List["SipRequest"] = []
-_RESPONSE_POOL: List["SipResponse"] = []
-_HEADER_LIST_POOL: List[List[Tuple[str, str]]] = []
-_POOL_SUSPENDED = 0
-
-
-def _clear_message_pools() -> None:
-    del _REQUEST_POOL[:]
-    del _RESPONSE_POOL[:]
-    del _HEADER_LIST_POOL[:]
-
-
-def suspend_message_pooling() -> None:
-    """Disable shell recycling while a payload-retaining hook is live."""
-    global _POOL_SUSPENDED
-    _POOL_SUSPENDED += 1
-    _clear_message_pools()
-
-
-def resume_message_pooling() -> None:
-    global _POOL_SUSPENDED
-    _POOL_SUSPENDED = max(0, _POOL_SUSPENDED - 1)
-
-
-def release_message(message: "SipMessage") -> bool:
-    """Return a message shell (and its private header list) to the pool.
-
-    Returns True when the shell was actually pooled.  No-op outside the
-    turbo engine, while pooling is suspended, or on double release.  The
-    shared copy-on-write header list of a clone is never recycled --
-    only a list this shell exclusively owns.
-    """
-    if not _TURBO or _POOL_SUSPENDED or message._free:
-        return False
-    headers = message.headers
-    if not message._cow and type(headers) is list:
-        if len(_HEADER_LIST_POOL) < _POOL_LIMIT:
-            headers.clear()
-            _HEADER_LIST_POOL.append(headers)
-    message.headers = []
-    message.body = ""
-    message.parse_touches = 0
-    message._cache = {}
-    message._cow = False
-    message.pool_gen += 1
-    message._free = True
-    if isinstance(message, SipRequest):
-        pool = _REQUEST_POOL
-    elif isinstance(message, SipResponse):
-        pool = _RESPONSE_POOL
-    else:  # pragma: no cover - no other concrete message types exist
-        return False
-    if len(pool) < _POOL_LIMIT:
-        pool.append(message)
-    return True
-
-
-def message_pool_stats() -> Dict[str, int]:
-    """Free-list depths, for tests and the bench report."""
-    return {
-        "requests": len(_REQUEST_POOL),
-        "responses": len(_RESPONSE_POOL),
-        "header_lists": len(_HEADER_LIST_POOL),
-    }
-
-
-def _pooled_header_list() -> List[Tuple[str, str]]:
-    if _HEADER_LIST_POOL:
-        return _HEADER_LIST_POOL.pop()
-    return []
 
 # Methods the simulator understands; others parse fine but have no
 # special transaction semantics.
@@ -242,17 +150,14 @@ REASON_PHRASES = {
 class SipMessage:
     """Shared base for requests and responses."""
 
-    # Slotted: the turbo rung recycles message shells through a free
-    # list, and __slots__ both shrinks the shell and makes the full
-    # field set explicit for the pool's reset contract.
+    # Slotted: a run allocates one message per hop, and __slots__
+    # shrinks each one.
     __slots__ = (
         "headers",
         "body",
         "parse_touches",
         "_cache",
         "_cow",
-        "pool_gen",
-        "_free",
         "__weakref__",
     )
 
@@ -264,10 +169,6 @@ class SipMessage:
         # True while self.headers may be shared with a fast-path clone;
         # in-place mutators must materialize a private list first.
         self._cow = False
-        # Pool bookkeeping: generation counter (bumped on release, so
-        # stale holders can detect recycling) and the free flag.
-        self.pool_gen = 0
-        self._free = False
 
     def _own_headers(self) -> None:
         if self._cow:
@@ -546,13 +447,7 @@ class SipRequest(SipMessage):
         Protocol-visible behavior is identical.
         """
         if _TURBO:
-            if _REQUEST_POOL and not _POOL_SUSPENDED:
-                clone = _REQUEST_POOL.pop()
-                clone._free = False
-            else:
-                clone = SipRequest.__new__(SipRequest)
-                clone.pool_gen = 0
-                clone._free = False
+            clone = SipRequest.__new__(SipRequest)
             clone.method = self.method
             clone.uri = self.uri
             clone.body = self.body
@@ -615,25 +510,18 @@ class SipRequest(SipMessage):
         body: str = "",
     ) -> "SipRequest":
         """Construct a well-formed request (no Via; the sender pushes it)."""
-        if _TURBO and cls is SipRequest and _REQUEST_POOL and not _POOL_SUSPENDED:
-            request = _REQUEST_POOL.pop()
-            request._free = False
-            request.method = method.upper()
-            request.uri = parse_uri(uri)
-            request.body = body
-        else:
-            request = cls(method, parse_uri(uri), body=body)
+        request = cls(method, parse_uri(uri), body=body)
         from_na = NameAddr(parse_uri(from_addr), tag=from_tag)
         to_na = NameAddr(parse_uri(to_addr), tag=to_tag)
         # Equivalent to set() per header on an empty message; built
         # directly to skip the per-call replace scans.
-        headers = _pooled_header_list() if _TURBO else []
-        headers.append(("From", str(from_na)))
-        headers.append(("To", str(to_na)))
-        headers.append(("Call-ID", call_id))
-        headers.append(("CSeq", str(CSeq(cseq, method))))
-        headers.append(("Max-Forwards", str(max_forwards)))
-        request.headers = headers
+        request.headers = [
+            ("From", str(from_na)),
+            ("To", str(to_na)),
+            ("Call-ID", call_id),
+            ("CSeq", str(CSeq(cseq, method))),
+            ("Max-Forwards", str(max_forwards)),
+        ]
         return request
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -654,7 +542,7 @@ def forward_clone(
     mutator sequence produces (Route pop + re-append, ``set`` of the
     auth/state markers, ``Record-Route`` at top, ``push_via`` of
     ``Via(proxy_name, branch=branch)``), but with a single traversal of
-    the source headers into a privately owned (pooled) list instead of
+    the source headers into a privately owned list instead of
     up to four copy-on-write rebuilds and two O(n) inserts.  Header
     names in ``auth``/``state`` must already be canonical.  The clone
     owns its header list outright, so the source request's ownership
@@ -669,13 +557,7 @@ def forward_clone(
     via.port = None
     via.params = {"branch": branch}
     seed_via_cache(raw, via)
-    if _REQUEST_POOL and not _POOL_SUSPENDED:
-        clone = _REQUEST_POOL.pop()
-        clone._free = False
-    else:
-        clone = SipRequest.__new__(SipRequest)
-        clone.pool_gen = 0
-        clone._free = False
+    clone = SipRequest.__new__(SipRequest)
     clone.method = request.method
     clone.uri = request.uri
     clone.body = request.body
@@ -685,8 +567,7 @@ def forward_clone(
     auth_name = auth[0] if auth is not None else None
     state_name = state[0] if state is not None else None
 
-    headers = _pooled_header_list()
-    headers.append(("Via", raw))
+    headers = [("Via", raw)]
     if record_route is not None:
         headers.append(("Record-Route", record_route))
     # Loose routing: when the top Route names this proxy, every Route is
@@ -774,13 +655,7 @@ class SipResponse(SipMessage):
 
     def copy(self) -> "SipResponse":
         if _TURBO:
-            if _RESPONSE_POOL and not _POOL_SUSPENDED:
-                clone = _RESPONSE_POOL.pop()
-                clone._free = False
-            else:
-                clone = SipResponse.__new__(SipResponse)
-                clone.pool_gen = 0
-                clone._free = False
+            clone = SipResponse.__new__(SipResponse)
             clone.status = self.status
             clone.reason = self.reason
             clone.body = self.body
@@ -803,18 +678,7 @@ class SipResponse(SipMessage):
         """Build a response per RFC 3261 8.2.6: copy Via stack, From,
         To (optionally adding a tag), Call-ID and CSeq from the request.
         """
-        if (_TURBO and cls is SipResponse and _RESPONSE_POOL
-                and not _POOL_SUSPENDED):
-            # Recycle a shell instead of running the constructor.
-            response = _RESPONSE_POOL.pop()
-            response._free = False
-            response.status = status
-            response.reason = (
-                reason if reason is not None
-                else REASON_PHRASES.get(status, "Unknown")
-            )
-        else:
-            response = cls(status, reason)
+        response = cls(status, reason)
         to_value = request.get("To") or ""
         if to_tag is not None and ";tag=" not in to_value:
             to_value = f"{to_value};tag={to_tag}"

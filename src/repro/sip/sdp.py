@@ -18,20 +18,6 @@ DEFAULT_CODECS = {
     101: "telephone-event/8000",
 }
 
-# Fast-path parse interning (toggled through repro.sip.headers).  Every
-# generator offers the same body for the life of a run, so the distinct
-# vocabulary is tiny; parsed descriptions are treated as immutable
-# (answer() builds a new instance).
-_SDP_CACHING = False
-_SDP_CACHE: Dict[str, "SessionDescription"] = {}
-_SDP_CACHE_MAX = 256
-
-
-def set_sdp_caching(enabled: bool) -> None:
-    global _SDP_CACHING
-    _SDP_CACHING = bool(enabled)
-    _SDP_CACHE.clear()
-
 
 class SdpError(ValueError):
     """Raised when a body cannot be parsed as SDP."""
@@ -103,19 +89,6 @@ class SessionDescription:
 
     @classmethod
     def parse(cls, body: str) -> "SessionDescription":
-        if _SDP_CACHING:
-            cached = _SDP_CACHE.get(body)
-            if cached is not None:
-                return cached
-            description = cls._parse_uncached(body)
-            if len(_SDP_CACHE) >= _SDP_CACHE_MAX:
-                _SDP_CACHE.clear()
-            _SDP_CACHE[body] = description
-            return description
-        return cls._parse_uncached(body)
-
-    @classmethod
-    def _parse_uncached(cls, body: str) -> "SessionDescription":
         fields: Dict[str, List[str]] = {}
         for line in body.replace("\r\n", "\n").split("\n"):
             line = line.strip()

@@ -128,9 +128,9 @@ class ScenarioConfig:
         #: message passing (every hop serializes with ``to_wire`` and
         #: re-parses, exactly what a real SIP stack pays); ``"turbo"``
         #: (the default) runs the timer-wheel loop, copy-on-write
-        #: messages, parse interning, object pooling (messages,
-        #: packets, CPU jobs), proxy action-plan caching, lean metrics
-        #: and reduced RNG dispatch.  The two are required to produce
+        #: messages, parse interning, object pooling (packets, CPU
+        #: jobs), proxy action-plan caching, lean metrics and reduced
+        #: RNG dispatch.  The two are required to produce
         #: bit-identical results (enforced by
         #: tests/engine/test_differential.py) -- only wall-clock differs.
         #: ``"hybrid"`` runs turbo's per-message path but fast-forwards

@@ -28,6 +28,7 @@ fingerprint is bit-identical (no tolerances anywhere):
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import topogen
 from repro.core.costmodel import CostModel
@@ -240,3 +241,29 @@ def test_myshare_trajectory_not_degenerate():
         for sample in fingerprint["myshare_trajectory"]
     )
     assert finite_seen, "no finite myshare sampled; raise the test load"
+
+
+def _outcome(topology, rate, seed, engine):
+    timers = TimerPolicy(t1=0.05, t2=0.2, t4=0.2)
+    config = ScenarioConfig(scale=100.0, seed=seed, monitor_period=0.5,
+                            timers=timers, engine=engine)
+    if topology == "single_proxy":
+        scenario = single_proxy(rate, mode="transaction_stateful",
+                                config=config)
+    else:
+        scenario = two_series(rate, policy="servartuka", config=config)
+    return fingerprint_scenario(scenario, 1.5, slices=1, drain=0.5)
+
+
+class TestPoolTransparency:
+    @given(
+        topology=st.sampled_from(["single_proxy", "two_series"]),
+        rate=st.integers(min_value=12, max_value=28).map(lambda k: k * 500.0),
+        seed=st.integers(min_value=0, max_value=2 ** 16),
+    )
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    def test_turbo_matches_reference_on_random_configs(self, topology, rate,
+                                                       seed):
+        pooled = _outcome(topology, rate, seed, "turbo")
+        plain = _outcome(topology, rate, seed, "reference")
+        assert pooled == plain

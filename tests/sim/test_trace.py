@@ -6,7 +6,7 @@ from repro.harness.runner import run_scenario
 from repro.sim.trace import MessageTrace, TraceEntry, render_ladder
 from repro.sip.message import SipRequest, SipResponse
 from repro.sip.headers import Via
-from repro.workloads.scenarios import two_series
+from repro.workloads.scenarios import ScenarioConfig, two_series
 
 
 class Sink:
@@ -154,3 +154,20 @@ class TestScenarioIntegration:
         # Ladder renders without error for a real multi-hop call.
         text = render_ladder(flow)
         assert "INVITE" in text
+
+    @pytest.mark.parametrize("engine", ["reference", "turbo"])
+    def test_entries_show_what_was_on_the_wire(self, engine):
+        # Each proxy decrements Max-Forwards on the request it received;
+        # the trace must still show the value each hop actually sent.
+        config = ScenarioConfig(seed=1, engine=engine)
+        scenario = two_series(2000, policy="static", config=config)
+        trace = scenario.enable_trace()
+        run_scenario(scenario, duration=1.0, warmup=0.0, drain=1.0)
+        flow = trace.call_flow(trace.call_ids()[0])
+        hops = {
+            (entry.src, entry.dst): entry.payload.get("Max-Forwards")
+            for entry in flow if entry.label == "INVITE"
+        }
+        assert hops == {
+            ("uac1", "P1"): "70", ("P1", "P2"): "69", ("P2", "uas1"): "68",
+        }
