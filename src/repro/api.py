@@ -10,9 +10,8 @@ Everything composes in one place:
 
 - ``engine=`` picks the simulation engine: ``"turbo"`` (the default)
   or the wire-faithful ``"reference"`` oracle -- bit-identical, only
-  wall-clock differs -- or, layered on turbo, ``"hybrid"`` (fast-forwards
-  detected steady state analytically; tolerance-contracted against
-  turbo) and ``"sharded"`` (one run across ``shards=`` event loops),
+  wall-clock differs -- or, layered on turbo, ``"sharded"`` (one run
+  across ``shards=`` event loops),
 - ``observe=`` attaches the :mod:`repro.obs` observability layer
   (``"cpu,telemetry,spans"`` or an :class:`ObserveConfig`),
 - ``jobs=`` / ``cache=`` fan independent runs across worker processes
@@ -192,9 +191,7 @@ def run_scenario(
     additionally carries the observability snapshot as ``result.obs``
     (the JSON-able dict of :meth:`repro.obs.observe.Observer.snapshot`),
     when ``control=`` is set the overload-control snapshot (per-proxy
-    stats + decision traces) as ``result.control``, when
-    ``engine="hybrid"`` the jump ledger (count, skipped seconds/calls,
-    per-jump records) as ``result.hybrid``, and when
+    stats + decision traces) as ``result.control``, and when
     ``engine="sharded"`` the shard accounting (window count,
     cross-shard message volume) as ``result.sharded``.
 

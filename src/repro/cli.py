@@ -174,10 +174,8 @@ def _engine_parent() -> argparse.ArgumentParser:
                         choices=ENGINES,
                         help="simulation engine (default: turbo; "
                              "reference is its wire-faithful, "
-                             "bit-identical oracle, hybrid "
-                             "fast-forwards steady state within "
-                             "tolerance, sharded partitions one run "
-                             "across worker processes)")
+                             "bit-identical oracle, sharded partitions "
+                             "one run across worker processes)")
     parent.add_argument("--shards", type=int, default=None, metavar="N",
                         help="shard count for --engine sharded "
                              "(default: 1)")
@@ -293,10 +291,6 @@ def cmd_run(args) -> int:
 
         print()
         print(render_profile_table(snapshots["obs"]))
-    if "hybrid" in snapshots:
-        hybrid = snapshots["hybrid"]
-        print(f"hybrid: {hybrid['jump_count']} jumps, "
-              f"{hybrid['skipped_seconds']:.1f} sim seconds fast-forwarded")
     if "sharded" in snapshots:
         sharded = snapshots["sharded"]
         print(f"sharded: {sharded['shards']} shards, "

@@ -130,88 +130,6 @@ class FluidModel:
         )
 
 
-class ClusterFluidModel:
-    """Multi-node fluid extrapolation for the hybrid engine.
-
-    One :class:`FluidModel` per node plus that node's share of the
-    offered load.  The hybrid fast-forward uses it two ways:
-
-    - as an *overload-knee guard*: a jump is allowed only while every
-      node sits safely below its predicted knee (``headroom`` positive
-      under ``margin``), because near ``x(L)``'s knee the per-message
-      dynamics (rejects, retransmission amplification) are exactly what
-      must stay in DES;
-    - as an *extrapolation cross-check*: :meth:`extrapolate` predicts
-      per-node busy time and cluster goodput for a skipped interval, so
-      the runtime can report model-vs-measured deviation for each jump.
-    """
-
-    def __init__(self, nodes: "dict[str, FluidModel]",
-                 offered_share: Optional["dict[str, float]"] = None):
-        if not nodes:
-            raise ValueError("ClusterFluidModel needs at least one node")
-        self.nodes = dict(nodes)
-        #: Fraction of the cluster's offered load seen by each node
-        #: (>= 1.0 is possible: series chains hand every call to every
-        #: hop).  Defaults to every node seeing the full load.
-        self.offered_share = {
-            name: (offered_share or {}).get(name, 1.0) for name in self.nodes
-        }
-
-    def min_capacity(self) -> float:
-        """Cluster knee: the first node to saturate caps the cluster.
-
-        Shares fold in: a node at share ``s`` saturates when the
-        *cluster* load reaches ``capacity / s``.
-        """
-        return min(
-            model.capacity / max(self.offered_share[name], 1e-12)
-            for name, model in self.nodes.items()
-        )
-
-    def headroom(self, offered: float) -> float:
-        """Fraction of the cluster knee still unused at ``offered``."""
-        knee = self.min_capacity()
-        if knee <= 0:
-            return 0.0
-        return 1.0 - offered / knee
-
-    def safe_to_forward(self, offered: float, margin: float = 0.9) -> bool:
-        """True when every node is below ``margin`` of its knee."""
-        return offered <= margin * self.min_capacity()
-
-    def goodput(self, offered: float) -> float:
-        """Cluster goodput: the worst node's delivered rate."""
-        return min(
-            model.goodput(offered * self.offered_share[name])
-            for name, model in self.nodes.items()
-        )
-
-    def extrapolate(self, offered: float, dt: float) -> "dict[str, object]":
-        """Predicted per-node busy seconds and cluster calls for a
-        skipped interval of ``dt`` seconds at ``offered`` load (both in
-        the model's own paper-equivalent cps units)."""
-        busy = {}
-        for name, model in self.nodes.items():
-            node_offered = offered * self.offered_share[name]
-            served = model.goodput(node_offered)
-            shed = max(0.0, node_offered - served)
-            busy[name] = (
-                served * model.call_cost + shed * model.reject_cost
-            ) * dt
-        return {
-            "busy_seconds": busy,
-            "goodput_calls": self.goodput(offered) * dt,
-            "offered_calls": offered * dt,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<ClusterFluidModel nodes={len(self.nodes)} "
-            f"knee={self.min_capacity():.0f}cps>"
-        )
-
-
 def capacity_hint(
     mode: str = "transaction_stateful",
     depth: float = 0.0,

@@ -185,18 +185,6 @@ class ServartukaPolicy(StatePolicy):
         self.path(key).rcv_count += 1
         self.tot_rcv += 1
 
-    def fast_forward(self, dt: float) -> None:
-        """Shift the control-period baseline across a hybrid clock jump.
-
-        The jump excises only quiescent time, during which no messages
-        flow, so moving the baseline forward by ``dt`` makes the first
-        post-jump period span exactly one period of *live* traffic --
-        the rates Algorithm 2 sees are the steady-state ones, not a
-        period's traffic diluted over ``period + dt``.
-        """
-        if self._last_period_at is not None:
-            self._last_period_at += dt
-
     # ------------------------------------------------------------------
     # Algorithm 2: periodic myshare computation
     # ------------------------------------------------------------------

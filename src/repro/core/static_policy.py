@@ -82,15 +82,6 @@ class StatePolicy:
     def on_peer_up(self, peer: str) -> None:
         """A crashed neighbour came back.  Default no-op."""
 
-    def fast_forward(self, dt: float) -> None:
-        """Shift any absolute-time baselines across a hybrid clock jump.
-
-        Static policies keep no wall-clock state, so the default is a
-        no-op; SERvartuka overrides this to carry its control-period
-        baseline so the first post-jump period still spans exactly one
-        period of live traffic.
-        """
-
     def on_node_crash(self, now: float) -> None:
         """The *owning* node crashed: drop all volatile planning state.
 

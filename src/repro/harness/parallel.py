@@ -220,11 +220,6 @@ def scenario_job(
     control = control_snapshot(scenario)
     if control is not None:
         extras["control"] = control
-    # And for the hybrid engine: jump ledger only when the runtime
-    # exists, so non-hybrid extras stay byte-for-byte unchanged.
-    hybrid = getattr(scenario, "hybrid_runtime", None)
-    if hybrid is not None:
-        extras["hybrid"] = hybrid.summary()
     return output
 
 

@@ -30,10 +30,10 @@ class RunResult:
     """Measurements from one (scenario, offered-load) run."""
 
     #: Feature snapshots a job output's extras carry only when the
-    #: feature ran (observe=, control=, engine="hybrid"/"sharded");
+    #: feature ran (observe=, control=, engine="sharded");
     #: from_job() attaches each (``None`` when absent).  Not part of
     #: the payload.
-    SNAPSHOTS = ("obs", "control", "hybrid", "sharded")
+    SNAPSHOTS = ("obs", "control", "sharded")
 
     def __init__(self, scenario_name: str, offered_cps: float, duration: float):
         self.scenario_name = scenario_name
@@ -55,7 +55,7 @@ class RunResult:
         self.proxy_stateful_cps: Dict[str, float] = {}
         self.proxy_stateless_cps: Dict[str, float] = {}
         self.proxy_overloaded: Dict[str, bool] = {}
-        self.obs = self.control = self.hybrid = self.sharded = None
+        self.obs = self.control = self.sharded = None
 
     @property
     def goodput_ratio(self) -> float:
@@ -341,19 +341,9 @@ def _drive(
         )
     scenario.start()
     loop = scenario.loop
-    hybrid = getattr(scenario, "hybrid_runtime", None)
-    # The hybrid engine only fast-forwards while armed: the barrier is
-    # the current drive deadline, so a jump can never overshoot the
-    # segment boundary the readings are taken at.
-    if hybrid is not None:
-        hybrid.arm(loop.now + warmup)
     loop.run_until(loop.now + warmup)
     before = read_counters(scenario)
-    if hybrid is not None:
-        hybrid.arm(loop.now + duration)
     loop.run_until(loop.now + duration)
-    if hybrid is not None:
-        hybrid.disarm()
     after = read_counters(scenario)
     scenario.stop_load()
     if drain > 0:

@@ -140,7 +140,6 @@ class Observer:
         self.telemetries: Dict[str, ControlTelemetry] = {}
         self.controls: Dict[str, OverloadControlTelemetry] = {}
         self.trace = None  # set by Scenario when spans are enabled
-        self.fast_forwards: list = []  # hybrid-engine jump records
 
     # ------------------------------------------------------------------
     # Recorder factories (called while the scenario wires its nodes)
@@ -168,10 +167,6 @@ class Observer:
         if node not in self.controls:
             self.controls[node] = OverloadControlTelemetry(node)
         return self.controls[node]
-
-    def note_fast_forward(self, record: Dict[str, object]) -> None:
-        """One hybrid-engine jump (repro.sim.hybrid); already JSON-able."""
-        self.fast_forwards.append(dict(record))
 
     # ------------------------------------------------------------------
     # Export
@@ -209,8 +204,4 @@ class Observer:
                 call_id: span.to_payload()
                 for call_id, span in self.spans().items()
             }
-        if self.fast_forwards:
-            # Key present only when the hybrid engine actually jumped,
-            # so non-hybrid snapshots are unchanged by this PR.
-            snapshot["fast_forward"] = list(self.fast_forwards)
         return snapshot

@@ -29,6 +29,7 @@ Key behaviours reproduced:
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.costmodel import CostModel, Feature, MessageKind
@@ -749,18 +750,28 @@ class ProxyServer(Node):
                 contact_host = NameAddr.parse(contact).uri.host
             except (ValueError, SipHeaderError):
                 pass
-        expires_at = None
-        expires_header = request.get("Expires")
-        if expires_header is not None:
-            try:
-                expires_at = self.loop.now + float(expires_header)
-            except ValueError:
-                pass
-        if self.location.is_registered(aor, contact_host):
-            self.state_account.refreshed("registration")
+        try:
+            expires = float(request.get("Expires"))
+        except (TypeError, ValueError):  # absent or unparsable
+            expires = None
+        # nan, inf and negative values are as unusable as unparsable
+        # ones; fractions stay (the registrar client scales Expires
+        # below one second).
+        if expires is not None and not 0.0 <= expires < math.inf:
+            expires = None
+        if expires == 0.0:
+            # RFC 3261 10.3 step 6: Expires 0 removes the binding.
+            if self.location.unregister(aor, contact_host):
+                self.state_account.destroyed("registration")
         else:
-            self.state_account.created("registration")
-        self.location.register(aor, contact_host, expires_at=expires_at)
+            if self.location.is_registered(aor, contact_host):
+                self.state_account.refreshed("registration")
+            else:
+                self.state_account.created("registration")
+            self.location.register(
+                aor, contact_host,
+                expires_at=None if expires is None else self.loop.now + expires,
+            )
         self.metrics.counter("registrations").increment()
         self._respond_locally(request, 200)
 
@@ -1249,28 +1260,6 @@ class ProxyServer(Node):
         self._monitor_handle = self.loop.schedule(
             self.config.monitor_period, self._monitor
         )
-
-    # ------------------------------------------------------------------
-    # Hybrid-engine fast-forward
-    # ------------------------------------------------------------------
-    def fast_forward(self, dt: float) -> None:
-        """Shift clock-relative protocol state across a hybrid jump.
-
-        In-flight transaction birth times must move with the clock or
-        the Timer-B give-up check (``now - created_at > timer_b``) would
-        mass-expire every transaction the instant the clock lands.
-        Planned-reject timestamps likewise stay clock-relative so the
-        monitor's staleness reaping keeps its horizon.  CPU-side state
-        is handled by :meth:`repro.sim.cpu.CpuModel.fast_forward`.
-        """
-        for transaction in self._transactions.values():
-            transaction.created_at += dt
-        if self._pending_rejects:
-            for key in self._pending_rejects:
-                self._pending_rejects[key] += dt
-        self.policy.fast_forward(dt)
-        if self.auth_policy is not None:
-            self.auth_policy.fast_forward(dt)
 
     # ------------------------------------------------------------------
     # Crash/restart lifecycle

@@ -176,9 +176,6 @@ class CallGenerator(Node):
         # 503 Retry-After hold-off (repro.core.control): arrivals keep
         # ticking open-loop, but while backed off no call is started.
         self._backoff_until = 0.0
-        # Pending next-arrival event, so the hybrid engine can replay
-        # the arrival process across a clock jump.
-        self._arrival_handle = None
 
     # ------------------------------------------------------------------
     # Load control
@@ -209,82 +206,7 @@ class CallGenerator(Node):
             delay = self._arrival_rng.exponential(mean)
         else:
             delay = 0.0 if first else mean
-        self._arrival_handle = self.loop.schedule(delay, self._originate)
-
-    def fast_forward_arrivals(self, target: float) -> Dict[str, int]:
-        """Advance the arrival process analytically to ``target``.
-
-        Draws the same inter-arrival variates the live path would have
-        drawn, in the same order, from the same dedicated stream, so the
-        post-jump arrival times and call numbering are *exactly* what
-        the non-hybrid engines produce.  Skipped calls are counted as
-        attempted here; their downstream lifecycle (completions,
-        provisionals) is credited statistically by the hybrid runtime.
-        Returns the skipped-arrival count per destination AOR (the
-        rotation is replayed too, so the split is exact, letting the
-        hybrid runtime credit each answering server its precise share).
-        """
-        handle = self._arrival_handle
-        if not self._running or handle is None or handle.cancelled:
-            return {}
-        if self.loop.now < self._backoff_until:
-            raise RuntimeError(
-                f"{self.name}: cannot fast-forward arrivals during backoff"
-            )
-        t = handle.time
-        if t > target:
-            # Next arrival already beyond the jump target: keep it, but
-            # pin its absolute time across the jump.
-            self.loop.anchor(handle)
-            return {}
-        handle.cancel()
-        config = self.config
-        mean = 1.0 / config.rate
-        poisson = config.arrival == "poisson"
-        destinations = len(config.destinations)
-        by_dest: Dict[str, int] = {}
-        skipped = 0
-        while t <= target:
-            # The arrival at ``t`` starts a call (numbering and
-            # destination rotation advance exactly as _start_call would,
-            # which reads the rotation slot *before* advancing it).
-            skipped += 1
-            self._call_counter += 1
-            dest = config.destinations[self._dest_index]
-            by_dest[dest] = by_dest.get(dest, 0) + 1
-            self._dest_index = (self._dest_index + 1) % destinations
-            if (
-                config.max_calls is not None
-                and self._call_counter >= config.max_calls
-            ):
-                # Mirrors _schedule_next_arrival: the limit-reaching call
-                # still happens, then origination stops without a draw.
-                self._running = False
-                self._arrival_handle = None
-                break
-            t += self._arrival_rng.exponential(mean) if poisson else mean
-        if skipped:
-            self.metrics.counter("calls_attempted").increment(skipped)
-        if self._running:
-            handle = self.loop.schedule_at(t, self._originate)
-            self.loop.anchor(handle)
-            self._arrival_handle = handle
-        return by_dest
-
-    def fast_forward(self, dt: float) -> None:
-        """Shift in-flight call timestamps across a clock jump of ``dt``.
-
-        Finished calls are already popped from the table, so everything
-        here is live state whose latencies must stay clock-relative.
-        """
-        for record in self._calls.values():
-            record.created_at += dt
-            if record.answered_at is not None:
-                record.answered_at += dt
-            if record.bye_sent_at is not None:
-                record.bye_sent_at += dt
-        if self._backoff_until > self.loop.now:
-            self._backoff_until += dt
+        self.loop.schedule(delay, self._originate)
 
     def _originate(self) -> None:
         if not self._running:
@@ -603,8 +525,6 @@ class CallGenerator(Node):
             bye.add("Route", route)
         branch = self._next_branch()
         bye.push_via(Via(self.name, branch=branch))
-        # Recorded on the CallRecord (not a closure) so a hybrid clock
-        # jump can shift it along with the other call timestamps.
         record.bye_sent_at = self.loop.now
         transaction = ClientTransaction(
             bye,

@@ -265,41 +265,6 @@ class CpuModel:
         self.busy_until = max(self.busy_until, self.loop.now)
 
     # ------------------------------------------------------------------
-    # Hybrid-engine fast-forward
-    # ------------------------------------------------------------------
-    def fast_forward(
-        self,
-        dt: float,
-        busy_credit: float = 0.0,
-        component_credits: Optional[Dict[str, float]] = None,
-    ) -> None:
-        """Carry the CPU across a clock jump of ``dt`` seconds.
-
-        ``busy_credit`` is the analytically extrapolated busy time for
-        the skipped interval; it lands in ``busy_seconds`` *and* in the
-        tick baseline, so the next utilization window measures only live
-        DES time and occupancy stays continuous across the jump.  All
-        absolute timestamps (committed-work horizon, in-flight job
-        times) shift with the clock, preserving queueing state exactly.
-        Call this *before* the loop's own ``jump`` or after it -- the
-        shifts are clock-relative either way.
-        """
-        if dt <= 0:
-            raise ValueError(f"fast_forward must move forward: {dt}")
-        self.busy_until += dt
-        self.busy_seconds += busy_credit
-        self._last_tick_time += dt
-        self._last_tick_busy += busy_credit
-        for job in self._pending:
-            job.submitted_at += dt
-            job.start_at += dt
-            job.end_at += dt
-        if component_credits:
-            seconds = self._component_seconds
-            for name, share in component_credits.items():
-                seconds[name] = seconds.get(name, 0.0) + share
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def queue_delay(self) -> float:

@@ -75,12 +75,6 @@ class EventLoop:
         self._events_processed = 0
         self._heap_cancelled = 0
         self.heap_compactions = 0
-        #: Handles exempt from :meth:`jump` shifts (absolute-time
-        #: commitments: fault events, workload ramp edges).
-        self._anchored: set = set()
-        #: Advisory absolute times of scheduled transients, consumed by
-        #: the hybrid engine's fast-forward planner.
-        self._transients: List[float] = []
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -100,29 +94,6 @@ class EventLoop:
         self._seq += 1
         heapq.heappush(self._heap, (when, self._seq, handle))
         return handle
-
-    def anchor(self, handle: EventHandle) -> None:
-        """Exempt ``handle`` from :meth:`jump` shifts.
-
-        Anchored handles keep their absolute fire time across clock
-        jumps; everything else moves with the clock.  Use for events
-        that model external schedules (fault injections, workload ramp
-        edges) rather than in-flight protocol activity.
-        """
-        if handle is not None and not handle.cancelled:
-            self._anchored.add(handle)
-
-    def note_transient(self, when: float) -> None:
-        """Advisory: a scheduled transient (ramp edge, fault) at ``when``.
-
-        The loop itself ignores these; the hybrid engine's planner reads
-        them so fast-forward jumps never cross a transient.
-        """
-        self._transients.append(float(when))
-
-    @property
-    def transients(self) -> List[float]:
-        return self._transients
 
     # ------------------------------------------------------------------
     # Execution
@@ -212,51 +183,6 @@ class EventLoop:
             heap[:] = alive
             heapq.heapify(heap)
             self.heap_compactions += 1
-        self._heap_cancelled = 0
-
-    # ------------------------------------------------------------------
-    # Clock jump (hybrid engine fast-forward)
-    # ------------------------------------------------------------------
-    def jump(self, dt: float) -> None:
-        """Advance the clock by ``dt``, carrying pending work with it.
-
-        Every pending entry's fire time shifts by ``dt`` -- in-flight
-        timers keep their *relative* distance to the clock, so protocol
-        state machines resume exactly where they paused -- except
-        handles registered via :meth:`anchor`, which keep their absolute
-        times.  A jump that would cross an anchored event raises
-        ``ValueError``: the hybrid planner must stop short of scheduled
-        transients, never absorb them.
-        """
-        if dt <= 0:
-            raise ValueError(f"jump must move the clock forward: {dt}")
-        target = self.now + dt
-        live_anchors: set = set()
-        self._shift_pending(dt, target, live_anchors)
-        self._anchored = live_anchors
-        self.now = target
-
-    def _shift_pending(self, dt: float, target: float, live_anchors: set) -> None:
-        """Shift heap entries by ``dt``; corpses are dropped as a side
-        effect (the rewrite is a free compaction)."""
-        anchored = self._anchored
-        kept = []
-        for when, seq, handle in self._heap:
-            if handle.cancelled:
-                continue
-            if handle in anchored:
-                if when <= target:
-                    raise ValueError(
-                        f"jump to t={target:.6f} crosses anchored event "
-                        f"at t={when:.6f}"
-                    )
-                live_anchors.add(handle)
-                kept.append((when, seq, handle))
-            else:
-                handle.time = when + dt
-                kept.append((when + dt, seq, handle))
-        self._heap[:] = kept
-        heapq.heapify(self._heap)
         self._heap_cancelled = 0
 
     # ------------------------------------------------------------------

@@ -212,12 +212,7 @@ class FaultInjector:
         for event in schedule.events:
             # Times are relative to injector creation (scenario start).
             when = max(base, base + event.time)
-            handle = loop.schedule_at(when, self._fire, event)
-            # Fault events are absolute-time commitments: the hybrid
-            # engine must neither displace them on a clock jump nor
-            # plan a jump across them.
-            loop.anchor(handle)
-            loop.note_transient(when)
+            loop.schedule_at(when, self._fire, event)
 
     # ------------------------------------------------------------------
     # Event execution

@@ -633,7 +633,7 @@ def run_sharded_scenario(
     )
     partials, summary = _run(payload, "scenario", program, timing)
     output = assemble(partials)
-    # Present only under engine="sharded", like the obs/control/hybrid
+    # Present only under engine="sharded", like the obs/control
     # keys of repro.harness.parallel.scenario_job.
     output["extras"]["sharded"] = summary
     return output

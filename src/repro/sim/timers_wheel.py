@@ -331,54 +331,6 @@ class WheelEventLoop(EventLoop):
         return super().run_until(deadline)
 
     # ------------------------------------------------------------------
-    # Clock jump (hybrid engine fast-forward)
-    # ------------------------------------------------------------------
-    def _shift_pending(self, dt: float, target: float, live_anchors: set) -> None:
-        # Heap entries first (the inherited in-place rewrite), then the
-        # wheel: every resident entry re-files at its shifted time.  The
-        # frontier is untouched -- ``run_until`` already advanced it to
-        # the segment deadline, and the jump target never exceeds that
-        # deadline, so shifted entries landing at or before the frontier
-        # (possible only for barely-far timers) migrate to the heap the
-        # same way ``advance`` would have migrated them.
-        super()._shift_pending(dt, target, live_anchors)
-        wheel = self._wheel
-        if not len(wheel):
-            return
-        anchored = self._anchored
-        entries: List[_Entry] = []
-        for buckets in wheel.levels:
-            for bucket in buckets.values():
-                entries.extend(bucket)
-            buckets.clear()
-        wheel._entries = 0
-        wheel._cancelled = 0
-        heap = self._heap
-        for when, seq, handle in entries:
-            if handle.cancelled:
-                if isinstance(handle, WheelHandle):
-                    handle._wheel = None
-                continue
-            if handle in anchored:
-                if when <= target:
-                    raise ValueError(
-                        f"jump to t={target:.6f} crosses anchored event "
-                        f"at t={when:.6f}"
-                    )
-                live_anchors.add(handle)
-                new_when = when
-            else:
-                new_when = when + dt
-                handle.time = new_when
-            if new_when <= wheel.frontier:
-                if isinstance(handle, WheelHandle):
-                    handle._wheel = None
-                handle._loop = self
-                heapq.heappush(heap, (new_when, seq, handle))
-            else:
-                wheel.add((new_when, seq, handle))
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property

@@ -55,12 +55,10 @@ _MISSING = object()
 # transaction key) is the same code on both rungs.  Messages are plain
 # allocations on both rungs, so any node may keep what it received.
 #
-# "hybrid" shares every message-layer fast path with "turbo"; what
-# distinguishes it (steady-state fast-forward) lives in repro.sim.hybrid.
-# "sharded" likewise runs turbo's message layer per shard; the window
+# "sharded" runs turbo's message layer per shard; the window
 # synchronization lives in repro.sim.shard.
 #: The engine names -- defined here once, imported everywhere else.
-ENGINES = ("reference", "turbo", "hybrid", "sharded")
+ENGINES = ("reference", "turbo", "sharded")
 
 # The one engine flag: process-global, set per scenario construction.
 _TURBO = False
@@ -73,7 +71,8 @@ def check_engine(name: str) -> str:
         raise ValueError(
             f"unknown engine {name!r}; one of {', '.join(ENGINES)} "
             "('copy' and 'fast' were removed: 'turbo' is their "
-            "bit-identical replacement)"
+            "bit-identical replacement; 'hybrid' was removed: 'turbo' "
+            "runs the same scenarios without fast-forward)"
         )
     return name
 

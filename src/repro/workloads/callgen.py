@@ -106,12 +106,8 @@ def apply_profile(loop, generators: Iterable, profile: LoadProfile) -> float:
 
     start = loop.now
     for offset, rate in profile.boundaries():
-        # Ramp edges are transients: the hybrid engine anchors them in
-        # place across clock jumps and never fast-forwards over one.
-        loop.note_transient(start + offset)
         for generator, share in zip(generators, shares):
-            handle = loop.schedule_at(
+            loop.schedule_at(
                 start + offset, generator.set_rate, max(rate * share, 1e-9)
             )
-            loop.anchor(handle)
     return start + profile.total_duration

@@ -49,9 +49,9 @@ from repro.sip.digest import CredentialStore
 from repro.sip.message import check_engine, set_engine_mode
 from repro.sip.timers import DEFAULT_TIMERS, TimerPolicy
 
-# What only some scenarios use -- observability, overload control, the
-# hybrid engine, registrars, B2BUAs, the topology generator, faults,
-# traces -- is imported where it is used, so a process loads what it
+# What only some scenarios use -- observability, overload control,
+# registrars, B2BUAs, the topology generator, faults, traces -- is
+# imported where it is used, so a process loads what it
 # runs (docs/ARCHITECTURE.md, "Import layering").
 if TYPE_CHECKING:
     from repro.obs.observe import Observer
@@ -92,7 +92,6 @@ class ScenarioConfig:
         engine: str = "turbo",
         observe=None,
         control=None,
-        hybrid=None,
         shards: Optional[int] = None,
     ):
         if scale <= 0:
@@ -133,10 +132,6 @@ class ScenarioConfig:
         #: RNG dispatch.  The two are required to produce
         #: bit-identical results (enforced by
         #: tests/engine/test_differential.py) -- only wall-clock differs.
-        #: ``"hybrid"`` runs turbo's per-message path but fast-forwards
-        #: detected steady state analytically; it is contracted by
-        #: *tolerance* against turbo, not bit-identity (see
-        #: tests/engine/test_hybrid_differential.py and repro.sim.hybrid).
         #: ``"sharded"`` partitions one scenario's node set across
         #: ``shards`` turbo event loops synchronized by conservative
         #: time windows (see repro.sim.shard); bit-identical to serial
@@ -170,13 +165,6 @@ class ScenarioConfig:
             from repro.core.control import ControlConfig
 
             self.control = ControlConfig.coerce(control)
-        #: Hybrid-engine tuning: None (engine defaults), a HybridConfig,
-        #: or its payload dict.  Only consulted when engine == "hybrid".
-        self.hybrid = None
-        if hybrid is not None:
-            from repro.sim.hybrid import HybridConfig
-
-            self.hybrid = HybridConfig.coerce(hybrid)
 
     def to_payload(self) -> Dict[str, object]:
         """Every knob as a JSON-able dict (the parallel executor's spec
@@ -220,14 +208,7 @@ class ScenarioConfig:
         }
         if self.control is not None:
             payload["control"] = self.control.to_payload()
-        # Same contract as ``control``: the key exists only for the
-        # hybrid engine, so every non-hybrid cache key stays
-        # byte-identical to what pre-hybrid builds produced.
-        if self.engine == "hybrid":
-            payload["hybrid"] = (
-                self.hybrid.to_payload() if self.hybrid is not None else None
-            )
-        # And for the sharded engine: the key exists only when
+        # Same contract for the sharded engine: the key exists only when
         # engine == "sharded", so every pre-sharding cache key stays
         # byte-identical (pinned by tests/harness/test_sharded_cache.py).
         if self.engine == "sharded":
@@ -370,9 +351,6 @@ class Scenario:
         self.proxies: Dict[str, ProxyServer] = {}
         self.generators: List[CallGenerator] = []
         self.servers: List[AnsweringServer] = []
-        # Registration churners and B2BUAs live in their own lists:
-        # the hybrid runtime replays *call* generators analytically
-        # (fast_forward_arrivals) but leaves these event-driven.
         self.registrars: List[RegistrarClient] = []
         self.b2buas: List[B2buaServer] = []
         self.trace = None
@@ -383,11 +361,6 @@ class Scenario:
         #: path lands in as few shards as topology allows; scenarios
         #: without hints fall back to network registration order.
         self.partition_hints: List[List[str]] = []
-        self.hybrid_runtime = None
-        if config.engine == "hybrid":
-            from repro.sim.hybrid import HybridRuntime
-
-            self.hybrid_runtime = HybridRuntime(self, config.hybrid)
         self.observer: Optional[Observer] = None
         if config.observe is not None:
             from repro.obs.observe import Observer
@@ -615,18 +588,12 @@ class Scenario:
             registrar.start()
         for generator in self.generators:
             generator.start()
-        if self.hybrid_runtime is not None:
-            self.hybrid_runtime.start()
 
     def stop_load(self) -> None:
         for registrar in self.registrars:
             registrar.stop()
         for generator in self.generators:
             generator.stop()
-        if self.hybrid_runtime is not None:
-            # No jumps during the drain; also unpins the sampler so the
-            # loop can actually go idle.
-            self.hybrid_runtime.stop()
 
     @property
     def offered_paper_cps(self) -> float:

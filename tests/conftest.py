@@ -51,7 +51,7 @@ def _import_time_engine_mode():
     or CPU-job pooling, no parse interning, pools emptied, GC thresholds
     restored) after every test so none depends on what ran before it.
     Regression check:
-    ``pytest "tests/engine/test_hybrid_differential.py::test_hybrid_within_tolerance[two_series]" tests/sim/test_network.py``
+    ``pytest "tests/engine/test_differential.py::test_engines_bit_identical[two_series]" tests/sim/test_network.py``
     """
     yield
     set_engine_mode("reference")

@@ -204,6 +204,5 @@ class TestOnePath:
             # normalization; the live branch's are the raw snapshots.
             normalized = json.loads(json.dumps(getattr(live, name)))
             assert normalized == getattr(job, name)
-        for name in ("hybrid", "sharded"):
-            assert getattr(job, name) is None
-            assert getattr(live, name) is None
+        assert job.sharded is None
+        assert live.sharded is None

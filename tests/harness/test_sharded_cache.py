@@ -1,8 +1,7 @@
 """Run-cache contract for the sharded engine rung.
 
 The ``"shards"`` key enters the scenario payload ONLY when
-``engine="sharded"`` (the same dormancy pattern as ``"hybrid"`` and
-``"control"``), so every pre-sharded run-cache entry keeps its exact
+``engine="sharded"`` (the same dormancy pattern as ``"control"``), so every pre-sharded run-cache entry keeps its exact
 spec hash (pinned in test_spec_cache_keys.py).
 """
 
@@ -14,7 +13,7 @@ from repro.workloads.scenarios import ScenarioConfig
 
 
 def test_payload_has_no_shards_key_for_other_engines():
-    for engine in ("reference", "turbo", "hybrid"):
+    for engine in ("reference", "turbo"):
         payload = ScenarioConfig(engine=engine).to_payload()
         assert "shards" not in payload, engine
     clone = ScenarioConfig.from_payload(ScenarioConfig().to_payload())

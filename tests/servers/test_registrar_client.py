@@ -13,6 +13,7 @@ from repro.sim.events import EventLoop
 from repro.sim.network import Network
 from repro.sim.rng import RngStream
 from repro.sip.timers import TimerPolicy
+from repro.workloads.scenarios import Scenario, ScenarioConfig
 
 TIMERS = TimerPolicy(t1=0.05, t2=0.2, t4=0.2)
 AOR = "sip:carol@edge.example.net"
@@ -140,3 +141,82 @@ class TestCallsAgainstChurn:
         caller.stop()
         loop.run_until(3.0)
         assert caller.calls_completed == caller.calls_attempted
+
+
+def _unregister_run(engine):
+    """SNIPPETS.md snippet 3's load-test shape on one rung: register a
+    population, place calls, un-register every AOR with ``Expires: 0``,
+    then call again."""
+    config = ScenarioConfig(engine=engine, scale=50.0, seed=5, timers=TIMERS)
+    scenario = Scenario("unregister", config)
+    aors = [f"sip:sub{i}@edge.example.net" for i in range(20)]
+    scenario.add_proxy(
+        "P1", RouteTable().add("edge.example.net", DELIVER_ACTION), "stateful")
+    uas = scenario.add_uas("uas1", [])
+    client = scenario.add_registrar(
+        "reg1", "P1", aors, refresh_interval=100.0, expires=150.0,
+        contact_node="uas1")
+    caller = scenario.add_uac("uac1", 2_000.0, "P1", aors)
+    loop, location = scenario.loop, scenario.location
+    account = scenario.proxies["P1"].state_account
+
+    def registry():
+        return [(aor, b.node, b.expires_at)
+                for aor in aors for b in location.bindings_for(aor)]
+
+    client.start()
+    loop.run_until(0.5)
+    caller.start()
+    loop.run_until(1.5)
+    caller.stop()
+    loop.run_until(2.0)
+    registered = registry()
+    live_before = account.live["registration"]
+    answered = uas.calls_received
+
+    client.stop()
+    client.expires = 0.0
+    for aor in aors:
+        client._register(aor)
+    loop.run_until(2.5)
+    unregistered = (location.size, account.live["registration"])
+
+    misses = location.misses
+    caller.start()
+    loop.run_until(3.0)
+    caller.stop()
+    loop.run_until(3.5)
+    return {
+        "registered": registered, "live_before": live_before,
+        "answered": answered, "unregistered": unregistered,
+        "confirmed": client.registers_confirmed,
+        "new_misses": location.misses - misses,
+        "answered_after": uas.calls_received - answered,
+        "404s": caller.metrics.counter("failure_invite_404").value,
+    }
+
+
+class TestUnregister:
+    def test_expires_zero_removes_bindings_on_both_rungs(self):
+        runs = {engine: _unregister_run(engine)
+                for engine in ("reference", "turbo")}
+        assert runs["reference"] == runs["turbo"]
+        run = runs["turbo"]
+        assert len(run["registered"]) == 20 and run["live_before"] == 20
+        assert run["answered"] > 0
+        assert run["confirmed"] >= 40
+        assert run["unregistered"] == (0, 0)
+        # A later INVITE to an un-registered AOR misses the lookup.
+        assert run["new_misses"] > 0 and run["404s"] > 0
+        assert run["answered_after"] == 0
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -5.0])
+    def test_unusable_expires_is_ignored(self, value):
+        loop, proxy, uas, client, location = make_env()
+        client.expires = value
+        client.start()
+        loop.run_until(0.1)
+        assert client.registers_confirmed == 1
+        # Like an unparsable value: a binding with no expiry.
+        assert [b.expires_at for b in location.bindings_for(AOR)] == [None]
+        assert proxy.state_account.live["registration"] == 1

@@ -1,9 +1,12 @@
 """Tests for the discrete-event loop."""
 
+import heapq
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim.events import EventLoop
+from repro.sim.timers_wheel import WheelEventLoop
 
 
 class TestScheduling:
@@ -127,3 +130,80 @@ class TestOrderingProperty:
         loop.run()
         assert observed == sorted(observed)
         assert len(observed) == len(delays)
+
+
+class TestHeapCompaction:
+    def test_compaction_triggers_and_preserves_order(self, monkeypatch):
+        monkeypatch.setattr(EventLoop, "heap_compact_floor", 8)
+        loop = EventLoop()
+        fired = []
+        keepers = []
+        cancelled = []
+        for index in range(40):
+            handle = loop.schedule(1.0 + index * 0.01, fired.append, index)
+            (keepers if index % 5 == 0 else cancelled).append(handle)
+        peak_before = len(loop._heap)
+        for handle in cancelled:
+            handle.cancel()
+        # 32 corpses vs 8 live crosses both the floor and the >50%
+        # threshold, so the sweep must already have run; at most a
+        # below-threshold remainder of corpses may linger.
+        assert loop.heap_compactions >= 1
+        assert len(loop._heap) < peak_before
+        assert len(loop._heap) <= len(keepers) + loop.heap_compact_floor
+        assert heapq.nsmallest(1, loop._heap) == [min(loop._heap)]
+        loop.run()
+        assert fired == [0, 5, 10, 15, 20, 25, 30, 35]
+
+    def test_peak_heap_size_stays_bounded(self, monkeypatch):
+        # Schedule/cancel churn: without compaction the heap would grow
+        # to ~n entries; with it, the peak stays near the live count.
+        monkeypatch.setattr(EventLoop, "heap_compact_floor", 16)
+        loop = EventLoop()
+        peak = 0
+        live = []
+        for index in range(2000):
+            handle = loop.schedule(10.0 + index * 1e-4, lambda: None)
+            live.append(handle)
+            if len(live) > 4:
+                live.pop(0).cancel()
+            peak = max(peak, len(loop._heap))
+        # 1995 cancels happened; the heap must stay O(live + floor).
+        assert peak <= 64
+        assert loop.heap_compactions > 0
+
+    def test_no_compaction_below_floor(self):
+        loop = EventLoop()  # default floor 1024
+        handles = [loop.schedule(1.0, lambda: None) for _ in range(100)]
+        for handle in handles:
+            handle.cancel()
+        assert loop.heap_compactions == 0
+
+    def test_events_processed_unchanged_by_compaction(self, monkeypatch):
+        # Corpse pops never count as processed events, so compaction
+        # (which removes corpses early) cannot change the count either.
+        def run(floor):
+            monkeypatch.setattr(EventLoop, "heap_compact_floor", floor)
+            loop = EventLoop()
+            for index in range(200):
+                handle = loop.schedule(1.0 + index * 0.01, lambda: None)
+                if index % 2:
+                    handle.cancel()
+            loop.run()
+            return loop.events_processed
+
+        assert run(10**9) == run(4)
+
+    def test_wheel_cancel_in_near_window_counts(self, monkeypatch):
+        monkeypatch.setattr(WheelEventLoop, "heap_compact_floor", 8)
+        loop = WheelEventLoop(bucket_width=0.5)
+        fired = []
+        # Near-term events go to the heap; churn them.
+        handles = [
+            loop.schedule(0.01 + i * 1e-4, fired.append, i) for i in range(40)
+        ]
+        for handle in handles[1:]:
+            handle.cancel()
+        assert loop.heap_compactions >= 1
+        loop.run()
+        assert fired == [0]

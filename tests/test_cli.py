@@ -77,7 +77,7 @@ class TestRun:
         payload = json.loads(capsys.readouterr().out)
         assert payload["control"]["proxies"]["P1"]["policy"] == "occupancy"
         assert payload["obs"]["profiles"]["P1"]["jobs"] > 0
-        assert "hybrid" not in payload and "sharded" not in payload
+        assert "sharded" not in payload
 
 
 class TestConfigurationErrors:
@@ -336,12 +336,16 @@ class TestObserveFlags:
             parser.parse_args(["run", "--engine", "warp"])
 
     def test_removed_engine_is_a_one_line_error(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["run", "--engine", "copy"])
-        assert exit_info.value.code == 2
-        assert "'turbo' is their bit-identical replacement" in (
-            capsys.readouterr().err.splitlines()[-1]
-        )
+        for removed in ("copy", "hybrid"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["run", "--engine", removed])
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert f"unknown engine {removed!r}" in err.splitlines()[-1]
+            assert "'turbo' is their bit-identical replacement" in (
+                err.splitlines()[-1]
+            )
 
     def test_run_observe_prints_functionality_table(self, capsys):
         rc = main([

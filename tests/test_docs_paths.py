@@ -43,5 +43,5 @@ def test_quoted_paths_exist(doc):
 def test_the_scan_sees_paths():
     # Anti-vacuity: the docs do quote paths, and the scan finds them.
     found = {t for doc in DOCS for t in _quoted_paths(doc.read_text())}
-    assert "BENCH_hybrid.json" in found
+    assert "BENCH_obs.json" in found
     assert sum("/" in token for token in found) >= 10

@@ -2,8 +2,8 @@
 
 ``docs/ARCHITECTURE.md`` ("Import layering") names a *core set* every
 simulation loads and a set of *leaves* -- the figure pipeline, the LP
-and its solvers, the topology generator, overload control, the hybrid
-and sharded engines, faults, traces, observability, registrars, B2BUAs,
+and its solvers, the topology generator, overload control, the
+sharded engine, faults, traces, observability, registrars, B2BUAs,
 the wire parser, and the worker-pool machinery -- that only the
 feature needing them loads.  These tests hold that line from the
 outside, in fresh interpreters under two hash seeds, and hold the other
@@ -33,11 +33,11 @@ HASH_SEEDS = ["1", "2"]
 LEAVES = [
     "repro.harness.figures", "repro.harness.experiments",
     "repro.harness.saturation", "repro.harness.resilience",
-    "repro.harness.optgap", "repro.harness.bench",
+    "repro.harness.optgap",
     "repro.core.lp", "repro.core.simplex", "repro.core.topogen",
     "repro.core.topology", "repro.core.fluid", "repro.core.analysis",
     "repro.core.control",
-    "repro.sim.hybrid", "repro.sim.shard", "repro.sim.faults",
+    "repro.sim.shard", "repro.sim.faults",
     "repro.sim.trace",
     "repro.obs", "repro.obs.observe", "repro.obs.profile",
     "repro.obs.telemetry", "repro.obs.spans", "repro.obs.export",

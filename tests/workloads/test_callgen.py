@@ -100,13 +100,6 @@ class TestApplyProfile:
         loop.run_until(end)
         assert gen.history == [pytest.approx(100), pytest.approx(200)]
 
-    def test_edges_registered_as_transients(self):
-        loop = EventLoop()
-        profile = LoadProfile([LoadStep(10, 1), LoadStep(20, 1)])
-        apply_profile(loop, [FakeGenerator(10.0)], profile)
-        # One transient per step edge, so hybrid never jumps across one.
-        assert len(loop.transients) >= len(profile.steps)
-
     def test_requires_generators(self):
         with pytest.raises(ValueError):
             apply_profile(EventLoop(), [], LoadProfile.constant(1, 1))

@@ -100,13 +100,17 @@ class TestB2buaChain:
 
 
 class TestFlashCrowd:
-    def test_profile_registers_transients(self, config):
+    def test_profile_changes_rate_at_its_edges(self, config):
         scenario = flash_crowd(
             4_000, shape="spike", peak_factor=3.0, period=1.0, config=config
         )
-        assert len(scenario.loop.transients) >= 2, (
-            "ramp edges must be registered so hybrid never jumps them"
-        )
+        base = 4_000 / config.scale
+        rates = []
+        for t in (0.5, 1.1, 1.5):
+            scenario.loop.run_until(t)
+            rates.append(sum(g.config.rate for g in scenario.generators))
+        assert rates == [pytest.approx(base), pytest.approx(3 * base),
+                         pytest.approx(base)]
 
     @pytest.mark.parametrize("shape", ["step", "spike", "diurnal"])
     def test_shapes_run(self, shape, config):

@@ -217,16 +217,32 @@ class TestConfigCoerce:
             with pytest.raises(TypeError, match="unexpected keyword"):
                 two_series(100, **kwargs)
 
-    @pytest.mark.parametrize("removed", ["copy", "fast"])
+    @pytest.mark.parametrize("removed", ["copy", "fast", "hybrid"])
     def test_removed_engines_name_their_replacement(self, removed):
-        with pytest.raises(ValueError, match="'turbo' is their bit-identical"):
+        with pytest.raises(ValueError) as error:
             ScenarioConfig(engine=removed)
+        message = str(error.value)
+        assert "\n" not in message
+        assert message.startswith(f"unknown engine {removed!r}")
+        assert f"'{removed}'" in message.split("(", 1)[1]
+        assert "'turbo'" in message
+
+    def test_removed_hybrid_knob_is_a_plain_type_error(self):
+        with pytest.raises(TypeError, match="unexpected keyword.*'hybrid'"):
+            ScenarioConfig(hybrid={})
+        # The payload a hybrid run recorded before the rung was removed
+        # (the turbo payload plus the two keys that rung set).
+        recorded = dict(ScenarioConfig(engine="turbo").to_payload(),
+                        engine="hybrid", hybrid=None)
+        with pytest.raises((TypeError, ValueError)) as error:
+            ScenarioConfig.from_payload(recorded)
+        assert "\n" not in str(error.value)
 
     def test_lean_metrics_is_derived_not_settable(self):
         with pytest.raises(TypeError, match="lean_metrics"):
             ScenarioConfig(lean_metrics=False)
         for engine, lean in (("reference", False), ("turbo", True),
-                             ("hybrid", True), ("sharded", True)):
+                             ("sharded", True)):
             payload = ScenarioConfig(engine=engine).to_payload()
             assert payload["lean_metrics"] is lean
             assert ScenarioConfig.from_payload(payload).engine == engine

@@ -105,6 +105,13 @@ class TestParsing:
                 config={"engine": "warp-drive"},
             )
 
+    def test_removed_engine_fails_at_parse_time(self, tmp_path):
+        path = tmp_path / "spec.toml"
+        path.write_text(
+            TOML_DOC.replace('engine = "reference"', 'engine = "hybrid"'))
+        with pytest.raises(ValueError, match="'hybrid' was removed"):
+            ScenarioSpec.from_path(path)
+
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError):
             ScenarioSpec(builder="single_proxy", rate=0.0)
@@ -153,7 +160,7 @@ class TestRoundTrip:
         assert again.to_json() == spec.to_json()
 
     # Config keys restricted to scalar knobs every engine accepts;
-    # nested tables (timers, hybrid) have their own coercion tests.
+    # nested tables (timers) have their own coercion tests.
     @settings(max_examples=40, deadline=None)
     @given(
         builder=st.sampled_from(sorted(SCENARIO_BUILDERS)),
