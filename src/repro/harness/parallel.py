@@ -322,10 +322,11 @@ def _execute_chunk(tasks: List[Tuple[int, str, dict]]) -> List[Tuple[int, dict]]
     out = []
     for slot, kind, payload in tasks:
         out.append((slot, _normalize(JOBS[kind](payload))))
-        # A finished scenario is one big reference cycle (loop <-> nodes
-        # <-> timers) and turbo's relaxed GC thresholds never get round
-        # to it, so a process running jobs back to back would grow by a
-        # scenario per job.  Reclaim it before the next one is built.
+        # No event leaves a cycle behind, but the scenario graph itself
+        # is one (loop <-> nodes <-> timers), and under run_until's
+        # relaxed GC cadence the collector seldom gets round to it, so a
+        # process running jobs back to back would grow by a scenario per
+        # job.  Reclaim it before the next one is built.
         gc.collect()
     return out
 

@@ -871,8 +871,10 @@ class ProxyServer(Node):
 
     def _do_forward_request(self, plan: _Plan) -> None:
         request: SipRequest = plan.message
+        # Read, not decremented in place: the sender may hold this very
+        # object for retransmission.  Only the forwarded copy changes.
         try:
-            remaining = request.decrement_max_forwards()
+            remaining = request.max_forwards() - 1
         except SipHeaderError:
             remaining = -1
         if remaining < 0:
@@ -923,6 +925,7 @@ class ProxyServer(Node):
                 (AUTH_HEADER, AUTH_DONE) if plan.do_auth else None,
                 (STATE_HEADER, STATE_HELD) if set_state else None,
                 f"<sip:{self.name};lr>" if add_rr else None,
+                str(remaining),
             )
             self.metrics.counter("requests_forwarded").increment()
             self.send(next_hop, forwarded)
@@ -931,6 +934,7 @@ class ProxyServer(Node):
             return
 
         forwarded = request.copy()
+        forwarded.set("Max-Forwards", str(remaining))
         # Pop our own Route entry if present (loose routing).
         routes = forwarded.get_all("Route")
         if routes and self.name in routes[0]:

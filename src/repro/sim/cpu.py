@@ -222,12 +222,15 @@ class CpuModel:
         self.jobs_completed += 1
         fn = job.fn
         args = job.args
+        # Dead as of now.  Dropping the handle breaks the job -> handle
+        # -> args -> job cycle, so a finished job is freed by reference
+        # counting instead of waiting for the cyclic collector; pooled
+        # shells are recycled before the handler runs so it can reuse
+        # one for its own submissions.
+        job.fn = None
+        job.args = ()
+        job.handle = None
         if _JOB_POOLING and len(_JOB_POOL) < _JOB_POOL_LIMIT:
-            # Dead as of now; recycle before the handler runs so it can
-            # reuse the shell for its own submissions.
-            job.fn = None
-            job.args = ()
-            job.handle = None
             _JOB_POOL.append(job)
         fn(*args)
 

@@ -13,8 +13,17 @@ matching response).
 
 from __future__ import annotations
 
+import gc
 import heapq
 from typing import Any, Callable, List, Optional, Tuple
+
+#: Cyclic-GC thresholds while :meth:`EventLoop.run_until` executes
+#: events.  A run allocates millions of short-lived objects and none of
+#: its events leaves a reference cycle behind, so at the default gen-0
+#: threshold the collector would mostly rescan survivors.  The same
+#: cadence on both rungs; the measurements are in docs/ARCHITECTURE.md
+#: ("Turbo optimization inventory").
+_GC_CADENCE = (50_000, 25, 25)
 
 
 class EventHandle:
@@ -129,10 +138,14 @@ class EventLoop:
 
         The clock is left at ``deadline`` even if the queue empties
         earlier, so periodic measurements can rely on the final time.
+        The events run under :data:`_GC_CADENCE`; the caller's collector
+        thresholds are restored on return, also when a handler raises.
         """
         count = 0
         heap = self._heap
         pop = heapq.heappop
+        thresholds = gc.get_threshold()
+        gc.set_threshold(*_GC_CADENCE)
         try:
             while heap:
                 entry = heap[0]
@@ -148,6 +161,7 @@ class EventLoop:
                 count += 1
                 handle.fn(*handle.args)
         finally:
+            gc.set_threshold(*thresholds)
             # Nothing reads the counter mid-run, so it is batched out of
             # the inner loop (this method executes every event of a run).
             self._events_processed += count

@@ -106,12 +106,8 @@ class MessageTrace:
             if self.sample_every > 1 and self._seen % self.sample_every:
                 self.skipped += 1
                 return packet
-            # Receivers mutate what they were handed (a proxy decrements
-            # Max-Forwards in place), so an entry keeps its own copy of
-            # what was on the wire.  Under turbo that is a copy-on-write
-            # clone: the receiver's first edit materializes its own list.
-            if isinstance(payload, SipMessage):
-                payload = payload.copy()
+            # No node mutates a message it sent or received (edits go
+            # into a copy), so the entry can hold the object on the wire.
             entry = TraceEntry(
                 self.network.loop.now, src, dst, payload, dropped=packet is None
             )

@@ -42,18 +42,21 @@ _MISSING = object()
 #   :meth:`SipMessage.to_wire` and re-parses with
 #   ``repro.sip.parser.parse_message``, paying exactly what a real
 #   stack pays per hop.  The oracle the bench compares against, and the
-#   import-time state (no pooling, interning or GC side effects until a
-#   scenario asks for them).
+#   import-time state (no pooling or interning until a scenario asks for
+#   them).
 # - ``"turbo"`` -- copy-on-write: share the header list, carry parsed
 #   views across the copy, intern small parse vocabularies (URIs, CSeq,
 #   Via); plus pooled network packets and CPU jobs, proxy action-plan
-#   caching, reduced ``random.Random`` dispatch, lean metrics and a
-#   relaxed cyclic-GC cadence.  The default.
+#   caching, reduced ``random.Random`` dispatch and lean metrics.  The
+#   default.
 #
 # The flag gates state shared *between* messages.  What one message
 # caches about itself (the lazy views below, the top Via, the
 # transaction key) is the same code on both rungs.  Messages are plain
-# allocations on both rungs, so any node may keep what it received.
+# allocations on both rungs, so any node may keep what it received --
+# and a node never mutates a message it received: the sender may still
+# hold it for retransmission, so edits go into the forwarded copy.  The
+# cyclic-GC cadence is common to both rungs (repro.sim.events).
 #
 # "sharded" runs turbo's message layer per shard; the window
 # synchronization lives in repro.sim.shard.
@@ -62,7 +65,6 @@ ENGINES = ("reference", "turbo", "sharded")
 
 # The one engine flag: process-global, set per scenario construction.
 _TURBO = False
-_SAVED_GC_THRESHOLD: Optional[Tuple[int, int, int]] = None
 
 
 def check_engine(name: str) -> str:
@@ -82,25 +84,13 @@ def set_engine_mode(mode: str) -> None:
 
     The single writer of every engine switch: fans out to the parse
     caches (Via/CSeq/URI), the job/packet pools, the RNG dispatch and
-    the metrics allocation mode.
+    the metrics allocation mode.  The cyclic-GC cadence is not an
+    engine switch: ``EventLoop.run_until`` sets it for the events of
+    every run on both rungs, so no mode leaves thresholds behind.
     """
-    global _TURBO, _SAVED_GC_THRESHOLD
-    was_turbo = _TURBO
+    global _TURBO
     _TURBO = check_engine(mode) != "reference"
     set_parse_caching(_TURBO)
-    # Turbo relaxes the cyclic-GC cadence: a run allocates millions of
-    # short-lived acyclic objects, so the default gen-0 threshold mostly
-    # rescans survivors.  The switch-off measurements are in
-    # docs/ARCHITECTURE.md ("Turbo optimization inventory").  Restored
-    # on leaving turbo.
-    import gc
-
-    if _TURBO and not was_turbo:
-        _SAVED_GC_THRESHOLD = gc.get_threshold()
-        gc.set_threshold(50_000, 25, 25)
-    elif was_turbo and not _TURBO and _SAVED_GC_THRESHOLD is not None:
-        gc.set_threshold(*_SAVED_GC_THRESHOLD)
-        _SAVED_GC_THRESHOLD = None
     # The allocation fast paths live in the substrate layers; imported
     # lazily because repro.sim (via repro.sim.trace) imports this module.
     from repro.sim.cpu import set_job_pooling
@@ -458,39 +448,28 @@ class SipRequest(SipMessage):
             return clone
         return _wire_copy(self)
 
-    def decrement_max_forwards(self) -> int:
-        """Decrement Max-Forwards in place; returns the new value.
+    def max_forwards(self) -> int:
+        """The Max-Forwards value, read without touching the message.
 
         Raises :class:`SipHeaderError` when the header is absent or
         malformed -- a proxy must reject such requests with 483.
         """
-        if _TURBO and not self._cow:
-            # In-place replacement on an owned list: one scan instead of
-            # get() + the set() rebuild.  Max-Forwards is single-instance
-            # and read only by value, so keeping its position (where
-            # set() would move it to the tail) is not observable.
-            headers = self.headers
-            for index, (header, raw) in enumerate(headers):
-                if header == "Max-Forwards":
-                    try:
-                        value = int(raw)
-                    except ValueError:
-                        raise SipHeaderError(
-                            f"bad Max-Forwards: {raw!r}"
-                        ) from None
-                    value -= 1
-                    headers[index] = ("Max-Forwards", str(value))
-                    self._cache.pop("Max-Forwards", None)
-                    return value
-            raise SipHeaderError("missing Max-Forwards")
         raw = self.get("Max-Forwards")
         if raw is None:
             raise SipHeaderError("missing Max-Forwards")
         try:
-            value = int(raw)
+            return int(raw)
         except ValueError:
             raise SipHeaderError(f"bad Max-Forwards: {raw!r}") from None
-        value -= 1
+
+    def decrement_max_forwards(self) -> int:
+        """Decrement Max-Forwards in place; returns the new value.
+
+        Only for a copy this node owns: a received request may still be
+        held by its sender for retransmission.  Raises like
+        :meth:`max_forwards`.
+        """
+        value = self.max_forwards() - 1
         self.set("Max-Forwards", str(value))
         return value
 
@@ -534,18 +513,21 @@ def forward_clone(
     auth: Optional[Tuple[str, str]],
     state: Optional[Tuple[str, str]],
     record_route: Optional[str],
+    max_forwards: str,
 ) -> "SipRequest":
     """Turbo: a proxy's downstream request copy, built in one pass.
 
     Produces exactly what ``request.copy()`` followed by the forwarding
-    mutator sequence produces (Route pop + re-append, ``set`` of the
-    auth/state markers, ``Record-Route`` at top, ``push_via`` of
-    ``Via(proxy_name, branch=branch)``), but with a single traversal of
-    the source headers into a privately owned list instead of
-    up to four copy-on-write rebuilds and two O(n) inserts.  Header
-    names in ``auth``/``state`` must already be canonical.  The clone
-    owns its header list outright, so the source request's ownership
-    flag is left untouched.
+    mutator sequence produces (Max-Forwards decrement, Route pop +
+    re-append, ``set`` of the auth/state markers, ``Record-Route`` at
+    top, ``push_via`` of ``Via(proxy_name, branch=branch)``), but with a
+    single traversal of the source headers into a privately owned list
+    instead of up to five copy-on-write rebuilds and two O(n) inserts.
+    ``max_forwards`` (the decremented value) replaces Max-Forwards where
+    it stands; single-instance and read only by value, its position is
+    not observable.  Header names in ``auth``/``state`` must already be
+    canonical.  The clone owns its header list outright, and the source
+    request is left untouched.
     """
     # Rendered directly; byte-identical to str(Via(proxy_name,
     # branch=branch)) for the default UDP/no-port/branch-only shape.
@@ -586,6 +568,8 @@ def forward_clone(
                 else:
                     tail_routes.append(item)
                 continue
+        elif name == "Max-Forwards":
+            item = ("Max-Forwards", max_forwards)
         elif name == auth_name or name == state_name:
             continue
         headers.append(item)

@@ -175,10 +175,11 @@ for job in range(12):
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
                     reason="reads resident size from /proc")
 def test_back_to_back_jobs_do_not_grow_the_process():
-    """Turbo's relaxed GC cadence never collects a finished scenario's
-    cycles on its own; without the per-job reclaim the process grows
-    ~5 MB a job.  Resident size, not ``ru_maxrss``: a child inherits its
-    launcher's peak across fork+exec, so under a large pytest process
+    """A finished scenario is one reference cycle, which the relaxed GC
+    cadence of ``run_until`` seldom collects on its own; without the
+    per-job reclaim the process grows ~5 MB a job.  Resident size, not
+    ``ru_maxrss``: a child inherits its launcher's peak across
+    fork+exec, so under a large pytest process
     ``ru_maxrss`` would read the same twelve times whatever the jobs did.
     """
     out = subprocess.run(

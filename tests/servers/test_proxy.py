@@ -26,7 +26,7 @@ from repro.sim.network import Network
 from repro.sim.rng import RngStream
 from repro.sip.digest import CredentialStore, make_authorization
 from repro.sip.headers import Via
-from repro.sip.message import SipRequest, SipResponse
+from repro.sip.message import SipRequest, SipResponse, set_engine_mode
 
 
 class Stub:
@@ -135,6 +135,18 @@ class TestStatefulForwarding:
         env = Env()
         env.inject("uac", env.make_invite())
         assert env.dst.requests()[0].get("Max-Forwards") == "69"
+
+    @pytest.mark.parametrize("engine", ["reference", "turbo"])
+    @pytest.mark.parametrize("policy", [stateful_policy, stateless_policy])
+    def test_leaves_the_received_request_untouched(self, engine, policy):
+        # The sender keeps the object it sent for retransmission.
+        set_engine_mode(engine)
+        env = Env(policy=policy())
+        invite = env.make_invite()
+        sent = list(invite.headers)
+        env.inject("uac", invite)
+        assert env.dst.requests()[0].get("Max-Forwards") == "69"
+        assert invite.headers == sent
 
     def test_absorbs_invite_retransmission(self):
         env = Env()

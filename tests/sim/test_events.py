@@ -1,12 +1,14 @@
 """Tests for the discrete-event loop."""
 
+import gc
 import heapq
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.events import EventLoop
+from repro.sim.events import _GC_CADENCE, EventLoop
 from repro.sim.timers_wheel import WheelEventLoop
+from repro.sip.message import set_engine_mode
 
 
 class TestScheduling:
@@ -104,6 +106,49 @@ class TestRunUntil:
         loop.run_until(1.0)
         loop.run()
         assert fired == [2]
+
+
+class TestGcCadence:
+    """``run_until`` owns the collector cadence for the events it runs
+    and leaves the caller's thresholds as it found them."""
+
+    CALLER = (1234, 7, 3)
+
+    @pytest.fixture(autouse=True)
+    def caller_thresholds(self):
+        saved = gc.get_threshold()
+        gc.set_threshold(*self.CALLER)
+        try:
+            yield
+        finally:
+            gc.set_threshold(*saved)
+
+    @pytest.mark.parametrize("make_loop", [
+        EventLoop, lambda: WheelEventLoop(bucket_width=0.5),
+    ], ids=["heap", "wheel"])
+    def test_events_run_under_the_cadence(self, make_loop):
+        loop = make_loop()
+        seen = []
+        loop.schedule(0.5, lambda: seen.append(gc.get_threshold()))
+        loop.schedule(5.0, lambda: seen.append(gc.get_threshold()))
+        loop.run_until(10.0)
+        assert seen == [_GC_CADENCE, _GC_CADENCE]
+        assert gc.get_threshold() == self.CALLER
+
+    def test_thresholds_restored_when_a_handler_raises(self, loop):
+        def boom():
+            raise RuntimeError("handler failed")
+
+        loop.schedule(1.0, boom)
+        with pytest.raises(RuntimeError):
+            loop.run_until(2.0)
+        assert gc.get_threshold() == self.CALLER
+        assert loop.events_processed == 1
+
+    def test_engine_mode_leaves_thresholds_alone(self):
+        for mode in ("turbo", "reference", "turbo"):
+            set_engine_mode(mode)
+            assert gc.get_threshold() == self.CALLER, mode
 
 
 class TestRunLimits:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import api
 from repro.harness.runner import run_scenario
 from repro.sim.trace import MessageTrace, TraceEntry, render_ladder
 from repro.sip.message import SipRequest, SipResponse
@@ -171,3 +172,31 @@ class TestScenarioIntegration:
         assert hops == {
             ("uac1", "P1"): "70", ("P1", "P2"): "69", ("P2", "uas1"): "68",
         }
+
+    @pytest.mark.parametrize("engine", ["reference", "turbo"])
+    def test_retransmissions_carry_the_first_max_forwards(self, engine):
+        # A receiver never edits the object it was handed: the UAC's
+        # client transaction and a stateful proxy both resend the object
+        # they sent first, so an in-place decrement downstream would
+        # send every retransmission one hop lower.
+        scenario = api.make_scenario("n_series", n=2, rate=2000.0,
+                                     policy="servartuka", engine=engine,
+                                     seed=3)
+        scenario.install_faults(
+            api.FaultSchedule()
+            .set_loss(0.0, "uac1", "P1", 0.3)
+            .set_loss(0.0, "P1", "P2", 0.3)
+        )
+        trace = scenario.enable_trace()
+        run_scenario(scenario, duration=0.5, warmup=0.0, drain=1.0)
+        sent = {}
+        for entry in trace.entries:
+            if entry.label == "INVITE":
+                key = (entry.src, entry.dst, entry.payload.top_via.branch)
+                sent.setdefault(key, []).append(
+                    entry.payload.get("Max-Forwards"))
+        resent = {key: values for key, values in sent.items()
+                  if len(values) > 1}
+        assert {src for src, _dst, _branch in resent} >= {"uac1", "P1"}
+        assert {key: values for key, values in resent.items()
+                if len(set(values)) > 1} == {}

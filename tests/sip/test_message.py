@@ -191,6 +191,18 @@ class TestMaxForwards:
         assert req.decrement_max_forwards() == 69
         assert req.get("Max-Forwards") == "69"
 
+    def test_read_leaves_the_message_alone(self):
+        req = make_invite()
+        before = list(req.headers)
+        assert req.max_forwards() == 70
+        assert req.headers == before
+
+    def test_read_raises_like_decrement(self):
+        req = make_invite()
+        req.set("Max-Forwards", "many")
+        with pytest.raises(SipHeaderError):
+            req.max_forwards()
+
     def test_missing_raises(self):
         req = make_invite()
         req.remove("Max-Forwards")
