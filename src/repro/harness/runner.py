@@ -19,6 +19,7 @@ the scenario's scale factor).
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Tuple
 
 from repro.core.servartuka import ServartukaPolicy
@@ -327,6 +328,10 @@ def _drive(
     """Run warm-up, window and drain; return the window's two readings."""
     if duration <= 0 or warmup < 0:
         raise ValueError("need duration > 0, warmup >= 0")
+    for name, value in (("duration", duration), ("warmup", warmup),
+                        ("drain", drain)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite: {value}")
     config = getattr(scenario, "config", None)
     if (
         config is not None

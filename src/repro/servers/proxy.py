@@ -272,12 +272,10 @@ class ProxyServer(Node):
         # topology is built (only the down-peer overlay changes at run
         # time, and that is applied per message below), so the
         # candidate list per request-URI host is cacheable.  Feature
-        # sets are cached by their deciding booleans, and retired
-        # _Plan shells are recycled instead of reallocated.
+        # sets are cached by their deciding booleans.
         self._turbo = turbo_enabled()
         self._route_cache: Dict[str, List[str]] = {}
         self._feature_sets: Dict[tuple, frozenset] = {}
-        self._plan_pool: List[_Plan] = []
         self._packets_counter = None
         # Bound-method dispatch table (built once; getattr per message
         # is measurable on the hot path).
@@ -336,8 +334,6 @@ class ProxyServer(Node):
                               func=func)
         if job is None:
             self.metrics.counter("messages_dropped_overload").increment()
-            if self._turbo:
-                self._release_plan(plan)
 
     # Simple plan actions -> functionality label; the forward_* actions
     # refine on the plan's policy decision in _plan_func.
@@ -378,34 +374,6 @@ class ProxyServer(Node):
                     else "state-lookup")
         return "forward"
 
-    # ------------------------------------------------------------------
-    # Plan construction (turbo recycles retired shells)
-    # ------------------------------------------------------------------
-    def _make_plan(self, action: str, message, src: str, kind: MessageKind,
-                   features: frozenset, extra_vias: int) -> _Plan:
-        if self._turbo and self._plan_pool:
-            plan = self._plan_pool.pop()
-            plan.action = action
-            plan.message = message
-            plan.src = src
-            plan.kind = kind
-            plan.features = features
-            plan.extra_vias = extra_vias
-            plan.next_hop = None
-            plan.ds_key = None
-            plan.is_exit = False
-            plan.decision = None
-            plan.status = 0
-            plan.do_auth = False
-            return plan
-        return _Plan(action, message, src, kind, features, extra_vias)
-
-    def _release_plan(self, plan: _Plan) -> None:
-        plan.message = None
-        plan.decision = None
-        if len(self._plan_pool) < 256:
-            self._plan_pool.append(plan)
-
     def _features_for(self, is_exit: bool, do_auth: bool, stateful: bool,
                       dialog: bool) -> frozenset:
         """Memoized feature set; identical to building it imperatively."""
@@ -444,18 +412,18 @@ class ProxyServer(Node):
                     # a call must stay far cheaper than processing it,
                     # ACK included, or rejection itself saturates the
                     # server under overload.
-                    return self._make_plan("ack_stateful", request, src,
-                                           MessageKind.ABSORB_RETRANSMIT,
-                                           _FS_EMPTY, extra_vias)
-                return self._make_plan("ack_stateful", request, src,
-                                       MessageKind.ACK, _FS_BASE, extra_vias)
+                    return _Plan("ack_stateful", request, src,
+                                 MessageKind.ABSORB_RETRANSMIT,
+                                 _FS_EMPTY, extra_vias)
+                return _Plan("ack_stateful", request, src,
+                             MessageKind.ACK, _FS_BASE, extra_vias)
             if request.method == "CANCEL":
-                return self._make_plan("cancel_stateful", request, src,
-                                       MessageKind.GENERIC, _FS_BASE,
-                                       extra_vias)
-            return self._make_plan("absorb", request, src,
-                                   MessageKind.ABSORB_RETRANSMIT, _FS_EMPTY,
-                                   extra_vias)
+                return _Plan("cancel_stateful", request, src,
+                             MessageKind.GENERIC, _FS_BASE,
+                             extra_vias)
+            return _Plan("absorb", request, src,
+                         MessageKind.ABSORB_RETRANSMIT, _FS_EMPTY,
+                         extra_vias)
 
         if request.method == "REGISTER":
             if self.config.auth_enabled:
@@ -464,17 +432,17 @@ class ProxyServer(Node):
                 # authenticated one is charged the combined
                 # register+authentication cost.
                 if not self._check_register_auth(request):
-                    plan = self._make_plan("reject", request, src,
-                                           MessageKind.REJECT, _FS_AUTH,
-                                           extra_vias)
+                    plan = _Plan("reject", request, src,
+                                 MessageKind.REJECT, _FS_AUTH,
+                                 extra_vias)
                     plan.status = 401
                     return plan
-                return self._make_plan("register", request, src,
-                                       MessageKind.REGISTER_AUTH,
-                                       _FS_BASE_LOOKUP_AUTH, extra_vias)
-            return self._make_plan("register", request, src,
-                                   MessageKind.REGISTER, _FS_BASE_LOOKUP,
-                                   extra_vias)
+                return _Plan("register", request, src,
+                             MessageKind.REGISTER_AUTH,
+                             _FS_BASE_LOOKUP_AUTH, extra_vias)
+            return _Plan("register", request, src,
+                         MessageKind.REGISTER, _FS_BASE_LOOKUP,
+                         extra_vias)
 
         # Routing, with failover: once the failure detector reports a
         # next hop dead, skip it for any live alternative (the Figure-8
@@ -491,8 +459,8 @@ class ProxyServer(Node):
         else:
             candidates = self.route_table.candidates_for(host)
         if not candidates:
-            plan = self._make_plan("reject", request, src, MessageKind.REJECT,
-                                   _FS_EMPTY, extra_vias)
+            plan = _Plan("reject", request, src, MessageKind.REJECT,
+                         _FS_EMPTY, extra_vias)
             plan.status = 404
             return plan
         action = candidates[0]
@@ -511,7 +479,7 @@ class ProxyServer(Node):
             # the distribution policy -- like a BYE, it is transaction-
             # stateful only where this node Record-Routed itself in.
             owns = self._owns_dialog(request)
-            plan = self._make_plan(
+            plan = _Plan(
                 "forward_reinvite", request, src, kind,
                 self._features_for(is_exit, False, owns, False), extra_vias,
             )
@@ -528,9 +496,9 @@ class ProxyServer(Node):
                     txn_key = None
                 if txn_key is not None and txn_key in self._pending_rejects:
                     # Retransmit of an INVITE whose 503 is still queued.
-                    return self._make_plan("absorb", request, src,
-                                           MessageKind.ABSORB_RETRANSMIT,
-                                           _FS_EMPTY, extra_vias)
+                    return _Plan("absorb", request, src,
+                                 MessageKind.ABSORB_RETRANSMIT,
+                                 _FS_EMPTY, extra_vias)
                 try:
                     call_id = request.call_id
                 except SipHeaderError:
@@ -540,9 +508,9 @@ class ProxyServer(Node):
                     self.policy.note_rejected(ds_key, is_exit)
                     if self.auth_policy is not None:
                         self.auth_policy.note_rejected(ds_key, is_exit)
-                    plan = self._make_plan("reject", request, src,
-                                           MessageKind.REJECT, _FS_EMPTY,
-                                           extra_vias)
+                    plan = _Plan("reject", request, src,
+                                 MessageKind.REJECT, _FS_EMPTY,
+                                 extra_vias)
                     plan.status = 503
                     if txn_key is not None:
                         self._pending_rejects[txn_key] = self.loop.now
@@ -556,9 +524,9 @@ class ProxyServer(Node):
                 self.policy.note_rejected(ds_key, is_exit)
                 if self.auth_policy is not None:
                     self.auth_policy.note_rejected(ds_key, is_exit)
-                plan = self._make_plan("reject", request, src,
-                                       MessageKind.REJECT, _FS_EMPTY,
-                                       extra_vias)
+                plan = _Plan("reject", request, src,
+                             MessageKind.REJECT, _FS_EMPTY,
+                             extra_vias)
                 plan.status = 500
                 return plan
 
@@ -578,9 +546,9 @@ class ProxyServer(Node):
                 else:
                     do_auth = not already_authed
                 if do_auth and not self._check_auth(request):
-                    plan = self._make_plan("reject", request, src,
-                                           MessageKind.REJECT, _FS_AUTH,
-                                           extra_vias)
+                    plan = _Plan("reject", request, src,
+                                 MessageKind.REJECT, _FS_AUTH,
+                                 extra_vias)
                     plan.status = 407
                     return plan
 
@@ -594,7 +562,7 @@ class ProxyServer(Node):
             self._track_via_ema(extra_vias)
             self._upstream_new_calls[src] = self._upstream_new_calls.get(src, 0.0) + 1.0
 
-            plan = self._make_plan(
+            plan = _Plan(
                 "forward_invite", request, src, kind,
                 self._features_for(is_exit, do_auth, decision.stateful,
                                    decision.dialog_stateful),
@@ -604,13 +572,13 @@ class ProxyServer(Node):
             plan.do_auth = do_auth
         elif request.method == "BYE":
             owns = self._owns_dialog(request)
-            plan = self._make_plan(
+            plan = _Plan(
                 "forward_bye", request, src, kind,
                 self._features_for(is_exit, False, owns, False), extra_vias,
             )
             plan.decision = PolicyDecision(stateful=owns)
         else:
-            plan = self._make_plan(
+            plan = _Plan(
                 "forward_other", request, src, kind,
                 _FS_BASE_LOOKUP if is_exit else _FS_BASE, extra_vias,
             )
@@ -668,8 +636,8 @@ class ProxyServer(Node):
         if top is None or top.host != self.name:
             self.metrics.counter("stray_responses").increment()
             return None
-        return self._make_plan("forward_response", response, src, kind,
-                               _FS_BASE, extra_vias)
+        return _Plan("forward_response", response, src, kind,
+                     _FS_BASE, extra_vias)
 
     # ==================================================================
     # Execution (runs after the CPU job completes)
@@ -691,9 +659,6 @@ class ProxyServer(Node):
 
     def _execute(self, plan: _Plan) -> None:
         self._handlers[plan.action](plan)
-        if self._turbo:
-            # No handler retains the plan past its call; recycle it.
-            self._release_plan(plan)
 
     # ------------------------------------------------------------------
     # Stateful absorption

@@ -20,18 +20,23 @@ the paper's evaluation reads:
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence
 
 from repro.servers.node import Node
 from repro.sim.events import EventLoop
 from repro.sim.network import Network
-from repro.sim.rng import rng_fast_path_active
 from repro.sip.digest import make_authorization
 from repro.sip.headers import Via
 from repro.sip.sdp import SessionDescription
 from repro.sip.message import SipMessage, SipRequest, SipResponse, turbo_enabled
 from repro.sip.timers import DEFAULT_TIMERS, TimerPolicy
 from repro.sip.transaction import ClientTransaction
+
+
+def _check_rate(rate: float) -> None:
+    if not (rate > 0 and math.isfinite(rate)):
+        raise ValueError(f"rate must be finite and positive: {rate}")
 
 
 class CallGeneratorConfig:
@@ -57,8 +62,7 @@ class CallGeneratorConfig:
         abandon_after: Optional[float] = None,
         respect_retry_after: bool = False,
     ):
-        if rate <= 0:
-            raise ValueError("rate must be positive")
+        _check_rate(rate)
         if not destinations:
             raise ValueError("need at least one destination AOR")
         if arrival not in ("poisson", "uniform"):
@@ -153,10 +157,6 @@ class CallGenerator(Node):
         self.config = config
         self.timers = timers
         self._arrival_rng = self.rng.spawn("arrivals")
-        if rng_fast_path_active():
-            # The arrival stream is exponential-only, so the turbo rung
-            # may batch its underlying uniforms (same values, same order).
-            self._arrival_rng.enable_predraw()
         # Holding-time draws get their own stream so enabling a
         # distribution never perturbs the arrival process (and vice
         # versa); hold_dist="fixed" draws nothing from it.
@@ -191,8 +191,7 @@ class CallGenerator(Node):
         self._running = False
 
     def set_rate(self, rate: float) -> None:
-        if rate <= 0:
-            raise ValueError("rate must be positive")
+        _check_rate(rate)
         self.config.rate = rate
 
     def _schedule_next_arrival(self, first: bool = False) -> None:

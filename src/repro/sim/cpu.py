@@ -30,21 +30,14 @@ from repro.sim.events import EventLoop
 from repro.sim.metrics import TimeSeries
 from repro.sim.rng import RngStream
 
-# Turbo-engine job free list.  A job shell lives from submit() to
-# _complete(); the completion pops the callback into locals and recycles
-# the shell before invoking it, so the handler it triggers can reuse the
-# same shell for its own submissions.  Flipped by
-# repro.sip.message.set_engine_mode.
-_JOB_POOLING = False
-_JOB_POOL: "list[CpuJob]" = []
-_JOB_POOL_LIMIT = 4096
+# Deferred per-component accounting (turbo; see CpuModel._component_acc).
+# Flipped by repro.sip.message.set_engine_mode.
+_DEFERRED_ACCOUNTING = False
 
 
-def set_job_pooling(enabled: bool) -> None:
-    global _JOB_POOLING
-    _JOB_POOLING = enabled
-    if not enabled:
-        del _JOB_POOL[:]
+def set_deferred_accounting(enabled: bool) -> None:
+    global _DEFERRED_ACCOUNTING
+    _DEFERRED_ACCOUNTING = enabled
 
 
 class CpuJob:
@@ -107,10 +100,6 @@ class CpuModel:
     ):
         if noise_sigma > 0 and rng is None:
             raise ValueError("noise_sigma > 0 requires an RngStream")
-        if noise_sigma > 0 and _JOB_POOLING:
-            # The noise stream is lognormal-only; turbo batches its
-            # underlying uniforms (same values, same order).
-            rng.enable_predraw()
         self.loop = loop
         self.rng = rng
         self.noise_sigma = noise_sigma
@@ -176,21 +165,12 @@ class CpuModel:
         end = start + actual
         self.busy_until = end
         self.pending_jobs += 1
-        if _JOB_POOLING and _JOB_POOL:
-            job = _JOB_POOL.pop()
-            job.cost = actual
-            job.fn = fn
-            job.args = args
-            job.submitted_at = now
-            job.start_at = start
-            job.end_at = end
-        else:
-            job = CpuJob(actual, fn, args, now, start, end)
+        job = CpuJob(actual, fn, args, now, start, end)
         job.handle = self.loop.schedule_at(end, self._complete, job)
         self._pending.add(job)
 
         if components:
-            if _JOB_POOLING:
+            if _DEFERRED_ACCOUNTING:
                 acc = self._component_acc.get(id(components))
                 if acc is None:
                     self._component_acc[id(components)] = [components, 1]
@@ -220,19 +200,11 @@ class CpuModel:
         self.pending_jobs -= 1
         self.busy_seconds += job.cost
         self.jobs_completed += 1
-        fn = job.fn
-        args = job.args
         # Dead as of now.  Dropping the handle breaks the job -> handle
         # -> args -> job cycle, so a finished job is freed by reference
-        # counting instead of waiting for the cyclic collector; pooled
-        # shells are recycled before the handler runs so it can reuse
-        # one for its own submissions.
-        job.fn = None
-        job.args = ()
+        # counting instead of waiting for the cyclic collector.
         job.handle = None
-        if _JOB_POOLING and len(_JOB_POOL) < _JOB_POOL_LIMIT:
-            _JOB_POOL.append(job)
-        fn(*args)
+        job.fn(*job.args)
 
     # ------------------------------------------------------------------
     # Crash/restart lifecycle (see repro.sim.faults)

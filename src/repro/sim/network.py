@@ -29,21 +29,6 @@ from repro.sim.rng import RngStream
 
 DEFAULT_ONE_WAY_LATENCY = 0.00025  # 0.25 ms, see module docstring
 
-# Turbo-engine packet free list.  A packet lives exactly from send() to
-# _deliver(), so the fabric can recycle the shells: a receiver must not
-# keep the packet past receive(), only its payload.  Flipped by
-# repro.sip.message.set_engine_mode.
-_PACKET_POOLING = False
-_PACKET_POOL: List["Packet"] = []
-_PACKET_POOL_LIMIT = 4096
-
-
-def set_packet_pooling(enabled: bool) -> None:
-    global _PACKET_POOLING
-    _PACKET_POOLING = enabled
-    if not enabled:
-        del _PACKET_POOL[:]
-
 
 class Packet:
     """An addressed payload in flight.
@@ -229,14 +214,7 @@ class Network:
         # The packet is materialized only for sends that actually enter
         # the fabric; dropped sends never needed one (no RNG or metric
         # depends on construction, so this is unobservable).
-        if _PACKET_POOLING and _PACKET_POOL:
-            packet = _PACKET_POOL.pop()
-            packet.src = src
-            packet.dst = dst
-            packet.payload = payload
-            packet.sent_at = loop.now
-        else:
-            packet = Packet(src, dst, payload, loop.now)
+        packet = Packet(src, dst, payload, loop.now)
         loop.schedule_at(loop.now + delay, self._deliver, packet)
         return packet
 
@@ -248,10 +226,6 @@ class Network:
             self.packets_dropped_dead += 1
         else:
             receiver.receive(packet)
-        if _PACKET_POOLING and len(_PACKET_POOL) < _PACKET_POOL_LIMIT:
-            # A packet's life ends at delivery; recycle the shell.
-            packet.payload = None
-            _PACKET_POOL.append(packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Network nodes={len(self._nodes)} sent={self.packets_sent}>"

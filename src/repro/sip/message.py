@@ -42,21 +42,21 @@ _MISSING = object()
 #   :meth:`SipMessage.to_wire` and re-parses with
 #   ``repro.sip.parser.parse_message``, paying exactly what a real
 #   stack pays per hop.  The oracle the bench compares against, and the
-#   import-time state (no pooling or interning until a scenario asks for
-#   them).
+#   import-time state (no interning until a scenario asks for it).
 # - ``"turbo"`` -- copy-on-write: share the header list, carry parsed
 #   views across the copy, intern small parse vocabularies (URIs, CSeq,
-#   Via); plus pooled network packets and CPU jobs, proxy action-plan
-#   caching, reduced ``random.Random`` dispatch and lean metrics.  The
-#   default.
+#   Via); plus deferred per-component CPU accounting and lean metrics.
+#   The default.
 #
 # The flag gates state shared *between* messages.  What one message
 # caches about itself (the lazy views below, the top Via, the
-# transaction key) is the same code on both rungs.  Messages are plain
-# allocations on both rungs, so any node may keep what it received --
-# and a node never mutates a message it received: the sender may still
-# hold it for retransmission, so edits go into the forwarded copy.  The
-# cyclic-GC cadence is common to both rungs (repro.sim.events).
+# transaction key) is the same code on both rungs.  Messages, packets,
+# CPU jobs and proxy plans are plain allocations on both rungs, and
+# random draws go through the stdlib ``random.Random`` methods, so any
+# node may keep what it received -- and a node never mutates a message
+# it received: the sender may still hold it for retransmission, so
+# edits go into the forwarded copy.  The cyclic-GC cadence is common to
+# both rungs (repro.sim.events).
 #
 # "sharded" runs turbo's message layer per shard; the window
 # synchronization lives in repro.sim.shard.
@@ -83,24 +83,21 @@ def set_engine_mode(mode: str) -> None:
     """Select how ``copy()`` models the wire (see module comment).
 
     The single writer of every engine switch: fans out to the parse
-    caches (Via/CSeq/URI), the job/packet pools, the RNG dispatch and
-    the metrics allocation mode.  The cyclic-GC cadence is not an
-    engine switch: ``EventLoop.run_until`` sets it for the events of
-    every run on both rungs, so no mode leaves thresholds behind.
+    caches (Via/CSeq, and URI through ``set_parse_caching``), deferred
+    per-component CPU accounting and the metrics allocation mode.  The
+    cyclic-GC cadence is not an engine switch: ``EventLoop.run_until``
+    sets it for the events of every run on both rungs, so no mode
+    leaves thresholds behind.
     """
     global _TURBO
     _TURBO = check_engine(mode) != "reference"
     set_parse_caching(_TURBO)
-    # The allocation fast paths live in the substrate layers; imported
+    # The accounting switches live in the substrate layers; imported
     # lazily because repro.sim (via repro.sim.trace) imports this module.
-    from repro.sim.cpu import set_job_pooling
+    from repro.sim.cpu import set_deferred_accounting
     from repro.sim.metrics import set_lean_metrics
-    from repro.sim.network import set_packet_pooling
-    from repro.sim.rng import set_rng_fast_path
 
-    set_job_pooling(_TURBO)
-    set_packet_pooling(_TURBO)
-    set_rng_fast_path(_TURBO)
+    set_deferred_accounting(_TURBO)
     set_lean_metrics(_TURBO)
 
 

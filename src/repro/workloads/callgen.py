@@ -9,6 +9,7 @@ generators inside a running simulation.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, List, Sequence, Tuple
 
 
@@ -18,8 +19,8 @@ class LoadStep:
     __slots__ = ("rate", "duration")
 
     def __init__(self, rate: float, duration: float):
-        if rate <= 0:
-            raise ValueError("rate must be positive")
+        if not (rate > 0 and math.isfinite(rate)):
+            raise ValueError(f"rate must be finite and positive: {rate}")
         if duration <= 0:
             raise ValueError("duration must be positive")
         self.rate = rate

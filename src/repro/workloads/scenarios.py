@@ -94,8 +94,8 @@ class ScenarioConfig:
         control=None,
         shards: Optional[int] = None,
     ):
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        if not (scale > 0 and math.isfinite(scale)):
+            raise ValueError(f"scale must be finite and positive: {scale}")
         check_engine(engine)
         if shards is not None and engine != "sharded":
             raise ValueError(
@@ -127,9 +127,8 @@ class ScenarioConfig:
         #: message passing (every hop serializes with ``to_wire`` and
         #: re-parses, exactly what a real SIP stack pays); ``"turbo"``
         #: (the default) runs the timer-wheel loop, copy-on-write
-        #: messages, parse interning, object pooling (packets, CPU
-        #: jobs), proxy action-plan caching, lean metrics and reduced
-        #: RNG dispatch.  The two are required to produce
+        #: messages, parse interning, deferred CPU accounting and lean
+        #: metrics.  The two are required to produce
         #: bit-identical results (enforced by
         #: tests/engine/test_differential.py) -- only wall-clock differs.
         #: ``"sharded"`` partitions one scenario's node set across
@@ -338,10 +337,10 @@ class Scenario:
     def __init__(self, name: str, config: ScenarioConfig):
         self.name = name
         self.config = config
-        # Engine toggles are process-global (parser caches, pools,
-        # metrics allocation mode); constructing a scenario flips them
-        # in BOTH directions so interleaved reference/turbo runs stay
-        # honest.
+        # Engine toggles are process-global (parser caches, CPU
+        # accounting, metrics allocation mode); constructing a scenario
+        # flips them in BOTH directions so interleaved reference/turbo
+        # runs stay honest.
         set_engine_mode(config.engine)
         self.loop = config.make_event_loop()
         self.rng = RngStream(config.seed, name)

@@ -51,6 +51,7 @@ cache key and one label whichever door was used) and whose
 from __future__ import annotations
 
 import json
+import math
 from typing import Dict, NamedTuple, Optional
 
 from repro.harness.parallel import SCENARIO_BUILDERS, RunSpec, SpecTemplate
@@ -94,12 +95,13 @@ class ScenarioSpec:
                 f"unknown scenario builder {builder!r}; "
                 f"one of {sorted(SCENARIO_BUILDERS)}"
             )
-        if rate <= 0:
-            raise ValueError("load rate must be positive")
-        if duration <= 0:
-            raise ValueError("run duration must be positive")
-        if warmup < 0 or drain < 0:
-            raise ValueError("warmup and drain must be non-negative")
+        for name, value in (("rate", rate), ("duration", duration)):
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and positive: {value}")
+        for name, value in (("warmup", warmup), ("drain", drain)):
+            if not (value >= 0 and math.isfinite(value)):
+                raise ValueError(
+                    f"{name} must be finite and non-negative: {value}")
         params = dict(params or {})
         reserved = sorted(set(params) & set(_RESERVED_PARAMS))
         if reserved:
