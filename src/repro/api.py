@@ -344,28 +344,23 @@ def solve_topology(
     topology: Union[Topology, GeneratedTopology],
     *,
     free_routing: bool = False,
-    backend: Optional[str] = None,
 ) -> LPSolution:
     """Solve the section 4.1 LP for a topology.
 
     Accepts a raw :class:`Topology` or a :class:`GeneratedTopology`
     (whose per-flow hop penalties are applied automatically in the
-    fixed-routing case).  ``backend=`` is ``"scipy"``, ``"simplex"``
-    or ``None`` for auto (scipy when installed, else the pure-python
-    simplex -- the ``repro[lp]`` optional extra).
+    fixed-routing case).
     """
     from repro.core.lp import solve_fixed_routing, solve_free_routing
     from repro.core.topogen import GeneratedTopology
 
     if isinstance(topology, GeneratedTopology):
         if free_routing:
-            return solve_free_routing(topology.topology, backend=backend)
-        return solve_fixed_routing(
-            topology.topology, topology.hop_penalties, backend=backend
-        )
+            return solve_free_routing(topology.topology)
+        return solve_fixed_routing(topology.topology, topology.hop_penalties)
     if free_routing:
-        return solve_free_routing(topology, backend=backend)
-    return solve_fixed_routing(topology, backend=backend)
+        return solve_free_routing(topology)
+    return solve_fixed_routing(topology)
 
 
 def experiments() -> Dict[str, str]:

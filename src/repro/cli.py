@@ -12,8 +12,7 @@ door-by-door table, with the defaults of each, is in docs/API.md.
 - ``sweep`` -- throughput sweep of one topology/policy,
 - ``run`` -- a single load point with full measurement detail,
 - ``lp`` -- solve the state-distribution LP for a topology described
-  in a small JSON file (``--backend`` picks scipy or the pure-python
-  simplex),
+  in a small JSON file,
 - ``topogen`` -- generate a seeded cluster topology (chain, tree or
   multi-domain mesh), solve its LP oracle and optionally dump it as
   ``lp``-loadable JSON,
@@ -305,10 +304,9 @@ def cmd_lp(args) -> int:
     with open(args.topology_file) as handle:
         spec = json.load(handle)
     topology = topology_from_json(spec)
-    backend = None if args.backend == "auto" else args.backend
     solution = (
-        solve_free_routing(topology, backend=backend) if args.free_routing
-        else solve_fixed_routing(topology, backend=backend)
+        solve_free_routing(topology) if args.free_routing
+        else solve_fixed_routing(topology)
     )
     solution.verify()
     print(f"admissible load: {solution.throughput:.1f} cps")
@@ -578,10 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lp = sub.add_parser("lp", help="solve the state-distribution LP")
     p_lp.add_argument("topology_file", help="JSON topology description")
     p_lp.add_argument("--free-routing", action="store_true")
-    p_lp.add_argument("--backend", choices=["auto", "scipy", "simplex"],
-                      default="auto",
-                      help="LP solver backend (default: scipy when "
-                           "installed, else the pure-python simplex)")
     p_lp.set_defaults(func=cmd_lp)
 
     p_topogen = sub.add_parser(

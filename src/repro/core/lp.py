@@ -1,6 +1,4 @@
-"""The section 4.1 optimization formulation, with pluggable solvers.
-
-Two variants are provided:
+"""The section 4.1 optimization formulation and its two LP variants.
 
 - :class:`StateDistributionLP` -- the paper's free-routing edge-flow LP
   (equations 1-4): per extended edge ``(i, d)`` three variables
@@ -19,89 +17,31 @@ Both maximize admitted call throughput and return a structured
 :class:`LPSolution` whose :meth:`LPSolution.verify` re-checks every
 constraint -- used by the property-based tests.
 
-**Backends.**  scipy is an *optional* extra (``pip install repro[lp]``).
-Every solve accepts ``backend=``:
-
-- ``"scipy"`` -- ``scipy.optimize.linprog`` (HiGHS), fastest for large
-  instances; raises :class:`LPError` when scipy is absent;
-- ``"simplex"`` -- the dependency-free, bit-deterministic two-phase
-  solver in :mod:`repro.core.simplex`;
-- ``None`` / ``"auto"`` (default) -- the process default: the
-  ``REPRO_LP_BACKEND`` environment variable or
-  :func:`set_default_backend` when set, otherwise scipy when
-  importable, simplex otherwise.
-
-The two backends agree to within 1e-6 relative on the objective (gated
-by ``tests/core/test_lp_backends.py``), and every solution passes
-:meth:`LPSolution.verify` regardless of backend.
+Every LP is solved by the pure-python two-phase simplex in
+:mod:`repro.core.simplex`: bit-deterministic, so an optimum (and every
+run-cache key seeded from one) has one value per topology on every
+host.  ``tests/core/test_lp_backends.py`` pins the objectives of the
+shipped topologies.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.simplex import SimplexError, solve_linear_program
 from repro.core.topology import Flow, SINK, SOURCE, Topology
-
-_TOL = 1e-7
-
-#: Environment variable naming the process-wide default backend.
-DEFAULT_BACKEND_ENV = "REPRO_LP_BACKEND"
-
-BACKENDS = ("scipy", "simplex")
-
-_default_backend: Optional[str] = None
 
 
 class LPError(RuntimeError):
     """Raised when the solver fails or returns an unusable status."""
 
 
-def _scipy_linprog():
-    """scipy's linprog, or None when the optional dep is missing."""
-    try:
-        from scipy.optimize import linprog
-    except ImportError:
-        return None
-    return linprog
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Usable backend names, preferred first."""
-    if _scipy_linprog() is not None:
-        return ("scipy", "simplex")
-    return ("simplex",)
-
-
-def set_default_backend(name: Optional[str]) -> None:
-    """Set (or with ``None`` clear) the process-wide default backend."""
-    global _default_backend
-    if name is not None and name not in BACKENDS:
-        raise ValueError(f"unknown LP backend {name!r}; one of {BACKENDS}")
-    _default_backend = name
-
-
-def default_backend() -> str:
-    """Resolve the ambient backend: explicit > environment > auto."""
-    if _default_backend is not None:
-        return _default_backend
-    env = os.environ.get(DEFAULT_BACKEND_ENV)
-    if env:
-        if env not in BACKENDS:
-            raise LPError(
-                f"{DEFAULT_BACKEND_ENV}={env!r} is not one of {BACKENDS}"
-            )
-        return env
-    return available_backends()[0]
-
-
-def _resolve_backend(backend: Optional[str]) -> str:
-    if backend in (None, "auto"):
-        backend = default_backend()
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown LP backend {backend!r}; one of {BACKENDS}")
-    return backend
+def check_backend(backend: Optional[str]) -> None:
+    """Accept only the one solver a ``backend=`` keyword may still name."""
+    if backend not in (None, "simplex"):
+        raise ValueError(
+            f"unknown LP backend {backend!r}; the only solver is 'simplex'"
+        )
 
 
 class LPSolution:
@@ -180,23 +120,7 @@ def _solve(
     a_eq: Optional[List[List[float]]],
     b_eq: Optional[List[float]],
     bounds: List[Tuple[float, Optional[float]]],
-    backend: Optional[str] = None,
 ) -> List[float]:
-    backend = _resolve_backend(backend)
-    if backend == "scipy":
-        linprog = _scipy_linprog()
-        if linprog is None:
-            raise LPError(
-                "scipy backend requested but scipy is not installed; "
-                "pip install repro[lp] or use backend='simplex'"
-            )
-        result = linprog(
-            c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
-            method="highs",
-        )
-        if not result.success:
-            raise LPError(f"linprog failed: {result.status} {result.message}")
-        return [float(value) for value in result.x]
     try:
         return solve_linear_program(
             c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, bounds=bounds
@@ -211,9 +135,9 @@ class StateDistributionLP:
     _PARTS = ("fasf", "sf", "asf")
 
     def __init__(self, topology: Topology, backend: Optional[str] = None):
+        check_backend(backend)
         topology.validate()
         self.topology = topology
-        self.backend = backend
         # Extended edge list: source->entries, graph edges, exits->sink.
         self.ext_edges: List[Tuple[str, str]] = []
         for entry in topology.entries:
@@ -229,7 +153,7 @@ class StateDistributionLP:
     def _var(self, src: str, dst: str, part: str) -> int:
         return self._index[(src, dst, part)]
 
-    def solve(self, backend: Optional[str] = None) -> LPSolution:
+    def solve(self) -> LPSolution:
         topology = self.topology
         n_vars = len(self._index)
 
@@ -289,7 +213,6 @@ class StateDistributionLP:
             eq_rows or None,
             [0.0] * len(eq_rows) if eq_rows else None,
             bounds,
-            backend=backend if backend is not None else self.backend,
         )
 
         edge_values: Dict[Tuple[str, str], Dict[str, float]] = {}
@@ -335,7 +258,6 @@ class FlowPathLP:
         self,
         topology: Topology,
         hop_penalties: Optional[Dict[Tuple[str, str], float]] = None,
-        backend: Optional[str] = None,
     ):
         if not topology.flows:
             raise ValueError("flow-path LP requires flows on the topology")
@@ -343,7 +265,6 @@ class FlowPathLP:
         self.topology = topology
         self.shares = topology.normalized_flow_shares()
         self.hop_penalties = hop_penalties or {}
-        self.backend = backend
         self._index: Dict[Tuple[str, str], int] = {}
         for flow in topology.flows:
             for node in flow.path:
@@ -353,7 +274,7 @@ class FlowPathLP:
     def _penalty(self, flow: Flow, node: str) -> float:
         return self.hop_penalties.get((flow.name, node), 1.0)
 
-    def solve(self, backend: Optional[str] = None) -> LPSolution:
+    def solve(self) -> LPSolution:
         topology = self.topology
         n_vars = self._load_var + 1
         bounds: List[Tuple[float, Optional[float]]] = [(0.0, None)] * n_vars
@@ -395,7 +316,6 @@ class FlowPathLP:
             eq_rows or None,
             [0.0] * len(eq_rows) if eq_rows else None,
             bounds,
-            backend=backend if backend is not None else self.backend,
         )
 
         throughput = float(x[self._load_var])
@@ -430,17 +350,14 @@ class FlowPathLP:
         )
 
 
-def solve_free_routing(
-    topology: Topology, backend: Optional[str] = None
-) -> LPSolution:
+def solve_free_routing(topology: Topology) -> LPSolution:
     """Convenience wrapper for the paper's free-routing LP."""
-    return StateDistributionLP(topology, backend=backend).solve()
+    return StateDistributionLP(topology).solve()
 
 
 def solve_fixed_routing(
     topology: Topology,
     hop_penalties: Optional[Dict[Tuple[str, str], float]] = None,
-    backend: Optional[str] = None,
 ) -> LPSolution:
     """Convenience wrapper for the routing-constrained LP."""
-    return FlowPathLP(topology, hop_penalties, backend=backend).solve()
+    return FlowPathLP(topology, hop_penalties).solve()

@@ -1,14 +1,13 @@
 """Dense two-phase simplex solver in pure python.
 
-This is the dependency-free backend behind :mod:`repro.core.lp`: the
-same ``linprog``-shaped problem (minimize ``c @ x`` subject to
+This is the one solver behind :mod:`repro.core.lp`: a
+``linprog``-shaped problem (minimize ``c @ x`` subject to
 ``A_ub @ x <= b_ub``, ``A_eq @ x == b_eq`` and per-variable bounds) is
-solved with a classic two-phase tableau method, so the LP oracle works
-when scipy is not installed (``pip install repro`` without the ``[lp]``
-extra) and -- because every arithmetic step is ordinary float math in a
-fixed order -- produces bit-identical results on every platform, which
-the ``optgap`` experiments rely on when they feed LP-optimal rates into
-the content-addressed run cache.
+solved with a classic two-phase tableau method, with no dependency
+beyond the standard library.  Every arithmetic step is ordinary float
+math in a fixed order, so it produces bit-identical results on every
+platform, which the ``optgap`` experiments and Figure 7 rely on when
+they feed LP-optimal rates into the content-addressed run cache.
 
 Scope (exactly what the LP layer needs, nothing more):
 
@@ -23,8 +22,7 @@ Scope (exactly what the LP layer needs, nothing more):
 The state-distribution problems are small -- hundreds of variables at
 the scale of the cluster topologies ``repro.core.topogen`` emits -- so
 a dense tableau is fast enough (milliseconds to a few hundred
-milliseconds); scipy's HiGHS backend remains the right choice for
-anything bigger and is picked automatically when importable.
+milliseconds).
 """
 
 from __future__ import annotations

@@ -56,7 +56,7 @@ import random
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.costmodel import CostModel, Feature
-from repro.core.lp import FlowPathLP, LPSolution
+from repro.core.lp import FlowPathLP, LPSolution, check_backend
 from repro.core.topology import Topology
 
 FAMILIES = ("chain", "tree", "mesh")
@@ -143,16 +143,16 @@ class GeneratedTopology:
         payload.update(self.params)
         return payload
 
-    def oracle(self, backend: str = "simplex") -> LPSolution:
+    def oracle(self, backend: Optional[str] = None) -> LPSolution:
         """LP-optimal placement/throughput for this topology.
 
-        Defaults to the pure-python ``simplex`` backend: the oracle
-        rate seeds simulation specs (and with them run-cache keys), so
-        it must be bit-reproducible on hosts with and without scipy.
+        The oracle rate seeds simulation specs (and with them run-cache
+        keys); the one solver is bit-deterministic, so it has one value
+        per topology on every host.  ``backend`` accepts only ``None``
+        or ``"simplex"``.
         """
-        return FlowPathLP(
-            self.topology, self.hop_penalties, backend=backend
-        ).solve()
+        check_backend(backend)
+        return FlowPathLP(self.topology, self.hop_penalties).solve()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -8,9 +8,9 @@ heterogeneous?  For every grid cell (family x size x heterogeneity):
 1. generate the topology (:mod:`repro.core.topogen`, seeded and
    bit-deterministic);
 2. solve the routing-constrained LP oracle for the optimal admitted
-   throughput ``T*`` -- always with the pure-python ``simplex``
-   backend, so the oracle rates (which seed run-cache keys) are
-   identical on hosts with and without scipy;
+   throughput ``T*`` (the bit-deterministic pure-python simplex, so
+   the oracle rates, which seed run-cache keys, are the same on every
+   host);
 3. simulate the topology under Algorithm 2, offered exactly ``T*``;
 4. report ``gap = clamp(1 - goodput / T*, 0, 1)``.
 
@@ -96,7 +96,7 @@ def _cell_oracle(cell: Dict[str, object], config: ScenarioConfig):
         heterogeneity=float(cell["heterogeneity"]),
         cost_model=unit_model,
     )
-    return gen, gen.oracle(backend="simplex").throughput
+    return gen, gen.oracle().throughput
 
 
 def optgap_rows(

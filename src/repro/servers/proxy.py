@@ -1078,7 +1078,7 @@ class ProxyServer(Node):
             self.metrics.counter("unroutable_responses").increment()
             return
         self.metrics.counter("responses_forwarded").increment()
-        self.send(next_via.host, forwarded.copy() if transaction is not None else forwarded)
+        self.send(next_via.host, forwarded)
 
     def _control_note_response(self, response: SipResponse, src: str) -> None:
         """Feed a final response passing back upstream to the overload

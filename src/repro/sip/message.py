@@ -3,11 +3,9 @@
 Headers are stored as an ordered list of ``(canonical-name, raw-value)``
 pairs.  Structured views (:class:`~repro.sip.headers.Via`,
 :class:`~repro.sip.headers.NameAddr`, :class:`~repro.sip.headers.CSeq`)
-are built on first access and cached; :attr:`SipMessage.parse_touches`
-counts how many lazy parses a message has triggered, which the cost
-model uses to charge parsing the way the paper observes OpenSER doing
-("parsing in most SIP servers is lazy ... richer services require more
-of the message to be parsed").
+are built on first access and cached, the way the paper observes
+OpenSER doing it ("parsing in most SIP servers is lazy ... richer
+services require more of the message to be parsed").
 """
 
 from __future__ import annotations
@@ -141,7 +139,6 @@ class SipMessage:
     __slots__ = (
         "headers",
         "body",
-        "parse_touches",
         "_cache",
         "_cow",
         "__weakref__",
@@ -150,7 +147,6 @@ class SipMessage:
     def __init__(self, headers: Optional[List[Tuple[str, str]]] = None, body: str = ""):
         self.headers: List[Tuple[str, str]] = list(headers) if headers else []
         self.body = body
-        self.parse_touches = 0
         self._cache: Dict[str, object] = {}
         # True while self.headers may be shared with a fast-path clone;
         # in-place mutators must materialize a private list first.
@@ -233,7 +229,6 @@ class SipMessage:
 
     def _cached(self, key: str, builder) -> object:
         if key not in self._cache:
-            self.parse_touches += 1
             self._cache[key] = builder()
         return self._cache[key]
 
@@ -259,7 +254,6 @@ class SipMessage:
             return stack[0] if stack else None
         raw = self.get("Via")
         top = Via.parse(raw) if raw is not None else None
-        self.parse_touches += 1
         cache["_top_via"] = top
         return top
 
@@ -301,7 +295,6 @@ class SipMessage:
         raw = self.get("From")
         if raw is None:
             raise SipHeaderError("missing From header")
-        self.parse_touches += 1
         value = self._cache["From"] = NameAddr.parse(raw)
         return value
 
@@ -313,7 +306,6 @@ class SipMessage:
         raw = self.get("To")
         if raw is None:
             raise SipHeaderError("missing To header")
-        self.parse_touches += 1
         value = self._cache["To"] = NameAddr.parse(raw)
         return value
 
@@ -325,7 +317,6 @@ class SipMessage:
         raw = self.get("CSeq")
         if raw is None:
             raise SipHeaderError("missing CSeq header")
-        self.parse_touches += 1
         value = self._cache["CSeq"] = CSeq.parse(raw)
         return value
 
@@ -438,7 +429,6 @@ class SipRequest(SipMessage):
             clone.uri = self.uri
             clone.body = self.body
             clone.headers = self.headers
-            clone.parse_touches = 0
             clone._cache = dict(self._cache)
             clone._cow = True
             self._cow = True
@@ -539,7 +529,6 @@ def forward_clone(
     clone.method = request.method
     clone.uri = request.uri
     clone.body = request.body
-    clone.parse_touches = 0
 
     source = request.headers
     auth_name = auth[0] if auth is not None else None
@@ -582,8 +571,7 @@ def forward_clone(
     # Same cache the mutator sequence would leave behind -- carried
     # views minus the invalidated names -- plus the pushed Via seeded as
     # the top (Via.parse of ``raw`` is interned to return ``via``, so
-    # the seeded view is the object a later parse would yield anyway;
-    # parse_touches is internal bookkeeping, not an observable).
+    # the seeded view is the object a later parse would yield anyway).
     cache = dict(request._cache)
     if pop_routes:
         cache.pop("Route", None)
@@ -640,7 +628,6 @@ class SipResponse(SipMessage):
             clone.reason = self.reason
             clone.body = self.body
             clone.headers = self.headers
-            clone.parse_touches = 0
             clone._cache = dict(self._cache)
             clone._cow = True
             self._cow = True

@@ -61,11 +61,11 @@ class TestThresholdPins:
 
 
 class TestLPOraclePins:
-    """Figure 7's LP prediction, pinned against the simplex backend.
+    """Figure 7's LP prediction, pinned.
 
-    The pure-python backend is the oracle the optgap experiments (and
-    cacheable run keys) depend on, so its value at the paper's 80/20
-    peak is pinned both against the paper number and exactly.
+    The LP is the oracle the optgap experiments (and cacheable run keys)
+    depend on, so its value at the paper's 80/20 peak is pinned both
+    against the paper number and exactly.
     """
 
     def test_fig7_peak_near_paper(self):
@@ -73,7 +73,7 @@ class TestLPOraclePins:
         from repro.core.topology import internal_external_topology
 
         topo = internal_external_topology(10360.0, 12300.0, 0.8)
-        solution = solve_fixed_routing(topo, backend="simplex")
+        solution = solve_fixed_routing(topo)
         # Paper: "the LP predicts a value of 11,960 cps" at the peak.
         assert solution.throughput == pytest.approx(11960, rel=0.02)
 
@@ -82,7 +82,7 @@ class TestLPOraclePins:
         from repro.core.topology import internal_external_topology
 
         topo = internal_external_topology(10360.0, 12300.0, 0.8)
-        solution = solve_fixed_routing(topo, backend="simplex")
+        solution = solve_fixed_routing(topo)
         assert solution.throughput == pytest.approx(11855.97, abs=0.01)
 
 

@@ -1,28 +1,24 @@
-"""Cross-solver battery: pure-python simplex vs scipy ``linprog``.
+"""Frozen cross-check: the LP objectives two independent solvers agreed on.
 
-The simplex backend exists so the LP oracle works without scipy (and
-so run-cache keys seeded by oracle rates are identical on every host).
-These tests assert the two backends are interchangeable: on every
-fixture topology from ``tests/core/test_lp.py`` and on a grid of
-generated cluster topologies, objectives agree within ``1e-6``
-relative and both solutions pass :meth:`LPSolution.verify`.
+Until the scipy (HiGHS) backend was removed, this file solved every
+topology below with both it and the pure-python simplex and required
+the objectives to agree within ``1e-6`` relative.  Just before the
+removal they agreed within ``3.3e-16`` relative on every instance (the
+largest difference is one ulp).  The agreed objectives are pinned here,
+so the simplex, now the only solver, is still held to a value an
+independent implementation produced, and every solution still passes
+:meth:`LPSolution.verify`.
 
-When scipy is absent the cross-checks skip and the simplex-only
-assertions (feasibility, backend selection) still run -- that is the
-configuration the no-scipy CI job exercises.
+The pins are tight (``1e-9`` relative) but not bitwise: CPython 3.12
+changed how ``sum()`` rounds floats, which may move the last digit.
 """
 
 import pytest
 
-from repro.core import lp as lp_mod
 from repro.core import topogen
 from repro.core.lp import (
     FlowPathLP,
-    LPError,
     StateDistributionLP,
-    available_backends,
-    default_backend,
-    set_default_backend,
     solve_fixed_routing,
     solve_free_routing,
 )
@@ -37,13 +33,7 @@ from repro.core.topology import (
 T_SF = 10360.0
 T_SL = 12300.0
 
-HAVE_SCIPY = "scipy" in available_backends()
-
-needs_scipy = pytest.mark.skipif(
-    not HAVE_SCIPY, reason="scipy not installed (simplex-only host)"
-)
-
-#: Every topology shape the existing LP test-suite exercises.
+#: Every topology shape the LP test-suite exercises.
 FIXTURES = {
     "two_series": lambda: two_series_topology(T_SF, T_SL),
     "three_series": lambda: series_topology([(T_SF, T_SL)] * 3),
@@ -67,82 +57,83 @@ FIXTURES = {
     ),
 }
 
-#: Generated-instance grid for the cross-check (small but covers every
-#: family and a heterogeneous draw of each).
-GENERATED = [
-    ("chain", 4, 0.0),
-    ("chain", 8, 0.5),
-    ("tree", 7, 0.0),
-    ("tree", 15, 0.4),
-    ("mesh", 12, 0.0),
-    ("mesh", 24, 0.6),
-]
+#: name -> (free-routing, fixed-routing) objective both solvers agreed on.
+FIXTURE_OBJECTIVES = {
+    "two_series": (11246.954986760811, 11246.954986760811),
+    "three_series": (11577.34706238643, 11577.347062386432),
+    "single_node": (10360.0, 10360.0),
+    "hetero_series": (11290.877796901894, 11290.877796901894),
+    "degenerate_series": (12007.257120561842, 12007.257120561842),
+    "int_ext_0": (10360.0, 10360.0),
+    "int_ext_50": (11994.016260162602, 11246.95498676081),
+    "int_ext_80": (11994.016260162602, 11855.973204317082),
+    "int_ext_100": (11246.954986760811, 11246.954986760811),
+    "fork": (12300.0, 12299.999999999996),
+    "fork_weak": (7200.0, 7200.0),
+    "fork_uneven": (12300.0, 11892.487167522166),
+}
+
+#: Generated instances (family, size, heterogeneity) at seed 7, with the
+#: (oracle, free-routing) objective both solvers agreed on.
+GENERATED_OBJECTIVES = {
+    ("chain", 4, 0.0): (10754.151971991489, 11813.647537908422),
+    ("chain", 8, 0.5): (5978.328115142598, 9957.488571618735),
+    ("tree", 7, 0.0): (12694.415048532457, 12694.415048532457),
+    ("tree", 15, 0.4): (9643.04101314444, 9643.04101314444),
+    ("mesh", 12, 0.0): (13709.056986459811, 36865.70044592495),
+    ("mesh", 24, 0.6): (10699.500403364586, 63780.933158995394),
+}
+GENERATED = list(GENERATED_OBJECTIVES)
 
 
-def _assert_close(a, b, rel=1e-6):
-    assert a == pytest.approx(b, rel=rel, abs=1e-6)
+def _assert_pinned(solution, pinned):
+    solution.verify()
+    assert solution.throughput == pytest.approx(pinned, rel=1e-9)
 
 
-@needs_scipy
+def _generate(family, size, het):
+    return topogen.generate(family, size, seed=7, heterogeneity=het)
+
+
 class TestFixtureAgreement:
     @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_free_routing(self, name):
-        topo = FIXTURES[name]()
-        simplex = solve_free_routing(topo, backend="simplex")
-        scipy_ = solve_free_routing(topo, backend="scipy")
-        simplex.verify()
-        scipy_.verify()
-        _assert_close(simplex.throughput, scipy_.throughput)
+        _assert_pinned(solve_free_routing(FIXTURES[name]()),
+                       FIXTURE_OBJECTIVES[name][0])
 
     @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_fixed_routing(self, name):
-        topo = FIXTURES[name]()
-        simplex = solve_fixed_routing(topo, backend="simplex")
-        scipy_ = solve_fixed_routing(topo, backend="scipy")
-        simplex.verify()
-        scipy_.verify()
-        _assert_close(simplex.throughput, scipy_.throughput)
+        _assert_pinned(solve_fixed_routing(FIXTURES[name]()),
+                       FIXTURE_OBJECTIVES[name][1])
 
     def test_hop_penalties(self):
         topo = two_series_topology(T_SF, T_SL)
-        penalties = {("main", "S2"): 1.2}
-        simplex = FlowPathLP(topo, penalties, backend="simplex").solve()
-        scipy_ = FlowPathLP(topo, penalties, backend="scipy").solve()
-        _assert_close(simplex.throughput, scipy_.throughput)
+        _assert_pinned(FlowPathLP(topo, {("main", "S2"): 1.2}).solve(), 10250.0)
 
 
-@needs_scipy
 class TestGeneratedAgreement:
     @pytest.mark.parametrize("family,size,het", GENERATED)
     def test_oracle_objective(self, family, size, het):
-        gen = topogen.generate(family, size, seed=7, heterogeneity=het)
-        simplex = gen.oracle(backend="simplex")
-        scipy_ = gen.oracle(backend="scipy")
-        simplex.verify()
-        scipy_.verify()
-        _assert_close(simplex.throughput, scipy_.throughput)
+        _assert_pinned(_generate(family, size, het).oracle(),
+                       GENERATED_OBJECTIVES[(family, size, het)][0])
 
-    @pytest.mark.parametrize("family,size,het", GENERATED[:3])
+    @pytest.mark.parametrize("family,size,het", GENERATED)
     def test_free_routing_objective(self, family, size, het):
-        gen = topogen.generate(family, size, seed=7, heterogeneity=het)
-        simplex = solve_free_routing(gen.topology, backend="simplex")
-        scipy_ = solve_free_routing(gen.topology, backend="scipy")
-        _assert_close(simplex.throughput, scipy_.throughput)
+        _assert_pinned(solve_free_routing(_generate(family, size, het).topology),
+                       GENERATED_OBJECTIVES[(family, size, het)][1])
 
 
 class TestSimplexAlone:
-    """Assertions that must hold with no scipy on the host."""
+    """Feasibility and the raw solver's error paths."""
 
     @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_fixture_feasibility(self, name):
         topo = FIXTURES[name]()
-        solve_free_routing(topo, backend="simplex").verify()
-        solve_fixed_routing(topo, backend="simplex").verify()
+        solve_free_routing(topo).verify()
+        solve_fixed_routing(topo).verify()
 
     def test_paper_two_series_value(self):
-        solution = solve_free_routing(
-            two_series_topology(T_SF, T_SL), backend="simplex"
-        )
+        solution = solve_free_routing(two_series_topology(T_SF, T_SL))
         assert solution.throughput == pytest.approx(11247, abs=5)
 
     def test_raw_solver_small_program(self):
@@ -176,54 +167,30 @@ class TestSimplexAlone:
 
 
 class TestBackendSelection:
-    @pytest.fixture(autouse=True)
-    def _clean(self, monkeypatch):
-        monkeypatch.delenv(lp_mod.DEFAULT_BACKEND_ENV, raising=False)
-        set_default_backend(None)
-        yield
-        set_default_backend(None)
-
-    def test_simplex_always_available(self):
-        assert "simplex" in available_backends()
-
-    def test_auto_prefers_scipy_when_present(self):
-        assert default_backend() == available_backends()[0]
-
-    def test_set_default_backend(self):
-        set_default_backend("simplex")
-        assert default_backend() == "simplex"
-
-    def test_env_variable_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(lp_mod.DEFAULT_BACKEND_ENV, "simplex")
-        assert default_backend() == "simplex"
-
-    def test_explicit_set_beats_env(self, monkeypatch):
-        monkeypatch.setenv(lp_mod.DEFAULT_BACKEND_ENV, "simplex")
-        set_default_backend("simplex")
-        assert default_backend() == "simplex"
-
-    def test_bad_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv(lp_mod.DEFAULT_BACKEND_ENV, "glpk")
-        with pytest.raises(LPError):
-            default_backend()
+    """Two ``backend=`` keywords survive; they name only the one solver."""
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            set_default_backend("glpk")
-        with pytest.raises(ValueError):
-            solve_free_routing(
-                two_series_topology(T_SF, T_SL), backend="glpk"
-            )
+        gen = _generate("chain", 4, 0.0)
+        for name in ("glpk", "auto", ""):
+            with pytest.raises(ValueError, match="only solver is 'simplex'"):
+                StateDistributionLP(gen.topology, backend=name)
+            with pytest.raises(ValueError, match="only solver is 'simplex'"):
+                gen.oracle(backend=name)
 
-    def test_scipy_requested_but_missing(self, monkeypatch):
-        monkeypatch.setattr(lp_mod, "_scipy_linprog", lambda: None)
-        with pytest.raises(LPError):
-            solve_free_routing(
-                two_series_topology(T_SF, T_SL), backend="scipy"
-            )
+    def test_scipy_requested_but_missing(self):
+        # The scipy backend is gone on every host, installed or not.
+        gen = _generate("chain", 4, 0.0)
+        with pytest.raises(ValueError, match="'scipy'"):
+            StateDistributionLP(gen.topology, backend="scipy")
+        with pytest.raises(ValueError, match="'scipy'"):
+            gen.oracle(backend="scipy")
 
     def test_instance_backend_pins_solver(self):
-        lp = StateDistributionLP(
-            two_series_topology(T_SF, T_SL), backend="simplex"
-        )
-        assert lp.solve().throughput == pytest.approx(11247, abs=5)
+        for backend in (None, "simplex"):
+            lp = StateDistributionLP(
+                two_series_topology(T_SF, T_SL), backend=backend
+            )
+            _assert_pinned(lp.solve(), FIXTURE_OBJECTIVES["two_series"][0])
+        gen = _generate("mesh", 12, 0.0)
+        _assert_pinned(gen.oracle(backend="simplex"),
+                       GENERATED_OBJECTIVES[("mesh", 12, 0.0)][0])

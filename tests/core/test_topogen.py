@@ -107,7 +107,7 @@ def test_bit_deterministic_under_fixed_seed(instance):
 def test_oracle_solution_verifies(instance):
     family, size, seed, het = instance
     gen = topogen.generate(family, size, seed=seed, heterogeneity=het)
-    solution = gen.oracle(backend="simplex")
+    solution = gen.oracle()
     solution.verify()
     assert solution.throughput > 0.0
 

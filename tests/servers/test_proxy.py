@@ -8,10 +8,12 @@ are deterministic.
 
 import pytest
 
+import repro.api as api
 from repro.core.costmodel import CostModel
 from repro.core.overload import OverloadReport
 from repro.core.servartuka import ServartukaPolicy
 from repro.core.static_policy import stateful_policy, stateless_policy
+from repro.harness.runner import run_scenario
 from repro.servers.location import LocationService
 from repro.servers.proxy import (
     DELIVER_ACTION,
@@ -26,6 +28,7 @@ from repro.sim.network import Network
 from repro.sim.rng import RngStream
 from repro.sip.digest import CredentialStore, make_authorization
 from repro.sip.headers import Via
+from repro.sip import message as message_module
 from repro.sip.message import SipRequest, SipResponse, set_engine_mode
 
 
@@ -237,6 +240,30 @@ class TestResponseForwarding:
         # Retransmit is answered with the stored 200, not forwarded.
         assert len(env.dst.requests("INVITE")) == 1
         assert len(env.uac.responses(200)) == 2
+
+    def test_reference_chain_copies_once_per_forwarded_message(
+            self, monkeypatch):
+        """On the wire-faithful rung every forwarded request and response
+        is serialized and re-parsed exactly once: the stored upstream
+        response is sent as is, and only a retransmission copies it."""
+        copies = []
+        wire_copy = message_module._wire_copy
+
+        def counting(msg):
+            copies.append(msg)
+            return wire_copy(msg)
+
+        monkeypatch.setattr(message_module, "_wire_copy", counting)
+        scenario = api.make_scenario("n_series", n=2, rate=2000.0, seed=3,
+                                     engine="reference")
+        result = run_scenario(scenario, duration=0.5, warmup=0.2)
+        assert result.retransmissions == 0
+        forwarded = sum(
+            proxy.metrics.counter(name).value
+            for proxy in scenario.proxies.values()
+            for name in ("requests_forwarded", "responses_forwarded"))
+        assert forwarded > 0
+        assert len(copies) == forwarded
 
 
 class TestRejections:

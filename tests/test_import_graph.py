@@ -94,6 +94,31 @@ def test_chain_run_loads_no_leaf(hash_seed):
 
 
 # ---------------------------------------------------------------------------
+# (a') the package runs on the standard library alone
+# ---------------------------------------------------------------------------
+def _imported_roots(path: pathlib.Path) -> set:
+    """Top-level package of every absolute import anywhere in ``path``."""
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_no_module_imports_scipy_or_numpy():
+    sources = sorted((SRC / "repro").rglob("*.py"))
+    assert len(sources) > 20, sources
+    offenders = {
+        str(path.relative_to(SRC)): sorted(found)
+        for path in sources
+        if (found := _imported_roots(path) & {"scipy", "numpy"})
+    }
+    assert offenders == {}
+
+
+# ---------------------------------------------------------------------------
 # (b) the CLI builds no simulator to print help or read the cache
 # ---------------------------------------------------------------------------
 _RUN_CLI = """
