@@ -411,17 +411,21 @@ def _observe_with_spans(spec: Optional[str]):
 
 def cmd_trace(args) -> int:
     from repro import api
+    from repro.harness.runner import check_runs_in_place
+    from repro.sim.events import collector_off
     from repro.sim.trace import render_ladder
 
     scenario = api.make_scenario(**dict(
         _api_kwargs(args, "rate"),
         observe=_observe_with_spans(args.observe)))
+    check_runs_in_place(scenario)
     trace = scenario.observer.trace
     scenario.start()
-    scenario.loop.run_until(
-        args.calls / (args.rate / scenario.config.scale) + 1.0)
-    scenario.stop_load()
-    scenario.loop.run_until(scenario.loop.now + 2.0)
+    with collector_off():
+        scenario.loop.run_until(
+            args.calls / (args.rate / scenario.config.scale) + 1.0)
+        scenario.stop_load()
+        scenario.loop.run_until(scenario.loop.now + 2.0)
     for call_id in trace.call_ids()[: args.calls]:
         print(f"--- {call_id} ---")
         print(render_ladder(trace.call_flow(call_id)))

@@ -37,10 +37,12 @@ The pieces:
 
 Workers are spawned (not forked) by default, so they share no state
 with the parent beyond the pickled chunk; every run builds its own
-scenario whose RNG streams derive purely from the spec's seed, and the
-worker collects that scenario's reference cycles before it starts the
-next run, so a worker that serves a whole sweep stays as small as one
-that served a single run.  Result payloads are normalized through a
+scenario whose RNG streams derive purely from the spec's seed.  The
+cyclic collector is off while a run executes
+(:func:`repro.sim.events.collector_off`), so the worker collects the
+finished scenario's reference cycles before it starts the next run, and
+a worker that serves a whole sweep stays as small as one that served a
+single run.  Result payloads are normalized through a
 JSON round-trip before they are returned *or* cached, so a warm-cache
 result is byte-identical to the cold run that produced it.
 """
@@ -61,6 +63,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 
 from repro.harness.runcache import RunCache
 from repro.harness.runner import RunResult, fingerprint_scenario, measure
+from repro.sim.events import collector_off
 from repro.workloads.scenarios import (
     ScenarioConfig,
     b2bua_chain,
@@ -299,9 +302,10 @@ def _job_resilience(payload: dict) -> dict:
     placement = payload["placement"]
     scenario = build_resilience_scenario(placement, params)
     scenario.start()
-    scenario.loop.run_until(params.run_for)
-    scenario.stop_load()
-    scenario.loop.run_until(params.run_for + params.drain)
+    with collector_off():
+        scenario.loop.run_until(params.run_for)
+        scenario.stop_load()
+        scenario.loop.run_until(params.run_for + params.drain)
     return {"outcome": _measure(scenario, placement, params).to_payload()}
 
 
@@ -323,10 +327,10 @@ def _execute_chunk(tasks: List[Tuple[int, str, dict]]) -> List[Tuple[int, dict]]
     for slot, kind, payload in tasks:
         out.append((slot, _normalize(JOBS[kind](payload))))
         # No event leaves a cycle behind, but the scenario graph itself
-        # is one (loop <-> nodes <-> timers), and under run_until's
-        # relaxed GC cadence the collector seldom gets round to it, so a
-        # process running jobs back to back would grow by a scenario per
-        # job.  Reclaim it before the next one is built.
+        # is one (loop <-> nodes <-> timers), and the job ran it with the
+        # collector off, so a process running jobs back to back would
+        # grow by a scenario per job.  Reclaim it before the next one is
+        # built.
         gc.collect()
     return out
 

@@ -23,6 +23,7 @@ import math
 from typing import Dict, List, Tuple
 
 from repro.core.servartuka import ServartukaPolicy
+from repro.sim.events import collector_off
 from repro.sim.metrics import summarize
 from repro.workloads.scenarios import Scenario
 
@@ -332,6 +333,27 @@ def _drive(
                         ("drain", drain)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite: {value}")
+    check_runs_in_place(scenario)
+    scenario.start()
+    loop = scenario.loop
+    with collector_off():
+        loop.run_until(loop.now + warmup)
+        before = read_counters(scenario)
+        loop.run_until(loop.now + duration)
+        after = read_counters(scenario)
+        scenario.stop_load()
+        if drain > 0:
+            loop.run_until(loop.now + drain)
+    return before, after
+
+
+def check_runs_in_place(scenario: Scenario) -> None:
+    """Refuse a live scenario configured for more than one shard.
+
+    Whatever drives a built scenario's own loop calls this first, so a
+    sharded configuration fails with one typed error instead of
+    silently running in a single process.
+    """
     config = getattr(scenario, "config", None)
     if (
         config is not None
@@ -344,16 +366,6 @@ def _drive(
             "Use repro.api.run_scenario(..., engine='sharded', "
             "shards=N) or run_specs(), or set shards=1."
         )
-    scenario.start()
-    loop = scenario.loop
-    loop.run_until(loop.now + warmup)
-    before = read_counters(scenario)
-    loop.run_until(loop.now + duration)
-    after = read_counters(scenario)
-    scenario.stop_load()
-    if drain > 0:
-        loop.run_until(loop.now + drain)
-    return before, after
 
 
 def measure(
@@ -471,9 +483,10 @@ def fingerprint_scenario(
     are compared, not just the final one), drain, and fingerprint it."""
     scenario.start()
     trajectory = []
-    for i in range(1, slices + 1):
-        scenario.loop.run_until(run_for * i / slices)
-        trajectory.append(myshare_sample(scenario))
-    scenario.stop_load()
-    scenario.loop.run_until(run_for + drain)
+    with collector_off():
+        for i in range(1, slices + 1):
+            scenario.loop.run_until(run_for * i / slices)
+            trajectory.append(myshare_sample(scenario))
+        scenario.stop_load()
+        scenario.loop.run_until(run_for + drain)
     return assemble_fingerprint([fingerprint_partial(scenario, trajectory)])

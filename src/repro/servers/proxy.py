@@ -187,6 +187,10 @@ class ProxyTransaction:
         if self.retransmit_handle is not None:
             self.retransmit_handle.cancel()
             self.retransmit_handle = None
+        # Only the retransmission schedule reads the forwarded copy; the
+        # lingering transaction absorbs upstream retransmits from
+        # ``last_upstream_response`` alone.
+        self.forwarded_message = None
 
 
 class _Plan:

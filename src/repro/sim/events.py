@@ -15,15 +15,8 @@ from __future__ import annotations
 
 import gc
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
-
-#: Cyclic-GC thresholds while :meth:`EventLoop.run_until` executes
-#: events.  A run allocates millions of short-lived objects and none of
-#: its events leaves a reference cycle behind, so at the default gen-0
-#: threshold the collector would mostly rescan survivors.  The same
-#: cadence on both rungs; the measurements are in docs/ARCHITECTURE.md
-#: ("Turbo optimization inventory").
-_GC_CADENCE = (50_000, 25, 25)
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 
 class EventHandle:
@@ -57,6 +50,27 @@ class EventHandle:
 
 def _noop(*_args: Any) -> None:
     return None
+
+
+@contextmanager
+def collector_off() -> Iterator[None]:
+    """Run the block with the cyclic garbage collector disabled.
+
+    Every driver of :meth:`EventLoop.run_until` wraps its whole run in
+    this.  A run allocates millions of short-lived objects, none of its
+    events leaves a reference cycle behind
+    (``tests/engine/test_acyclic.py``), and what it keeps is held by
+    live state, so a collector pass would only rescan survivors.  The
+    caller's enabled or disabled state is restored on exit, also when
+    the block raises.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class EventLoop:
@@ -138,14 +152,12 @@ class EventLoop:
 
         The clock is left at ``deadline`` even if the queue empties
         earlier, so periodic measurements can rely on the final time.
-        The events run under :data:`_GC_CADENCE`; the caller's collector
-        thresholds are restored on return, also when a handler raises.
+        The loop leaves the cyclic collector alone: whoever drives a
+        run turns it off around the whole run (:func:`collector_off`).
         """
         count = 0
         heap = self._heap
         pop = heapq.heappop
-        thresholds = gc.get_threshold()
-        gc.set_threshold(*_GC_CADENCE)
         try:
             while heap:
                 entry = heap[0]
@@ -161,7 +173,6 @@ class EventLoop:
                 count += 1
                 handle.fn(*handle.args)
         finally:
-            gc.set_threshold(*thresholds)
             # Nothing reads the counter mid-run, so it is batched out of
             # the inner loop (this method executes every event of a run).
             self._events_processed += count

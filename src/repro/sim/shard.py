@@ -66,6 +66,7 @@ from repro.harness.runner import (
     read_counters,
     window_partial,
 )
+from repro.sim.events import collector_off
 from repro.sim.network import Packet
 from repro.sip.message import SipRequest, SipResponse
 from repro.sip.uri import parse_uri
@@ -433,19 +434,20 @@ def _run_program(
     hold the whole window), and a shard that was sent something ingests.
     """
     windows = 0
-    for tag, arg in _expand_program(program, lookahead):
-        if tag == "window":
-            windows += 1
-            for world in worlds:
-                world.loop.run_until(arg)
-            for world in worlds:
-                hand_over(world)
-            for world in worlds:
-                if world.inbox:
-                    world.ingest()
-        else:
-            for world in worlds:
-                world.do(arg)
+    with collector_off():
+        for tag, arg in _expand_program(program, lookahead):
+            if tag == "window":
+                windows += 1
+                for world in worlds:
+                    world.loop.run_until(arg)
+                for world in worlds:
+                    hand_over(world)
+                for world in worlds:
+                    if world.inbox:
+                        world.ingest()
+            else:
+                for world in worlds:
+                    world.do(arg)
     return windows
 
 

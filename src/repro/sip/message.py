@@ -53,8 +53,8 @@ _MISSING = object()
 # random draws go through the stdlib ``random.Random`` methods, so any
 # node may keep what it received -- and a node never mutates a message
 # it received: the sender may still hold it for retransmission, so
-# edits go into the forwarded copy.  The cyclic-GC cadence is common to
-# both rungs (repro.sim.events).
+# edits go into the forwarded copy.  On both rungs the cyclic collector
+# is off while a run executes (repro.sim.events.collector_off).
 #
 # "sharded" runs turbo's message layer per shard; the window
 # synchronization lives in repro.sim.shard.
@@ -83,9 +83,9 @@ def set_engine_mode(mode: str) -> None:
     The single writer of every engine switch: fans out to the parse
     caches (Via/CSeq, and URI through ``set_parse_caching``), deferred
     per-component CPU accounting and the metrics allocation mode.  The
-    cyclic-GC cadence is not an engine switch: ``EventLoop.run_until``
-    sets it for the events of every run on both rungs, so no mode
-    leaves thresholds behind.
+    cyclic collector is not an engine switch: the driver of every run
+    turns it off for that run on both rungs
+    (``repro.sim.events.collector_off``), so no mode touches it.
     """
     global _TURBO
     _TURBO = check_engine(mode) != "reference"

@@ -75,11 +75,12 @@ class ClientTransaction:
         timers: TimerPolicy = DEFAULT_TIMERS,
         on_terminated: Optional[Callable[[], Any]] = None,
     ):
-        self.request = request
+        # The three are dropped once no state can read them (_release).
+        self.request: Optional[SipRequest] = request
         self.scheduler = scheduler
         self.send_fn = send_fn
-        self.on_response = on_response
-        self.on_timeout = on_timeout
+        self.on_response: Optional[Callable[[SipResponse], Any]] = on_response
+        self.on_timeout: Optional[Callable[[], Any]] = on_timeout
         self.on_terminated = on_terminated
         self.timers = timers
         self.is_invite = request.method == "INVITE"
@@ -124,8 +125,9 @@ class ClientTransaction:
     def _on_timeout_fired(self) -> None:
         if self._final_seen or self.state == TransactionState.TERMINATED:
             return
+        on_timeout = self.on_timeout
         self._transition(TransactionState.TERMINATED)
-        self.on_timeout()
+        on_timeout()
 
     def abort(self) -> None:
         """Kill the transaction without firing any TU callback.
@@ -136,6 +138,7 @@ class ClientTransaction:
         self._final_seen = True
         self.state = TransactionState.TERMINATED
         self._timer_handles.cancel_all()
+        self._release(self.state)
 
     # ------------------------------------------------------------------
     # Response handling
@@ -160,6 +163,7 @@ class ClientTransaction:
             return
 
         self._final_seen = True
+        on_response = self.on_response
         if self.is_invite:
             if response.is_success:
                 # 2xx: transaction terminates at once; the UAC core owns
@@ -176,7 +180,7 @@ class ClientTransaction:
             self._timer_handles.add(
                 self.scheduler.schedule(self.timers.timer_k, self._terminate)
             )
-        self.on_response(response)
+        on_response(response)
 
     def _build_ack(self, response: SipResponse) -> SipRequest:
         """ACK for a non-2xx INVITE final (RFC 17.1.1.3): same branch."""
@@ -204,10 +208,24 @@ class ClientTransaction:
         if state in (TransactionState.COMPLETED, TransactionState.TERMINATED):
             if self._retransmit_handle is not None:
                 self._retransmit_handle.cancel()
+            self._release(state)
         if state == TransactionState.TERMINATED:
             self._timer_handles.cancel_all()
             if self.on_terminated is not None:
                 self.on_terminated()
+
+    def _release(self, state: TransactionState) -> None:
+        """Drop what no code path of ``state`` reads.
+
+        A finished transaction lingers for Timer D/K (or until its
+        uncancelled Timer B/F fires) but only absorbs retransmitted
+        finals: the TU is never called again, and only an INVITE's
+        COMPLETED state re-ACKs from ``request`` (RFC 3261 17.1.1.3).
+        The callers have taken the callback they still owe the TU.
+        """
+        self.on_response = self.on_timeout = None
+        if not (self.is_invite and state == TransactionState.COMPLETED):
+            self.request = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         kind = "INVITE" if self.is_invite else "non-INVITE"
@@ -232,7 +250,9 @@ class ServerTransaction:
         on_ack: Optional[Callable[[SipRequest], Any]] = None,
         on_terminated: Optional[Callable[[], Any]] = None,
     ):
-        self.request = request
+        # Dropped on TERMINATED: the machine itself only reads
+        # ``is_invite``, and ``last_response`` answers retransmits.
+        self.request: Optional[SipRequest] = request
         self.scheduler = scheduler
         self.send_fn = send_fn
         self.timers = timers
@@ -339,6 +359,7 @@ class ServerTransaction:
         self.state = state
         if state == TransactionState.TERMINATED:
             self._timer_handles.cancel_all()
+            self.request = None
             if self.on_terminated is not None:
                 self.on_terminated()
 

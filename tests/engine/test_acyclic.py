@@ -1,16 +1,19 @@
 """No event allocates a reference cycle, on either rung.
 
-``EventLoop.run_until`` runs every event under a relaxed cyclic-GC
-cadence (``repro.sim.events``).  That is only safe while the hot path
-leaves nothing for the collector: garbage that only the cyclic
-collector can free would pile up between its rare passes.  This
-battery runs one cell of every scenario family of the differential
-battery, plus faults, ``observe=`` and ``control=`` cells, and counts
-what the collector frees while the run executes: it must be zero.
+Every driver of a run turns the cyclic collector off for the whole run
+(``repro.sim.events.collector_off``).  That is only safe while the hot
+path leaves nothing for the collector: garbage that only the cyclic
+collector can free would pile up until the run ends.  This battery runs
+one cell of every scenario family of the differential battery, plus
+faults, ``observe=`` and every ``control=`` policy, and counts what the
+collector frees for the run: it must be zero.
 
-The scenario itself (loop <-> nodes <-> timers) is one big cycle, so it
-stays referenced until the count is taken; ``harness.parallel`` collects
-it between jobs.
+With the collector off nothing is freed *during* the run, so the tally
+also counts the ``gc.collect()`` right after it, which finds whatever
+cyclic garbage the run left behind; without that pass the battery would
+pass vacuously.  The scenario itself (loop <-> nodes <-> timers) is one
+big cycle, so it stays referenced until the count is taken;
+``harness.parallel`` collects it between jobs.
 """
 
 import gc
@@ -50,7 +53,7 @@ def _cyclic_garbage(scenario, run_for: float = RUN_FOR,
     gc.callbacks.append(tally)
     try:
         _fingerprint(scenario, run_for=run_for, drain=drain)
-        gc.collect()  # whatever the relaxed cadence has not reached yet
+        gc.collect()  # what the run left: the collector was off for it
     finally:
         gc.callbacks.remove(tally)
     return sum(collected)
@@ -71,7 +74,10 @@ def _generated(name, engine):
 #: Feature cells: two in series past the knee, with one feature on.
 FEATURES = {
     "observe_all": {"observe": "all"},
-    "control_occupancy": {"control": "occupancy", "reject_queue_delay": 0.0},
+    **{
+        f"control_{policy}": {"control": policy, "reject_queue_delay": 0.0}
+        for policy in ("rate", "window", "occupancy", "signal")
+    },
 }
 
 

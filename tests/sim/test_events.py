@@ -6,9 +6,63 @@ import heapq
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.events import _GC_CADENCE, EventLoop
+from repro.harness.runner import fingerprint_scenario, run_scenario
+from repro.sim.events import EventLoop, collector_off
 from repro.sim.timers_wheel import WheelEventLoop
 from repro.sip.message import set_engine_mode
+from repro.workloads.scenarios import ScenarioConfig, two_series
+
+
+def _chain(engine="turbo"):
+    return two_series(4_000, policy="servartuka", config=ScenarioConfig(
+        scale=100.0, seed=1, engine=engine))
+
+
+def _drive_runner(_monkeypatch):
+    run_scenario(_chain("reference"), duration=0.2, warmup=0.1, drain=0.1)
+
+
+def _drive_fingerprint(_monkeypatch):
+    fingerprint_scenario(_chain(), 0.3, slices=2, drain=0.1)
+
+
+def _drive_resilience(_monkeypatch):
+    from repro.harness.parallel import JOBS
+    from repro.harness.resilience import ResilienceParams
+
+    params = ResilienceParams(scale=50.0, crash_times=(0.7,), run_for=1.0,
+                              drain=0.5)
+    JOBS["resilience"]({"params": params.to_payload(),
+                        "placement": "servartuka"})
+
+
+def _drive_shards(monkeypatch):
+    # The process driver's workers run the same _run_program.
+    from repro.harness.parallel import scenario_spec
+    from repro.sim.shard import DRIVER_ENV, run_sharded_scenario
+
+    monkeypatch.setenv(DRIVER_ENV, "inline")
+    spec = scenario_spec("n_series", 4_000, dict(
+        scale=100.0, seed=1, engine="sharded", shards=2),
+        duration=0.2, warmup=0.1, n=2, policy="servartuka")
+    run_sharded_scenario(dict(spec.payload))
+
+
+def _drive_trace(_monkeypatch):
+    from repro.cli import main
+
+    assert main(["trace", "--topology", "series", "--rate", "100",
+                 "--scale", "25", "--calls", "1"]) == 0
+
+
+#: Every source driver of ``run_until``, on a small run.
+_DRIVERS = {
+    "runner": _drive_runner,
+    "fingerprint": _drive_fingerprint,
+    "resilience": _drive_resilience,
+    "shards": _drive_shards,
+    "trace": _drive_trace,
+}
 
 
 class TestScheduling:
@@ -109,8 +163,8 @@ class TestRunUntil:
 
 
 class TestGcCadence:
-    """``run_until`` owns the collector cadence for the events it runs
-    and leaves the caller's thresholds as it found them."""
+    """``run_until`` sets no collector cadence of its own: its events
+    run under the caller's thresholds, which it leaves as it found them."""
 
     CALLER = (1234, 7, 3)
 
@@ -132,23 +186,95 @@ class TestGcCadence:
         loop.schedule(0.5, lambda: seen.append(gc.get_threshold()))
         loop.schedule(5.0, lambda: seen.append(gc.get_threshold()))
         loop.run_until(10.0)
-        assert seen == [_GC_CADENCE, _GC_CADENCE]
+        assert seen == [self.CALLER, self.CALLER]
         assert gc.get_threshold() == self.CALLER
 
-    def test_thresholds_restored_when_a_handler_raises(self, loop):
+
+class TestCollectorOwnership:
+    """Whoever drives a run owns the cyclic collector: it is off for the
+    whole run and the caller's enabled or disabled state comes back
+    afterwards.  The loop itself and the engine switch leave it alone."""
+
+    @pytest.fixture(params=[True, False], ids=["caller-enabled",
+                                               "caller-disabled"])
+    def caller(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        try:
+            yield request.param
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    @pytest.fixture
+    def probe(self, monkeypatch):
+        """``gc.isenabled()`` at every ``run_until`` (both loop kinds)."""
+        seen = []
+        run_until = EventLoop.run_until
+
+        def probed(loop, deadline):
+            seen.append(gc.isenabled())
+            return run_until(loop, deadline)
+
+        monkeypatch.setattr(EventLoop, "run_until", probed)
+        return seen
+
+    def test_helper_restores_the_callers_state(self, caller):
+        with collector_off():
+            assert not gc.isenabled()
+        assert gc.isenabled() is caller
+
+    def test_helper_restores_when_the_block_raises(self, caller):
+        with pytest.raises(RuntimeError):
+            with collector_off():
+                raise RuntimeError("handler failed")
+        assert gc.isenabled() is caller
+
+    @pytest.mark.parametrize("make_loop", [
+        EventLoop, lambda: WheelEventLoop(bucket_width=0.5),
+    ], ids=["heap", "wheel"])
+    def test_run_until_leaves_the_collector_alone(self, make_loop, caller):
+        thresholds = gc.get_threshold()
+        loop = make_loop()
+        seen = []
+        loop.schedule(0.5, lambda: seen.append(gc.isenabled()))
+        loop.run_until(10.0)
+        assert seen == [caller]
+        assert gc.get_threshold() == thresholds
+
+    def test_run_until_counts_a_handler_that_raises(self, loop, caller):
         def boom():
             raise RuntimeError("handler failed")
 
         loop.schedule(1.0, boom)
         with pytest.raises(RuntimeError):
             loop.run_until(2.0)
-        assert gc.get_threshold() == self.CALLER
+        assert gc.isenabled() is caller
         assert loop.events_processed == 1
 
-    def test_engine_mode_leaves_thresholds_alone(self):
+    @pytest.mark.parametrize("driver", sorted(_DRIVERS))
+    def test_every_driver_runs_with_the_collector_off(
+            self, driver, caller, probe, monkeypatch):
+        _DRIVERS[driver](monkeypatch)
+        assert probe and not any(probe), driver
+        assert gc.isenabled() is caller
+
+    def test_driver_restores_when_a_handler_raises(self, caller):
+        scenario = _chain()
+
+        def boom():
+            raise RuntimeError("handler failed")
+
+        scenario.loop.schedule(0.15, boom)
+        with pytest.raises(RuntimeError):
+            run_scenario(scenario, duration=0.2, warmup=0.1)
+        assert gc.isenabled() is caller
+
+    def test_engine_mode_leaves_the_collector_alone(self, caller):
+        thresholds = gc.get_threshold()
         for mode in ("turbo", "reference", "turbo"):
             set_engine_mode(mode)
-            assert gc.get_threshold() == self.CALLER, mode
+            assert gc.isenabled() is caller, mode
+            assert gc.get_threshold() == thresholds, mode
 
 
 class TestRunLimits:

@@ -310,6 +310,20 @@ class TestTrace:
         assert "INVITE" in out
         assert "---" in out
 
+    def test_trace_refuses_to_run_sharded_in_place(self, capsys):
+        # It used to run the live scenario in one process and exit 0.
+        rc = main([
+            "trace", "--topology", "series", "--rate", "100",
+            "--scale", "25", "--calls", "1",
+            "--engine", "sharded", "--shards", "2",
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro trace: error: ")
+        assert "cannot run sharded in place" in line
+
 
 class TestObserveFlags:
     def test_observe_flag_parses_everywhere(self):
