@@ -43,13 +43,7 @@ from repro.sim.network import Network, Packet
 from repro.sip.digest import CredentialStore, make_challenge
 from repro.sip.dialog import DialogId, DialogStore
 from repro.sip.headers import SipHeaderError, Via
-from repro.sip.message import (
-    SipMessage,
-    SipRequest,
-    SipResponse,
-    forward_clone,
-    turbo_enabled,
-)
+from repro.sip.message import SipMessage, SipRequest, SipResponse, forward_clone
 from repro.sip.timers import DEFAULT_TIMERS, TimerPolicy
 
 if TYPE_CHECKING:
@@ -272,13 +266,10 @@ class ProxyServer(Node):
         self._via_ema = 0.0
         self._upstream_new_calls: Dict[str, float] = {}
         self._down_peers: set = set()
-        # Turbo planner caches.  Route tables are static once the
-        # topology is built (only the down-peer overlay changes at run
-        # time, and that is applied per message below), so the
-        # candidate list per request-URI host is cacheable.  Feature
-        # sets are cached by their deciding booleans.
-        self._turbo = turbo_enabled()
-        self._route_cache: Dict[str, List[str]] = {}
+        # What this proxy Record-Routes, and so the Route value that
+        # names it (RFC 3261 16.4: matched exactly, never by substring).
+        self._route_value = f"<sip:{name};lr>"
+        # Feature sets, memoized by their deciding booleans.
         self._feature_sets: Dict[tuple, frozenset] = {}
         self._packets_counter = None
         # Bound-method dispatch table (built once; getattr per message
@@ -450,18 +441,8 @@ class ProxyServer(Node):
 
         # Routing, with failover: once the failure detector reports a
         # next hop dead, skip it for any live alternative (the Figure-8
-        # load balancer's behaviour after losing a fork).  The candidate
-        # list per host is static; the down-peer overlay is not, so only
-        # the lookup is cached, never the failover outcome.
-        host = request.uri.host
-        if self._turbo:
-            candidates = self._route_cache.get(host)
-            if candidates is None:
-                candidates = self._route_cache[host] = (
-                    self.route_table.candidates_for(host)
-                )
-        else:
-            candidates = self.route_table.candidates_for(host)
+        # load balancer's behaviour after losing a fork).
+        candidates = self.route_table.candidates_for(request.uri.host)
         if not candidates:
             plan = _Plan("reject", request, src, MessageKind.REJECT,
                          _FS_EMPTY, extra_vias)
@@ -601,10 +582,7 @@ class ProxyServer(Node):
 
     def _owns_dialog(self, request: SipRequest) -> bool:
         """True when this node Record-Routed itself into the dialog."""
-        for value in request.get_all("Route"):
-            if self.name in value:
-                return True
-        return False
+        return self._route_value in request.get_all("Route")
 
     def _check_auth(self, request: SipRequest) -> bool:
         if self.credentials is None:
@@ -860,71 +838,18 @@ class ProxyServer(Node):
                 return
             next_hop = binding.node
 
-        if self._turbo:
-            # Fused path: compute the forwarding decisions first, then
-            # build the downstream copy in a single pass.  The 100
-            # Trying still precedes the forwarded request on the wire,
-            # and counter totals are unchanged -- only the local
-            # mutation order differs, which is not observable.
-            set_state = False
-            add_rr = False
-            stateful = plan.decision is not None and plan.decision.stateful
-            if stateful:
-                branch = self._next_branch()
-                self._create_transaction(request, plan.src, branch, plan)
-                if request.method == "INVITE":
-                    self._send_trying(request, plan.src)
-                    set_state = True
-                    add_rr = self.config.record_route_when_stateful
-                    self.metrics.counter("invites_stateful").increment()
-                else:
-                    self.metrics.counter("byes_stateful").increment()
-            else:
-                branch = self._stateless_branch(request)
-                if request.method == "INVITE":
-                    self.metrics.counter("invites_stateless").increment()
-                elif request.method == "BYE":
-                    self.metrics.counter("byes_stateless").increment()
-            if plan.do_auth:
-                self.metrics.counter("invites_authenticated").increment()
-            forwarded = forward_clone(
-                request,
-                self.name,
-                branch,
-                (AUTH_HEADER, AUTH_DONE) if plan.do_auth else None,
-                (STATE_HEADER, STATE_HELD) if set_state else None,
-                f"<sip:{self.name};lr>" if add_rr else None,
-                str(remaining),
-            )
-            self.metrics.counter("requests_forwarded").increment()
-            self.send(next_hop, forwarded)
-            if stateful:
-                self._arm_downstream_retransmit(request, forwarded, next_hop)
-            return
-
-        forwarded = request.copy()
-        forwarded.set("Max-Forwards", str(remaining))
-        # Pop our own Route entry if present (loose routing).
-        routes = forwarded.get_all("Route")
-        if routes and self.name in routes[0]:
-            remaining_routes = routes[1:]
-            forwarded.remove("Route")
-            for value in remaining_routes:
-                forwarded.add("Route", value)
-
-        if plan.do_auth:
-            forwarded.set(AUTH_HEADER, AUTH_DONE)
-            self.metrics.counter("invites_authenticated").increment()
-
+        # Decide first, then build the downstream copy in one pass.  The
+        # 100 Trying still precedes the forwarded request on the wire.
+        set_state = False
+        add_rr = False
         stateful = plan.decision is not None and plan.decision.stateful
         if stateful:
             branch = self._next_branch()
             self._create_transaction(request, plan.src, branch, plan)
             if request.method == "INVITE":
                 self._send_trying(request, plan.src)
-                forwarded.set(STATE_HEADER, STATE_HELD)
-                if self.config.record_route_when_stateful:
-                    forwarded.add("Record-Route", f"<sip:{self.name};lr>", at_top=True)
+                set_state = True
+                add_rr = self.config.record_route_when_stateful
                 self.metrics.counter("invites_stateful").increment()
             else:
                 self.metrics.counter("byes_stateful").increment()
@@ -934,8 +859,18 @@ class ProxyServer(Node):
                 self.metrics.counter("invites_stateless").increment()
             elif request.method == "BYE":
                 self.metrics.counter("byes_stateless").increment()
-
-        forwarded.push_via(Via(self.name, branch=branch))
+        if plan.do_auth:
+            self.metrics.counter("invites_authenticated").increment()
+        forwarded = forward_clone(
+            request,
+            self.name,
+            branch,
+            self._route_value,
+            (AUTH_HEADER, AUTH_DONE) if plan.do_auth else None,
+            (STATE_HEADER, STATE_HELD) if set_state else None,
+            add_rr,
+            str(remaining),
+        )
         self.metrics.counter("requests_forwarded").increment()
         self.send(next_hop, forwarded)
         if stateful:

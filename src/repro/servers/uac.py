@@ -29,7 +29,7 @@ from repro.sim.network import Network
 from repro.sip.digest import make_authorization
 from repro.sip.headers import Via
 from repro.sip.sdp import SessionDescription
-from repro.sip.message import SipMessage, SipRequest, SipResponse, turbo_enabled
+from repro.sip.message import SipMessage, SipRequest, SipResponse
 from repro.sip.timers import DEFAULT_TIMERS, TimerPolicy
 from repro.sip.transaction import ClientTransaction
 
@@ -167,9 +167,9 @@ class CallGenerator(Node):
         self._branch_counter = 0
         self._running = False
         self._dest_index = 0
-        # Turbo: the SDP offer depends only on the generator's name, so
-        # its wire form is rendered once and reused for every call.
-        self._offer_body: Optional[str] = None
+        # The SDP offer depends only on the generator's name, so its
+        # wire form is rendered once and reused for every call.
+        self._offer_body = SessionDescription.offer(name).to_body()
         # Optional count-only hook propagated to every client
         # transaction's retransmission timer (see repro.obs).
         self.timer_observer = None
@@ -229,15 +229,6 @@ class CallGenerator(Node):
         self._dest_index = (self._dest_index + 1) % len(self.config.destinations)
         call_id = f"{self.name}-call-{self._call_counter}"
         from_uri = f"sip:user{self._call_counter}@{self.config.from_domain}"
-
-        if turbo_enabled():
-            body = self._offer_body
-            if body is None:
-                body = self._offer_body = (
-                    SessionDescription.offer(self.name).to_body()
-                )
-        else:
-            body = SessionDescription.offer(self.name).to_body()
         invite = SipRequest.build(
             "INVITE",
             uri=destination,
@@ -246,7 +237,7 @@ class CallGenerator(Node):
             call_id=call_id,
             cseq=1,
             from_tag=f"uac-{self._call_counter}",
-            body=body,
+            body=self._offer_body,
         )
         # add() rather than set(): a freshly built request carries none
         # of these headers, so appending is equivalent and skips the

@@ -16,7 +16,7 @@ from typing import Dict, Optional
 from repro.servers.node import Node
 from repro.sim.events import EventHandle, EventLoop
 from repro.sim.network import Network
-from repro.sip.message import SipMessage, SipRequest, SipResponse, turbo_enabled
+from repro.sip.message import SipMessage, SipRequest, SipResponse
 from repro.sip.sdp import SdpError, SessionDescription
 from repro.sip.timers import DEFAULT_TIMERS, TimerPolicy
 
@@ -63,9 +63,10 @@ class AnsweringServer(Node):
         self._pending_acks: Dict[str, _PendingAck] = {}
         self._seen_invites: Dict[str, str] = {}  # call-id -> to-tag
         self._ringing: Dict[str, tuple] = {}  # call-id -> (handle, request, hop)
-        # Turbo: offer body -> rendered answer body.  SDP answering is
-        # deterministic (first codec wins, fixed ports), and each
-        # generator reuses one offer body, so the memo stays tiny.
+        # Offer body -> rendered answer body.  SDP answering is a pure
+        # function (first codec wins, fixed ports), and each generator
+        # reuses one offer body, so the memo stays tiny; it stops
+        # growing at 256 entries and never holds a failure.
         self._answer_memo: Dict[str, str] = {}
         self._tag_counter = 0
         # Optional count-only hook for 200-OK retransmission timers
@@ -141,8 +142,7 @@ class AnsweringServer(Node):
     def _answer_sdp(self, request: SipRequest, ok: SipResponse) -> None:
         if not request.body:
             return
-        answer = (self._answer_memo.get(request.body)
-                  if turbo_enabled() else None)
+        answer = self._answer_memo.get(request.body)
         # add() rather than set(): for_request() never copies
         # Content-Type, so appending is equivalent.
         if answer is not None:
@@ -153,7 +153,7 @@ class AnsweringServer(Node):
                 offer = SessionDescription.parse(request.body)
                 ok.body = offer.answer(self.name).to_body()
                 ok.add("Content-Type", "application/sdp")
-                if turbo_enabled() and len(self._answer_memo) < 256:
+                if len(self._answer_memo) < 256:
                     self._answer_memo[request.body] = ok.body
             except SdpError:
                 self.metrics.counter("bad_sdp_offers").increment()

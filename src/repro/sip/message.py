@@ -46,9 +46,12 @@ _MISSING = object()
 #   Via); plus deferred per-component CPU accounting and lean metrics.
 #   The default.
 #
-# The flag gates state shared *between* messages.  What one message
-# caches about itself (the lazy views below, the top Via, the
-# transaction key) is the same code on both rungs.  Messages, packets,
+# In the message layer the flag decides one thing: how a message
+# crosses a hop (``copy()`` below), with parse interning alongside.
+# What one message caches about itself (the lazy views below, the top
+# Via, the transaction key), the proxy's one-pass ``forward_clone`` and
+# the nodes' pure-function memos are the same code on both rungs:
+# nothing in repro.servers asks which rung it runs on.  Messages, packets,
 # CPU jobs and proxy plans are plain allocations on both rungs, and
 # random draws go through the stdlib ``random.Random`` methods, so any
 # node may keep what it received -- and a node never mutates a message
@@ -97,10 +100,6 @@ def set_engine_mode(mode: str) -> None:
 
     set_deferred_accounting(_TURBO)
     set_lean_metrics(_TURBO)
-
-
-def turbo_enabled() -> bool:
-    return _TURBO
 
 
 # Methods the simulator understands; others parse fine but have no
@@ -258,19 +257,8 @@ class SipMessage:
         return top
 
     def push_via(self, via: Via) -> None:
-        if _TURBO:
-            params = via.params
-            if (via.port is None and via.transport == "UDP"
-                    and len(params) == 1 and "branch" in params):
-                # Direct render for the dominant shape; byte-identical
-                # to str(via) (sent_by is just the host, one branch
-                # param).
-                raw = f"SIP/2.0/UDP {via.host};branch={params['branch']}"
-            else:
-                raw = str(via)
-            seed_via_cache(raw, via)
-        else:
-            raw = str(via)
+        raw = str(via)
+        seed_via_cache(raw, via)
         self.add("Via", raw, at_top=True)
 
     def pop_via(self) -> Optional[Via]:
@@ -497,24 +485,27 @@ def forward_clone(
     request: "SipRequest",
     proxy_name: str,
     branch: str,
+    own_route: str,
     auth: Optional[Tuple[str, str]],
     state: Optional[Tuple[str, str]],
-    record_route: Optional[str],
+    record_route: bool,
     max_forwards: str,
 ) -> "SipRequest":
-    """Turbo: a proxy's downstream request copy, built in one pass.
+    """A proxy's downstream copy of ``request``, rewritten in one pass.
 
-    Produces exactly what ``request.copy()`` followed by the forwarding
-    mutator sequence produces (Max-Forwards decrement, Route pop +
-    re-append, ``set`` of the auth/state markers, ``Record-Route`` at
-    top, ``push_via`` of ``Via(proxy_name, branch=branch)``), but with a
-    single traversal of the source headers into a privately owned list
-    instead of up to five copy-on-write rebuilds and two O(n) inserts.
-    ``max_forwards`` (the decremented value) replaces Max-Forwards where
-    it stands; single-instance and read only by value, its position is
-    not observable.  Header names in ``auth``/``state`` must already be
-    canonical.  The clone owns its header list outright, and the source
-    request is left untouched.
+    Starts from ``request.copy()``, so each rung crosses the hop its own
+    way (a wire round trip on the reference rung), then rebuilds the
+    copy's header list in a single traversal.  The result carries the
+    same values per header name, and the same Via, Route and
+    Record-Route stacks, as the forwarding mutator sequence on that copy:
+    ``set("Max-Forwards", max_forwards)``; when the top Route is
+    ``own_route`` (RFC 3261 16.4), ``remove("Route")`` and ``add`` of the
+    rest; ``set`` of the ``auth`` / ``state`` markers; ``add("Record-Route",
+    own_route, at_top=True)`` when ``record_route``; ``push_via`` of
+    ``Via(proxy_name, branch=branch)``.  Max-Forwards keeps its place:
+    it is single-instance and read only by value.  Header names in
+    ``auth``/``state`` must already be canonical.  The source request is
+    left untouched.
     """
     # Rendered directly; byte-identical to str(Via(proxy_name,
     # branch=branch)) for the default UDP/no-port/branch-only shape.
@@ -525,29 +516,25 @@ def forward_clone(
     via.port = None
     via.params = {"branch": branch}
     seed_via_cache(raw, via)
-    clone = SipRequest.__new__(SipRequest)
-    clone.method = request.method
-    clone.uri = request.uri
-    clone.body = request.body
+    clone = request.copy()
 
-    source = request.headers
     auth_name = auth[0] if auth is not None else None
     state_name = state[0] if state is not None else None
 
     headers = [("Via", raw)]
-    if record_route is not None:
-        headers.append(("Record-Route", record_route))
-    # Loose routing: when the top Route names this proxy, every Route is
-    # popped and the remainder re-appended at the tail (mirroring the
-    # remove()+add() sequence of the plain path).  Decided at the first
-    # Route encountered, so no separate pre-scan is needed.
+    if record_route:
+        headers.append(("Record-Route", own_route))
+    # Loose routing: when the top Route is ours, every Route is popped
+    # and the remainder re-appended at the tail (what remove()+add()
+    # does).  Decided at the first Route encountered, so no separate
+    # pre-scan is needed.
     pop_routes = None
     tail_routes = None
-    for item in source:
+    for item in clone.headers:
         name = item[0]
         if name == "Route":
             if pop_routes is None:
-                pop_routes = proxy_name in item[1]
+                pop_routes = item[1] == own_route
             if pop_routes:
                 if tail_routes is None:
                     tail_routes = []  # the top Route is ours: drop it
@@ -568,23 +555,22 @@ def forward_clone(
     clone.headers = headers
     clone._cow = False
 
-    # Same cache the mutator sequence would leave behind -- carried
-    # views minus the invalidated names -- plus the pushed Via seeded as
-    # the top (Via.parse of ``raw`` is interned to return ``via``, so
-    # the seeded view is the object a later parse would yield anyway).
-    cache = dict(request._cache)
+    # Drop the views the mutator sequence would invalidate.  The new
+    # top Via is not stored as a view: on the reference rung the next
+    # hop parses its own, as after a wire hop, and on turbo that parse
+    # is an intern hit on the ``via`` seeded above.
+    cache = clone._cache
     if pop_routes:
         cache.pop("Route", None)
     if auth_name is not None:
         cache.pop(auth_name, None)
     if state_name is not None:
         cache.pop(state_name, None)
-    if record_route is not None:
+    if record_route:
         cache.pop("Record-Route", None)
     cache.pop("Via", None)
+    cache.pop("_top_via", None)
     cache.pop("_txn_key", None)
-    cache["_top_via"] = via
-    clone._cache = cache
     return clone
 
 

@@ -5,9 +5,10 @@ The simulator has two message paths (``repro.sip.message``):
 - ``reference`` -- wire-faithful: every hop serializes the message and
   re-parses the octets,
 - ``turbo`` (the default) -- timer-wheel loop, copy-on-write messages,
-  parse interning, lean metrics, message/packet/CPU-job pooling, fused
-  forwarding, proxy action-plan caching, reduced RNG dispatch and a
-  relaxed GC cadence.
+  parse interning, lean metrics and deferred CPU accounting.
+
+Everything else, the proxies' one-pass forwarding and the SDP memos
+included, is the same code on both rungs.
 
 The contract the fast paths are allowed to exploit is *only wall-clock
 changes*: same RNG draw order, same event ordering, same costs, same

@@ -118,6 +118,21 @@ def test_no_module_imports_scipy_or_numpy():
     assert offenders == {}
 
 
+def test_servers_do_not_read_the_engine_rung():
+    """The rung selects the message layer; a server never asks for it."""
+    rung = {"_TURBO", "set_engine_mode", "check_engine", "ENGINES"}
+    sources = sorted((SRC / "repro" / "servers").glob("*.py"))
+    assert len(sources) > 5, sources
+    offenders = {}
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "repro.sip.message":
+                found = rung.intersection(alias.name for alias in node.names)
+                if found:
+                    offenders[path.name] = sorted(found)
+    assert offenders == {}
+
+
 # ---------------------------------------------------------------------------
 # (b) the CLI builds no simulator to print help or read the cache
 # ---------------------------------------------------------------------------
