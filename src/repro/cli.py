@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import TYPE_CHECKING, List, Optional
 
@@ -37,9 +36,10 @@ from repro.harness.report import format_table
 from repro.sip.message import ENGINES, check_engine
 
 # Each command imports what it runs inside its handler: ``repro --help``
-# and ``repro cache`` build no simulator, and a spawned pool worker
-# (which re-imports this module as ``__main__``) loads only the run
-# path, not the figure pipeline, the LP or the topology generator.
+# and ``repro cache`` build no simulator, and a pool worker started by
+# ``spawn`` (which re-imports this module as ``__main__``) loads only
+# the run path, not the figure pipeline, the LP or the topology
+# generator; a forked one inherits what its parent loaded.
 if TYPE_CHECKING:
     from repro.core.topology import Topology
 
@@ -100,11 +100,12 @@ def _parallel_parent() -> argparse.ArgumentParser:
     parent.add_argument(
         "--jobs", "-j", type=int, default=None, metavar="N",
         help="worker processes for independent runs "
-             "(default: os.cpu_count())",
+             "(default: the CPUs this process may use)",
     )
     parent.add_argument(
         "--force-jobs", action="store_true",
-        help="allow --jobs above os.cpu_count() instead of clamping",
+        help="allow --jobs above the CPUs this process may use "
+             "instead of clamping",
     )
     parent.add_argument(
         "--no-cache", action="store_true",
@@ -120,9 +121,9 @@ def _parallel_parent() -> argparse.ArgumentParser:
 
 def _execution(args):
     """The ``execution()`` context the parallel flags describe."""
-    from repro.harness.parallel import execution
+    from repro.harness.parallel import execution, usable_cpus
 
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
+    jobs = args.jobs if args.jobs is not None else usable_cpus()
     return execution(
         jobs=max(1, jobs),
         use_cache=not args.no_cache,

@@ -28,16 +28,34 @@ The pieces:
   needs one, reused by every later batch, shut down when
   ``execution()`` exits or the context is closed or collected.
 - :func:`run_specs` -- execute a batch: resolve cache hits, dedupe
-  identical specs within the batch, chunk the misses across spawn-safe
-  shared-nothing workers, retry a crashed worker's chunks once on a
+  identical specs within the batch, chunk the misses across the context's
+  workers, retry a crashed worker's chunks once on a
   fresh pool (a job's own ``ValueError``/``TypeError``/
   ``NotImplementedError`` is a configuration error and propagates
   unretried), and merge results back **in spec order** so the output is
   bit-identical to a serial run.
 
-Workers are spawned (not forked) by default, so they share no state
-with the parent beyond the pickled chunk; every run builds its own
-scenario whose RNG streams derive purely from the spec's seed.  The
+On Linux the workers are forked from the parent; elsewhere they are
+spawned, Python's own default there.  A forked worker starts with a copy
+of the parent's heap, and that is safe because nothing in it can reach a
+result:
+
+- every ``Scenario.__init__`` sets the engine-mode globals
+  (``set_engine_mode``) in both directions, so a run takes its rung
+  from its spec, never from the parent;
+- the parse and URI interning tables are memo caches, and the engine
+  differential battery already holds that their hits do not change a
+  result, whatever filled them;
+- every random draw comes from a per-scenario ``random.Random`` seeded
+  from the spec (:mod:`repro.sim.rng`), never from the module-level
+  generator;
+- ``ProcessPoolExecutor`` forks all of its workers before it starts its
+  manager thread, and a context shuts its old pool down before it starts
+  a new one, so no pool thread is running when a worker forks (Python
+  3.12's fork-with-threads ``DeprecationWarning`` stays silent).
+
+Each worker freezes what it inherited (``gc.freeze`` as the pool's
+initializer), so the collector never scans the parent's heap.  The
 cyclic collector is off while a run executes
 (:func:`repro.sim.events.collector_off`), so the worker collects the
 finished scenario's reference cycles before it starts the next run, and
@@ -83,12 +101,23 @@ from repro.workloads.scenarios import (
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
 
-#: Default multiprocessing start method.  ``spawn`` guarantees workers
-#: share nothing with the parent (no inherited parser caches, metric
-#: mode or RNG state); override with ``REPRO_MP_START=fork`` to trade
-#: that guarantee for faster pool start-up on POSIX.
+#: Default multiprocessing start method.  ``fork`` on Linux: a forked
+#: worker is ready in milliseconds where a spawned one re-imports the
+#: simulator first (the module docstring says why forking is safe here).
+#: Elsewhere ``spawn``, Python's own default on macOS and Windows.
+#: ``REPRO_MP_START`` overrides both.
 def default_start_method() -> str:
-    return os.environ.get("REPRO_MP_START", "spawn")
+    return os.environ.get(
+        "REPRO_MP_START", "fork" if sys.platform == "linux" else "spawn")
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one (``taskset``, a container's cpuset), else
+    ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +390,7 @@ class ExecutionStats:
 
 
 def clamp_jobs(jobs: int, force: bool = False) -> int:
-    """Clamp a worker count to the machine's CPU count.
+    """Clamp a worker count to the CPUs this process may use.
 
     The workers are CPU-bound simulations: oversubscribing cores only
     adds context-switch overhead and memory pressure, and a stray
@@ -370,7 +399,7 @@ def clamp_jobs(jobs: int, force: bool = False) -> int:
     the rare deliberate oversubscription (e.g. measuring scheduler
     behavior).
     """
-    cpus = os.cpu_count() or 1
+    cpus = usable_cpus()
     if force or jobs <= cpus:
         return jobs
     print(
@@ -428,6 +457,9 @@ class ExecutionContext:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 mp_context=multiprocessing.get_context(self.start_method),
+                # A forked worker's collector would otherwise scan the
+                # parent's whole heap at every per-job collect.
+                initializer=gc.freeze,
             )
             self._pool_finalizer = weakref.finalize(
                 self, self._pool.shutdown, wait=True)

@@ -555,7 +555,7 @@ def _drive_process(
             for end in (child_end, *mine.values()):
                 end.close()  # the worker's now, so that its death is EOF
             reports[report] = shard_id
-        # The workers are importing; build the probe meanwhile.
+        # The workers are starting; build the probe meanwhile.
         probe = build_scenario(payload)
         plan = partition_scenario(probe, shards)
         _check_supported(probe, shards)

@@ -6,19 +6,24 @@ serving them from the on-disk run cache, may only change wall-clock
 time -- never a single observable.  This battery executes the full
 ``fingerprint`` job (per-node metric registries, call outcomes, the
 mid-run myshare trajectory, packet/event accounting) for three scenario
-families across three seeds (and a B2BUA chain at one), three ways:
+families across three seeds (and a B2BUA chain at one), four ways:
 
 - serial: ``jobs=1``, no cache (the inline path),
-- cold parallel: ``jobs=4`` spawned workers filling a fresh cache,
-- warm parallel: ``jobs=4`` again over the now-populated cache (must be
+- cold fork: ``jobs=4`` forked workers filling a fresh cache, forked
+  from a dirty parent: it has just run a ``reference``-rung scenario,
+  so the workers inherit the reference rung switched on and whatever
+  that run left in the module-level memo tables,
+- cold spawn: ``jobs=4`` spawned workers, which inherit nothing,
+- warm: ``jobs=4`` again over the cache the fork pass filled (must be
   100% hits, zero executions).
 
-All three must be byte-identical, part by part.
+All four must be byte-identical, part by part.
 """
 
 import pytest
 
 from repro.harness.parallel import ExecutionContext, RunSpec, run_specs
+from repro.sip import message
 from repro.sip.timers import TimerPolicy
 from repro.workloads.scenarios import ScenarioConfig
 
@@ -53,26 +58,31 @@ FINGERPRINT_PARTS = (
 )
 
 
+def _spec(family, seed, **config):
+    builder, kwargs = FAMILIES[family]
+    config = ScenarioConfig(
+        scale=100.0, seed=seed, monitor_period=0.5, timers=TIMERS, **config
+    )
+    return RunSpec(
+        kind="fingerprint",
+        payload={
+            "builder": builder,
+            "kwargs": dict(kwargs),
+            "config": config.to_payload(),
+            "run_for": RUN_FOR,
+            "slices": 6,
+            "drain": DRAIN,
+        },
+        label=f"{family}/seed={seed}",
+    )
+
+
 def _specs():
-    specs = []
-    for family, (builder, kwargs) in sorted(FAMILIES.items()):
-        for seed in FAMILY_SEEDS.get(family, SEEDS):
-            config = ScenarioConfig(
-                scale=100.0, seed=seed, monitor_period=0.5, timers=TIMERS
-            )
-            specs.append(RunSpec(
-                kind="fingerprint",
-                payload={
-                    "builder": builder,
-                    "kwargs": dict(kwargs),
-                    "config": config.to_payload(),
-                    "run_for": RUN_FOR,
-                    "slices": 6,
-                    "drain": DRAIN,
-                },
-                label=f"{family}/seed={seed}",
-            ))
-    return specs
+    return [
+        _spec(family, seed)
+        for family in sorted(FAMILIES)
+        for seed in FAMILY_SEEDS.get(family, SEEDS)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -84,23 +94,35 @@ def battery(tmp_path_factory):
     serial_ctx = ExecutionContext(jobs=1)
     serial = run_specs(specs, context=serial_ctx)
 
-    cold_ctx = ExecutionContext(jobs=4, use_cache=True, cache_dir=cache_dir)
-    cold = run_specs(specs, context=cold_ctx)
+    # Dirty the parent the forked workers are copied from.
+    run_specs([_spec("two_series", SEEDS[0], engine="reference")],
+              context=ExecutionContext(jobs=1))
+    assert not message._TURBO
 
-    warm_ctx = ExecutionContext(jobs=4, use_cache=True, cache_dir=cache_dir)
-    warm = run_specs(specs, context=warm_ctx)
+    with ExecutionContext(jobs=4, use_cache=True, cache_dir=cache_dir,
+                          start_method="fork") as cold_ctx:
+        cold = run_specs(specs, context=cold_ctx)
+
+    with ExecutionContext(jobs=4, start_method="spawn") as spawn_ctx:
+        spawn = run_specs(specs, context=spawn_ctx)
+
+    with ExecutionContext(jobs=4, use_cache=True,
+                          cache_dir=cache_dir) as warm_ctx:
+        warm = run_specs(specs, context=warm_ctx)
 
     return {
         "specs": specs,
         "serial": serial,
         "cold": cold,
+        "spawn": spawn,
         "warm": warm,
         "cold_ctx": cold_ctx,
+        "spawn_ctx": spawn_ctx,
         "warm_ctx": warm_ctx,
     }
 
 
-@pytest.mark.parametrize("mode", ["cold", "warm"])
+@pytest.mark.parametrize("mode", ["cold", "spawn", "warm"])
 @pytest.mark.parametrize("part", FINGERPRINT_PARTS)
 def test_part_bit_identical(battery, mode, part):
     for spec, serial, other in zip(
@@ -113,13 +135,14 @@ def test_part_bit_identical(battery, mode, part):
 
 def test_full_payloads_identical(battery):
     assert battery["cold"] == battery["serial"]
+    assert battery["spawn"] == battery["serial"]
     assert battery["warm"] == battery["serial"]
 
 
 def test_cold_executed_everything(battery):
-    stats = battery["cold_ctx"].stats
-    assert stats.executed == len(battery["specs"])
-    assert stats.cache_hits == 0
+    for context in (battery["cold_ctx"], battery["spawn_ctx"]):
+        assert context.stats.executed == len(battery["specs"])
+        assert context.stats.cache_hits == 0
 
 
 def test_warm_pass_is_pure_cache(battery):

@@ -1,6 +1,6 @@
 """Parallel executor unit tests: spec hashing, dedupe, caching, retry.
 
-The pool itself (spawned workers) is exercised end-to-end by
+The pool itself is exercised end-to-end by
 ``tests/engine/test_parallel_differential.py`` and its lifecycle by
 ``tests/harness/test_pool_lifecycle.py``; here everything runs inline
 so the semantics are cheap to pin down.
@@ -8,6 +8,8 @@ so the semantics are cheap to pin down.
 
 import pytest
 
+from repro import cli
+from repro.cli import build_parser
 from repro.harness import parallel
 from repro.harness.parallel import (
     ExecutionContext,
@@ -163,8 +165,20 @@ def test_jobs_must_be_positive():
         ExecutionContext(jobs=0)
 
 
+def test_default_start_method(monkeypatch):
+    """Fork on Linux, spawn elsewhere; ``REPRO_MP_START`` wins."""
+    monkeypatch.delenv("REPRO_MP_START", raising=False)
+    monkeypatch.setattr(parallel.sys, "platform", "linux")
+    assert parallel.default_start_method() == "fork"
+    for platform in ("darwin", "win32"):
+        monkeypatch.setattr(parallel.sys, "platform", platform)
+        assert parallel.default_start_method() == "spawn"
+    monkeypatch.setenv("REPRO_MP_START", "forkserver")
+    assert parallel.default_start_method() == "forkserver"
+
+
 def test_jobs_clamped_to_cpu_count(monkeypatch, capsys):
-    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
     assert parallel.clamp_jobs(3) == 3
     assert parallel.clamp_jobs(4) == 4
     assert capsys.readouterr().err == ""
@@ -175,13 +189,31 @@ def test_jobs_clamped_to_cpu_count(monkeypatch, capsys):
 
 
 def test_jobs_clamp_force_escape_hatch(monkeypatch, capsys):
-    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     assert parallel.clamp_jobs(16, force=True) == 16
     assert capsys.readouterr().err == ""
     context = ExecutionContext(jobs=16, force=True)
     assert context.jobs == 16
     clamped = ExecutionContext(jobs=16)
     assert clamped.jobs == 2
+
+
+def test_jobs_count_only_the_cpus_the_process_may_use(monkeypatch, capsys):
+    """Under ``taskset -c 0`` on a 2-CPU host ``os.cpu_count()`` still
+    reads 2: neither the clamp nor the CLI's default ``-j`` may start
+    two CPU-bound workers on the one CPU the process may use."""
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert parallel.usable_cpus() == 1
+    assert parallel.clamp_jobs(2) == 1
+    assert "--jobs 2 exceeds 1 available CPUs" in capsys.readouterr().err
+
+    args = build_parser().parse_args(["sweep", "--no-cache"])
+    assert args.jobs is None
+    with cli._execution(args) as context:
+        assert context.jobs == 1
+    assert capsys.readouterr().err == ""
 
 
 # ---------------------------------------------------------------------------

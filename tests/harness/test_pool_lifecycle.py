@@ -8,6 +8,7 @@ reports the serving PID (and can kill its worker), so they exercise
 the executor, not the simulator; each runs under both start methods.
 """
 
+import gc
 import multiprocessing
 import os
 import subprocess
@@ -128,6 +129,30 @@ def test_dead_worker_costs_one_retry_on_a_fresh_pool(
         # ... that does not leave the context holding a broken pool.
         assert [r["n"] for r in run_specs(_probes(range(12, 14)))] == [12, 13]
     assert new_workers() == []
+
+
+def _heap_chunk(tasks):
+    """What the collector would scan in this worker: the frozen count
+    and the tracked objects outside it."""
+    return [(slot, {"frozen": gc.get_freeze_count(),
+                    "tracked": len(gc.get_objects())})
+            for slot, _kind, _payload in tasks]
+
+
+@pytest.mark.parametrize("start_method", START_METHODS)
+def test_workers_freeze_what_they_inherit(monkeypatch, start_method):
+    """A forked worker starts with a copy of its parent's heap -- here
+    pytest's plus 200k tracked lists.  Its per-job ``gc.collect()``
+    must not scan that copy every job: the worker freezes it first."""
+    monkeypatch.setattr(parallel, "_execute_chunk", _heap_chunk)
+    ballast = [[] for _ in range(200_000)]
+    with execution(jobs=2, start_method=start_method, force=True,
+                   chunk_size=1):
+        heaps = run_specs(_probes(range(2)))
+    del ballast
+    for heap in heaps:
+        assert heap["frozen"] > 0
+        assert heap["tracked"] < 50_000, heap
 
 
 def _refusing_chunk(tasks):

@@ -287,6 +287,7 @@ def test_worker_killed_before_its_first_window(monkeypatch):
         os.kill(victim.pid, signal.SIGKILL)
         return real_build(payload)
 
+    monkeypatch.setenv("REPRO_MP_START", "spawn")  # children still import
     monkeypatch.setenv("REPRO_SHARD_DRIVER", "process")
     monkeypatch.setattr(shard, "build_scenario", killing_build)
     payload = _payload("sharded", GENERATED_CASES["chain6_hetero"], 1,
