@@ -12,13 +12,14 @@ Not paper figures -- these probe the knobs of the reproduction itself:
 
 import pytest
 
-from repro.harness.figures import FigureData, chain_node_thresholds
+from repro.harness.figures import FigureData
 from repro.harness.parallel import SpecTemplate
 from repro.harness.runner import run_scenario
 from repro.harness.saturation import find_capacity
 from repro.workloads.scenarios import (
     ScenarioConfig,
     ServartukaConfig,
+    chain_topology,
     n_series,
     two_series,
 )
@@ -149,17 +150,19 @@ class TestViaOverhead:
             rows = []
             for overhead in (0.0, 0.2, 0.4):
                 config = quality.scenario_config(via_overhead=overhead)
-                thresholds = chain_node_thresholds(config.make_cost_model(), 2)
+                topology = chain_topology(2, config.make_cost_model())
 
                 template = SpecTemplate("n_series", config, n=2,
                                         policy="static")
                 capacity = _capacity(
-                    template, hint=min(t for t, _ in thresholds),
+                    template,
+                    hint=min(topology.node(name).t_sf
+                             for name in topology.node_names),
                     quality=quality,
                 )
                 rows.append([
                     overhead,
-                    round(thresholds[1][0]),  # exit node T_SF
+                    round(topology.node("P2").t_sf),  # exit node T_SF
                     round(capacity),
                 ])
             return FigureData(

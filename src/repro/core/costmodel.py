@@ -211,6 +211,14 @@ def scenario_features(name: str) -> FrozenSet[Feature]:
     return frozenset(chains[name])
 
 
+def path_features(delivers: bool) -> FrozenSet[Feature]:
+    """What a proxy on a fixed call path pays per call: parsing and
+    forwarding, plus the location lookup where it delivers."""
+    if delivers:
+        return frozenset((Feature.BASE, Feature.LOOKUP))
+    return frozenset((Feature.BASE,))
+
+
 def _in_definition_order(features: Iterable[Feature]) -> List[Feature]:
     """``features`` in :class:`Feature` definition order.
 

@@ -53,11 +53,11 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.costmodel import CostModel, Feature
+from repro.core.costmodel import CostModel, path_features
 from repro.core.lp import FlowPathLP, LPSolution, check_backend
-from repro.core.topology import Topology
+from repro.core.topology import Topology, home_pricing
 
 FAMILIES = ("chain", "tree", "mesh")
 
@@ -250,12 +250,6 @@ def _mesh_structure(size: int, rng: random.Random, chain_depth: int,
 # ----------------------------------------------------------------------
 # Generation
 # ----------------------------------------------------------------------
-def _flow_features(is_exit: bool) -> FrozenSet[Feature]:
-    if is_exit:
-        return frozenset((Feature.BASE, Feature.LOOKUP))
-    return frozenset((Feature.BASE,))
-
-
 def generate(
     family: str = "chain",
     size: int = 6,
@@ -331,28 +325,18 @@ def generate(
         for name in names
     }
 
-    # Home depth: the Via-stack position a node sees on its own
-    # domain's traffic (minimum depth over the flows crossing it).
-    home_depth: Dict[str, int] = {}
-    exits = set()
-    for _flow_name, path, _share in flows:
-        exits.add(path[-1])
-        for position, node in enumerate(path):
-            depth = home_depth.get(node)
-            if depth is None or position < depth:
-                home_depth[node] = position
-
+    pricing = home_pricing(path for _flow_name, path, _share in flows)
     model = cost_model or CostModel()
     topology = Topology()
     nodes: Dict[str, GeneratedNode] = {}
     for name in names:
-        delivers = name in exits
+        depth, delivers = pricing[name]
         t_sf_unit, t_sl_unit = model.node_thresholds(
-            _flow_features(delivers), depth=home_depth[name]
+            path_features(delivers), depth=depth
         )
         speed = speeds[name]
         node = GeneratedNode(
-            name, home_depth[name], speed, delivers,
+            name, depth, speed, delivers,
             t_sf_unit * speed, t_sl_unit * speed,
         )
         nodes[name] = node
@@ -366,10 +350,10 @@ def generate(
         for position, name in enumerate(path):
             node = nodes[name]
             home_cost = model.per_call_cost(
-                _flow_features(node.delivers), depth=node.depth
+                path_features(node.delivers), depth=node.depth
             )
             flow_cost = model.per_call_cost(
-                _flow_features(name == path[-1]), depth=position
+                path_features(name == path[-1]), depth=position
             )
             penalty = flow_cost / home_cost
             if abs(penalty - 1.0) > 1e-12:

@@ -17,7 +17,7 @@ Two layers of description coexist:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 SOURCE = "__source__"
 SINK = "__sink__"
@@ -206,6 +206,22 @@ class Topology:
         )
 
 
+def home_pricing(paths: Iterable[Sequence[str]]) -> Dict[str, Tuple[int, bool]]:
+    """The one pricing rule for proxies on fixed paths: node ->
+    ``(home depth, delivers)``, in order of first appearance.  A node is
+    priced at its home depth (the Via-stack position of its own traffic:
+    its minimum position on any path) and pays the location lookup iff
+    it delivers, i.e. ends some path."""
+    pricing: Dict[str, Tuple[int, bool]] = {}
+    for path in paths:
+        for position, node in enumerate(path):
+            depth, delivers = pricing.get(node, (position, False))
+            pricing[node] = (
+                min(depth, position), delivers or position == len(path) - 1
+            )
+    return pricing
+
+
 # ----------------------------------------------------------------------
 # Canonical builders used throughout the evaluation
 # ----------------------------------------------------------------------
@@ -259,16 +275,14 @@ def parallel_fork_topology(
     upper_share: float = 0.5,
 ) -> Topology:
     """Figure 8's load-balancer: one front server forking to two paths."""
-    if not 0.0 <= upper_share <= 1.0:
-        raise ValueError("upper_share must be within [0, 1]")
+    if not 0.0 < upper_share < 1.0:
+        raise ValueError("upper_share must be strictly inside (0, 1)")
     topology = Topology()
     topology.add_node("F", *front)
     topology.add_node("U", *upper)
     topology.add_node("L", *lower)
     topology.add_edge("F", "U")
     topology.add_edge("F", "L")
-    if upper_share > 0:
-        topology.add_flow("upper", ["F", "U"], share=upper_share)
-    if upper_share < 1:
-        topology.add_flow("lower", ["F", "L"], share=1.0 - upper_share)
+    topology.add_flow("upper", ["F", "U"], share=upper_share)
+    topology.add_flow("lower", ["F", "L"], share=1.0 - upper_share)
     return topology

@@ -26,9 +26,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.analysis import series_optimal_throughput
-from repro.core.costmodel import CostModel, FIG3_TOTALS, Feature
+from repro.core.costmodel import CostModel, FIG3_TOTALS
 from repro.core.lp import FlowPathLP, StateDistributionLP
-from repro.core.topology import Topology, series_topology, two_series_topology
 from repro.harness.parallel import SpecTemplate, run_specs, scenario_spec
 from repro.harness.runner import RunResult
 from repro.harness.saturation import (
@@ -37,7 +36,12 @@ from repro.harness.saturation import (
     refine_peak,
     sweep_loads,
 )
-from repro.workloads.scenarios import ScenarioConfig
+from repro.workloads.scenarios import (
+    ScenarioConfig,
+    chain_topology,
+    fork_topology,
+    mix_topology,
+)
 
 PAPER = {
     "fig3_totals": dict(FIG3_TOTALS),
@@ -159,26 +163,6 @@ class FigureData:
 # ----------------------------------------------------------------------
 # Depth-aware analytic hints (what the LP predicts for our simulator)
 # ----------------------------------------------------------------------
-def chain_node_thresholds(
-    cost_model: CostModel, n: int, lookup_at_exit: bool = True
-) -> List[Tuple[float, float]]:
-    """(t_sf, t_sl) per node of an N-chain, in paper cps (scale folded out)."""
-    out = []
-    for depth in range(n):
-        features = {Feature.BASE}
-        if lookup_at_exit and depth == n - 1:
-            features.add(Feature.LOOKUP)
-        t_sf, t_sl = cost_model.node_thresholds(features, depth=float(depth))
-        out.append((t_sf * cost_model.scale, t_sl * cost_model.scale))
-    return out
-
-
-def _series_lp_bound(thresholds: Sequence[Tuple[float, float]]) -> float:
-    """Fixed-routing LP optimum for a chain with per-depth thresholds."""
-    topology = series_topology(list(thresholds))
-    return FlowPathLP(topology).solve().throughput
-
-
 def _series_hints(cost_model: CostModel, n: int) -> Tuple[float, float]:
     """(static hint, optimal hint) for an N-chain, paper cps.
 
@@ -186,11 +170,11 @@ def _series_hints(cost_model: CostModel, n: int) -> Tuple[float, float]:
     node is exactly saturated, which breaks once depth penalties make
     the nodes heterogeneous; the LP handles that regime.
     """
-    thresholds = chain_node_thresholds(cost_model, n)
+    topology = chain_topology(n, cost_model)
     # Static (paper case (i), all nodes stateful): the weakest stateful
     # node caps the chain.
-    static = min(t_sf for t_sf, _t_sl in thresholds)
-    return static, _series_lp_bound(thresholds)
+    static = min(topology.node(name).t_sf for name in topology.node_names)
+    return static, FlowPathLP(topology).solve().throughput
 
 
 # ----------------------------------------------------------------------
@@ -427,6 +411,8 @@ def figure4_utilization(quality: Quality = QUICK) -> FigureData:
 # ----------------------------------------------------------------------
 def lp_optima(quality: Quality = QUICK) -> FigureData:
     """The LP's headline numbers, solved exactly (no simulation)."""
+    from repro.core.topology import two_series_topology
+
     topology = two_series_topology(PAPER["fig4_t_sf"], PAPER["fig4_t_sl"])
     free = StateDistributionLP(topology).solve()
     fixed = FlowPathLP(topology).solve()
@@ -605,22 +591,6 @@ def figure6_response_times(quality: Quality = QUICK) -> FigureData:
 # ----------------------------------------------------------------------
 # Figure 7: changing internal/external load distribution
 # ----------------------------------------------------------------------
-def _fig7_lp_bound(cost_model: CostModel, fraction: float) -> float:
-    """Fixed-routing LP bound for the internal/external mix, paper cps."""
-    s1 = cost_model.node_thresholds({Feature.BASE, Feature.LOOKUP}, depth=0.0)
-    s2 = cost_model.node_thresholds({Feature.BASE, Feature.LOOKUP}, depth=1.0)
-    scale = cost_model.scale
-    topology = Topology()
-    topology.add_node("S1", s1[0] * scale, s1[1] * scale)
-    topology.add_node("S2", s2[0] * scale, s2[1] * scale)
-    topology.add_edge("S1", "S2")
-    if fraction > 0:
-        topology.add_flow("external", ["S1", "S2"], share=fraction)
-    if fraction < 1:
-        topology.add_flow("internal", ["S1"], share=1.0 - fraction)
-    return FlowPathLP(topology).solve().throughput
-
-
 def figure7_changing_load(quality: Quality = QUICK) -> FigureData:
     """Maximal throughput vs external-load fraction, static vs SERvartuka."""
     cost_model = quality.scenario_config().make_cost_model()
@@ -629,7 +599,7 @@ def figure7_changing_load(quality: Quality = QUICK) -> FigureData:
         "static": [], "servartuka": [], "lp": [],
     }
     for fraction in quality.fig7_fractions:
-        lp_bound = _fig7_lp_bound(cost_model, fraction)
+        lp_bound = FlowPathLP(mix_topology(fraction, cost_model)).solve().throughput
         capacities = {}
         for policy in ("static", "servartuka"):
             template = SpecTemplate(
@@ -696,11 +666,11 @@ def figure7_changing_load(quality: Quality = QUICK) -> FigureData:
 # ----------------------------------------------------------------------
 def figure8_parallel(quality: Quality = QUICK) -> FigureData:
     """Throughput for the load-balancing fork, static vs SERvartuka."""
-    cost_model = quality.scenario_config().make_cost_model()
-    scale = cost_model.scale
-    front = cost_model.node_thresholds({Feature.BASE}, depth=0.0)
-    fork = cost_model.node_thresholds({Feature.BASE, Feature.LOOKUP}, depth=1.0)
-    static_hint = min(front[1], 2 * fork[0]) * scale
+    # The even split parallel_fork runs by default; static: a stateless
+    # front, stateful forks.
+    fork = fork_topology(0.5, quality.scenario_config().make_cost_model())
+    front, upper, lower = (fork.node(name) for name in ("F", "U", "L"))
+    static_hint = min(front.t_sl, upper.t_sf + lower.t_sf)
     loads_lo = 0.6 * static_hint
     loads_hi = 1.2 * static_hint
     points = max(quality.sweep_points + 1, 4)

@@ -16,6 +16,10 @@ Every builder returns a ready-to-run :class:`Scenario`:
 - :func:`heavy_tail` -- lognormal/Pareto call durations and mid-call
   re-INVITEs.
 
+All but ``single_proxy``, ``register_churn`` and ``b2bua_chain`` are a
+topology factory plus :func:`from_topology`, so ``Scenario.topology`` is
+the very graph a run simulates: its LP input.
+
 Rates are specified in *paper-equivalent* calls/second; the scenario
 divides them by ``config.scale`` internally (the cost model multiplies
 costs by the same factor), so results read back in paper units.
@@ -24,14 +28,25 @@ costs by the same factor), so results read back in paper units.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.costmodel import CostModel, PAPER_T_SF, PAPER_T_SL
+from repro.core.costmodel import (
+    CostModel,
+    PAPER_T_SF,
+    PAPER_T_SL,
+    path_features,
+)
 from repro.core.servartuka import ServartukaConfig, ServartukaPolicy
 from repro.core.static_policy import (
     StatePolicy,
     stateful_policy,
     stateless_policy,
+)
+from repro.core.topology import (
+    Topology,
+    home_pricing,
+    parallel_fork_topology,
+    series_topology,
 )
 from repro.servers.location import LocationService
 from repro.servers.proxy import (
@@ -360,6 +375,12 @@ class Scenario:
         #: path lands in as few shards as topology allows; scenarios
         #: without hints fall back to network registration order.
         self.partition_hints: List[List[str]] = []
+        #: The LP input the scenario is wired from (:func:`from_topology`),
+        #: whatever :func:`repro.api.solve_topology` accepts: a
+        #: :class:`~repro.core.topology.Topology`, or for ``generated``
+        #: the :class:`~repro.core.topogen.GeneratedTopology` with its hop
+        #: penalties.  None for the hand-wired builders.
+        self.topology = None
         self.observer: Optional[Observer] = None
         if config.observe is not None:
             from repro.obs.observe import Observer
@@ -612,27 +633,152 @@ class Scenario:
 
 
 # ----------------------------------------------------------------------
-# Builders
+# Wiring: one rule for every builder described by a topology
 # ----------------------------------------------------------------------
-def _series_policy_specs(
-    policy: str, names: Sequence[str], static_stateful: Optional[str]
+def _placement(
+    policy: str, names: Sequence[str], stateful: Sequence[str]
 ) -> Dict[str, str]:
-    """Per-node policy specs for a chain of proxies."""
+    """Per-node policy specs: ``"static"`` makes every node stateful
+    (the paper's case (i)), ``"static-one"`` the ``stateful`` nodes only
+    (case (ii)), and any other policy runs on every node."""
     if policy == "static":
-        # Paper case (i): every server statically stateful.
         return {name: "stateful" for name in names}
     if policy == "static-one":
-        # Paper case (ii): a single stateful node.
-        stateful_node = static_stateful or names[-1]
-        if stateful_node not in names:
-            raise ValueError(f"{stateful_node!r} not in {list(names)}")
+        for node in stateful:
+            if node not in names:
+                raise ValueError(f"{node!r} not in {list(names)}")
         return {
-            name: ("stateful" if name == stateful_node else "stateless")
+            name: ("stateful" if name in stateful else "stateless")
             for name in names
         }
     return {name: policy for name in names}
 
 
+def _check_placement(argument: str, given: bool, policy: str,
+                     needed: str) -> None:
+    """A placement argument the policy would ignore is an error."""
+    if given and policy != needed:
+        raise ValueError(
+            f"{argument}= needs policy={needed!r} (got policy={policy!r})"
+        )
+
+
+def from_topology(
+    scenario: Scenario,
+    topology: Topology,
+    rate: float,
+    policy: str,
+    endpoints: Dict[str, Tuple[str, str, str]],
+    stateful: Optional[Sequence[str]] = None,
+    auth: str = "none",
+    fallbacks: Optional[Dict[str, str]] = None,
+    cost_models: Optional[Dict[str, CostModel]] = None,
+    **uac_kwargs,
+) -> Scenario:
+    """Wire ``topology``'s flows into a fresh ``scenario`` and keep the
+    topology as ``scenario.topology``: the one rule every builder
+    described by a topology follows.
+
+    ``endpoints[flow] = (uac, uas, aor)``; the flow's domain is the
+    AOR's host.  Every hop on the flow's path routes that domain to the
+    next hop and the exit delivers it.  One UAS per ``uas`` name (one
+    per exit node) in order of first appearance; one UAC per flow at
+    ``rate`` x its normalized share, none for a share of 0.  ``policy``
+    places state by :func:`_placement`, ``stateful`` defaulting to the
+    flow exits; ``auth`` is ``"none"``, ``"entry"`` (the flow entries
+    authenticate) or ``"distributed"`` (every node can, a SERvartuka
+    policy with resource="auth" decides where).  ``fallbacks[flow] =
+    node`` makes ``node`` a fallback at the hop before the flow's exit
+    and has it deliver the flow's domain too; ``cost_models`` gives
+    nodes their own model (the rest share ``scenario.cost_model``);
+    ``uac_kwargs`` go to every UAC.
+    """
+    if auth not in ("none", "entry", "distributed"):
+        raise ValueError(f"unknown auth placement {auth!r}")
+    names = topology.node_names
+    specs = _placement(policy, names,
+                       topology.exits if stateful is None else stateful)
+    flows = {flow.name: flow for flow in topology.flows}
+    domains = {name: aor.rsplit("@", 1)[1]
+               for name, (_uac, _uas, aor) in endpoints.items()}
+    routes = {name: RouteTable() for name in names}
+    uas_aors: Dict[str, List[str]] = {}
+    for flow in topology.flows:
+        _uac, uas, aor = endpoints[flow.name]
+        for src, dst in zip(flow.path, flow.path[1:]):
+            routes[src].add(domains[flow.name], dst)
+        routes[flow.exit].add(domains[flow.name], DELIVER_ACTION)
+        uas_aors.setdefault(uas, []).append(aor)
+    for flow_name, node in (fallbacks or {}).items():
+        routes[flows[flow_name].path[-2]].add_fallback(domains[flow_name], node)
+        routes[node].add(domains[flow_name], DELIVER_ACTION)
+
+    cost_models = cost_models or {}
+    for name in names:
+        scenario.add_proxy(
+            name, routes[name], specs[name],
+            auth_enabled=auth == "distributed"
+            or (auth == "entry" and name in topology.entries),
+            distribute_auth=auth == "distributed",
+            cost_model=cost_models.get(name),
+        )
+    for uas, aors in uas_aors.items():
+        scenario.add_uas(uas, aors)
+    shares = topology.normalized_flow_shares()
+    for flow in topology.flows:
+        uac, uas, aor = endpoints[flow.name]
+        if shares[flow.name] > 0:
+            scenario.add_uac(uac, rate * shares[flow.name], flow.entry, [aor],
+                             with_auth=auth != "none", **uac_kwargs)
+            scenario.partition_hints.append([uac, *flow.path, uas])
+    scenario.topology = topology
+    return scenario
+
+
+def _paper_prices(paths: Sequence[Sequence[str]],
+                  cost_model: CostModel) -> List[Tuple[float, float]]:
+    """``(t_sf, t_sl)`` in paper cps for each node on ``paths``, in order
+    of first appearance: :func:`~repro.core.topology.home_pricing` under
+    the scenario's own cost model, with no hop penalties."""
+    return [
+        tuple(t * cost_model.scale for t in cost_model.node_thresholds(
+            path_features(delivers), depth=depth))
+        for depth, delivers in home_pricing(paths).values()
+    ]
+
+
+def chain_topology(n: int, cost_model: CostModel) -> Topology:
+    """P1 -> ... -> PN carrying one flow, ``main``."""
+    if n < 1:
+        raise ValueError("need at least one proxy")
+    names = [f"P{i + 1}" for i in range(n)]
+    return series_topology(_paper_prices([names], cost_model), names)
+
+
+def mix_topology(external_fraction: float, cost_model: CostModel) -> Topology:
+    """Figure 7's S1 -> S2: the ``external`` flow crosses both, the
+    ``internal`` one ends at S1.  Both flows stay at fractions 0 and 1."""
+    if not 0.0 <= external_fraction <= 1.0:
+        raise ValueError("external_fraction must be within [0, 1]")
+    topology = Topology()
+    prices = _paper_prices([["S1", "S2"], ["S1"]], cost_model)
+    for name, (t_sf, t_sl) in zip(("S1", "S2"), prices):
+        topology.add_node(name, t_sf, t_sl)
+    topology.add_edge("S1", "S2")
+    topology.add_flow("external", ["S1", "S2"], share=external_fraction)
+    topology.add_flow("internal", ["S1"], share=1.0 - external_fraction)
+    return topology
+
+
+def fork_topology(upper_share: float, cost_model: CostModel) -> Topology:
+    """Figure 8's front F forking to U (flow ``upper``) and L (``lower``)."""
+    front, upper, lower = _paper_prices([["F", "U"], ["F", "L"]], cost_model)
+    return parallel_fork_topology(front, upper, lower, upper_share)
+
+
+# ----------------------------------------------------------------------
+# Builders
+# ----------------------------------------------------------------------
 #: Figure 3 mode -> (policy spec, lookup?, auth?) for a single proxy.
 SINGLE_PROXY_MODES = {
     "no_lookup": ("stateless", False, False),
@@ -683,35 +829,17 @@ def _series_chain(
     auth: str = "none",
     **uac_kwargs,
 ) -> Scenario:
-    """UAC -> P1 -> ... -> PN -> UAS, wired once for every builder that
-    is a chain; ``uac_kwargs`` go to the call generator."""
-    if n < 1:
-        raise ValueError("need at least one proxy")
+    """UAC -> P1 -> ... -> PN -> UAS, for every builder that is a chain;
+    ``uac_kwargs`` go to the call generator."""
+    _check_placement("static_stateful", static_stateful is not None, policy,
+                     "static-one")
     scenario = Scenario(scenario_name, ScenarioConfig.coerce(config))
-    names = [f"P{i + 1}" for i in range(n)]
-    domain = "edge.example.net"
-    aor = f"sip:burdell@{domain}"
-
-    specs = _series_policy_specs(policy, names, static_stateful)
-
-    for index, name in enumerate(names):
-        route = RouteTable()
-        if index == n - 1:
-            route.add(domain, DELIVER_ACTION)
-        else:
-            route.add(domain, names[index + 1])
-        auth_here = (auth == "entry" and index == 0) or auth == "distributed"
-        scenario.add_proxy(
-            name, route, specs[name],
-            auth_enabled=auth_here,
-            distribute_auth=auth == "distributed",
-        )
-
-    scenario.add_uas("uas1", [aor])
-    scenario.add_uac("uac1", rate, names[0], [aor],
-                     with_auth=auth != "none", **uac_kwargs)
-    scenario.partition_hints.append(["uac1", *names, "uas1"])
-    return scenario
+    return from_topology(
+        scenario, chain_topology(n, scenario.cost_model), rate, policy,
+        {"main": ("uac1", "uas1", "sip:burdell@edge.example.net")},
+        stateful=None if static_stateful is None else [static_stateful],
+        auth=auth, **uac_kwargs,
+    )
 
 
 def n_series(
@@ -727,8 +855,7 @@ def n_series(
     ``policy`` applies to every proxy, with two static baselines:
 
     - ``"static"`` -- every proxy transaction-stateful, the paper's
-      case (i) and the default way OpenSER deployments were configured
-      (each server duplicates the state work);
+      case (i);
     - ``"static-one"`` -- exactly one node stateful
       (``static_stateful``, default the exit node PN), the paper's
       case (ii).
@@ -742,8 +869,6 @@ def n_series(
     - ``"distributed"`` -- every proxy can authenticate and a
       SERvartuka policy (resource="auth") decides where, per call.
     """
-    if auth not in ("none", "entry", "distributed"):
-        raise ValueError(f"unknown auth placement {auth!r}")
     return _series_chain(f"{n}_series", n, rate, policy, static_stateful,
                          config, auth)
 
@@ -769,33 +894,19 @@ def internal_external(
     """Figure 7: external calls traverse S1 -> S2, internal ones stop at S1.
 
     ``external_fraction`` in [0, 1] splits the total offered load; the
-    paper varies it from 0 to 1 in steps of 0.1.
+    paper varies it from 0 to 1 in steps of 0.1.  Under ``"static-one"``
+    the stateful node is ``static_stateful``, default S1.
     """
-    if not 0.0 <= external_fraction <= 1.0:
-        raise ValueError("external_fraction must be within [0, 1]")
-    config = ScenarioConfig.coerce(config)
-    scenario = Scenario("internal_external", config)
-    ext_domain = "far.example.net"
-    int_domain = "near.example.net"
-    ext_aor = f"sip:hal@{ext_domain}"
-    int_aor = f"sip:burdell@{int_domain}"
-
-    specs = _series_policy_specs(policy, ["S1", "S2"], static_stateful or "S1")
-
-    route1 = RouteTable().add(ext_domain, "S2").add(int_domain, DELIVER_ACTION)
-    route2 = RouteTable().add(ext_domain, DELIVER_ACTION)
-    scenario.add_proxy("S1", route1, specs["S1"])
-    scenario.add_proxy("S2", route2, specs["S2"])
-    scenario.add_uas("uas_ext", [ext_aor])
-    scenario.add_uas("uas_int", [int_aor])
-
-    if external_fraction > 0:
-        scenario.add_uac("uac_ext", rate * external_fraction, "S1", [ext_aor])
-        scenario.partition_hints.append(["uac_ext", "S1", "S2", "uas_ext"])
-    if external_fraction < 1:
-        scenario.add_uac("uac_int", rate * (1 - external_fraction), "S1", [int_aor])
-        scenario.partition_hints.append(["uac_int", "S1", "uas_int"])
-    return scenario
+    _check_placement("static_stateful", static_stateful is not None, policy,
+                     "static-one")
+    scenario = Scenario("internal_external", ScenarioConfig.coerce(config))
+    return from_topology(
+        scenario, mix_topology(external_fraction, scenario.cost_model),
+        rate, policy,
+        {"external": ("uac_ext", "uas_ext", "sip:hal@far.example.net"),
+         "internal": ("uac_int", "uas_int", "sip:burdell@near.example.net")},
+        stateful=[static_stateful or "S1"],
+    )
 
 
 def parallel_fork(
@@ -808,9 +919,10 @@ def parallel_fork(
 ) -> Scenario:
     """Figure 8: a front proxy load-balances across two parallel paths.
 
-    The conventional static assignment keeps the front stateless and
-    the two forks stateful; ``static_front_stateful=True`` inverts it
-    (the non-homogeneous ablation in section 6.2).
+    The conventional static assignment (``"static"``, the same as
+    ``"static-one"``) keeps the front stateless and the two forks
+    stateful; ``static_front_stateful=True`` inverts it (the
+    non-homogeneous ablation in section 6.2).
 
     ``failover=True`` cross-wires the topology for fault injection: the
     front learns each fork as a fallback for the other's domain, and
@@ -819,42 +931,17 @@ def parallel_fork(
     dead, the front reroutes its traffic to the survivor and a
     SERvartuka front recomputes ``myshare`` over the remaining path.
     """
-    if not 0.0 < upper_share < 1.0:
-        raise ValueError("upper_share must be strictly inside (0, 1)")
-    config = ScenarioConfig.coerce(config)
-    scenario = Scenario("parallel_fork", config)
-    up_domain = "upper.example.net"
-    low_domain = "lower.example.net"
-    up_aor = f"sip:u@{up_domain}"
-    low_aor = f"sip:l@{low_domain}"
-
-    if policy == "static":
-        if static_front_stateful:
-            specs = {"F": "stateful", "U": "stateless", "L": "stateless"}
-        else:
-            specs = {"F": "stateless", "U": "stateful", "L": "stateful"}
-    else:
-        specs = {name: policy for name in ("F", "U", "L")}
-
-    front_route = RouteTable().add(up_domain, "U").add(low_domain, "L")
-    up_route = RouteTable().add(up_domain, DELIVER_ACTION)
-    low_route = RouteTable().add(low_domain, DELIVER_ACTION)
-    if failover:
-        front_route.add_fallback(up_domain, "L")
-        front_route.add_fallback(low_domain, "U")
-        up_route.add(low_domain, DELIVER_ACTION)
-        low_route.add(up_domain, DELIVER_ACTION)
-    scenario.add_proxy("F", front_route, specs["F"])
-    scenario.add_proxy("U", up_route, specs["U"])
-    scenario.add_proxy("L", low_route, specs["L"])
-    scenario.add_uas("uas_u", [up_aor])
-    scenario.add_uas("uas_l", [low_aor])
-
-    scenario.add_uac("uac_u", rate * upper_share, "F", [up_aor])
-    scenario.add_uac("uac_l", rate * (1 - upper_share), "F", [low_aor])
-    scenario.partition_hints.append(["uac_u", "F", "U", "uas_u"])
-    scenario.partition_hints.append(["uac_l", "F", "L", "uas_l"])
-    return scenario
+    _check_placement("static_front_stateful", static_front_stateful, policy,
+                     "static")
+    scenario = Scenario("parallel_fork", ScenarioConfig.coerce(config))
+    return from_topology(
+        scenario, fork_topology(upper_share, scenario.cost_model), rate,
+        "static-one" if policy == "static" else policy,
+        {"upper": ("uac_u", "uas_u", "sip:u@upper.example.net"),
+         "lower": ("uac_l", "uas_l", "sip:l@lower.example.net")},
+        stateful=["F"] if static_front_stateful else None,
+        fallbacks={"upper": "L", "lower": "U"} if failover else None,
+    )
 
 
 def generated(
@@ -875,17 +962,13 @@ def generated(
     specs built from this builder hash stably into the run cache and
     rebuild identically inside parallel workers.
 
-    Wiring: each flow gets its own SIP domain; every node on the flow's
-    path routes that domain to the next hop and the exit delivers via
-    the location service (one answering server per exit node, one call
-    generator per flow at ``rate * normalized_share``).  Each proxy
-    gets its *own* cost model at the topology's per-node ``(t_sf,
-    t_sl)`` anchors, so heterogeneous speeds are real simulated
-    economics, not just LP inputs.
-
-    ``policy`` applies to every proxy, with the static baselines of the
-    chain builders: ``"static"`` (every node stateful) and
-    ``"static-one"`` (exit nodes stateful, interior stateless).
+    Wired by :func:`from_topology`: flow ``f`` calls
+    ``sip:callee@f.gen.example.net`` from ``uac_f``, answered by
+    ``uas_<exit>``.  Each proxy gets its *own* cost model at the
+    topology's per-node ``(t_sf, t_sl)`` anchors, so heterogeneous
+    speeds are real simulated economics, not just LP inputs.
+    ``scenario.topology`` is the :class:`GeneratedTopology`, so its hop
+    penalties come with it.
     """
     from repro.core import topogen
 
@@ -904,57 +987,25 @@ def generated(
         family, size, seed=seed, heterogeneity=heterogeneity,
         cost_model=unit_model, **params,
     )
-    topology = gen.topology
-    names = topology.node_names
-    scenario = Scenario(f"generated[{family}:{gen.n_proxies}]", config)
-
-    if policy == "static":
-        specs = {name: "stateful" for name in names}
-    elif policy == "static-one":
-        exits = {flow.exit for flow in topology.flows}
-        specs = {
-            name: ("stateful" if name in exits else "stateless")
-            for name in names
-        }
-    else:
-        specs = {name: policy for name in names}
-
-    routes: Dict[str, RouteTable] = {name: RouteTable() for name in names}
-    uas_aors: Dict[str, List[str]] = {}
-    flow_aor: Dict[str, str] = {}
-    for flow in topology.flows:
-        domain = f"{flow.name}.gen.example.net"
-        aor = f"sip:callee@{domain}"
-        flow_aor[flow.name] = aor
-        for src, dst in zip(flow.path, flow.path[1:]):
-            routes[src].add(domain, dst)
-        routes[flow.exit].add(domain, DELIVER_ACTION)
-        uas_aors.setdefault(f"uas_{flow.exit}", []).append(aor)
-
-    for name in names:
-        node = gen.nodes[name]
-        node_model = CostModel(
-            t_sf=config.t_sf * node.speed,
-            t_sl=config.t_sl * node.speed,
-            scale=config.scale,
-            via_overhead=config.via_overhead,
-        )
-        scenario.add_proxy(name, routes[name], specs[name],
-                           cost_model=node_model)
-    for uas_name, aors in uas_aors.items():
-        scenario.add_uas(uas_name, aors)
-
-    shares = topology.normalized_flow_shares()
-    for flow in topology.flows:
-        scenario.add_uac(
-            f"uac_{flow.name}",
-            rate * shares[flow.name],
-            flow.entry,
-            [flow_aor[flow.name]],
-        )
-        scenario.partition_hints.append(
-            [f"uac_{flow.name}", *flow.path, f"uas_{flow.exit}"]
-        )
+    scenario = from_topology(
+        Scenario(f"generated[{family}:{gen.n_proxies}]", config),
+        gen.topology, rate, policy,
+        {
+            flow.name: (f"uac_{flow.name}", f"uas_{flow.exit}",
+                        f"sip:callee@{flow.name}.gen.example.net")
+            for flow in gen.topology.flows
+        },
+        cost_models={
+            name: CostModel(
+                t_sf=config.t_sf * node.speed,
+                t_sl=config.t_sl * node.speed,
+                scale=config.scale,
+                via_overhead=config.via_overhead,
+            )
+            for name, node in gen.nodes.items()
+        },
+    )
+    scenario.topology = gen
     return scenario
 
 
@@ -1039,7 +1090,9 @@ def b2bua_chain(
     east_domain = "east.example.net"
     callee = f"sip:callee@{east_domain}"
 
-    specs = _series_policy_specs(policy, ["P1", "P2"], static_stateful)
+    _check_placement("static_stateful", static_stateful is not None, policy,
+                     "static-one")
+    specs = _placement(policy, ["P1", "P2"], [static_stateful or "P2"])
 
     route1 = RouteTable().add(b2b_domain, "B")
     route2 = RouteTable().add(east_domain, DELIVER_ACTION)

@@ -74,10 +74,11 @@ class TestUtilizationAtOptimum:
         (the last few percent below the bound are lost to service-time
         noise and the retransmission feedback -- the same gap between
         the paper's measured 9,790 and its LP's 11,240)."""
-        from repro.harness.figures import _series_hints
+        from repro.api import solve_topology
+        from repro.workloads.scenarios import chain_topology
 
-        cost_model = config().make_cost_model()
-        _static, bound = _series_hints(cost_model, 2)
+        topology = chain_topology(2, config().make_cost_model())
+        bound = solve_topology(topology).throughput
         offered = 0.9 * bound
         scenario = two_series(offered, policy="servartuka", config=config())
         result = run_scenario(scenario, duration=8.0, warmup=4.0)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.servartuka import ServartukaPolicy
 from repro.core.static_policy import StaticPolicy
+from repro.core.topogen import GeneratedTopology
 from repro.harness.runner import run_scenario
 from repro.servers.proxy import DELIVER_ACTION
 from repro.workloads.scenarios import (
@@ -15,6 +16,7 @@ from repro.workloads.scenarios import (
     single_proxy,
     two_series,
 )
+from tests.workloads.test_wiring_golden import CASES
 
 
 class TestSingleProxy:
@@ -86,6 +88,14 @@ class TestSeries:
             n_series(2, 100, policy="static-one", static_stateful="P9",
                      config=fast_config)
 
+    def test_static_stateful_needs_static_one(self, fast_config):
+        with pytest.raises(ValueError, match="static_stateful=.*'static-one'"):
+            n_series(2, 100, policy="servartuka", static_stateful="P9",
+                     config=fast_config)
+        with pytest.raises(ValueError, match="static_stateful=.*'static-one'"):
+            internal_external(100, 0.5, policy="static", static_stateful="S2",
+                              config=fast_config)
+
     def test_servartuka_policies(self, fast_config):
         scenario = two_series(100, policy="servartuka", config=fast_config)
         for proxy in scenario.proxies.values():
@@ -144,6 +154,18 @@ class TestParallelFork:
             100, policy="static", static_front_stateful=True, config=fast_config
         )
         assert scenario.proxies["F"].policy.name == "static:transaction_stateful"
+
+    def test_static_one_holds_state_at_the_exits(self, fast_config):
+        scenario = parallel_fork(100, policy="static-one", config=fast_config)
+        assert scenario.proxies["F"].policy.name == "static:stateless"
+        assert scenario.proxies["U"].policy.name == "static:transaction_stateful"
+        assert scenario.proxies["L"].policy.name == "static:transaction_stateful"
+
+    def test_front_stateful_needs_static(self, fast_config):
+        with pytest.raises(ValueError,
+                           match="static_front_stateful=.*'static'"):
+            parallel_fork(100, policy="servartuka",
+                          static_front_stateful=True, config=fast_config)
 
     def test_share_split(self, fast_config):
         scenario = parallel_fork(100, upper_share=0.7, config=fast_config)
@@ -250,3 +272,25 @@ class TestConfigCoerce:
             ScenarioConfig.from_payload(
                 {"engine": "turbo", "lean_metrics": False}
             )
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_flow_paths_are_the_route_walks(case):
+    """Each generator's calls follow its flow's path in the topology."""
+    scenario = CASES[case](ScenarioConfig(scale=25.0, seed=3))
+    topology = scenario.topology
+    if isinstance(topology, GeneratedTopology):
+        topology = topology.topology
+    shares = topology.normalized_flow_shares()
+    walks = []
+    for generator in scenario.generators:
+        host = generator.config.destinations[0].rsplit("@", 1)[1]
+        path = [generator.config.first_hop]
+        while True:
+            action = scenario.proxies[path[-1]].route_table.action_for(host)
+            if action == DELIVER_ACTION:
+                break
+            path.append(action)
+        walks.append(tuple(path))
+    assert walks == [flow.path for flow in topology.flows
+                     if shares[flow.name] > 0]
