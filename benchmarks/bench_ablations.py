@@ -10,31 +10,18 @@ Not paper figures -- these probe the knobs of the reproduction itself:
   front with weak forks should keep state at the front).
 """
 
-import pytest
-
-from repro.harness.figures import FigureData
+from repro.harness.figures import FigureData, capacity_of
 from repro.harness.parallel import SpecTemplate
 from repro.harness.runner import run_scenario
-from repro.harness.saturation import find_capacity
 from repro.workloads.scenarios import (
-    ScenarioConfig,
     ServartukaConfig,
     chain_topology,
-    n_series,
     two_series,
 )
 
 
-def _capacity(template, hint, quality):
-    sweep = find_capacity(
-        template, hint=hint, duration=quality.duration, warmup=quality.warmup,
-        points=max(3, quality.sweep_points - 1), span=0.3,
-    )
-    return sweep.max_throughput
-
-
 class TestStaticPlacement:
-    def test_static_placement_variants(self, benchmark, quality, save_figure):
+    def test_static_placement_variants(self, quality, save_figure):
         def run():
             rows = []
             for label, kwargs in (
@@ -46,7 +33,7 @@ class TestStaticPlacement:
                 template = SpecTemplate(
                     "n_series", quality.scenario_config(), n=2, **kwargs
                 )
-                capacity = _capacity(template, hint=9500, quality=quality)
+                capacity = capacity_of(template, hint=9500, quality=quality)
                 rows.append([label, round(capacity)])
             return FigureData(
                 "Ablation: static placement",
@@ -62,7 +49,7 @@ class TestStaticPlacement:
                 ),
             )
 
-        figure = benchmark.pedantic(run, rounds=1, iterations=1)
+        figure = run()
         save_figure(figure, "ablation_static_placement.txt")
         values = {row[0]: row[1] for row in figure.rows}
         assert values["servartuka"] >= values["all-stateful (case i)"]
@@ -70,7 +57,7 @@ class TestStaticPlacement:
 
 
 class TestMonitoringPeriod:
-    def test_period_sensitivity(self, benchmark, quality, save_figure):
+    def test_period_sensitivity(self, quality, save_figure):
         offered = 10200  # above static capacity, below the LP bound
 
         def run():
@@ -102,14 +89,14 @@ class TestMonitoringPeriod:
                 ),
             )
 
-        figure = benchmark.pedantic(run, rounds=1, iterations=1)
+        figure = run()
         save_figure(figure, "ablation_period.txt")
         throughputs = [row[1] for row in figure.rows]
         assert max(throughputs) < 1.35 * min(throughputs)
 
 
 class TestHeadroom:
-    def test_headroom_tradeoff(self, benchmark, quality, save_figure):
+    def test_headroom_tradeoff(self, quality, save_figure):
         offered = 10200
 
         def run():
@@ -139,13 +126,13 @@ class TestHeadroom:
                 ),
             )
 
-        figure = benchmark.pedantic(run, rounds=1, iterations=1)
+        figure = run()
         save_figure(figure, "ablation_headroom.txt")
         assert len(figure.rows) == 3
 
 
 class TestViaOverhead:
-    def test_depth_penalty_mechanism(self, benchmark, quality, save_figure):
+    def test_depth_penalty_mechanism(self, quality, save_figure):
         def run():
             rows = []
             for overhead in (0.0, 0.2, 0.4):
@@ -154,7 +141,7 @@ class TestViaOverhead:
 
                 template = SpecTemplate("n_series", config, n=2,
                                         policy="static")
-                capacity = _capacity(
+                capacity = capacity_of(
                     template,
                     hint=min(topology.node(name).t_sf
                              for name in topology.node_names),
@@ -178,14 +165,14 @@ class TestViaOverhead:
                 ),
             )
 
-        figure = benchmark.pedantic(run, rounds=1, iterations=1)
+        figure = run()
         save_figure(figure, "ablation_via_overhead.txt")
         capacities = [row[2] for row in figure.rows]
         assert capacities[0] > capacities[1] > capacities[2]
 
 
 class TestNonHomogeneousFork:
-    def test_weak_forks_favor_front_state(self, benchmark, quality, save_figure):
+    def test_weak_forks_favor_front_state(self, quality, save_figure):
         """Section 6.2: 'if the first server has much larger capacity
         than the two downstream paths then it might be beneficial for it
         to maintain some state or even all state'."""
@@ -206,7 +193,7 @@ class TestNonHomogeneousFork:
                 template = SpecTemplate(
                     "parallel_fork", quality.scenario_config(), **kwargs
                 )
-                capacity = _capacity(template, hint=10500, quality=quality)
+                capacity = capacity_of(template, hint=10500, quality=quality)
                 rows.append([label, round(capacity)])
             return FigureData(
                 "Ablation: uneven parallel fork",
@@ -220,7 +207,7 @@ class TestNonHomogeneousFork:
                 ),
             )
 
-        figure = benchmark.pedantic(run, rounds=1, iterations=1)
+        figure = run()
         save_figure(figure, "ablation_fork.txt")
         values = {row[0]: row[1] for row in figure.rows}
         best_static_uneven = max(

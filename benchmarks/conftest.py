@@ -1,13 +1,10 @@
-"""Shared fixtures for the benchmark suite.
+"""Fixtures of ``bench_ablations.py``: the quality preset and a saver.
 
-Every ``bench_fig*.py`` regenerates one table/figure from the paper's
-evaluation.  The rendered result is printed and also written to
+Each ablation renders one table, prints it and writes it to
 ``benchmarks/results/<name>.txt`` so EXPERIMENTS.md can reference the
-latest run.
-
-Quality: benches default to the QUICK preset (scale 25, short windows)
-so the whole suite finishes in tens of minutes; set
-``REPRO_BENCH_QUALITY=standard`` or ``full`` for higher fidelity.
+latest run.  The QUICK preset is the default; set
+``REPRO_BENCH_QUALITY=standard`` or ``full`` for higher fidelity.  The
+paper figures are ``repro experiments`` ids, not scripts here.
 """
 
 import os
@@ -15,20 +12,18 @@ import pathlib
 
 import pytest
 
-from repro.harness.figures import FULL, QUICK, STANDARD
+from repro.harness.figures import QUALITIES
 from repro.harness.report import render_figure
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-_QUALITIES = {"quick": QUICK, "standard": STANDARD, "full": FULL}
 
 
 @pytest.fixture(scope="session")
 def quality():
     name = os.environ.get("REPRO_BENCH_QUALITY", "quick").lower()
-    if name not in _QUALITIES:
-        raise ValueError(f"REPRO_BENCH_QUALITY must be one of {sorted(_QUALITIES)}")
-    return _QUALITIES[name]
+    if name not in QUALITIES:
+        raise ValueError(f"REPRO_BENCH_QUALITY must be one of {sorted(QUALITIES)}")
+    return QUALITIES[name]
 
 
 @pytest.fixture

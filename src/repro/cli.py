@@ -7,8 +7,10 @@ door-by-door table, with the defaults of each, is in docs/API.md.
 
 - ``figures [ids...]`` / ``experiments [ids...]`` -- one command under
   two names: regenerate paper tables/figures (``fig3 fig4 lp fig5 fig6
-  fig7 fig8 three-series resilience overload optgap`` or ``all``),
-  to the terminal or as ``--json`` / ``--markdown``,
+  fig7 fig8 three-series resilience overload optgap auth`` or ``all``),
+  to the terminal or as ``--json`` / ``--markdown``, then the ledger of
+  their paper anchors (:mod:`repro.harness.anchors`); exit 1 names an
+  anchor out of band,
 - ``sweep`` -- throughput sweep of one topology/policy,
 - ``run`` -- a single load point with full measurement detail,
 - ``lp`` -- solve the state-distribution LP for a topology described
@@ -206,6 +208,7 @@ def _spec_parent() -> argparse.ArgumentParser:
 
 def cmd_experiments(args) -> int:
     """``figures`` and ``experiments``: one handler under both names."""
+    from repro.harness import anchors
     from repro.harness.experiments import EXPERIMENTS, ExperimentSuite
     from repro.harness.figures import QUALITIES
 
@@ -232,8 +235,19 @@ def cmd_experiments(args) -> int:
     if args.markdown:
         suite.write_markdown(results, args.markdown)
         print(f"wrote {args.markdown}", file=sys.stderr)
-    if not args.json and not args.markdown:
+    exported = args.json or args.markdown
+    if not exported:
         print(suite.render_all(results))
+    # The anchors of what ran follow the figures; one failed fails the run.
+    ledger = anchors.ledger(results)
+    if ledger:
+        print("\n" + anchors.render(ledger),
+              file=sys.stderr if exported else sys.stdout)
+    failed = [row[0] for row in ledger if row[-1] == "FAIL"]
+    if failed:
+        print(f"repro {args.command}: anchors failed: {', '.join(failed)}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -19,7 +19,7 @@ import json
 import time
 from typing import Callable, Dict, Iterable, List, Optional
 
-from repro.harness import figures as figure_mod
+from repro.harness import anchors, figures as figure_mod
 from repro.harness.figures import FigureData, Quality
 from repro.harness.optgap import optgap_figure
 from repro.harness.report import render_figure
@@ -51,6 +51,8 @@ EXPERIMENTS: Dict[str, tuple] = {
                  "goodput under overload, per control policy"),
     "optgap": (optgap_figure,
                "LP-optimal vs Algorithm 2 on generated cluster topologies"),
+    "auth": (figure_mod.auth_distribution,
+             "two in series with digest auth: distributing authentication"),
 }
 
 
@@ -132,6 +134,9 @@ class ExperimentSuite:
             "paper-equivalent cps).",
             "",
         ]
+        ledger = anchors.ledger(results)
+        if ledger:
+            lines += ["## Summary", "", *anchors.markdown(ledger), ""]
         for name, figure in results.items():
             lines.append(f"## {figure.figure_id}: {figure.title}")
             lines.append("")

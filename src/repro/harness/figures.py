@@ -5,20 +5,8 @@ simulated testbed and returns a :class:`FigureData` with the same
 rows/series the paper reports, plus a paper-vs-measured comparison.
 Absolute numbers are in paper-equivalent cps (the scenario scale factor
 is already folded out); the *shape* -- who wins, by what factor, where
-the knees fall -- is the reproduction target.
-
-Paper reference values (from the text and figures):
-
-- Figure 3: 362 / 412 / 707 / 803 / 983 CPU events per call,
-- Figure 4: saturation at ~10,360 (stateful) and ~12,300 cps (stateless),
-- Section 4.1 LP: two-in-series optimum ~11,240 cps (5,620 each),
-- Figure 5: static 8,540 vs SERvartuka 9,790 cps (+15%),
-- three in series: static 8,780 vs SERvartuka 10,180 cps (+16%),
-- Figure 6: stateful response times < 200 ms, stateless spikes past its
-  knee, SERvartuka tracks the stateful curve,
-- Figure 7: peak gain ~20% at 80/20 external/internal (9,540 vs 11,410;
-  LP bound 11,960),
-- Figure 8: static 11,990 vs SERvartuka 12,830 cps.
+the knees fall -- is the reproduction target.  The paper values and
+the bands they are held to live in :mod:`repro.harness.anchors`.
 """
 
 from __future__ import annotations
@@ -28,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.analysis import series_optimal_throughput
 from repro.core.costmodel import CostModel, FIG3_TOTALS
 from repro.core.lp import FlowPathLP, StateDistributionLP
+from repro.harness.anchors import PAPER_ANCHORS
 from repro.harness.parallel import SpecTemplate, run_specs, scenario_spec
 from repro.harness.runner import RunResult
 from repro.harness.saturation import (
@@ -42,26 +31,6 @@ from repro.workloads.scenarios import (
     fork_topology,
     mix_topology,
 )
-
-PAPER = {
-    "fig3_totals": dict(FIG3_TOTALS),
-    "fig4_t_sf": 10360.0,
-    "fig4_t_sl": 12300.0,
-    "lp_two_series": 11240.0,
-    "lp_two_series_share": 5620.0,
-    "fig5_static": 8540.0,
-    "fig5_servartuka": 9790.0,
-    "three_series_static": 8780.0,
-    "three_series_servartuka": 10180.0,
-    "fig6_stateful_bound_ms": 200.0,
-    "fig7_peak_fraction": 0.8,
-    "fig7_static_at_peak": 9540.0,
-    "fig7_servartuka_at_peak": 11410.0,
-    "fig7_lp_at_peak": 11960.0,
-    "fig8_static": 11990.0,
-    "fig8_servartuka": 12830.0,
-}
-
 
 class Quality:
     """Fidelity/runtime trade-off for figure regeneration."""
@@ -216,9 +185,8 @@ def figure3_profile(quality: Quality = QUICK) -> FigureData:
                 cost_model.k_seconds_per_event * cost_model.scale
             ) / calls
         rows.append([mode, FIG3_TOTALS[mode], model_events, round(measured_events, 1)])
-        comparisons.append([f"{mode} events/call", FIG3_TOTALS[mode],
-                            round(measured_events, 1),
-                            round(measured_events / FIG3_TOTALS[mode], 3)])
+        comparisons.append(PAPER_ANCHORS[f"fig3.{mode}"].row(
+            measured_events, round(measured_events, 1)))
     return FigureData(
         "Figure 3",
         "Server functionality costs (CPU events per call)",
@@ -357,8 +325,8 @@ def figure4_utilization(quality: Quality = QUICK) -> FigureData:
     results: Dict[str, SweepResult] = {}
     saturation: Dict[str, float] = {}
     for label, mode, anchor in (
-        ("stateful", "transaction_stateful", PAPER["fig4_t_sf"]),
-        ("stateless", "stateless", PAPER["fig4_t_sl"]),
+        ("stateful", "transaction_stateful", PAPER_ANCHORS["fig4.t_sf"].paper),
+        ("stateless", "stateless", PAPER_ANCHORS["fig4.t_sl"].paper),
     ):
         loads = [anchor * (0.2 + 0.95 * i / (quality.sweep_points + 1))
                  for i in range(quality.sweep_points + 2)]
@@ -383,10 +351,8 @@ def figure4_utilization(quality: Quality = QUICK) -> FigureData:
                 round(point.result.throughput_cps),
             ])
     comparisons = [
-        ["stateful saturation cps", PAPER["fig4_t_sf"], round(saturation["stateful"]),
-         round(saturation["stateful"] / PAPER["fig4_t_sf"], 3)],
-        ["stateless saturation cps", PAPER["fig4_t_sl"], round(saturation["stateless"]),
-         round(saturation["stateless"] / PAPER["fig4_t_sl"], 3)],
+        PAPER_ANCHORS[f"fig4.{anchor}"].row(saturation[label], round(saturation[label]))
+        for label, anchor in (("stateful", "t_sf"), ("stateless", "t_sl"))
     ]
     return FigureData(
         "Figure 4",
@@ -413,12 +379,11 @@ def lp_optima(quality: Quality = QUICK) -> FigureData:
     """The LP's headline numbers, solved exactly (no simulation)."""
     from repro.core.topology import two_series_topology
 
-    topology = two_series_topology(PAPER["fig4_t_sf"], PAPER["fig4_t_sl"])
+    t_sf, t_sl = PAPER_ANCHORS["fig4.t_sf"].paper, PAPER_ANCHORS["fig4.t_sl"].paper
+    topology = two_series_topology(t_sf, t_sl)
     free = StateDistributionLP(topology).solve()
     fixed = FlowPathLP(topology).solve()
-    closed_form, shares = series_optimal_throughput(
-        [(PAPER["fig4_t_sf"], PAPER["fig4_t_sl"])] * 2
-    )
+    closed_form, shares = series_optimal_throughput([(t_sf, t_sl)] * 2)
     rows = [
         ["free-routing LP", round(free.throughput, 1)],
         ["fixed-routing LP", round(fixed.throughput, 1)],
@@ -426,10 +391,8 @@ def lp_optima(quality: Quality = QUICK) -> FigureData:
         ["per-node stateful share", round(shares[0], 1)],
     ]
     comparisons = [
-        ["two-series LP optimum", PAPER["lp_two_series"], round(fixed.throughput),
-         round(fixed.throughput / PAPER["lp_two_series"], 3)],
-        ["per-node stateful share", PAPER["lp_two_series_share"], round(shares[0]),
-         round(shares[0] / PAPER["lp_two_series_share"], 3)],
+        PAPER_ANCHORS["lp.optimum"].row(fixed.throughput, round(fixed.throughput)),
+        PAPER_ANCHORS["lp.share"].row(shares[0], round(shares[0])),
     ]
     return FigureData(
         "Section 4.1",
@@ -479,6 +442,16 @@ def _series_loads(quality: Quality, n: int) -> List[float]:
     return [lo + (hi - lo) * i / (points - 1) for i in range(points)]
 
 
+def _saturation_rows(experiment: str, static: SweepResult,
+                     dynamic: SweepResult) -> List[list]:
+    """The comparison rows of an experiment's two saturation anchors."""
+    return [
+        PAPER_ANCHORS[f"{experiment}.{policy}"].row(
+            sweep.max_throughput, round(sweep.max_throughput))
+        for policy, sweep in (("static", static), ("servartuka", dynamic))
+    ]
+
+
 def figure5_two_series(quality: Quality = QUICK) -> FigureData:
     """Throughput vs offered load: static vs SERvartuka, two in series."""
     loads = _series_loads(quality, 2)
@@ -494,15 +467,11 @@ def figure5_two_series(quality: Quality = QUICK) -> FigureData:
                 round(point.result.throughput_cps),
                 round(point.result.trying_ratio, 3),
             ])
-    gain = dynamic.max_throughput / static.max_throughput - 1.0
-    paper_gain = PAPER["fig5_servartuka"] / PAPER["fig5_static"] - 1.0
-    comparisons = [
-        ["static saturation", PAPER["fig5_static"], round(static.max_throughput),
-         round(static.max_throughput / PAPER["fig5_static"], 3)],
-        ["servartuka saturation", PAPER["fig5_servartuka"], round(dynamic.max_throughput),
-         round(dynamic.max_throughput / PAPER["fig5_servartuka"], 3)],
-        ["gain (ratio)", round(1 + paper_gain, 3), round(1 + gain, 3),
-         round((1 + gain) / (1 + paper_gain), 3)],
+    ratio = dynamic.max_throughput / static.max_throughput
+    gain = PAPER_ANCHORS["fig5.gain"]
+    comparisons = _saturation_rows("fig5", static, dynamic) + [
+        [gain.quantity, round(gain.paper, 3), round(ratio, 3),
+         round(ratio / gain.paper, 3)],
     ]
     return FigureData(
         "Figure 5",
@@ -560,14 +529,12 @@ def figure6_response_times(quality: Quality = QUICK) -> FigureData:
 
     static_knee = sweeps["stateful"].max_throughput
     comparisons = [
-        ["stateful p95 ms below knee", PAPER["fig6_stateful_bound_ms"],
-         round(rt_below_knee(sweeps["stateful"], static_knee), 1), 0.0],
-        ["servartuka p95 ms below its knee", PAPER["fig6_stateful_bound_ms"],
-         round(rt_below_knee(sweeps["servartuka"],
-                             sweeps["servartuka"].max_throughput), 1), 0.0],
+        PAPER_ANCHORS["fig6.stateful_p95"].row(
+            round(rt_below_knee(sweeps["stateful"], static_knee), 1)),
+        PAPER_ANCHORS["fig6.servartuka_p95"].row(
+            round(rt_below_knee(sweeps["servartuka"],
+                                sweeps["servartuka"].max_throughput), 1)),
     ]
-    for row in comparisons:
-        row[3] = round(row[2] / row[1], 3) if row[1] else 0.0
     return FigureData(
         "Figure 6",
         "Two servers in series -- response times",
@@ -630,15 +597,10 @@ def figure7_changing_load(quality: Quality = QUICK) -> FigureData:
     # best-gain row when 0.8 was not part of the sweep.
     at_08 = next((row for row in rows if abs(row[0] - 0.8) < 1e-9), best)
     comparisons = [
-        ["best gain fraction", PAPER["fig7_peak_fraction"], best[0],
-         round(best[0] / PAPER["fig7_peak_fraction"], 3)
-         if PAPER["fig7_peak_fraction"] else 0.0],
-        ["static cps at mix 0.8", PAPER["fig7_static_at_peak"], at_08[1],
-         round(at_08[1] / PAPER["fig7_static_at_peak"], 3)],
-        ["servartuka cps at mix 0.8", PAPER["fig7_servartuka_at_peak"],
-         at_08[2], round(at_08[2] / PAPER["fig7_servartuka_at_peak"], 3)],
-        ["LP bound at mix 0.8", PAPER["fig7_lp_at_peak"], at_08[3],
-         round(at_08[3] / PAPER["fig7_lp_at_peak"], 3)],
+        PAPER_ANCHORS["fig7.peak_fraction"].row(best[0]),
+        PAPER_ANCHORS["fig7.static"].row(at_08[1]),
+        PAPER_ANCHORS["fig7.servartuka"].row(at_08[2]),
+        PAPER_ANCHORS["fig7.lp"].row(at_08[3]),
     ]
     return FigureData(
         "Figure 7",
@@ -699,14 +661,7 @@ def figure8_parallel(quality: Quality = QUICK) -> FigureData:
                 round(point.result.throughput_cps),
                 round(point.result.trying_ratio, 3),
             ])
-    comparisons = [
-        ["static saturation", PAPER["fig8_static"],
-         round(sweeps["static"].max_throughput),
-         round(sweeps["static"].max_throughput / PAPER["fig8_static"], 3)],
-        ["servartuka saturation", PAPER["fig8_servartuka"],
-         round(sweeps["servartuka"].max_throughput),
-         round(sweeps["servartuka"].max_throughput / PAPER["fig8_servartuka"], 3)],
-    ]
+    comparisons = _saturation_rows("fig8", sweeps["static"], sweeps["servartuka"])
     return FigureData(
         "Figure 8",
         "Three-server parallel configuration",
@@ -737,20 +692,68 @@ def three_series_text(quality: Quality = QUICK) -> FigureData:
         for point in sweep:
             rows.append([label, round(point.offered_cps),
                          round(point.result.throughput_cps)])
-    comparisons = [
-        ["static saturation", PAPER["three_series_static"],
-         round(static.max_throughput),
-         round(static.max_throughput / PAPER["three_series_static"], 3)],
-        ["servartuka saturation", PAPER["three_series_servartuka"],
-         round(dynamic.max_throughput),
-         round(dynamic.max_throughput / PAPER["three_series_servartuka"], 3)],
-    ]
+    comparisons = _saturation_rows("three-series", static, dynamic)
     return FigureData(
         "Section 6.1 (three in series)",
         "Three servers in series -- saturation throughput",
         ["config", "offered_cps", "throughput_cps"],
         rows,
         comparisons=comparisons,
+    )
+
+
+# ----------------------------------------------------------------------
+# Distributing authentication (section 6.2 remark)
+# ----------------------------------------------------------------------
+#: The three arrangements of an authenticated two-proxy chain.
+AUTH_CONFIGS = (
+    ("A static + entry auth", dict(policy="static", auth="entry")),
+    ("B servartuka + entry auth", dict(policy="servartuka", auth="entry")),
+    ("C servartuka + distributed auth",
+     dict(policy="servartuka", auth="distributed")),
+)
+
+
+def capacity_of(template: SpecTemplate, hint: float, quality: Quality) -> float:
+    """``template``'s saturation throughput (a +-30 % capacity search)."""
+    return find_capacity(
+        template, hint=hint, duration=quality.duration, warmup=quality.warmup,
+        points=max(3, quality.sweep_points - 1), span=0.3,
+    ).max_throughput
+
+
+def auth_distribution(quality: Quality = QUICK) -> FigureData:
+    """Capacity, and goodput 15 % past it, of each ``AUTH_CONFIGS`` row."""
+    config = quality.scenario_config()
+    capacities = [
+        capacity_of(SpecTemplate("n_series", config, n=2, **kwargs), 9200, quality)
+        for _label, kwargs in AUTH_CONFIGS
+    ]
+    past_knee = run_specs([
+        scenario_spec(
+            "n_series", rate=1.15 * capacity, config=config,
+            duration=quality.duration, warmup=quality.warmup,
+            label=f"auth/{label}@1.15x", n=2, **kwargs,
+        )
+        for (label, kwargs), capacity in zip(AUTH_CONFIGS, capacities)
+    ])
+    rows = [
+        [label, round(capacity),
+         round(RunResult.from_payload(payload["result"]).throughput_cps)]
+        for (label, _kwargs), capacity, payload
+        in zip(AUTH_CONFIGS, capacities, past_knee)
+    ]
+    return FigureData(
+        "Extension: authentication distribution",
+        "Two-series with digest auth: capacity and post-knee goodput",
+        ["configuration", "capacity_cps", "goodput_at_1.15x_cps"],
+        rows,
+        description=(
+            "Section 6.2 saw 'significantly larger improvements' from "
+            "distributing authentication.  This chain's exit node, not "
+            "its auth-pinned entry, binds, so C pays off only where the "
+            "entry does (examples/authenticated_trunk.py)."
+        ),
     )
 
 
@@ -905,20 +908,12 @@ def overload_comparative(quality: Quality = QUICK) -> FigureData:
         return round(curves[name][2.0]["goodput"] / own_peak, 3)
 
     comparisons = [
-        ["uncontrolled 2x goodput fraction of peak", 0.5,
-         _retention("none"), 0.0],
+        PAPER_ANCHORS[f"overload.{name}"].row(_retention(name)) for name in curves
     ]
-    for control in OVERLOAD_POLICIES[1:]:
-        comparisons.append([
-            f"{control} 2x goodput fraction of peak", 0.9,
-            _retention(control), 0.0,
-        ])
     none_retrans = curves["none"][2.0]["retransmissions"]
     rate_retrans = max(1, curves["rate"][2.0]["retransmissions"])
-    comparisons.append([
-        "2x retransmission amplification (none/rate)", 1.0,
-        round(none_retrans / rate_retrans, 1), 0.0,
-    ])
+    comparisons.append(PAPER_ANCHORS["overload.amplification"].row(
+        round(none_retrans / rate_retrans, 1)))
 
     # Composed panel: state shedding x call shedding at 2x.
     composed = {
@@ -932,16 +927,10 @@ def overload_comparative(quality: Quality = QUICK) -> FigureData:
         rows.append([label, 2.0, round(OVERLOAD_ANCHOR * 2.0),
                      round(goodput), round(goodput / (OVERLOAD_ANCHOR * 2.0), 3),
                      0, 0])
-    comparisons.append([
-        "composed vs call-shedding alone at 2x", 1.0,
-        round(composed["servartuka/occupancy"] / composed["static/occupancy"], 3),
-        0.0,
-    ])
-    comparisons.append([
-        "composed vs state-shedding alone at 2x", 1.0,
-        round(composed["servartuka/occupancy"] / composed["servartuka/none"], 3),
-        0.0,
-    ])
+    comparisons.append(PAPER_ANCHORS["overload.composed_vs_call"].row(round(
+        composed["servartuka/occupancy"] / composed["static/occupancy"], 3)))
+    comparisons.append(PAPER_ANCHORS["overload.composed_vs_state"].row(round(
+        composed["servartuka/occupancy"] / composed["servartuka/none"], 3)))
 
     # Fairness panel: per-upstream completion fractions on the fork.
     fairness_rows = []
@@ -970,12 +959,8 @@ def overload_comparative(quality: Quality = QUICK) -> FigureData:
             [f"fork/{name}", 2.0, round(OVERLOAD_FORK_ANCHOR * 2.0),
              round(fractions["uac_u"], 3), round(fractions["uac_l"], 3)]
         )
-    comparisons.append([
-        "window light-upstream completion fraction at 2x", 0.5,
-        fairness_rows[1][4], 0.0,
-    ])
-    for row in comparisons:
-        row[3] = round(row[2] / row[1], 3) if row[1] else 0.0
+    comparisons.append(
+        PAPER_ANCHORS["overload.window_light"].row(fairness_rows[1][4]))
 
     return FigureData(
         "Overload",

@@ -14,7 +14,7 @@ def format_table(
     headers: Sequence[str], rows: Iterable[Sequence[object]], title: str = ""
 ) -> str:
     """Render an aligned ASCII table."""
-    str_rows = [[_fmt(cell) for cell in row] for row in rows]
+    str_rows = [[format_cell(cell) for cell in row] for row in rows]
     widths = [len(h) for h in headers]
     for row in str_rows:
         if len(row) != len(headers):
@@ -35,7 +35,7 @@ def format_table(
     return "\n".join(out)
 
 
-def _fmt(value: object) -> str:
+def format_cell(value: object) -> str:
     if isinstance(value, float):
         if value == 0:
             return "0"

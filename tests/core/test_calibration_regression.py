@@ -71,11 +71,13 @@ class TestLPOraclePins:
     def test_fig7_peak_near_paper(self):
         from repro.core.lp import solve_fixed_routing
         from repro.core.topology import internal_external_topology
+        from repro.harness.anchors import PAPER_ANCHORS
 
         topo = internal_external_topology(10360.0, 12300.0, 0.8)
         solution = solve_fixed_routing(topo)
         # Paper: "the LP predicts a value of 11,960 cps" at the peak.
-        assert solution.throughput == pytest.approx(11960, rel=0.02)
+        assert solution.throughput == pytest.approx(
+            PAPER_ANCHORS["fig7.lp"].paper, rel=0.02)
 
     def test_fig7_peak_exact(self):
         from repro.core.lp import solve_fixed_routing

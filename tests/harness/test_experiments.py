@@ -19,7 +19,7 @@ class TestRun:
     def test_registry_covers_every_figure(self):
         expected = {"fig3", "fig3-breakdown", "fig4", "lp", "fig5", "fig6",
                     "fig7", "fig8", "three-series", "resilience", "overload",
-                    "optgap"}
+                    "optgap", "auth"}
         assert set(EXPERIMENTS) == expected
 
     def test_runs_selected(self, suite_and_results):

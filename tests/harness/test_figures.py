@@ -1,6 +1,6 @@
 """Tests for the figure-regeneration module (cheap paths only).
 
-The full figure functions are exercised by ``benchmarks/``; here we
+The full figure functions run under ``repro experiments``; here we
 test the pure/cheap pieces: the LP check, Figure 3 (sub-second), the
 analytic hint machinery and the FigureData container.
 """
@@ -12,7 +12,6 @@ from repro.core.costmodel import CostModel
 from repro.harness.figures import (
     FULL,
     FigureData,
-    PAPER,
     Quality,
     QUICK,
     STANDARD,
@@ -170,8 +169,3 @@ class TestFigureData:
                             comparisons=[["x", 2.0, 3.0, 1.5]])
         assert figure.measured("x") == 3.0
         assert figure.rows == [[1]]
-
-    def test_paper_reference_table_complete(self):
-        for key in ("fig4_t_sf", "fig5_static", "fig5_servartuka",
-                    "fig7_lp_at_peak", "fig8_static", "lp_two_series"):
-            assert key in PAPER
