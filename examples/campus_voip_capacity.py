@@ -14,46 +14,36 @@ Run:
 
 import sys
 
-from repro.api import ScenarioConfig, find_capacity
-from repro.core.costmodel import CostModel, Feature
-from repro.core.lp import FlowPathLP
-from repro.core.topology import Topology
+from repro.api import (
+    ScenarioConfig,
+    find_capacity,
+    make_scenario,
+    solve_topology,
+)
 from repro.harness.report import format_table, sparkline
-
-
-def lp_bound(cost_model: CostModel, fraction: float) -> float:
-    """Fixed-routing LP bound for the mix, in paper cps."""
-    s1 = cost_model.node_thresholds({Feature.BASE, Feature.LOOKUP}, depth=0.0)
-    s2 = cost_model.node_thresholds({Feature.BASE, Feature.LOOKUP}, depth=1.0)
-    scale = cost_model.scale
-    topology = Topology()
-    topology.add_node("S1", s1[0] * scale, s1[1] * scale)
-    topology.add_node("S2", s2[0] * scale, s2[1] * scale)
-    topology.add_edge("S1", "S2")
-    if fraction > 0:
-        topology.add_flow("external", ["S1", "S2"], share=fraction)
-    if fraction < 1:
-        topology.add_flow("internal", ["S1"], share=1 - fraction)
-    return FlowPathLP(topology).solve().throughput
 
 
 def main() -> None:
     fast = "--fast" in sys.argv
     fractions = [0.0, 0.8, 1.0] if fast else [i / 5 for i in range(6)]
     config = ScenarioConfig(scale=40.0, seed=11)
-    cost_model = config.make_cost_model()
 
     rows = []
     gains = []
     for fraction in fractions:
-        bound = lp_bound(cost_model, fraction)
+        # The fixed-routing LP bound of the scenario's own topology: the
+        # same number find_capacity seeds its search with.
+        bound = solve_topology(make_scenario(
+            "internal_external", rate=1.0, external_fraction=fraction,
+            config=config,
+        ).topology).throughput
         capacities = {}
         for policy in ("static", "servartuka"):
             # repro.api runs each load point through the parallel
             # executor, so repeated invocations replay from the run
             # cache instead of re-simulating.
             sweep = find_capacity(
-                "internal_external", hint=bound,
+                "internal_external",
                 external_fraction=fraction, policy=policy, config=config,
                 duration=4.0, warmup=2.0, points=3, span=0.3,
             )

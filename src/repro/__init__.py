@@ -43,7 +43,6 @@ if TYPE_CHECKING:
         optimal_stateful_rate,
         series_optimal_throughput,
     )
-    from repro.core.fluid import FluidModel
     from repro.harness.experiments import ExperimentSuite
     from repro.sim.trace import MessageTrace, render_ladder
     from repro.harness.figures import FigureData, Quality, QUICK, STANDARD, FULL
@@ -105,7 +104,6 @@ _EXPORTS = {
     "series_optimal_throughput": "repro.core.analysis",
     "solve_fixed_routing": "repro.core.lp",
     "solve_free_routing": "repro.core.lp",
-    "FluidModel": "repro.core.fluid",
     "ExperimentSuite": "repro.harness.experiments",
     "MessageTrace": "repro.sim.trace",
     "render_ladder": "repro.sim.trace",

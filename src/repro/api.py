@@ -61,7 +61,6 @@ from repro.workloads.spec import ScenarioSpec, resolve
 
 if TYPE_CHECKING:
     from repro.core.control import ControlConfig
-    from repro.core.fluid import capacity_hint
     from repro.core.lp import LPSolution
     from repro.core.topogen import GeneratedTopology
     from repro.core.topology import Topology
@@ -87,7 +86,6 @@ _EXPORTS = {
     "ObserveConfig": "repro.obs.observe",
     "Quality": "repro.harness.figures",
     "SweepResult": "repro.harness.saturation",
-    "capacity_hint": "repro.core.fluid",
 }
 __getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)
 
@@ -108,7 +106,6 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioSpec",
     "SweepResult",
-    "capacity_hint",
     "experiments",
     "find_capacity",
     "generate_topology",
@@ -268,14 +265,13 @@ def sweep(
 def find_capacity(
     topology: Optional[str] = None,
     *,
-    hint: float,
+    hint: Optional[float] = None,
     spec: Union[None, str, dict, ScenarioSpec] = None,
     duration: Optional[float] = None,
     warmup: Optional[float] = None,
     span: float = 0.35,
     points: int = 6,
     refine: bool = True,
-    adaptive: bool = False,
     label: Optional[str] = None,
     config: Union[None, ScenarioConfig, str, dict] = None,
     scale: Optional[float] = None,
@@ -289,13 +285,12 @@ def find_capacity(
     cache_dir: Optional[str] = None,
     **kwargs,
 ) -> SweepResult:
-    """Saturation search around an analytic ``hint`` (paper cps).
+    """Saturation search around a capacity ``hint`` (paper cps).
 
-    ``adaptive=True`` trusts the hint (see :func:`capacity_hint`):
-    instead of sweeping the full ``points``-wide grid it probes the
-    hint and its grid neighbours, walks outward only while the peak
-    keeps moving by a grid spacing, and refines once it stops --
-    typically about half the simulations for the same answer.
+    ``hint=None`` seeds the search from the scenario's own LP bound
+    (:func:`solve_topology` on ``make_scenario(...).topology``); the
+    hand-wired builders (``single_proxy``, ``register_churn``,
+    ``b2bua_chain``) have no topology and need an explicit ``hint=``.
     """
     from repro.harness import saturation
 
@@ -307,8 +302,7 @@ def find_capacity(
     with _maybe_execution(jobs, cache, cache_dir):
         return saturation.find_capacity(
             run.template(), hint, duration=run.duration, warmup=run.warmup,
-            span=span, points=points, label=run.label, refine=refine,
-            adaptive=adaptive)
+            span=span, points=points, label=run.label, refine=refine)
 
 
 def generate_topology(
@@ -351,16 +345,9 @@ def solve_topology(
     (whose per-flow hop penalties are applied automatically in the
     fixed-routing case).
     """
-    from repro.core.lp import solve_fixed_routing, solve_free_routing
-    from repro.core.topogen import GeneratedTopology
+    from repro.harness import saturation
 
-    if isinstance(topology, GeneratedTopology):
-        if free_routing:
-            return solve_free_routing(topology.topology)
-        return solve_fixed_routing(topology.topology, topology.hop_penalties)
-    if free_routing:
-        return solve_free_routing(topology)
-    return solve_fixed_routing(topology)
+    return saturation.solve_topology(topology, free_routing=free_routing)
 
 
 def experiments() -> Dict[str, str]:

@@ -22,6 +22,7 @@ from repro.harness.runner import RunResult
 from repro.harness.saturation import (
     SweepResult,
     find_capacity,
+    lp_bound,
     refine_peak,
     sweep_loads,
 )
@@ -29,7 +30,6 @@ from repro.workloads.scenarios import (
     ScenarioConfig,
     chain_topology,
     fork_topology,
-    mix_topology,
 )
 
 class Quality:
@@ -560,13 +560,15 @@ def figure6_response_times(quality: Quality = QUICK) -> FigureData:
 # ----------------------------------------------------------------------
 def figure7_changing_load(quality: Quality = QUICK) -> FigureData:
     """Maximal throughput vs external-load fraction, static vs SERvartuka."""
-    cost_model = quality.scenario_config().make_cost_model()
     rows = []
     series: Dict[str, List[Tuple[float, float]]] = {
         "static": [], "servartuka": [], "lp": [],
     }
     for fraction in quality.fig7_fractions:
-        lp_bound = FlowPathLP(mix_topology(fraction, cost_model)).solve().throughput
+        bound = lp_bound(SpecTemplate(
+            "internal_external", quality.scenario_config(),
+            external_fraction=fraction,
+        ))
         capacities = {}
         for policy in ("static", "servartuka"):
             template = SpecTemplate(
@@ -575,7 +577,7 @@ def figure7_changing_load(quality: Quality = QUICK) -> FigureData:
                 external_fraction=fraction, policy=policy,
             )
             sweep = find_capacity(
-                template, hint=lp_bound, duration=quality.duration,
+                template, hint=bound, duration=quality.duration,
                 warmup=quality.warmup, span=0.4,
                 points=quality.sweep_points,
                 label=f"fig7/{policy}/f={fraction}",
@@ -585,12 +587,12 @@ def figure7_changing_load(quality: Quality = QUICK) -> FigureData:
             round(fraction, 2),
             round(capacities["static"]),
             round(capacities["servartuka"]),
-            round(lp_bound),
+            round(bound),
             round(capacities["servartuka"] / capacities["static"], 3),
         ])
         series["static"].append((fraction, capacities["static"]))
         series["servartuka"].append((fraction, capacities["servartuka"]))
-        series["lp"].append((fraction, lp_bound))
+        series["lp"].append((fraction, bound))
 
     best = max(rows, key=lambda r: r[4])
     # Compare against the paper at ITS peak mix (0.8); fall back to our

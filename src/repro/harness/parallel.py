@@ -372,19 +372,26 @@ class ExecutionStats:
     """Per-context accounting (what the CLI summarizes after a command)."""
 
     runs: int = 0
+    #: Specs read from the disk run cache.
     cache_hits: int = 0
+    #: Specs answered by the context's in-process memo (a repeat of a
+    #: spec an earlier batch already resolved).
+    memo_hits: int = 0
     deduped: int = 0
     executed: int = 0
     retried_chunks: int = 0
     elapsed: float = 0.0
 
     def hit_rate(self) -> float:
-        return self.cache_hits / self.runs if self.runs else 0.0
+        """Disk hits over the specs that had to go to disk or run."""
+        lookups = self.runs - self.memo_hits - self.deduped
+        return self.cache_hits / lookups if lookups else 0.0
 
     def summary(self) -> str:
         return (
             f"runs={self.runs} cache_hits={self.cache_hits} "
-            f"hit_rate={self.hit_rate() * 100:.1f}% deduped={self.deduped} "
+            f"hit_rate={self.hit_rate() * 100:.1f}% "
+            f"memo_hits={self.memo_hits} deduped={self.deduped} "
             f"executed={self.executed} elapsed={self.elapsed:.1f}s"
         )
 
@@ -683,10 +690,10 @@ def run_specs(
     pending: List[Tuple[int, str, dict]] = []     # (slot, kind, payload)
     pending_specs: Dict[str, RunSpec] = {}        # key -> spec
     labels: Dict[int, str] = {}
-    hits = 0
+    memo_hits = disk_hits = 0
     for spec, key in zip(specs, keys):
         if key in context.memo:
-            hits += 1
+            memo_hits += 1
             continue
         if key in pending_specs:
             stats.deduped += 1
@@ -696,15 +703,16 @@ def run_specs(
             cached = context.cache.get(key)
         if cached is not None:
             context.memo[key] = cached
-            hits += 1
+            disk_hits += 1
             continue
         slot = len(pending)
         labels[slot] = spec.describe()
         pending.append((slot, spec.kind, dict(spec.payload)))
         pending_specs[key] = spec
-    stats.cache_hits += hits
+    stats.memo_hits += memo_hits
+    stats.cache_hits += disk_hits
 
-    progress = _Progress(context.progress, len(specs), hits)
+    progress = _Progress(context.progress, len(specs), memo_hits + disk_hits)
     if pending:
         if context.jobs > 1 and len(pending) > 1:
             done = _run_pool(context, pending, labels, progress)

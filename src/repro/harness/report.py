@@ -47,26 +47,10 @@ def format_cell(value: object) -> str:
     return str(value)
 
 
-def comparison_row(
-    label: str, paper_value: float, measured_value: float
-) -> List[object]:
-    """[label, paper, measured, measured/paper] row for comparison tables."""
-    ratio = measured_value / paper_value if paper_value else float("nan")
-    return [label, paper_value, measured_value, round(ratio, 3)]
-
-
 def format_comparison(
     entries: Sequence[Sequence[object]], title: str = "paper vs measured"
 ) -> str:
     return format_table(["quantity", "paper", "measured", "ratio"], entries, title)
-
-
-def format_series(
-    name: str, series: Sequence[tuple], x_label: str = "offered_cps",
-    y_label: str = "value",
-) -> str:
-    rows = [[x, y] for x, y in series]
-    return format_table([x_label, y_label], rows, title=name)
 
 
 def sparkline(values: Sequence[float], width: int = 40) -> str:

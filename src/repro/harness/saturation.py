@@ -6,14 +6,19 @@ reported "saturation throughput" of a configuration is the plateau of
 delivered calls per second.  :func:`sweep_loads` replays that
 methodology (one fresh scenario per offered load, like their separate
 runs), and :func:`find_capacity` wraps it with a coarse-to-fine search
-so figure generation does not need a wide, dense sweep.
+around the scenario's LP bound so figure generation does not need a
+wide, dense sweep.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
-from repro.harness.parallel import SpecTemplate, run_scenario_specs
+from repro.harness.parallel import (
+    SpecTemplate,
+    build_scenario,
+    run_scenario_specs,
+)
 from repro.harness.runner import RunResult
 
 
@@ -175,36 +180,64 @@ def refine_peak(
     )
 
 
+def solve_topology(topology, free_routing: bool = False):
+    """Solve the section 4.1 LP for a scenario's topology.
+
+    ``topology`` is what ``Scenario.topology`` holds: a raw
+    :class:`~repro.core.topology.Topology`, or a
+    :class:`~repro.core.topogen.GeneratedTopology`, whose per-flow hop
+    penalties apply in the fixed-routing case.
+    """
+    from repro.core.lp import solve_fixed_routing, solve_free_routing
+    from repro.core.topogen import GeneratedTopology
+
+    hop_penalties = None
+    if isinstance(topology, GeneratedTopology):
+        hop_penalties = topology.hop_penalties
+        topology = topology.topology
+    if free_routing:
+        return solve_free_routing(topology)
+    return solve_fixed_routing(topology, hop_penalties)
+
+
+def lp_bound(template: SpecTemplate) -> float:
+    """The fixed-routing LP throughput (paper cps) of ``template``'s
+    scenario: the capacity the paper's section 4.1 LP predicts for it.
+
+    The scenario is built once, at a nominal rate, only for the
+    topology it is wired from; builders wired by hand have none.
+    """
+    scenario = build_scenario(template.at(1.0, 0.0, 0.0).payload)
+    if scenario.topology is None:
+        raise ValueError(
+            f"{template.builder} has no topology to bound; pass hint="
+        )
+    return solve_topology(scenario.topology).throughput
+
+
 def find_capacity(
     template: SpecTemplate,
-    hint: float,
+    hint: Optional[float] = None,
     duration: float = 10.0,
     warmup: float = 4.0,
     span: float = 0.35,
     points: int = 6,
     label: str = "",
     refine: bool = True,
-    adaptive: bool = False,
 ) -> SweepResult:
-    """Saturation search around an analytic hint.
+    """Saturation search around a capacity hint (paper cps).
 
+    ``hint=None`` takes the scenario's own LP bound (:func:`lp_bound`).
     Stage 1 sweeps ``points`` loads across ``hint * (1 ± span)``.
     Stage 2 (``refine``) re-sweeps a one-grid-spacing bracket around the
     best stage-1 point: past saturation the goodput *collapses* rather
     than plateauing, so a coarse grid can under-read the peak by up to
-    one spacing; the refinement recovers it.  The hint typically comes
-    from the LP/cost model, so a ±35% bracket comfortably contains the
-    real knee even when retransmission losses shift it.
-
-    ``adaptive=True`` trusts the hint instead of sweeping the whole
-    bracket: it probes only ``hint`` and its two grid neighbours (same
-    grid spacing as the fixed sweep), walks outward one spacing at a
-    time while the peak keeps landing on the bracket edge, and stops as
-    soon as the peak stops moving by a grid spacing.  With a cost-model
-    hint this answers the same capacity (within one grid spacing) in
-    roughly half the simulations, and any probe already in the ambient
-    run cache costs nothing.
+    one spacing; the refinement recovers it.  The LP bound ignores
+    retransmission losses and service-time noise, so the simulated knee
+    sits somewhat below it; a ±35% bracket comfortably contains it.
     """
+    if hint is None:
+        hint = lp_bound(template)
     if hint <= 0:
         raise ValueError("hint must be positive")
     if points < 2:
@@ -212,10 +245,6 @@ def find_capacity(
     lo = hint * (1.0 - span)
     hi = hint * (1.0 + span)
     spacing = (hi - lo) / (points - 1)
-    if adaptive:
-        return _find_capacity_adaptive(
-            template, hint, spacing, duration, warmup, label, refine
-        )
     loads = [lo + spacing * i for i in range(points)]
     coarse = sweep_loads(template, loads, duration=duration, warmup=warmup, label=label)
     if not refine:
@@ -231,56 +260,3 @@ def find_capacity(
     return _probe_peak(
         template, coarse, fine_loads, duration, warmup, label or "capacity"
     )
-
-
-def _find_capacity_adaptive(
-    template: SpecTemplate,
-    hint: float,
-    spacing: float,
-    duration: float,
-    warmup: float,
-    label: str,
-    refine: bool,
-) -> SweepResult:
-    """Model-guided capacity search: seed at the hint, walk the peak.
-
-    The seed bracket is ``[hint - spacing, hint, hint + spacing]``.  As
-    long as the best point sits on an edge of the probed range, one more
-    probe is added a grid spacing beyond that edge -- i.e. the search
-    continues exactly while the peak estimate still moves by a full
-    spacing, and stops the moment it does not.  The final refinement
-    probes inside the winning spacing, so the result is comparable to
-    the fixed-grid search within one spacing.
-    """
-    label = label or "capacity"
-    seeds = [load for load in (hint - spacing, hint, hint + spacing)
-             if load > 0]
-    result = sweep_loads(
-        template, seeds, duration=duration, warmup=warmup, label=label
-    )
-    for _ in range(64):  # bound the walk against pathological hints
-        best = result.points[_peak_index(result)]
-        center = best.offered_cps
-        lowest = result.points[0].offered_cps
-        highest = result.points[-1].offered_cps
-        if center == lowest and center - spacing > 0:
-            probe = center - spacing
-        elif center == highest:
-            probe = center + spacing
-        else:
-            break  # peak is interior: it moved less than one spacing
-        result = _probe_peak(
-            template, result, [probe], duration, warmup, label
-        )
-    if not refine:
-        return result
-    best = result.points[_peak_index(result)]
-    center = best.offered_cps
-    # Two probes localize the peak inside its one-spacing bracket; the
-    # fixed grid's third probe only re-reads the already-known edge.
-    fine_loads = [
-        load
-        for load in (center - 0.5 * spacing, center + 0.33 * spacing)
-        if load > 0
-    ]
-    return _probe_peak(template, result, fine_loads, duration, warmup, label)

@@ -9,6 +9,11 @@ benchmark suite, since all EXPERIMENTS.md numbers shift with them).
 import pytest
 
 from repro.core.costmodel import CostModel, Feature, scenario_features
+from repro.harness.anchors import PAPER_ANCHORS
+
+#: The Figure 4 saturation points the model is calibrated against.
+T_SF = PAPER_ANCHORS["fig4.t_sf"].paper
+T_SL = PAPER_ANCHORS["fig4.t_sl"].paper
 
 
 @pytest.fixture(scope="module")
@@ -31,8 +36,8 @@ class TestCapacityPins:
         "mode,depth,expected",
         [
             ("no_lookup", 0, 12694),
-            ("stateless", 0, 12300),
-            ("transaction_stateful", 0, 10360),
+            ("stateless", 0, round(T_SL)),
+            ("transaction_stateful", 0, round(T_SF)),
             ("dialog_stateful", 0, 9850),
             ("authentication", 0, 9040),
             ("no_lookup", 1, 10837),
@@ -71,9 +76,8 @@ class TestLPOraclePins:
     def test_fig7_peak_near_paper(self):
         from repro.core.lp import solve_fixed_routing
         from repro.core.topology import internal_external_topology
-        from repro.harness.anchors import PAPER_ANCHORS
 
-        topo = internal_external_topology(10360.0, 12300.0, 0.8)
+        topo = internal_external_topology(T_SF, T_SL, 0.8)
         solution = solve_fixed_routing(topo)
         # Paper: "the LP predicts a value of 11,960 cps" at the peak.
         assert solution.throughput == pytest.approx(
@@ -83,7 +87,7 @@ class TestLPOraclePins:
         from repro.core.lp import solve_fixed_routing
         from repro.core.topology import internal_external_topology
 
-        topo = internal_external_topology(10360.0, 12300.0, 0.8)
+        topo = internal_external_topology(T_SF, T_SL, 0.8)
         solution = solve_fixed_routing(topo)
         assert solution.throughput == pytest.approx(11855.97, abs=0.01)
 

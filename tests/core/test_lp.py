@@ -18,9 +18,10 @@ from repro.core.topology import (
     series_topology,
     two_series_topology,
 )
+from repro.harness.anchors import PAPER_ANCHORS
 
-T_SF = 10360.0
-T_SL = 12300.0
+T_SF = PAPER_ANCHORS["fig4.t_sf"].paper
+T_SL = PAPER_ANCHORS["fig4.t_sl"].paper
 
 
 class TestPaperNumbers:

@@ -19,6 +19,8 @@ from repro.harness.figures import (
     figure3_profile,
     lp_optima,
 )
+from repro.harness.parallel import SpecTemplate
+from repro.harness.saturation import lp_bound
 from repro.workloads.scenarios import chain_topology, mix_topology
 
 
@@ -135,10 +137,9 @@ class TestScenarioTopologyIsTheLPInput:
         bounds = FIG7_BOUNDS[quality.name]
         assert list(quality.fig7_fractions) == list(bounds)
         for fraction, bound in bounds.items():
-            topology = make_scenario("internal_external", rate=1000.0,
-                                     external_fraction=fraction,
-                                     config=config).topology
-            assert solve_topology(topology).throughput == bound
+            template = SpecTemplate("internal_external", config,
+                                    external_fraction=fraction)
+            assert lp_bound(template) == bound
 
     def test_fig8_static_hint(self, quality):
         topology = make_scenario("parallel_fork", rate=1000.0,

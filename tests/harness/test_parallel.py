@@ -129,7 +129,34 @@ def test_memo_spans_batches_within_context():
     second = run_specs([_spec()], context=context)
     assert first == second
     assert context.stats.executed == 1
-    assert context.stats.cache_hits == 1
+    assert context.stats.memo_hits == 1
+    assert context.stats.cache_hits == 0
+
+
+def test_memo_hits_are_not_disk_hits():
+    # Without a disk cache every hit comes from the memo: the summary
+    # must not report a disk hit rate for them.
+    context = ExecutionContext(jobs=1)
+    for _ in range(3):
+        run_specs([_spec()], context=context)
+    assert context.stats.memo_hits == 2
+    assert context.stats.cache_hits == 0
+    assert context.stats.hit_rate() == 0.0
+    assert "cache_hits=0 hit_rate=0.0% memo_hits=2" in context.stats.summary()
+
+
+def test_hit_rate_counts_disk_lookups_only(tmp_path):
+    cold = ExecutionContext(jobs=1, use_cache=True, cache_dir=str(tmp_path))
+    run_specs([_spec()], context=cold)
+    warm = ExecutionContext(jobs=1, use_cache=True, cache_dir=str(tmp_path))
+    # One disk hit, two memo hits (a repeat in the same batch and one
+    # in the next batch) and one miss.
+    run_specs([_spec(), _spec()], context=warm)
+    run_specs([_spec(), _spec(rate=4500.0)], context=warm)
+    stats = warm.stats
+    assert (stats.runs, stats.cache_hits, stats.memo_hits, stats.deduped,
+            stats.executed) == (4, 1, 2, 0, 1)
+    assert stats.hit_rate() == 0.5
 
 
 def test_disk_cache_round_trip(tmp_path):

@@ -4,9 +4,7 @@ import pytest
 
 from repro.harness.figures import FigureData
 from repro.harness.report import (
-    comparison_row,
     format_comparison,
-    format_series,
     format_table,
     render_figure,
     sparkline,
@@ -37,16 +35,8 @@ class TestFormatTable:
 
 
 class TestComparison:
-    def test_comparison_row(self):
-        row = comparison_row("x", 100.0, 110.0)
-        assert row == ["x", 100.0, 110.0, 1.1]
-
-    def test_zero_paper_value_nan(self):
-        row = comparison_row("x", 0.0, 5.0)
-        assert row[3] != row[3]  # NaN
-
     def test_format_comparison(self):
-        text = format_comparison([comparison_row("q", 10, 11)])
+        text = format_comparison([["q", 10, 11, 1.1]])
         assert "quantity" in text and "ratio" in text
 
 
@@ -91,7 +81,3 @@ class TestRenderFigure:
         assert figure.measured("thing") == 2.0
         with pytest.raises(KeyError):
             figure.measured("missing")
-
-    def test_series_format(self):
-        text = format_series("s", [(1, 2.0)])
-        assert "offered_cps" in text

@@ -2,17 +2,30 @@
 
 import pytest
 
-from repro.harness.parallel import SpecTemplate, execution
-from repro.harness.runner import RunResult
+from repro.core.lp import FlowPathLP
+from repro.core.topogen import generate
+from repro.harness.figures import QUICK
+from repro.harness.parallel import SpecTemplate
+from repro.harness.runner import RunResult, run_scenario
 from repro.harness.saturation import (
     SweepPoint,
     SweepResult,
     find_capacity,
+    lp_bound,
     refine_peak,
     staircase,
     sweep_loads,
 )
-from repro.workloads.scenarios import single_proxy
+from repro.sip.timers import TimerPolicy
+from repro.workloads.scenarios import (
+    ScenarioConfig,
+    chain_topology,
+    mix_topology,
+    single_proxy,
+)
+
+#: A 51-proxy generated mesh: its LP carries per-flow hop penalties.
+MESH = generate("mesh", 51, seed=1)
 
 
 def fake_point(offered, throughput, goodput=None):
@@ -147,113 +160,89 @@ class TestRefinePeak:
                    for point in refined.points)
 
 
-PEAK = 10000.0  # synthetic knee for the adaptive-search unit tests
+class TestLpHint:
+    """``hint=None`` seeds the search from the scenario's own LP bound.
 
-
-class TestAdaptiveFindCapacity:
-    """Model-guided search semantics against a synthetic goodput curve.
-
-    ``run_scenario_specs`` is stubbed out with a deterministic tent
-    curve (throughput == offered up to ``PEAK``, then a
-    fluid-model-style linear collapse), so the probe count and the
-    probe positions are exact -- no simulation noise.
+    ``run_scenario_specs`` is stubbed out, so the probe loads are exact
+    -- no simulation runs.
     """
 
-    def _install_curve(self, monkeypatch, calls):
+    def _install_stub(self, monkeypatch, calls):
         def fake_run_specs(specs):
             results = []
             for spec in specs:
                 load = spec.payload["kwargs"]["rate"]
                 calls.append(load)
                 result = RunResult("fake", load, 1.0)
-                if load <= PEAK:
-                    result.throughput_cps = load
-                else:
-                    result.throughput_cps = max(0.0, PEAK - 0.8 * (load - PEAK))
+                result.throughput_cps = load
                 results.append(result)
             return results
 
         monkeypatch.setattr(
             "repro.harness.saturation.run_scenario_specs", fake_run_specs
         )
-        return SpecTemplate("single_proxy", {})
 
-    def test_good_hint_beats_fixed_grid_budget(self, monkeypatch):
-        fixed_calls, adaptive_calls = [], []
-        template = self._install_curve(monkeypatch, fixed_calls)
-        fixed = find_capacity(template, hint=PEAK)
-        template = self._install_curve(monkeypatch, adaptive_calls)
-        adaptive = find_capacity(template, hint=PEAK, adaptive=True)
+    @pytest.mark.parametrize("builder,kwargs,bound", [
+        ("n_series", {"n": 2},
+         lambda model: FlowPathLP(chain_topology(2, model)).solve()),
+        ("internal_external", {"external_fraction": 0.8},
+         lambda model: FlowPathLP(mix_topology(0.8, model)).solve()),
+        # The hop-penalty path: the generator's own oracle applies them.
+        ("generated", MESH.spec(), lambda model: MESH.oracle()),
+    ])
+    def test_probes_the_loads_of_the_lp_hint(self, monkeypatch, builder,
+                                             kwargs, bound):
+        config = QUICK.scenario_config()
+        template = SpecTemplate(builder, config, **kwargs)
+        hint = bound(config.make_cost_model()).throughput
+        assert lp_bound(template) == hint
+        seeded, explicit = [], []
+        self._install_stub(monkeypatch, seeded)
+        find_capacity(template)
+        self._install_stub(monkeypatch, explicit)
+        find_capacity(template, hint=hint)
+        assert seeded == explicit and len(seeded) == 9
 
-        # 6 coarse + 3 refine for the grid; 3 seeds + 2 refine adaptive.
-        assert len(fixed_calls) == 9
-        assert len(adaptive_calls) == 5
-        assert len(adaptive_calls) <= 0.6 * len(fixed_calls)
-
-        spacing = PEAK * 2 * 0.35 / 5
-        best_fixed = fixed.points[max(range(len(fixed.points)),
-                                      key=lambda i: fixed.points[i].result.throughput_cps)]
-        best_adaptive = adaptive.points[max(range(len(adaptive.points)),
-                                            key=lambda i: adaptive.points[i].result.throughput_cps)]
-        assert abs(best_adaptive.offered_cps - best_fixed.offered_cps) <= spacing + 1e-9
-        assert adaptive.max_throughput == pytest.approx(fixed.max_throughput, rel=0.01)
-
-    def test_bad_hint_walks_to_the_peak(self, monkeypatch):
-        calls = []
-        template = self._install_curve(monkeypatch, calls)
-        result = find_capacity(template, hint=6000, adaptive=True)
-        spacing = 6000 * 2 * 0.35 / 5
-        best = max(result.points, key=lambda p: p.result.throughput_cps)
-        # The walk climbed from 6000 all the way to the real knee.
-        assert abs(best.offered_cps - PEAK) <= spacing + 1e-9
-        # Probes stepped one spacing at a time, never skipping the peak.
-        assert max(calls) <= PEAK + 2 * spacing
-
-    def test_adaptive_without_refine_probes_bracket_only(self, monkeypatch):
-        calls = []
-        template = self._install_curve(monkeypatch, calls)
-        find_capacity(template, hint=PEAK, adaptive=True, refine=False)
-        spacing = PEAK * 2 * 0.35 / 5
-        assert calls == [PEAK - spacing, PEAK, PEAK + spacing]
-
-    def test_seed_bracket_clips_nonpositive_loads(self, monkeypatch):
-        calls = []
-        template = self._install_curve(monkeypatch, calls)
-        # spacing > hint: the low seed would be negative and is dropped.
-        find_capacity(template, hint=10, span=2.0, points=3,
-                      adaptive=True, refine=False)
-        assert all(load > 0 for load in calls)
+    def test_hand_wired_builder_needs_a_hint(self):
+        template = SpecTemplate("single_proxy", QUICK.scenario_config())
+        with pytest.raises(ValueError) as excinfo:
+            find_capacity(template)
+        assert str(excinfo.value) == (
+            "single_proxy has no topology to bound; pass hint="
+        )
 
 
-class TestAdaptiveCapacityBudget:
-    """End-to-end sim budget on the figure-5/figure-8 capacity queries.
+class TestSingleProxyOverload:
+    """A simulated single proxy sheds load past its knee gently.
 
-    The adaptive search seeded with a knee-accurate hint (what the
-    fluid/LP model provides) must answer with at most 60% of the fixed
-    grid's simulations, landing within one grid spacing of the fixed
-    answer.  Executed-simulation counts come from the parallel
-    executor's stats, so run-cache hits would show up as free probes.
+    A 500 costs about rho = 0.0882 of a served call, so with every
+    excess call rejected the goodput at 1.4 x the 10,360 cps knee is
+    (10,360 - rho * 14,504) / (1 - rho) = 9,959 cps: a slow linear
+    decline, not a cliff.
     """
 
-    @pytest.mark.parametrize("builder,kwargs,hint", [
-        ("n_series", {"n": 2, "policy": "servartuka"}, 9800.0),
-        ("parallel_fork", {"policy": "servartuka"}, 11000.0),
-    ])
-    def test_budget_and_answer(self, fast_config, builder, kwargs, hint):
-        template = SpecTemplate(builder, fast_config, **kwargs)
-        with execution(jobs=1) as context:
-            fixed = find_capacity(template, hint=hint,
-                                  duration=1.5, warmup=0.5)
-            fixed_sims = context.stats.executed
-        with execution(jobs=1) as context:
-            adaptive = find_capacity(template, hint=hint, adaptive=True,
-                                     duration=1.5, warmup=0.5)
-            adaptive_sims = context.stats.executed
-        assert adaptive_sims <= 0.6 * fixed_sims
-        spacing = hint * 2 * 0.35 / 5
-        best_fixed = max(fixed.points,
-                         key=lambda p: p.result.throughput_cps)
-        best_adaptive = max(adaptive.points,
-                            key=lambda p: p.result.throughput_cps)
-        assert abs(best_adaptive.offered_cps - best_fixed.offered_cps) \
-            <= spacing + 1e-9
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        config = ScenarioConfig(
+            scale=50.0, seed=3, noise_sigma=0.3,
+            timers=TimerPolicy(t1=0.05, t2=0.2, t4=0.2),
+        )
+        points = {}
+        for factor in (0.8, 1.1, 1.4):
+            scenario = single_proxy(
+                10360 * factor, mode="transaction_stateful", config=config,
+            )
+            points[factor] = run_scenario(scenario, duration=3.0, warmup=1.0)
+        return points
+
+    def test_below_knee_full_goodput(self, sweep):
+        assert sweep[0.8].goodput_ratio > 0.9
+
+    def test_past_knee_declines_not_cliff(self, sweep):
+        measured = sweep[1.4].throughput_cps
+        # Within a broad band of the prediction (retransmission noise).
+        assert measured > 0.4 * 9959
+        assert measured < 1.25 * 10360
+
+    def test_monotone_decline_in_overload(self, sweep):
+        assert sweep[1.1].throughput_cps >= sweep[1.4].throughput_cps * 0.95

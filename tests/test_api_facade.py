@@ -166,6 +166,19 @@ class TestSweepAndCapacity:
         assert isinstance(sweep, SweepResult)
         assert sweep.max_throughput > 0
 
+    def test_find_capacity_seeds_from_the_lp_bound(self):
+        kwargs = dict(n=2, scale=50.0)
+        bound = api.solve_topology(
+            api.make_scenario("n_series", rate=1.0, **kwargs).topology
+        ).throughput
+        sweep = api.find_capacity(
+            "n_series", duration=1.0, warmup=0.5, points=2, refine=False,
+            cache=False, **kwargs,
+        )
+        assert [point.offered_cps for point in sweep] == pytest.approx(
+            [0.65 * bound, 1.35 * bound])
+        assert sweep.max_throughput > 0
+
 
 class TestExperiments:
     def test_experiment_listing(self):

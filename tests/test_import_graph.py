@@ -36,7 +36,7 @@ LEAVES = [
     "repro.harness.saturation", "repro.harness.resilience",
     "repro.harness.optgap",
     "repro.core.lp", "repro.core.simplex", "repro.core.topogen",
-    "repro.core.fluid", "repro.core.analysis",
+    "repro.core.analysis",
     "repro.core.control",
     "repro.sim.shard", "repro.sim.faults",
     "repro.sim.trace",

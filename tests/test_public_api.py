@@ -31,7 +31,7 @@ class TestAllExports:
             "repro.core", "repro.core.costmodel", "repro.core.topology",
             "repro.core.lp", "repro.core.analysis", "repro.core.servartuka",
             "repro.core.static_policy", "repro.core.overload",
-            "repro.core.fluid", "repro.core.simplex", "repro.core.topogen",
+            "repro.core.simplex", "repro.core.topogen",
             "repro.workloads", "repro.workloads.scenarios",
             "repro.workloads.callgen",
             "repro.harness", "repro.harness.runner",
