@@ -56,7 +56,11 @@ from repro.harness.parallel import (
     scenario_job,
 )
 from repro.harness.runner import RunResult
-from repro.workloads.scenarios import Scenario, ScenarioConfig
+from repro.workloads.scenarios import (
+    Scenario,
+    ScenarioConfig,
+    UnsupportedCombination,
+)
 from repro.workloads.spec import ScenarioSpec, resolve
 
 if TYPE_CHECKING:
@@ -106,6 +110,7 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioSpec",
     "SweepResult",
+    "UnsupportedCombination",
     "experiments",
     "find_capacity",
     "generate_topology",

@@ -222,7 +222,8 @@ def cmd_experiments(args) -> int:
               file=sys.stderr)
         return 2
     suite = ExperimentSuite(QUALITIES[args.quality].with_overrides(
-        engine=args.engine, observe=args.observe, control=args.control))
+        engine=args.engine, observe=args.observe, control=args.control,
+        shards=args.shards))
     with _execution(args) as ctx:
         results = suite.run(
             ids, progress=lambda name: print(f"running {name}...",
@@ -426,14 +427,12 @@ def _observe_with_spans(spec: Optional[str]):
 
 def cmd_trace(args) -> int:
     from repro import api
-    from repro.harness.runner import check_runs_in_place
     from repro.sim.events import collector_off
     from repro.sim.trace import render_ladder
 
     scenario = api.make_scenario(**dict(
         _api_kwargs(args, "rate"),
         observe=_observe_with_spans(args.observe)))
-    check_runs_in_place(scenario)
     trace = scenario.observer.trace
     scenario.start()
     with collector_off():
@@ -638,7 +637,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, TypeError, NotImplementedError) as error:
+    except (ValueError, TypeError) as error:
         # A run that cannot work as configured (what the executor's
         # CONFIG_ERRORS lets through unretried): one line, like argparse.
         print(f"repro {args.command}: error: {error}", file=sys.stderr)

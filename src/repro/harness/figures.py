@@ -57,6 +57,7 @@ class Quality:
         #: applied to every scenario the figures build; per-figure
         #: explicit overrides still win.
         self.config_overrides = dict(config_overrides or {})
+        self.scenario_config()  # refuse a bad combination before a run
 
     def scenario_config(self, **overrides) -> ScenarioConfig:
         kwargs = dict(scale=self.scale, seed=self.seed)

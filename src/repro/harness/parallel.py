@@ -30,8 +30,8 @@ The pieces:
 - :func:`run_specs` -- execute a batch: resolve cache hits, dedupe
   identical specs within the batch, chunk the misses across the context's
   workers, retry a crashed worker's chunks once on a
-  fresh pool (a job's own ``ValueError``/``TypeError``/
-  ``NotImplementedError`` is a configuration error and propagates
+  fresh pool (a job's own ``ValueError``, ``UnsupportedCombination``
+  included, or ``TypeError`` is a configuration error and propagates
   unretried), and merge results back **in spec order** so the output is
   bit-identical to a serial run.
 
@@ -569,10 +569,10 @@ class _Progress:
 
 
 #: What a job raises for a run that cannot work as configured (a zero
-#: window, a feature the engine refuses).  Running it again would raise
+#: window, an ``UnsupportedCombination``).  Running it again would raise
 #: again, so these leave the executor at once, unwrapped and unretried;
 #: the one retry is for what a second attempt can cure (a dead worker).
-CONFIG_ERRORS = (ValueError, TypeError, NotImplementedError)
+CONFIG_ERRORS = (ValueError, TypeError)
 
 
 def _chunks(tasks: List[tuple], size: int) -> List[List[tuple]]:

@@ -333,7 +333,6 @@ def _drive(
                         ("drain", drain)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite: {value}")
-    check_runs_in_place(scenario)
     scenario.start()
     loop = scenario.loop
     with collector_off():
@@ -345,27 +344,6 @@ def _drive(
         if drain > 0:
             loop.run_until(loop.now + drain)
     return before, after
-
-
-def check_runs_in_place(scenario: Scenario) -> None:
-    """Refuse a live scenario configured for more than one shard.
-
-    Whatever drives a built scenario's own loop calls this first, so a
-    sharded configuration fails with one typed error instead of
-    silently running in a single process.
-    """
-    config = getattr(scenario, "config", None)
-    if (
-        config is not None
-        and getattr(config, "engine", None) == "sharded"
-        and (getattr(config, "shards", None) or 1) > 1
-    ):
-        raise ValueError(
-            "a live Scenario cannot run sharded in place: the shard "
-            "runtime must build one replica per shard from the spec. "
-            "Use repro.api.run_scenario(..., engine='sharded', "
-            "shards=N) or run_specs(), or set shards=1."
-        )
 
 
 def measure(

@@ -70,6 +70,7 @@ from repro.sim.events import collector_off
 from repro.sim.network import Packet
 from repro.sip.message import SipRequest, SipResponse
 from repro.sip.uri import parse_uri
+from repro.workloads.scenarios import ScenarioConfig
 
 #: Environment knob selecting the execution driver: ``auto`` (default),
 #: ``inline`` or ``process``.  Never part of the run-cache key -- both
@@ -186,28 +187,6 @@ def partition_scenario(scenario, shards: int) -> ShardPlan:
             if owner.get(src) != owner.get(dst) and link.latency < lookahead:
                 lookahead = link.latency
     return ShardPlan(shards, owner, order, lookahead)
-
-
-def _check_supported(scenario, shards: int) -> None:
-    """Reject feature combinations the shard runtime cannot split yet."""
-    if shards <= 1:
-        return
-    if getattr(scenario, "faults", None) is not None:
-        raise NotImplementedError(
-            "engine='sharded' with shards>1 does not support fault "
-            "schedules yet (partitions/crashes are global state); "
-            "run with shards=1 or engine='turbo'"
-        )
-    if getattr(scenario, "observer", None) is not None:
-        raise NotImplementedError(
-            "engine='sharded' with shards>1 does not support observe= "
-            "instrumentation yet; run with shards=1 or engine='turbo'"
-        )
-    if getattr(scenario.config, "control", None) is not None:
-        raise NotImplementedError(
-            "engine='sharded' with shards>1 does not support overload "
-            "control snapshots yet; run with shards=1 or engine='turbo'"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +435,6 @@ def _drive_inline(
 ) -> Tuple[List[dict], ShardPlan, int, float, float]:
     scenario0 = build_scenario(payload)
     plan = partition_scenario(scenario0, shards)
-    _check_supported(scenario0, shards)
     worlds = [_ShardWorld(scenario0, 0, plan)]
     for k in range(1, shards):
         worlds.append(_ShardWorld(build_scenario(payload), k, plan))
@@ -558,7 +536,6 @@ def _drive_process(
         # The workers are starting; build the probe meanwhile.
         probe = build_scenario(payload)
         plan = partition_scenario(probe, shards)
-        _check_supported(probe, shards)
         waiting = dict(reports)
         while waiting:
             for report in wait(list(waiting)):
@@ -595,7 +572,8 @@ def _run(payload: dict, kind: str, program: List[Tuple],
          timing: Optional[dict]) -> Tuple[List[dict], dict]:
     """The shards' partials and the run's shard accounting (cache-safe:
     wall time only ever goes to ``timing``)."""
-    shards = int(payload["config"].get("shards") or 1)
+    # What the engine refuses leaves here, before a worker starts.
+    shards = ScenarioConfig.from_payload(payload["config"]).shards
     driver = _select_driver(shards)
     drive = _drive_inline if driver == "inline" else _drive_process
     t0 = perf_counter()

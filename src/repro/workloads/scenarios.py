@@ -81,6 +81,20 @@ AUTH_USER = "loadgen"
 AUTH_PASSWORD = "sipp-secret"
 
 
+class UnsupportedCombination(ValueError):
+    """An engine refuses a feature; the message is the one-line reason
+    (docs/ARCHITECTURE.md, "Engine × feature contract")."""
+
+
+def _refuse_split(config: "ScenarioConfig", feature: str) -> None:
+    """Refuse a feature the shard runtime cannot split across shards."""
+    if (config.shards or 1) > 1:
+        raise UnsupportedCombination(
+            f"engine='sharded' with shards>1 does not support {feature}; "
+            "run with shards=1 or engine='turbo'"
+        )
+
+
 class ScenarioConfig:
     """Shared knobs for all scenario builders.
 
@@ -113,7 +127,7 @@ class ScenarioConfig:
             raise ValueError(f"scale must be finite and positive: {scale}")
         check_engine(engine)
         if shards is not None and engine != "sharded":
-            raise ValueError(
+            raise UnsupportedCombination(
                 "shards= only applies to engine='sharded' "
                 f"(got engine={engine!r})"
             )
@@ -170,6 +184,8 @@ class ScenarioConfig:
             from repro.obs.observe import ObserveConfig
 
             self.observe = ObserveConfig.coerce(observe)
+            if self.observe is not None:
+                _refuse_split(self, "observe= instrumentation")
         #: Overload control: None (default, fully off), a policy name
         #: ("rate", "window", "occupancy", "signal") or a ControlConfig.
         #: Every proxy gets its own fresh policy instance -- see
@@ -179,6 +195,8 @@ class ScenarioConfig:
             from repro.core.control import ControlConfig
 
             self.control = ControlConfig.coerce(control)
+            if self.control is not None:
+                _refuse_split(self, "overload control snapshots")
 
     def to_payload(self) -> Dict[str, object]:
         """Every knob as a JSON-able dict (the parallel executor's spec
@@ -399,6 +417,8 @@ class Scenario:
         installation (normally scenario construction, i.e. t=0).
         Returns the :class:`repro.sim.faults.FaultInjector`.
         """
+        _refuse_split(self.config, "fault schedules (partitions and "
+                      "crashes are global state)")
         injector = schedule.apply(self.loop, self.network)
         self.faults = injector
         return injector
@@ -601,6 +621,14 @@ class Scenario:
     # Execution
     # ------------------------------------------------------------------
     def start(self) -> None:
+        # Every in-place driver passes here; the shard runtime never
+        # does (each replica starts the nodes it owns itself).
+        if (self.config.shards or 1) > 1:
+            raise UnsupportedCombination(
+                "a live Scenario cannot run sharded in place; use "
+                "repro.api.run_scenario(..., engine='sharded', shards=N) "
+                "or run_specs(), or set shards=1"
+            )
         # Registrars first: their initial REGISTERs land before the
         # first call of a uniform-arrival generator (also scheduled at
         # t=0), keeping event order deterministic.
@@ -1144,6 +1172,8 @@ def flash_crowd(
     if period <= 0:
         raise ValueError("period must be positive")
     config = ScenarioConfig.coerce(config)
+    _refuse_split(config, "load profiles (every replica would replay "
+                  "the rate steps)")
     scenario = n_series(n, rate, policy=policy, config=config)
     scenario.name = f"flash_crowd[{shape if profile is None else 'custom'}]"
 

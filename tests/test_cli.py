@@ -81,8 +81,9 @@ class TestRun:
 
 
 class TestConfigurationErrors:
-    """A run that cannot work as configured: one line, exit 2, run once
-    (it used to be run twice and end in a wrapped traceback)."""
+    """A run that cannot work as configured: one line, exit 2, run at
+    most once (it used to be run twice and end in a wrapped traceback);
+    a combination the engine refuses is refused before its job runs."""
 
     @pytest.mark.parametrize("flags, cause", [
         (["--duration", "0"], "need duration > 0"),
@@ -105,7 +106,17 @@ class TestConfigurationErrors:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("repro run: error: ") and cause in line
-        assert len(executions) == 1
+        assert len(executions) == (0 if "--shards" in flags else 1)
+
+    def test_figures_shards_without_sharded_engine(self, capsys):
+        rc = main(["figures", "fig4", "--shards", "2", "--quality",
+                   "quick", "--no-cache", "-j", "1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro figures: error: ")
+        assert "shards= only applies to engine='sharded'" in line
 
 
 class TestSweep:
@@ -312,6 +323,8 @@ class TestTrace:
 
     def test_trace_refuses_to_run_sharded_in_place(self, capsys):
         # It used to run the live scenario in one process and exit 0.
+        # The spans it records are observe= instrumentation, which the
+        # config refuses before the in-place drive could.
         rc = main([
             "trace", "--topology", "series", "--rate", "100",
             "--scale", "25", "--calls", "1",
@@ -322,7 +335,7 @@ class TestTrace:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("repro trace: error: ")
-        assert "cannot run sharded in place" in line
+        assert "does not support observe=" in line
 
 
 class TestObserveFlags:
