@@ -19,11 +19,10 @@ With ``observe=None`` every instrumentation point is a single
 as a parent/change difference of ``benchmarks/e2e``, not here, because
 one run cannot time itself against code that has no hooks.
 
-Report lands in the repo root ``BENCH_obs.json``.  Runnable standalone::
+Report lands in the repo root ``BENCH_obs.json``.  Run it as a
+script::
 
     python benchmarks/bench_obs.py [--full] [--repeats N]
-
-or as a pytest bench (``pytest benchmarks/bench_obs.py``).
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ import platform
 import time
 from typing import Dict, Optional
 
-from repro.harness.figures import QUICK
 from repro.harness.runner import run_scenario
 from repro.workloads.scenarios import ScenarioConfig, two_series
 
@@ -156,14 +154,6 @@ def _check(report: dict) -> None:
         f"observe-on overhead {report['observe_on_overhead']:.3f}x exceeds "
         f"{OBSERVE_ON_CEILING}x"
     )
-
-
-def test_obs_bench(quality):
-    report = run_obs_bench(quick=quality is QUICK, repeats=2)
-    write_obs_report(report)
-    print()
-    print(json.dumps(report, indent=2))
-    _check(report)
 
 
 def main(argv=None) -> int:

@@ -124,6 +124,23 @@ def _auth(figure) -> Dict[str, Tuple[float, float]]:
     return {row[0][0]: (row[1], row[2]) for row in figure.rows}
 
 
+def _by_label(figure) -> Dict[str, float]:
+    """{first column: second column} of a two-column figure's rows."""
+    return {row[0]: row[1] for row in figure.rows}
+
+
+def _resilience_ordering(figure) -> bool:
+    lost = {row[0]: row[3] for row in figure.rows}
+    return lost["static"] > lost["servartuka"] > lost["stateless"]
+
+
+def _fork_front_state(figure) -> bool:
+    capacity = _by_label(figure)
+    best_static_uneven = max(capacity["static, 85/15 split"],
+                             capacity["static front-stateful, 85/15"])
+    return capacity["servartuka, 85/15"] >= 0.93 * best_static_uneven
+
+
 def _optgap_sorted(figure) -> bool:
     keys = [tuple(row[:3]) for row in figure.rows]
     return bool(keys) and keys == sorted(keys)
@@ -195,6 +212,10 @@ _ENTRIES = (
            10180.0, (0.8, 1.2)),
     Check("three-series.gain_band", "three-series",
           "servartuka beats static by 4-35 %", _gain_within(0.04, 0.35)),
+    # Beyond the paper: who loses calls when the stateful proxy crashes.
+    Check("resilience.ordering", "resilience",
+          "calls lost: static > servartuka > stateless",
+          _resilience_ordering),
     # Beyond the paper: the overload family's budgets, reported only.
     Anchor("overload.none", "overload",
            "uncontrolled 2x goodput fraction of peak", 0.5),
@@ -227,6 +248,27 @@ _ENTRIES = (
           lambda figure: _auth(figure)["C"][0] >= 0.95 * _auth(figure)["B"][0]),
     Check("auth.past_knee", "auth", "goodput at 1.15x: C >= 0.80 x B",
           lambda figure: _auth(figure)["C"][1] >= 0.80 * _auth(figure)["B"][1]),
+    # Beyond the paper: the ablations of DESIGN.md section 5.
+    Check("ablation-placement.servartuka", "ablation-placement",
+          "servartuka >= all-stateful (case i)",
+          lambda figure: _by_label(figure)["servartuka"]
+          >= _by_label(figure)["all-stateful (case i)"]),
+    Check("ablation-placement.entry", "ablation-placement",
+          "entry stateful >= 0.97 x exit stateful (case ii)",
+          lambda figure: _by_label(figure)["entry stateful"]
+          >= 0.97 * _by_label(figure)["exit stateful (case ii)"]),
+    Check("ablation-period.flat", "ablation-period",
+          "max throughput < 1.35 x min across periods",
+          lambda figure: max(row[1] for row in figure.rows)
+          < 1.35 * min(row[1] for row in figure.rows)),
+    Check("ablation-headroom.rows", "ablation-headroom",
+          "one row per headroom (3)", lambda figure: len(figure.rows) == 3),
+    Check("ablation-via.decreasing", "ablation-via",
+          "capacity strictly decreasing in via_overhead",
+          lambda figure: len(figure.rows) > 1 and all(
+              a[2] > b[2] for a, b in zip(figure.rows, figure.rows[1:]))),
+    Check("ablation-fork.front_state", "ablation-fork",
+          "servartuka 85/15 >= 0.93 x best static 85/15", _fork_front_state),
 )
 
 #: Every anchor and shape check by id, in registry order.

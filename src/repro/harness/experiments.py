@@ -19,7 +19,7 @@ import json
 import time
 from typing import Callable, Dict, Iterable, List, Optional
 
-from repro.harness import anchors, figures as figure_mod
+from repro.harness import ablations, anchors, figures as figure_mod
 from repro.harness.figures import FigureData, Quality
 from repro.harness.optgap import optgap_figure
 from repro.harness.report import render_figure
@@ -53,6 +53,16 @@ EXPERIMENTS: Dict[str, tuple] = {
                "LP-optimal vs Algorithm 2 on generated cluster topologies"),
     "auth": (figure_mod.auth_distribution,
              "two in series with digest auth: distributing authentication"),
+    "ablation-placement": (ablations.ablation_placement,
+                           "two-series capacity by static state placement"),
+    "ablation-period": (ablations.ablation_period,
+                        "SERvartuka throughput vs Algorithm 2 period"),
+    "ablation-headroom": (ablations.ablation_headroom,
+                          "SERvartuka throughput vs planning headroom"),
+    "ablation-via": (ablations.ablation_via,
+                     "static two-series capacity vs Via-size overhead"),
+    "ablation-fork": (ablations.ablation_fork,
+                      "fork capacity under a skewed load split"),
 }
 
 

@@ -52,8 +52,28 @@ from repro.workloads.scenarios import Scenario, ScenarioConfig, internal_externa
 #: The three placements compared, in headline order.
 PLACEMENTS = ("static", "servartuka", "stateless")
 
-#: Short RFC timers so Timer B (64*T1 = 6.4 s) fits in a quick run.
-RESILIENCE_TIMERS = TimerPolicy(t1=0.1, t2=0.4, t4=0.4)
+
+def resilience_config(quality: Quality = QUICK, **overrides) -> ScenarioConfig:
+    """The campaign's config: ``quality``'s scale, seed and engine /
+    observe / control overrides under the campaign's pinned knobs, then
+    ``overrides``."""
+    pinned = dict(
+        noise_sigma=0.30,
+        monitor_period=0.5,
+        # Short RFC timers so Timer B (64*T1 = 6.4 s) fits in a quick run.
+        timers=TimerPolicy(t1=0.1, t2=0.4, t4=0.4),
+        # Each restart releases a small retransmit herd (every call that
+        # arrived during the downtime retries at once).  Queue
+        # tolerances sized to the herd let the proxies absorb that
+        # burst instead of shedding it as 500s, so Timer B timeouts --
+        # not overload rejections -- are the signal this experiment
+        # measures.  Too loose is as bad as too tight: a multi-second
+        # queue turns the herd into retransmit-driven congestion
+        # collapse (absorbing a retransmission costs CPU too).
+        reject_queue_delay=0.3,
+        max_queue_delay=1.0,
+    )
+    return quality.scenario_config(**dict(pinned, **overrides))
 
 
 def entry_node_thresholds() -> tuple:
@@ -62,12 +82,12 @@ def entry_node_thresholds() -> tuple:
 
 
 class ResilienceParams:
-    """Knobs of the fault campaign (shared across the three placements)."""
+    """Knobs of the fault campaign (shared across the three placements);
+    ``config`` is every placement's :class:`ScenarioConfig`
+    (:func:`resilience_config` by default)."""
 
     def __init__(
         self,
-        scale: float = 25.0,
-        seed: int = 1,
         headroom: float = 0.35,
         load_factor: float = 0.5,
         external_fraction: float = 0.5,
@@ -77,12 +97,9 @@ class ResilienceParams:
         downtime: float = 0.3,
         run_for: float = 14.0,
         drain: float = 8.0,
-        monitor_period: float = 0.5,
-        noise_sigma: float = 0.30,
-        reject_queue_delay: float = 0.3,
-        max_queue_delay: float = 1.0,
-        engine: str = "turbo",
+        config: Optional[ScenarioConfig] = None,
     ):
+        config = config or resilience_config()
         if not 0.0 < headroom <= 1.0:
             raise ValueError("headroom must be in (0, 1]")
         if not 0.0 < load_factor <= 1.0:
@@ -97,6 +114,7 @@ class ResilienceParams:
         # custody is consumed at the *start* of each planning period, so
         # a crash landing exactly on a period boundary would sample an
         # artificially empty custody window.
+        monitor_period = config.monitor_period
         if any(
             abs(t / monitor_period - round(t / monitor_period)) < 1e-9
             for t in crash_times
@@ -104,8 +122,6 @@ class ResilienceParams:
             raise ValueError(
                 "crash_times must not align with monitor_period boundaries"
             )
-        self.scale = scale
-        self.seed = seed
         self.headroom = headroom
         self.load_factor = load_factor
         self.external_fraction = external_fraction
@@ -115,48 +131,17 @@ class ResilienceParams:
         self.downtime = downtime
         self.run_for = run_for
         self.drain = drain
-        self.monitor_period = monitor_period
-        self.noise_sigma = noise_sigma
-        # Each restart releases a small retransmit herd (every call that
-        # arrived during the downtime retries at once).  Queue
-        # tolerances sized to the herd let the proxies absorb that
-        # burst instead of shedding it as 500s, so Timer B timeouts --
-        # not overload rejections -- are the signal this experiment
-        # measures.  Too loose is as bad as too tight: a multi-second
-        # queue turns the herd into retransmit-driven congestion
-        # collapse (absorbing a retransmission costs CPU too).
-        self.reject_queue_delay = reject_queue_delay
-        self.max_queue_delay = max_queue_delay
-        #: Simulation engine mode (see repro.workloads.scenarios); the
-        #: outcome is engine-independent, only wall-clock changes.
-        self.engine = engine
+        self.config = config
 
     def to_payload(self) -> Dict[str, object]:
         """All knobs as a JSON-able dict (spec format for the parallel
         executor's ``resilience`` job kind; hashed into the run cache)."""
-        return {
-            "scale": self.scale,
-            "seed": self.seed,
-            "headroom": self.headroom,
-            "load_factor": self.load_factor,
-            "external_fraction": self.external_fraction,
-            "loss": self.loss,
-            "crash_node": self.crash_node,
-            "crash_times": list(self.crash_times),
-            "downtime": self.downtime,
-            "run_for": self.run_for,
-            "drain": self.drain,
-            "monitor_period": self.monitor_period,
-            "noise_sigma": self.noise_sigma,
-            "reject_queue_delay": self.reject_queue_delay,
-            "max_queue_delay": self.max_queue_delay,
-            "engine": self.engine,
-        }
+        return dict(vars(self), config=self.config.to_payload())
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "ResilienceParams":
         kwargs = dict(payload)
-        kwargs["seed"] = int(kwargs["seed"])
+        kwargs["config"] = ScenarioConfig.from_payload(kwargs["config"])
         return cls(**kwargs)
 
     def offered_load(self) -> float:
@@ -208,48 +193,19 @@ class PlacementOutcome:
         ]
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "placement": self.placement,
-            "attempted": self.attempted,
-            "completed": self.completed,
-            "failed": self.failed,
-            "lost": self.lost,
-            "shed_500": self.shed_500,
-            "in_flight": self.in_flight,
-            "recovered": self.recovered,
-            "recovery_p95_ms": round(self.recovery_p95_ms, 2),
-            "state_lost": self.state_lost,
-            "crashes": self.crashes,
-            "custody_fraction": round(self.custody_fraction, 4),
-        }
+        return dict(vars(self),
+                    recovery_p95_ms=round(self.recovery_p95_ms, 2),
+                    custody_fraction=round(self.custody_fraction, 4))
 
     def to_payload(self) -> Dict[str, object]:
         """Full-precision counterpart of :meth:`as_dict` (nothing
         rounded); the parallel executor's wire and cache format."""
-        return {
-            "placement": self.placement,
-            "attempted": self.attempted,
-            "completed": self.completed,
-            "failed": self.failed,
-            "lost": self.lost,
-            "shed_500": self.shed_500,
-            "in_flight": self.in_flight,
-            "recovered": self.recovered,
-            "recovery_p95_ms": self.recovery_p95_ms,
-            "state_lost": self.state_lost,
-            "crashes": self.crashes,
-            "custody_fraction": self.custody_fraction,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "PlacementOutcome":
         outcome = cls(payload["placement"])
-        for name in (
-            "attempted", "completed", "failed", "lost", "shed_500",
-            "in_flight", "recovered", "recovery_p95_ms", "state_lost",
-            "crashes", "custody_fraction",
-        ):
-            setattr(outcome, name, payload[name])
+        vars(outcome).update(payload)
         return outcome
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -265,21 +221,11 @@ def build_resilience_scenario(
     """One placement of the internal/external mix, faults installed."""
     if placement not in PLACEMENTS:
         raise ValueError(f"unknown placement {placement!r}; one of {PLACEMENTS}")
-    config = ScenarioConfig(
-        scale=params.scale,
-        seed=params.seed,
-        noise_sigma=params.noise_sigma,
-        monitor_period=params.monitor_period,
-        timers=RESILIENCE_TIMERS,
-        reject_queue_delay=params.reject_queue_delay,
-        max_queue_delay=params.max_queue_delay,
-        engine=params.engine,
-    )
     scenario = internal_external(
         params.offered_load(),
         params.external_fraction,
         policy=placement,
-        config=config,
+        config=params.config,
     )
     if placement == "servartuka":
         # Plan S1 against headroom-scaled capacity so its measured rate
@@ -367,23 +313,14 @@ def run_resilience(
 def resilience_figure(quality: Quality = QUICK) -> FigureData:
     """The ``resilience`` experiment as a :class:`FigureData`.
 
-    The paper reports no crash numbers, so the comparison table is the
-    experiment's own headline claim: calls lost under identical fault
-    schedules order static > SERvartuka > stateless.
+    The paper reports no crash numbers; the experiment's own claim --
+    calls lost under identical fault schedules order static >
+    SERvartuka > stateless -- is the ``resilience.ordering`` check of
+    :mod:`repro.harness.anchors`.
     """
-    params = ResilienceParams(scale=quality.scale, seed=quality.seed)
+    params = ResilienceParams(config=resilience_config(quality))
     outcomes = run_resilience(params)
     rows = [outcomes[p].as_row() for p in PLACEMENTS]
-    lost = {p: outcomes[p].lost for p in PLACEMENTS}
-    ordering_holds = lost["static"] > lost["servartuka"] > lost["stateless"]
-    comparisons = [
-        [
-            "calls lost (static > servartuka > stateless)",
-            "expected",
-            f"{lost['static']} > {lost['servartuka']} > {lost['stateless']}",
-            "ok" if ordering_holds else "VIOLATED",
-        ],
-    ]
     return FigureData(
         figure_id="resilience",
         title="Call loss under proxy crashes, by state placement",
@@ -403,7 +340,6 @@ def resilience_figure(quality: Quality = QUICK) -> FigureData:
             "with the crashed proxy; 'recovered' completed only thanks to "
             "RFC 3261 retransmission."
         ),
-        comparisons=comparisons,
         notes=(
             "The reliability flip side of the paper's throughput trade-off: "
             "state custody concentrates loss at the node that holds it.  "

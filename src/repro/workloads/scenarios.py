@@ -303,7 +303,8 @@ class ScenarioConfig:
 
     def replace(self, **given) -> "ScenarioConfig":
         """This config with the given knobs changed; a ``None`` value
-        means "not given" and keeps the knob as it is.
+        means "not given" and keeps the knob as it is.  A shard count
+        not given goes with an engine that has none.
 
         Every attribute ``__init__`` sets is one of its parameters, so
         the instance's own ``vars()`` are the arguments that rebuild it.
@@ -312,7 +313,10 @@ class ScenarioConfig:
                  if value is not None}
         if not given:
             return self
-        return ScenarioConfig(**dict(vars(self), **given))
+        kwargs = dict(vars(self), **given)
+        if kwargs["engine"] != "sharded" and "shards" not in given:
+            kwargs["shards"] = None
+        return ScenarioConfig(**kwargs)
 
     @property
     def optimized(self) -> bool:

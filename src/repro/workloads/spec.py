@@ -178,7 +178,14 @@ class ScenarioSpec:
         """Load a ``.toml`` or ``.json`` spec file."""
         import os
 
-        text = open(path, "r", encoding="utf-8").read()
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as error:
+            raise ValueError(
+                f"cannot read spec file {str(path)!r}: "
+                f"{error.strerror or error}"
+            ) from None
         suffix = os.path.splitext(str(path))[1].lower()
         if suffix == ".json":
             return cls.from_json(text)

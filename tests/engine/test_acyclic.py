@@ -20,7 +20,11 @@ import gc
 
 import pytest
 
-from repro.harness.resilience import ResilienceParams, build_resilience_scenario
+from repro.harness.resilience import (
+    ResilienceParams,
+    build_resilience_scenario,
+    resilience_config,
+)
 from repro.workloads.scenarios import ScenarioConfig, generated, two_series
 
 from tests.engine.test_differential import (
@@ -108,7 +112,8 @@ def test_feature_cells_leave_no_cycles(name, engine):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_faults_leave_no_cycles(engine):
     """Crashes and loss: halted CPUs, cancelled timers, retransmissions."""
-    params = ResilienceParams(seed=SEED, scale=50.0, crash_times=(1.7, 3.7),
-                              run_for=5.0, drain=3.0, engine=engine)
+    params = ResilienceParams(
+        crash_times=(1.7, 3.7), run_for=5.0, drain=3.0,
+        config=resilience_config(seed=SEED, scale=50.0, engine=engine))
     scenario = build_resilience_scenario("servartuka", params)
     assert _cyclic_garbage(scenario, params.run_for, params.drain) == 0

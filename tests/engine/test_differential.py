@@ -33,7 +33,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import topogen
 from repro.core.costmodel import CostModel
-from repro.harness.resilience import ResilienceParams, build_resilience_scenario
+from repro.harness.resilience import (
+    ResilienceParams,
+    build_resilience_scenario,
+    resilience_config,
+)
 from repro.harness.runner import fingerprint_scenario
 from repro.sip.timers import TimerPolicy
 from repro.workloads.scenarios import (
@@ -209,12 +213,10 @@ def test_resilience_bit_identical():
         fingerprints = []
         for engine in ("reference", "turbo"):
             params = ResilienceParams(
-                seed=seed,
-                scale=50.0,
                 crash_times=(1.7, 3.7),
                 run_for=5.0,
                 drain=3.0,
-                engine=engine,
+                config=resilience_config(seed=seed, scale=50.0, engine=engine),
             )
             scenario = build_resilience_scenario("servartuka", params)
             fingerprints.append(_fingerprint(

@@ -25,29 +25,56 @@ def _figure(experiment, measured=(), rows=()):
         for a in ANCHORS if a.experiment == experiment])
 
 
-def _fig5_exit(monkeypatch, capsys, figure):
-    """(exit code, stderr's last line) of ``repro experiments fig5``."""
-    monkeypatch.setitem(EXPERIMENTS, "fig5", (lambda quality: figure, ""))
-    code = main(["experiments", "fig5", "--no-cache"])
+def _exit(monkeypatch, capsys, figure, experiment="fig5"):
+    """(exit code, stderr's last line) of ``repro experiments
+    <experiment>`` when it returns ``figure``."""
+    monkeypatch.setitem(EXPERIMENTS, experiment, (lambda quality: figure, ""))
+    code = main(["experiments", experiment, "--no-cache"])
     return code, capsys.readouterr().err.splitlines()[-1]
 
 
 def test_in_band_exits_zero(monkeypatch, capsys):
     figure = _figure("fig5", {"fig5.static": 7260.0}, FIG5_ROWS)
-    assert _fig5_exit(monkeypatch, capsys, figure)[0] == 0
+    assert _exit(monkeypatch, capsys, figure)[0] == 0
 
 
 def test_just_past_a_band_edge_exits_one_naming_it(monkeypatch, capsys):
     # 7,258 / 8,540 = 0.8499 < 0.85; the 5-35 % gain check still holds.
     figure = _figure("fig5", {"fig5.static": 7258.0}, FIG5_ROWS)
-    code, last = _fig5_exit(monkeypatch, capsys, figure)
+    code, last = _exit(monkeypatch, capsys, figure)
     assert code == 1 and last.endswith("anchors failed: fig5.static")
 
 
 def test_a_failing_shape_check_exits_one(monkeypatch, capsys):
     figure = _figure("fig5", rows=FIG5_ROWS + [["servartuka", 7000, 6900, 0.5]])
-    code, last = _fig5_exit(monkeypatch, capsys, figure)
+    code, last = _exit(monkeypatch, capsys, figure)
     assert code == 1 and last.endswith("anchors failed: fig5.stateful")
+
+
+#: One rows table per claim that breaks exactly that claim.
+BROKEN = {
+    "ablation-placement.servartuka": [
+        ["all-stateful (case i)", 9000], ["exit stateful (case ii)", 9000],
+        ["entry stateful", 9500], ["servartuka", 8900]],
+    "ablation-fork.front_state": [
+        ["static, even split", 11000], ["static, 85/15 split", 9000],
+        ["static front-stateful, 85/15", 10000],
+        ["servartuka, 85/15", 9200]],
+    "resilience.ordering": [
+        ["static", 900, 850, 30, 0, 20, 60, 1.0],
+        ["servartuka", 900, 860, 30, 0, 25, 30, 0.5],
+        ["stateless", 900, 890, 0, 0, 40, 0, 0.0]],
+}
+
+
+@pytest.mark.parametrize("check", sorted(BROKEN))
+def test_a_failing_claim_exits_one_naming_it(monkeypatch, capsys, check):
+    experiment = PAPER_ANCHORS[check].experiment
+    rows = BROKEN[check]
+    figure = FigureData(experiment, "synthetic",
+                        [f"c{i}" for i in range(len(rows[0]))], rows)
+    code, last = _exit(monkeypatch, capsys, figure, experiment)
+    assert code == 1 and last.endswith(f"anchors failed: {check}")
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1e3])

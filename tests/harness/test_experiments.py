@@ -19,7 +19,8 @@ class TestRun:
     def test_registry_covers_every_figure(self):
         expected = {"fig3", "fig3-breakdown", "fig4", "lp", "fig5", "fig6",
                     "fig7", "fig8", "three-series", "resilience", "overload",
-                    "optgap", "auth"}
+                    "optgap", "auth", "ablation-placement", "ablation-period",
+                    "ablation-headroom", "ablation-via", "ablation-fork"}
         assert set(EXPERIMENTS) == expected
 
     def test_runs_selected(self, suite_and_results):

@@ -8,11 +8,15 @@ and determinism separately.
 
 import pytest
 
+from repro.cli import main
+from repro.harness import anchors, parallel
 from repro.harness.figures import QUICK
 from repro.harness.resilience import (
     PLACEMENTS,
+    PlacementOutcome,
     ResilienceParams,
     build_resilience_scenario,
+    resilience_config,
     resilience_figure,
     run_resilience,
 )
@@ -39,9 +43,10 @@ class TestHeadlineOrdering:
         assert figure.columns == COLUMNS
         assert [row[0] for row in figure.rows] == list(PLACEMENTS)
 
-    def test_comparison_reports_ok(self, figure):
-        assert len(figure.comparisons) == 1
-        assert figure.comparisons[0][-1] == "ok"
+    def test_ordering_check_reads_ok(self, figure):
+        assert not figure.comparisons
+        (row,) = anchors.ledger({"resilience": figure})
+        assert row[0] == "resilience.ordering" and row[-1] == "ok"
 
     def test_calls_lost_order_by_custody(self, rows_by_placement):
         """The experiment's claim: more state custody at the crashing
@@ -106,6 +111,36 @@ class TestDeterminism:
         assert first["static"].crashes == 2
 
 
+class TestQualityOverrides:
+    """``repro experiments resilience`` runs the engine and control the
+    command names; the campaign keeps its own timers and queues."""
+
+    def test_engine_and_control_reach_every_placement(self, monkeypatch):
+        configs = []
+
+        def job(payload):
+            configs.append(payload["params"]["config"])
+            return {"outcome": PlacementOutcome(payload["placement"])
+                    .to_payload()}
+
+        monkeypatch.setitem(parallel.JOBS, "resilience", job)
+        main(["experiments", "resilience", "--engine", "reference",
+              "--control", "rate", "--no-cache", "-j", "1"])
+        assert [(c["engine"], c["control"]["policy"], c["timers"]["t1"],
+                 c["max_queue_delay"]) for c in configs] == \
+            [("reference", "rate", 0.1, 1.0)] * len(PLACEMENTS)
+
+    def test_two_shards_refuse_the_fault_schedule_in_one_line(self, capsys):
+        rc = main(["experiments", "resilience", "--engine", "sharded",
+                   "--shards", "2", "--no-cache", "-j", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        last = err.splitlines()[-1]
+        assert last.startswith("repro experiments: error: ")
+        assert "does not support fault schedules" in last
+
+
 class TestParamsValidation:
     def test_bad_fractions_rejected(self):
         with pytest.raises(ValueError):
@@ -126,7 +161,8 @@ class TestParamsValidation:
         period, so boundary-aligned crashes sample an artificially
         empty custody window -- rejected outright."""
         with pytest.raises(ValueError):
-            ResilienceParams(crash_times=(2.5,), monitor_period=0.5)
+            ResilienceParams(crash_times=(2.5,),
+                             config=resilience_config(monitor_period=0.5))
 
     def test_unknown_placement_rejected(self):
         with pytest.raises(ValueError):

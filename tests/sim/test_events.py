@@ -28,10 +28,10 @@ def _drive_fingerprint(_monkeypatch):
 
 def _drive_resilience(_monkeypatch):
     from repro.harness.parallel import JOBS
-    from repro.harness.resilience import ResilienceParams
+    from repro.harness.resilience import ResilienceParams, resilience_config
 
-    params = ResilienceParams(scale=50.0, crash_times=(0.7,), run_for=1.0,
-                              drain=0.5)
+    params = ResilienceParams(crash_times=(0.7,), run_for=1.0, drain=0.5,
+                              config=resilience_config(scale=50.0))
     JOBS["resilience"]({"params": params.to_payload(),
                         "placement": "servartuka"})
 

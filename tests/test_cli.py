@@ -118,6 +118,17 @@ class TestConfigurationErrors:
         assert line.startswith("repro figures: error: ")
         assert "shards= only applies to engine='sharded'" in line
 
+    @pytest.mark.parametrize("command", [
+        ["run"], ["sweep", "--start", "1000", "--stop", "2000"],
+    ])
+    def test_unreadable_spec_file(self, tmp_path, capsys, command):
+        missing = tmp_path / "missing.toml"
+        rc = main([*command, "--spec", str(missing), "--no-cache"])
+        assert rc == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (f"repro {command[0]}: error: cannot read spec file "
+                        f"{str(missing)!r}: No such file or directory")
+
 
 class TestSweep:
     SWEEP = [

@@ -32,7 +32,7 @@ HASH_SEEDS = ["1", "2"]
 #: What a plain two-proxy chain run must not load.
 LEAVES = [
     "repro.harness.figures", "repro.harness.experiments",
-    "repro.harness.anchors",
+    "repro.harness.anchors", "repro.harness.ablations",
     "repro.harness.saturation", "repro.harness.resilience",
     "repro.harness.optgap",
     "repro.core.lp", "repro.core.simplex", "repro.core.topogen",

@@ -258,6 +258,15 @@ class TestThreeDoors:
         ),
     }
 
+    @pytest.fixture(autouse=True)
+    def capture(self, monkeypatch):
+        def capture(specs, context=None):
+            raise _Submitted(list(specs))
+
+        # Wherever a door reaches the executor from.
+        monkeypatch.setattr(parallel, "run_specs", capture)
+        monkeypatch.setattr(api, "run_specs", capture)
+
     @staticmethod
     def submitted(door):
         with pytest.raises(_Submitted) as caught:
@@ -269,13 +278,7 @@ class TestThreeDoors:
     @pytest.mark.parametrize(
         "path", sorted(EXAMPLES.glob("*.toml")), ids=lambda p: p.stem
     )
-    def test_same_key_and_label(self, monkeypatch, path, overrides):
-        def capture(specs, context=None):
-            raise _Submitted(list(specs))
-
-        # Wherever a door reaches the executor from.
-        monkeypatch.setattr(parallel, "run_specs", capture)
-        monkeypatch.setattr(api, "run_specs", capture)
+    def test_same_key_and_label(self, path, overrides):
         given, flags = self.OVERRIDES[overrides]
         own = ScenarioSpec.from_path(path).run_spec(**given)
         for door in (
@@ -285,3 +288,15 @@ class TestThreeDoors:
             spec = self.submitted(door)
             assert spec.key() == own.key()
             assert spec.label == own.label
+
+    def test_explicit_engine_drops_the_documents_shards(self, tmp_path):
+        path = tmp_path / "sharded.toml"
+        path.write_text(TOML_DOC.replace(
+            'engine = "reference"', 'engine = "sharded"\nshards = 2'))
+        for door in (
+            lambda: main(["run", "--spec", str(path), "--engine", "turbo",
+                          "--no-cache"]),
+            lambda: api.run_scenario(spec=str(path), engine="turbo"),
+        ):
+            config = self.submitted(door).payload["config"]
+            assert config["engine"] == "turbo" and "shards" not in config
