@@ -340,19 +340,18 @@ def generate_topology(
 
 
 def solve_topology(
-    topology: Union[Topology, GeneratedTopology],
+    topology: Topology,
     *,
     free_routing: bool = False,
 ) -> LPSolution:
-    """Solve the section 4.1 LP for a topology.
+    """Solve the section 4.1 LP for a topology (a scenario's
+    ``.topology``, a :class:`GeneratedTopology`'s ``.topology``, or one
+    built by hand), at the prices it carries."""
+    from repro.core.lp import solve_fixed_routing, solve_free_routing
 
-    Accepts a raw :class:`Topology` or a :class:`GeneratedTopology`
-    (whose per-flow hop penalties are applied automatically in the
-    fixed-routing case).
-    """
-    from repro.harness import saturation
-
-    return saturation.solve_topology(topology, free_routing=free_routing)
+    if free_routing:
+        return solve_free_routing(topology)
+    return solve_fixed_routing(topology)
 
 
 def experiments() -> Dict[str, str]:

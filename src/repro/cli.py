@@ -317,9 +317,15 @@ def cmd_run(args) -> int:
 def cmd_lp(args) -> int:
     from repro.core.lp import solve_fixed_routing, solve_free_routing
 
-    with open(args.topology_file) as handle:
-        spec = json.load(handle)
-    topology = topology_from_json(spec)
+    path = args.topology_file
+    try:
+        with open(path) as handle:
+            spec = json.load(handle)
+    except OSError as error:
+        raise ValueError(f"cannot read {path}: {error.strerror}") from None
+    except ValueError as error:
+        raise ValueError(f"{path}: not JSON: {error}") from None
+    topology = topology_from_json(spec, path)
     solution = (
         solve_free_routing(topology) if args.free_routing
         else solve_fixed_routing(topology)
@@ -388,7 +394,7 @@ def cmd_topogen(args) -> int:
     return 0
 
 
-def topology_from_json(spec: dict) -> Topology:
+def topology_from_json(spec: dict, source: str = "topology") -> Topology:
     """Build a Topology from the CLI's JSON format.
 
     Format::
@@ -396,16 +402,30 @@ def topology_from_json(spec: dict) -> Topology:
         {"nodes": {"S1": [10360, 12300], ...},
          "edges": [["S1", "S2"], ...],
          "flows": [{"name": "main", "path": ["S1", "S2"], "share": 1.0}]}
+
+    A malformed spec raises one :class:`ValueError` naming ``source``
+    and what is wrong.
     """
     from repro.core.topology import Topology
 
+    if not isinstance(spec, dict) or not isinstance(spec.get("nodes"), dict):
+        raise ValueError(
+            f'{source}: needs a "nodes" object (name -> [t_sf, t_sl])'
+        )
     topology = Topology()
-    for name, (t_sf, t_sl) in spec["nodes"].items():
-        topology.add_node(name, t_sf, t_sl)
-    for src, dst in spec.get("edges", []):
-        topology.add_edge(src, dst)
-    for flow in spec.get("flows", []):
-        topology.add_flow(flow["name"], flow["path"], flow.get("share", 1.0))
+    try:
+        for name, (t_sf, t_sl) in spec["nodes"].items():
+            topology.add_node(name, t_sf, t_sl)
+        for src, dst in spec.get("edges", []):
+            topology.add_edge(src, dst)
+        for flow in spec.get("flows", []):
+            if "name" not in flow or "path" not in flow:
+                raise ValueError('every flow needs a "name" and a "path"')
+            topology.add_flow(flow["name"], flow["path"],
+                              flow.get("share", 1.0))
+    except (KeyError, ValueError) as error:
+        # Topology names an unknown node with a KeyError.
+        raise ValueError(f"{source}: {error.args[0]}") from None
     return topology
 
 

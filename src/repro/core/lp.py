@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.simplex import SimplexError, solve_linear_program
-from repro.core.topology import Flow, SINK, SOURCE, Topology
+from repro.core.topology import SINK, SOURCE, Topology
 
 
 class LPError(RuntimeError):
@@ -56,7 +56,8 @@ class LPSolution:
     stateless_rate:
         node -> calls/second the node forwards without holding state.
     utilization:
-        node -> predicted CPU utilization at the optimum.
+        node -> predicted CPU utilization at the optimum (the capacity
+        row's activity, so it is priced as the LP prices it).
     edge_values:
         (src, dst) -> {"fasf": .., "sf": .., "asf": ..} for the
         edge-flow variant; empty for the flow-path variant.
@@ -70,29 +71,19 @@ class LPSolution:
         throughput: float,
         stateful_rate: Dict[str, float],
         stateless_rate: Dict[str, float],
+        utilization: Dict[str, float],
         edge_values: Optional[Dict[Tuple[str, str], Dict[str, float]]] = None,
         flow_rates: Optional[Dict[str, float]] = None,
         flow_state_rates: Optional[Dict[Tuple[str, str], float]] = None,
-        utilization: Optional[Dict[str, float]] = None,
     ):
         self.topology = topology
         self.throughput = throughput
         self.stateful_rate = stateful_rate
         self.stateless_rate = stateless_rate
+        self.utilization = utilization
         self.edge_values = edge_values or {}
         self.flow_rates = flow_rates or {}
         self.flow_state_rates = flow_state_rates or {}
-        # The solver may supply the exact capacity-row activity (the
-        # flow-path LP does, since hop penalties reweight each flow's
-        # cost); otherwise reconstruct it from the unpenalized alpha
-        # and beta.
-        self.utilization = utilization if utilization is not None else {
-            name: (
-                stateful_rate.get(name, 0.0) * topology.node(name).alpha
-                + stateless_rate.get(name, 0.0) * topology.node(name).beta
-            )
-            for name in topology.node_names
-        }
 
     def verify(self, tol: float = 1e-6) -> None:
         """Assert utilization and non-negativity hold at the solution."""
@@ -188,6 +179,16 @@ class StateDistributionLP:
                 row[self._var(src, dst, "asf")] -= 1.0
             eq_rows.append(row)
 
+        # Not-yet-stateful traffic a node forwards (its asf out-edges)
+        # relays the downstream 100 Trying.  Free routing fixes no call's
+        # position: charge the least relay price of the flows the node
+        # forwards on (zero on a hand-built topology).
+        relay = {
+            name: min((topology.hop_price(flow.name, name)[1]
+                       for flow in topology.flows if name in flow.path[:-1]),
+                      default=0.0)
+            for name in topology.node_names
+        }
         ub_rows: List[List[float]] = []
         ub_vals: List[float] = []
         for name in topology.node_names:
@@ -196,7 +197,7 @@ class StateDistributionLP:
             row = [0.0] * n_vars
             for src, dst in out_edges:
                 row[self._var(src, dst, "sf")] += spec.alpha
-                row[self._var(src, dst, "asf")] += spec.beta
+                row[self._var(src, dst, "asf")] += spec.beta + relay[name]
                 row[self._var(src, dst, "fasf")] += spec.beta
             ub_rows.append(row)
             ub_vals.append(1.0)
@@ -223,17 +224,27 @@ class StateDistributionLP:
 
         stateful: Dict[str, float] = {}
         stateless: Dict[str, float] = {}
+        utilization: Dict[str, float] = {}
         for name in topology.node_names:
+            spec = topology.node(name)
             out_edges = [(s, d) for s, d in self.ext_edges if s == name]
             stateful[name] = sum(edge_values[e]["sf"] for e in out_edges)
             stateless[name] = sum(
                 edge_values[e]["asf"] + edge_values[e]["fasf"] for e in out_edges
             )
+            utilization[name] = (
+                stateful[name] * spec.alpha + stateless[name] * spec.beta
+            )
+            if relay[name]:
+                utilization[name] += relay[name] * sum(
+                    edge_values[e]["asf"] for e in out_edges
+                )
 
         throughput = sum(
             edge_values[(SOURCE, entry)]["asf"] for entry in topology.entries
         )
-        return LPSolution(topology, throughput, stateful, stateless, edge_values)
+        return LPSolution(topology, throughput, stateful, stateless,
+                          utilization, edge_values=edge_values)
 
 
 class FlowPathLP:
@@ -243,36 +254,31 @@ class FlowPathLP:
     node ``i`` on its path, the stateful rate ``x[f, i]``.  Constraints::
 
         sum_{i in path(f)} x[f, i] = share_f * L        (state somewhere)
-        for each node i:
-            sum_f x[f, i] * alpha_i
-          + sum_f (share_f * L * 1[i in path f] - x[f, i]) * beta_i <= 1
+        for each node i, over the flows f through it:
+            sum_f penalty_fi * (x[f, i] * alpha_i
+                                + (share_f * L - x[f, i]) * beta_i)
+          + sum_f relay_fi * (share_f * L - sum_{j <= i on f} x[f, j]) <= 1
         x >= 0
 
-    ``hop_penalties`` optionally inflates a flow's per-call cost at a
-    node by a factor (e.g. Via-size overhead from the cost model), so
-    the bound can be computed under the same economics the simulator
-    charges.
+    ``(penalty_fi, relay_fi)`` is the topology's
+    :meth:`~repro.core.topology.Topology.hop_price`: the penalty prices
+    the flow's own depth and lookup at the node, the relay price the
+    downstream ``100 Trying`` each call forwarded with its state still
+    ahead (NASF) relays back.  A hand-built topology prices every hop
+    ``(1, 0)``: equation 8.
     """
 
-    def __init__(
-        self,
-        topology: Topology,
-        hop_penalties: Optional[Dict[Tuple[str, str], float]] = None,
-    ):
+    def __init__(self, topology: Topology):
         if not topology.flows:
             raise ValueError("flow-path LP requires flows on the topology")
         topology.validate()
         self.topology = topology
         self.shares = topology.normalized_flow_shares()
-        self.hop_penalties = hop_penalties or {}
         self._index: Dict[Tuple[str, str], int] = {}
         for flow in topology.flows:
             for node in flow.path:
                 self._index[(flow.name, node)] = len(self._index)
         self._load_var = len(self._index)
-
-    def _penalty(self, flow: Flow, node: str) -> float:
-        return self.hop_penalties.get((flow.name, node), 1.0)
 
     def solve(self) -> LPSolution:
         topology = self.topology
@@ -297,11 +303,16 @@ class FlowPathLP:
                 if name not in flow.path:
                     continue
                 touched = True
-                penalty = self._penalty(flow, name)
+                penalty, relay = topology.hop_price(flow.name, name)
                 index = self._index[(flow.name, name)]
                 # x at alpha, (share*L - x) at beta.
                 row[index] += (spec.alpha - spec.beta) * penalty
                 row[self._load_var] += self.shares[flow.name] * spec.beta * penalty
+                if relay:
+                    # NASF: share*L less the state held up to this hop.
+                    row[self._load_var] += self.shares[flow.name] * relay
+                    for node in flow.path[:flow.path.index(name) + 1]:
+                        row[self._index[(flow.name, node)]] -= relay
             if touched:
                 ub_rows.append(row)
                 ub_vals.append(1.0)
@@ -329,24 +340,28 @@ class FlowPathLP:
         for flow in topology.flows:
             rate = self.shares[flow.name] * throughput
             flow_rates[flow.name] = rate
+            held_so_far = 0.0
             for node in flow.path:
                 held = float(x[self._index[(flow.name, node)]])
+                held_so_far += held
                 flow_state[(flow.name, node)] = held
                 stateful[node] += held
                 stateless[node] += rate - held
                 spec = topology.node(node)
-                penalty = self._penalty(flow, node)
+                penalty, relay = topology.hop_price(flow.name, node)
                 utilization[node] += (
                     held * spec.alpha + (rate - held) * spec.beta
                 ) * penalty
+                if relay:
+                    utilization[node] += relay * (rate - held_so_far)
         return LPSolution(
             topology,
             throughput,
             stateful,
             stateless,
+            utilization,
             flow_rates=flow_rates,
             flow_state_rates=flow_state,
-            utilization=utilization,
         )
 
 
@@ -355,9 +370,6 @@ def solve_free_routing(topology: Topology) -> LPSolution:
     return StateDistributionLP(topology).solve()
 
 
-def solve_fixed_routing(
-    topology: Topology,
-    hop_penalties: Optional[Dict[Tuple[str, str], float]] = None,
-) -> LPSolution:
+def solve_fixed_routing(topology: Topology) -> LPSolution:
     """Convenience wrapper for the routing-constrained LP."""
-    return FlowPathLP(topology, hop_penalties).solve()
+    return FlowPathLP(topology).solve()

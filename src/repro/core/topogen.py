@@ -41,12 +41,12 @@ homogeneous, ``0.7`` spreads capacities roughly 4x end to end.
 each node's ``(t_sf, t_sl)`` comes from the calibrated
 :class:`~repro.core.costmodel.CostModel` at the node's home depth and
 feature set (entries parse small messages, deep nodes pay Via growth,
-exits pay the location lookup), times its speed factor.  Per-flow
-``hop_penalties`` then charge each flow the cost ratio of *its* depth
-and feature set at a node versus the node's home economics, so the
-:meth:`GeneratedTopology.oracle` LP bound and the simulator price
-calls the same way -- the precondition for a meaningful optimality
-gap.
+exits pay the location lookup), times its speed factor.  Each hop
+also carries the flow's own penalty and relay price
+(:func:`~repro.core.topology.priced_topology`, the one price rule the
+paper scenarios use too), so the :meth:`GeneratedTopology.oracle` LP
+bound and the simulator price calls the same way -- the precondition
+for a meaningful optimality gap.
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ import math
 import random
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.costmodel import CostModel, path_features
+from repro.core.costmodel import CostModel
 from repro.core.lp import FlowPathLP, LPSolution, check_backend
-from repro.core.topology import Topology, home_pricing
+from repro.core.topology import Topology, home_pricing, priced_topology
 
 FAMILIES = ("chain", "tree", "mesh")
 
@@ -99,13 +99,10 @@ class GeneratedTopology:
     ----------
     topology:
         The :class:`~repro.core.topology.Topology` (nodes with
-        calibrated capacities, edges, flows with seeded shares).
+        calibrated capacities, edges, flows with seeded shares, and the
+        per-hop prices).
     nodes:
         name -> :class:`GeneratedNode` (speed/depth/lookup metadata).
-    hop_penalties:
-        ``(flow name, node) -> factor`` for :class:`FlowPathLP`,
-        charging each flow a node's cost at the flow's own depth and
-        feature set relative to the node's home economics.
     """
 
     def __init__(
@@ -117,7 +114,6 @@ class GeneratedTopology:
         params: Dict[str, object],
         topology: Topology,
         nodes: Dict[str, GeneratedNode],
-        hop_penalties: Dict[Tuple[str, str], float],
     ):
         self.family = family
         self.size = size
@@ -126,7 +122,6 @@ class GeneratedTopology:
         self.params = dict(params)
         self.topology = topology
         self.nodes = nodes
-        self.hop_penalties = hop_penalties
 
     @property
     def n_proxies(self) -> int:
@@ -152,7 +147,7 @@ class GeneratedTopology:
         or ``"simplex"``.
         """
         check_backend(backend)
-        return FlowPathLP(self.topology, self.hop_penalties).solve()
+        return FlowPathLP(self.topology).solve()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -162,19 +157,15 @@ class GeneratedTopology:
 
 
 # ----------------------------------------------------------------------
-# Family structure builders: names, edges, flows (name, path, share)
+# Family structure builders: names and flows (name, path, share); the
+# edges are the flows' hops
 # ----------------------------------------------------------------------
-_Structure = Tuple[
-    List[str],
-    List[Tuple[str, str]],
-    List[Tuple[str, Tuple[str, ...], float]],
-]
+_Structure = Tuple[List[str], List[Tuple[str, Tuple[str, ...], float]]]
 
 
 def _chain_structure(size: int, rng: random.Random,
                      external_share: float) -> _Structure:
     names = [f"P{i + 1}" for i in range(size)]
-    edges = list(zip(names, names[1:]))
     # Seeded interior exits: calls that stay "inside the domain" stop
     # short of the chain end, exactly the Figure 7 internal class.
     interior = list(range(0, size - 1))
@@ -188,20 +179,13 @@ def _chain_structure(size: int, rng: random.Random,
     for k, (stop, weight) in enumerate(zip(exits, weights)):
         share = (1.0 - external_share) * weight / total
         flows.append((f"int{k + 1}", tuple(names[: stop + 1]), share))
-    return names, edges, flows
+    return names, flows
 
 
 def _tree_structure(size: int, rng: random.Random, fanout: int) -> _Structure:
     names = [f"B{i + 1}" for i in range(size)]
-    edges: List[Tuple[str, str]] = []
-    children: Dict[int, List[int]] = {i: [] for i in range(size)}
-    for i in range(size):
-        for k in range(fanout):
-            child = fanout * i + k + 1
-            if child < size:
-                children[i].append(child)
-                edges.append((names[i], names[child]))
-    leaves = [i for i in range(size) if not children[i]]
+    # Breadth-first: node i's children are fanout * i + 1 .. + fanout.
+    leaves = [i for i in range(size) if fanout * i + 1 >= size]
     flows: List[Tuple[str, Tuple[str, ...], float]] = []
     weights = [rng.uniform(0.5, 1.5) for _ in leaves]
     total = sum(weights)
@@ -212,7 +196,7 @@ def _tree_structure(size: int, rng: random.Random, fanout: int) -> _Structure:
         flows.append(
             (f"leaf{k + 1}", tuple(names[i] for i in path), weight / total)
         )
-    return names, edges, flows
+    return names, flows
 
 
 def _mesh_structure(size: int, rng: random.Random, chain_depth: int,
@@ -223,14 +207,9 @@ def _mesh_structure(size: int, rng: random.Random, chain_depth: int,
         [f"D{d + 1}N{k + 1}" for k in range(depth)] for d in range(domains)
     ]
     names = [name for chain in chains for name in chain]
-    edges: List[Tuple[str, str]] = []
-    for chain in chains:
-        edges.extend(zip(chain, chain[1:]))
     # Gateway peering: each non-terminal domain picks one higher-indexed
     # target, so inter-domain edges all run low->high (DAG by design).
     targets = [rng.randrange(d + 1, domains) for d in range(domains - 1)]
-    for d, target in enumerate(targets):
-        edges.append((chains[d][-1], chains[target][0]))
     internal_weights = [rng.uniform(0.5, 1.5) for _ in range(domains)]
     external_weights = [rng.uniform(0.5, 1.5) for _ in range(domains - 1)]
     flows: List[Tuple[str, Tuple[str, ...], float]] = []
@@ -244,7 +223,7 @@ def _mesh_structure(size: int, rng: random.Random, chain_depth: int,
         flows.append(
             (f"ext{d + 1}", tuple(chains[d] + chains[target]), share)
         )
-    return names, edges, flows
+    return names, flows
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +252,7 @@ def generate(
         Seed for all random structure/share/speed draws, and the node
         speed spread (0 = homogeneous).
     cost_model:
-        Unit-scale cost model anchoring capacities and hop penalties;
+        Unit-scale cost model anchoring capacities and hop prices;
         defaults to the paper calibration.  Pass a model built from a
         :class:`~repro.workloads.scenarios.ScenarioConfig`'s anchors to
         keep the LP oracle consistent with a reconfigured simulation.
@@ -306,13 +285,13 @@ def generate(
         (seed * 1_000_003 + _FAMILY_SALT[family]) * 1_009 + size
     )
     if family == "chain":
-        names, edges, flows = _chain_structure(size, rng, external_share)
+        names, flows = _chain_structure(size, rng, external_share)
         params: Dict[str, object] = {"external_share": external_share}
     elif family == "tree":
-        names, edges, flows = _tree_structure(size, rng, fanout)
+        names, flows = _tree_structure(size, rng, fanout)
         params = {"fanout": fanout}
     else:
-        names, edges, flows = _mesh_structure(
+        names, flows = _mesh_structure(
             size, rng, chain_depth, external_share
         )
         params = {"chain_depth": chain_depth,
@@ -325,42 +304,15 @@ def generate(
         for name in names
     }
 
+    topology = priced_topology(names, flows, cost_model or CostModel(), speeds)
     pricing = home_pricing(path for _flow_name, path, _share in flows)
-    model = cost_model or CostModel()
-    topology = Topology()
     nodes: Dict[str, GeneratedNode] = {}
     for name in names:
         depth, delivers = pricing[name]
-        t_sf_unit, t_sl_unit = model.node_thresholds(
-            path_features(delivers), depth=depth
+        spec = topology.node(name)
+        nodes[name] = GeneratedNode(
+            name, depth, speeds[name], delivers, spec.t_sf, spec.t_sl
         )
-        speed = speeds[name]
-        node = GeneratedNode(
-            name, depth, speed, delivers,
-            t_sf_unit * speed, t_sl_unit * speed,
-        )
-        nodes[name] = node
-        topology.add_node(name, node.t_sf, node.t_sl)
-    for src, dst in edges:
-        topology.add_edge(src, dst)
-
-    hop_penalties: Dict[Tuple[str, str], float] = {}
-    for flow_name, path, share in flows:
-        topology.add_flow(flow_name, list(path), share=share)
-        for position, name in enumerate(path):
-            node = nodes[name]
-            home_cost = model.per_call_cost(
-                path_features(node.delivers), depth=node.depth
-            )
-            flow_cost = model.per_call_cost(
-                path_features(name == path[-1]), depth=position
-            )
-            penalty = flow_cost / home_cost
-            if abs(penalty - 1.0) > 1e-12:
-                hop_penalties[(flow_name, name)] = penalty
-
-    topology.validate()
     return GeneratedTopology(
-        family, size, seed, heterogeneity, params,
-        topology, nodes, hop_penalties,
+        family, size, seed, heterogeneity, params, topology, nodes
     )

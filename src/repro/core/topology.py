@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.costmodel import CostModel, MessageKind, path_features
+
 SOURCE = "__source__"
 SINK = "__sink__"
 
@@ -89,7 +91,13 @@ class Flow:
 
 
 class Topology:
-    """Named nodes, directed edges, entry/exit sets and optional flows."""
+    """Named nodes, directed edges, entry/exit sets and optional flows.
+
+    ``hop_prices`` maps a hop ``(flow name, node)`` to its
+    ``(penalty, relay)`` prices (see :func:`priced_topology`); a hop
+    without an entry is priced ``(1.0, 0.0)``, which is exactly the
+    paper's equation 8.
+    """
 
     def __init__(self) -> None:
         self._nodes: Dict[str, NodeSpec] = {}
@@ -97,6 +105,7 @@ class Topology:
         self.entries: List[str] = []
         self.exits: List[str] = []
         self.flows: List[Flow] = []
+        self.hop_prices: Dict[Tuple[str, str], Tuple[float, float]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -150,6 +159,12 @@ class Topology:
     # ------------------------------------------------------------------
     def node(self, name: str) -> NodeSpec:
         return self._nodes[name]
+
+    def hop_price(self, flow: str, node: str) -> Tuple[float, float]:
+        """``(penalty, relay)`` for ``flow``'s hop at ``node``: the
+        penalty scales the node's alpha and beta, the relay price is
+        paid per call forwarded with its state still downstream."""
+        return self.hop_prices.get((flow, node), (1.0, 0.0))
 
     @property
     def node_names(self) -> List[str]:
@@ -207,7 +222,7 @@ class Topology:
 
 
 def home_pricing(paths: Iterable[Sequence[str]]) -> Dict[str, Tuple[int, bool]]:
-    """The one pricing rule for proxies on fixed paths: node ->
+    """Where each proxy on fixed paths is priced: node ->
     ``(home depth, delivers)``, in order of first appearance.  A node is
     priced at its home depth (the Via-stack position of its own traffic:
     its minimum position on any path) and pays the location lookup iff
@@ -220,6 +235,55 @@ def home_pricing(paths: Iterable[Sequence[str]]) -> Dict[str, Tuple[int, bool]]:
                 min(depth, position), delivers or position == len(path) - 1
             )
     return pricing
+
+
+def priced_topology(
+    names: Sequence[str],
+    flows: Sequence[Tuple[str, Sequence[str], float]],
+    cost_model: CostModel,
+    factors: Dict[str, float],
+) -> Topology:
+    """The one price rule: nodes ``names`` and ``flows`` (``(name, path,
+    share)``; the edges are their hops), priced as ``cost_model``
+    charges a proxy on fixed paths.  ``factors`` turns a node's
+    ``cost_model`` capacities into the topology's: the scenario's
+    ``scale``, or a generated node's speed.
+
+    A node gets ``node_thresholds(...) * factor`` at its
+    :func:`home_pricing`.  A hop gets a penalty, the flow's own per-call
+    cost at the node (its position, the lookup iff it ends there) over
+    the home cost, and a relay price: one ``100 Trying`` at ``position +
+    1`` extra Vias, over the factor, that a call forwarded with its state
+    still ahead relays back.  An exit forwards nothing, so relays nothing.
+    """
+    pricing = home_pricing(path for _name, path, _share in flows)
+    topology = Topology()
+    for name in names:
+        depth, delivers = pricing[name]
+        t_sf, t_sl = cost_model.node_thresholds(
+            path_features(delivers), depth=depth
+        )
+        topology.add_node(name, t_sf * factors[name], t_sl * factors[name])
+    for flow_name, path, share in flows:
+        for src, dst in zip(path, path[1:]):
+            topology.add_edge(src, dst)
+        topology.add_flow(flow_name, path, share=share)
+        last = len(path) - 1
+        for position, name in enumerate(path):
+            depth, delivers = pricing[name]
+            penalty = cost_model.per_call_cost(
+                path_features(position == last), depth=position
+            ) / cost_model.per_call_cost(path_features(delivers), depth=depth)
+            if abs(penalty - 1.0) <= 1e-12:
+                penalty = 1.0
+            relay = 0.0
+            if position < last:
+                relay = cost_model.message_cost(
+                    MessageKind.PROVISIONAL_100, extra_vias=position + 1
+                )[0] / factors[name]
+            topology.hop_prices[(flow_name, name)] = (penalty, relay)
+    topology.validate()
+    return topology
 
 
 # ----------------------------------------------------------------------

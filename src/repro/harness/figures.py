@@ -29,7 +29,6 @@ from repro.harness.saturation import (
 from repro.workloads.scenarios import (
     ScenarioConfig,
     chain_topology,
-    fork_topology,
 )
 
 class Quality:
@@ -631,13 +630,10 @@ def figure7_changing_load(quality: Quality = QUICK) -> FigureData:
 # ----------------------------------------------------------------------
 def figure8_parallel(quality: Quality = QUICK) -> FigureData:
     """Throughput for the load-balancing fork, static vs SERvartuka."""
-    # The even split parallel_fork runs by default; static: a stateless
-    # front, stateful forks.
-    fork = fork_topology(0.5, quality.scenario_config().make_cost_model())
-    front, upper, lower = (fork.node(name) for name in ("F", "U", "L"))
-    static_hint = min(front.t_sl, upper.t_sf + lower.t_sf)
-    loads_lo = 0.6 * static_hint
-    loads_hi = 1.2 * static_hint
+    # The sweep brackets the fork's own LP bound (its even split).
+    bound = lp_bound(SpecTemplate("parallel_fork", quality.scenario_config()))
+    loads_lo = 0.6 * bound
+    loads_hi = 1.2 * bound
     points = max(quality.sweep_points + 1, 4)
     loads = [loads_lo + (loads_hi - loads_lo) * i / (points - 1) for i in range(points)]
 

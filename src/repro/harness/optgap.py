@@ -7,10 +7,11 @@ heterogeneous?  For every grid cell (family x size x heterogeneity):
 
 1. generate the topology (:mod:`repro.core.topogen`, seeded and
    bit-deterministic);
-2. solve the routing-constrained LP oracle for the optimal admitted
-   throughput ``T*`` (the bit-deterministic pure-python simplex, so
-   the oracle rates, which seed run-cache keys, are the same on every
-   host);
+2. solve the routing-constrained LP oracle on the scenario's own
+   topology for the optimal admitted throughput ``T*``
+   (:func:`~repro.harness.saturation.lp_bound`: the bit-deterministic
+   pure-python simplex, so the oracle rates, which seed run-cache keys,
+   are the same on every host);
 3. simulate the topology under Algorithm 2, offered exactly ``T*``;
 4. report ``gap = clamp(1 - goodput / T*, 0, 1)``.
 
@@ -24,11 +25,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import topogen
-from repro.core.costmodel import CostModel
 from repro.harness.anchors import PAPER_ANCHORS
 from repro.harness.figures import QUICK, FigureData, Quality
-from repro.harness.parallel import run_specs, scenario_spec
+from repro.harness.parallel import SpecTemplate, run_specs
 from repro.harness.runner import RunResult
+from repro.harness.saturation import lp_bound
 from repro.workloads.scenarios import ScenarioConfig
 
 #: Simulated per-call economics get expensive at cluster sizes; the
@@ -84,20 +85,19 @@ def optgap_grid(quality: Quality) -> List[Dict[str, object]]:
     return cells
 
 
-def _cell_oracle(cell: Dict[str, object], config: ScenarioConfig):
-    """(GeneratedTopology, LP throughput in paper cps) for one cell."""
-    unit_model = CostModel(
-        t_sf=config.t_sf, t_sl=config.t_sl, scale=1.0,
-        via_overhead=config.via_overhead,
+def _cell_template(cell: Dict[str, object],
+                   config: ScenarioConfig) -> SpecTemplate:
+    """The ``generated`` scenario of one cell under Algorithm 2."""
+    return SpecTemplate(
+        "generated", config,
+        label=f"optgap/{cell['family']}:{cell['size']}"
+              f"/h{cell['heterogeneity']:g}",
+        family=cell["family"],
+        size=cell["size"],
+        seed=config.seed,
+        heterogeneity=cell["heterogeneity"],
+        policy="servartuka",
     )
-    gen = topogen.generate(
-        str(cell["family"]),
-        int(cell["size"]),
-        seed=int(config.seed),
-        heterogeneity=float(cell["heterogeneity"]),
-        cost_model=unit_model,
-    )
-    return gen, gen.oracle().throughput
 
 
 def optgap_rows(
@@ -111,35 +111,20 @@ def optgap_rows(
     """
     config = optgap_config(quality)
     cells = list(cells if cells is not None else optgap_grid(quality))
-    oracles = [_cell_oracle(cell, config) for cell in cells]
-    specs = [
-        scenario_spec(
-            "generated",
-            rate=lp_cps,
-            config=config,
-            duration=quality.duration,
-            warmup=quality.warmup,
-            label=(
-                f"optgap/{cell['family']}:{gen.n_proxies}"
-                f"/h{cell['heterogeneity']:g}"
-            ),
-            family=cell["family"],
-            size=cell["size"],
-            seed=config.seed,
-            heterogeneity=cell["heterogeneity"],
-            policy="servartuka",
-        )
-        for cell, (gen, lp_cps) in zip(cells, oracles)
-    ]
-    payloads = run_specs(specs)
+    templates = [_cell_template(cell, config) for cell in cells]
+    bounds = [lp_bound(template) for template in templates]
+    payloads = run_specs([
+        template.at(bound, quality.duration, quality.warmup)
+        for template, bound in zip(templates, bounds)
+    ])
     rows: List[List[object]] = []
-    for cell, (gen, lp_cps), payload in zip(cells, oracles, payloads):
+    for cell, lp_cps, payload in zip(cells, bounds, payloads):
         result = RunResult.from_payload(payload["result"])
         achieved = result.throughput_cps
         gap = min(1.0, max(0.0, 1.0 - achieved / lp_cps))
         rows.append([
             str(cell["family"]),
-            gen.n_proxies,
+            len(result.proxy_utilization),
             float(cell["heterogeneity"]),
             lp_cps,
             achieved,
@@ -174,9 +159,10 @@ def optgap_figure(quality: Quality = QUICK) -> FigureData:
         rows=rows,
         description=(
             "Each generated topology is offered exactly its LP-optimal "
-            "admitted load T* (FlowPathLP with per-flow hop penalties, "
-            "pure-python simplex backend) and simulated under the "
-            "distributed SERvartuka policy; gap = 1 - goodput/T*, "
+            "admitted load T* (FlowPathLP on the scenario's own "
+            "topology, priced hop by hop as the simulator charges) and "
+            "simulated under the distributed SERvartuka policy; "
+            "gap = 1 - goodput/T*, "
             "clamped to [0, 1].  Rows are sorted by family, size and "
             "heterogeneity."
         ),

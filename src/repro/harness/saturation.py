@@ -180,26 +180,6 @@ def refine_peak(
     )
 
 
-def solve_topology(topology, free_routing: bool = False):
-    """Solve the section 4.1 LP for a scenario's topology.
-
-    ``topology`` is what ``Scenario.topology`` holds: a raw
-    :class:`~repro.core.topology.Topology`, or a
-    :class:`~repro.core.topogen.GeneratedTopology`, whose per-flow hop
-    penalties apply in the fixed-routing case.
-    """
-    from repro.core.lp import solve_fixed_routing, solve_free_routing
-    from repro.core.topogen import GeneratedTopology
-
-    hop_penalties = None
-    if isinstance(topology, GeneratedTopology):
-        hop_penalties = topology.hop_penalties
-        topology = topology.topology
-    if free_routing:
-        return solve_free_routing(topology)
-    return solve_fixed_routing(topology, hop_penalties)
-
-
 def lp_bound(template: SpecTemplate) -> float:
     """The fixed-routing LP throughput (paper cps) of ``template``'s
     scenario: the capacity the paper's section 4.1 LP predicts for it.
@@ -207,12 +187,14 @@ def lp_bound(template: SpecTemplate) -> float:
     The scenario is built once, at a nominal rate, only for the
     topology it is wired from; builders wired by hand have none.
     """
+    from repro.core.lp import solve_fixed_routing
+
     scenario = build_scenario(template.at(1.0, 0.0, 0.0).payload)
     if scenario.topology is None:
         raise ValueError(
             f"{template.builder} has no topology to bound; pass hint="
         )
-    return solve_topology(scenario.topology).throughput
+    return solve_fixed_routing(scenario.topology).throughput
 
 
 def find_capacity(

@@ -30,24 +30,14 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.costmodel import (
-    CostModel,
-    PAPER_T_SF,
-    PAPER_T_SL,
-    path_features,
-)
+from repro.core.costmodel import CostModel, PAPER_T_SF, PAPER_T_SL
 from repro.core.servartuka import ServartukaConfig, ServartukaPolicy
 from repro.core.static_policy import (
     StatePolicy,
     stateful_policy,
     stateless_policy,
 )
-from repro.core.topology import (
-    Topology,
-    home_pricing,
-    parallel_fork_topology,
-    series_topology,
-)
+from repro.core.topology import Topology, priced_topology
 from repro.servers.location import LocationService
 from repro.servers.proxy import (
     DELIVER_ACTION,
@@ -397,11 +387,9 @@ class Scenario:
         #: path lands in as few shards as topology allows; scenarios
         #: without hints fall back to network registration order.
         self.partition_hints: List[List[str]] = []
-        #: The LP input the scenario is wired from (:func:`from_topology`),
-        #: whatever :func:`repro.api.solve_topology` accepts: a
-        #: :class:`~repro.core.topology.Topology`, or for ``generated``
-        #: the :class:`~repro.core.topogen.GeneratedTopology` with its hop
-        #: penalties.  None for the hand-wired builders.
+        #: The :class:`~repro.core.topology.Topology` the scenario is
+        #: wired from (:func:`from_topology`), priced as the simulator
+        #: charges it: the LP input.  None for the hand-wired builders.
         self.topology = None
         self.observer: Optional[Observer] = None
         if config.observe is not None:
@@ -767,16 +755,12 @@ def from_topology(
     return scenario
 
 
-def _paper_prices(paths: Sequence[Sequence[str]],
-                  cost_model: CostModel) -> List[Tuple[float, float]]:
-    """``(t_sf, t_sl)`` in paper cps for each node on ``paths``, in order
-    of first appearance: :func:`~repro.core.topology.home_pricing` under
-    the scenario's own cost model, with no hop penalties."""
-    return [
-        tuple(t * cost_model.scale for t in cost_model.node_thresholds(
-            path_features(delivers), depth=depth))
-        for depth, delivers in home_pricing(paths).values()
-    ]
+def _priced(names: Sequence[str],
+            flows: Sequence[Tuple[str, Sequence[str], float]],
+            cost_model: CostModel) -> Topology:
+    """:func:`~repro.core.topology.priced_topology` in paper cps."""
+    return priced_topology(names, flows, cost_model,
+                           dict.fromkeys(names, cost_model.scale))
 
 
 def chain_topology(n: int, cost_model: CostModel) -> Topology:
@@ -784,7 +768,7 @@ def chain_topology(n: int, cost_model: CostModel) -> Topology:
     if n < 1:
         raise ValueError("need at least one proxy")
     names = [f"P{i + 1}" for i in range(n)]
-    return series_topology(_paper_prices([names], cost_model), names)
+    return _priced(names, [("main", names, 1.0)], cost_model)
 
 
 def mix_topology(external_fraction: float, cost_model: CostModel) -> Topology:
@@ -792,20 +776,20 @@ def mix_topology(external_fraction: float, cost_model: CostModel) -> Topology:
     ``internal`` one ends at S1.  Both flows stay at fractions 0 and 1."""
     if not 0.0 <= external_fraction <= 1.0:
         raise ValueError("external_fraction must be within [0, 1]")
-    topology = Topology()
-    prices = _paper_prices([["S1", "S2"], ["S1"]], cost_model)
-    for name, (t_sf, t_sl) in zip(("S1", "S2"), prices):
-        topology.add_node(name, t_sf, t_sl)
-    topology.add_edge("S1", "S2")
-    topology.add_flow("external", ["S1", "S2"], share=external_fraction)
-    topology.add_flow("internal", ["S1"], share=1.0 - external_fraction)
-    return topology
+    return _priced(["S1", "S2"],
+                   [("external", ["S1", "S2"], external_fraction),
+                    ("internal", ["S1"], 1.0 - external_fraction)],
+                   cost_model)
 
 
 def fork_topology(upper_share: float, cost_model: CostModel) -> Topology:
     """Figure 8's front F forking to U (flow ``upper``) and L (``lower``)."""
-    front, upper, lower = _paper_prices([["F", "U"], ["F", "L"]], cost_model)
-    return parallel_fork_topology(front, upper, lower, upper_share)
+    if not 0.0 < upper_share < 1.0:
+        raise ValueError("upper_share must be strictly inside (0, 1)")
+    return _priced(["F", "U", "L"],
+                   [("upper", ["F", "U"], upper_share),
+                    ("lower", ["F", "L"], 1.0 - upper_share)],
+                   cost_model)
 
 
 # ----------------------------------------------------------------------
@@ -999,8 +983,6 @@ def generated(
     ``uas_<exit>``.  Each proxy gets its *own* cost model at the
     topology's per-node ``(t_sf, t_sl)`` anchors, so heterogeneous
     speeds are real simulated economics, not just LP inputs.
-    ``scenario.topology`` is the :class:`GeneratedTopology`, so its hop
-    penalties come with it.
     """
     from repro.core import topogen
 
@@ -1019,7 +1001,7 @@ def generated(
         family, size, seed=seed, heterogeneity=heterogeneity,
         cost_model=unit_model, **params,
     )
-    scenario = from_topology(
+    return from_topology(
         Scenario(f"generated[{family}:{gen.n_proxies}]", config),
         gen.topology, rate, policy,
         {
@@ -1037,8 +1019,6 @@ def generated(
             for name, node in gen.nodes.items()
         },
     )
-    scenario.topology = gen
-    return scenario
 
 
 def register_churn(

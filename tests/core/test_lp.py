@@ -176,10 +176,46 @@ class TestHopPenalties:
     def test_penalty_reduces_throughput(self):
         topo = two_series_topology(T_SF, T_SL)
         plain = FlowPathLP(topo).solve()
-        penalized = FlowPathLP(
-            topo, hop_penalties={("main", "S2"): 1.2}
-        ).solve()
+        topo.hop_prices[("main", "S2")] = (1.2, 0.0)
+        penalized = FlowPathLP(topo).solve()
         assert penalized.throughput < plain.throughput
+
+
+class TestRelayPrice:
+    """A call forwarded with its state still ahead (NASF) relays the
+    downstream ``100 Trying``: the hop's relay price."""
+
+    def _fork(self, relay):
+        topo = parallel_fork_topology((T_SF, T_SL), (T_SF, T_SL),
+                                      (T_SF, T_SL))
+        for flow in ("upper", "lower"):
+            topo.hop_prices[(flow, "F")] = (1.0, relay)
+        return topo
+
+    def test_relay_lowers_the_fixed_routing_bound(self):
+        plain = FlowPathLP(self._fork(0.0)).solve()
+        priced = FlowPathLP(self._fork(1e-5)).solve()
+        priced.verify()
+        assert priced.throughput < plain.throughput
+        # The front binds, and its utilization includes the relays.
+        assert priced.utilization["F"] == pytest.approx(1.0)
+
+    def test_relay_lowers_the_free_routing_bound(self):
+        plain = StateDistributionLP(self._fork(0.0)).solve()
+        priced = StateDistributionLP(self._fork(1e-5)).solve()
+        priced.verify()
+        assert priced.throughput < plain.throughput
+        assert priced.utilization["F"] == pytest.approx(1.0)
+
+    def test_state_held_at_the_hop_relays_nothing(self):
+        # Every call is stateful by its exit, so an exit's relay price
+        # multiplies a NASF rate that is zero at every feasible point.
+        topo = two_series_topology(T_SF, T_SL)
+        plain = FlowPathLP(topo).solve().throughput
+        topo.hop_prices[("main", "S2")] = (1.0, 1e-5)
+        assert FlowPathLP(topo).solve().throughput == pytest.approx(
+            plain, rel=1e-9
+        )
 
 
 class TestFeasibilityProperty:

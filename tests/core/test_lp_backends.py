@@ -74,14 +74,17 @@ FIXTURE_OBJECTIVES = {
 }
 
 #: Generated instances (family, size, heterogeneity) at seed 7, with the
-#: (oracle, free-routing) objective both solvers agreed on.
+#: (oracle, free-routing) objective both solvers agreed on.  Four were
+#: re-pinned, simplex only, when topologies started to carry the relay
+#: price of the downstream 100 Trying: the tree oracles and every free
+#: objective whose optimum forwards calls with their state still ahead.
 GENERATED_OBJECTIVES = {
-    ("chain", 4, 0.0): (10754.151971991489, 11813.647537908422),
+    ("chain", 4, 0.0): (10754.151971991489, 11161.352890592894),
     ("chain", 8, 0.5): (5978.328115142598, 9957.488571618735),
-    ("tree", 7, 0.0): (12694.415048532457, 12694.415048532457),
-    ("tree", 15, 0.4): (9643.04101314444, 9643.04101314444),
+    ("tree", 7, 0.0): (11682.88592907255, 11682.885929072547),
+    ("tree", 15, 0.4): (8874.654541798565, 8874.654541798567),
     ("mesh", 12, 0.0): (13709.056986459811, 36865.70044592495),
-    ("mesh", 24, 0.6): (10699.500403364586, 63780.933158995394),
+    ("mesh", 24, 0.6): (10699.500403364586, 63302.50481509861),
 }
 GENERATED = list(GENERATED_OBJECTIVES)
 
@@ -108,7 +111,8 @@ class TestFixtureAgreement:
 
     def test_hop_penalties(self):
         topo = two_series_topology(T_SF, T_SL)
-        _assert_pinned(FlowPathLP(topo, {("main", "S2"): 1.2}).solve(), 10250.0)
+        topo.hop_prices[("main", "S2")] = (1.2, 0.0)
+        _assert_pinned(FlowPathLP(topo).solve(), 10250.0)
 
 
 class TestGeneratedAgreement:

@@ -46,7 +46,7 @@ def _snapshot(gen):
          for n in gen.nodes.values()],
         sorted(gen.topology.edges),
         [(f.name, tuple(f.path), f.share) for f in gen.topology.flows],
-        sorted(gen.hop_penalties.items()),
+        sorted(gen.topology.hop_prices.items()),
     )
 
 

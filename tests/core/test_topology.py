@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.core.costmodel import CostModel
 from repro.core.topology import (
     Flow,
     NodeSpec,
     Topology,
     internal_external_topology,
     parallel_fork_topology,
+    priced_topology,
     series_topology,
     two_series_topology,
 )
@@ -159,3 +161,34 @@ class TestBuilders:
     def test_parallel_fork_uneven_share(self):
         topo = parallel_fork_topology((1, 2), (1, 2), (1, 2), 0.7)
         assert topo.normalized_flow_shares()["upper"] == pytest.approx(0.7)
+
+
+class TestPricedTopology:
+    """The one price rule the paper factories and topogen share."""
+
+    def _priced(self, flows):
+        names = list(dict.fromkeys(n for _f, path, _s in flows for n in path))
+        return priced_topology(names, flows, CostModel(),
+                               dict.fromkeys(names, 1.0))
+
+    def test_hand_built_hops_are_equation_8(self):
+        topo = two_series_topology(100, 120)
+        assert topo.hop_price("main", "S1") == (1.0, 0.0)
+
+    def test_home_hops_pay_no_penalty(self):
+        topo = self._priced([("main", ["P1", "P2", "P3"], 1.0)])
+        assert [topo.hop_price("main", n)[0] for n in topo.node_names] == [
+            1.0, 1.0, 1.0]
+
+    def test_relay_grows_with_depth_and_stops_at_the_exit(self):
+        topo = self._priced([("main", ["P1", "P2", "P3"], 1.0)])
+        relays = [topo.hop_price("main", n)[1] for n in topo.node_names]
+        assert 0.0 < relays[0] < relays[1]
+        assert relays[2] == 0.0
+
+    def test_a_flow_passing_a_delivering_node_skips_its_lookup(self):
+        topo = self._priced([("external", ["S1", "S2"], 0.8),
+                             ("internal", ["S1"], 0.2)])
+        assert topo.hop_price("internal", "S1")[0] == 1.0
+        assert topo.hop_price("external", "S1")[0] < 1.0
+        assert topo.edges == [("S1", "S2")]

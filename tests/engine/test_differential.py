@@ -160,18 +160,21 @@ def test_engines_bit_identical(name):
 
 
 # Generated cluster topologies (repro.core.topogen): a heterogeneous
-# 6-deep chain and a 2-balancer tree, offered their LP-optimal load so
-# shedding engages on every proxy that can shed.  Three seeds keep the
-# whole case affordable (each run simulates 6-7 proxies).
+# 6-deep chain and a 2-balancer tree, offered their LP-optimal load (the
+# tree 10 % past it) so shedding engages on every proxy that can shed.
+# Three seeds keep the whole case affordable (each run simulates 6-7
+# proxies).
 GENERATED_CASES = {
     "chain6_hetero": {"family": "chain", "size": 6, "heterogeneity": 0.4},
-    "tree7_balancers": {"family": "tree", "size": 7, "heterogeneity": 0.0},
+    "tree7_balancers": {"family": "tree", "size": 7, "heterogeneity": 0.0,
+                        "overload": 1.1},
 }
 GENERATED_SEEDS = (1, 2, 3)
 
 
 def _generated_rate(case: dict, seed: int, config: ScenarioConfig) -> float:
-    """LP-optimal offered load for this instance under config's anchors."""
+    """Offered load: the instance's LP-optimal load under config's
+    anchors, times the case's overload factor."""
     unit = CostModel(
         t_sf=config.t_sf, t_sl=config.t_sl, scale=1.0,
         via_overhead=config.via_overhead,
@@ -180,7 +183,7 @@ def _generated_rate(case: dict, seed: int, config: ScenarioConfig) -> float:
         case["family"], case["size"], seed=seed,
         heterogeneity=case["heterogeneity"], cost_model=unit,
     )
-    return gen.oracle(backend="simplex").throughput
+    return gen.oracle(backend="simplex").throughput * case.get("overload", 1.0)
 
 
 @pytest.mark.parametrize("name", sorted(GENERATED_CASES))

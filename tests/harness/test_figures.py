@@ -9,6 +9,7 @@ import pytest
 
 from repro.api import make_scenario, solve_topology
 from repro.core.costmodel import CostModel
+from repro.harness import figures
 from repro.harness.figures import (
     FULL,
     FigureData,
@@ -104,19 +105,24 @@ SERIES_HINTS = {
              3: (7918.116992790764, 9216.425111481236)},
 }
 FIG7_BOUNDS = {
-    "quick": {0.0: 10360.0, 0.5: 11246.954986760811,
-              0.8: 11542.052148392799, 1.0: 10444.29317696063},
-    "standard": {0.0: 10360.0, 0.2: 10697.447951645398,
-                 0.4: 11057.618882332523, 0.6: 11442.887931034482,
-                 0.8: 11542.052148392799, 1.0: 10444.29317696063},
-    "full": {0.0: 10360.0, 0.1: 10526.020155294895,
-             0.2: 10697.447951645398, 0.3: 10874.551971326166,
-             0.4: 11057.618882332523, 0.5: 11246.95498676081,
-             0.6: 11442.887931034482, 0.7: 11645.76859806251,
-             0.8: 11542.052148392799, 0.9: 10965.767590539279,
-             1.0: 10444.29317696063},
+    "quick": {0.0: 10360.0, 0.5: 10981.74700124523,
+              0.8: 11335.553906700885, 1.0: 10537.254983935863},
+    "standard": {0.0: 10360.0, 0.2: 10600.054784528116,
+                 0.4: 10851.498227462554, 0.6: 11115.160470177518,
+                 0.8: 11335.553906700887, 1.0: 10537.254983935863},
+    "full": {0.0: 10360.0, 0.1: 10478.652722680241,
+             0.2: 10600.054784528116, 0.3: 10724.302864321015,
+             0.4: 10851.498227462554, 0.5: 10981.747001245234,
+             0.6: 11115.160470177518, 0.7: 11251.855393102627,
+             0.8: 11335.553906700887, 0.9: 10977.52716238135,
+             1.0: 10537.254983935863},
 }
-FIG8_STATIC_HINT = 12694.415048532455
+FIG8_BOUNDS = {"quick": 11682.885929072549, "standard": 11682.885929072547,
+               "full": 11682.885929072547}
+
+
+class _SweepStarted(Exception):
+    """Raised by a stand-in sweep to hand back the loads it was given."""
 
 
 @pytest.mark.parametrize("quality", [QUICK, STANDARD, FULL],
@@ -141,12 +147,27 @@ class TestScenarioTopologyIsTheLPInput:
                                     external_fraction=fraction)
             assert lp_bound(template) == bound
 
-    def test_fig8_static_hint(self, quality):
-        topology = make_scenario("parallel_fork", rate=1000.0,
-                                 config=quality.scenario_config()).topology
-        front, upper, lower = (topology.node(name) for name in "FUL")
-        # Static: a stateless front forking to two stateful exits.
-        assert min(front.t_sl, upper.t_sf + lower.t_sf) == FIG8_STATIC_HINT
+    def test_one_chain_has_one_bound(self, quality):
+        # Figure 7 at f = 1 is two proxies in series carrying one flow.
+        config = quality.scenario_config()
+        mix = lp_bound(SpecTemplate("internal_external", config,
+                                    external_fraction=1.0))
+        assert mix == lp_bound(SpecTemplate("n_series", config, n=2))
+
+    def test_fig8_static_hint(self, quality, monkeypatch):
+        """Figure 8's sweep hint is the LP bound of the fork's own topology."""
+        bound = lp_bound(SpecTemplate("parallel_fork",
+                                      quality.scenario_config()))
+        assert bound == FIG8_BOUNDS[quality.name]
+
+        def sweep_loads(template, loads, **_kwargs):
+            raise _SweepStarted(loads)
+
+        monkeypatch.setattr(figures, "sweep_loads", sweep_loads)
+        with pytest.raises(_SweepStarted) as started:
+            figures.figure8_parallel(quality)
+        loads = started.value.args[0]
+        assert (loads[0], loads[-1]) == (0.6 * bound, 1.2 * bound)
 
 
 class TestQualityPresets:

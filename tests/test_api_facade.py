@@ -48,15 +48,15 @@ class TestTopologyOracle:
 
     def test_solve_topology_fixed_routing(self):
         gen = api.generate_topology("tree", size=7, seed=2)
-        solution = api.solve_topology(gen)
+        solution = api.solve_topology(gen.topology)
         assert isinstance(solution, api.LPSolution)
         solution.verify()
         assert solution.throughput > 0
 
     def test_solve_topology_free_routing_upper_bounds_fixed(self):
         gen = api.generate_topology("mesh", size=12, seed=2)
-        fixed = api.solve_topology(gen)
-        free = api.solve_topology(gen, free_routing=True)
+        fixed = api.solve_topology(gen.topology)
+        free = api.solve_topology(gen.topology, free_routing=True)
         assert free.throughput >= fixed.throughput - 1e-6
 
     def test_generate_topology_keyword_only(self):

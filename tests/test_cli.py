@@ -256,8 +256,28 @@ class TestLp:
         assert rc == 0
 
     def test_topology_from_json_validates(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match='"nodes"'):
             topology_from_json({"edges": []})
+
+    @pytest.mark.parametrize("content,expected", [
+        (None, "cannot read"),
+        ("{}", '"nodes"'),
+        ("[1, 2]", '"nodes"'),
+        ("not json", "not JSON"),
+        (json.dumps({"nodes": {"S1": [10360, 12300]},
+                     "edges": [["S1", "S9"]]}), "unknown node 'S9'"),
+    ], ids=["missing", "no-nodes", "not-an-object", "not-json",
+            "unknown-node"])
+    def test_lp_bad_input_is_one_line(self, tmp_path, capsys, content,
+                                      expected):
+        path = tmp_path / "topo.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["lp", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert err.startswith("repro lp: error: ")
+        assert expected in err
 
     def test_lp_bad_backend_rejected(self, tmp_path):
         # One solver, no flag to pick it: any --backend is a usage error.

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.servartuka import ServartukaPolicy
 from repro.core.static_policy import StaticPolicy
-from repro.core.topogen import GeneratedTopology
+from repro.core.topology import Topology
 from repro.harness.runner import run_scenario
 from repro.servers.proxy import DELIVER_ACTION
 from repro.workloads.scenarios import (
@@ -279,8 +279,7 @@ def test_flow_paths_are_the_route_walks(case):
     """Each generator's calls follow its flow's path in the topology."""
     scenario = CASES[case](ScenarioConfig(scale=25.0, seed=3))
     topology = scenario.topology
-    if isinstance(topology, GeneratedTopology):
-        topology = topology.topology
+    assert isinstance(topology, Topology)
     shares = topology.normalized_flow_shares()
     walks = []
     for generator in scenario.generators:
