@@ -384,7 +384,9 @@ def cmd_topogen(args) -> int:
             "edges": [list(edge) for edge in gen.topology.edges],
             "flows": [
                 {"name": flow.name, "path": list(flow.path),
-                 "share": flow.share}
+                 "share": flow.share,
+                 "prices": [list(gen.topology.hop_price(flow.name, node))
+                            for node in flow.path]}
                 for flow in gen.topology.flows
             ],
         }
@@ -394,6 +396,12 @@ def cmd_topogen(args) -> int:
     return 0
 
 
+def _is_price(price) -> bool:
+    return (isinstance(price, list) and len(price) == 2 and all(
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        for value in price))
+
+
 def topology_from_json(spec: dict, source: str = "topology") -> Topology:
     """Build a Topology from the CLI's JSON format.
 
@@ -401,10 +409,14 @@ def topology_from_json(spec: dict, source: str = "topology") -> Topology:
 
         {"nodes": {"S1": [10360, 12300], ...},
          "edges": [["S1", "S2"], ...],
-         "flows": [{"name": "main", "path": ["S1", "S2"], "share": 1.0}]}
+         "flows": [{"name": "main", "path": ["S1", "S2"], "share": 1.0,
+                    "prices": [[1.0, 0.0], [1.0, 0.0]]}]}
 
-    A malformed spec raises one :class:`ValueError` naming ``source``
-    and what is wrong.
+    ``prices`` (optional) holds one ``[penalty, relay]`` per node of the
+    path (:attr:`Topology.hop_prices`, as ``repro topogen --json``
+    writes them); without it every hop is priced ``(1, 0)``, the
+    paper's equation 8.  A malformed spec raises one :class:`ValueError`
+    naming ``source`` and what is wrong.
     """
     from repro.core.topology import Topology
 
@@ -423,6 +435,18 @@ def topology_from_json(spec: dict, source: str = "topology") -> Topology:
                 raise ValueError('every flow needs a "name" and a "path"')
             topology.add_flow(flow["name"], flow["path"],
                               flow.get("share", 1.0))
+            prices = flow.get("prices")
+            if prices is None:
+                continue
+            if not (isinstance(prices, list)
+                    and len(prices) == len(flow["path"])
+                    and all(_is_price(price) for price in prices)):
+                raise ValueError(
+                    f'flow {flow["name"]!r}: "prices" needs one '
+                    "[penalty, relay] pair of numbers per path node"
+                )
+            for node, (penalty, relay) in zip(flow["path"], prices):
+                topology.hop_prices[(flow["name"], node)] = (penalty, relay)
     except (KeyError, ValueError) as error:
         # Topology names an unknown node with a KeyError.
         raise ValueError(f"{source}: {error.args[0]}") from None

@@ -1,10 +1,12 @@
 """The paper's anchors: every number and shape the evaluation is held to.
 
-An :class:`Anchor` is one paper-vs-measured row of one experiment: the
-paper value (beyond the paper, a budget) and an optional band on
-``measured / paper``.  A :class:`Check` is a named claim about a whole
-figure (an ordering, a gain, a bound on every row below a knee).  The
-figure functions build their comparison rows from the registry, every
+An :class:`Anchor` is one paper-vs-measured row of one experiment: a
+number the paper prints and an optional band on ``measured / paper``.
+A :class:`Check` is a named claim about a whole figure (an ordering, a
+gain, a bound on every row below a knee).  The rule: every budget the
+repo sets itself (overload, optgap, ablations, resilience) is a check,
+never an anchor, so the "paper" column holds only the paper's numbers.
+The figure functions build their comparison rows from the registry, every
 ``repro experiments`` run prints the :func:`ledger` of what it ran and
 exits 1 naming a failed id, and the tests read pinned paper values and
 the EXPERIMENTS.md Summary columns (:func:`describe`) from it.  The
@@ -26,16 +28,15 @@ class Anchor(NamedTuple):
     #: The comparison row's label in the experiment's FigureData.
     quantity: str
     paper: float
-    #: Inclusive (low, high) bounds on measured / paper; ``None`` on a
-    #: side leaves it open, no band at all reports without gating.
-    band: Optional[Tuple[Optional[float], Optional[float]]] = None
+    #: Inclusive (low, high) bounds on measured / paper; no band at all
+    #: reports without gating.
+    band: Optional[Tuple[float, float]] = None
 
-    def row(self, measured: float, shown=None, digits: Optional[int] = 3):
+    def row(self, measured: float, shown=None):
         """[quantity, paper, shown, measured / paper]: a comparison row."""
-        ratio = measured / self.paper
         return [self.quantity, self.paper,
                 measured if shown is None else shown,
-                ratio if digits is None else round(ratio, digits)]
+                round(measured / self.paper, 3)]
 
 
 class Check(NamedTuple):
@@ -141,6 +142,60 @@ def _fork_front_state(figure) -> bool:
     return capacity["servartuka, 85/15"] >= 0.93 * best_static_uneven
 
 
+#: Uncontrolled goodput at 2x falls below this fraction of its own
+#: peak (congestion collapse; Shen, Schulzrinne & Nahum's shape).
+OVERLOAD_COLLAPSE = 0.5
+#: Every overload control holds this fraction of its own peak at 2x:
+#: its own, because a controller pays an admission tax at the knee
+#: (target utilization < 1) and plateaus below the uncontrolled peak.
+OVERLOAD_PLATEAU = 0.9
+
+
+def _overload(figure) -> Dict[str, Dict[float, list]]:
+    """{config: {load multiple: row}} from the overload figure's rows
+    ([config, load_mult, offered, goodput, ratio, retransmissions,
+    rejected]): the sweep's curves and the composed rows at 2x."""
+    curves: Dict[str, Dict[float, list]] = {}
+    for row in figure.rows:
+        curves.setdefault(row[0], {})[row[1]] = row
+    return curves
+
+
+def _peak(curve: Dict[float, list]) -> float:
+    return max(row[3] for row in curve.values())
+
+
+def _collapse(figure) -> bool:
+    none = _overload(figure)["none"]
+    at_2x = none[2.0][3]
+    return at_2x < OVERLOAD_COLLAPSE * _peak(none) and none[3.0][3] <= 1.05 * at_2x
+
+
+def _falls_past_peak(figure) -> bool:
+    goodputs = [row[3] for _mult, row in sorted(_overload(figure)["none"].items())]
+    past = goodputs[goodputs.index(max(goodputs)):]
+    return len(past) > 1 and all(a > b for a, b in zip(past, past[1:]))
+
+
+def _each_control(claim: Callable[[dict, dict], bool]):
+    """Holds when ``claim(curve, uncontrolled curve)`` holds for every
+    control the sweep ran (the composed ``policy/control`` rows are not
+    sweep curves)."""
+    def holds(figure) -> bool:
+        curves = _overload(figure)
+        none = curves.pop("none")
+        controls = [curve for name, curve in curves.items() if "/" not in name]
+        return bool(controls) and all(claim(curve, none) for curve in controls)
+    return holds
+
+
+def _composed(figure) -> bool:
+    curves = _overload(figure)
+    composed = curves["servartuka/occupancy"][2.0][3]
+    return all(composed > curves[alone][2.0][3]
+               for alone in ("static/occupancy", "servartuka/none"))
+
+
 def _optgap_sorted(figure) -> bool:
     keys = [tuple(row[:3]) for row in figure.rows]
     return bool(keys) and keys == sorted(keys)
@@ -216,25 +271,43 @@ _ENTRIES = (
     Check("resilience.ordering", "resilience",
           "calls lost: static > servartuka > stateless",
           _resilience_ordering),
-    # Beyond the paper: the overload family's budgets, reported only.
-    Anchor("overload.none", "overload",
-           "uncontrolled 2x goodput fraction of peak", 0.5),
-    *(Anchor(f"overload.{control}", "overload",
-             f"{control} 2x goodput fraction of peak", 0.9)
-      for control in ("rate", "window", "occupancy", "signal")),
-    Anchor("overload.amplification", "overload",
-           "2x retransmission amplification (none/rate)", 1.0),
-    Anchor("overload.composed_vs_call", "overload",
-           "composed vs call-shedding alone at 2x", 1.0),
-    Anchor("overload.composed_vs_state", "overload",
-           "composed vs state-shedding alone at 2x", 1.0),
-    Anchor("overload.window_light", "overload",
-           "window light-upstream completion fraction at 2x", 0.5),
-    # Beyond the paper: soft budgets on Algorithm 2's optimality gap.
-    Anchor("optgap.max", "optgap", "max gap across grid", 0.40, (None, 1.0)),
-    Anchor("optgap.mean", "optgap", "mean gap across grid", 0.15, (None, 1.0)),
-    Anchor("optgap.flagship", "optgap", ">=50-proxy flagship gap", 0.20,
-           (None, 1.0)),
+    # Beyond the paper: the overload family against the shapes of the
+    # overload-control literature (PAPERS.md), at 0.5x..3x capacity.
+    Check("overload.collapse", "overload",
+          f"uncontrolled 2x < {OVERLOAD_COLLAPSE:g} x its peak, 3x <= 1.05 x 2x",
+          _collapse),
+    Check("overload.falls_past_peak", "overload",
+          "uncontrolled goodput strictly decreasing past its peak",
+          _falls_past_peak),
+    Check("overload.plateau", "overload",
+          f"every control at 2x >= {OVERLOAD_PLATEAU:g} x its own peak",
+          _each_control(lambda curve, none:
+                        curve[2.0][3] >= OVERLOAD_PLATEAU * _peak(curve))),
+    Check("overload.beats_none", "overload",
+          "every control > 1.5 x uncontrolled goodput at 2x and 3x",
+          _each_control(lambda curve, none: all(
+              curve[mult][3] > 1.5 * none[mult][3] for mult in (2.0, 3.0)))),
+    Check("overload.sheds", "overload", "every control rejects calls at 2x",
+          _each_control(lambda curve, none: curve[2.0][6] > 0)),
+    Check("overload.retransmissions", "overload",
+          "every control's 2x retransmissions x 10 < uncontrolled",
+          _each_control(lambda curve, none: curve[2.0][5] * 10 < none[2.0][5])),
+    Check("overload.composed", "overload",
+          "servartuka + occupancy beats either mechanism alone at 2x",
+          _composed),
+    # The 75/25 fork's light upstream: (share, completion fraction).
+    Check("overload.window_light", "overload",
+          "window light-upstream completion fraction at 2x >= 0.5",
+          lambda figure: dict(figure.series["fork/window"])[0.25] >= 0.5),
+    # Beyond the paper: budgets on Algorithm 2's optimality gap.
+    Check("optgap.max", "optgap", "max gap across grid <= 0.40",
+          lambda figure: max(row[5] for row in figure.rows) <= 0.40),
+    Check("optgap.mean", "optgap", "mean gap across grid <= 0.15",
+          lambda figure: sum(row[5] for row in figure.rows)
+          <= 0.15 * len(figure.rows)),
+    Check("optgap.flagship", "optgap", ">=50-proxy flagship gap <= 0.20",
+          lambda figure: max(row[5] for row in figure.rows
+                             if row[1] >= 50) <= 0.20),
     Check("optgap.sorted", "optgap",
           "rows present, sorted by (family, proxies, heterogeneity)",
           _optgap_sorted),
@@ -278,10 +351,7 @@ PAPER_ANCHORS: Dict[str, Union[Anchor, Check]] = {
 
 
 def _band(band) -> str:
-    if band is None:
-        return "-"
-    low, high = band
-    return f"<= {high:g}" if low is None else f"{low:g}..{high:g}"
+    return "-" if band is None else "{:g}..{:g}".format(*band)
 
 
 def _entries(experiments=None) -> list:
@@ -319,8 +389,7 @@ def ledger(results) -> List[list]:
         verdict = "unbanded"
         if entry.band is not None:
             low, high = entry.band
-            inside = (low is None or low <= ratio) and ratio <= high
-            verdict = "ok" if inside else "FAIL"
+            verdict = "ok" if low <= ratio <= high else "FAIL"
         rows.append(fixed + [measured, round(ratio, 3), verdict])
     return rows
 

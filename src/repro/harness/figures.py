@@ -828,18 +828,17 @@ def overload_comparative(quality: Quality = QUICK) -> FigureData:
       control, the per-source window policy and proportional
       occupancy shedding.
     """
+    sweep_keys = [(control, mult) for control in OVERLOAD_POLICIES
+                  for mult in OVERLOAD_MULTS]
     sweep_specs = [
         _overload_spec(quality, mult, "static", control)
-        for control in OVERLOAD_POLICIES
-        for mult in OVERLOAD_MULTS
+        for control, mult in sweep_keys
     ]
+    # The composed panel's call-shedding-alone point (static/occupancy
+    # at 2x) is the sweep's own.
     composed_specs = [
-        _overload_spec(quality, 2.0, policy, control)
-        for policy, control in (
-            ("servartuka", None),
-            ("static", "occupancy"),
-            ("servartuka", "occupancy"),
-        )
+        _overload_spec(quality, 2.0, "servartuka", control)
+        for control in (None, "occupancy")
     ]
     fairness_controls = (None, "window", "occupancy")
     fairness_specs = [
@@ -853,88 +852,43 @@ def overload_comparative(quality: Quality = QUICK) -> FigureData:
         for control in fairness_controls
     ]
     payloads = run_specs(sweep_specs + composed_specs + fairness_specs)
-    n_sweep = len(sweep_specs)
-    n_composed = len(composed_specs)
-    sweep_payloads = payloads[:n_sweep]
-    composed_payloads = payloads[n_sweep:n_sweep + n_composed]
-    fairness_payloads = payloads[n_sweep + n_composed:]
+    sweep = dict(zip(sweep_keys, payloads))
+    servartuka_none, servartuka_occupancy = payloads[len(sweep):len(sweep) + 2]
+    fairness_payloads = payloads[len(sweep) + 2:]
 
     def _rejected(payload) -> int:
-        control_extras = payload["extras"].get("control")
-        if not control_extras:
-            return 0
-        return sum(
-            proxy["stats"]["rejected"]
-            for proxy in control_extras["proxies"].values()
-        )
+        proxies = (payload["extras"].get("control") or {}).get("proxies", {})
+        return sum(proxy["stats"]["rejected"] for proxy in proxies.values())
+
+    def _row(name: str, mult: float, payload) -> list:
+        result = RunResult.from_payload(payload["result"])
+        return [
+            name, round(mult, 2), round(result.offered_cps),
+            round(result.throughput_cps), round(result.goodput_ratio, 3),
+            result.retransmissions, _rejected(payload),
+        ]
 
     rows = []
     series: Dict[str, List[Tuple[float, float]]] = {}
-    curves: Dict[str, Dict[float, dict]] = {}
-    index = 0
-    for control in OVERLOAD_POLICIES:
+    for (control, mult), payload in sweep.items():
         name = control if control is not None else "none"
-        curve: Dict[float, dict] = {}
-        points: List[Tuple[float, float]] = []
-        for mult in OVERLOAD_MULTS:
-            payload = sweep_payloads[index]
-            index += 1
-            result = RunResult.from_payload(payload["result"])
-            curve[mult] = {
-                "goodput": result.throughput_cps,
-                "retransmissions": result.retransmissions,
-                "rejected": _rejected(payload),
-            }
-            points.append((result.offered_cps, result.throughput_cps))
-            rows.append([
-                name, round(mult, 2), round(result.offered_cps),
-                round(result.throughput_cps),
-                round(result.goodput_ratio, 3),
-                result.retransmissions,
-                curve[mult]["rejected"],
-            ])
-        curves[name] = curve
-        series[name] = points
-
-    # Retention at 2x: each configuration's goodput relative to the
-    # peak of ITS OWN load sweep.  This is the collapse-vs-plateau
-    # metric -- a controller pays a deliberate admission tax at the
-    # knee (target_utilization < 1), so it plateaus slightly below the
-    # uncontrolled knee but must then HOLD that plateau, while the
-    # uncontrolled chain falls off a cliff past its own peak.
-    def _retention(name: str) -> float:
-        own_peak = max(point["goodput"] for point in curves[name].values())
-        return round(curves[name][2.0]["goodput"] / own_peak, 3)
-
-    comparisons = [
-        PAPER_ANCHORS[f"overload.{name}"].row(_retention(name)) for name in curves
-    ]
-    none_retrans = curves["none"][2.0]["retransmissions"]
-    rate_retrans = max(1, curves["rate"][2.0]["retransmissions"])
-    comparisons.append(PAPER_ANCHORS["overload.amplification"].row(
-        round(none_retrans / rate_retrans, 1)))
+        rows.append(_row(name, mult, payload))
+        series.setdefault(name, []).append(
+            (payload["result"]["offered_cps"],
+             payload["result"]["throughput_cps"]))
 
     # Composed panel: state shedding x call shedding at 2x.
-    composed = {
-        label: RunResult.from_payload(payload["result"]).throughput_cps
-        for label, payload in zip(
-            ("servartuka/none", "static/occupancy", "servartuka/occupancy"),
-            composed_payloads,
-        )
-    }
-    for label, goodput in composed.items():
-        rows.append([label, 2.0, round(OVERLOAD_ANCHOR * 2.0),
-                     round(goodput), round(goodput / (OVERLOAD_ANCHOR * 2.0), 3),
-                     0, 0])
-    comparisons.append(PAPER_ANCHORS["overload.composed_vs_call"].row(round(
-        composed["servartuka/occupancy"] / composed["static/occupancy"], 3)))
-    comparisons.append(PAPER_ANCHORS["overload.composed_vs_state"].row(round(
-        composed["servartuka/occupancy"] / composed["servartuka/none"], 3)))
+    for label, payload in (
+        ("servartuka/none", servartuka_none),
+        ("static/occupancy", sweep[("occupancy", 2.0)]),
+        ("servartuka/occupancy", servartuka_occupancy),
+    ):
+        rows.append(_row(label, 2.0, payload))
 
-    # Fairness panel: per-upstream completion fractions on the fork.
-    fairness_rows = []
-    for control, payload in zip(fairness_controls, fairness_payloads):
-        name = control if control is not None else "none"
+    # Fairness panel: per-upstream completion fractions on the fork,
+    # one series per control of (upstream share, completion fraction).
+    fairness = [f"fork/{control or 'none'}" for control in fairness_controls]
+    for name, payload in zip(fairness, fairness_payloads):
         generators = (payload["extras"].get("control") or {}).get("generators")
         if generators is None:
             generators = {
@@ -944,22 +898,16 @@ def overload_comparative(quality: Quality = QUICK) -> FigureData:
                     payload["extras"]["uas_calls_completed"],
                 )
             }
-        fractions = {}
+        points = []
         for uac, share in (("uac_u", 0.75), ("uac_l", 0.25)):
             stats = generators[uac]
             attempted = stats["attempted"] or round(
                 OVERLOAD_FORK_ANCHOR * 2.0 * share / 50.0
                 * (OVERLOAD_DURATION + OVERLOAD_WARMUP)
             )
-            fractions[uac] = (
-                stats["completed"] / attempted if attempted else 0.0
-            )
-        fairness_rows.append(
-            [f"fork/{name}", 2.0, round(OVERLOAD_FORK_ANCHOR * 2.0),
-             round(fractions["uac_u"], 3), round(fractions["uac_l"], 3)]
-        )
-    comparisons.append(
-        PAPER_ANCHORS["overload.window_light"].row(fairness_rows[1][4]))
+            fraction = stats["completed"] / attempted if attempted else 0.0
+            points.append((share, round(fraction, 3)))
+        series[name] = points
 
     return FigureData(
         "Overload",
@@ -979,14 +927,14 @@ def overload_comparative(quality: Quality = QUICK) -> FigureData:
             "Fork fairness rows report per-upstream completion "
             "fractions (heavy 75% / light 25% split)."
         ),
-        comparisons=comparisons,
         series=series,
         notes=(
             "fairness rows list [config, mult, offered, heavy-upstream "
             "completion fraction, light-upstream completion fraction]: "
             + "; ".join(
-                f"{row[0]}: heavy {row[3]:g} light {row[4]:g}"
-                for row in fairness_rows
+                f"{name}: heavy {series[name][0][1]:g} "
+                f"light {series[name][1][1]:g}"
+                for name in fairness
             )
         ),
     )

@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import topogen
-from repro.harness.anchors import PAPER_ANCHORS
 from repro.harness.figures import QUICK, FigureData, Quality
 from repro.harness.parallel import SpecTemplate, run_specs
 from repro.harness.runner import RunResult
@@ -140,17 +139,6 @@ def optgap_figure(quality: Quality = QUICK) -> FigureData:
     series: Dict[str, List[Tuple[float, float]]] = {}
     for family, n, het, _lp, _achieved, gap in rows:
         series.setdefault(f"{family} h={het:g}", []).append((float(n), gap))
-    gaps = [row[5] for row in rows]
-    max_gap = max(gaps)
-    mean_gap = sum(gaps) / len(gaps)
-    flagship = [row for row in rows if row[1] >= 50]
-    flagship_gap = max(row[5] for row in flagship) if flagship else 0.0
-    # [label, budget, measured, measured/budget]: beyond-paper budgets.
-    comparisons = [
-        PAPER_ANCHORS[f"optgap.{name}"].row(gap, digits=None)
-        for name, gap in (("max", max_gap), ("mean", mean_gap),
-                          ("flagship", flagship_gap))
-    ]
     return FigureData(
         figure_id="optgap",
         title="Optimality gap: distributed Algorithm 2 vs LP oracle",
@@ -166,13 +154,7 @@ def optgap_figure(quality: Quality = QUICK) -> FigureData:
             "clamped to [0, 1].  Rows are sorted by family, size and "
             "heterogeneity."
         ),
-        comparisons=comparisons,
         series=series,
-        notes=(
-            "Beyond-paper experiment (the paper stops at 2-3 node "
-            "topologies).  Budgets in the comparison rows are soft "
-            "regression targets, not paper values."
-        ),
     )
 
 

@@ -21,6 +21,7 @@ from repro.harness.figures import (
     lp_optima,
 )
 from repro.harness.parallel import SpecTemplate
+from repro.harness.runner import RunResult
 from repro.harness.saturation import lp_bound
 from repro.workloads.scenarios import chain_topology, mix_topology
 
@@ -168,6 +169,40 @@ class TestScenarioTopologyIsTheLPInput:
             figures.figure8_parallel(quality)
         loads = started.value.args[0]
         assert (loads[0], loads[-1]) == (0.6 * bound, 1.2 * bound)
+
+
+class TestOverloadRows:
+    def test_composed_rows_print_their_runs_counts(self, monkeypatch):
+        """Each composed row shows its own run's retransmissions and
+        rejects; static/occupancy is the sweep's own 2x point."""
+        def run_specs(specs):
+            payloads = []
+            for index, spec in enumerate(specs):
+                result = RunResult(spec.label, 17000.0, 24.0)
+                result.throughput_cps = 1000.0 + index
+                result.retransmissions = 100 + index
+                extras = {"uas_calls_completed": [3, 1]}
+                if "occupancy" in spec.label:
+                    extras["control"] = {
+                        "proxies": {"P1": {"stats": {"rejected": 7 + index}}},
+                        "generators": {
+                            uac: {"attempted": 10, "completed": 5}
+                            for uac in ("uac_u", "uac_l")}}
+                payloads.append({"result": result.to_payload(),
+                                 "extras": extras})
+            return payloads
+
+        monkeypatch.setattr(figures, "run_specs", run_specs)
+        rows = figures.overload_comparative(QUICK).rows
+        by_config = {(row[0], row[1]): row for row in rows}
+        composed = [row for row in rows if "/" in row[0]]
+        assert [row[0] for row in composed] == [
+            "servartuka/none", "static/occupancy", "servartuka/occupancy"]
+        # 25 sweep specs (5 controls x 5 loads), then the two composed.
+        assert composed[0][5:] == [125, 0]
+        assert composed[1][3:] == by_config[("occupancy", 2.0)][3:]
+        assert composed[1][5:] == [118, 25]
+        assert composed[2][5:] == [126, 33]
 
 
 class TestQualityPresets:

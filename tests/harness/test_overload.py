@@ -22,7 +22,7 @@ import os
 import pytest
 
 from repro.harness import figures as figure_mod
-from repro.harness.anchors import PAPER_ANCHORS
+from repro.harness.anchors import OVERLOAD_COLLAPSE, OVERLOAD_PLATEAU
 from repro.harness.figures import QUICK, overload_config
 from repro.harness.parallel import (
     SpecTemplate,
@@ -78,7 +78,7 @@ def test_congestion_collapse_without_control(overload_runs):
     peak = max(_goodput(overload_runs, "static", None, m) for m in MULTS)
     at_2x = _goodput(overload_runs, "static", None, 2.0)
     assert peak > 0
-    assert at_2x < PAPER_ANCHORS["overload.none"].paper * peak, (  # 0.5
+    assert at_2x < OVERLOAD_COLLAPSE * peak, (
         f"expected congestion collapse: 2x goodput {at_2x:.0f} is "
         f"{at_2x / peak:.2f} of peak {peak:.0f}"
     )
@@ -92,7 +92,7 @@ def test_rate_control_defends_the_plateau(overload_runs):
     # plateau must stay flat while the uncontrolled chain collapses.
     peak = max(_goodput(overload_runs, "static", "rate", m) for m in MULTS)
     at_2x = _goodput(overload_runs, "static", "rate", 2.0)
-    assert at_2x >= PAPER_ANCHORS["overload.rate"].paper * peak, (  # 0.9
+    assert at_2x >= OVERLOAD_PLATEAU * peak, (
         f"rate control held only {at_2x / peak:.2f} of its peak under 2x"
     )
     # And the controlled plateau clears the collapsed goodput by a wide

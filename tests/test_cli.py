@@ -266,8 +266,12 @@ class TestLp:
         ("not json", "not JSON"),
         (json.dumps({"nodes": {"S1": [10360, 12300]},
                      "edges": [["S1", "S9"]]}), "unknown node 'S9'"),
+        (json.dumps({"nodes": {"S1": [10360, 12300]},
+                     "flows": [{"name": "f", "path": ["S1"],
+                                "prices": [[1.0]]}]}),
+         "flow 'f': \"prices\" needs one [penalty, relay] pair"),
     ], ids=["missing", "no-nodes", "not-an-object", "not-json",
-            "unknown-node"])
+            "unknown-node", "bad-prices"])
     def test_lp_bad_input_is_one_line(self, tmp_path, capsys, content,
                                       expected):
         path = tmp_path / "topo.json"
@@ -312,6 +316,18 @@ class TestTopogen:
         rc = main(["lp", str(path)])
         assert rc == 0
         assert "admissible load" in capsys.readouterr().out
+
+    def test_lp_on_a_dump_solves_the_generated_bound(self, tmp_path, capsys):
+        """The dump carries each hop's (penalty, relay) prices, so
+        ``repro lp`` on it prints topogen's own LP bound."""
+        path = tmp_path / "tree.json"
+        assert main(["topogen", "--family", "tree", "--size", "7",
+                     "--json", str(path)]) == 0
+        generated = capsys.readouterr().out.splitlines()[1]
+        assert generated == "LP-optimal admitted load: 11682.9 cps"
+        assert main(["lp", str(path)]) == 0
+        solved = capsys.readouterr().out.splitlines()[0]
+        assert solved == "admissible load: 11682.9 cps"
 
 
 class TestExperiments:
