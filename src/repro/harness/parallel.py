@@ -43,9 +43,9 @@ result:
 - every ``Scenario.__init__`` sets the engine-mode globals
   (``set_engine_mode``) in both directions, so a run takes its rung
   from its spec, never from the parent;
-- the parse and URI interning tables are memo caches, and the engine
-  differential battery already holds that their hits do not change a
-  result, whatever filled them;
+- no module keeps a parsed header or URI: a parsed value lives on the
+  message that carries it, and the one process-wide memo left in
+  :mod:`repro.sip`, canonical header names, is a pure function;
 - every random draw comes from a per-scenario ``random.Random`` seeded
   from the spec (:mod:`repro.sim.rng`), never from the module-level
   generator;
@@ -354,13 +354,16 @@ def _execute_chunk(tasks: List[Tuple[int, str, dict]]) -> List[Tuple[int, dict]]
     """Worker entry point: run a chunk of (slot, kind, payload) tasks."""
     out = []
     for slot, kind, payload in tasks:
-        out.append((slot, _normalize(JOBS[kind](payload))))
         # No event leaves a cycle behind, but the scenario graph itself
         # is one (loop <-> nodes <-> timers), and the job ran it with the
         # collector off, so a process running jobs back to back would
         # grow by a scenario per job.  Reclaim it before the next one is
-        # built.
-        gc.collect()
+        # built, in one pass: the collector stays off until that pass,
+        # or its first automatic one would traverse the whole finished
+        # run (all of it young) just before the explicit one does again.
+        with collector_off():
+            out.append((slot, _normalize(JOBS[kind](payload))))
+            gc.collect()
     return out
 
 

@@ -36,19 +36,29 @@ class Binding:
 class LocationService:
     """Registrar database shared by the proxies of a domain."""
 
+    _KEY_MEMO_MAX = 4096
+
     def __init__(self, name: str = "location"):
         self.name = name
         self._bindings: Dict[str, List[Binding]] = {}
+        # AOR URI text -> its user@host key: a pure function over the
+        # scenario's AORs, memoized per service.  It stops growing at
+        # _KEY_MEMO_MAX entries and never holds a failed parse.
+        self._keys: Dict[str, str] = {}
         self.lookups = 0
         self.misses = 0
 
-    @staticmethod
-    def _key(aor: str) -> str:
+    def _key(self, aor: str) -> str:
         """Normalize an AOR string or URI to user@host."""
-        if aor.startswith("sip:") or aor.startswith("sips:") or aor.startswith("<"):
+        if not aor.startswith(("sip:", "sips:", "<")):
+            return aor
+        key = self._keys.get(aor)
+        if key is None:
             uri = parse_uri(aor)
-            return f"{uri.user}@{uri.host}" if uri.user else uri.host
-        return aor
+            key = f"{uri.user}@{uri.host}" if uri.user else uri.host
+            if len(self._keys) < self._KEY_MEMO_MAX:
+                self._keys[aor] = key
+        return key
 
     def register(
         self,

@@ -167,6 +167,8 @@ class ProxyTransaction:
         self.method = method
         self.upstream = upstream
         self.forwarded_branch = forwarded_branch
+        # The final sent upstream, kept for replay only, so held as a
+        # ``bare_copy``: no parsed views linger with the transaction.
         self.last_upstream_response: Optional[SipResponse] = None
         self.created_at = created_at
         self.completed = False
@@ -766,7 +768,7 @@ class ProxyServer(Node):
                 transaction = ProxyTransaction(
                     key, request.method, plan.src, branch, self.loop.now
                 )
-                transaction.last_upstream_response = response
+                transaction.last_upstream_response = response.bare_copy()
                 transaction.completed = True
                 self._transactions[key] = transaction
                 self.state_account.created("transaction")
@@ -996,7 +998,7 @@ class ProxyServer(Node):
             self._control_note_response(response, plan.src)
 
         if transaction is not None and response.is_final:
-            transaction.last_upstream_response = forwarded
+            transaction.last_upstream_response = forwarded.bare_copy()
             if not transaction.completed:
                 transaction.completed = True
                 self.loop.schedule(

@@ -32,6 +32,7 @@ from repro.sip.sdp import SessionDescription
 from repro.sip.message import SipMessage, SipRequest, SipResponse
 from repro.sip.timers import DEFAULT_TIMERS, TimerPolicy
 from repro.sip.transaction import ClientTransaction
+from repro.sip.uri import SipUri, parse_uri
 
 
 def _check_rate(rate: float) -> None:
@@ -122,11 +123,11 @@ class CallRecord:
         "cseq", "invite_branch", "from_uri", "from_tag",
     )
 
-    def __init__(self, call_id: str, destination: str, created_at: float):
+    def __init__(self, call_id: str, destination: SipUri, created_at: float):
         self.call_id = call_id
         self.destination = destination
         self.created_at = created_at
-        self.from_uri = ""
+        self.from_uri: Optional[SipUri] = None
         self.from_tag = ""
         self.answered_at: Optional[float] = None
         self.completed_at: Optional[float] = None
@@ -167,6 +168,8 @@ class CallGenerator(Node):
         self._branch_counter = 0
         self._running = False
         self._dest_index = 0
+        # Destinations parsed once; every request of a call reuses them.
+        self._dest_uris = [parse_uri(d) for d in config.destinations]
         # The SDP offer depends only on the generator's name, so its
         # wire form is rendered once and reused for every call.
         self._offer_body = SessionDescription.offer(name).to_body()
@@ -226,14 +229,17 @@ class CallGenerator(Node):
     def _start_call(self) -> None:
         self._call_counter += 1
         destination = self.config.destinations[self._dest_index]
+        dest_uri = self._dest_uris[self._dest_index]
         self._dest_index = (self._dest_index + 1) % len(self.config.destinations)
         call_id = f"{self.name}-call-{self._call_counter}"
-        from_uri = f"sip:user{self._call_counter}@{self.config.from_domain}"
+        from_uri = parse_uri(
+            f"sip:user{self._call_counter}@{self.config.from_domain}"
+        )
         invite = SipRequest.build(
             "INVITE",
-            uri=destination,
+            uri=dest_uri,
             from_addr=from_uri,
-            to_addr=destination,
+            to_addr=dest_uri,
             call_id=call_id,
             cseq=1,
             from_tag=f"uac-{self._call_counter}",
@@ -259,7 +265,7 @@ class CallGenerator(Node):
         branch = self._next_branch()
         invite.push_via(Via(self.name, branch=branch))
 
-        record = CallRecord(call_id, destination, self.loop.now)
+        record = CallRecord(call_id, dest_uri, self.loop.now)
         record.invite_branch = branch
         record.from_uri = from_uri
         record.from_tag = f"uac-{self._call_counter}"

@@ -41,10 +41,11 @@ Two drivers run the same window step and produce bit-identical results.
 *Inline* holds every shard in one process and hands batches over by
 reference (``shards=1``, daemonic pool workers,
 ``REPRO_SHARD_DRIVER=inline``).  *Process* runs one worker per shard and
-no coordinator: the parent starts the workers, builds its own probe
-while they import, then only waits for their partials; each pair of
-shards swaps batches over its own duplex link (an empty message is the
-barrier token), polling and yielding the core instead of sleeping.
+no coordinator: the parent builds its own probe (so a refused scenario
+starts no worker), starts the workers, then only waits for their
+partials; each pair of shards swaps batches over its own duplex link
+(an empty message is the barrier token), polling and yielding the core
+instead of sleeping.
 """
 
 from __future__ import annotations
@@ -511,6 +512,9 @@ def _drive_process(
     import multiprocessing
     from multiprocessing.connection import wait
 
+    # The probe first: a scenario the engine refuses starts no worker.
+    probe = build_scenario(payload)
+    plan = partition_scenario(probe, shards)
     ctx = multiprocessing.get_context(default_start_method())
     links: List[Dict[int, Any]] = [{} for _ in range(shards)]
     for low in range(shards):
@@ -533,9 +537,6 @@ def _drive_process(
             for end in (child_end, *mine.values()):
                 end.close()  # the worker's now, so that its death is EOF
             reports[report] = shard_id
-        # The workers are starting; build the probe meanwhile.
-        probe = build_scenario(payload)
-        plan = partition_scenario(probe, shards)
         waiting = dict(reports)
         while waiting:
             for report in wait(list(waiting)):

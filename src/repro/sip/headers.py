@@ -5,6 +5,14 @@ rest stay as raw strings.  This mirrors the "lazy parsing" behaviour the
 paper profiles in OpenSER: richer services touch more headers, so they
 pay more parsing cost (Figure 3).  The message layer counts how many
 headers were structurally parsed so the cost model can charge for them.
+
+A parsed value belongs to the message that carries it (its view cache,
+``repro.sip.message``) and to nothing else: no module-level table keeps
+a Via, CSeq or URI alive past its message.  Where a later hop needs the
+same value, the message layer hands the object over (``push_via``,
+``forward_clone``, ``SipResponse.for_request``) instead of parsing the
+text again.  The one process-wide memo left is ``canonical_name``'s, a
+pure map over a few dozen header names.
 """
 
 from __future__ import annotations
@@ -12,56 +20,11 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional, Tuple
 
-from repro.sip.uri import SipUri, parse_uri, set_uri_interning
+from repro.sip.uri import SipUri, parse_uri
 
 
 class SipHeaderError(ValueError):
     """Raised when a header value cannot be parsed."""
-
-
-# Turbo parse caching (toggled by repro.sip.message.set_engine_mode).
-# Parsed CSeq values come from a tiny vocabulary ("1 INVITE", "1 ACK",
-# "2 BYE", ...), so in turbo mode successful parses are interned and the
-# shared instances handed out; they are treated as immutable everywhere.
-# Via values carry a unique branch per transaction, but each raw string
-# is parsed at several hops within the transaction's short life (request
-# forwarding, then response routing back over the same stack), so a
-# bounded recency cache still hits most lookups.  Eviction is
-# generational (new/old dict swap, hits promote) so the in-flight
-# working set survives the swap instead of being wiped with the corpses.
-_PARSE_CACHING = False
-_CSEQ_CACHE: Dict[str, "CSeq"] = {}
-_CSEQ_CACHE_MAX = 1024
-_VIA_CACHE: Dict[str, "Via"] = {}
-_VIA_CACHE_OLD: Dict[str, "Via"] = {}
-_VIA_CACHE_MAX = 8192
-
-
-def set_parse_caching(enabled: bool) -> None:
-    """Enable/disable turbo parse interning (clears the caches)."""
-    global _PARSE_CACHING, _VIA_CACHE, _VIA_CACHE_OLD
-    _PARSE_CACHING = bool(enabled)
-    _CSEQ_CACHE.clear()
-    _VIA_CACHE = {}
-    _VIA_CACHE_OLD = {}
-    set_uri_interning(enabled)
-
-
-def seed_via_cache(raw: str, via: "Via") -> None:
-    """Pre-intern a locally-built Via under its wire form.
-
-    Every Via string in the system originates as ``str(via)`` of a
-    freshly-built, never-mutated :class:`Via` (see ``push_via``), so the
-    builder's object and ``Via.parse(raw)`` are interchangeable; seeding
-    turns the otherwise-compulsory first parse at the next hop into a
-    cache hit.  No-op outside turbo mode.
-    """
-    if _PARSE_CACHING:
-        global _VIA_CACHE, _VIA_CACHE_OLD
-        if len(_VIA_CACHE) >= _VIA_CACHE_MAX:
-            _VIA_CACHE_OLD = _VIA_CACHE
-            _VIA_CACHE = {}
-        _VIA_CACHE[raw] = via
 
 
 # Canonical header names, including RFC 3261 compact forms.
@@ -203,25 +166,6 @@ class Via(object):
 
     @classmethod
     def parse(cls, raw: str) -> "Via":
-        if _PARSE_CACHING:
-            global _VIA_CACHE, _VIA_CACHE_OLD
-            via = _VIA_CACHE.get(raw)
-            if via is not None:
-                return via
-            via = _VIA_CACHE_OLD.get(raw)
-            if via is None:
-                via = cls._parse_uncached(raw)
-            if len(_VIA_CACHE) >= _VIA_CACHE_MAX:
-                # Generation swap: the new generation (which holds the
-                # recently-touched working set) becomes the old one.
-                _VIA_CACHE_OLD = _VIA_CACHE
-                _VIA_CACHE = {}
-            _VIA_CACHE[raw] = via
-            return via
-        return cls._parse_uncached(raw)
-
-    @classmethod
-    def _parse_uncached(cls, raw: str) -> "Via":
         raw = raw.strip()
         match = _VIA_GRAMMAR.match(raw)
         if not match:
@@ -330,10 +274,6 @@ class CSeq(object):
 
     @classmethod
     def parse(cls, raw: str) -> "CSeq":
-        if _PARSE_CACHING:
-            cached = _CSEQ_CACHE.get(raw)
-            if cached is not None:
-                return cached
         parts = raw.split()
         if len(parts) != 2:
             raise SipHeaderError(f"bad CSeq: {raw!r}")
@@ -341,10 +281,7 @@ class CSeq(object):
             number = int(parts[0])
         except ValueError:
             raise SipHeaderError(f"bad CSeq number: {raw!r}") from None
-        parsed = cls(number, parts[1])
-        if _PARSE_CACHING and len(_CSEQ_CACHE) < _CSEQ_CACHE_MAX:
-            _CSEQ_CACHE[raw] = parsed
-        return parsed
+        return cls(number, parts[1])
 
     def next_in_dialog(self, method: str) -> "CSeq":
         return CSeq(self.number + 1, method)

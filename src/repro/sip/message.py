@@ -6,11 +6,19 @@ pairs.  Structured views (:class:`~repro.sip.headers.Via`,
 are built on first access and cached, the way the paper observes
 OpenSER doing it ("parsing in most SIP servers is lazy ... richer
 services require more of the message to be parsed").
+
+A view is owned by its message and lives as long as it does.  Where a
+node already holds the value a header was rendered from -- the Via it
+pushes, the CSeq and To it built a request with, the views of the
+request it answers -- it stores that object as the view, so the next
+reader skips the parse; each such view equals what parsing the header
+would give.  A message kept only for replay (:meth:`SipMessage.bare_copy`)
+holds none.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.sip.headers import (
     _CANON_CACHE,
@@ -19,8 +27,6 @@ from repro.sip.headers import (
     SipHeaderError,
     Via,
     canonical_name,
-    seed_via_cache,
-    set_parse_caching,
 )
 from repro.sip.uri import SipUri, parse_uri
 
@@ -40,17 +46,17 @@ _MISSING = object()
 #   :meth:`SipMessage.to_wire` and re-parses with
 #   ``repro.sip.parser.parse_message``, paying exactly what a real
 #   stack pays per hop.  The oracle the bench compares against, and the
-#   import-time state (no interning until a scenario asks for it).
-# - ``"turbo"`` -- copy-on-write: share the header list, carry parsed
-#   views across the copy, intern small parse vocabularies (URIs, CSeq,
-#   Via); plus deferred per-component CPU accounting and lean metrics.
-#   The default.
+#   import-time state.
+# - ``"turbo"`` -- copy-on-write: share the header list and carry the
+#   parsed views across the copy; plus deferred per-component CPU
+#   accounting and lean metrics.  The default.
 #
 # In the message layer the flag decides one thing: how a message
-# crosses a hop (``copy()`` below), with parse interning alongside.
-# What one message caches about itself (the lazy views below, the top
-# Via, the transaction key), the proxy's one-pass ``forward_clone`` and
-# the nodes' pure-function memos are the same code on both rungs:
+# crosses a hop (``copy()`` below).  What one message caches about
+# itself (the lazy views below, the top Via, the transaction key), the
+# views a sender hands over (``push_via``, ``build``, ``for_request``),
+# the proxy's one-pass ``forward_clone`` and the nodes' pure-function
+# memos are the same code on both rungs:
 # nothing in repro.servers asks which rung it runs on.  Messages, packets,
 # CPU jobs and proxy plans are plain allocations on both rungs, and
 # random draws go through the stdlib ``random.Random`` methods, so any
@@ -83,8 +89,7 @@ def check_engine(name: str) -> str:
 def set_engine_mode(mode: str) -> None:
     """Select how ``copy()`` models the wire (see module comment).
 
-    The single writer of every engine switch: fans out to the parse
-    caches (Via/CSeq, and URI through ``set_parse_caching``), deferred
+    The single writer of every engine switch: fans out to deferred
     per-component CPU accounting and the metrics allocation mode.  The
     cyclic collector is not an engine switch: the driver of every run
     turns it off for that run on both rungs
@@ -92,7 +97,6 @@ def set_engine_mode(mode: str) -> None:
     """
     global _TURBO
     _TURBO = check_engine(mode) != "reference"
-    set_parse_caching(_TURBO)
     # The accounting switches live in the substrate layers; imported
     # lazily because repro.sim (via repro.sim.trace) imports this module.
     from repro.sim.cpu import set_deferred_accounting
@@ -226,6 +230,28 @@ class SipMessage:
         elif name == "CSeq":
             self._cache.pop("_txn_key", None)
 
+    def copy(self) -> "SipMessage":
+        """Independent copy: what the next hop receives.
+
+        Reference: a wire round trip (serialize, re-parse).  Turbo: the
+        header list is shared copy-on-write (mutators materialize a
+        private list before touching it) and the parsed header views
+        ride along, since both sides treat views as immutable.
+        Protocol-visible behavior is identical.
+        """
+        if _TURBO:
+            return self._share(dict(self._cache))
+        return _wire_copy(self)
+
+    def bare_copy(self) -> "SipMessage":
+        """The same message holding no parsed views, on both rungs.
+
+        Shares the header list copy-on-write (no wire round trip): what
+        a node keeps only to replay later, whose views the replay
+        re-derives lazily.  (``_share`` is each subclass's clone.)
+        """
+        return self._share({})
+
     def _cached(self, key: str, builder) -> object:
         if key not in self._cache:
             self._cache[key] = builder()
@@ -257,22 +283,31 @@ class SipMessage:
         return top
 
     def push_via(self, via: Via) -> None:
-        raw = str(via)
-        seed_via_cache(raw, via)
-        self.add("Via", raw, at_top=True)
+        """Add ``via`` on top; it becomes the top view, and heads the
+        stack view when the rest of the stack is already parsed."""
+        stack = self._cache.get("Via")
+        self.add("Via", str(via), at_top=True)
+        _set_top_via(self._cache, via, stack)
 
     def pop_via(self) -> Optional[Via]:
-        """Remove and return the topmost Via (response forwarding)."""
+        """Remove and return the topmost Via (response forwarding).
+
+        A parsed stack view stays, minus its head, so the next hop's
+        Via needs no parse.
+        """
         top = self.top_via
         if top is None:
             return None
-        wanted = canonical_name("Via")
+        stack = self._cache.get("Via")
         self._own_headers()
         for index, (header, _value) in enumerate(self.headers):
-            if header == wanted:
+            if header == "Via":
                 del self.headers[index]
                 break
-        self._invalidate(wanted)
+        self._invalidate("Via")
+        if stack is not None:
+            rest = self._cache["Via"] = stack[1:]
+            self._cache["_top_via"] = rest[0] if rest else None
         return top
 
     @property
@@ -402,26 +437,16 @@ class SipRequest(SipMessage):
     def start_line(self) -> str:
         return f"{self.method} {self.uri} {SIP_VERSION}"
 
-    def copy(self) -> "SipRequest":
-        """Independent copy: what the next hop receives.
-
-        Reference: a wire round trip (serialize, re-parse).  Turbo: the
-        header list is shared copy-on-write (mutators materialize a
-        private list before touching it) and the parsed header views
-        ride along, since both sides treat views as immutable.
-        Protocol-visible behavior is identical.
-        """
-        if _TURBO:
-            clone = SipRequest.__new__(SipRequest)
-            clone.method = self.method
-            clone.uri = self.uri
-            clone.body = self.body
-            clone.headers = self.headers
-            clone._cache = dict(self._cache)
-            clone._cow = True
-            self._cow = True
-            return clone
-        return _wire_copy(self)
+    def _share(self, views: Dict[str, object]) -> "SipRequest":
+        clone = SipRequest.__new__(SipRequest)
+        clone.method = self.method
+        clone.uri = self.uri
+        clone.body = self.body
+        clone.headers = self.headers
+        clone._cache = views
+        clone._cow = True
+        self._cow = True
+        return clone
 
     def max_forwards(self) -> int:
         """The Max-Forwards value, read without touching the message.
@@ -452,9 +477,9 @@ class SipRequest(SipMessage):
     def build(
         cls,
         method: str,
-        uri: str,
-        from_addr: str,
-        to_addr: str,
+        uri: Union[str, SipUri],
+        from_addr: Union[str, SipUri],
+        to_addr: Union[str, SipUri],
         call_id: str,
         cseq: int,
         from_tag: Optional[str] = None,
@@ -462,19 +487,26 @@ class SipRequest(SipMessage):
         max_forwards: int = 70,
         body: str = "",
     ) -> "SipRequest":
-        """Construct a well-formed request (no Via; the sender pushes it)."""
-        request = cls(method, parse_uri(uri), body=body)
-        from_na = NameAddr(parse_uri(from_addr), tag=from_tag)
-        to_na = NameAddr(parse_uri(to_addr), tag=to_tag)
+        """Construct a well-formed request (no Via; the sender pushes it).
+
+        The addresses may be given parsed, so a sender that reuses one
+        parses it once.  The request keeps the To and CSeq it was
+        rendered from as their views, and an empty Via stack view.
+        """
+        request = cls(method, _as_uri(uri), body=body)
+        from_na = NameAddr(_as_uri(from_addr), tag=from_tag)
+        to_na = NameAddr(_as_uri(to_addr), tag=to_tag)
+        sequence = CSeq(cseq, method)
         # Equivalent to set() per header on an empty message; built
         # directly to skip the per-call replace scans.
         request.headers = [
             ("From", str(from_na)),
             ("To", str(to_na)),
             ("Call-ID", call_id),
-            ("CSeq", str(CSeq(cseq, method))),
+            ("CSeq", str(sequence)),
             ("Max-Forwards", str(max_forwards)),
         ]
+        request._cache = {"To": to_na, "CSeq": sequence, "Via": []}
         return request
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -515,7 +547,6 @@ def forward_clone(
     via.host = proxy_name
     via.port = None
     via.params = {"branch": branch}
-    seed_via_cache(raw, via)
     clone = request.copy()
 
     auth_name = auth[0] if auth is not None else None
@@ -555,10 +586,8 @@ def forward_clone(
     clone.headers = headers
     clone._cow = False
 
-    # Drop the views the mutator sequence would invalidate.  The new
-    # top Via is not stored as a view: on the reference rung the next
-    # hop parses its own, as after a wire hop, and on turbo that parse
-    # is an intern hit on the ``via`` seeded above.
+    # Drop the views the mutator sequence would invalidate; the new top
+    # Via is stored as a view, as push_via stores it.
     cache = clone._cache
     if pop_routes:
         cache.pop("Route", None)
@@ -568,10 +597,19 @@ def forward_clone(
         cache.pop(state_name, None)
     if record_route:
         cache.pop("Record-Route", None)
-    cache.pop("Via", None)
-    cache.pop("_top_via", None)
     cache.pop("_txn_key", None)
+    _set_top_via(cache, via, cache.get("Via"))
     return clone
+
+
+def _set_top_via(cache: Dict[str, object], via: Via,
+                 stack: Optional[List[Via]]) -> None:
+    """Store ``via`` as the top view of the message whose Via header it
+    was just rendered into, on top of ``stack`` (the stack view before
+    the push, None if it was never parsed)."""
+    cache["_top_via"] = via
+    if stack is not None:
+        cache["Via"] = [via, *stack]
 
 
 class SipResponse(SipMessage):
@@ -607,18 +645,16 @@ class SipResponse(SipMessage):
     def is_success(self) -> bool:
         return 200 <= self.status < 300
 
-    def copy(self) -> "SipResponse":
-        if _TURBO:
-            clone = SipResponse.__new__(SipResponse)
-            clone.status = self.status
-            clone.reason = self.reason
-            clone.body = self.body
-            clone.headers = self.headers
-            clone._cache = dict(self._cache)
-            clone._cow = True
-            self._cow = True
-            return clone
-        return _wire_copy(self)
+    def _share(self, views: Dict[str, object]) -> "SipResponse":
+        clone = SipResponse.__new__(SipResponse)
+        clone.status = self.status
+        clone.reason = self.reason
+        clone.body = self.body
+        clone.headers = self.headers
+        clone._cache = views
+        clone._cow = True
+        self._cow = True
+        return clone
 
     @classmethod
     def for_request(
@@ -632,9 +668,13 @@ class SipResponse(SipMessage):
         To (optionally adding a tag), Call-ID and CSeq from the request.
         """
         response = cls(status, reason)
+        views = request._cache
+        to_view = views.get("To")
         to_value = request.get("To") or ""
         if to_tag is not None and ";tag=" not in to_value:
             to_value = f"{to_value};tag={to_tag}"
+            if to_view is not None:
+                to_view = to_view.with_tag(to_tag)
         # Same header list the add()/set() sequence would produce on a
         # fresh message, built in one pass.  Record-Route is mirrored
         # into responses so dialogs learn the proxy route set
@@ -647,10 +687,26 @@ class SipResponse(SipMessage):
         for value in request.get_all("Record-Route"):
             headers.append(("Record-Route", value))
         response.headers = headers
+        # The request's views of the copied headers are the response's.
+        handed = response._cache
+        for name in _ANSWER_VIEWS:
+            view = views.get(name, _MISSING)
+            if view is not _MISSING:
+                handed[name] = view
+        if to_view is not None:
+            handed["To"] = to_view
         return response
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<SipResponse {self.status} {self.reason}>"
+
+
+# Views of headers a response copies verbatim from its request.
+_ANSWER_VIEWS = ("Via", "_top_via", "From", "CSeq")
+
+
+def _as_uri(uri: Union[str, SipUri]) -> SipUri:
+    return parse_uri(uri) if isinstance(uri, str) else uri
 
 
 def _wire_copy(message: SipMessage) -> SipMessage:

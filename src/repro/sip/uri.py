@@ -9,6 +9,11 @@ Supports the forms the paper's scenarios use::
 
 URI parameters are kept in an ordered dict; header-style parameters
 (after ``?``) are parsed but rarely used in the evaluation.
+
+Every call parses afresh; nothing here caches.  A caller that needs one
+URI many times keeps the parsed object (a UAC its destinations, a
+message the views it was built with), and everything treats a parsed
+URI as immutable (``with_params`` returns a copy), so sharing is safe.
 """
 
 from __future__ import annotations
@@ -18,24 +23,6 @@ from typing import Dict, Optional
 
 class SipUriError(ValueError):
     """Raised when a string cannot be parsed as a SIP URI."""
-
-
-# Turbo interning (toggled via repro.sip.message.set_engine_mode).
-# Request URIs and destination AORs come from a small pool, so in turbo
-# mode successful parses are cached and the shared SipUri handed out.
-# Everything downstream treats parsed URIs as immutable (mutating
-# accessors like with_params return copies), so sharing is safe.  The
-# cap keeps unique per-call From URIs from growing the cache forever.
-_URI_INTERNING = False
-_URI_CACHE: Dict[str, "SipUri"] = {}
-_URI_CACHE_MAX = 4096
-
-
-def set_uri_interning(enabled: bool) -> None:
-    """Enable/disable parse_uri interning (clears the cache)."""
-    global _URI_INTERNING
-    _URI_INTERNING = bool(enabled)
-    _URI_CACHE.clear()
 
 
 class SipUri:
@@ -137,18 +124,6 @@ def parse_uri(text: str) -> SipUri:
     >>> (uri.user, uri.host, uri.port, uri.params["transport"])
     ('burdell', 'cc.gatech.edu', 5060, 'udp')
     """
-    if _URI_INTERNING:
-        cached = _URI_CACHE.get(text)
-        if cached is not None:
-            return cached
-        parsed = _parse_uri_uncached(text)
-        if len(_URI_CACHE) < _URI_CACHE_MAX:
-            _URI_CACHE[text] = parsed
-        return parsed
-    return _parse_uri_uncached(text)
-
-
-def _parse_uri_uncached(text: str) -> SipUri:
     text = text.strip()
     if text.startswith("<") and text.endswith(">"):
         text = text[1:-1]

@@ -146,8 +146,8 @@ class ScenarioConfig:
         #: message passing (every hop serializes with ``to_wire`` and
         #: re-parses, exactly what a real SIP stack pays); ``"turbo"``
         #: (the default) runs the timer-wheel loop, copy-on-write
-        #: messages, parse interning, deferred CPU accounting and lean
-        #: metrics.  The two are required to produce
+        #: messages, deferred CPU accounting and lean metrics.  The two
+        #: are required to produce
         #: bit-identical results (enforced by
         #: tests/engine/test_differential.py) -- only wall-clock differs.
         #: ``"sharded"`` partitions one scenario's node set across

@@ -47,9 +47,9 @@ def _isolated_run_cache(tmp_path_factory):
 @pytest.fixture(autouse=True)
 def _import_time_engine_mode():
     """Engine switches are process-global and set by whichever scenario
-    was built last; restore the import-time mode (reference: no parse
-    interning, caches emptied, CPU components summed per job, full
-    histograms) after every test so none depends on what ran before it.
+    was built last; restore the import-time mode (reference: wire
+    round-trip copies, CPU components summed per job, full histograms)
+    after every test so none depends on what ran before it.
     Regression check:
     ``pytest "tests/engine/test_differential.py::test_engines_bit_identical[two_series]" tests/sim/test_network.py``
     """

@@ -4,8 +4,8 @@ The simulator has two message paths (``repro.sip.message``):
 
 - ``reference`` -- wire-faithful: every hop serializes the message and
   re-parses the octets,
-- ``turbo`` (the default) -- timer-wheel loop, copy-on-write messages,
-  parse interning, lean metrics and deferred CPU accounting.
+- ``turbo`` (the default) -- timer-wheel loop, copy-on-write messages
+  carrying their parsed views, lean metrics and deferred CPU accounting.
 
 Everything else, the proxies' one-pass forwarding and the SDP memos
 included, is the same code on both rungs.

@@ -28,7 +28,7 @@ import pytest
 
 from repro import api
 from repro.harness.runner import run_scenario
-from repro.servers.proxy import ProxyTransaction
+from repro.servers.proxy import ProxyServer, ProxyTransaction
 from repro.sim.events import EventLoop
 from repro.sip.message import SipRequest, SipResponse
 from repro.sip.transaction import (
@@ -112,6 +112,59 @@ def test_answered_proxy_transactions_drop_the_forwarded_copy(census):
                 if type(obj) is ProxyTransaction and obj.response_seen]
     assert answered, "no answered proxy transaction to inspect"
     assert sum(obj.forwarded_message is not None for obj in answered) == 0
+
+
+def test_lingering_proxy_transactions_store_no_views(census):
+    """A stored final is kept for replay only: it holds no parsed view
+    (a ``bare_copy`` of what went upstream, on both rungs)."""
+    _name, objects, _retained, _calls = census
+    stored = [obj.last_upstream_response for obj in objects
+              if type(obj) is ProxyTransaction
+              and obj.last_upstream_response is not None]
+    assert stored, "no lingering proxy transaction to inspect"
+    assert sum(bool(response._cache) for response in stored) == 0
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_absorbed_retransmission_replays_the_final_sent(monkeypatch, engine):
+    """What a proxy replays to absorb a retransmission is, on the wire,
+    the final it first sent upstream, and it arrives view-free."""
+    first_hand = {}  # (proxy, upstream) -> wires of finals sent first-hand
+    replays = []     # (proxy, upstream, views at send, wire)
+    absorbing = []
+    real_send = ProxyServer.send
+    real_absorb = ProxyServer._do_absorb
+
+    def send(self, dst, payload):
+        if isinstance(payload, SipResponse) and payload.is_final:
+            if absorbing:
+                replays.append((self.name, dst, dict(payload._cache),
+                                payload.to_wire()))
+            else:
+                first_hand.setdefault((self.name, dst), set()).add(
+                    payload.to_wire())
+        real_send(self, dst, payload)
+
+    def absorb(self, plan):
+        absorbing.append(plan)
+        try:
+            real_absorb(self, plan)
+        finally:
+            absorbing.pop()
+
+    monkeypatch.setattr(ProxyServer, "send", send)
+    monkeypatch.setattr(ProxyServer, "_do_absorb", absorb)
+    # Both proxies stateful, and responses lost on their way back from
+    # P2: P1 retransmits, and P2 answers from its stored final.
+    scenario = api.make_scenario("n_series", n=2, rate=8_000.0,
+                                 policy="static", engine=engine, seed=SEED)
+    scenario.install_faults(api.FaultSchedule().set_loss(0.0, "P2", "P1",
+                                                         0.10))
+    run_scenario(scenario, warmup=0.25, duration=0.5, drain=0.5)
+    assert replays, "no retransmission was answered from a stored final"
+    for name, upstream, views, wire in replays:
+        assert views == {}
+        assert wire in first_hand[(name, upstream)]
 
 
 def test_finished_non_invite_client_transactions_drop_the_request(census):

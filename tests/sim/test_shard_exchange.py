@@ -14,6 +14,7 @@ spawned, and a spawned process imports this module to find its target.
 
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
 import signal
@@ -280,16 +281,19 @@ def test_worker_killed_before_its_first_window(monkeypatch):
     """Under spawn: a worker is killed while it still imports; its peer
     meets a closed link at its first window and leaves quietly."""
     known = set(multiprocessing.active_children())
-    real_build = shard.build_scenario
+    real_wait = multiprocessing.connection.wait
+    killed = []
 
-    def killing_build(payload):  # the parent's probe build
-        victim = (set(multiprocessing.active_children()) - known).pop()
-        os.kill(victim.pid, signal.SIGKILL)
-        return real_build(payload)
+    def killing_wait(*args, **kwargs):  # the parent's first wait
+        if not killed:
+            victim = (set(multiprocessing.active_children()) - known).pop()
+            os.kill(victim.pid, signal.SIGKILL)
+            killed.append(victim)
+        return real_wait(*args, **kwargs)
 
     monkeypatch.setenv("REPRO_MP_START", "spawn")  # children still import
     monkeypatch.setenv("REPRO_SHARD_DRIVER", "process")
-    monkeypatch.setattr(shard, "build_scenario", killing_build)
+    monkeypatch.setattr(multiprocessing.connection, "wait", killing_wait)
     payload = _payload("sharded", GENERATED_CASES["chain6_hetero"], 1,
                        shards=2)
     _assert_fails_fast(

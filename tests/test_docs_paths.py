@@ -91,7 +91,7 @@ def _split_removed(text: str):
 
 def test_engine_mode_setters_are_documented():
     setters = _engine_mode_setters()
-    assert len(setters) >= 3, setters  # anti-vacuity: the scan sees calls
+    assert len(setters) >= 2, setters  # anti-vacuity: the scan sees calls
     text = ARCHITECTURE.read_text()
     undocumented = [name for name in setters if f"`{name}`" not in text]
     assert not undocumented, f"ARCHITECTURE.md never names {undocumented}"

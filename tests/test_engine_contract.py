@@ -25,6 +25,7 @@ from repro.harness.parallel import _job_scenario
 from repro.harness.runner import fingerprint_scenario
 from repro.harness.runner import run_scenario as run_live
 from repro.sim.faults import FaultSchedule
+from repro.sim.shard import run_sharded_scenario
 from repro.sip.message import ENGINES
 from repro.workloads.scenarios import (
     ScenarioConfig,
@@ -209,6 +210,27 @@ def test_refusal_through_python_doors(monkeypatch, door, driver):
     with pytest.raises(UnsupportedCombination) as refused:
         PYTHON_DOORS[door]()
     assert "\n" not in str(refused.value)
+    assert multiprocessing.active_children() == []
+
+
+def test_refused_spec_starts_no_shard_worker(monkeypatch):
+    """The process driver builds its own probe before the first worker,
+    so a scenario the engine refuses forks nothing."""
+    starts = []
+    real_start = multiprocessing.process.BaseProcess.start
+
+    def counting_start(self):
+        starts.append(self.name)
+        return real_start(self)
+
+    monkeypatch.setenv("REPRO_SHARD_DRIVER", "process")
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        counting_start)
+    payload = ScenarioSpec.from_path(FLASH_CROWD_SPEC).run_spec(
+        engine="sharded", shards=2).payload
+    with pytest.raises(UnsupportedCombination, match="load profiles"):
+        run_sharded_scenario(payload)
+    assert starts == []
     assert multiprocessing.active_children() == []
 
 
