@@ -478,10 +478,10 @@ def cmd_trace(args) -> int:
         _api_kwargs(args, "rate"),
         observe=_observe_with_spans(args.observe)))
     trace = scenario.observer.trace
-    scenario.start()
+    load_end = args.calls / (args.rate / scenario.config.scale) + 1.0
+    scenario.start(until=load_end + 2.0)
     with collector_off():
-        scenario.loop.run_until(
-            args.calls / (args.rate / scenario.config.scale) + 1.0)
+        scenario.loop.run_until(load_end)
         scenario.stop_load()
         scenario.loop.run_until(scenario.loop.now + 2.0)
     for call_id in trace.call_ids()[: args.calls]:

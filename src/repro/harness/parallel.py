@@ -330,7 +330,7 @@ def _job_resilience(payload: dict) -> dict:
     params = ResilienceParams.from_payload(payload["params"])
     placement = payload["placement"]
     scenario = build_resilience_scenario(placement, params)
-    scenario.start()
+    scenario.start(until=params.run_for + params.drain)
     with collector_off():
         scenario.loop.run_until(params.run_for)
         scenario.stop_load()

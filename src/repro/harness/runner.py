@@ -333,8 +333,10 @@ def _drive(
                         ("drain", drain)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite: {value}")
-    scenario.start()
     loop = scenario.loop
+    # The same float sums the run_until calls below reach.
+    end = (loop.now + warmup) + duration
+    scenario.start(until=end + drain if drain > 0 else end)
     with collector_off():
         loop.run_until(loop.now + warmup)
         before = read_counters(scenario)
@@ -459,7 +461,8 @@ def fingerprint_scenario(
     """Drive ``scenario`` in ``slices`` equal slices of ``run_for``,
     sampling myshare at every boundary (so transient planning states
     are compared, not just the final one), drain, and fingerprint it."""
-    scenario.start()
+    # run_for * slices / slices can round one ulp past run_for + drain.
+    scenario.start(until=max(run_for * slices / slices, run_for + drain))
     trajectory = []
     with collector_off():
         for i in range(1, slices + 1):

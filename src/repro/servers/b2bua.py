@@ -28,6 +28,7 @@ from repro.sip.headers import Via
 from repro.sip.message import SipMessage, SipRequest, SipResponse
 from repro.sip.timers import DEFAULT_TIMERS, TimerPolicy
 from repro.sip.transaction import ClientTransaction
+from repro.sip.uri import SipUri, parse_uri
 
 
 class _B2buaCall:
@@ -57,8 +58,9 @@ class _B2buaCall:
         self.b_to_tag: Optional[str] = None
         self.b_route_set: list = []
         self.b_cseq = 1
-        self.b_destination = ""
-        self.b_from_uri = ""
+        # Parsed once per call; every leg-B request reuses them.
+        self.b_destination: Optional[SipUri] = None
+        self.b_from_uri: Optional[SipUri] = None
         self.b_from_tag = ""
 
     def cancel_timers(self) -> None:
@@ -174,8 +176,9 @@ class B2buaServer(Node):
             call_id, f"{self.name}-b2b-{self._call_counter}", request, src
         )
         call.to_tag = f"b2b-{self.name}-{self._call_counter}"
-        call.b_destination = f"sip:{request.uri.user}@{self.dest_domain}"
-        call.b_from_uri = f"sip:leg{self._call_counter}@{self.name}"
+        call.b_destination = parse_uri(
+            f"sip:{request.uri.user}@{self.dest_domain}")
+        call.b_from_uri = parse_uri(f"sip:leg{self._call_counter}@{self.name}")
         call.b_from_tag = f"b2b-{self._call_counter}"
         self._calls_a[call_id] = call
         self._calls_b[call.leg_b_call_id] = call
@@ -364,7 +367,6 @@ class B2buaServer(Node):
             from_tag=call.b_from_tag,
             to_tag=call.b_to_tag,
         )
-        ack.set("CSeq", f"{call.b_cseq} ACK")
         for route in call.b_route_set:
             ack.add("Route", route)
         ack.push_via(Via(self.name, branch=self._next_branch()))

@@ -380,7 +380,6 @@ class CallGenerator(Node):
             from_tag=record.from_tag,
             to_tag=record.to_tag,
         )
-        ack.set("CSeq", f"{record.cseq} ACK")
         for route in record.route_set:
             ack.add("Route", route)
         ack.push_via(Via(self.name, branch=self._next_branch()))
@@ -469,7 +468,6 @@ class CallGenerator(Node):
             cseq=1,
             from_tag=record.from_tag,
         )
-        cancel.set("CSeq", "1 CANCEL")
         cancel.push_via(Via(self.name, branch=record.invite_branch))
         transaction = ClientTransaction(
             cancel,

@@ -200,10 +200,6 @@ class CpuModel:
         self.pending_jobs -= 1
         self.busy_seconds += job.cost
         self.jobs_completed += 1
-        # Dead as of now.  Dropping the handle breaks the job -> handle
-        # -> args -> job cycle, so a finished job is freed by reference
-        # counting instead of waiting for the cyclic collector.
-        job.handle = None
         job.fn(*job.args)
 
     # ------------------------------------------------------------------

@@ -9,18 +9,43 @@ loop skips cancelled entries when they reach the head of the heap.  This
 is the standard approach for simulators with many short-lived timers
 (e.g. SIP retransmission timers that are almost always cancelled by the
 matching response).
+
+A loop may be given a *horizon* (:meth:`EventLoop.close_at`): the last
+deadline its driver will ever pass to :meth:`EventLoop.run_until`.  An
+event due after it can never fire, so ``schedule`` / ``schedule_at``
+store nothing for it: the sequence counter still advances (tie-breaks
+stay those of an open loop), and the handle returned holds neither
+``fn`` nor ``args`` and cancels to no effect.  ``close_at`` also drops
+what is already stored past the horizon.  Going past it raises
+:class:`HorizonError`: ``run_until`` a later deadline, or ``step`` /
+``run`` with nothing stored left (a dropped event might be next).  The
+horizon defaults to infinity.  Every in-place driver closes its loop
+through ``Scenario.start(until=...)``, so the Timer B/C/D/F/K and linger
+timers due after the run ends keep nothing alive.
+
+A handle that has fired or been cancelled holds no callback either, so
+an owner that keeps it (a transaction's timer set) forms no reference
+cycle through it.
 """
 
 from __future__ import annotations
 
 import gc
 import heapq
+import math
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 
+class HorizonError(RuntimeError):
+    """A loop was asked to advance past its horizon."""
+
+
 class EventHandle:
-    """A cancellable reference to a scheduled callback."""
+    """A cancellable reference to a scheduled callback.
+
+    The loop drops ``fn`` and ``args`` once the callback has run.
+    """
 
     __slots__ = ("time", "fn", "args", "cancelled", "_loop")
 
@@ -98,6 +123,8 @@ class EventLoop:
         self._events_processed = 0
         self._heap_cancelled = 0
         self.heap_compactions = 0
+        #: Last sim time this loop may reach; nothing due later is stored.
+        self.horizon = math.inf
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -112,11 +139,21 @@ class EventLoop:
         """Schedule ``fn(*args)`` to run at absolute sim time ``when``."""
         if when < self.now:
             raise ValueError(f"cannot schedule in the past: {when} < {self.now}")
+        self._seq += 1
+        if when > self.horizon:
+            return EventHandle(when, _noop, ())
         handle = EventHandle(when, fn, args)
         handle._loop = self
-        self._seq += 1
         heapq.heappush(self._heap, (when, self._seq, handle))
         return handle
+
+    def close_at(self, horizon: float) -> None:
+        """Set the horizon; entries already stored past it are cancelled
+        and swept, so from here on nothing due after it is stored."""
+        self.horizon = horizon
+        for handle in [entry[2] for entry in self._heap if entry[0] > horizon]:
+            handle.cancel()
+        self.compact_heap()
 
     # ------------------------------------------------------------------
     # Execution
@@ -125,7 +162,8 @@ class EventLoop:
         """Run the single earliest pending event.
 
         Returns ``False`` when the queue is empty (after skipping any
-        cancelled entries), ``True`` otherwise.
+        cancelled entries), ``True`` otherwise; raises
+        :class:`HorizonError` instead of ``False`` under a finite horizon.
         """
         while self._heap:
             when, _seq, handle = heapq.heappop(self._heap)
@@ -135,7 +173,15 @@ class EventLoop:
             self.now = when
             self._events_processed += 1
             handle.fn(*handle.args)
+            handle.fn, handle.args = _noop, ()
             return True
+        return self._drained()
+
+    def _drained(self) -> bool:
+        if self.horizon != math.inf:
+            raise HorizonError(
+                f"nothing stored is due by the horizon {self.horizon}; "
+                "events past it were never stored")
         return False
 
     def run(self, max_events: Optional[int] = None) -> int:
@@ -155,6 +201,9 @@ class EventLoop:
         The loop leaves the cyclic collector alone: whoever drives a
         run turns it off around the whole run (:func:`collector_off`).
         """
+        if deadline > self.horizon:
+            raise HorizonError(
+                f"run_until({deadline}) is past the horizon {self.horizon}")
         count = 0
         heap = self._heap
         pop = heapq.heappop
@@ -172,6 +221,7 @@ class EventLoop:
                 self.now = when
                 count += 1
                 handle.fn(*handle.args)
+                handle.fn, handle.args = _noop, ()
         finally:
             # Nothing reads the counter mid-run, so it is batched out of
             # the inner loop (this method executes every event of a run).

@@ -32,7 +32,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Dict, List, Tuple
 
-from repro.sim.events import EventHandle, EventLoop
+from repro.sim.events import EventHandle, EventLoop, _noop
 
 
 class WheelHandle(EventHandle):
@@ -269,17 +269,16 @@ class WheelEventLoop(EventLoop):
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        now = self.now
         self._seq += 1
+        when = self.now + delay
+        if when > self.horizon:
+            return EventHandle(when, _noop, ())
         if delay >= self._near_window:
-            when = now + delay
             wheel = self._wheel
             if when > wheel.frontier:
                 handle: EventHandle = WheelHandle(when, fn, args)
                 wheel.add((when, self._seq, handle))
                 return handle
-        else:
-            when = now + delay
         handle = EventHandle(when, fn, args)
         handle._loop = self
         heapq.heappush(self._heap, (when, self._seq, handle))
@@ -290,6 +289,8 @@ class WheelEventLoop(EventLoop):
         if when < now:
             raise ValueError(f"cannot schedule in the past: {when} < {now}")
         self._seq += 1
+        if when > self.horizon:
+            return EventHandle(when, _noop, ())
         if when - now >= self._near_window:
             wheel = self._wheel
             if when > wheel.frontier:
@@ -300,6 +301,15 @@ class WheelEventLoop(EventLoop):
         handle._loop = self
         heapq.heappush(self._heap, (when, self._seq, handle))
         return handle
+
+    def close_at(self, horizon: float) -> None:
+        late = [entry[2] for level in self._wheel.levels
+                for bucket in level.values() for entry in bucket
+                if entry[0] > horizon]
+        for handle in late:
+            handle.cancel()
+        self._wheel.compact()
+        super().close_at(horizon)
 
     # ------------------------------------------------------------------
     # Execution
@@ -321,9 +331,10 @@ class WheelEventLoop(EventLoop):
                 self.now = when
                 self._events_processed += 1
                 handle.fn(*handle.args)
+                handle.fn, handle.args = _noop, ()
                 return True
             if not len(wheel):
-                return False
+                return self._drained()
             wheel.advance(wheel.next_bucket_time(), heap)
 
     def run_until(self, deadline: float) -> int:

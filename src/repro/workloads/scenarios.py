@@ -612,7 +612,10 @@ class Scenario:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def start(self) -> None:
+    def start(self, until: Optional[float] = None) -> None:
+        """Start the load.  ``until`` is the last deadline the driver
+        will pass to ``loop.run_until``: the loop stores no event due
+        after it (``EventLoop.close_at``)."""
         # Every in-place driver passes here; the shard runtime never
         # does (each replica starts the nodes it owns itself).
         if (self.config.shards or 1) > 1:
@@ -621,6 +624,8 @@ class Scenario:
                 "repro.api.run_scenario(..., engine='sharded', shards=N) "
                 "or run_specs(), or set shards=1"
             )
+        if until is not None:
+            self.loop.close_at(until)
         # Registrars first: their initial REGISTERs land before the
         # first call of a uniform-arrival generator (also scheduled at
         # t=0), keeping event order deterministic.

@@ -1,13 +1,17 @@
 """Tests for the discrete-event loop."""
 
+import ast
 import gc
 import heapq
+import math
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.harness.runner import fingerprint_scenario, run_scenario
-from repro.sim.events import EventLoop, collector_off
+from repro.sim.events import EventLoop, HorizonError, collector_off
 from repro.sim.timers_wheel import WheelEventLoop
 from repro.sip.message import set_engine_mode
 from repro.workloads.scenarios import ScenarioConfig, two_series
@@ -63,6 +67,29 @@ _DRIVERS = {
     "shards": _drive_shards,
     "trace": _drive_trace,
 }
+
+#: Where each driver calls ``run_until``: (file under ``src/repro``,
+#: enclosing function).
+_DRIVER_SITES = {
+    "runner": ("harness/runner.py", "_drive"),
+    "fingerprint": ("harness/runner.py", "fingerprint_scenario"),
+    "resilience": ("harness/parallel.py", "_job_resilience"),
+    "shards": ("sim/shard.py", "_run_program"),
+    "trace": ("cli.py", "cmd_trace"),
+}
+
+#: The loops themselves, which call their own ``run_until``.
+_LOOP_FILES = ("sim/events.py", "sim/timers_wheel.py")
+
+
+def _stored_times(loop):
+    """Fire time of every entry ``loop`` stores, cancelled ones included."""
+    times = [entry[0] for entry in loop._heap]
+    if isinstance(loop, WheelEventLoop):
+        for level in loop.wheel.levels:
+            for bucket in level.values():
+                times.extend(entry[0] for entry in bucket)
+    return times
 
 
 class TestScheduling:
@@ -378,3 +405,155 @@ class TestHeapCompaction:
         assert loop.heap_compactions >= 1
         loop.run()
         assert fired == [0]
+
+
+_DELAYS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0]),
+                    st.floats(min_value=0.0, max_value=8.0))
+_EVENT = st.fixed_dictionaries({
+    "delay": _DELAYS,
+    # When it fires: cancel the handle with this index, schedule these.
+    "cancel": st.none() | st.integers(min_value=0, max_value=40),
+    "spawn": st.lists(_DELAYS, max_size=3),
+})
+_LOOPS = {
+    "heap": EventLoop,
+    "wheel": lambda: WheelEventLoop(bucket_width=0.25),
+    "coarse-wheel": lambda: WheelEventLoop(bucket_width=1.0, span=4),
+}
+
+
+def _run_program(make_loop, program, cancels, cuts, horizon, closed):
+    """Run ``program`` to ``horizon`` (through the ``cuts`` before it);
+    return the loop and every ``(time, tag)`` fired, in order."""
+    loop = make_loop()
+    handles, fired = [], []
+
+    def schedule(event, depth):
+        tag = len(handles)
+        handles.append(loop.schedule(event["delay"], fire, event, tag, depth))
+        assert all(t <= loop.horizon for t in _stored_times(loop))
+
+    def fire(event, tag, depth):
+        fired.append((loop.now, tag))
+        if event["cancel"] is not None and event["cancel"] < len(handles):
+            handles[event["cancel"]].cancel()
+        if depth < 2:
+            for delay in event["spawn"]:
+                schedule(dict(event, delay=delay), depth + 1)
+
+    for event in program[:len(program) // 2]:
+        schedule(event, 0)
+    if closed:
+        # Half the program is stored before the loop closes, as a
+        # scenario's construction-time timers are.
+        loop.close_at(horizon)
+        assert all(t <= horizon for t in _stored_times(loop))
+    for event in program[len(program) // 2:]:
+        schedule(event, 0)
+    for index in cancels:
+        if index < len(handles):
+            handles[index].cancel()
+    for cut in sorted(cut for cut in cuts if cut <= horizon) + [horizon]:
+        loop.run_until(cut)
+    return loop, fired
+
+
+class TestHorizon:
+    """A loop stores no event due after its horizon, and fires exactly
+    what a loop without one fires up to it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(_LOOPS)),
+        program=st.lists(_EVENT, min_size=1, max_size=20),
+        cancels=st.lists(st.integers(min_value=0, max_value=40), max_size=6),
+        cuts=st.lists(st.floats(min_value=0.0, max_value=8.0), max_size=3),
+        horizon=st.one_of(st.sampled_from([0.0, 1.0, 2.0, 4.0]),
+                          st.floats(min_value=0.0, max_value=10.0)),
+    )
+    def test_same_run_up_to_the_horizon(self, kind, program, cancels, cuts,
+                                        horizon):
+        make_loop = _LOOPS[kind]
+        open_loop, open_fired = _run_program(
+            make_loop, program, cancels, cuts, horizon, closed=False)
+        loop, fired = _run_program(
+            make_loop, program, cancels, cuts, horizon, closed=True)
+        assert fired == open_fired
+        assert loop.events_processed == open_loop.events_processed
+        assert loop._seq == open_loop._seq
+        assert all(t <= horizon for t in _stored_times(loop))
+        assert loop.now == horizon
+        for advance in (lambda: loop.run_until(math.nextafter(horizon, math.inf)),
+                        loop.step, loop.run):
+            with pytest.raises(HorizonError):
+                advance()
+        assert loop.now == horizon
+
+    @pytest.mark.parametrize("kind", sorted(_LOOPS))
+    def test_a_dropped_event_leaves_an_inert_handle(self, kind):
+        loop = _LOOPS[kind]()
+        loop.close_at(5.0)
+        payload = object()
+        for schedule in (lambda: loop.schedule(6.0, print, payload),
+                         lambda: loop.schedule_at(5.5, print, payload)):
+            seq = loop._seq
+            handle = schedule()
+            assert loop._seq == seq + 1
+            assert loop.pending == 0
+            assert handle.fn is not print and payload not in handle.args
+            handle.cancel()
+            handle.cancel()
+            assert loop.pending == 0 and loop.heap_compactions == 0
+        loop.schedule_at(5.0, lambda: None)  # due at the horizon: stored
+        assert loop.pending == 1
+        assert loop.run_until(5.0) == 1
+        with pytest.raises(HorizonError):
+            loop.run()
+
+    def test_an_open_loop_stores_everything(self, loop):
+        assert loop.horizon == math.inf
+        loop.schedule(1e9, lambda: None)
+        assert loop.pending == 1
+        assert loop.run() == 1
+        assert loop.step() is False
+
+    @pytest.mark.parametrize("driver", sorted(set(_DRIVERS) - {"shards"}))
+    def test_every_in_place_driver_closes_its_loop(self, driver, monkeypatch):
+        loops = []
+        run_until = EventLoop.run_until
+
+        def recorded(loop, deadline):
+            loops.append(loop)
+            return run_until(loop, deadline)
+
+        monkeypatch.setattr(EventLoop, "run_until", recorded)
+        _DRIVERS[driver](monkeypatch)
+        assert loops
+        for loop in loops:
+            assert loop.horizon == loop.now, driver  # the last deadline
+            assert all(t <= loop.horizon for t in _stored_times(loop)), driver
+
+    def test_every_run_until_call_site_is_a_listed_driver(self):
+        """A new driver of ``run_until`` must join ``_DRIVERS`` (and so
+        the checks above that it sets its loop's horizon)."""
+        root = Path(repro.__file__).parent
+        sites = set()
+
+        def visit(node, path, function):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(child, path, child.name)
+                    continue
+                if (isinstance(child, ast.Call)
+                        and isinstance(child.func, ast.Attribute)
+                        and child.func.attr == "run_until"):
+                    sites.add((path, function))
+                visit(child, path, function)
+
+        for path in root.rglob("*.py"):
+            relative = path.relative_to(root).as_posix()
+            if relative not in _LOOP_FILES:
+                visit(ast.parse(path.read_text(encoding="utf-8")), relative,
+                      None)
+        assert set(_DRIVER_SITES) == set(_DRIVERS)
+        assert sites == set(_DRIVER_SITES.values())

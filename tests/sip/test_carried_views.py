@@ -13,6 +13,7 @@ headers.
 
 import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import api
@@ -81,8 +82,6 @@ def _request(method, parsed, to_tag):
         destination, "call-7", 2 if method == "BYE" else 1,
         from_tag="uac-7", to_tag=to_tag,
     )
-    if method in ("ACK", "CANCEL"):
-        request.set("CSeq", f"1 {method}")  # as the UAC sends them
     request.push_via(Via("uac", branch="z9hG4bK-uac-7"))
     return request
 
@@ -182,3 +181,53 @@ def test_a_second_run_grows_no_module_table():
     assert "repro.sip.headers._CANON_CACHE" in before  # the scan sees it
     assert run(0.6) > first
     assert _sip_module_containers() == before
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Counts of ``parse_uri`` (every module's reference to it) and
+    ``CSeq.parse`` calls from here on."""
+    counts = {"uri": 0, "cseq": 0}
+    real_uri, real_cseq = parse_uri, CSeq.parse.__func__
+
+    def counted_uri(text):
+        counts["uri"] += 1
+        return real_uri(text)
+
+    def counted_cseq(cls, raw):
+        counts["cseq"] += 1
+        return real_cseq(cls, raw)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "parse_uri", None) is real_uri:
+            monkeypatch.setattr(module, "parse_uri", counted_uri)
+    monkeypatch.setattr(CSeq, "parse", classmethod(counted_cseq))
+    return counts
+
+
+def _calls_parsing(topology, parses, **kwargs):
+    """Per-call parse counts over a turbo run of ``topology`` shaped like
+    the benchmark's ``chain_steady`` (built before counting starts)."""
+    scenario = api.make_scenario(topology, rate=10_000.0, engine="turbo",
+                                 seed=5, **kwargs)
+    parses.update(uri=0, cseq=0)
+    run_scenario(scenario, warmup=0.25, duration=0.5, drain=0.5)
+    calls = sum(server.calls_completed for server in scenario.servers)
+    assert calls > 100
+    return parses["uri"] / calls, parses["cseq"] / calls
+
+
+def test_a_chain_call_parses_no_cseq(parses):
+    """Every request is built with its CSeq view (the ACK included), and
+    every response and copy carries it on."""
+    uris, cseqs = _calls_parsing("n_series", parses, n=2)
+    assert cseqs == 0
+    assert uris == 1  # the call's From, once
+
+
+def test_a_b2bua_call_parses_each_leg_b_uri_once(parses):
+    """Leg B's destination and From are parsed when the call arrives;
+    its INVITE, ACK and BYE reuse them."""
+    uris, cseqs = _calls_parsing("b2bua_chain", parses)
+    assert cseqs == 0
+    assert uris <= 3  # the UAC's From, leg B's destination and From
