@@ -24,9 +24,17 @@ fingerprint is bit-identical (no tolerances anywhere):
   every slice boundary (so transient planning states are compared, not
   just the final value),
 - network packet accounting and total events processed.
+
+Each family's seed-1 fingerprint (and the fault campaign's) is also
+pinned by digest in ``tests/golden/fingerprints.json``, so a refactor
+that claims "fingerprints unchanged" is checked against the commit
+before it, not only rung against rung.
 """
 
+import hashlib
+import json
 import math
+import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +46,7 @@ from repro.harness.resilience import (
     build_resilience_scenario,
     resilience_config,
 )
+from repro.harness.parallel import canonical_json
 from repro.harness.runner import fingerprint_scenario
 from repro.sip.timers import TimerPolicy
 from repro.workloads.scenarios import (
@@ -122,6 +131,18 @@ def _fingerprint(scenario, run_for: float = RUN_FOR, drain: float = DRAIN):
     return fingerprint_scenario(scenario, run_for, slices=SLICES, drain=drain)
 
 
+PINS = pathlib.Path(__file__).parents[1] / "golden" / "fingerprints.json"
+
+
+def _check_pin(golden, key: str, fingerprint: dict) -> None:
+    """Hold ``fingerprint`` to its digest under ``key`` in the pin file
+    (``--update-golden`` rewrites that one entry)."""
+    pins = json.loads(PINS.read_text()) if PINS.exists() else {}
+    pins[key] = hashlib.sha256(
+        canonical_json(fingerprint).encode()).hexdigest()
+    golden(PINS.name, json.dumps(pins, indent=1, sort_keys=True) + "\n")
+
+
 def _first_divergence(reference: dict, other: dict) -> str:
     """Human-readable pointer at the first differing fingerprint part."""
     for part in reference:
@@ -146,7 +167,7 @@ def _first_divergence(reference: dict, other: dict) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_engines_bit_identical(name):
+def test_engines_bit_identical(name, golden):
     builder = SCENARIOS[name]
     for seed in SEEDS:
         reference, turbo = (
@@ -157,6 +178,8 @@ def test_engines_bit_identical(name):
             f"{name} seed={seed}: turbo diverges from reference -- "
             + _first_divergence(reference, turbo)
         )
+        if seed == 1:
+            _check_pin(golden, name, reference)
 
 
 # Generated cluster topologies (repro.core.topogen): a heterogeneous
@@ -209,7 +232,7 @@ def test_generated_topologies_bit_identical(name):
         )
 
 
-def test_resilience_bit_identical():
+def test_resilience_bit_identical(golden):
     """The fault campaign (crashes, loss, retransmission storms) is the
     harshest ordering test: recovery hinges on exact timer interleaving."""
     for seed in SEEDS:
@@ -230,6 +253,8 @@ def test_resilience_bit_identical():
             f"resilience seed={seed}: turbo diverges from reference -- "
             + _first_divergence(reference, turbo)
         )
+        if seed == 1:
+            _check_pin(golden, "resilience", reference)
 
 
 def test_myshare_trajectory_not_degenerate():
