@@ -313,40 +313,3 @@ def series_topology(
 def two_series_topology(t_sf: float, t_sl: float) -> Topology:
     """The paper's canonical two-homogeneous-servers-in-series case."""
     return series_topology([(t_sf, t_sl), (t_sf, t_sl)])
-
-
-def internal_external_topology(
-    t_sf: float, t_sl: float, external_fraction: float
-) -> Topology:
-    """Figure 7's two-flow case: external S1->S2, internal terminates at S1."""
-    if not 0.0 <= external_fraction <= 1.0:
-        raise ValueError("external_fraction must be within [0, 1]")
-    topology = Topology()
-    topology.add_node("S1", t_sf, t_sl)
-    topology.add_node("S2", t_sf, t_sl)
-    topology.add_edge("S1", "S2")
-    if external_fraction > 0:
-        topology.add_flow("external", ["S1", "S2"], share=external_fraction)
-    if external_fraction < 1:
-        topology.add_flow("internal", ["S1"], share=1.0 - external_fraction)
-    return topology
-
-
-def parallel_fork_topology(
-    front: Tuple[float, float],
-    upper: Tuple[float, float],
-    lower: Tuple[float, float],
-    upper_share: float = 0.5,
-) -> Topology:
-    """Figure 8's load-balancer: one front server forking to two paths."""
-    if not 0.0 < upper_share < 1.0:
-        raise ValueError("upper_share must be strictly inside (0, 1)")
-    topology = Topology()
-    topology.add_node("F", *front)
-    topology.add_node("U", *upper)
-    topology.add_node("L", *lower)
-    topology.add_edge("F", "U")
-    topology.add_edge("F", "L")
-    topology.add_flow("upper", ["F", "U"], share=upper_share)
-    topology.add_flow("lower", ["F", "L"], share=1.0 - upper_share)
-    return topology

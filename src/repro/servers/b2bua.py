@@ -11,7 +11,8 @@ algorithms differently from plain INVITE flows.
 
 The implementation composes the repo's two endpoint idioms: leg A is
 handled exactly like :class:`~repro.servers.uas.AnsweringServer`
-(assign a to-tag, retransmit the 200 on the T1 schedule until ACKed),
+(assign a to-tag, retransmit the 200 on the T1 schedule until ACKed,
+with the same :class:`~repro.sip.transaction.AckWait`),
 leg B like :class:`~repro.servers.uac.CallGenerator` (RFC 3261 client
 transactions with Timer A/B).  Media is irrelevant here; the SDP offer
 is passed through leg B and the answer returned on leg A.
@@ -22,12 +23,12 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.servers.node import Node
-from repro.sim.events import EventHandle, EventLoop
+from repro.sim.events import EventLoop
 from repro.sim.network import Network
 from repro.sip.headers import Via
 from repro.sip.message import SipMessage, SipRequest, SipResponse
 from repro.sip.timers import DEFAULT_TIMERS, TimerPolicy
-from repro.sip.transaction import ClientTransaction
+from repro.sip.transaction import AckWait, ClientTransaction
 from repro.sip.uri import SipUri, parse_uri
 
 
@@ -36,8 +37,7 @@ class _B2buaCall:
 
     __slots__ = (
         "leg_a_call_id", "leg_b_call_id", "invite", "upstream",
-        "to_tag", "state", "response", "interval", "retransmit_handle",
-        "deadline_handle", "b_to_tag", "b_route_set", "b_cseq",
+        "to_tag", "state", "ack_wait", "b_to_tag", "b_route_set", "b_cseq",
         "b_destination", "b_from_uri", "b_from_tag",
     )
 
@@ -49,11 +49,8 @@ class _B2buaCall:
         self.upstream = upstream
         self.to_tag: Optional[str] = None
         self.state = "setup"          # setup -> answered -> completed/failed
-        # Leg-A 200 retransmission (UAS role).
-        self.response: Optional[SipResponse] = None
-        self.interval = 0.0
-        self.retransmit_handle: Optional[EventHandle] = None
-        self.deadline_handle: Optional[EventHandle] = None
+        # Leg-A 200 awaiting its ACK (UAS role).
+        self.ack_wait: Optional[AckWait] = None
         # Leg-B dialog state (UAC role).
         self.b_to_tag: Optional[str] = None
         self.b_route_set: list = []
@@ -63,13 +60,14 @@ class _B2buaCall:
         self.b_from_uri: Optional[SipUri] = None
         self.b_from_tag = ""
 
-    def cancel_timers(self) -> None:
-        if self.retransmit_handle is not None:
-            self.retransmit_handle.cancel()
-            self.retransmit_handle = None
-        if self.deadline_handle is not None:
-            self.deadline_handle.cancel()
-            self.deadline_handle = None
+    def stop_ack_wait(self) -> bool:
+        """Cancel the leg-A 200's retransmission; False if none ran."""
+        wait = self.ack_wait
+        if wait is None:
+            return False
+        wait.cancel()
+        self.ack_wait = None
+        return True
 
 
 class B2buaServer(Node):
@@ -127,7 +125,7 @@ class B2buaServer(Node):
         elif request.method == "CANCEL":
             self._handle_cancel(request, src)
         else:
-            self._respond(request, src, 200)
+            self.send_response(SipResponse.for_request(request, 200), src)
             self.metrics.counter("other_requests").increment()
 
     def _handle_response(self, response: SipResponse) -> None:
@@ -166,8 +164,8 @@ class B2buaServer(Node):
         if call is not None:
             # Retransmitted INVITE: replay the 200 if one is pending.
             self.metrics.counter("invite_retransmits_seen").increment()
-            if call.response is not None and call.state == "answered":
-                self._send_response_upstream(call, call.response.copy())
+            if call.ack_wait is not None:
+                call.ack_wait.replay()
             return
 
         self.metrics.counter("calls_received").increment()
@@ -190,16 +188,16 @@ class B2buaServer(Node):
         the dialog, so the refresh does not propagate to leg B."""
         if call is None or request.to.tag != call.to_tag:
             self.metrics.counter("reinvites_unknown").increment()
-            self._respond(request, src, 481)
+            self.send_response(SipResponse.for_request(request, 481), src)
             return
-        if call.response is not None and call.retransmit_handle is not None:
+        if call.ack_wait is not None:
             # Still waiting on an ACK: treat as retransmission.
             self.metrics.counter("invite_retransmits_seen").increment()
-            self._send_response_upstream(call, call.response.copy())
+            call.ack_wait.replay()
             return
         self.metrics.counter("reinvites_answered").increment()
         ok = SipResponse.for_request(request, 200, to_tag=call.to_tag)
-        self._arm_leg_a_ok(call, ok)
+        self._send_leg_a_ok(call, ok)
 
     def _answer_leg_a(self, call: _B2buaCall, body: str) -> None:
         ringing = SipResponse.for_request(call.invite, 180, to_tag=call.to_tag)
@@ -209,46 +207,26 @@ class B2buaServer(Node):
             ok.add("Content-Type", "application/sdp")
         call.state = "answered"
         self.metrics.counter("calls_answered").increment()
-        self._send_response_upstream(call, ringing)
-        self._arm_leg_a_ok(call, ok)
+        self.send_response(ringing, call.upstream)
+        self._send_leg_a_ok(call, ok)
 
-    def _arm_leg_a_ok(self, call: _B2buaCall, ok: SipResponse) -> None:
+    def _send_leg_a_ok(self, call: _B2buaCall, ok: SipResponse) -> None:
         """Send a 200 on leg A and retransmit it until the ACK arrives."""
-        call.cancel_timers()
-        call.response = ok
-        self._send_response_upstream(call, ok)
-        call.interval = self.timers.t1
-        call.retransmit_handle = self.loop.schedule(
-            call.interval, self._retransmit_leg_a_ok, call.leg_a_call_id
-        )
-        call.deadline_handle = self.loop.schedule(
-            self.timers.timer_h, self._give_up_leg_a_ok, call.leg_a_call_id
-        )
+        next_hop = self.send_response(ok, call.upstream)
+        call.ack_wait = AckWait(self, call.leg_a_call_id, ok, next_hop)
 
-    def _retransmit_leg_a_ok(self, call_id: str) -> None:
+    def pending_ack(self, call_id: str) -> Optional[AckWait]:
         call = self._calls_a.get(call_id)
-        if call is None or call.response is None:
-            return
-        self.metrics.counter("ok_retransmits").increment()
-        self._send_response_upstream(call, call.response.copy())
-        call.interval = min(call.interval * 2, self.timers.t2)
-        call.retransmit_handle = self.loop.schedule(
-            call.interval, self._retransmit_leg_a_ok, call_id
-        )
+        return None if call is None else call.ack_wait
 
-    def _give_up_leg_a_ok(self, call_id: str) -> None:
-        call = self._calls_a.get(call_id)
-        if call is None:
-            return
-        call.cancel_timers()
-        call.response = None
+    def ack_timed_out(self, wait: AckWait) -> None:
+        """Timer H: the call stays up, only the 200 is abandoned."""
+        self._calls_a[wait.call_id].ack_wait = None
         self.metrics.counter("calls_never_acked").increment()
 
     def _handle_ack(self, request: SipRequest) -> None:
         call = self._calls_a.get(request.call_id)
-        if call is not None and call.response is not None:
-            call.cancel_timers()
-            call.response = None
+        if call is not None and call.stop_ack_wait():
             self.metrics.counter("acks_received").increment()
         else:
             self.metrics.counter("ack_duplicates").increment()
@@ -256,11 +234,11 @@ class B2buaServer(Node):
     def _handle_bye(self, request: SipRequest, src: str) -> None:
         """Caller hangs up: 200 the leg-A BYE and tear down leg B."""
         call = self._calls_a.pop(request.call_id, None)
-        self._respond(request, src, 200)
+        self.send_response(SipResponse.for_request(request, 200), src)
         if call is None:
             self.metrics.counter("bye_duplicates").increment()
             return
-        call.cancel_timers()
+        call.stop_ack_wait()
         self.metrics.counter("calls_completed").increment()
         if call.b_to_tag is not None:
             self._send_leg_b_bye(call)
@@ -269,18 +247,14 @@ class B2buaServer(Node):
             self._calls_b.pop(call.leg_b_call_id, None)
 
     def _handle_cancel(self, request: SipRequest, src: str) -> None:
-        self._respond(request, src, 200)
+        self.send_response(SipResponse.for_request(request, 200), src)
         call = self._calls_a.get(request.call_id)
         if call is None or call.state != "setup":
             self.metrics.counter("cancels_too_late").increment()
             return
         self.metrics.counter("calls_cancelled").increment()
         call.state = "failed"
-        self._send_response_upstream(
-            call, SipResponse.for_request(call.invite, 487,
-                                          to_tag=call.to_tag)
-        )
-        self._drop_call(call)
+        self._fail_leg_a(call, 487)
 
     # ------------------------------------------------------------------
     # Leg B: UAC role
@@ -337,11 +311,7 @@ class B2buaServer(Node):
         if call.state == "setup":
             call.state = "failed"
             self.metrics.counter("calls_failed").increment()
-            self._send_response_upstream(
-                call, SipResponse.for_request(call.invite, response.status,
-                                              to_tag=call.to_tag)
-            )
-            self._drop_call(call)
+            self._fail_leg_a(call, response.status)
 
     def _on_leg_b_timeout(self, leg_b_id: str, branch: str) -> None:
         self._transactions.pop((branch, "INVITE"), None)
@@ -350,11 +320,7 @@ class B2buaServer(Node):
             return
         call.state = "failed"
         self.metrics.counter("calls_failed").increment()
-        self._send_response_upstream(
-            call, SipResponse.for_request(call.invite, 408,
-                                          to_tag=call.to_tag)
-        )
-        self._drop_call(call)
+        self._fail_leg_a(call, 408)
 
     def _send_leg_b_ack(self, call: _B2buaCall) -> None:
         ack = SipRequest.build(
@@ -423,25 +389,15 @@ class B2buaServer(Node):
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
-    def _drop_call(self, call: _B2buaCall) -> None:
-        call.cancel_timers()
+    def _fail_leg_a(self, call: _B2buaCall, status: int) -> None:
+        """Answer leg A's INVITE ``status`` and forget the call (still
+        in setup, so no 200 of it awaits an ACK)."""
+        self.send_response(
+            SipResponse.for_request(call.invite, status, to_tag=call.to_tag),
+            call.upstream,
+        )
         self._calls_a.pop(call.leg_a_call_id, None)
         self._calls_b.pop(call.leg_b_call_id, None)
-
-    def _respond(self, request: SipRequest, src: str, status: int) -> None:
-        response = SipResponse.for_request(request, status)
-        via = response.top_via
-        target = (via.host if via is not None
-                  and self.network.has_node(via.host) else src)
-        self.send(target, response)
-
-    def _send_response_upstream(self, call: _B2buaCall,
-                                response: SipResponse) -> None:
-        via = response.top_via
-        if via is not None and self.network.has_node(via.host):
-            self.send(via.host, response)
-        else:
-            self.send(call.upstream, response)
 
     # ------------------------------------------------------------------
     # Crash/restart lifecycle
@@ -452,7 +408,7 @@ class B2buaServer(Node):
         if lost:
             self.metrics.counter("calls_lost_on_crash").increment(lost)
         for call in self._calls_a.values():
-            call.cancel_timers()
+            call.stop_ack_wait()
         for transaction in self._transactions.values():
             transaction.abort()
         self._transactions.clear()

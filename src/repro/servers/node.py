@@ -160,6 +160,22 @@ class Node:
             return
         self.network.send(self.name, dst, payload)
 
+    def send_response(self, response: SipResponse,
+                      fallback: Optional[str] = None) -> Optional[str]:
+        """Send ``response`` to its top Via's host if the network knows
+        it, else to ``fallback``; return where it went.  With neither,
+        count it in ``unroutable_responses``, send nothing, return None."""
+        via = response.top_via
+        if via is not None and self.network.has_node(via.host):
+            target = via.host
+        else:
+            target = fallback
+        if target is None:
+            self.metrics.counter("unroutable_responses").increment()
+        else:
+            self.send(target, response)
+        return target
+
     def tick(self, now: float) -> None:
         """Close a measurement window (driven by the harness)."""
         if self.model_cpu:

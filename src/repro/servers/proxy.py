@@ -669,9 +669,7 @@ class ProxyServer(Node):
         request: SipRequest = plan.message
         transaction = self._find_transaction(request)
         self.metrics.counter("cancels_handled").increment()
-        self._send_response_upstream(
-            SipResponse.for_request(request, 200), plan.src
-        )
+        self.send_response(SipResponse.for_request(request, 200), plan.src)
         if transaction is None or transaction.completed:
             return  # too late: a final response already went upstream
         if transaction.next_hop is None:
@@ -775,19 +773,10 @@ class ProxyServer(Node):
                 self.loop.schedule(
                     self.config.txn_linger, self._expire_transaction, key, branch
                 )
-        self._send_response_upstream(response, plan.src)
+        self.send_response(response, plan.src)
 
     def _respond_locally(self, request: SipRequest, status: int) -> None:
-        response = SipResponse.for_request(request, status)
-        self._send_response_upstream(response, None)
-
-    def _send_response_upstream(self, response: SipResponse, fallback: Optional[str]) -> None:
-        via = response.top_via
-        target = via.host if via is not None and self.network.has_node(via.host) else fallback
-        if target is None:
-            self.metrics.counter("unroutable_responses").increment()
-            return
-        self.send(target, response)
+        self.send_response(SipResponse.for_request(request, status))
 
     def _send_trying(self, request: SipRequest, upstream: str) -> None:
         trying = SipResponse.for_request(request, 100)

@@ -3,7 +3,8 @@
 Mirrors the default SIPp UAS scenario the paper loads against: answer
 every INVITE with 180 Ringing then 200 OK, absorb the ACK, answer BYE
 with 200 OK.  Per RFC 3261 13.3.1.4 the 200 to the INVITE is
-retransmitted on the T1-doubling schedule until the ACK arrives.
+retransmitted on the T1-doubling schedule until the ACK arrives
+(:class:`~repro.sip.transaction.AckWait`, shared with the B2BUA).
 
 Throughput in the paper is "measured at the SIPp server", so this node
 keeps the authoritative completed-calls counters the harness reads.
@@ -14,34 +15,12 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.servers.node import Node
-from repro.sim.events import EventHandle, EventLoop
+from repro.sim.events import EventLoop
 from repro.sim.network import Network
 from repro.sip.message import SipMessage, SipRequest, SipResponse
 from repro.sip.sdp import SdpError, SessionDescription
 from repro.sip.timers import DEFAULT_TIMERS, TimerPolicy
-
-
-class _PendingAck:
-    """Bookkeeping for a 200 that awaits its ACK."""
-
-    __slots__ = ("response", "next_hop", "interval", "handle",
-                 "deadline_handle", "teardown_on_giveup")
-
-    def __init__(self, response: SipResponse, next_hop: str):
-        self.response = response
-        self.next_hop = next_hop
-        self.interval = 0.0
-        self.handle: Optional[EventHandle] = None
-        self.deadline_handle: Optional[EventHandle] = None
-        # Timer-H expiry tears down the call for an initial INVITE's 200,
-        # but a re-INVITE's unACKed 200 must not kill the session.
-        self.teardown_on_giveup = True
-
-    def cancel(self) -> None:
-        if self.handle is not None:
-            self.handle.cancel()
-        if self.deadline_handle is not None:
-            self.deadline_handle.cancel()
+from repro.sip.transaction import AckWait
 
 
 class AnsweringServer(Node):
@@ -60,7 +39,7 @@ class AnsweringServer(Node):
         super().__init__(name, loop, network, **kwargs)
         self.timers = timers
         self.ring_delay = ring_delay
-        self._pending_acks: Dict[str, _PendingAck] = {}
+        self._pending_acks: Dict[str, AckWait] = {}
         self._seen_invites: Dict[str, str] = {}  # call-id -> to-tag
         self._ringing: Dict[str, tuple] = {}  # call-id -> (handle, request, hop)
         # Offer body -> rendered answer body.  SDP answering is a pure
@@ -96,7 +75,7 @@ class AnsweringServer(Node):
         elif request.method == "CANCEL":
             self._handle_cancel(request, src)
         else:
-            self._respond(request, src, 200)
+            self.send_response(SipResponse.for_request(request, 200), src)
             self.metrics.counter("other_requests").increment()
 
     def _handle_invite(self, request: SipRequest, src: str) -> None:
@@ -110,7 +89,7 @@ class AnsweringServer(Node):
             self.metrics.counter("invite_retransmits_seen").increment()
             pending = self._pending_acks.get(call_id)
             if pending is not None:
-                self.send(pending.next_hop, pending.response.copy())
+                pending.replay()
             return
 
         self.metrics.counter("calls_received").increment()
@@ -124,19 +103,15 @@ class AnsweringServer(Node):
         # no/broken SDP still complete -- the control plane is the
         # subject here, not the media.
         self._answer_sdp(request, ok)
-        next_hop = self._response_next_hop(ringing)
+        next_hop = self.send_response(ringing)
         if next_hop is None:
-            self.metrics.counter("unroutable_responses").increment()
             return
-
         if self.ring_delay > 0:
-            self.send(next_hop, ringing)
             handle = self.loop.schedule(
                 self.ring_delay, self._send_ok, call_id, ok, next_hop
             )
             self._ringing[call_id] = (handle, request, next_hop)
         else:
-            self.send(next_hop, ringing)
             self._send_ok(call_id, ok, next_hop)
 
     def _answer_sdp(self, request: SipRequest, ok: SipResponse) -> None:
@@ -165,38 +140,27 @@ class AnsweringServer(Node):
         known = self._seen_invites.get(call_id)
         if known is None or request.to.tag != known:
             self.metrics.counter("reinvites_unknown").increment()
-            self._respond(request, src, 481)
+            self.send_response(SipResponse.for_request(request, 481), src)
             return
         pending = self._pending_acks.get(call_id)
         if pending is not None:
             # A 200 (original or re-INVITE) is still awaiting its ACK:
             # treat this as a retransmission and replay it.
             self.metrics.counter("invite_retransmits_seen").increment()
-            self.send(pending.next_hop, pending.response.copy())
+            pending.replay()
             return
         self.metrics.counter("reinvites_received").increment()
         ok = SipResponse.for_request(request, 200, to_tag=known)
         self._answer_sdp(request, ok)
-        next_hop = self._response_next_hop(ok)
-        if next_hop is None:
-            self.metrics.counter("unroutable_responses").increment()
-            return
-        pending = _PendingAck(ok, next_hop)
-        pending.teardown_on_giveup = False
-        self._pending_acks[call_id] = pending
-        self.send(next_hop, ok)
-        pending.interval = self.timers.t1
-        pending.handle = self.loop.schedule(
-            pending.interval, self._retransmit_ok, call_id
-        )
-        pending.deadline_handle = self.loop.schedule(
-            self.timers.timer_h, self._give_up_ok, call_id
-        )
+        next_hop = self.send_response(ok)
+        if next_hop is not None:
+            # Timer H on a re-INVITE's 200 must not kill the session.
+            self._await_ack(call_id, ok, next_hop, initial=False)
 
     def _handle_cancel(self, request: SipRequest, src: str) -> None:
         """RFC 3261 9.2: 200 the CANCEL; if the INVITE is still pending
         (ringing), answer it 487 Request Terminated."""
-        self._respond(request, src, 200)
+        self.send_response(SipResponse.for_request(request, 200), src)
         ringing = self._ringing.pop(request.call_id, None)
         if ringing is None:
             # Unknown or already answered: nothing to terminate.
@@ -213,34 +177,23 @@ class AnsweringServer(Node):
         self._ringing.pop(call_id, None)
         if call_id not in self._seen_invites:
             return  # call already torn down while "ringing"
-        pending = _PendingAck(ok, next_hop)
-        self._pending_acks[call_id] = pending
         self.send(next_hop, ok)
-        pending.interval = self.timers.t1
-        pending.handle = self.loop.schedule(pending.interval, self._retransmit_ok, call_id)
-        pending.deadline_handle = self.loop.schedule(
-            self.timers.timer_h, self._give_up_ok, call_id
-        )
+        self._await_ack(call_id, ok, next_hop, initial=True)
         self.metrics.counter("calls_answered").increment()
 
-    def _retransmit_ok(self, call_id: str) -> None:
-        pending = self._pending_acks.get(call_id)
-        if pending is None:
-            return
-        self.metrics.counter("ok_retransmits").increment()
-        if self.timer_observer is not None:
-            self.timer_observer("timer-ok")
-        self.send(pending.next_hop, pending.response.copy())
-        pending.interval = min(pending.interval * 2, self.timers.t2)
-        pending.handle = self.loop.schedule(pending.interval, self._retransmit_ok, call_id)
+    def _await_ack(self, call_id: str, ok: SipResponse, next_hop: str,
+                   initial: bool) -> None:
+        self._pending_acks[call_id] = AckWait(
+            self, call_id, ok, next_hop, initial, self.timer_observer)
 
-    def _give_up_ok(self, call_id: str) -> None:
-        pending = self._pending_acks.pop(call_id, None)
-        if pending is None:
-            return
-        pending.cancel()
-        if pending.teardown_on_giveup:
-            self._seen_invites.pop(call_id, None)
+    def pending_ack(self, call_id: str) -> Optional[AckWait]:
+        return self._pending_acks.get(call_id)
+
+    def ack_timed_out(self, wait: AckWait) -> None:
+        """Timer H: an initial INVITE's unACKed 200 ends the call."""
+        del self._pending_acks[wait.call_id]
+        if wait.initial:
+            self._seen_invites.pop(wait.call_id, None)
             self.metrics.counter("calls_never_acked").increment()
         else:
             self.metrics.counter("reinvites_never_acked").increment()
@@ -261,7 +214,7 @@ class AnsweringServer(Node):
             # BYE retransmit (or BYE for an unknown call): still answer,
             # a real UAS would send 481 for unknown dialogs.
             self.metrics.counter("bye_duplicates").increment()
-        self._respond(request, src, 200)
+        self.send_response(SipResponse.for_request(request, 200), src)
 
     # ------------------------------------------------------------------
     # Crash/restart lifecycle
@@ -278,21 +231,6 @@ class AnsweringServer(Node):
             handle.cancel()
         self._ringing.clear()
         self._seen_invites.clear()
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    def _respond(self, request: SipRequest, src: str, status: int) -> None:
-        response = SipResponse.for_request(request, status)
-        next_hop = self._response_next_hop(response)
-        self.send(next_hop if next_hop else src, response)
-
-    def _response_next_hop(self, response: SipResponse) -> Optional[str]:
-        """Responses travel to the top Via's sent-by host."""
-        via = response.top_via
-        if via is None or not self.network.has_node(via.host):
-            return None
-        return via.host
 
     # ------------------------------------------------------------------
     # Harness-facing statistics

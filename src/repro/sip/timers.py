@@ -56,26 +56,10 @@ class TimerPolicy:
         """Wait for response retransmissions (UDP)."""
         return self.t4
 
-    # INVITE server transaction ------------------------------------------
-    @property
-    def timer_g(self) -> float:
-        """Initial final-response retransmit interval."""
-        return self.t1
-
+    # Answering node: its 2xx awaits the ACK (repro.sip.transaction.AckWait)
     @property
     def timer_h(self) -> float:
         """Wait for ACK receipt."""
-        return 64 * self.t1
-
-    @property
-    def timer_i(self) -> float:
-        """Wait for ACK retransmissions (UDP)."""
-        return self.t4
-
-    # non-INVITE server transaction ----------------------------------------
-    @property
-    def timer_j(self) -> float:
-        """Wait for request retransmissions (UDP)."""
         return 64 * self.t1
 
     def next_retransmit_interval(self, current: float, invite: bool) -> float:

@@ -1,24 +1,28 @@
-"""RFC 3261 section 17 transaction state machines.
+"""RFC 3261 client transactions, and the answerer's 2xx retransmitter.
 
 These are the objects whose creation, hashing and memory churn make a
 *stateful* server expensive (paper Figure 3: the State / Hashing /
-Memory bands).  The machines are transport-agnostic: they are driven by
+Memory bands).  :class:`ClientTransaction` (RFC 3261 17.1) is
+transport-agnostic: it is driven by
 
 - a ``scheduler`` exposing ``schedule(delay, fn, *args) -> handle`` with
   ``handle.cancel()`` (the sim's :class:`~repro.sim.events.EventLoop`
   satisfies this),
 - a ``send_fn(message)`` that puts a message on the wire,
-- callbacks into the transaction user (UAC core, UAS core, or proxy).
+- callbacks into the transaction user (UAC core or B2BUA leg B).
 
-Both INVITE and non-INVITE variants are implemented, with the RFC's
-timer lettering (A/B/D client-INVITE, E/F/K client-non-INVITE, G/H/I
-server-INVITE, J server-non-INVITE).
+Its INVITE variant runs Timers A (retransmit), B (timeout) and D
+(linger), its non-INVITE variant Timers E, F and K.  No node runs an
+RFC 17.2 server transaction: the proxy keeps its own
+(:mod:`repro.servers.proxy`), and an answering node's only server-side
+timer work is re-sending its 2xx until the ACK (RFC 13.3.1.4) --
+:class:`AckWait`, at T1 doubling to T2 until Timer H.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Optional
 
 from repro.sip.message import SipRequest, SipResponse
 from repro.sip.timers import DEFAULT_TIMERS, TimerPolicy
@@ -31,22 +35,6 @@ class TransactionState(enum.Enum):
     COMPLETED = "completed"    # final response seen/sent (non-2xx for INVITE)
     CONFIRMED = "confirmed"    # server INVITE: ACK received
     TERMINATED = "terminated"
-
-
-class _TimerSet:
-    """Tracks live timer handles so state changes can cancel them."""
-
-    def __init__(self) -> None:
-        self._handles: List[Any] = []
-
-    def add(self, handle: Any) -> Any:
-        self._handles.append(handle)
-        return handle
-
-    def cancel_all(self) -> None:
-        for handle in self._handles:
-            handle.cancel()
-        self._handles.clear()
 
 
 class ClientTransaction:
@@ -87,8 +75,10 @@ class ClientTransaction:
         self.state = TransactionState.CALLING if self.is_invite else TransactionState.TRYING
         self.retransmit_count = 0
         self._final_seen = False
-        self._timer_handles = _TimerSet()
-        self._retransmit_handle: Optional[Any] = None
+        # The live timers; each is dropped when it fires or is cancelled.
+        self._retransmit_handle: Optional[Any] = None  # Timer A / E
+        self._timeout_handle: Optional[Any] = None  # Timer B / F
+        self._linger_handle: Optional[Any] = None  # Timer D / K
         self._interval = timers.timer_a if self.is_invite else timers.timer_e
         # Optional count-only observability hook, called with the RFC
         # timer letter on each retransmission fire (see repro.obs).
@@ -100,15 +90,12 @@ class ClientTransaction:
     def start(self) -> None:
         """Send the initial request and arm retransmission/timeout timers."""
         self.send_fn(self.request)
-        self._arm_retransmit(self._interval)
+        self._retransmit_handle = self.scheduler.schedule(self._interval, self._retransmit)
         timeout = self.timers.timer_b if self.is_invite else self.timers.timer_f
-        self._timer_handles.add(self.scheduler.schedule(timeout, self._on_timeout_fired))
-
-    def _arm_retransmit(self, interval: float) -> None:
-        self._retransmit_handle = self.scheduler.schedule(interval, self._retransmit)
-        self._timer_handles.add(self._retransmit_handle)
+        self._timeout_handle = self.scheduler.schedule(timeout, self._on_timeout_fired)
 
     def _retransmit(self) -> None:
+        self._retransmit_handle = None
         if self.state not in (TransactionState.CALLING, TransactionState.TRYING,
                               TransactionState.PROCEEDING):
             return
@@ -120,9 +107,10 @@ class ClientTransaction:
             self.timer_observer("timer-a" if self.is_invite else "timer-e")
         self.send_fn(self.request)
         self._interval = self.timers.next_retransmit_interval(self._interval, self.is_invite)
-        self._arm_retransmit(self._interval)
+        self._retransmit_handle = self.scheduler.schedule(self._interval, self._retransmit)
 
     def _on_timeout_fired(self) -> None:
+        self._timeout_handle = None
         if self._final_seen or self.state == TransactionState.TERMINATED:
             return
         on_timeout = self.on_timeout
@@ -137,7 +125,7 @@ class ClientTransaction:
         """
         self._final_seen = True
         self.state = TransactionState.TERMINATED
-        self._timer_handles.cancel_all()
+        self._cancel_timers()
         self._release(self.state)
 
     # ------------------------------------------------------------------
@@ -172,14 +160,12 @@ class ClientTransaction:
             else:
                 self.send_fn(self._build_ack(response))
                 self._transition(TransactionState.COMPLETED)
-                self._timer_handles.add(
-                    self.scheduler.schedule(self.timers.timer_d, self._terminate)
-                )
+                self._linger_handle = self.scheduler.schedule(
+                    self.timers.timer_d, self._terminate)
         else:
             self._transition(TransactionState.COMPLETED)
-            self._timer_handles.add(
-                self.scheduler.schedule(self.timers.timer_k, self._terminate)
-            )
+            self._linger_handle = self.scheduler.schedule(
+                self.timers.timer_k, self._terminate)
         on_response(response)
 
     def _build_ack(self, response: SipResponse) -> SipRequest:
@@ -199,20 +185,33 @@ class ClientTransaction:
     # Internals
     # ------------------------------------------------------------------
     def _terminate(self) -> None:
+        self._linger_handle = None
         self._transition(TransactionState.TERMINATED)
 
     def _transition(self, state: TransactionState) -> None:
+        """Enter COMPLETED or TERMINATED (the only states set here)."""
         if state == self.state:
             return
         self.state = state
-        if state in (TransactionState.COMPLETED, TransactionState.TERMINATED):
+        if state == TransactionState.COMPLETED:
+            # Timer B/F stays armed: it fires into _on_timeout_fired,
+            # which sees the final and does nothing.
             if self._retransmit_handle is not None:
                 self._retransmit_handle.cancel()
-            self._release(state)
-        if state == TransactionState.TERMINATED:
-            self._timer_handles.cancel_all()
-            if self.on_terminated is not None:
-                self.on_terminated()
+                self._retransmit_handle = None
+        else:
+            self._cancel_timers()
+        self._release(state)
+        if state == TransactionState.TERMINATED and self.on_terminated is not None:
+            self.on_terminated()
+
+    def _cancel_timers(self) -> None:
+        for handle in (self._retransmit_handle, self._timeout_handle,
+                       self._linger_handle):
+            if handle is not None:
+                handle.cancel()
+        self._retransmit_handle = self._timeout_handle = None
+        self._linger_handle = None
 
     def _release(self, state: TransactionState) -> None:
         """Drop what no code path of ``state`` reads.
@@ -232,137 +231,77 @@ class ClientTransaction:
         return f"<ClientTransaction {kind} {self.state.value}>"
 
 
-class ServerTransaction:
-    """UAS/proxy-side transaction (RFC 3261 17.2).
+class AckWait:
+    """A sent 2xx to an INVITE, re-sent until its ACK (RFC 3261 13.3.1.4).
 
-    The crucial behaviour for the paper is *retransmission absorption*:
-    in PROCEEDING/COMPLETED a retransmitted request is answered from the
-    stored last response without bothering the transaction user -- the
-    service a stateful proxy renders that a stateless one cannot.
+    A 2xx ends the INVITE server transaction at once, so the answering
+    node (UAS, B2BUA leg A) keeps the 2xx itself.  Once ``owner`` has
+    sent ``response`` to ``next_hop`` it builds the wait, which re-sends
+    a copy at T1, doubling up to T2, until the owner cancels it (ACK,
+    or the call ends) or Timer H (64*T1) passes, when the wait calls
+    ``owner.ack_timed_out(wait)``.  The owner is a node: the wait uses
+    its ``loop``, ``timers``, ``send`` and the ``ok_retransmits``
+    counter, and reports ``"timer-ok"`` to ``timer_observer`` on every
+    re-send.  ``initial`` tells the owner whether the 2xx answers an
+    initial INVITE or a re-INVITE.
+
+    The timers are keyed by Call-ID, not bound to the wait that armed
+    them: when one fires it acts on ``owner.pending_ack(call_id)``, the
+    wait the owner holds for that Call-ID then, and does nothing if
+    there is none.  So a UAS that answers a new INVITE for a Call-ID
+    whose earlier 200 still awaits its ACK keeps the earlier timers
+    running against the new wait.  A handle holds the owner and the
+    Call-ID, never the wait.
     """
 
-    def __init__(
-        self,
-        request: SipRequest,
-        scheduler: Any,
-        send_fn: Callable[[SipResponse], Any],
-        timers: TimerPolicy = DEFAULT_TIMERS,
-        on_ack: Optional[Callable[[SipRequest], Any]] = None,
-        on_terminated: Optional[Callable[[], Any]] = None,
-    ):
-        # Dropped on TERMINATED: the machine itself only reads
-        # ``is_invite``, and ``last_response`` answers retransmits.
-        self.request: Optional[SipRequest] = request
-        self.scheduler = scheduler
-        self.send_fn = send_fn
-        self.timers = timers
-        self.on_ack = on_ack
-        self.on_terminated = on_terminated
-        self.is_invite = request.method == "INVITE"
-        self.state = TransactionState.PROCEEDING if self.is_invite else TransactionState.TRYING
-        self.last_response: Optional[SipResponse] = None
-        self.absorbed_retransmits = 0
-        self.response_retransmits = 0
-        self._timer_handles = _TimerSet()
-        self._retransmit_handle: Optional[Any] = None
-        self._interval = timers.timer_g
-        # Optional count-only observability hook (see ClientTransaction).
-        self.timer_observer: Optional[Callable[[str], Any]] = None
+    __slots__ = ("owner", "call_id", "response", "next_hop", "initial",
+                 "timer_observer", "_interval", "_retransmit_handle",
+                 "_deadline_handle")
 
-    # ------------------------------------------------------------------
-    # TU-facing API
-    # ------------------------------------------------------------------
-    def send_response(self, response: SipResponse) -> None:
-        """Send a response from the TU through the transaction."""
-        if self.state == TransactionState.TERMINATED:
-            return
-        self.last_response = response
-        self.send_fn(response)
-        if response.is_provisional:
-            if self.state == TransactionState.TRYING:
-                self.state = TransactionState.PROCEEDING
-            return
+    def __init__(self, owner: Any, call_id: str, response: SipResponse,
+                 next_hop: str, initial: bool = True,
+                 timer_observer: Optional[Callable[[str], Any]] = None):
+        self.owner = owner
+        self.call_id = call_id
+        self.response = response
+        self.next_hop = next_hop
+        self.initial = initial
+        self.timer_observer = timer_observer
+        timers, loop = owner.timers, owner.loop
+        self._interval = timers.t1
+        self._retransmit_handle = loop.schedule(
+            self._interval, _resend_pending, owner, call_id)
+        self._deadline_handle = loop.schedule(
+            timers.timer_h, _give_up_pending, owner, call_id)
 
-        if self.is_invite:
-            if response.is_success:
-                # 2xx: terminate at once; the UAS core retransmits 200s
-                # until the ACK arrives (RFC 13.3.1.4).
-                self._transition(TransactionState.TERMINATED)
-            else:
-                self._transition(TransactionState.COMPLETED)
-                self._arm_final_retransmit()
-                self._timer_handles.add(
-                    self.scheduler.schedule(self.timers.timer_h, self._terminate)
-                )
-        else:
-            self._transition(TransactionState.COMPLETED)
-            self._timer_handles.add(
-                self.scheduler.schedule(self.timers.timer_j, self._terminate)
-            )
+    def replay(self) -> None:
+        """Answer a retransmitted (re-)INVITE with a copy of the 2xx."""
+        self.owner.send(self.next_hop, self.response.copy())
 
-    # ------------------------------------------------------------------
-    # Wire-facing API
-    # ------------------------------------------------------------------
-    def receive_request(self, request: SipRequest) -> bool:
-        """Feed a matching request (retransmit or ACK).
+    def cancel(self) -> None:
+        self._retransmit_handle.cancel()
+        self._deadline_handle.cancel()
 
-        Returns True when the request was consumed by the transaction
-        (absorbed retransmit or ACK), False when the TU should see it.
-        """
-        if request.method == "ACK":
-            if self.state == TransactionState.COMPLETED:
-                self._transition(TransactionState.CONFIRMED)
-                if self._retransmit_handle is not None:
-                    self._retransmit_handle.cancel()
-                self._timer_handles.add(
-                    self.scheduler.schedule(self.timers.timer_i, self._terminate)
-                )
-            if self.on_ack is not None:
-                self.on_ack(request)
-            return True
-
-        # A retransmission of the original request.
-        if self.state in (TransactionState.PROCEEDING, TransactionState.COMPLETED):
-            self.absorbed_retransmits += 1
-            if self.last_response is not None:
-                self.send_fn(self.last_response)
-            return True
-        if self.state == TransactionState.TRYING:
-            # Nothing sent yet: silently absorb (RFC 17.2.2).
-            self.absorbed_retransmits += 1
-            return True
-        return False
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _arm_final_retransmit(self) -> None:
-        self._retransmit_handle = self.scheduler.schedule(self._interval, self._retransmit_final)
-        self._timer_handles.add(self._retransmit_handle)
-
-    def _retransmit_final(self) -> None:
-        if self.state != TransactionState.COMPLETED or self.last_response is None:
-            return
-        self.response_retransmits += 1
+    def _resend(self) -> None:
+        owner = self.owner
+        owner.metrics.counter("ok_retransmits").increment()
         if self.timer_observer is not None:
-            self.timer_observer("timer-g")
-        self.send_fn(self.last_response)
-        self._interval = min(self._interval * 2, self.timers.t2)
-        self._arm_final_retransmit()
+            self.timer_observer("timer-ok")
+        owner.send(self.next_hop, self.response.copy())
+        self._interval = owner.timers.next_retransmit_interval(
+            self._interval, invite=False)
+        self._retransmit_handle = owner.loop.schedule(
+            self._interval, _resend_pending, owner, self.call_id)
 
-    def _terminate(self) -> None:
-        self._transition(TransactionState.TERMINATED)
 
-    def _transition(self, state: TransactionState) -> None:
-        if state == self.state:
-            return
-        self.state = state
-        if state == TransactionState.TERMINATED:
-            self._timer_handles.cancel_all()
-            self.request = None
-            if self.on_terminated is not None:
-                self.on_terminated()
+def _resend_pending(owner: Any, call_id: str) -> None:
+    wait = owner.pending_ack(call_id)
+    if wait is not None:
+        wait._resend()
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        kind = "INVITE" if self.is_invite else "non-INVITE"
-        return f"<ServerTransaction {kind} {self.state.value}>"
+
+def _give_up_pending(owner: Any, call_id: str) -> None:
+    wait = owner.pending_ack(call_id)
+    if wait is not None:
+        wait.cancel()
+        owner.ack_timed_out(wait)

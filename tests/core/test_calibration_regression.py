@@ -75,9 +75,9 @@ class TestLPOraclePins:
 
     def test_fig7_peak_near_paper(self):
         from repro.core.lp import solve_fixed_routing
-        from repro.core.topology import internal_external_topology
+        from tests.core.hand_topologies import mix
 
-        topo = internal_external_topology(T_SF, T_SL, 0.8)
+        topo = mix(T_SF, T_SL, 0.8)
         solution = solve_fixed_routing(topo)
         # Paper: "the LP predicts a value of 11,960 cps" at the peak.
         assert solution.throughput == pytest.approx(
@@ -85,9 +85,9 @@ class TestLPOraclePins:
 
     def test_fig7_peak_exact(self):
         from repro.core.lp import solve_fixed_routing
-        from repro.core.topology import internal_external_topology
+        from tests.core.hand_topologies import mix
 
-        topo = internal_external_topology(T_SF, T_SL, 0.8)
+        topo = mix(T_SF, T_SL, 0.8)
         solution = solve_fixed_routing(topo)
         assert solution.throughput == pytest.approx(11855.97, abs=0.01)
 

@@ -11,14 +11,10 @@ from repro.core.lp import (
     solve_fixed_routing,
     solve_free_routing,
 )
-from repro.core.topology import (
-    Topology,
-    internal_external_topology,
-    parallel_fork_topology,
-    series_topology,
-    two_series_topology,
-)
+from repro.core.topology import Topology, series_topology, two_series_topology
 from repro.harness.anchors import PAPER_ANCHORS
+
+from tests.core.hand_topologies import fork, mix
 
 T_SF = PAPER_ANCHORS["fig4.t_sf"].paper
 T_SL = PAPER_ANCHORS["fig4.t_sl"].paper
@@ -109,18 +105,18 @@ class TestInternalExternal:
     """Figure 7's LP predictions."""
 
     def test_80_20_mix_near_paper_prediction(self):
-        topo = internal_external_topology(T_SF, T_SL, external_fraction=0.8)
+        topo = mix(T_SF, T_SL, external_fraction=0.8)
         solution = solve_fixed_routing(topo)
         # Paper: "the LP predicts a value of 11,960 cps" at the 80/20 mix.
         assert solution.throughput == pytest.approx(11960, rel=0.02)
 
     def test_fraction_zero_is_single_server(self):
-        topo = internal_external_topology(T_SF, T_SL, external_fraction=0.0)
+        topo = mix(T_SF, T_SL, external_fraction=0.0)
         solution = solve_fixed_routing(topo)
         assert solution.throughput == pytest.approx(T_SF, rel=1e-6)
 
     def test_fraction_one_is_two_series(self):
-        topo = internal_external_topology(T_SF, T_SL, external_fraction=1.0)
+        topo = mix(T_SF, T_SL, external_fraction=1.0)
         solution = solve_fixed_routing(topo)
         closed, _ = series_optimal_throughput([(T_SF, T_SL)] * 2)
         assert solution.throughput == pytest.approx(closed, rel=1e-6)
@@ -129,14 +125,14 @@ class TestInternalExternal:
         """Paper: maximal throughput peaks around an 80/20 mix."""
         values = {}
         for fraction in (0.0, 0.4, 0.8, 1.0):
-            topo = internal_external_topology(T_SF, T_SL, fraction)
+            topo = mix(T_SF, T_SL, fraction)
             values[fraction] = solve_fixed_routing(topo).throughput
         assert values[0.8] > values[0.0]
         assert values[0.8] > values[1.0]
         assert values[0.8] >= values[0.4]
 
     def test_internal_state_stays_at_s1(self):
-        topo = internal_external_topology(T_SF, T_SL, external_fraction=0.5)
+        topo = mix(T_SF, T_SL, external_fraction=0.5)
         solution = solve_fixed_routing(topo)
         assert solution.flow_state_rates[("internal", "S1")] == pytest.approx(
             solution.flow_rates["internal"], rel=1e-6
@@ -147,14 +143,14 @@ class TestParallelFork:
     def test_front_relinquishes_all_state(self):
         """Paper (section 6.2): the first server should relinquish all of
         its state to the two servers it forks to."""
-        topo = parallel_fork_topology((T_SF, T_SL), (T_SF, T_SL), (T_SF, T_SL))
+        topo = fork((T_SF, T_SL), (T_SF, T_SL), (T_SF, T_SL))
         solution = solve_fixed_routing(topo)
         assert solution.stateful_rate["F"] == pytest.approx(0.0, abs=1.0)
         assert solution.throughput == pytest.approx(T_SL, rel=1e-6)
 
     def test_weak_forks_move_state_to_front(self):
         """Non-homogeneous case: a strong front should hold state."""
-        topo = parallel_fork_topology(
+        topo = fork(
             (T_SF, T_SL), (3000, 3600), (3000, 3600)
         )
         solution = solve_fixed_routing(topo)
@@ -162,7 +158,7 @@ class TestParallelFork:
         solution.verify()
 
     def test_uneven_split(self):
-        topo = parallel_fork_topology(
+        topo = fork(
             (T_SF, T_SL), (T_SF, T_SL), (T_SF, T_SL), upper_share=0.9
         )
         solution = solve_fixed_routing(topo)
@@ -186,7 +182,7 @@ class TestRelayPrice:
     downstream ``100 Trying``: the hop's relay price."""
 
     def _fork(self, relay):
-        topo = parallel_fork_topology((T_SF, T_SL), (T_SF, T_SL),
+        topo = fork((T_SF, T_SL), (T_SF, T_SL),
                                       (T_SF, T_SL))
         for flow in ("upper", "lower"):
             topo.hop_prices[(flow, "F")] = (1.0, relay)
@@ -251,7 +247,7 @@ class TestFeasibilityProperty:
         share=st.floats(min_value=0.1, max_value=0.9),
     )
     def test_fork_solutions_always_feasible(self, front_sf, fork_sf, share):
-        topo = parallel_fork_topology(
+        topo = fork(
             (front_sf, front_sf * 1.2),
             (fork_sf, fork_sf * 1.2),
             (fork_sf, fork_sf * 1.2),

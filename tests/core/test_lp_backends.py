@@ -23,12 +23,9 @@ from repro.core.lp import (
     solve_free_routing,
 )
 from repro.core.simplex import SimplexError, solve_linear_program
-from repro.core.topology import (
-    internal_external_topology,
-    parallel_fork_topology,
-    series_topology,
-    two_series_topology,
-)
+from repro.core.topology import series_topology, two_series_topology
+
+from tests.core.hand_topologies import fork, mix
 
 T_SF = 10360.0
 T_SL = 12300.0
@@ -42,17 +39,17 @@ FIXTURES = {
     "degenerate_series": lambda: series_topology(
         [(12000, 12300), (6200, 12300)]
     ),
-    "int_ext_0": lambda: internal_external_topology(T_SF, T_SL, 0.0),
-    "int_ext_50": lambda: internal_external_topology(T_SF, T_SL, 0.5),
-    "int_ext_80": lambda: internal_external_topology(T_SF, T_SL, 0.8),
-    "int_ext_100": lambda: internal_external_topology(T_SF, T_SL, 1.0),
-    "fork": lambda: parallel_fork_topology(
+    "int_ext_0": lambda: mix(T_SF, T_SL, 0.0),
+    "int_ext_50": lambda: mix(T_SF, T_SL, 0.5),
+    "int_ext_80": lambda: mix(T_SF, T_SL, 0.8),
+    "int_ext_100": lambda: mix(T_SF, T_SL, 1.0),
+    "fork": lambda: fork(
         (T_SF, T_SL), (T_SF, T_SL), (T_SF, T_SL)
     ),
-    "fork_weak": lambda: parallel_fork_topology(
+    "fork_weak": lambda: fork(
         (T_SF, T_SL), (3000, 3600), (3000, 3600)
     ),
-    "fork_uneven": lambda: parallel_fork_topology(
+    "fork_uneven": lambda: fork(
         (T_SF, T_SL), (T_SF, T_SL), (T_SF, T_SL), upper_share=0.9
     ),
 }

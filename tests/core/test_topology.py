@@ -7,12 +7,11 @@ from repro.core.topology import (
     Flow,
     NodeSpec,
     Topology,
-    internal_external_topology,
-    parallel_fork_topology,
     priced_topology,
     series_topology,
     two_series_topology,
 )
+from repro.workloads.scenarios import fork_topology, mix_topology
 
 
 class TestNodeSpec:
@@ -85,7 +84,7 @@ class TestFlows:
             topo.add_flow("f", ["a", "b"])
 
     def test_flow_share_normalization(self):
-        topo = internal_external_topology(100, 120, external_fraction=0.8)
+        topo = mix_topology(0.8, CostModel())
         shares = topo.normalized_flow_shares()
         assert shares["external"] == pytest.approx(0.8)
         assert shares["internal"] == pytest.approx(0.2)
@@ -141,25 +140,30 @@ class TestBuilders:
             series_topology([(1, 2)], names=["a", "b"])
 
     def test_internal_external_degenerate_fractions(self):
-        only_internal = internal_external_topology(100, 120, 0.0)
-        assert [f.name for f in only_internal.flows] == ["internal"]
-        only_external = internal_external_topology(100, 120, 1.0)
-        assert [f.name for f in only_external.flows] == ["external"]
+        """Figure 7's sweep ends keep both flows, one at share 0."""
+        for fraction in (0.0, 1.0):
+            topo = mix_topology(fraction, CostModel())
+            assert topo.normalized_flow_shares() == {
+                "external": fraction, "internal": 1.0 - fraction,
+            }
+            assert topo.edges == [("S1", "S2")]
 
     def test_internal_external_bad_fraction(self):
         with pytest.raises(ValueError):
-            internal_external_topology(100, 120, 1.5)
+            mix_topology(1.5, CostModel())
 
     def test_parallel_fork_shape(self):
-        topo = parallel_fork_topology((100, 120), (100, 120), (100, 120), 0.5)
+        topo = fork_topology(0.5, CostModel())
         assert sorted(topo.node_names) == ["F", "L", "U"]
         assert set(topo.edges) == {("F", "U"), ("F", "L")}
         assert topo.normalized_flow_shares() == {
             "upper": pytest.approx(0.5), "lower": pytest.approx(0.5),
         }
+        with pytest.raises(ValueError):
+            fork_topology(1.0, CostModel())
 
     def test_parallel_fork_uneven_share(self):
-        topo = parallel_fork_topology((1, 2), (1, 2), (1, 2), 0.7)
+        topo = fork_topology(0.7, CostModel())
         assert topo.normalized_flow_shares()["upper"] == pytest.approx(0.7)
 
 

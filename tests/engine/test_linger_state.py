@@ -32,13 +32,9 @@ import pytest
 from repro import api
 from repro.harness.runner import run_scenario
 from repro.servers.proxy import ProxyServer, ProxyTransaction
-from repro.sim.events import EventLoop
+from repro.sim.events import EventHandle, EventLoop
 from repro.sip.message import SipRequest, SipResponse
-from repro.sip.transaction import (
-    ClientTransaction,
-    ServerTransaction,
-    TransactionState,
-)
+from repro.sip.transaction import ClientTransaction, TransactionState
 
 from tests.sip.test_transaction import TIMERS, make_request
 
@@ -247,13 +243,38 @@ class TestTransactionRelease:
         assert (txn.request, txn.on_response, txn.on_timeout) == (None,) * 3
         assert seen == []
 
-    def test_server_transaction_drops_request_on_terminated(self):
-        loop = EventLoop()
-        request = make_request("BYE")
-        txn = ServerTransaction(request, loop, send_fn=lambda m: None,
-                                timers=TIMERS)
-        txn.send_response(SipResponse.for_request(request, 200))
-        assert txn.request is request  # COMPLETED: Timer J running
+    @pytest.mark.parametrize("method", ["INVITE", "BYE"])
+    def test_fired_timers_are_dropped(self, method):
+        loop, txn, sent, _seen = self._client(method)
+        loop.run_until(0.75)  # Timer A / E fired at 0.1, 0.3 and 0.7
+        assert len(sent) == 4
+        # The next Timer A / E and Timer B / F, then (the retransmit
+        # timer cancelled and dropped) Timer B / F and Timer D / K.
+        for final in (False, True):
+            if final:
+                txn.receive_response(
+                    SipResponse.for_request(txn.request, 486))
+            handles = _handles_held(txn, skip=loop)
+            assert len(handles) == 2
+            assert all(h.time > loop.now and not h.cancelled
+                       for h in handles)
         loop.run_until(100.0)
-        assert txn.state is TransactionState.TERMINATED
-        assert txn.request is None
+        assert _handles_held(txn, skip=loop) == []
+
+
+def _handles_held(root, skip, depth: int = 4) -> list:
+    """Every EventHandle reachable from ``root`` in ``depth`` steps
+    without passing through ``skip`` (the loop's own queue)."""
+    found, seen, frontier = [], {id(skip)}, [root]
+    for _ in range(depth):
+        reached = []
+        for obj in frontier:
+            for ref in gc.get_referents(obj):
+                if id(ref) in seen or isinstance(ref, type):
+                    continue
+                seen.add(id(ref))
+                if isinstance(ref, EventHandle):
+                    found.append(ref)
+                reached.append(ref)
+        frontier = reached
+    return found

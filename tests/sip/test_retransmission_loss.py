@@ -4,9 +4,10 @@ Three layers:
 
 1. exact Timer A / Timer E schedules when every message is lost
    (send times asserted to the tick, plus the Timer B/F deadlines),
-2. client/server transaction pairs joined by a deterministic Bernoulli
-   lossy channel -- every transaction must eventually complete at 5%
-   and 30% loss, with retransmission volume growing with the loss rate,
+2. client transactions joined to a stub server by a deterministic
+   Bernoulli lossy channel -- every transaction must eventually
+   complete at 5% and 30% loss, with retransmission volume growing
+   with the loss rate,
 3. a full two-proxies-in-series scenario with a lossy access link,
    where the stateful entry proxy plus the UAC's retransmissions must
    recover nearly every call.
@@ -22,11 +23,7 @@ from repro.sim.rng import RngStream
 from repro.sip.headers import Via
 from repro.sip.message import SipRequest, SipResponse
 from repro.sip.timers import TimerPolicy
-from repro.sip.transaction import (
-    ClientTransaction,
-    ServerTransaction,
-    TransactionState,
-)
+from repro.sip.transaction import ClientTransaction, TransactionState
 from repro.workloads.scenarios import ScenarioConfig, two_series
 
 TIMERS = TimerPolicy(t1=0.1, t2=0.4, t4=0.4)
@@ -117,12 +114,12 @@ LATENCY = 0.005
 
 
 class LossyPair:
-    """One client/server transaction pair over a Bernoulli-lossy wire.
+    """A client transaction and a stub server over a Bernoulli-lossy wire.
 
-    The server answers ``status`` as soon as the request first arrives,
-    then relies on the transaction machinery (response replay for
-    non-INVITE, Timer G retransmission plus re-ACK for non-2xx INVITE)
-    to push the final through the lossy channel.
+    The server answers ``status`` as soon as the request first arrives
+    and answers every retransmission from that stored final, so only
+    the client's retransmissions (Timer A / E) push the final through
+    the lossy channel; ACKs end at the server.
     """
 
     def __init__(self, loop, rng, method, status, loss, index):
@@ -132,7 +129,7 @@ class LossyPair:
         self.status = status
         self.final = None
         self.timed_out = False
-        self.server = None
+        self.server_final = None
         self.request = make_request(method, index)
         self.client = ClientTransaction(
             self.request,
@@ -154,18 +151,12 @@ class LossyPair:
 
     # -- endpoints -----------------------------------------------------
     def _server_receive(self, message):
-        if self.server is None:
-            if message.method == "ACK":  # ACK outliving a reaped txn
-                return
-            self.server = ServerTransaction(
-                message, self.loop, send_fn=self._server_to_client,
-                timers=TIMERS,
-            )
-            self.server.send_response(
-                SipResponse.for_request(message, self.status, to_tag="ut")
-            )
-        else:
-            self.server.receive_request(message)
+        if message.method == "ACK":
+            return
+        if self.server_final is None:
+            self.server_final = SipResponse.for_request(
+                message, self.status, to_tag="ut")
+        self._server_to_client(self.server_final)
 
     def _on_response(self, response):
         if not response.is_provisional:

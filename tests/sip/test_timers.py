@@ -16,10 +16,7 @@ class TestDefaults:
         assert t.timer_d == 32.0
         assert t.timer_e == 0.5
         assert t.timer_f == 32.0
-        assert t.timer_g == 0.5
         assert t.timer_h == 32.0
-        assert t.timer_i == 5.0
-        assert t.timer_j == 32.0
         assert t.timer_k == 5.0
 
 

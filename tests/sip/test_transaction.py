@@ -1,4 +1,4 @@
-"""Tests for the RFC 3261 transaction state machines.
+"""Tests for the RFC 3261 client transaction and the 2xx AckWait.
 
 The machines are driven by the test's own EventLoop; ``send_fn`` records
 wire traffic so retransmission schedules can be asserted precisely.
@@ -7,14 +7,11 @@ wire traffic so retransmission schedules can be asserted precisely.
 import pytest
 
 from repro.sim.events import EventLoop
+from repro.sim.metrics import MetricsRegistry
 from repro.sip.headers import Via
 from repro.sip.message import SipRequest, SipResponse
 from repro.sip.timers import TimerPolicy
-from repro.sip.transaction import (
-    ClientTransaction,
-    ServerTransaction,
-    TransactionState,
-)
+from repro.sip.transaction import AckWait, ClientTransaction, TransactionState
 
 TIMERS = TimerPolicy(t1=0.1, t2=0.4, t4=0.5)
 
@@ -173,99 +170,92 @@ class TestNonInviteClient:
         assert all(m.method == "BYE" for m in h.sent)
 
 
-class ServerHarness:
-    def __init__(self, method="INVITE"):
+class AnsweringNode:
+    """What an :class:`AckWait` asks of its owner, with a send log."""
+
+    def __init__(self):
         self.loop = EventLoop()
-        self.sent = []
-        self.acks = []
-        self.request = make_request(method)
-        self.txn = ServerTransaction(
-            self.request,
-            self.loop,
-            send_fn=self.sent.append,
-            timers=TIMERS,
-            on_ack=self.acks.append,
-        )
+        self.timers = TIMERS
+        self.metrics = MetricsRegistry("uas")
+        self.waits = {}  # Call-ID -> AckWait
+        self.sent = []  # (time, next hop, message)
+        self.timed_out = []  # (time, wait)
+
+    def send(self, next_hop, message):
+        self.sent.append((self.loop.now, next_hop, message))
+
+    def answer(self, call_id="c1", observer=None):
+        ok = SipResponse.for_request(make_request(), 200, to_tag="t")
+        self.waits[call_id] = AckWait(self, call_id, ok, "proxy",
+                                      timer_observer=observer)
+        return self.waits[call_id], ok
+
+    def pending_ack(self, call_id):
+        return self.waits.get(call_id)
+
+    def ack_timed_out(self, wait):
+        del self.waits[wait.call_id]
+        self.timed_out.append((self.loop.now, wait))
+
+    def send_times(self):
+        return [when for when, _hop, _message in self.sent]
+
+
+#: AckWait re-sends at T1, doubling to T2 = 0.4, while before Timer H.
+OK_RESEND_TIMES = [0.1, 0.3] + [round(0.7 + 0.4 * k, 10) for k in range(15)]
 
 
 class TestInviteServer:
-    def test_initial_state(self):
-        h = ServerHarness()
-        assert h.txn.state == TransactionState.PROCEEDING
+    """The INVITE server side no RFC 17.2 transaction runs: a 2xx is
+    re-sent by :class:`AckWait` until its ACK (RFC 3261 13.3.1.4)."""
+
+    def _wait(self):
+        node = AnsweringNode()
+        observed = []
+        wait, ok = node.answer(observer=observed.append)
+        return node, wait, ok, observed
 
     def test_retransmit_absorbed_with_replay(self):
-        h = ServerHarness()
-        h.txn.send_response(SipResponse.for_request(h.request, 100))
-        consumed = h.txn.receive_request(h.request)
-        assert consumed
-        assert h.txn.absorbed_retransmits == 1
-        assert [m.status for m in h.sent] == [100, 100]
-
-    def test_2xx_terminates(self):
-        h = ServerHarness()
-        h.txn.send_response(SipResponse.for_request(h.request, 200, to_tag="t"))
-        assert h.txn.state == TransactionState.TERMINATED
-
-    def test_non_2xx_retransmits_until_ack(self):
-        h = ServerHarness()
-        h.txn.send_response(SipResponse.for_request(h.request, 486, to_tag="t"))
-        h.loop.run_until(0.35)  # timer G at 0.1, 0.3
-        assert h.txn.response_retransmits == 2
-        ack = make_request("ACK")
-        ack.set("CSeq", "1 ACK")
-        assert h.txn.receive_request(ack)
-        assert h.txn.state == TransactionState.CONFIRMED
-        before = len(h.sent)
-        h.loop.run_until(2.0)
-        assert len(h.sent) == before  # retransmissions stopped
-
-    def test_timer_i_terminates_confirmed(self):
-        h = ServerHarness()
-        h.txn.send_response(SipResponse.for_request(h.request, 486))
-        ack = make_request("ACK")
-        ack.set("CSeq", "1 ACK")
-        h.txn.receive_request(ack)
-        h.loop.run_until(TIMERS.timer_i + 0.5)
-        assert h.txn.state == TransactionState.TERMINATED
+        node, wait, ok, _observed = self._wait()
+        node.loop.run_until(0.05)
+        wait.replay()
+        [(when, hop, replay)] = node.sent
+        assert (when, hop, replay.status) == (0.05, "proxy", 200)
+        assert replay is not ok  # a copy: the receiver may keep it
+        node.loop.run_until(0.35)
+        assert node.send_times() == pytest.approx([0.05] + OK_RESEND_TIMES[:2])
 
     def test_timer_h_gives_up_without_ack(self):
-        h = ServerHarness()
-        h.txn.send_response(SipResponse.for_request(h.request, 486))
-        h.loop.run_until(64 * TIMERS.t1 + 0.2)
-        assert h.txn.state == TransactionState.TERMINATED
+        node, wait, _ok, observed = self._wait()
+        node.loop.run_until(10.0)
+        assert node.send_times() == pytest.approx(OK_RESEND_TIMES)
+        assert {hop for _when, hop, _message in node.sent} == {"proxy"}
+        assert node.timed_out == [(pytest.approx(TIMERS.timer_h), wait)]
+        resent = len(OK_RESEND_TIMES)
+        assert node.metrics.counter("ok_retransmits").value == resent
+        assert observed == ["timer-ok"] * resent
 
-    def test_ack_callback_invoked(self):
-        h = ServerHarness()
-        h.txn.send_response(SipResponse.for_request(h.request, 486))
-        ack = make_request("ACK")
-        ack.set("CSeq", "1 ACK")
-        h.txn.receive_request(ack)
-        assert len(h.acks) == 1
+    def test_cancel_stops_the_schedule(self):
+        node, wait, _ok, _observed = self._wait()
+        node.loop.run_until(0.35)
+        wait.cancel()
+        del node.waits["c1"]
+        node.loop.run_until(10.0)
+        assert node.send_times() == pytest.approx(OK_RESEND_TIMES[:2])
+        assert node.timed_out == []
 
-
-class TestNonInviteServer:
-    def test_initial_trying_absorbs_silently(self):
-        h = ServerHarness("BYE")
-        assert h.txn.state == TransactionState.TRYING
-        assert h.txn.receive_request(h.request)
-        assert h.sent == []  # nothing to replay yet
-
-    def test_final_then_timer_j(self):
-        h = ServerHarness("BYE")
-        h.txn.send_response(SipResponse.for_request(h.request, 200))
-        assert h.txn.state == TransactionState.COMPLETED
-        assert h.txn.receive_request(h.request)  # replayed
-        assert len(h.sent) == 2
-        h.loop.run_until(64 * TIMERS.t1 + 0.2)
-        assert h.txn.state == TransactionState.TERMINATED
-
-    def test_terminated_callback(self):
-        fired = []
-        loop = EventLoop()
-        txn = ServerTransaction(
-            make_request("BYE"), loop, send_fn=lambda m: None,
-            timers=TIMERS, on_terminated=lambda: fired.append(True),
-        )
-        txn.send_response(SipResponse.for_request(txn.request, 200))
-        loop.run_until(64 * TIMERS.t1 + 0.2)
-        assert fired == [True]
+    def test_timers_act_on_the_call_ids_current_wait(self):
+        """A second 200 for a Call-ID whose first awaits its ACK inherits
+        the first one's timers: both re-send chains drive the new wait,
+        and the first Timer H ends it."""
+        node = AnsweringNode()
+        node.answer()
+        node.loop.run_until(0.2)
+        second, _ok = node.answer()
+        node.loop.run_until(0.55)
+        # 0.1: the first wait's own re-send; 0.3 twice: its chain and the
+        # second's, both doubling the second wait's interval.
+        assert node.send_times() == pytest.approx([0.1, 0.3, 0.3, 0.5])
+        node.loop.run_until(10.0)
+        assert node.timed_out == [(pytest.approx(TIMERS.timer_h), second)]
+        assert max(node.send_times()) < TIMERS.timer_h
