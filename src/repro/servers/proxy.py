@@ -45,6 +45,7 @@ from repro.sip.dialog import DialogId, DialogStore
 from repro.sip.headers import SipHeaderError, Via
 from repro.sip.message import SipMessage, SipRequest, SipResponse, forward_clone
 from repro.sip.timers import DEFAULT_TIMERS, TimerPolicy
+from repro.sip.transaction import ProxyTransaction
 
 if TYPE_CHECKING:
     from repro.core.control import ControlPolicy
@@ -138,55 +139,6 @@ class ProxyConfig:
         self.txn_linger = txn_linger
         self.monitor_period = monitor_period
         self.record_route_when_stateful = record_route_when_stateful
-
-
-class ProxyTransaction:
-    """Server-side state a stateful proxy keeps for one transaction.
-
-    Besides absorbing upstream retransmissions, a stateful proxy runs a
-    *client* transaction toward the next hop: the forwarded request is
-    retransmitted on the T1-doubling schedule until any response
-    arrives (RFC 3261 16.6 step 10).  This is what lets a stateful
-    chain recover from loss between proxies without the end points ever
-    noticing -- the mechanism behind the paper's bounded response times
-    in Figure 6.
-    """
-
-    __slots__ = (
-        "key", "method", "upstream", "forwarded_branch", "last_upstream_response",
-        "created_at", "completed", "forwarded_message", "next_hop",
-        "retransmit_handle", "retransmit_interval", "downstream_retransmits",
-        "response_seen",
-    )
-
-    def __init__(
-        self, key: Tuple[str, str, str], method: str, upstream: str,
-        forwarded_branch: str, created_at: float,
-    ):
-        self.key = key
-        self.method = method
-        self.upstream = upstream
-        self.forwarded_branch = forwarded_branch
-        # The final sent upstream, kept for replay only, so held as a
-        # ``bare_copy``: no parsed views linger with the transaction.
-        self.last_upstream_response: Optional[SipResponse] = None
-        self.created_at = created_at
-        self.completed = False
-        self.forwarded_message: Optional[SipRequest] = None
-        self.next_hop: Optional[str] = None
-        self.retransmit_handle = None
-        self.retransmit_interval = 0.0
-        self.downstream_retransmits = 0
-        self.response_seen = False
-
-    def stop_retransmitting(self) -> None:
-        if self.retransmit_handle is not None:
-            self.retransmit_handle.cancel()
-            self.retransmit_handle = None
-        # Only the retransmission schedule reads the forwarded copy; the
-        # lingering transaction absorbs upstream retransmits from
-        # ``last_upstream_response`` alone.
-        self.forwarded_message = None
 
 
 class _Plan:
@@ -764,15 +716,10 @@ class ProxyServer(Node):
                 self._branch_counter += 1
                 branch = f"reject-{self.name}-{self._branch_counter}"
                 transaction = ProxyTransaction(
-                    key, request.method, plan.src, branch, self.loop.now
-                )
-                transaction.last_upstream_response = response.bare_copy()
-                transaction.completed = True
+                    self, key, request.method, plan.src, branch)
+                transaction.complete(response)
                 self._transactions[key] = transaction
                 self.state_account.created("transaction")
-                self.loop.schedule(
-                    self.config.txn_linger, self._expire_transaction, key, branch
-                )
         self.send_response(response, plan.src)
 
     def _respond_locally(self, request: SipRequest, status: int) -> None:
@@ -833,10 +780,11 @@ class ProxyServer(Node):
         # 100 Trying still precedes the forwarded request on the wire.
         set_state = False
         add_rr = False
-        stateful = plan.decision is not None and plan.decision.stateful
-        if stateful:
+        transaction = None
+        if plan.decision is not None and plan.decision.stateful:
             branch = self._next_branch()
-            self._create_transaction(request, plan.src, branch, plan)
+            transaction = self._create_transaction(
+                request, plan.src, branch, plan)
             if request.method == "INVITE":
                 self._send_trying(request, plan.src)
                 set_state = True
@@ -864,75 +812,27 @@ class ProxyServer(Node):
         )
         self.metrics.counter("requests_forwarded").increment()
         self.send(next_hop, forwarded)
-        if stateful:
-            self._arm_downstream_retransmit(request, forwarded, next_hop)
-
-    def _arm_downstream_retransmit(
-        self, request: SipRequest, forwarded: SipRequest, next_hop: str
-    ) -> None:
-        """Start the proxy's client-transaction retransmission schedule."""
-        try:
-            key = request.transaction_key()
-        except SipHeaderError:
-            return
-        transaction = self._transactions.get(key)
-        if transaction is None:
-            return
-        transaction.forwarded_message = forwarded
-        transaction.next_hop = next_hop
-        transaction.retransmit_interval = self.timers.t1
-        transaction.retransmit_handle = self.loop.schedule(
-            transaction.retransmit_interval,
-            self._retransmit_downstream,
-            key,
-            transaction.forwarded_branch,
-        )
-
-    def _retransmit_downstream(self, key, branch: str) -> None:
-        transaction = self._transactions.get(key)
-        if (
-            transaction is None
-            or transaction.forwarded_branch != branch
-            or transaction.response_seen
-            or transaction.forwarded_message is None
-        ):
-            # Gone, superseded by a post-restart incarnation (branch
-            # mismatch), or already answered.
-            return
-        # Give up at the Timer B horizon like any client transaction.
-        if self.loop.now - transaction.created_at > self.timers.timer_b:
-            return
-        transaction.downstream_retransmits += 1
-        self.metrics.counter("downstream_retransmits").increment()
-        profiler = self.cpu.profiler
-        if profiler is not None:
-            # Count-only: timer-driven retransmits charge no CPU in the
-            # simulation, so the profiler must not invent seconds either.
-            profiler.count("timer")
-        self.send(transaction.next_hop, transaction.forwarded_message.copy())
-        transaction.retransmit_interval = self.timers.next_retransmit_interval(
-            transaction.retransmit_interval, invite=transaction.method == "INVITE"
-        )
-        transaction.retransmit_handle = self.loop.schedule(
-            transaction.retransmit_interval, self._retransmit_downstream, key, branch
-        )
+        if transaction is not None:
+            transaction.start_retransmitting(forwarded, next_hop)
 
     def _create_transaction(
         self, request: SipRequest, upstream: str, branch: str, plan: _Plan
-    ) -> None:
+    ) -> Optional[ProxyTransaction]:
         try:
             key = request.transaction_key()
         except SipHeaderError:
-            return
+            return None
         transaction = ProxyTransaction(
-            key, request.method, upstream, branch, self.loop.now
-        )
+            self, key, request.method, upstream, branch)
+        superseded = self._transactions.get(key)
+        if superseded is not None:  # a copy planned before the first ran
+            superseded.terminate()
         self._transactions[key] = transaction
         self._by_forwarded_branch[branch] = transaction
         self.metrics.counter("transactions_created").increment()
         self.state_account.created("transaction")
         # Hard lifetime bound: Timer C equivalent.
-        self.loop.schedule(self.timers.timer_b, self._expire_transaction, key, branch)
+        self.loop.schedule(self.timers.timer_b, transaction.expire)
 
         if plan.decision is not None and plan.decision.dialog_stateful:
             dialog_id = DialogId.from_message(request, local_is_from=True)
@@ -940,17 +840,7 @@ class ProxyServer(Node):
                 self.dialogs.create(dialog_id, self.loop.now)
                 self.metrics.counter("dialogs_created").increment()
                 self.state_account.created("dialog")
-
-    def _expire_transaction(self, key, branch: str) -> None:
-        transaction = self._transactions.get(key)
-        if transaction is not None and transaction.forwarded_branch == branch:
-            # Only reap the incarnation this timer was armed for: after a
-            # crash+restart the same key may name a fresh transaction
-            # whose own timers manage its lifetime.
-            del self._transactions[key]
-            transaction.stop_retransmitting()
-            self.state_account.destroyed("transaction")
-        self._by_forwarded_branch.pop(branch, None)
+        return transaction
 
     # ------------------------------------------------------------------
     # Response forwarding
@@ -987,15 +877,7 @@ class ProxyServer(Node):
             self._control_note_response(response, plan.src)
 
         if transaction is not None and response.is_final:
-            transaction.last_upstream_response = forwarded.bare_copy()
-            if not transaction.completed:
-                transaction.completed = True
-                self.loop.schedule(
-                    self.config.txn_linger,
-                    self._expire_transaction,
-                    transaction.key,
-                    transaction.forwarded_branch,
-                )
+            transaction.complete(forwarded)
             if transaction.method == "BYE" and response.is_success:
                 dialog = self.dialogs.find_by_call_id(response.call_id)
                 if dialog is not None:
@@ -1003,12 +885,8 @@ class ProxyServer(Node):
                     self.dialogs.remove(dialog)
                     self.state_account.destroyed("dialog")
 
-        next_via = forwarded.top_via
-        if next_via is None or not self.network.has_node(next_via.host):
-            self.metrics.counter("unroutable_responses").increment()
-            return
-        self.metrics.counter("responses_forwarded").increment()
-        self.send(next_via.host, forwarded)
+        if self.send_response(forwarded) is not None:
+            self.metrics.counter("responses_forwarded").increment()
 
     def _control_note_response(self, response: SipResponse, src: str) -> None:
         """Feed a final response passing back upstream to the overload
@@ -1179,6 +1057,7 @@ class ProxyServer(Node):
             self.metrics.counter("transactions_lost_on_crash").increment(live)
         for transaction in self._transactions.values():
             transaction.stop_retransmitting()
+            transaction.terminate()
         self._transactions.clear()
         self._by_forwarded_branch.clear()
         lost_dialogs = self.dialogs.clear()

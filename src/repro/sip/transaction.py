@@ -1,4 +1,4 @@
-"""RFC 3261 client transactions, and the answerer's 2xx retransmitter.
+"""RFC 3261 client and proxy transactions, and the 2xx retransmitter.
 
 These are the objects whose creation, hashing and memory churn make a
 *stateful* server expensive (paper Figure 3: the State / Hashing /
@@ -13,16 +13,17 @@ transport-agnostic: it is driven by
 
 Its INVITE variant runs Timers A (retransmit), B (timeout) and D
 (linger), its non-INVITE variant Timers E, F and K.  No node runs an
-RFC 17.2 server transaction: the proxy keeps its own
-(:mod:`repro.servers.proxy`), and an answering node's only server-side
-timer work is re-sending its 2xx until the ACK (RFC 13.3.1.4) --
-:class:`AckWait`, at T1 doubling to T2 until Timer H.
+RFC 17.2 server transaction: a stateful proxy keeps a
+:class:`ProxyTransaction` per request it forwards or rejects, and an
+answering node's only server-side timer work is re-sending its 2xx
+until the ACK (RFC 13.3.1.4) -- :class:`AckWait`, at T1 doubling to T2
+until Timer H.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Tuple
 
 from repro.sip.message import SipRequest, SipResponse
 from repro.sip.timers import DEFAULT_TIMERS, TimerPolicy
@@ -30,10 +31,9 @@ from repro.sip.timers import DEFAULT_TIMERS, TimerPolicy
 
 class TransactionState(enum.Enum):
     CALLING = "calling"        # client INVITE: request sent, no response
-    TRYING = "trying"          # client/server non-INVITE initial state
-    PROCEEDING = "proceeding"  # provisional response seen/sent
-    COMPLETED = "completed"    # final response seen/sent (non-2xx for INVITE)
-    CONFIRMED = "confirmed"    # server INVITE: ACK received
+    TRYING = "trying"          # client non-INVITE: request sent, no response
+    PROCEEDING = "proceeding"  # provisional response seen
+    COMPLETED = "completed"    # final response seen (non-2xx for INVITE)
     TERMINATED = "terminated"
 
 
@@ -229,6 +229,109 @@ class ClientTransaction:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         kind = "INVITE" if self.is_invite else "non-INVITE"
         return f"<ClientTransaction {kind} {self.state.value}>"
+
+
+class ProxyTransaction:
+    """What a stateful proxy keeps for one transaction.
+
+    It replays ``last_upstream_response`` (a view-free ``bare_copy`` of
+    the final sent upstream) to absorb upstream retransmissions, and
+    from :meth:`start_retransmitting` on re-sends the forwarded request
+    at T1, doubling (capped at T2 for a non-INVITE), until any response
+    (RFC 3261 16.6 step 10): a stateful chain hides loss between proxies
+    from the end points, the paper's bounded response times in Figure 6.
+
+    ``owner`` is the proxy, whose ``_transactions`` and
+    ``_by_forwarded_branch`` tables :meth:`expire` leaves.  Timer B and
+    the linger both call :meth:`expire` and neither is ever cancelled
+    (the later one fires and only forgets the branch), so the
+    transaction holds the handle of its re-send alone, dropped when it
+    fires.  Out of the owner's table (expired, crashed, or superseded by
+    a second copy of its request) it is ``terminated``: a pending
+    re-send fires once and sends nothing, an expiry only forgets the
+    branch.
+    """
+
+    __slots__ = (
+        "owner", "key", "method", "upstream", "forwarded_branch",
+        "last_upstream_response", "completed", "forwarded_message",
+        "next_hop", "response_seen", "terminated", "_interval",
+        "_retransmit_handle",
+    )
+
+    def __init__(self, owner: Any, key: Tuple[str, str, str], method: str,
+                 upstream: str, forwarded_branch: str):
+        self.owner = owner
+        self.key = key
+        self.method = method
+        self.upstream = upstream
+        self.forwarded_branch = forwarded_branch
+        self.last_upstream_response: Optional[SipResponse] = None
+        self.completed = False
+        self.forwarded_message: Optional[SipRequest] = None
+        self.next_hop: Optional[str] = None
+        self.response_seen = False
+        self.terminated = False
+        self._interval = 0.0
+        self._retransmit_handle: Optional[Any] = None
+
+    def start_retransmitting(self, forwarded: SipRequest,
+                             next_hop: str) -> None:
+        """Re-send ``forwarded``, just sent to ``next_hop``, from T1 on."""
+        self.forwarded_message = forwarded
+        self.next_hop = next_hop
+        self._interval = self.owner.timers.t1
+        self._retransmit_handle = self.owner.loop.schedule(
+            self._interval, self._retransmit)
+
+    def stop_retransmitting(self) -> None:
+        if self._retransmit_handle is not None:
+            self._retransmit_handle.cancel()
+            self._retransmit_handle = None
+        # Only the re-send schedule reads the forwarded copy; a replay
+        # reads ``last_upstream_response``.
+        self.forwarded_message = None
+
+    def complete(self, final: SipResponse) -> None:
+        """Keep ``final`` for replay; the first one starts the linger."""
+        self.last_upstream_response = final.bare_copy()
+        if not self.completed:
+            self.completed = True
+            self.owner.loop.schedule(self.owner.config.txn_linger,
+                                     self.expire)
+
+    def terminate(self) -> None:
+        """Out of the owner's table: no fire re-sends or reaps again."""
+        self.terminated = True
+        self.last_upstream_response = self.forwarded_message = None
+
+    def expire(self) -> None:
+        """Leave the owner: a live transaction is reaped from its table
+        and state count; every one leaves the branch index."""
+        owner = self.owner
+        if not self.terminated:
+            del owner._transactions[self.key]
+            self.stop_retransmitting()
+            owner.state_account.destroyed("transaction")
+        self.terminate()
+        owner._by_forwarded_branch.pop(self.forwarded_branch, None)
+
+    def _retransmit(self) -> None:
+        self._retransmit_handle = None
+        if self.terminated:
+            return
+        owner = self.owner
+        owner.metrics.counter("downstream_retransmits").increment()
+        profiler = owner.cpu.profiler
+        if profiler is not None:
+            # Count-only: timer-driven re-sends charge no CPU in the
+            # simulation, so the profiler must not invent seconds either.
+            profiler.count("timer")
+        owner.send(self.next_hop, self.forwarded_message.copy())
+        self._interval = owner.timers.next_retransmit_interval(
+            self._interval, invite=self.method == "INVITE")
+        self._retransmit_handle = owner.loop.schedule(
+            self._interval, self._retransmit)
 
 
 class AckWait:

@@ -31,10 +31,14 @@ import pytest
 
 from repro import api
 from repro.harness.runner import run_scenario
-from repro.servers.proxy import ProxyServer, ProxyTransaction
+from repro.servers.proxy import ProxyServer
 from repro.sim.events import EventHandle, EventLoop
 from repro.sip.message import SipRequest, SipResponse
-from repro.sip.transaction import ClientTransaction, TransactionState
+from repro.sip.transaction import (
+    ClientTransaction,
+    ProxyTransaction,
+    TransactionState,
+)
 
 from tests.sip.test_transaction import TIMERS, make_request
 
