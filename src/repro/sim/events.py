@@ -131,13 +131,13 @@ class EventLoop:
     # ------------------------------------------------------------------
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # NaN too
             raise ValueError(f"negative delay: {delay}")
         return self.schedule_at(self.now + delay, fn, *args)
 
     def schedule_at(self, when: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` to run at absolute sim time ``when``."""
-        if when < self.now:
+        if not when >= self.now:  # NaN too
             raise ValueError(f"cannot schedule in the past: {when} < {self.now}")
         self._seq += 1
         if when > self.horizon:

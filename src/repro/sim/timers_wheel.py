@@ -267,7 +267,7 @@ class WheelEventLoop(EventLoop):
     # deliveries and CPU completions that belong in the heap).
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
-        if delay < 0:
+        if not delay >= 0:  # NaN too
             raise ValueError(f"negative delay: {delay}")
         self._seq += 1
         when = self.now + delay
@@ -286,7 +286,7 @@ class WheelEventLoop(EventLoop):
 
     def schedule_at(self, when: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         now = self.now
-        if when < now:
+        if not when >= now:  # NaN too
             raise ValueError(f"cannot schedule in the past: {when} < {now}")
         self._seq += 1
         if when > self.horizon:

@@ -115,6 +115,14 @@ class ScenarioConfig:
     ):
         if not (scale > 0 and math.isfinite(scale)):
             raise ValueError(f"scale must be finite and positive: {scale}")
+        if not (monitor_period > 0 and math.isfinite(monitor_period)):
+            raise ValueError("monitor_period must be finite and positive: "
+                             f"{monitor_period}")
+        for name, value in (("reject_queue_delay", reject_queue_delay),
+                            ("max_queue_delay", max_queue_delay),
+                            ("hold_time", hold_time)):
+            if value is not None and not value >= 0:  # NaN too
+                raise ValueError(f"{name} must be >= 0: {value}")
         check_engine(engine)
         if shards is not None and engine != "sharded":
             raise UnsupportedCombination(

@@ -121,6 +121,21 @@ class TestScheduling:
         with pytest.raises(ValueError):
             loop.schedule(-0.1, lambda: None)
 
+    @pytest.mark.parametrize("make_loop", [EventLoop, WheelEventLoop],
+                             ids=["heap", "wheel"])
+    @pytest.mark.parametrize("method", ["schedule", "schedule_at"])
+    def test_nan_time_rejected(self, make_loop, method):
+        """A NaN key compares false both ways and would fire out of
+        order, so it is refused like a negative delay."""
+        loop = make_loop()
+        fired = []
+        for delay in (0.3, 0.1, 0.2):
+            loop.schedule(delay, fired.append, delay)
+        with pytest.raises(ValueError):
+            getattr(loop, method)(math.nan, fired.append, math.nan)
+        loop.run()
+        assert fired == [0.1, 0.2, 0.3]
+
     def test_past_schedule_rejected(self, loop):
         loop.schedule(1.0, lambda: None)
         loop.run()

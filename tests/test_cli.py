@@ -1,10 +1,13 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main, topology_from_json
+
+EXAMPLE_SPECS = Path(__file__).parents[1] / "examples" / "specs"
 
 
 class TestParser:
@@ -107,6 +110,27 @@ class TestConfigurationErrors:
         (line,) = captured.err.splitlines()
         assert line.startswith("repro run: error: ") and cause in line
         assert len(executions) == (0 if "--shards" in flags else 1)
+
+    @pytest.mark.parametrize("knob, rule", [
+        pytest.param(knob, rule, id=knob) for knob, rule in (
+            ("monitor_period", "must be finite and positive"),
+            ("reject_queue_delay", "must be >= 0"),
+            ("max_queue_delay", "must be >= 0"),
+            ("hold_time", "must be >= 0"),
+        )
+    ])
+    def test_nan_time_knob_in_a_spec(self, tmp_path, capsys, knob, rule):
+        """A NaN period used to hang the run; a NaN delay ran with
+        shedding or the admission bound silently off."""
+        spec = (EXAMPLE_SPECS / "b2bua_chain.toml").read_text()
+        path = tmp_path / "nan.toml"
+        path.write_text(spec.replace("[config]\n", f"[config]\n{knob} = nan\n"))
+        rc = main(["run", "--spec", str(path), "--no-cache"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line == f"repro run: error: {knob} {rule}: nan"
 
     def test_figures_shards_without_sharded_engine(self, capsys):
         rc = main(["figures", "fig4", "--shards", "2", "--quality",

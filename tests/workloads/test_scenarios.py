@@ -1,5 +1,7 @@
 """Tests for scenario builders (topology shape + short smoke runs)."""
 
+import math
+
 import pytest
 
 from repro.core.servartuka import ServartukaPolicy
@@ -202,6 +204,19 @@ class TestScenarioPlumbing:
     def test_bad_scale_rejected(self):
         with pytest.raises(ValueError):
             ScenarioConfig(scale=0)
+
+    @pytest.mark.parametrize("knob, value", [
+        ("monitor_period", math.nan), ("monitor_period", math.inf),
+        ("monitor_period", 0.0), ("monitor_period", -1.0),
+        ("reject_queue_delay", math.nan), ("reject_queue_delay", -0.1),
+        ("max_queue_delay", math.nan), ("max_queue_delay", -0.1),
+        ("hold_time", math.nan), ("hold_time", -1.0),
+    ])
+    def test_bad_time_knob_rejected(self, knob, value):
+        """A NaN period never ends a run; a NaN delay silently turns
+        shedding or the admission bound off."""
+        with pytest.raises(ValueError, match=f"^{knob} must be"):
+            ScenarioConfig(**{knob: value})
 
 
 class TestConfigCoerce:
