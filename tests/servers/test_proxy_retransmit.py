@@ -313,6 +313,49 @@ class TestExactSchedule:
             [m * TIMERS.t1 for m in INVITE_RESENDS])
 
 
+class TestStoredFinal:
+    def test_second_final_replaces_what_the_replay_sends(self):
+        """A second final for one transaction (a forked or re-sent 200)
+        replaces the stored one: the next absorbed retransmission is
+        answered with its text.  It arms no second linger: the first
+        final's linger ends the transaction, and nothing fires
+        ``txn_linger`` after the second."""
+        loop, network, proxy, uac, dst = make_env()
+        sent = record_sends(proxy, loop)
+        network.send("uac", "P1", make_invite())
+        loop.run_until(0.05)
+        forwarded = dst.requests("INVITE")[0]
+        upstream = []  # (time, final) forwarded to the uac
+        for at, tag in ((0.05, "a"), (0.5, "b")):
+            loop.run_until(at)
+            network.send("dst", "P1", SipResponse.for_request(
+                forwarded, 200, to_tag=tag))
+            loop.run_until(at + 0.05)
+            upstream += [(when, message) for when, to, message in sent
+                         if to == "uac" and isinstance(message, SipResponse)
+                         and message.is_final and message.to.tag == tag]
+        (first_at, _first), (second_at, second) = upstream
+        assert proxy.metrics.counter("responses_forwarded").value == 2
+
+        count = len(sent)
+        network.send("uac", "P1", make_invite())  # upstream retransmission
+        loop.run_until(1.0)
+        assert proxy.metrics.counter("retransmits_absorbed").value == 1
+        (_at, to, replay), = sent[count:]
+        assert to == "uac"
+        assert replay.to_wire() == second.to_wire()
+        assert replay.to.tag == "b"
+        assert dst.requests("INVITE") == [forwarded]
+
+        linger_end = first_at + proxy.config.txn_linger
+        loop.run_until(linger_end - 1e-9)
+        assert proxy.active_transactions == 1
+        assert events_at(loop, linger_end) == 1
+        assert proxy.active_transactions == 0
+        assert proxy._by_forwarded_branch == {}
+        assert events_at(loop, second_at + proxy.config.txn_linger) == 0
+
+
 class TestViaEma:
     def test_ema_tracks_observed_depth(self):
         loop, network, proxy, uac, dst = make_env()
