@@ -128,10 +128,13 @@ class ProxyConfig:
         monitor_period: float = 1.0,
         record_route_when_stateful: bool = True,
     ):
-        if reject_queue_delay < 0 or txn_linger < 0:
-            raise ValueError("delays must be >= 0")
-        if monitor_period <= 0:
-            raise ValueError("monitor_period must be positive")
+        for name, value in (("reject_queue_delay", reject_queue_delay),
+                            ("txn_linger", txn_linger)):
+            if not value >= 0:  # NaN too
+                raise ValueError(f"{name} must be >= 0: {value}")
+        if not (monitor_period > 0 and math.isfinite(monitor_period)):
+            raise ValueError("monitor_period must be finite and positive: "
+                             f"{monitor_period}")
         self.auth_enabled = auth_enabled
         self.realm = realm
         self.nonce = nonce
@@ -604,8 +607,11 @@ class ProxyServer(Node):
         self.metrics.counter("retransmits_absorbed").increment()
         if transaction is None:
             return  # transaction expired between plan and execution
-        if transaction.last_upstream_response is not None:
-            self.send(transaction.upstream, transaction.last_upstream_response.copy())
+        if transaction.final_wire is not None:
+            # The wire parser is a leaf: only a replay loads it here.
+            from repro.sip.parser import parse_message
+
+            self.send(transaction.upstream, parse_message(transaction.final_wire))
         elif transaction.method == "INVITE":
             self._send_trying(plan.message, transaction.upstream)
 

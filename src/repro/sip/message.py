@@ -12,8 +12,8 @@ node already holds the value a header was rendered from -- the Via it
 pushes, the CSeq and To it built a request with, the views of the
 request it answers -- it stores that object as the view, so the next
 reader skips the parse; each such view equals what parsing the header
-would give.  A message kept only for replay (:meth:`SipMessage.bare_copy`)
-holds none.
+would give.  A final kept only for replay is kept as its wire text
+(:class:`~repro.sip.transaction.ProxyTransaction`), which holds none.
 """
 
 from __future__ import annotations
@@ -242,15 +242,6 @@ class SipMessage:
         if _TURBO:
             return self._share(dict(self._cache))
         return _wire_copy(self)
-
-    def bare_copy(self) -> "SipMessage":
-        """The same message holding no parsed views, on both rungs.
-
-        Shares the header list copy-on-write (no wire round trip): what
-        a node keeps only to replay later, whose views the replay
-        re-derives lazily.  (``_share`` is each subclass's clone.)
-        """
-        return self._share({})
 
     def _cached(self, key: str, builder) -> object:
         if key not in self._cache:

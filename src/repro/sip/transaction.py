@@ -234,8 +234,8 @@ class ClientTransaction:
 class ProxyTransaction:
     """What a stateful proxy keeps for one transaction.
 
-    It replays ``last_upstream_response`` (a view-free ``bare_copy`` of
-    the final sent upstream) to absorb upstream retransmissions, and
+    It replays ``final_wire`` (the text of the last final sent
+    upstream) to absorb upstream retransmissions, and
     from :meth:`start_retransmitting` on re-sends the forwarded request
     at T1, doubling (capped at T2 for a non-INVITE), until any response
     (RFC 3261 16.6 step 10): a stateful chain hides loss between proxies
@@ -254,7 +254,7 @@ class ProxyTransaction:
 
     __slots__ = (
         "owner", "key", "method", "upstream", "forwarded_branch",
-        "last_upstream_response", "completed", "forwarded_message",
+        "final_wire", "completed", "forwarded_message",
         "next_hop", "response_seen", "terminated", "_interval",
         "_retransmit_handle",
     )
@@ -266,7 +266,7 @@ class ProxyTransaction:
         self.method = method
         self.upstream = upstream
         self.forwarded_branch = forwarded_branch
-        self.last_upstream_response: Optional[SipResponse] = None
+        self.final_wire: Optional[str] = None
         self.completed = False
         self.forwarded_message: Optional[SipRequest] = None
         self.next_hop: Optional[str] = None
@@ -289,12 +289,13 @@ class ProxyTransaction:
             self._retransmit_handle.cancel()
             self._retransmit_handle = None
         # Only the re-send schedule reads the forwarded copy; a replay
-        # reads ``last_upstream_response``.
+        # reads ``final_wire``.
         self.forwarded_message = None
 
     def complete(self, final: SipResponse) -> None:
-        """Keep ``final`` for replay; the first one starts the linger."""
-        self.last_upstream_response = final.bare_copy()
+        """Keep ``final``'s text for replay; the first one starts the
+        linger."""
+        self.final_wire = final.to_wire()
         if not self.completed:
             self.completed = True
             self.owner.loop.schedule(self.owner.config.txn_linger,
@@ -303,7 +304,7 @@ class ProxyTransaction:
     def terminate(self) -> None:
         """Out of the owner's table: no fire re-sends or reaps again."""
         self.terminated = True
-        self.last_upstream_response = self.forwarded_message = None
+        self.final_wire = self.forwarded_message = None
 
     def expire(self) -> None:
         """Leave the owner: a live transaction is reaped from its table

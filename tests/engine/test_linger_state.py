@@ -33,7 +33,8 @@ from repro import api
 from repro.harness.runner import run_scenario
 from repro.servers.proxy import ProxyServer
 from repro.sim.events import EventHandle, EventLoop
-from repro.sip.message import SipRequest, SipResponse
+from repro.sip.message import SipMessage, SipRequest, SipResponse
+from repro.sip.parser import parse_message
 from repro.sip.transaction import (
     ClientTransaction,
     ProxyTransaction,
@@ -118,14 +119,21 @@ def test_answered_proxy_transactions_drop_the_forwarded_copy(census):
 
 
 def test_lingering_proxy_transactions_store_no_views(census):
-    """A stored final is kept for replay only: it holds no parsed view
-    (a ``bare_copy`` of what went upstream, on both rungs)."""
+    """A stored final is kept for replay only, on both rungs, as the
+    text that went upstream: it parses back to that text, and a
+    completed transaction refers to no message at all."""
     _name, objects, _retained, _calls = census
-    stored = [obj.last_upstream_response for obj in objects
-              if type(obj) is ProxyTransaction
-              and obj.last_upstream_response is not None]
+    transactions = [obj for obj in objects if type(obj) is ProxyTransaction]
+    stored = [obj.final_wire for obj in transactions
+              if obj.final_wire is not None]
     assert stored, "no lingering proxy transaction to inspect"
-    assert sum(bool(response._cache) for response in stored) == 0
+    for text in stored:
+        assert type(text) is str
+        assert parse_message(text).to_wire() == text
+    completed = [obj for obj in transactions if obj.completed]
+    assert completed
+    assert [ref for obj in completed for ref in gc.get_referents(obj)
+            if isinstance(ref, SipMessage)] == []
 
 
 @pytest.mark.parametrize("engine", ENGINES)

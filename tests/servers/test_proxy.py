@@ -6,6 +6,8 @@ execute pipeline runs.  The proxy uses a zero-noise CPU so assertions
 are deterministic.
 """
 
+import math
+
 import pytest
 
 import repro.api as api
@@ -264,6 +266,21 @@ class TestResponseForwarding:
             for name in ("requests_forwarded", "responses_forwarded"))
         assert forwarded > 0
         assert len(copies) == forwarded
+
+
+class TestProxyConfig:
+    @pytest.mark.parametrize("knob, value", [
+        ("reject_queue_delay", math.nan), ("reject_queue_delay", -0.1),
+        ("txn_linger", math.nan), ("txn_linger", -1.0),
+        ("monitor_period", math.nan), ("monitor_period", math.inf),
+        ("monitor_period", 0.0),
+    ])
+    def test_bad_time_knob_rejected(self, knob, value):
+        """A NaN compares false both ways: a NaN ``reject_queue_delay``
+        silently turns 500-shedding off, and a NaN or infinite period
+        never lets the monitor run."""
+        with pytest.raises(ValueError, match=f"^{knob} must be"):
+            ProxyConfig(**{knob: value})
 
 
 class TestRejections:

@@ -25,6 +25,7 @@ from repro.sip.message import (
     forward_clone,
     set_engine_mode,
 )
+from repro.sip.parser import parse_message
 from repro.sip.uri import SipUri, parse_uri
 
 ENGINES = ("reference", "turbo")
@@ -145,10 +146,10 @@ def test_views_equal_a_fresh_parse_at_every_hop(
         own = forwarded.pop_via()
         assert own.host == name
         check(forwarded, peek)
-        stored = forwarded.bare_copy()
-        assert stored._cache == {}
-        replay = stored.copy()
-        assert replay.to_wire() == forwarded.to_wire()
+        stored = forwarded.to_wire()  # what a lingering proxy keeps
+        replay = parse_message(stored)
+        assert replay._cache == {}
+        assert replay.to_wire() == stored
         check(replay, True)
         response = forwarded
     assert response.top_via.host == "uac"
