@@ -197,7 +197,7 @@ class B2buaServer(Node):
             return
         self.metrics.counter("reinvites_answered").increment()
         ok = SipResponse.for_request(request, 200, to_tag=call.to_tag)
-        self._send_leg_a_ok(call, ok)
+        self._send_leg_a_ok(call, ok, initial=False)
 
     def _answer_leg_a(self, call: _B2buaCall, body: str) -> None:
         ringing = SipResponse.for_request(call.invite, 180, to_tag=call.to_tag)
@@ -208,12 +208,14 @@ class B2buaServer(Node):
         call.state = "answered"
         self.metrics.counter("calls_answered").increment()
         self.send_response(ringing, call.upstream)
-        self._send_leg_a_ok(call, ok)
+        self._send_leg_a_ok(call, ok, initial=True)
 
-    def _send_leg_a_ok(self, call: _B2buaCall, ok: SipResponse) -> None:
+    def _send_leg_a_ok(self, call: _B2buaCall, ok: SipResponse,
+                       initial: bool) -> None:
         """Send a 200 on leg A and retransmit it until the ACK arrives."""
         next_hop = self.send_response(ok, call.upstream)
-        call.ack_wait = AckWait(self, call.leg_a_call_id, ok, next_hop)
+        call.ack_wait = AckWait(self, call.leg_a_call_id, ok, next_hop,
+                                initial)
 
     def pending_ack(self, call_id: str) -> Optional[AckWait]:
         call = self._calls_a.get(call_id)
@@ -222,7 +224,8 @@ class B2buaServer(Node):
     def ack_timed_out(self, wait: AckWait) -> None:
         """Timer H: the call stays up, only the 200 is abandoned."""
         self._calls_a[wait.call_id].ack_wait = None
-        self.metrics.counter("calls_never_acked").increment()
+        self.metrics.counter("calls_never_acked" if wait.initial
+                             else "reinvites_never_acked").increment()
 
     def _handle_ack(self, request: SipRequest) -> None:
         call = self._calls_a.get(request.call_id)
