@@ -13,8 +13,9 @@ The implementation composes the repo's two endpoint idioms: leg A is
 handled exactly like :class:`~repro.servers.uas.AnsweringServer`
 (assign a to-tag, retransmit the 200 on the T1 schedule until ACKed,
 with the same :class:`~repro.sip.transaction.AckWait`),
-leg B like :class:`~repro.servers.uac.CallGenerator` (RFC 3261 client
-transactions with Timer A/B).  Media is irrelevant here; the SDP offer
+leg B like :class:`~repro.servers.uac.CallGenerator` (one
+:class:`~repro.sip.dialog.Dialog` per call, RFC 3261 client
+transactions in the same :class:`~repro.sip.transaction.ClientCore`).  Media is irrelevant here; the SDP offer
 is passed through leg B and the answer returned on leg A.
 """
 
@@ -25,40 +26,29 @@ from typing import Dict, Optional
 from repro.servers.node import Node
 from repro.sim.events import EventLoop
 from repro.sim.network import Network
-from repro.sip.headers import Via
+from repro.sip.dialog import Dialog
 from repro.sip.message import SipMessage, SipRequest, SipResponse
 from repro.sip.timers import DEFAULT_TIMERS, TimerPolicy
-from repro.sip.transaction import AckWait, ClientTransaction
-from repro.sip.uri import SipUri, parse_uri
+from repro.sip.transaction import AckWait, ClientCore
+from repro.sip.uri import parse_uri
 
 
 class _B2buaCall:
     """State for one bridged call: both legs, all timers."""
 
-    __slots__ = (
-        "leg_a_call_id", "leg_b_call_id", "invite", "upstream",
-        "to_tag", "state", "ack_wait", "b_to_tag", "b_route_set", "b_cseq",
-        "b_destination", "b_from_uri", "b_from_tag",
-    )
+    __slots__ = ("leg_a_call_id", "leg_b", "invite", "upstream", "to_tag",
+                 "state", "ack_wait")
 
-    def __init__(self, leg_a_call_id: str, leg_b_call_id: str,
-                 invite: SipRequest, upstream: str):
+    def __init__(self, leg_a_call_id: str, leg_b: Dialog,
+                 invite: SipRequest, upstream: str, to_tag: str):
         self.leg_a_call_id = leg_a_call_id
-        self.leg_b_call_id = leg_b_call_id
+        self.leg_b = leg_b            # leg-B dialog (UAC role)
         self.invite = invite          # retained leg-A INVITE (for responses)
         self.upstream = upstream
-        self.to_tag: Optional[str] = None
+        self.to_tag = to_tag          # leg-A to-tag (UAS role)
         self.state = "setup"          # setup -> answered -> completed/failed
         # Leg-A 200 awaiting its ACK (UAS role).
         self.ack_wait: Optional[AckWait] = None
-        # Leg-B dialog state (UAC role).
-        self.b_to_tag: Optional[str] = None
-        self.b_route_set: list = []
-        self.b_cseq = 1
-        # Parsed once per call; every leg-B request reuses them.
-        self.b_destination: Optional[SipUri] = None
-        self.b_from_uri: Optional[SipUri] = None
-        self.b_from_tag = ""
 
     def stop_ack_wait(self) -> bool:
         """Cancel the leg-A 200's retransmission; False if none ran."""
@@ -100,9 +90,8 @@ class B2buaServer(Node):
         self.timers = timers
         self._calls_a: Dict[str, _B2buaCall] = {}  # leg A call-id -> call
         self._calls_b: Dict[str, _B2buaCall] = {}  # leg B call-id -> call
-        self._transactions: Dict[tuple, ClientTransaction] = {}
+        self.client = ClientCore(self, first_hop, self._leg_b_dialog)
         self._call_counter = 0
-        self._branch_counter = 0
 
     # ------------------------------------------------------------------
     # Inbound dispatch
@@ -113,7 +102,7 @@ class B2buaServer(Node):
         if isinstance(payload, SipRequest):
             self._handle_request(payload, src)
         else:
-            self._handle_response(payload)
+            self.client.dispatch(payload)
 
     def _handle_request(self, request: SipRequest, src: str) -> None:
         if request.method == "INVITE":
@@ -127,30 +116,6 @@ class B2buaServer(Node):
         else:
             self.send_response(SipResponse.for_request(request, 200), src)
             self.metrics.counter("other_requests").increment()
-
-    def _handle_response(self, response: SipResponse) -> None:
-        via = response.top_via
-        branch = via.branch if via is not None else None
-        try:
-            method = response.cseq.method
-        except Exception:
-            method = "INVITE"
-        if method == "ACK":
-            method = "INVITE"
-        transaction = (
-            self._transactions.get((branch, method)) if branch else None
-        )
-        if transaction is not None and transaction.state.value != "terminated":
-            transaction.receive_response(response)
-            return
-        # Retransmitted 200 on leg B after our transaction ended: the
-        # ACK was lost downstream; re-ACK the dialog.
-        call = self._calls_b.get(response.call_id)
-        if call is not None and response.is_success and method == "INVITE":
-            self.metrics.counter("acks_resent").increment()
-            self._send_leg_b_ack(call)
-            return
-        self.metrics.counter("late_responses").increment()
 
     # ------------------------------------------------------------------
     # Leg A: UAS role
@@ -170,16 +135,16 @@ class B2buaServer(Node):
 
         self.metrics.counter("calls_received").increment()
         self._call_counter += 1
-        call = _B2buaCall(
-            call_id, f"{self.name}-b2b-{self._call_counter}", request, src
-        )
-        call.to_tag = f"b2b-{self.name}-{self._call_counter}"
-        call.b_destination = parse_uri(
-            f"sip:{request.uri.user}@{self.dest_domain}")
-        call.b_from_uri = parse_uri(f"sip:leg{self._call_counter}@{self.name}")
-        call.b_from_tag = f"b2b-{self._call_counter}"
+        count = self._call_counter
+        # Parsed once per call; every leg-B request reuses them.
+        destination = parse_uri(f"sip:{request.uri.user}@{self.dest_domain}")
+        leg_b = Dialog(self.name, f"{self.name}-b2b-{count}",
+                       parse_uri(f"sip:leg{count}@{self.name}"),
+                       f"b2b-{count}", destination)
+        call = _B2buaCall(call_id, leg_b, request, src,
+                          to_tag=f"b2b-{self.name}-{count}")
         self._calls_a[call_id] = call
-        self._calls_b[call.leg_b_call_id] = call
+        self._calls_b[leg_b.call_id] = call
         self._originate_leg_b(call, request)
 
     def _handle_reinvite(self, request: SipRequest, src: str,
@@ -243,11 +208,11 @@ class B2buaServer(Node):
             return
         call.stop_ack_wait()
         self.metrics.counter("calls_completed").increment()
-        if call.b_to_tag is not None:
+        if call.leg_b.remote_tag is not None:
             self._send_leg_b_bye(call)
         else:
             # Leg B never answered; nothing to tear down there.
-            self._calls_b.pop(call.leg_b_call_id, None)
+            self._calls_b.pop(call.leg_b.call_id, None)
 
     def _handle_cancel(self, request: SipRequest, src: str) -> None:
         self.send_response(SipResponse.for_request(request, 200), src)
@@ -262,51 +227,32 @@ class B2buaServer(Node):
     # ------------------------------------------------------------------
     # Leg B: UAC role
     # ------------------------------------------------------------------
-    def _next_branch(self) -> str:
-        self._branch_counter += 1
-        return f"{Via.MAGIC_COOKIE}-{self.name}-{self._branch_counter}"
+    def _leg_b_dialog(self, call_id: str) -> Optional[Dialog]:
+        call = self._calls_b.get(call_id)
+        return None if call is None else call.leg_b
 
     def _originate_leg_b(self, call: _B2buaCall, original: SipRequest) -> None:
-        invite = SipRequest.build(
-            "INVITE",
-            uri=call.b_destination,
-            from_addr=call.b_from_uri,
-            to_addr=call.b_destination,
-            call_id=call.leg_b_call_id,
-            cseq=1,
-            from_tag=call.b_from_tag,
-            body=original.body,
-        )
-        invite.add("Contact", f"<sip:{self.name}>")
-        if original.body:
-            invite.add("Content-Type", "application/sdp")
-        branch = self._next_branch()
-        invite.push_via(Via(self.name, branch=branch))
+        branch = self.client.next_branch()
+        invite = call.leg_b.request("INVITE", branch, body=original.body)
         self.metrics.counter("b2b_invites_sent").increment()
-        leg_b_id = call.leg_b_call_id
-        transaction = ClientTransaction(
-            invite,
-            self.loop,
-            send_fn=lambda message: self.send(self.first_hop, message),
+        leg_b_id = call.leg_b.call_id
+        self.client.start(
+            invite, branch,
             on_response=lambda response: self._on_leg_b_response(
                 leg_b_id, branch, response
             ),
             on_timeout=lambda: self._on_leg_b_timeout(leg_b_id, branch),
-            timers=self.timers,
         )
-        self._transactions[(branch, "INVITE")] = transaction
-        transaction.start()
 
     def _on_leg_b_response(self, leg_b_id: str, branch: str,
                            response: SipResponse) -> None:
         call = self._calls_b.get(leg_b_id)
         if call is None or response.is_provisional:
             return
-        self._transactions.pop((branch, "INVITE"), None)
+        self.client.reap(branch, "INVITE")
         if response.is_success:
-            call.b_to_tag = response.to.tag
-            call.b_route_set = list(response.get_all("Record-Route"))
-            self._send_leg_b_ack(call)
+            call.leg_b.confirm(response)
+            self.client.ack(call.leg_b)
             if call.state == "setup":
                 self._answer_leg_a(call, response.body)
             return
@@ -317,7 +263,7 @@ class B2buaServer(Node):
             self._fail_leg_a(call, response.status)
 
     def _on_leg_b_timeout(self, leg_b_id: str, branch: str) -> None:
-        self._transactions.pop((branch, "INVITE"), None)
+        self.client.reap(branch, "INVITE")
         call = self._calls_b.get(leg_b_id)
         if call is None or call.state != "setup":
             return
@@ -325,54 +271,20 @@ class B2buaServer(Node):
         self.metrics.counter("calls_failed").increment()
         self._fail_leg_a(call, 408)
 
-    def _send_leg_b_ack(self, call: _B2buaCall) -> None:
-        ack = SipRequest.build(
-            "ACK",
-            uri=call.b_destination,
-            from_addr=call.b_from_uri,
-            to_addr=call.b_destination,
-            call_id=call.leg_b_call_id,
-            cseq=call.b_cseq,
-            from_tag=call.b_from_tag,
-            to_tag=call.b_to_tag,
-        )
-        for route in call.b_route_set:
-            ack.add("Route", route)
-        ack.push_via(Via(self.name, branch=self._next_branch()))
-        self.metrics.counter("acks_sent").increment()
-        self.send(self.first_hop, ack)
-
     def _send_leg_b_bye(self, call: _B2buaCall) -> None:
-        call.b_cseq += 1
-        bye = SipRequest.build(
-            "BYE",
-            uri=call.b_destination,
-            from_addr=call.b_from_uri,
-            to_addr=call.b_destination,
-            call_id=call.leg_b_call_id,
-            cseq=call.b_cseq,
-            from_tag=call.b_from_tag,
-            to_tag=call.b_to_tag,
-        )
-        for route in call.b_route_set:
-            bye.add("Route", route)
-        branch = self._next_branch()
-        bye.push_via(Via(self.name, branch=branch))
+        call.leg_b.cseq += 1
+        branch = self.client.next_branch()
+        bye = call.leg_b.request("BYE", branch)
         self.metrics.counter("byes_sent").increment()
-        leg_b_id = call.leg_b_call_id
-        transaction = ClientTransaction(
-            bye,
-            self.loop,
-            send_fn=lambda message: self.send(self.first_hop, message),
+        leg_b_id = call.leg_b.call_id
+        self.client.start(
+            bye, branch,
             on_response=lambda response: self._on_leg_b_bye_response(
                 leg_b_id, branch, response
             ),
             on_timeout=lambda: self._on_leg_b_bye_done(leg_b_id, branch,
                                                        "bye_timeouts"),
-            timers=self.timers,
         )
-        self._transactions[(branch, "BYE")] = transaction
-        transaction.start()
 
     def _on_leg_b_bye_response(self, leg_b_id: str, branch: str,
                                response: SipResponse) -> None:
@@ -385,7 +297,7 @@ class B2buaServer(Node):
 
     def _on_leg_b_bye_done(self, leg_b_id: str, branch: str,
                            counter: str) -> None:
-        self._transactions.pop((branch, "BYE"), None)
+        self.client.reap(branch, "BYE")
         self.metrics.counter(counter).increment()
         self._calls_b.pop(leg_b_id, None)
 
@@ -400,7 +312,7 @@ class B2buaServer(Node):
             call.upstream,
         )
         self._calls_a.pop(call.leg_a_call_id, None)
-        self._calls_b.pop(call.leg_b_call_id, None)
+        self._calls_b.pop(call.leg_b.call_id, None)
 
     # ------------------------------------------------------------------
     # Crash/restart lifecycle
@@ -412,9 +324,7 @@ class B2buaServer(Node):
             self.metrics.counter("calls_lost_on_crash").increment(lost)
         for call in self._calls_a.values():
             call.stop_ack_wait()
-        for transaction in self._transactions.values():
-            transaction.abort()
-        self._transactions.clear()
+        self.client.abort_all()
         self._calls_a.clear()
         self._calls_b.clear()
 

@@ -843,7 +843,7 @@ class ProxyServer(Node):
         if plan.decision is not None and plan.decision.dialog_stateful:
             dialog_id = DialogId.from_message(request, local_is_from=True)
             if self.dialogs.find(dialog_id) is None:
-                self.dialogs.create(dialog_id, self.loop.now)
+                self.dialogs.create(dialog_id)
                 self.metrics.counter("dialogs_created").increment()
                 self.state_account.created("dialog")
         return transaction
@@ -885,10 +885,9 @@ class ProxyServer(Node):
         if transaction is not None and response.is_final:
             transaction.complete(forwarded)
             if transaction.method == "BYE" and response.is_success:
-                dialog = self.dialogs.find_by_call_id(response.call_id)
-                if dialog is not None:
-                    dialog.on_terminated(self.loop.now)
-                    self.dialogs.remove(dialog)
+                dialog_id = self.dialogs.find_by_call_id(response.call_id)
+                if dialog_id is not None:
+                    self.dialogs.remove(dialog_id)
                     self.state_account.destroyed("dialog")
 
         if self.send_response(forwarded) is not None:

@@ -20,7 +20,7 @@ from repro.sip.digest import make_authorization
 from repro.sip.headers import Via
 from repro.sip.message import SipMessage, SipRequest, SipResponse
 from repro.sip.timers import DEFAULT_TIMERS, TimerPolicy
-from repro.sip.transaction import ClientTransaction
+from repro.sip.transaction import ClientCore
 
 
 class RegistrarClient(Node):
@@ -82,9 +82,8 @@ class RegistrarClient(Node):
         self.auth_password = auth_password
         self.auth_realm = auth_realm
         self.auth_nonce = auth_nonce
-        self._transactions: Dict[str, ClientTransaction] = {}
+        self.client = ClientCore(self, registrar, branch_tag="reg")
         self._cseq: Dict[str, int] = {aor: 0 for aor in self.aors}
-        self._branch_counter = 0
         self._running = False
 
     # ------------------------------------------------------------------
@@ -119,8 +118,7 @@ class RegistrarClient(Node):
     # ------------------------------------------------------------------
     def _register(self, aor: str) -> None:
         self._cseq[aor] += 1
-        self._branch_counter += 1
-        branch = f"{Via.MAGIC_COOKIE}-{self.name}-reg{self._branch_counter}"
+        branch = self.client.next_branch()
         register = SipRequest.build(
             "REGISTER",
             uri=aor,
@@ -147,28 +145,23 @@ class RegistrarClient(Node):
         register.push_via(Via(self.name, branch=branch))
 
         self.metrics.counter("registers_sent").increment()
-        transaction = ClientTransaction(
-            register,
-            self.loop,
-            send_fn=lambda message: self.send(self.registrar, message),
+        self.client.start(
+            register, branch,
             on_response=lambda response: self._on_response(branch, response),
             on_timeout=lambda: self._on_timeout(branch),
-            timers=self.timers,
         )
-        self._transactions[branch] = transaction
-        transaction.start()
 
     def _on_response(self, branch: str, response: SipResponse) -> None:
         if response.is_provisional:
             return
-        self._transactions.pop(branch, None)
+        self.client.reap(branch, "REGISTER")
         if response.is_success:
             self.metrics.counter("registers_confirmed").increment()
         else:
             self.metrics.counter("registers_rejected").increment()
 
     def _on_timeout(self, branch: str) -> None:
-        self._transactions.pop(branch, None)
+        self.client.reap(branch, "REGISTER")
         self.metrics.counter("registers_timed_out").increment()
 
     # ------------------------------------------------------------------
@@ -178,13 +171,7 @@ class RegistrarClient(Node):
         if not isinstance(payload, SipMessage):
             return
         if isinstance(payload, SipResponse):
-            via = payload.top_via
-            branch = via.branch if via else None
-            transaction = self._transactions.get(branch or "")
-            if transaction is not None:
-                transaction.receive_response(payload)
-            else:
-                self.metrics.counter("late_responses").increment()
+            self.client.dispatch(payload)
         else:
             self.metrics.counter("stray_requests").increment()
 

@@ -21,18 +21,18 @@ the paper's evaluation reads:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.servers.node import Node
 from repro.sim.events import EventLoop
 from repro.sim.network import Network
+from repro.sip.dialog import Dialog
 from repro.sip.digest import make_authorization
-from repro.sip.headers import Via
 from repro.sip.sdp import SessionDescription
-from repro.sip.message import SipMessage, SipRequest, SipResponse
+from repro.sip.message import SipMessage, SipResponse
 from repro.sip.timers import DEFAULT_TIMERS, TimerPolicy
-from repro.sip.transaction import ClientTransaction
-from repro.sip.uri import SipUri, parse_uri
+from repro.sip.transaction import ClientCore
+from repro.sip.uri import parse_uri
 
 
 def _check_rate(rate: float) -> None:
@@ -118,27 +118,20 @@ class CallRecord:
     """Lifecycle of one call at the UAC."""
 
     __slots__ = (
-        "call_id", "destination", "created_at", "answered_at", "completed_at",
-        "bye_sent_at", "state", "got_100", "got_180", "to_tag", "route_set",
-        "cseq", "invite_branch", "from_uri", "from_tag",
+        "dialog", "created_at", "answered_at", "completed_at",
+        "bye_sent_at", "state", "got_100", "got_180", "invite_branch",
     )
 
-    def __init__(self, call_id: str, destination: SipUri, created_at: float):
-        self.call_id = call_id
-        self.destination = destination
+    def __init__(self, dialog: Dialog, invite_branch: str, created_at: float):
+        self.dialog = dialog
+        self.invite_branch = invite_branch
         self.created_at = created_at
-        self.from_uri: Optional[SipUri] = None
-        self.from_tag = ""
         self.answered_at: Optional[float] = None
         self.completed_at: Optional[float] = None
         self.bye_sent_at: Optional[float] = None
         self.state = "inviting"
         self.got_100 = False
         self.got_180 = False
-        self.to_tag: Optional[str] = None
-        self.route_set: List[str] = []
-        self.cseq = 1
-        self.invite_branch: Optional[str] = None
 
 
 class CallGenerator(Node):
@@ -163,9 +156,8 @@ class CallGenerator(Node):
         # versa); hold_dist="fixed" draws nothing from it.
         self._hold_rng = self.rng.spawn("hold")
         self._calls: Dict[str, CallRecord] = {}
-        self._transactions: Dict[tuple, ClientTransaction] = {}  # (branch, method)
+        self.client = ClientCore(self, config.first_hop, self._answered_dialog)
         self._call_counter = 0
-        self._branch_counter = 0
         self._running = False
         self._dest_index = 0
         # Destinations parsed once; every request of a call reuses them.
@@ -173,9 +165,6 @@ class CallGenerator(Node):
         # The SDP offer depends only on the generator's name, so its
         # wire form is rendered once and reused for every call.
         self._offer_body = SessionDescription.offer(name).to_body()
-        # Optional count-only hook propagated to every client
-        # transaction's retransmission timer (see repro.obs).
-        self.timer_observer = None
         # 503 Retry-After hold-off (repro.core.control): arrivals keep
         # ticking open-loop, but while backed off no call is started.
         self._backoff_until = 0.0
@@ -222,10 +211,6 @@ class CallGenerator(Node):
     # ------------------------------------------------------------------
     # Call setup
     # ------------------------------------------------------------------
-    def _next_branch(self) -> str:
-        self._branch_counter += 1
-        return f"{Via.MAGIC_COOKIE}-{self.name}-{self._branch_counter}"
-
     def _start_call(self) -> None:
         self._call_counter += 1
         destination = self.config.destinations[self._dest_index]
@@ -235,21 +220,10 @@ class CallGenerator(Node):
         from_uri = parse_uri(
             f"sip:user{self._call_counter}@{self.config.from_domain}"
         )
-        invite = SipRequest.build(
-            "INVITE",
-            uri=dest_uri,
-            from_addr=from_uri,
-            to_addr=dest_uri,
-            call_id=call_id,
-            cseq=1,
-            from_tag=f"uac-{self._call_counter}",
-            body=self._offer_body,
-        )
-        # add() rather than set(): a freshly built request carries none
-        # of these headers, so appending is equivalent and skips the
-        # replace scan.
-        invite.add("Contact", f"<sip:{self.name}>")
-        invite.add("Content-Type", "application/sdp")
+        dialog = Dialog(self.name, call_id, from_uri,
+                        f"uac-{self._call_counter}", dest_uri)
+        branch = self.client.next_branch()
+        invite = dialog.request("INVITE", branch, body=self._offer_body)
         if self.config.wants_auth:
             invite.add(
                 "Proxy-Authorization",
@@ -262,37 +236,19 @@ class CallGenerator(Node):
                     self.config.auth_nonce,
                 ),
             )
-        branch = self._next_branch()
-        invite.push_via(Via(self.name, branch=branch))
 
-        record = CallRecord(call_id, dest_uri, self.loop.now)
-        record.invite_branch = branch
-        record.from_uri = from_uri
-        record.from_tag = f"uac-{self._call_counter}"
-        self._calls[call_id] = record
+        self._calls[call_id] = CallRecord(dialog, branch, self.loop.now)
         self.metrics.counter("calls_attempted").increment()
         if self.config.abandon_after is not None:
             self.loop.schedule(
                 self.config.abandon_after, self._maybe_abandon, call_id
             )
-
-        transaction = ClientTransaction(
-            invite,
-            self.loop,
-            send_fn=self._make_sender("invites_sent"),
+        self.client.start(
+            invite, branch,
             on_response=lambda response: self._on_invite_response(call_id, response),
             on_timeout=lambda: self._on_invite_timeout(call_id),
-            timers=self.timers,
+            counter="invites_sent",
         )
-        transaction.timer_observer = self.timer_observer
-        self._transactions[(branch, "INVITE")] = transaction
-        transaction.start()
-
-    def _make_sender(self, counter: str):
-        def send(message: SipRequest) -> None:
-            self.metrics.counter(counter).increment()
-            self.send(self.config.first_hop, message)
-        return send
 
     # ------------------------------------------------------------------
     # INVITE responses
@@ -337,24 +293,24 @@ class CallGenerator(Node):
             return
         record.state = "answered"
         record.answered_at = self.loop.now
-        record.to_tag = response.to.tag
-        record.route_set = list(response.get_all("Record-Route"))
+        record.dialog.confirm(response)
         self.metrics.histogram("invite_response_time").observe(
             record.answered_at - record.created_at
         )
         self._note_recovery(
-            self._transactions.get((record.invite_branch, "INVITE")),
+            self.client.transactions.get((record.invite_branch, "INVITE")),
             record.answered_at - record.created_at,
         )
-        self._send_ack(record)
+        self.client.ack(record.dialog)
+        call_id = record.dialog.call_id
         if self.config.hold_time > 0:
             hold = self._draw_hold_time()
             refresh = self.config.reinvite_after
             if refresh is not None and hold > refresh:
-                self.loop.schedule(refresh, self._send_reinvite, record.call_id)
-            self.loop.schedule(hold, self._send_bye, record.call_id)
+                self.loop.schedule(refresh, self._send_reinvite, call_id)
+            self.loop.schedule(hold, self._send_bye, call_id)
         else:
-            self._send_bye(record.call_id)
+            self._send_bye(call_id)
 
     def _draw_hold_time(self) -> float:
         config = self.config
@@ -369,23 +325,6 @@ class CallGenerator(Node):
             return self._hold_rng.pareto(alpha, xm)
         return config.hold_time
 
-    def _send_ack(self, record: CallRecord) -> None:
-        ack = SipRequest.build(
-            "ACK",
-            uri=record.destination,
-            from_addr=record.from_uri,
-            to_addr=record.destination,
-            call_id=record.call_id,
-            cseq=record.cseq,
-            from_tag=record.from_tag,
-            to_tag=record.to_tag,
-        )
-        for route in record.route_set:
-            ack.add("Route", route)
-        ack.push_via(Via(self.name, branch=self._next_branch()))
-        self.metrics.counter("acks_sent").increment()
-        self.send(self.config.first_hop, ack)
-
     # ------------------------------------------------------------------
     # Mid-call session refresh (re-INVITE)
     # ------------------------------------------------------------------
@@ -393,65 +332,39 @@ class CallGenerator(Node):
         record = self._calls.get(call_id)
         if record is None or record.state != "answered":
             return
-        record.cseq += 1
-        reinvite = SipRequest.build(
-            "INVITE",
-            uri=record.destination,
-            from_addr=record.from_uri,
-            to_addr=record.destination,
-            call_id=call_id,
-            cseq=record.cseq,
-            from_tag=record.from_tag,
-            to_tag=record.to_tag,
-        )
-        reinvite.add("Contact", f"<sip:{self.name}>")
-        for route in record.route_set:
-            reinvite.add("Route", route)
-        branch = self._next_branch()
-        reinvite.push_via(Via(self.name, branch=branch))
-        transaction = ClientTransaction(
-            reinvite,
-            self.loop,
-            send_fn=self._make_sender("reinvites_sent"),
+        record.dialog.cseq += 1
+        branch = self.client.next_branch()
+        self.client.start(
+            record.dialog.request("INVITE", branch), branch,
             on_response=lambda response: self._on_reinvite_response(
                 call_id, branch, response
             ),
-            on_timeout=lambda: self._on_reinvite_timeout(call_id, branch),
-            timers=self.timers,
+            on_timeout=lambda: self._on_reinvite_timeout(branch),
+            counter="reinvites_sent",
         )
-        transaction.timer_observer = self.timer_observer
-        self._transactions[(branch, "INVITE")] = transaction
-        transaction.start()
-
-    def _reap_reinvite_transaction(self, branch: str) -> None:
-        transaction = self._transactions.pop((branch, "INVITE"), None)
-        if transaction is not None:
-            self.metrics.counter("retransmits_harvested").increment(
-                transaction.retransmit_count
-            )
 
     def _on_reinvite_response(
         self, call_id: str, branch: str, response: SipResponse
     ) -> None:
         if response.is_provisional:
             return
-        self._reap_reinvite_transaction(branch)
+        self.client.reap(branch, "INVITE", harvest=True)
         record = self._calls.get(call_id)
         if record is None:
             return
         if response.is_success:
             self.metrics.counter("reinvites_confirmed").increment()
             if record.state == "answered":
-                # record.cseq is still the re-INVITE's CSeq, so the ACK
+                # The dialog's CSeq is still the re-INVITE's, so the ACK
                 # matches it; once the BYE went out the dialog is ending
                 # and the refresh result no longer matters.
-                self._send_ack(record)
+                self.client.ack(record.dialog)
         else:
             # A failed session refresh never tears down the call.
             self.metrics.counter("reinvites_failed").increment()
 
-    def _on_reinvite_timeout(self, call_id: str, branch: str) -> None:
-        self._reap_reinvite_transaction(branch)
+    def _on_reinvite_timeout(self, branch: str) -> None:
+        self.client.reap(branch, "INVITE", harvest=True)
         self.metrics.counter("reinvites_timed_out").increment()
 
     def _maybe_abandon(self, call_id: str) -> None:
@@ -459,36 +372,23 @@ class CallGenerator(Node):
         if record is None or record.state != "inviting":
             return
         self.metrics.counter("calls_abandoned").increment()
-        cancel = SipRequest.build(
-            "CANCEL",
-            uri=record.destination,
-            from_addr=record.from_uri,
-            to_addr=record.destination,
-            call_id=call_id,
-            cseq=1,
-            from_tag=record.from_tag,
-        )
-        cancel.push_via(Via(self.name, branch=record.invite_branch))
-        transaction = ClientTransaction(
-            cancel,
-            self.loop,
-            send_fn=self._make_sender("cancels_sent"),
-            on_response=lambda response: self._on_cancel_response(
-                call_id, response
-            ),
+        # Still inviting: the dialog has no remote tag or route set yet
+        # and its CSeq is the INVITE's, which the CANCEL carries with
+        # the INVITE's branch.
+        branch = record.invite_branch
+        self.client.start(
+            record.dialog.request("CANCEL", branch), branch,
+            on_response=lambda response: self._on_cancel_response(call_id),
             on_timeout=lambda: None,
-            timers=self.timers,
+            counter="cancels_sent",
         )
-        transaction.timer_observer = self.timer_observer
-        self._transactions[(record.invite_branch, "CANCEL")] = transaction
-        transaction.start()
 
-    def _on_cancel_response(self, call_id: str, response: SipResponse) -> None:
+    def _on_cancel_response(self, call_id: str) -> None:
         # The 200 for the CANCEL is hop-by-hop bookkeeping; the call
         # itself ends when the 487 arrives on the INVITE transaction.
         record = self._calls.get(call_id)
-        if record is not None and record.invite_branch:
-            self._transactions.pop((record.invite_branch, "CANCEL"), None)
+        if record is not None:
+            self.client.reap(record.invite_branch, "CANCEL")
 
     def _on_invite_timeout(self, call_id: str) -> None:
         record = self._calls.get(call_id)
@@ -504,42 +404,18 @@ class CallGenerator(Node):
         if record is None or record.state != "answered":
             return
         record.state = "leaving"
-        record.cseq += 1
-        bye = SipRequest.build(
-            "BYE",
-            uri=record.destination,
-            from_addr=record.from_uri,
-            to_addr=record.destination,
-            call_id=call_id,
-            cseq=record.cseq,
-            from_tag=record.from_tag,
-            to_tag=record.to_tag,
-        )
-        for route in record.route_set:
-            bye.add("Route", route)
-        branch = self._next_branch()
-        bye.push_via(Via(self.name, branch=branch))
+        record.dialog.cseq += 1
+        branch = self.client.next_branch()
+        bye = record.dialog.request("BYE", branch)
         record.bye_sent_at = self.loop.now
-        transaction = ClientTransaction(
-            bye,
-            self.loop,
-            send_fn=self._make_sender("byes_sent"),
+        self.client.start(
+            bye, branch,
             on_response=lambda response: self._on_bye_response(
                 call_id, branch, response
             ),
             on_timeout=lambda: self._on_bye_timeout(call_id, branch),
-            timers=self.timers,
+            counter="byes_sent",
         )
-        transaction.timer_observer = self.timer_observer
-        self._transactions[(branch, "BYE")] = transaction
-        transaction.start()
-
-    def _reap_bye_transaction(self, branch: str) -> None:
-        transaction = self._transactions.pop((branch, "BYE"), None)
-        if transaction is not None:
-            self.metrics.counter("retransmits_harvested").increment(
-                transaction.retransmit_count
-            )
 
     def _on_bye_response(
         self, call_id: str, branch: str, response: SipResponse
@@ -547,15 +423,12 @@ class CallGenerator(Node):
         record = self._calls.get(call_id)
         if record is None or response.is_provisional:
             return
-        sent_at = record.bye_sent_at
-        if sent_at is None:  # defensive: BYE response without a sent BYE
-            sent_at = self.loop.now
+        waited = self.loop.now - record.bye_sent_at
         if response.is_success:
             self._note_recovery(
-                self._transactions.get((branch, "BYE")), self.loop.now - sent_at
-            )
-        self._reap_bye_transaction(branch)
-        self.metrics.histogram("bye_response_time").observe(self.loop.now - sent_at)
+                self.client.transactions.get((branch, "BYE")), waited)
+        self.client.reap(branch, "BYE", harvest=True)
+        self.metrics.histogram("bye_response_time").observe(waited)
         if response.is_success:
             record.state = "completed"
             record.completed_at = self.loop.now
@@ -565,7 +438,7 @@ class CallGenerator(Node):
             self._fail_call(record, f"bye_{response.status}")
 
     def _on_bye_timeout(self, call_id: str, branch: str) -> None:
-        self._reap_bye_transaction(branch)
+        self.client.reap(branch, "BYE", harvest=True)
         record = self._calls.get(call_id)
         if record is None:
             return
@@ -589,15 +462,8 @@ class CallGenerator(Node):
         self._finish_call(record)
 
     def _finish_call(self, record: CallRecord) -> None:
-        self._calls.pop(record.call_id, None)
-        if record.invite_branch:
-            transaction = self._transactions.pop(
-                (record.invite_branch, "INVITE"), None
-            )
-            if transaction is not None:
-                self.metrics.counter("retransmits_harvested").increment(
-                    transaction.retransmit_count
-                )
+        self._calls.pop(record.dialog.call_id, None)
+        self.client.reap(record.invite_branch, "INVITE", harvest=True)
 
     # ------------------------------------------------------------------
     # Crash/restart lifecycle
@@ -607,9 +473,7 @@ class CallGenerator(Node):
         lost = len(self._calls)
         if lost:
             self.metrics.counter("calls_lost_on_crash").increment(lost)
-        for transaction in self._transactions.values():
-            transaction.abort()
-        self._transactions.clear()
+        self.client.abort_all()
         self._calls.clear()
         self._running = False
 
@@ -623,39 +487,17 @@ class CallGenerator(Node):
         if not isinstance(payload, SipMessage):
             return  # UACs ignore control traffic (overload reports)
         if isinstance(payload, SipResponse):
-            self._dispatch_response(payload)
+            self.client.dispatch(payload)
         else:
             self.metrics.counter("stray_requests").increment()
 
-    def _dispatch_response(self, response: SipResponse) -> None:
-        via = response.top_via
-        branch = via.branch if via is not None else None
-        try:
-            method = response.cseq.method
-        except Exception:
-            method = "INVITE"
-        if method == "ACK":
-            method = "INVITE"
-        transaction = (
-            self._transactions.get((branch, method)) if branch else None
-        )
-        if transaction is not None and transaction.state.value != "terminated":
-            transaction.receive_response(response)
-            return
-        # Late/duplicate responses: a retransmitted 200 for an already
-        # terminated INVITE transaction means our ACK was lost; re-ACK.
-        record = self._calls.get(response.call_id)
-        if record is not None and response.is_success and record.state in (
-            "answered", "leaving",
-        ):
-            try:
-                if response.cseq.method == "INVITE":
-                    self.metrics.counter("acks_resent").increment()
-                    self._send_ack(record)
-                    return
-            except Exception:
-                pass
-        self.metrics.counter("late_responses").increment()
+    def _answered_dialog(self, call_id: str) -> Optional[Dialog]:
+        """The dialog a late 2xx re-ACKs: its call was answered (the
+        BYE may be out)."""
+        record = self._calls.get(call_id)
+        if record is not None and record.state in ("answered", "leaving"):
+            return record.dialog
+        return None
 
     # ------------------------------------------------------------------
     # Harness-facing statistics
@@ -678,5 +520,6 @@ class CallGenerator(Node):
 
     def retransmissions(self) -> int:
         """Total request retransmissions across all transactions so far."""
-        live = sum(txn.retransmit_count for txn in self._transactions.values())
+        live = sum(txn.retransmit_count
+                   for txn in self.client.transactions.values())
         return self.metrics.counter("retransmits_harvested").value + live

@@ -1,25 +1,22 @@
-"""SIP dialog identification and state (RFC 3261 section 12 subset).
+"""SIP dialogs (RFC 3261 section 12 subset): the UA's side and the
+proxy's table.
 
-A *dialog-stateful* server (paper section 2.2) keeps state for the whole
-call so that later transactions (re-INVITE, BYE) can be tied back to the
-INVITE that created the dialog -- the paper's example use cases are
-accounting and conference servers.  This module provides the dialog id,
-a minimal state machine (EARLY -> CONFIRMED -> TERMINATED) and a store
-with both full (UA-side) and call-id (proxy-side) lookups.
+A user agent that sends requests in a dialog (the UAC, the B2BUA's leg
+B) keeps one :class:`Dialog` per call and builds every request of the
+call from it.  A *dialog-stateful* proxy (paper section 2.2) keeps
+state for the whole call so that later transactions (re-INVITE, BYE)
+can be tied back to the INVITE that created the dialog -- the paper's
+example use cases are accounting and conference servers.  It keys its
+:class:`DialogStore` by :class:`DialogId`.
 """
 
 from __future__ import annotations
 
-import enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
+from repro.sip.headers import Via
 from repro.sip.message import SipMessage, SipRequest, SipResponse
-
-
-class DialogState(enum.Enum):
-    EARLY = "early"            # INVITE sent/received, non-final or 1xx
-    CONFIRMED = "confirmed"    # 2xx exchanged
-    TERMINATED = "terminated"  # BYE completed or setup failed
+from repro.sip.uri import SipUri
 
 
 class DialogId:
@@ -62,119 +59,95 @@ class DialogId:
 
 
 class Dialog:
-    """State for one dialog at one element."""
+    """What a UA that sends requests in a dialog keeps of it.
 
-    def __init__(self, dialog_id: DialogId, created_at: float = 0.0):
-        self.id = dialog_id
-        self.state = DialogState.EARLY
-        self.created_at = created_at
-        self.confirmed_at: Optional[float] = None
-        self.terminated_at: Optional[float] = None
-        self.route_set: List[str] = []
-        self.local_cseq = 0
-        self.remote_cseq = 0
-        self.transactions_seen = 0
+    ``host`` is the UA's node name (its Via and Contact); the request
+    URI and the To header are both ``remote_uri``.  ``remote_tag`` and
+    ``route_set`` come from the 2xx that answers the INVITE
+    (:meth:`confirm`); ``cseq`` is the sequence number the next request
+    carries, and its owner raises it for each new request but ACK and
+    CANCEL.
+    """
 
-    def on_confirmed(self, now: float) -> None:
-        if self.state == DialogState.TERMINATED:
-            raise ValueError("cannot confirm a terminated dialog")
-        self.state = DialogState.CONFIRMED
-        self.confirmed_at = now
+    __slots__ = ("host", "call_id", "local_uri", "local_tag", "remote_uri",
+                 "remote_tag", "route_set", "cseq")
 
-    def on_terminated(self, now: float) -> None:
-        self.state = DialogState.TERMINATED
-        self.terminated_at = now
+    def __init__(self, host: str, call_id: str, local_uri: SipUri,
+                 local_tag: str, remote_uri: SipUri):
+        self.host = host
+        self.call_id = call_id
+        self.local_uri = local_uri
+        self.local_tag = local_tag
+        self.remote_uri = remote_uri
+        self.remote_tag: Optional[str] = None
+        self.route_set: list = []
+        self.cseq = 1
 
-    @property
-    def is_active(self) -> bool:
-        return self.state != DialogState.TERMINATED
+    def confirm(self, response: SipResponse) -> None:
+        """Learn the remote tag and the route set from a 2xx."""
+        self.remote_tag = response.to.tag
+        self.route_set = list(response.get_all("Record-Route"))
 
-    def duration(self) -> Optional[float]:
-        """Confirmed-to-terminated call length, if the call completed."""
-        if self.confirmed_at is None or self.terminated_at is None:
-            return None
-        return self.terminated_at - self.confirmed_at
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Dialog {self.id.call_id} {self.state.value}>"
+    def request(self, method: str, branch: str, body: str = "") -> SipRequest:
+        """The dialog's next ``method`` request, its Via (with
+        ``branch``) pushed.  An INVITE carries the UA's Contact, a body
+        its SDP Content-Type; a Route follows for each route-set entry.
+        """
+        request = SipRequest.build(
+            method,
+            uri=self.remote_uri,
+            from_addr=self.local_uri,
+            to_addr=self.remote_uri,
+            call_id=self.call_id,
+            cseq=self.cseq,
+            from_tag=self.local_tag,
+            to_tag=self.remote_tag,
+            body=body,
+        )
+        # add() rather than set(): a freshly built request carries none
+        # of these headers, so appending is equivalent and skips the
+        # replace scan.
+        if method == "INVITE":
+            request.add("Contact", f"<sip:{self.host}>")
+        if body:
+            request.add("Content-Type", "application/sdp")
+        for route in self.route_set:
+            request.add("Route", route)
+        request.push_via(Via(self.host, branch=branch))
+        return request
 
 
 class DialogStore:
-    """Dialog table used by dialog-stateful elements.
+    """The dialogs a dialog-stateful proxy holds.
 
     Proxies match in-dialog requests by Call-ID (they may see the
-    request before learning the remote tag), UAs by the full id; both
-    lookups are provided.
+    request before learning the remote tag), and a new dialog by its
+    full id; both lookups are provided.
     """
 
     def __init__(self) -> None:
-        self._by_id: Dict[DialogId, Dialog] = {}
-        self._by_call_id: Dict[str, Dialog] = {}
-        self.created_total = 0
-        self.terminated_total = 0
+        self._by_id: Dict[DialogId, DialogId] = {}
+        self._by_call_id: Dict[str, DialogId] = {}
 
-    def create(self, dialog_id: DialogId, now: float) -> Dialog:
+    def create(self, dialog_id: DialogId) -> None:
         if dialog_id in self._by_id:
             raise ValueError(f"dialog already exists: {dialog_id}")
-        dialog = Dialog(dialog_id, created_at=now)
-        self._by_id[dialog_id] = dialog
-        self._by_call_id[dialog_id.call_id] = dialog
-        self.created_total += 1
-        return dialog
+        self._by_id[dialog_id] = dialog_id
+        self._by_call_id[dialog_id.call_id] = dialog_id
 
-    def find(self, dialog_id: DialogId) -> Optional[Dialog]:
+    def find(self, dialog_id: DialogId) -> Optional[DialogId]:
         return self._by_id.get(dialog_id)
 
-    def find_by_call_id(self, call_id: str) -> Optional[Dialog]:
+    def find_by_call_id(self, call_id: str) -> Optional[DialogId]:
         return self._by_call_id.get(call_id)
 
-    def find_for_message(self, message: SipMessage) -> Optional[Dialog]:
-        dialog = self.find(DialogId.from_message(message, local_is_from=True))
-        if dialog is None:
-            dialog = self.find(DialogId.from_message(message, local_is_from=False))
-        if dialog is None:
-            dialog = self.find_by_call_id(message.call_id)
-        return dialog
-
-    def remove(self, dialog: Dialog) -> None:
-        self._by_id.pop(dialog.id, None)
-        self._by_call_id.pop(dialog.id.call_id, None)
-        self.terminated_total += 1
+    def remove(self, dialog_id: DialogId) -> None:
+        self._by_id.pop(dialog_id, None)
+        self._by_call_id.pop(dialog_id.call_id, None)
 
     def clear(self) -> int:
-        """Drop every dialog (node crash); returns how many were lost.
-
-        Unlike :meth:`remove`, cleared dialogs do not count as
-        terminated -- they were lost, not completed.
-        """
+        """Drop every dialog (node crash); returns how many were lost."""
         lost = len(self._by_id)
         self._by_id.clear()
         self._by_call_id.clear()
         return lost
-
-    @property
-    def active_count(self) -> int:
-        return len(self._by_id)
-
-    def __len__(self) -> int:
-        return len(self._by_id)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<DialogStore active={self.active_count} created={self.created_total}>"
-
-
-def classify_for_dialog(message: SipMessage) -> str:
-    """Rough classification used by dialog-stateful proxies.
-
-    Returns one of ``"creates"`` (INVITE without to-tag), ``"in-dialog"``
-    (request with a to-tag), or ``"other"``.
-    """
-    if isinstance(message, SipRequest):
-        if message.method == "INVITE" and message.to.tag is None:
-            return "creates"
-        if message.to.tag is not None:
-            return "in-dialog"
-        return "other"
-    if isinstance(message, SipResponse):
-        return "in-dialog" if message.to.tag is not None else "other"
-    return "other"

@@ -9,10 +9,13 @@ transport-agnostic: it is driven by
   ``handle.cancel()`` (the sim's :class:`~repro.sim.events.EventLoop`
   satisfies this),
 - a ``send_fn(message)`` that puts a message on the wire,
-- callbacks into the transaction user (UAC core or B2BUA leg B).
+- callbacks into the transaction user.
 
 Its INVITE variant runs Timers A (retransmit), B (timeout) and D
-(linger), its non-INVITE variant Timers E, F and K.  No node runs an
+(linger), its non-INVITE variant Timers E, F and K.  Every node that
+sends requests (the UAC, the B2BUA's leg B, the registrar client) keeps
+its client transactions in one :class:`ClientCore`, which also matches
+each response to its transaction.  No node runs an
 RFC 17.2 server transaction: a stateful proxy keeps a
 :class:`ProxyTransaction` per request it forwards or rejects, and an
 answering node's only server-side timer work is re-sending its 2xx
@@ -23,8 +26,9 @@ until Timer H.
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro.sip.headers import SipHeaderError, Via
 from repro.sip.message import SipRequest, SipResponse
 from repro.sip.timers import DEFAULT_TIMERS, TimerPolicy
 
@@ -61,7 +65,6 @@ class ClientTransaction:
         on_response: Callable[[SipResponse], Any],
         on_timeout: Callable[[], Any],
         timers: TimerPolicy = DEFAULT_TIMERS,
-        on_terminated: Optional[Callable[[], Any]] = None,
     ):
         # The three are dropped once no state can read them (_release).
         self.request: Optional[SipRequest] = request
@@ -69,7 +72,6 @@ class ClientTransaction:
         self.send_fn = send_fn
         self.on_response: Optional[Callable[[SipResponse], Any]] = on_response
         self.on_timeout: Optional[Callable[[], Any]] = on_timeout
-        self.on_terminated = on_terminated
         self.timers = timers
         self.is_invite = request.method == "INVITE"
         self.state = TransactionState.CALLING if self.is_invite else TransactionState.TRYING
@@ -121,7 +123,7 @@ class ClientTransaction:
         """Kill the transaction without firing any TU callback.
 
         Used when the transaction's host crashes: the process is gone,
-        so neither on_timeout nor on_terminated may run.
+        so on_timeout may not run.
         """
         self._final_seen = True
         self.state = TransactionState.TERMINATED
@@ -202,8 +204,6 @@ class ClientTransaction:
         else:
             self._cancel_timers()
         self._release(state)
-        if state == TransactionState.TERMINATED and self.on_terminated is not None:
-            self.on_terminated()
 
     def _cancel_timers(self) -> None:
         for handle in (self._retransmit_handle, self._timeout_handle,
@@ -229,6 +229,106 @@ class ClientTransaction:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         kind = "INVITE" if self.is_invite else "non-INVITE"
         return f"<ClientTransaction {kind} {self.state.value}>"
+
+
+class ClientCore:
+    """The client side of one node that sends requests (RFC 3261 8.1).
+
+    It keeps the node's client transactions by ``(branch, method)``,
+    names their branches, and matches every response to its
+    transaction.  ``owner`` is the node: the core uses its ``name``,
+    ``loop``, ``timers``, ``metrics`` and ``send``, and sends every
+    request and ACK to ``next_hop``.  A response that finds no live
+    transaction is a retransmission: a 2xx to an INVITE whose dialog
+    ``dialog_for(call_id)`` returns is re-ACKed (its ACK was lost), and
+    anything else counts in ``late_responses``.
+    """
+
+    __slots__ = ("owner", "next_hop", "dialog_for", "transactions",
+                 "timer_observer", "_branch_prefix", "_branch_count")
+
+    def __init__(self, owner: Any, next_hop: str,
+                 dialog_for: Optional[Callable[[str], Any]] = None,
+                 branch_tag: str = ""):
+        self.owner = owner
+        self.next_hop = next_hop
+        self.dialog_for = dialog_for
+        self.transactions: Dict[Tuple[str, str], ClientTransaction] = {}
+        # Count-only hook handed to every transaction it starts.
+        self.timer_observer: Optional[Callable[[str], Any]] = None
+        self._branch_prefix = f"{Via.MAGIC_COOKIE}-{owner.name}-{branch_tag}"
+        self._branch_count = 0
+
+    def next_branch(self) -> str:
+        self._branch_count += 1
+        return f"{self._branch_prefix}{self._branch_count}"
+
+    def start(self, request: SipRequest, branch: str,
+              on_response: Callable[[SipResponse], Any],
+              on_timeout: Callable[[], Any],
+              counter: Optional[str] = None) -> ClientTransaction:
+        """Send ``request`` (its Via, with ``branch``, pushed) in a new
+        client transaction; ``counter`` counts every transmission."""
+        owner, next_hop = self.owner, self.next_hop
+        if counter is None:
+            def send(message: SipRequest) -> None:
+                owner.send(next_hop, message)
+        else:
+            def send(message: SipRequest) -> None:
+                owner.metrics.counter(counter).increment()
+                owner.send(next_hop, message)
+        transaction = ClientTransaction(
+            request, owner.loop, send_fn=send, on_response=on_response,
+            on_timeout=on_timeout, timers=owner.timers)
+        transaction.timer_observer = self.timer_observer
+        self.transactions[(branch, request.method)] = transaction
+        transaction.start()
+        return transaction
+
+    def dispatch(self, response: SipResponse) -> None:
+        """Match ``response`` by its top Via's branch and its CSeq
+        method (a response to an ACK counts as the INVITE's)."""
+        via = response.top_via
+        branch = via.branch if via is not None else None
+        try:
+            method = response.cseq.method
+        except SipHeaderError:
+            method = "INVITE"
+        if method == "ACK":
+            method = "INVITE"
+        transaction = self.transactions.get((branch, method)) if branch else None
+        if transaction is not None and transaction.state is not TransactionState.TERMINATED:
+            transaction.receive_response(response)
+            return
+        metrics = self.owner.metrics
+        if (method == "INVITE" and response.is_success
+                and self.dialog_for is not None):
+            dialog = self.dialog_for(response.call_id)
+            if dialog is not None:
+                metrics.counter("acks_resent").increment()
+                self.ack(dialog)
+                return
+        metrics.counter("late_responses").increment()
+
+    def ack(self, dialog: Any) -> None:
+        """ACK ``dialog``'s 2xx: a request of its own, outside any
+        transaction (RFC 3261 13.2.2.4)."""
+        self.owner.metrics.counter("acks_sent").increment()
+        self.owner.send(self.next_hop, dialog.request("ACK", self.next_branch()))
+
+    def reap(self, branch: str, method: str, harvest: bool = False) -> None:
+        """Forget a transaction; ``harvest`` keeps its retransmissions
+        in the owner's ``retransmits_harvested``."""
+        transaction = self.transactions.pop((branch, method), None)
+        if harvest and transaction is not None:
+            self.owner.metrics.counter("retransmits_harvested").increment(
+                transaction.retransmit_count)
+
+    def abort_all(self) -> None:
+        """The owner crashed: every transaction dies without a word."""
+        for transaction in self.transactions.values():
+            transaction.abort()
+        self.transactions.clear()
 
 
 class ProxyTransaction:

@@ -565,7 +565,7 @@ class Scenario:
         if self.observer is not None:
             profiler = self.observer.profiler_for(name)
             if profiler is not None:
-                generator.timer_observer = profiler.count
+                generator.client.timer_observer = profiler.count
         return generator
 
     def add_registrar(

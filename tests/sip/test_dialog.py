@@ -1,16 +1,12 @@
-"""Tests for dialog identification and state."""
+"""Tests for dialog identification, the UA's dialog and the proxy's
+dialog table."""
 
 import pytest
 
-from repro.sip.dialog import (
-    Dialog,
-    DialogId,
-    DialogState,
-    DialogStore,
-    classify_for_dialog,
-)
+from repro.sip.dialog import Dialog, DialogId, DialogStore
 from repro.sip.headers import Via
 from repro.sip.message import SipRequest, SipResponse
+from repro.sip.uri import parse_uri
 
 
 def make_request(method="INVITE", from_tag="ft", to_tag=None):
@@ -50,90 +46,67 @@ class TestDialogId:
         assert DialogId("c", None, "x") == DialogId("c", "x", None)
 
 
-class TestDialogLifecycle:
-    def test_initial_state_early(self):
-        dialog = Dialog(DialogId("c", "a", "b"), created_at=1.0)
-        assert dialog.state == DialogState.EARLY
-        assert dialog.is_active
+class TestUaDialog:
+    def make_dialog(self):
+        return Dialog("uac", "dlg-1", parse_uri("sip:caller@example.com"),
+                      "ft", parse_uri("sip:u@example.com"))
 
-    def test_confirm_then_terminate(self):
-        dialog = Dialog(DialogId("c", "a", "b"))
-        dialog.on_confirmed(2.0)
-        assert dialog.state == DialogState.CONFIRMED
-        dialog.on_terminated(5.0)
-        assert dialog.state == DialogState.TERMINATED
-        assert not dialog.is_active
-        assert dialog.duration() == pytest.approx(3.0)
+    def test_confirm_learns_tag_and_route_set(self):
+        dialog = self.make_dialog()
+        ok = SipResponse.for_request(make_request(), 200, to_tag="tt")
+        ok.add("Record-Route", "<sip:p1;lr>")
+        dialog.confirm(ok)
+        assert dialog.remote_tag == "tt"
+        assert dialog.route_set == ["<sip:p1;lr>"]
 
-    def test_confirm_after_terminate_rejected(self):
-        dialog = Dialog(DialogId("c", "a", "b"))
-        dialog.on_terminated(1.0)
-        with pytest.raises(ValueError):
-            dialog.on_confirmed(2.0)
+    def test_request_carries_the_dialog(self):
+        dialog = self.make_dialog()
+        dialog.remote_tag, dialog.route_set, dialog.cseq = "tt", ["<sip:p1;lr>"], 3
+        bye = dialog.request("BYE", "z9hG4bKb")
+        assert (bye.method, bye.cseq.number, bye.to.tag) == ("BYE", 3, "tt")
+        assert bye.get_all("Route") == ["<sip:p1;lr>"]
+        assert bye.top_via.branch == "z9hG4bKb"
+        assert bye.get("Contact") is None
 
-    def test_duration_none_until_complete(self):
-        dialog = Dialog(DialogId("c", "a", "b"))
-        assert dialog.duration() is None
+    def test_invite_carries_contact_and_sdp_type(self):
+        invite = self.make_dialog().request("INVITE", "z9hG4bKi", body="v=0")
+        assert invite.get("Contact") == "<sip:uac>"
+        assert invite.get("Content-Type") == "application/sdp"
+        assert invite.to.tag is None
 
 
 class TestDialogStore:
     def test_create_and_find(self):
         store = DialogStore()
         did = DialogId("c1", "a", "b")
-        dialog = store.create(did, now=1.0)
-        assert store.find(did) is dialog
-        assert store.find(DialogId("c1", "b", "a")) is dialog  # mirrored
-        assert store.active_count == 1
+        store.create(did)
+        assert store.find(did) is did
+        assert store.find(DialogId("c1", "b", "a")) is did  # mirrored
 
     def test_duplicate_create_rejected(self):
         store = DialogStore()
-        store.create(DialogId("c1", "a", "b"), 0.0)
+        store.create(DialogId("c1", "a", "b"))
         with pytest.raises(ValueError):
-            store.create(DialogId("c1", "b", "a"), 0.0)
+            store.create(DialogId("c1", "b", "a"))
 
     def test_find_by_call_id(self):
         store = DialogStore()
-        dialog = store.create(DialogId("c1", "a", "b"), 0.0)
-        assert store.find_by_call_id("c1") is dialog
+        did = DialogId("c1", "a", "b")
+        store.create(did)
+        assert store.find_by_call_id("c1") is did
         assert store.find_by_call_id("nope") is None
-
-    def test_find_for_message(self):
-        store = DialogStore()
-        request = make_request(to_tag="tt")
-        did = DialogId.from_message(request, local_is_from=True)
-        dialog = store.create(did, 0.0)
-        assert store.find_for_message(request) is dialog
 
     def test_remove(self):
         store = DialogStore()
-        dialog = store.create(DialogId("c1", "a", "b"), 0.0)
-        store.remove(dialog)
-        assert store.active_count == 0
-        assert store.terminated_total == 1
+        did = DialogId("c1", "a", "b")
+        store.create(did)
+        store.remove(store.find_by_call_id("c1"))
+        assert store.find(did) is None
         assert store.find_by_call_id("c1") is None
 
-    def test_counters(self):
+    def test_clear_counts_the_lost(self):
         store = DialogStore()
         for index in range(3):
-            store.create(DialogId(f"c{index}", "a", "b"), 0.0)
-        assert store.created_total == 3
-        assert len(store) == 3
-
-
-class TestClassification:
-    def test_dialog_creating_invite(self):
-        assert classify_for_dialog(make_request()) == "creates"
-
-    def test_in_dialog_request(self):
-        assert classify_for_dialog(make_request("BYE", to_tag="tt")) == "in-dialog"
-
-    def test_other_request(self):
-        assert classify_for_dialog(make_request("REGISTER")) == "other"
-
-    def test_response_with_tag_in_dialog(self):
-        response = SipResponse.for_request(make_request(), 200, to_tag="t")
-        assert classify_for_dialog(response) == "in-dialog"
-
-    def test_response_without_tag_other(self):
-        response = SipResponse.for_request(make_request(), 100)
-        assert classify_for_dialog(response) == "other"
+            store.create(DialogId(f"c{index}", "a", "b"))
+        assert store.clear() == 3
+        assert store.find_by_call_id("c0") is None

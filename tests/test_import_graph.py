@@ -134,6 +134,24 @@ def test_servers_do_not_read_the_engine_rung():
     assert offenders == {}
 
 
+def test_only_the_client_core_starts_client_transactions():
+    """Every node that sends requests keeps its client transactions in
+    ``sip.transaction.ClientCore``: no other module builds one."""
+    sources = sorted((SRC / "repro").rglob("*.py"))
+    assert len(sources) > 20, sources
+    offenders = []
+    for path in sources:
+        if path.relative_to(SRC / "repro").as_posix() == "sip/transaction.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name == "ClientTransaction":
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 # ---------------------------------------------------------------------------
 # (b) the CLI builds no simulator to print help or read the cache
 # ---------------------------------------------------------------------------
