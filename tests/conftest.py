@@ -21,8 +21,11 @@ from repro.workloads.scenarios import ScenarioConfig
 
 
 # Tier-1 runs the same examples on every host and every run: "ci" draws
-# them from a fixed seed and neither reads nor writes .hypothesis/, so
-# one host's stored failure cannot turn another's run red.  "explore" is
+# them from a fixed seed and keeps no example database, so one host's
+# stored failure cannot turn another's run red.  Hypothesis still writes
+# under .hypothesis/ (git-ignored): constants it collects from the code
+# into constants/ on every run, and a patch for each failing @given
+# test into patches/.  "explore" is
 # hypothesis's own randomized default, for the CI job that hunts new
 # counterexamples (its finds get checked in as @example lines).
 settings.register_profile("ci", derandomize=True, database=None)
