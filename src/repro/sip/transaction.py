@@ -266,7 +266,7 @@ class ClientCore:
     def start(self, request: SipRequest, branch: str,
               on_response: Callable[[SipResponse], Any],
               on_timeout: Callable[[], Any],
-              counter: Optional[str] = None) -> ClientTransaction:
+              counter: Optional[str] = None) -> None:
         """Send ``request`` (its Via, with ``branch``, pushed) in a new
         client transaction; ``counter`` counts every transmission."""
         owner, next_hop = self.owner, self.next_hop
@@ -283,7 +283,6 @@ class ClientCore:
         transaction.timer_observer = self.timer_observer
         self.transactions[(branch, request.method)] = transaction
         transaction.start()
-        return transaction
 
     def dispatch(self, response: SipResponse) -> None:
         """Match ``response`` by its top Via's branch and its CSeq
