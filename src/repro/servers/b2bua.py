@@ -252,7 +252,7 @@ class B2buaServer(Node):
         self.client.reap(branch, "INVITE")
         if response.is_success:
             call.leg_b.confirm(response)
-            self.client.ack(call.leg_b)
+            self.client.ack(call.leg_b, response)
             if call.state == "setup":
                 self._answer_leg_a(call, response.body)
             return

@@ -110,8 +110,15 @@ class RegistrarClient(Node):
     def _refresh(self, aor: str) -> None:
         if not self._running:
             return
-        self._register(aor)
+        # A refresh due while the node is down sends nothing but keeps
+        # its place in the schedule.
+        if self.alive:
+            self._register(aor)
         self.loop.schedule(self.refresh_interval, self._refresh, aor)
+
+    def on_crash(self) -> None:
+        """Pending REGISTERs die with the process."""
+        self.client.abort_all()
 
     # ------------------------------------------------------------------
     # REGISTER transaction

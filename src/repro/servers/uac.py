@@ -301,7 +301,7 @@ class CallGenerator(Node):
             self.client.transactions.get((record.invite_branch, "INVITE")),
             record.answered_at - record.created_at,
         )
-        self.client.ack(record.dialog)
+        self.client.ack(record.dialog, response)
         call_id = record.dialog.call_id
         if self.config.hold_time > 0:
             hold = self._draw_hold_time()
@@ -355,10 +355,9 @@ class CallGenerator(Node):
         if response.is_success:
             self.metrics.counter("reinvites_confirmed").increment()
             if record.state == "answered":
-                # The dialog's CSeq is still the re-INVITE's, so the ACK
-                # matches it; once the BYE went out the dialog is ending
-                # and the refresh result no longer matters.
-                self.client.ack(record.dialog)
+                # Once the BYE went out the dialog is ending and the
+                # refresh result no longer matters.
+                self.client.ack(record.dialog, response)
         else:
             # A failed session refresh never tears down the call.
             self.metrics.counter("reinvites_failed").increment()
@@ -378,17 +377,18 @@ class CallGenerator(Node):
         branch = record.invite_branch
         self.client.start(
             record.dialog.request("CANCEL", branch), branch,
-            on_response=lambda response: self._on_cancel_response(call_id),
-            on_timeout=lambda: None,
+            on_response=lambda response: self._on_cancel_response(
+                branch, response),
+            on_timeout=lambda: self.client.reap(branch, "CANCEL",
+                                                harvest=True),
             counter="cancels_sent",
         )
 
-    def _on_cancel_response(self, call_id: str) -> None:
+    def _on_cancel_response(self, branch: str, response: SipResponse) -> None:
         # The 200 for the CANCEL is hop-by-hop bookkeeping; the call
         # itself ends when the 487 arrives on the INVITE transaction.
-        record = self._calls.get(call_id)
-        if record is not None:
-            self.client.reap(record.invite_branch, "CANCEL")
+        if not response.is_provisional:
+            self.client.reap(branch, "CANCEL", harvest=True)
 
     def _on_invite_timeout(self, call_id: str) -> None:
         record = self._calls.get(call_id)

@@ -88,10 +88,12 @@ class Dialog:
         self.remote_tag = response.to.tag
         self.route_set = list(response.get_all("Record-Route"))
 
-    def request(self, method: str, branch: str, body: str = "") -> SipRequest:
+    def request(self, method: str, branch: str, body: str = "",
+                cseq: Optional[int] = None) -> SipRequest:
         """The dialog's next ``method`` request, its Via (with
-        ``branch``) pushed.  An INVITE carries the UA's Contact, a body
-        its SDP Content-Type; a Route follows for each route-set entry.
+        ``branch``) pushed, numbered ``cseq`` (default the dialog's).
+        An INVITE carries the UA's Contact, a body its SDP Content-Type;
+        a Route follows for each route-set entry.
         """
         request = SipRequest.build(
             method,
@@ -99,7 +101,7 @@ class Dialog:
             from_addr=self.local_uri,
             to_addr=self.remote_uri,
             call_id=self.call_id,
-            cseq=self.cseq,
+            cseq=self.cseq if cseq is None else cseq,
             from_tag=self.local_tag,
             to_tag=self.remote_tag,
             body=body,

@@ -305,15 +305,17 @@ class ClientCore:
             dialog = self.dialog_for(response.call_id)
             if dialog is not None:
                 metrics.counter("acks_resent").increment()
-                self.ack(dialog)
+                self.ack(dialog, response)
                 return
         metrics.counter("late_responses").increment()
 
-    def ack(self, dialog: Any) -> None:
-        """ACK ``dialog``'s 2xx: a request of its own, outside any
-        transaction (RFC 3261 13.2.2.4)."""
+    def ack(self, dialog: Any, ok: SipResponse) -> None:
+        """ACK the 2xx ``ok`` in ``dialog``: a request of its own,
+        outside any transaction, with the CSeq number of the INVITE
+        ``ok`` answers (RFC 3261 13.2.2.4)."""
         self.owner.metrics.counter("acks_sent").increment()
-        self.owner.send(self.next_hop, dialog.request("ACK", self.next_branch()))
+        self.owner.send(self.next_hop, dialog.request(
+            "ACK", self.next_branch(), cseq=ok.cseq.number))
 
     def reap(self, branch: str, method: str, harvest: bool = False) -> None:
         """Forget a transaction; ``harvest`` keeps its retransmissions

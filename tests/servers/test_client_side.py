@@ -32,14 +32,17 @@ class Peer:
 
     ``ring`` answers a new INVITE with a 180 only; ``drop_first``
     ignores the first copy of every request but an ACK, so each client
-    transaction retransmits exactly once.
+    transaction retransmits exactly once; ``ignore`` names methods it
+    never answers.
     """
 
-    def __init__(self, network, name="peer", ring=False, drop_first=False):
+    def __init__(self, network, name="peer", ring=False, drop_first=False,
+                 ignore=()):
         self.network = network
         self.name = name
         self.ring = ring
         self.drop_first = drop_first
+        self.ignore = ignore
         self.wires = []
         self.requests = []
         self._seen = set()
@@ -52,7 +55,7 @@ class Peer:
             return
         self.wires.append(request.to_wire())
         self.requests.append(request)
-        if request.method == "ACK":
+        if request.method == "ACK" or request.method in self.ignore:
             return
         key = (request.top_via.branch, request.method)
         if self.drop_first and key not in self._seen:
@@ -308,6 +311,34 @@ class TestUacDispatch:
         assert peer.wires[-1] == uac_in_dialog("ACK", 3, 1)
         assert counter(uac, "acks_resent") == 1
         assert counter(uac, "late_responses") == 0
+
+    def test_late_2xx_after_the_bye_is_acked_with_its_cseq(self):
+        # RFC 3261 13.2.2.4: the ACK carries the CSeq number of the
+        # INVITE the 2xx answers, not the dialog's current one.
+        loop, _network, uac, peer = make_uac(
+            peer_options=dict(ignore=("BYE",)))
+        uac.start()
+        loop.run_until(0.003)
+        peer.resend_last_ok()
+        loop.run_until(0.006)
+        assert [f"{r.cseq.number} {r.method}" for r in peer.requests] == [
+            "1 INVITE", "1 ACK", "2 BYE", "1 ACK"]
+        assert peer.wires[-1] == uac_in_dialog("ACK", 4, 1)
+        assert counter(uac, "acks_resent") == 1
+
+    def test_unanswered_cancel_is_reaped_at_timer_f(self):
+        loop, _network, uac, peer = make_uac(
+            peer_options=dict(ring=True, ignore=("CANCEL",)),
+            abandon_after=0.05)
+        uac.start()
+        loop.run_until(1.0)
+        assert ("z9hG4bK-uac1-1", "CANCEL") in uac.client.transactions
+        loop.run_until(0.05 + 64 * TIMERS.t1 + 0.01)
+        assert ("z9hG4bK-uac1-1", "CANCEL") not in uac.client.transactions
+        # T1 doubling to T2 until Timer F: 18 copies, 17 of them re-sent.
+        assert counter(uac, "cancels_sent") == 18
+        assert uac.retransmissions() == 17
+        assert counter(uac, "retransmits_harvested") == 17
 
     def test_2xx_after_the_call_ended_is_late(self):
         loop, _network, uac, peer = make_uac()

@@ -91,6 +91,28 @@ class TestRegistrationLifecycle:
             RegistrarClient("r", loop, network, "P1", aors=["sip:a@b"],
                             refresh_interval=0)
 
+    def test_crashed_client_sends_nothing(self):
+        # The registrar never answers; the client crashes while its
+        # first REGISTER is retransmitting.
+        loop = EventLoop()
+        network = Network(loop, RngStream(7, "regtest").spawn("net"))
+        network.register("P1", type("Silent", (), {
+            "receive": lambda self, packet: None})())
+        client = RegistrarClient(
+            "uas1-reg", loop, network, registrar="P1", aors=[AOR],
+            refresh_interval=1.0, expires=2.0, timers=TIMERS,
+            rng=RngStream(7, "regtest"))
+        client.start()
+        loop.schedule(0.01, client.crash)
+        loop.run_until(5.0)
+        assert client.metrics.counter("sends_while_dead").value == 0
+        assert client.metrics.counter("registers_timed_out").value == 0
+        assert client.metrics.counter("registers_sent").value == 1
+        # The refresh schedule survives the crash.
+        client.restart()
+        loop.run_until(6.0)
+        assert client.metrics.counter("registers_sent").value == 2
+
     def test_start_idempotent(self):
         loop, proxy, uas, client, location = make_env()
         client.start()
