@@ -9,58 +9,51 @@ it the heaviest state species in the SERvartuka taxonomy and the reason
 the b2bua_chain workload family stresses the state-distribution
 algorithms differently from plain INVITE flows.
 
-The implementation composes the repo's two endpoint idioms: leg A is
-handled exactly like :class:`~repro.servers.uas.AnsweringServer`
-(assign a to-tag, retransmit the 200 on the T1 schedule until ACKed,
-with the same :class:`~repro.sip.transaction.AckWait`),
-leg B like :class:`~repro.servers.uac.CallGenerator` (one
-:class:`~repro.sip.dialog.Dialog` per call, RFC 3261 client
-transactions in the same :class:`~repro.sip.transaction.ClientCore`).  Media is irrelevant here; the SDP offer
-is passed through leg B and the answer returned on leg A.
+Leg A *is* the UAS: :class:`B2buaServer` subclasses
+:class:`~repro.servers.uas.AnsweringServer`, whose to-tag and wait
+tables, request rules and crash clean-up it runs unchanged.  It
+overrides only what a bridge does differently: a new INVITE starts leg
+B instead of being answered; the 180 and 200 go out once leg B answers
+and carry leg B's body; a BYE also tears down leg B and stops the 200's
+wait; a CANCEL fails leg A with a 487; Timer H on the initial 200 leaves
+the call up; a crash also aborts leg B's transactions.  Leg B runs like
+:class:`~repro.servers.uac.CallGenerator` (one
+:class:`~repro.sip.dialog.Dialog` per call, RFC 3261 client transactions
+in the same :class:`~repro.sip.transaction.ClientCore`).  Media is
+irrelevant here; the SDP offer is passed through leg B and the answer
+returned on leg A.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.servers.node import Node
+from repro.servers.uas import AnsweringServer
 from repro.sim.events import EventLoop
 from repro.sim.network import Network
+from repro.sim.rng import RngStream
 from repro.sip.dialog import Dialog
-from repro.sip.message import SipMessage, SipRequest, SipResponse
+from repro.sip.message import SipRequest, SipResponse
 from repro.sip.timers import DEFAULT_TIMERS, TimerPolicy
-from repro.sip.transaction import AckWait, ClientCore
+from repro.sip.transaction import ClientCore
 from repro.sip.uri import parse_uri
 
 
 class _B2buaCall:
-    """State for one bridged call: both legs, all timers."""
+    """One bridged call: leg B, and what leg A's replies need."""
 
-    __slots__ = ("leg_a_call_id", "leg_b", "invite", "upstream", "to_tag",
-                 "state", "ack_wait")
+    __slots__ = ("leg_a_call_id", "leg_b", "invite", "upstream", "state")
 
     def __init__(self, leg_a_call_id: str, leg_b: Dialog,
-                 invite: SipRequest, upstream: str, to_tag: str):
+                 invite: SipRequest, upstream: str):
         self.leg_a_call_id = leg_a_call_id
         self.leg_b = leg_b            # leg-B dialog (UAC role)
         self.invite = invite          # retained leg-A INVITE (for responses)
         self.upstream = upstream
-        self.to_tag = to_tag          # leg-A to-tag (UAS role)
         self.state = "setup"          # setup -> answered -> completed/failed
-        # Leg-A 200 awaiting its ACK (UAS role).
-        self.ack_wait: Optional[AckWait] = None
-
-    def stop_ack_wait(self) -> bool:
-        """Cancel the leg-A 200's retransmission; False if none ran."""
-        wait = self.ack_wait
-        if wait is None:
-            return False
-        wait.cancel()
-        self.ack_wait = None
-        return True
 
 
-class B2buaServer(Node):
+class B2buaServer(AnsweringServer):
     """Terminates dialogs from upstream and re-originates them downstream.
 
     Parameters
@@ -73,6 +66,10 @@ class B2buaServer(Node):
         re-originated as ``sip:alice@<dest_domain>``.
     """
 
+    _TAG_PREFIX = "b2b"
+    #: Timer H on leg A's initial 200 abandons the 200, not the call.
+    _TIMER_H_ENDS_CALL = False
+
     def __init__(
         self,
         name: str,
@@ -81,148 +78,80 @@ class B2buaServer(Node):
         first_hop: str,
         dest_domain: str,
         timers: TimerPolicy = DEFAULT_TIMERS,
-        **kwargs,
+        rng: Optional[RngStream] = None,
     ):
-        kwargs.setdefault("model_cpu", False)
-        super().__init__(name, loop, network, **kwargs)
+        super().__init__(name, loop, network, timers=timers, rng=rng)
         self.first_hop = first_hop
         self.dest_domain = dest_domain
-        self.timers = timers
         self._calls_a: Dict[str, _B2buaCall] = {}  # leg A call-id -> call
         self._calls_b: Dict[str, _B2buaCall] = {}  # leg B call-id -> call
         self.client = ClientCore(self, first_hop, self._leg_b_dialog)
-        self._call_counter = 0
+
+    def _handle_response(self, response: SipResponse) -> None:
+        self.client.dispatch(response)
 
     # ------------------------------------------------------------------
-    # Inbound dispatch
+    # Leg A: where the bridge answers differently from the UAS
     # ------------------------------------------------------------------
-    def handle_message(self, payload, src: str) -> None:
-        if not isinstance(payload, SipMessage):
-            return
-        if isinstance(payload, SipRequest):
-            self._handle_request(payload, src)
-        else:
-            self.client.dispatch(payload)
-
-    def _handle_request(self, request: SipRequest, src: str) -> None:
-        if request.method == "INVITE":
-            self._handle_invite(request, src)
-        elif request.method == "ACK":
-            self._handle_ack(request)
-        elif request.method == "BYE":
-            self._handle_bye(request, src)
-        elif request.method == "CANCEL":
-            self._handle_cancel(request, src)
-        else:
-            self.send_response(SipResponse.for_request(request, 200), src)
-            self.metrics.counter("other_requests").increment()
-
-    # ------------------------------------------------------------------
-    # Leg A: UAS role
-    # ------------------------------------------------------------------
-    def _handle_invite(self, request: SipRequest, src: str) -> None:
-        call_id = request.call_id
-        call = self._calls_a.get(call_id)
-        if request.to.tag is not None:
-            self._handle_reinvite(request, src, call)
-            return
-        if call is not None:
-            # Retransmitted INVITE: replay the 200 if one is pending.
-            self.metrics.counter("invite_retransmits_seen").increment()
-            if call.ack_wait is not None:
-                call.ack_wait.replay()
-            return
-
-        self.metrics.counter("calls_received").increment()
-        self._call_counter += 1
-        count = self._call_counter
+    def _new_call(self, request: SipRequest, src: str, call_id: str,
+                  to_tag: str) -> None:
+        count = self._tag_counter
         # Parsed once per call; every leg-B request reuses them.
         destination = parse_uri(f"sip:{request.uri.user}@{self.dest_domain}")
         leg_b = Dialog(self.name, f"{self.name}-b2b-{count}",
                        parse_uri(f"sip:leg{count}@{self.name}"),
                        f"b2b-{count}", destination)
-        call = _B2buaCall(call_id, leg_b, request, src,
-                          to_tag=f"b2b-{self.name}-{count}")
+        call = _B2buaCall(call_id, leg_b, request, src)
         self._calls_a[call_id] = call
         self._calls_b[leg_b.call_id] = call
         self._originate_leg_b(call, request)
 
-    def _handle_reinvite(self, request: SipRequest, src: str,
-                         call: Optional[_B2buaCall]) -> None:
-        """Session refresh on leg A: answered locally -- the B2BUA owns
-        the dialog, so the refresh does not propagate to leg B."""
-        if call is None or request.to.tag != call.to_tag:
-            self.metrics.counter("reinvites_unknown").increment()
-            self.send_response(SipResponse.for_request(request, 481), src)
-            return
-        if call.ack_wait is not None:
-            # Still waiting on an ACK: treat as retransmission.
-            self.metrics.counter("invite_retransmits_seen").increment()
-            call.ack_wait.replay()
-            return
-        self.metrics.counter("reinvites_answered").increment()
-        ok = SipResponse.for_request(request, 200, to_tag=call.to_tag)
-        self._send_leg_a_ok(call, ok, initial=False)
+    def _answer_sdp(self, request: SipRequest, ok: SipResponse) -> None:
+        """A leg-A refresh is answered here, with no body: the session
+        description is leg B's, and the refresh does not reach it."""
 
     def _answer_leg_a(self, call: _B2buaCall, body: str) -> None:
-        ringing = SipResponse.for_request(call.invite, 180, to_tag=call.to_tag)
-        ok = SipResponse.for_request(call.invite, 200, to_tag=call.to_tag)
+        call_id = call.leg_a_call_id
+        to_tag = self._seen_invites[call_id]
+        ringing = SipResponse.for_request(call.invite, 180, to_tag=to_tag)
+        ok = SipResponse.for_request(call.invite, 200, to_tag=to_tag)
         if body:
             ok.body = body
             ok.add("Content-Type", "application/sdp")
         call.state = "answered"
-        self.metrics.counter("calls_answered").increment()
-        self.send_response(ringing, call.upstream)
-        self._send_leg_a_ok(call, ok, initial=True)
+        self._send_ok(call_id, ok, self.send_response(ringing, call.upstream))
 
-    def _send_leg_a_ok(self, call: _B2buaCall, ok: SipResponse,
-                       initial: bool) -> None:
-        """Send a 200 on leg A and retransmit it until the ACK arrives."""
-        next_hop = self.send_response(ok, call.upstream)
-        call.ack_wait = AckWait(self, call.leg_a_call_id, ok, next_hop,
-                                initial)
-
-    def pending_ack(self, call_id: str) -> Optional[AckWait]:
-        call = self._calls_a.get(call_id)
-        return None if call is None else call.ack_wait
-
-    def ack_timed_out(self, wait: AckWait) -> None:
-        """Timer H: the call stays up, only the 200 is abandoned."""
-        self._calls_a[wait.call_id].ack_wait = None
-        self.metrics.counter("calls_never_acked" if wait.initial
-                             else "reinvites_never_acked").increment()
-
-    def _handle_ack(self, request: SipRequest) -> None:
-        call = self._calls_a.get(request.call_id)
-        if call is not None and call.stop_ack_wait():
-            self.metrics.counter("acks_received").increment()
-        else:
-            self.metrics.counter("ack_duplicates").increment()
-
-    def _handle_bye(self, request: SipRequest, src: str) -> None:
-        """Caller hangs up: 200 the leg-A BYE and tear down leg B."""
-        call = self._calls_a.pop(request.call_id, None)
-        self.send_response(SipResponse.for_request(request, 200), src)
-        if call is None:
-            self.metrics.counter("bye_duplicates").increment()
-            return
-        call.stop_ack_wait()
-        self.metrics.counter("calls_completed").increment()
+    def _call_ended(self, call_id: str) -> None:
+        """Caller hung up: stop the 200's wait and tear down leg B."""
+        call = self._calls_a.pop(call_id)
+        wait = self._pending_acks.pop(call_id, None)
+        if wait is not None:
+            wait.cancel()
         if call.leg_b.remote_tag is not None:
             self._send_leg_b_bye(call)
         else:
             # Leg B never answered; nothing to tear down there.
             self._calls_b.pop(call.leg_b.call_id, None)
 
-    def _handle_cancel(self, request: SipRequest, src: str) -> None:
-        self.send_response(SipResponse.for_request(request, 200), src)
-        call = self._calls_a.get(request.call_id)
+    def _terminate(self, call_id: str) -> bool:
+        call = self._calls_a.get(call_id)
         if call is None or call.state != "setup":
-            self.metrics.counter("cancels_too_late").increment()
-            return
-        self.metrics.counter("calls_cancelled").increment()
+            return False
         call.state = "failed"
         self._fail_leg_a(call, 487)
+        return True
+
+    def _fail_leg_a(self, call: _B2buaCall, status: int) -> None:
+        """Answer leg A's INVITE ``status`` and forget the call (still
+        in setup, so no 200 of it awaits an ACK)."""
+        call_id = call.leg_a_call_id
+        to_tag = self._seen_invites.pop(call_id, None)
+        self.send_response(
+            SipResponse.for_request(call.invite, status, to_tag=to_tag),
+            call.upstream,
+        )
+        self._calls_a.pop(call_id, None)
+        self._calls_b.pop(call.leg_b.call_id, None)
 
     # ------------------------------------------------------------------
     # Leg B: UAC role
@@ -302,28 +231,11 @@ class B2buaServer(Node):
         self._calls_b.pop(leg_b_id, None)
 
     # ------------------------------------------------------------------
-    # Shared helpers
-    # ------------------------------------------------------------------
-    def _fail_leg_a(self, call: _B2buaCall, status: int) -> None:
-        """Answer leg A's INVITE ``status`` and forget the call (still
-        in setup, so no 200 of it awaits an ACK)."""
-        self.send_response(
-            SipResponse.for_request(call.invite, status, to_tag=call.to_tag),
-            call.upstream,
-        )
-        self._calls_a.pop(call.leg_a_call_id, None)
-        self._calls_b.pop(call.leg_b.call_id, None)
-
-    # ------------------------------------------------------------------
     # Crash/restart lifecycle
     # ------------------------------------------------------------------
     def on_crash(self) -> None:
         """Both legs of every bridged call die with the process."""
-        lost = len(self._calls_a)
-        if lost:
-            self.metrics.counter("calls_lost_on_crash").increment(lost)
-        for call in self._calls_a.values():
-            call.stop_ack_wait()
+        super().on_crash()
         self.client.abort_all()
         self._calls_a.clear()
         self._calls_b.clear()
@@ -331,10 +243,6 @@ class B2buaServer(Node):
     # ------------------------------------------------------------------
     # Harness-facing statistics
     # ------------------------------------------------------------------
-    @property
-    def calls_received(self) -> int:
-        return self.metrics.counter("calls_received").value
-
     @property
     def calls_bridged(self) -> int:
         return self.metrics.counter("calls_answered").value

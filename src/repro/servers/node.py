@@ -1,37 +1,28 @@
 """Base class for simulated network elements.
 
-A node owns a CPU model, a metrics registry and its attachment to the
-network fabric.  Message handling is two-phase:
+A node owns a metrics registry and its attachment to the network
+fabric.  :meth:`Node.receive` (called by the network) counts the packet
+and hands every SIP message to :meth:`Node.handle_message`, which runs
+the protocol logic at once and for free.
 
-1. :meth:`Node.receive` (called by the network) classifies the payload,
-   asks the cost model what the message costs, and submits a CPU job --
-   or records a drop if admission control rejects it;
-2. when the job completes, :meth:`Node.handle_message` runs the actual
-   protocol logic.
-
-Endpoint nodes (SIPp clients/servers) set ``model_cpu=False``: the paper
-deliberately provisioned enough SIPp machines that the endpoints never
-saturate ("the SIPp clients were operating far below 100% CPU
-utilization"), so endpoints here process instantly and for free.
+Only the proxy (:class:`~repro.servers.proxy.ProxyServer`) has a CPU:
+it overrides :meth:`receive` to charge each message to its
+:class:`~repro.sim.cpu.CpuModel`.  The end points (SIPp clients and
+servers) do not: the paper deliberately provisioned enough SIPp
+machines that the endpoints never saturate ("the SIPp clients were
+operating far below 100% CPU utilization").
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
-from repro.core.costmodel import CostModel, Feature, MessageKind
-from repro.core.overload import OverloadReport
-from repro.sim.cpu import CpuModel
+from repro.core.costmodel import MessageKind
 from repro.sim.events import EventLoop
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import Network, Packet
 from repro.sim.rng import RngStream
 from repro.sip.message import SipMessage, SipRequest, SipResponse
-
-# Default service-time variability and admission bound; see DESIGN.md
-# ("Retransmission feedback").
-DEFAULT_NOISE_SIGMA = 0.30
-DEFAULT_MAX_QUEUE_DELAY = 1.0
 
 
 class Node:
@@ -42,26 +33,14 @@ class Node:
         name: str,
         loop: EventLoop,
         network: Network,
-        cost_model: Optional[CostModel] = None,
         rng: Optional[RngStream] = None,
-        model_cpu: bool = True,
-        noise_sigma: float = DEFAULT_NOISE_SIGMA,
-        max_queue_delay: float = DEFAULT_MAX_QUEUE_DELAY,
     ):
         self.name = name
         self.loop = loop
         self.network = network
-        self.cost_model = cost_model or CostModel()
         self.rng = (rng or RngStream(0)).spawn(f"node/{name}")
         self.metrics = MetricsRegistry(name)
-        self.model_cpu = model_cpu
         self.alive = True
-        self.cpu = CpuModel(
-            loop,
-            self.rng.spawn("cpu"),
-            noise_sigma=noise_sigma if model_cpu else 0.0,
-            max_queue_delay=max_queue_delay if model_cpu else 0.0,
-        )
         network.register(name, self)
 
     # ------------------------------------------------------------------
@@ -74,65 +53,26 @@ class Node:
             self.metrics.counter("activity_while_dead").increment()
             return
         self.metrics.counter("packets_received").increment()
-        if not self.model_cpu:
-            self.handle_message(packet.payload, packet.src)
-            return
-        kind, features, extra_vias = self.classify(packet.payload)
-        cost, components = self.cost_model.message_cost(kind, features, extra_vias)
-        func = None
-        if self.cpu.profiler is not None:
-            func = ("control-msg" if kind is MessageKind.CONTROL
-                    else "forward")
-        job = self.cpu.submit(
-            cost, self.handle_message, packet.payload, packet.src,
-            components=components, func=func,
-        )
-        if job is None:
-            self.metrics.counter("messages_dropped_overload").increment()
-            self.on_rejected(packet.payload, packet.src)
-
-    def classify(self, payload) -> Tuple[MessageKind, frozenset, int]:
-        """(kind, features, extra_vias) for cost charging.
-
-        Subclasses refine this; the base implementation covers the
-        common cases so simple nodes work out of the box.
-        """
-        if isinstance(payload, OverloadReport):
-            return MessageKind.CONTROL, frozenset(), 0
+        payload = packet.payload
         if isinstance(payload, SipMessage):
-            extra_vias = max(0, len(payload.get_all("Via")) - 1)
-            kind = classify_sip_kind(payload)
-            return kind, frozenset({Feature.BASE}), extra_vias
-        return MessageKind.GENERIC, frozenset(), 0
+            # Control traffic (overload reports) is not for endpoints.
+            self.handle_message(payload, packet.src)
 
-    # ------------------------------------------------------------------
-    # Hooks for subclasses
-    # ------------------------------------------------------------------
-    def handle_message(self, payload, src: str) -> None:
+    def handle_message(self, message: SipMessage, src: str) -> None:
         raise NotImplementedError
-
-    def on_rejected(self, payload, src: str) -> None:
-        """Called when admission control drops a message (default: silent,
-        like a full UDP socket buffer)."""
 
     # ------------------------------------------------------------------
     # Crash/restart lifecycle (driven by repro.sim.faults)
     # ------------------------------------------------------------------
     def crash(self) -> None:
-        """Take the node down: drop queued CPU work, discard soft state.
-
-        Everything volatile dies with the process: queued jobs never run
-        and (via the :meth:`on_crash` hook) subclasses discard whatever
-        in-memory protocol state they held.  Idempotent.
+        """Take the node down and (via the :meth:`on_crash` hook)
+        discard whatever in-memory protocol state it held.  Idempotent.
         """
         if not self.alive:
             return
         self.alive = False
         self.metrics.counter("crashes").increment()
         self.metrics.gauge("up").set(0.0, self.loop.now)
-        aborted = self.cpu.halt()
-        if aborted:
-            self.metrics.counter("cpu_jobs_lost_on_crash").increment(aborted)
         self.on_crash()
 
     def restart(self) -> None:
@@ -142,7 +82,6 @@ class Node:
         self.alive = True
         self.metrics.counter("restarts").increment()
         self.metrics.gauge("up").set(1.0, self.loop.now)
-        self.cpu.resume()
         self.on_restart()
 
     def on_crash(self) -> None:
@@ -175,11 +114,6 @@ class Node:
         else:
             self.send(target, response)
         return target
-
-    def tick(self, now: float) -> None:
-        """Close a measurement window (driven by the harness)."""
-        if self.model_cpu:
-            self.cpu.tick(now)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name}>"

@@ -38,8 +38,10 @@ from repro.core.stateacct import StateAccount
 from repro.core.static_policy import PolicyDecision, StatePolicy, stateful_policy
 from repro.servers.location import LocationService
 from repro.servers.node import Node, classify_sip_kind
+from repro.sim.cpu import CpuModel
 from repro.sim.events import EventLoop
 from repro.sim.network import Network, Packet
+from repro.sim.rng import RngStream
 from repro.sip.digest import CredentialStore, make_challenge
 from repro.sip.dialog import DialogId, DialogStore
 from repro.sip.headers import SipHeaderError, Via
@@ -49,6 +51,11 @@ from repro.sip.transaction import ProxyTransaction
 
 if TYPE_CHECKING:
     from repro.core.control import ControlPolicy
+
+# Default service-time variability and admission bound; see DESIGN.md
+# ("Retransmission feedback").
+DEFAULT_NOISE_SIGMA = 0.30
+DEFAULT_MAX_QUEUE_DELAY = 1.0
 
 #: Route-table action meaning "this proxy delivers to the end point".
 DELIVER_ACTION = "__deliver__"
@@ -126,7 +133,6 @@ class ProxyConfig:
         reject_queue_delay: float = 0.30,
         txn_linger: float = 4.0,
         monitor_period: float = 1.0,
-        record_route_when_stateful: bool = True,
     ):
         for name, value in (("reject_queue_delay", reject_queue_delay),
                             ("txn_linger", txn_linger)):
@@ -141,7 +147,6 @@ class ProxyConfig:
         self.reject_queue_delay = reject_queue_delay
         self.txn_linger = txn_linger
         self.monitor_period = monitor_period
-        self.record_route_when_stateful = record_route_when_stateful
 
 
 class _Plan:
@@ -185,9 +190,17 @@ class ProxyServer(Node):
         timers: TimerPolicy = DEFAULT_TIMERS,
         auth_policy: Optional[StatePolicy] = None,
         control: Optional[ControlPolicy] = None,
-        **kwargs,
+        rng: Optional[RngStream] = None,
+        noise_sigma: float = DEFAULT_NOISE_SIGMA,
+        max_queue_delay: float = DEFAULT_MAX_QUEUE_DELAY,
     ):
-        super().__init__(name, loop, network, cost_model=cost_model, **kwargs)
+        super().__init__(name, loop, network, rng=rng)
+        self.cost_model = cost_model or CostModel()
+        # The only node with a CPU: every message it receives is charged
+        # to this model before it is handled.
+        self.cpu = CpuModel(loop, self.rng.spawn("cpu"),
+                            noise_sigma=noise_sigma,
+                            max_queue_delay=max_queue_delay)
         self.route_table = route_table
         self.location = location or LocationService()
         self.policy = policy or stateful_policy()
@@ -785,7 +798,6 @@ class ProxyServer(Node):
         # Decide first, then build the downstream copy in one pass.  The
         # 100 Trying still precedes the forwarded request on the wire.
         set_state = False
-        add_rr = False
         transaction = None
         if plan.decision is not None and plan.decision.stateful:
             branch = self._next_branch()
@@ -793,8 +805,8 @@ class ProxyServer(Node):
                 request, plan.src, branch, plan)
             if request.method == "INVITE":
                 self._send_trying(request, plan.src)
+                # Stamps the FASF bit and Record-Routes.
                 set_state = True
-                add_rr = self.config.record_route_when_stateful
                 self.metrics.counter("invites_stateful").increment()
             else:
                 self.metrics.counter("byes_stateful").increment()
@@ -813,7 +825,7 @@ class ProxyServer(Node):
             self._route_value,
             (AUTH_HEADER, AUTH_DONE) if plan.do_auth else None,
             (STATE_HEADER, STATE_HELD) if set_state else None,
-            add_rr,
+            set_state,
             str(remaining),
         )
         self.metrics.counter("requests_forwarded").increment()
@@ -1054,6 +1066,9 @@ class ProxyServer(Node):
         longer be recovered by this node -- whether they survive now
         depends entirely on end-to-end RFC 3261 retransmission.
         """
+        aborted = self.cpu.halt()  # queued jobs never run
+        if aborted:
+            self.metrics.counter("cpu_jobs_lost_on_crash").increment(aborted)
         if self._monitor_handle is not None:
             self._monitor_handle.cancel()
             self._monitor_handle = None
@@ -1079,6 +1094,7 @@ class ProxyServer(Node):
 
     def on_restart(self) -> None:
         """Fresh process: empty tables, monitoring restarts from now."""
+        self.cpu.resume()
         self._down_peers.clear()
         self._monitor_handle = self.loop.schedule(
             self.config.monitor_period, self._monitor
@@ -1110,6 +1126,3 @@ class ProxyServer(Node):
     @property
     def active_transactions(self) -> int:
         return len(self._transactions)
-
-    def handle_message(self, payload, src: str) -> None:  # pragma: no cover
-        raise AssertionError("ProxyServer overrides receive(); unused")

@@ -70,7 +70,6 @@ class RegistrarClient(Node):
             raise ValueError("need at least one AOR")
         if refresh_interval <= 0 or expires <= 0:
             raise ValueError("refresh_interval and expires must be positive")
-        kwargs.setdefault("model_cpu", False)
         super().__init__(name, loop, network, **kwargs)
         self.registrar = registrar
         self.aors = list(aors)
@@ -174,11 +173,9 @@ class RegistrarClient(Node):
     # ------------------------------------------------------------------
     # Inbound
     # ------------------------------------------------------------------
-    def handle_message(self, payload, src: str) -> None:
-        if not isinstance(payload, SipMessage):
-            return
-        if isinstance(payload, SipResponse):
-            self.client.dispatch(payload)
+    def handle_message(self, message: SipMessage, src: str) -> None:
+        if isinstance(message, SipResponse):
+            self.client.dispatch(message)
         else:
             self.metrics.counter("stray_requests").increment()
 

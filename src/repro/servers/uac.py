@@ -34,6 +34,9 @@ from repro.sip.timers import DEFAULT_TIMERS, TimerPolicy
 from repro.sip.transaction import ClientCore
 from repro.sip.uri import parse_uri
 
+#: Domain of every caller's From URI.
+FROM_DOMAIN = "clients.example.com"
+
 
 def _check_rate(rate: float) -> None:
     if not (rate > 0 and math.isfinite(rate)):
@@ -48,7 +51,6 @@ class CallGeneratorConfig:
         rate: float,
         first_hop: str,
         destinations: Sequence[str],
-        from_domain: str = "clients.example.com",
         arrival: str = "poisson",
         hold_time: float = 0.0,
         hold_dist: str = "fixed",
@@ -83,7 +85,6 @@ class CallGeneratorConfig:
         self.rate = rate
         self.first_hop = first_hop
         self.destinations = list(destinations)
-        self.from_domain = from_domain
         self.arrival = arrival
         self.hold_time = hold_time
         #: Per-call holding-time distribution: ``"fixed"`` holds exactly
@@ -146,7 +147,6 @@ class CallGenerator(Node):
         timers: TimerPolicy = DEFAULT_TIMERS,
         **kwargs,
     ):
-        kwargs.setdefault("model_cpu", False)
         super().__init__(name, loop, network, **kwargs)
         self.config = config
         self.timers = timers
@@ -217,9 +217,7 @@ class CallGenerator(Node):
         dest_uri = self._dest_uris[self._dest_index]
         self._dest_index = (self._dest_index + 1) % len(self.config.destinations)
         call_id = f"{self.name}-call-{self._call_counter}"
-        from_uri = parse_uri(
-            f"sip:user{self._call_counter}@{self.config.from_domain}"
-        )
+        from_uri = parse_uri(f"sip:user{self._call_counter}@{FROM_DOMAIN}")
         dialog = Dialog(self.name, call_id, from_uri,
                         f"uac-{self._call_counter}", dest_uri)
         branch = self.client.next_branch()
@@ -483,11 +481,9 @@ class CallGenerator(Node):
     # ------------------------------------------------------------------
     # Inbound dispatch
     # ------------------------------------------------------------------
-    def handle_message(self, payload, src: str) -> None:
-        if not isinstance(payload, SipMessage):
-            return  # UACs ignore control traffic (overload reports)
-        if isinstance(payload, SipResponse):
-            self.client.dispatch(payload)
+    def handle_message(self, message: SipMessage, src: str) -> None:
+        if isinstance(message, SipResponse):
+            self.client.dispatch(message)
         else:
             self.metrics.counter("stray_requests").increment()
 

@@ -1,10 +1,15 @@
-"""SIPp-like answering server (UAS).
+"""SIPp-like answering server (UAS), and the answering side it shares.
 
 Mirrors the default SIPp UAS scenario the paper loads against: answer
 every INVITE with 180 Ringing then 200 OK, absorb the ACK, answer BYE
 with 200 OK.  Per RFC 3261 13.3.1.4 the 200 to the INVITE is
 retransmitted on the T1-doubling schedule until the ACK arrives
-(:class:`~repro.sip.transaction.AckWait`, shared with the B2BUA).
+(:class:`~repro.sip.transaction.AckWait`).
+
+The B2BUA's leg A (:class:`~repro.servers.b2bua.B2buaServer`) is this
+class: it inherits the request dispatch, the to-tag and wait tables,
+the replay, re-INVITE, ACK, BYE and CANCEL rules and the crash
+clean-up, and overrides only what a bridge does differently.
 
 Throughput in the paper is "measured at the SIPp server", so this node
 keeps the authoritative completed-calls counters the harness reads.
@@ -26,6 +31,11 @@ from repro.sip.transaction import AckWait
 class AnsweringServer(Node):
     """Answers calls; one instance can serve many AORs."""
 
+    #: Leading part of every to-tag this node assigns.
+    _TAG_PREFIX = "uas"
+    #: Timer H on an initial INVITE's 200 ends the call.
+    _TIMER_H_ENDS_CALL = True
+
     def __init__(
         self,
         name: str,
@@ -35,7 +45,6 @@ class AnsweringServer(Node):
         ring_delay: float = 0.0,
         **kwargs,
     ):
-        kwargs.setdefault("model_cpu", False)
         super().__init__(name, loop, network, **kwargs)
         self.timers = timers
         self.ring_delay = ring_delay
@@ -55,15 +64,16 @@ class AnsweringServer(Node):
     # ------------------------------------------------------------------
     # Message handling
     # ------------------------------------------------------------------
-    def handle_message(self, payload, src: str) -> None:
-        if not isinstance(payload, SipMessage):
-            return  # control traffic is not for endpoints
-        if isinstance(payload, SipRequest):
-            self._handle_request(payload, src)
+    def handle_message(self, message: SipMessage, src: str) -> None:
+        if isinstance(message, SipRequest):
+            self._handle_request(message, src)
+        else:
+            self._handle_response(message)
+
+    def _handle_response(self, response: SipResponse) -> None:
         # Endpoints in this scenario never originate requests, so any
         # response reaching the UAS is stray; count and drop it.
-        elif isinstance(payload, SipResponse):
-            self.metrics.counter("stray_responses").increment()
+        self.metrics.counter("stray_responses").increment()
 
     def _handle_request(self, request: SipRequest, src: str) -> None:
         if request.method == "INVITE":
@@ -94,18 +104,20 @@ class AnsweringServer(Node):
 
         self.metrics.counter("calls_received").increment()
         self._tag_counter += 1
-        to_tag = f"uas-{self.name}-{self._tag_counter}"
+        to_tag = f"{self._TAG_PREFIX}-{self.name}-{self._tag_counter}"
         self._seen_invites[call_id] = to_tag
+        self._new_call(request, src, call_id, to_tag)
 
+    def _new_call(self, request: SipRequest, src: str, call_id: str,
+                  to_tag: str) -> None:
+        """Answer a new INVITE: 180 now, 200 after ``ring_delay``."""
         ringing = SipResponse.for_request(request, 180, to_tag=to_tag)
         ok = SipResponse.for_request(request, 200, to_tag=to_tag)
         # Answer the caller's SDP offer (first codec wins); calls with
         # no/broken SDP still complete -- the control plane is the
         # subject here, not the media.
         self._answer_sdp(request, ok)
-        next_hop = self.send_response(ringing)
-        if next_hop is None:
-            return
+        next_hop = self.send_response(ringing, src)
         if self.ring_delay > 0:
             handle = self.loop.schedule(
                 self.ring_delay, self._send_ok, call_id, ok, next_hop
@@ -152,26 +164,31 @@ class AnsweringServer(Node):
         self.metrics.counter("reinvites_received").increment()
         ok = SipResponse.for_request(request, 200, to_tag=known)
         self._answer_sdp(request, ok)
-        next_hop = self.send_response(ok)
-        if next_hop is not None:
-            # Timer H on a re-INVITE's 200 must not kill the session.
-            self._await_ack(call_id, ok, next_hop, initial=False)
+        # Timer H on a re-INVITE's 200 must not kill the session.
+        self._await_ack(call_id, ok, self.send_response(ok, src),
+                        initial=False)
 
     def _handle_cancel(self, request: SipRequest, src: str) -> None:
-        """RFC 3261 9.2: 200 the CANCEL; if the INVITE is still pending
-        (ringing), answer it 487 Request Terminated."""
+        """RFC 3261 9.2: 200 the CANCEL; if the INVITE is still pending,
+        answer it 487 Request Terminated."""
         self.send_response(SipResponse.for_request(request, 200), src)
-        ringing = self._ringing.pop(request.call_id, None)
-        if ringing is None:
+        if self._terminate(request.call_id):
+            self.metrics.counter("calls_cancelled").increment()
+        else:
             # Unknown or already answered: nothing to terminate.
             self.metrics.counter("cancels_too_late").increment()
-            return
+
+    def _terminate(self, call_id: str) -> bool:
+        """Answer a still-ringing INVITE 487; False if none rings."""
+        ringing = self._ringing.pop(call_id, None)
+        if ringing is None:
+            return False
         handle, original, next_hop = ringing
         handle.cancel()
-        to_tag = self._seen_invites.pop(request.call_id, None)
-        self.metrics.counter("calls_cancelled").increment()
-        terminated = SipResponse.for_request(original, 487, to_tag=to_tag)
-        self.send(next_hop, terminated)
+        to_tag = self._seen_invites.pop(call_id, None)
+        self.send(next_hop,
+                  SipResponse.for_request(original, 487, to_tag=to_tag))
+        return True
 
     def _send_ok(self, call_id: str, ok: SipResponse, next_hop: str) -> None:
         self._ringing.pop(call_id, None)
@@ -190,10 +207,11 @@ class AnsweringServer(Node):
         return self._pending_acks.get(call_id)
 
     def ack_timed_out(self, wait: AckWait) -> None:
-        """Timer H: an initial INVITE's unACKed 200 ends the call."""
+        """Timer H: the 200 is abandoned."""
         del self._pending_acks[wait.call_id]
         if wait.initial:
-            self._seen_invites.pop(wait.call_id, None)
+            if self._TIMER_H_ENDS_CALL:
+                self._seen_invites.pop(wait.call_id, None)
             self.metrics.counter("calls_never_acked").increment()
         else:
             self.metrics.counter("reinvites_never_acked").increment()
@@ -207,14 +225,21 @@ class AnsweringServer(Node):
             self.metrics.counter("ack_duplicates").increment()
 
     def _handle_bye(self, request: SipRequest, src: str) -> None:
-        if request.call_id in self._seen_invites:
-            del self._seen_invites[request.call_id]
+        call_id = request.call_id
+        ended = self._seen_invites.pop(call_id, None) is not None
+        if ended:
             self.metrics.counter("calls_completed").increment()
         else:
             # BYE retransmit (or BYE for an unknown call): still answer,
             # a real UAS would send 481 for unknown dialogs.
             self.metrics.counter("bye_duplicates").increment()
         self.send_response(SipResponse.for_request(request, 200), src)
+        if ended:
+            self._call_ended(call_id)
+
+    def _call_ended(self, call_id: str) -> None:
+        """A BYE ended the call (its 200 is sent).  A 200 still awaiting
+        its ACK keeps re-sending until the ACK or Timer H."""
 
     # ------------------------------------------------------------------
     # Crash/restart lifecycle

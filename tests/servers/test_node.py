@@ -1,23 +1,11 @@
-"""Tests for the base node and SIP message cost classification."""
+"""Tests for SIP message cost classification."""
 
 import pytest
 
-from repro.core.costmodel import CostModel, MessageKind
-from repro.core.overload import OverloadReport
-from repro.servers.node import Node, classify_sip_kind
+from repro.core.costmodel import MessageKind
+from repro.servers.node import classify_sip_kind
 from repro.sip.headers import Via
 from repro.sip.message import SipRequest, SipResponse
-
-
-class EchoNode(Node):
-    """Concrete node that records handled payloads."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.handled = []
-
-    def handle_message(self, payload, src):
-        self.handled.append((payload, src))
 
 
 def make_request(method="INVITE", vias=1):
@@ -59,72 +47,3 @@ class TestClassification:
         request = make_request("INVITE" if cseq_method == "INVITE" else "BYE")
         response = SipResponse.for_request(request, status)
         assert classify_sip_kind(response) == kind
-
-
-class TestCpuBypass:
-    def test_endpoint_nodes_process_instantly(self, loop, network, rng):
-        node = EchoNode("e", loop, network, rng=rng, model_cpu=False)
-        network.send("x", "e", make_request())
-        loop.run()
-        assert len(node.handled) == 1
-        assert node.cpu.busy_seconds == 0.0
-
-    def test_modeled_nodes_accrue_cpu(self, loop, network, rng):
-        node = EchoNode("m", loop, network, rng=rng, model_cpu=True,
-                        noise_sigma=0.0)
-        network.send("x", "m", make_request())
-        loop.run()
-        assert len(node.handled) == 1
-        assert node.cpu.busy_seconds > 0
-
-    def test_control_messages_are_cheap(self, loop, network, rng):
-        node = EchoNode("c", loop, network, rng=rng, model_cpu=True,
-                        noise_sigma=0.0)
-        network.send("x", "c", OverloadReport("x", True, 1.0, 1))
-        loop.run()
-        control_cost = node.cpu.busy_seconds
-        node2 = EchoNode("c2", loop, network, rng=rng, model_cpu=True,
-                         noise_sigma=0.0)
-        network.send("x", "c2", make_request())
-        loop.run()
-        assert control_cost < node2.cpu.busy_seconds / 3
-
-    def test_via_count_raises_cost(self, loop, network, rng):
-        shallow = EchoNode("s1", loop, network, rng=rng, noise_sigma=0.0)
-        deep = EchoNode("s2", loop, network, rng=rng, noise_sigma=0.0)
-        network.send("x", "s1", make_request(vias=1))
-        network.send("x", "s2", make_request(vias=4))
-        loop.run()
-        assert deep.cpu.busy_seconds > shallow.cpu.busy_seconds
-
-    def test_drop_hook_called_on_admission_reject(self, loop, network, rng):
-        dropped = []
-
-        class Dropper(EchoNode):
-            def on_rejected(self, payload, src):
-                dropped.append(payload)
-
-        node = Dropper("d", loop, network, rng=rng, noise_sigma=0.0,
-                       max_queue_delay=1e-9)
-        # Saturate: the first message occupies the CPU; the rest exceed
-        # the (tiny) admission bound.
-        for _ in range(3):
-            network.send("x", "d", make_request())
-        loop.run()
-        assert node.metrics.counter("messages_dropped_overload").value >= 1
-        assert len(dropped) >= 1
-
-
-class TestTick:
-    def test_tick_records_utilization(self, loop, network, rng):
-        node = EchoNode("t", loop, network, rng=rng, noise_sigma=0.0)
-        network.send("x", "t", make_request())
-        loop.run()
-        loop.run_until(1.0)
-        node.tick(1.0)
-        assert len(node.cpu.utilization_series) == 1
-
-    def test_tick_noop_for_endpoints(self, loop, network, rng):
-        node = EchoNode("t2", loop, network, rng=rng, model_cpu=False)
-        node.tick(1.0)
-        assert len(node.cpu.utilization_series) == 0

@@ -408,6 +408,37 @@ class TestByeOwnership:
         assert env.proxy.metrics.counter("byes_stateless").value == 1
 
 
+class TestCpuCharging:
+    """The proxy charges each message it receives to its CPU model."""
+
+    def test_control_messages_are_cheap(self):
+        control, invite = Env(policy=ServartukaPolicy()), Env()
+        control.inject("dst", OverloadReport("dst", True, 100.0, 1))
+        invite.inject("uac", invite.make_invite())
+        assert (control.proxy.cpu.busy_seconds
+                < invite.proxy.cpu.busy_seconds / 3)
+
+    def test_deeper_via_stack_costs_more(self):
+        shallow, deep = Env(), Env()
+        shallow.inject("uac", shallow.make_invite())
+        request = deep.make_invite()
+        for index in range(3):
+            request.push_via(Via(f"h{index}", branch=f"z9hG4bKv{index}"))
+        deep.inject("uac", request)
+        assert deep.proxy.cpu.busy_seconds > shallow.proxy.cpu.busy_seconds
+
+    def test_admission_drop_is_counted(self):
+        env = Env()
+        env.proxy.cpu.max_queue_delay = 1e-9
+        # The first INVITE occupies the CPU; the rest exceed the bound.
+        for _ in range(3):
+            env.network.send("uac", "P1", env.make_invite())
+        env.loop.run_until(0.2)
+        dropped = env.proxy.metrics.counter("messages_dropped_overload")
+        assert dropped.value == 2
+        assert len(env.dst.requests("INVITE")) == 1
+
+
 class TestControlPlane:
     def test_overload_report_reaches_policy(self):
         policy = ServartukaPolicy()

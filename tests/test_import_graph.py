@@ -152,6 +152,22 @@ def test_only_the_client_core_starts_client_transactions():
     assert offenders == []
 
 
+def test_one_answering_side_and_one_cpu():
+    """Under ``repro.servers`` only the UAS builds a 200's ``AckWait``
+    (the B2BUA's leg A runs its code) and only the proxy builds a
+    ``CpuModel`` (no end point has a CPU)."""
+    owners = {"AckWait": "uas.py", "CpuModel": "proxy.py"}
+    built = {name: set() for name in owners}
+    for path in sorted((SRC / "repro" / "servers").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in built:
+                    built[name].add(path.name)
+    assert built == {name: {owner} for name, owner in owners.items()}
+
+
 # ---------------------------------------------------------------------------
 # (b) the CLI builds no simulator to print help or read the cache
 # ---------------------------------------------------------------------------
