@@ -207,7 +207,8 @@ class AnsweringServer(Node):
         return self._pending_acks.get(call_id)
 
     def ack_timed_out(self, wait: AckWait) -> None:
-        """Timer H: the 200 is abandoned."""
+        """Timer H: the 200 is abandoned, and with it an initial
+        INVITE's call where ``_TIMER_H_ENDS_CALL``."""
         del self._pending_acks[wait.call_id]
         if wait.initial:
             if self._TIMER_H_ENDS_CALL:
