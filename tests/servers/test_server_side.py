@@ -56,11 +56,9 @@ class Caller:
 
 class LegB(Peer):
     """A leg-B first hop whose 200 to an INVITE carries an SDP answer;
-    ``silent`` answers nothing."""
+    set ``silent`` and it answers nothing."""
 
-    def __init__(self, network, silent=False, **options):
-        super().__init__(network, **options)
-        self.silent = silent
+    silent = False
 
     def receive(self, packet):
         if not self.silent:
@@ -76,7 +74,7 @@ class LegB(Peer):
             super().reply(request, status, dst)
 
 
-def make_env(kind, ring=False, silent=False):
+def make_env(kind, ring=False):
     """``ring`` keeps the INVITE unanswered after its 180 (the UAS rings
     for 0.5 s, the B2BUA's leg B never answers)."""
     loop = EventLoop()
@@ -89,7 +87,7 @@ def make_env(kind, ring=False, silent=False):
         node = B2buaServer("b2b", loop, network, first_hop="peer",
                            dest_domain="x.com", timers=TIMERS,
                            rng=RngStream(7, "b2b"))
-        LegB(network, ring=ring, silent=silent)
+        LegB(network, ring=ring)
     caller = Caller(network)
     return loop, network, node, caller
 
@@ -145,18 +143,19 @@ def pending_reinvite_ok(kind):
 # ---------------------------------------------------------------------------
 # (a) the wire text of every reply
 # ---------------------------------------------------------------------------
-def reply(status, method, cseq=1, tag=None, *extra, body="",
-          call_id="a-1", reason=None):
-    reason = reason or {180: "Ringing", 200: "OK", 481:
-                        "Call/Transaction Does Not Exist",
-                        487: "Request Terminated"}[status]
+REASONS = {180: "Ringing", 200: "OK", 481: "Call/Transaction Does Not Exist",
+           487: "Request Terminated"}
+
+
+def reply(status, method, cseq=1, tag=None, *extra, body=""):
+    """A reply to ``request(method, cseq)`` of call ``a-1``."""
     to = "To: <sip:alice@edge.example.net>"
     return wire(
-        f"SIP/2.0 {status} {reason}",
-        f"Via: SIP/2.0/UDP cli;branch=z9hG4bK-{call_id}-{method}-{cseq}",
+        f"SIP/2.0 {status} {REASONS[status]}",
+        f"Via: SIP/2.0/UDP cli;branch=z9hG4bK-a-1-{method}-{cseq}",
         "From: <sip:carol@y.com>;tag=ft",
         f"{to};tag={tag}" if tag else to,
-        f"Call-ID: {call_id}",
+        "Call-ID: a-1",
         f"CSeq: {cseq} {method}",
         *extra,
         f"Content-Length: {len(body)}", body=body)
